@@ -47,7 +47,6 @@ std::vector<ckpt::JournalEntry> demo_journal() {
   for (int i = 0; i < 8; ++i) {
     ckpt::JournalEntry e;
     e.t = 8.0 + 8.0 * i;
-    e.cmd.kind = ckpt::ControlCommand::Kind::kInject;
     e.cmd.fault_kind = fault::FaultKind::LinkLoss;
     e.cmd.unit = static_cast<std::size_t>(i % 4);
     e.cmd.magnitude = 1.5;
@@ -122,7 +121,7 @@ exp::TaskOutput run_costs(const gen::ScenarioSpec& spec,
   {
     gen::Scenario replayed(spec, ctx.seed, opts);
     ckpt::schedule_replay(replayed.engine(), journal, /*order=*/1000,
-                          &replayed.injector(), nullptr);
+                          &replayed.injector());
     replayed.run();
   }
   const double replay_ms = ms_since(t0);

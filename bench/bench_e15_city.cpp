@@ -65,7 +65,7 @@ exp::TaskOutput run_city_sharded(exp::Harness& h, const gen::ScenarioSpec& spec,
       throw std::invalid_argument("control journal: " + st.to_string());
     }
     ckpt::schedule_replay(city.engine(), std::move(entries), /*order=*/1000,
-                          &city.injector(), ctx.telemetry);
+                          &city.injector());
   }
   if (ctx.serve_bind) {
     exp::ServeHooks hooks;
@@ -105,7 +105,7 @@ exp::TaskOutput run_city(const gen::ScenarioSpec& spec, bool self_aware,
       throw std::invalid_argument("control journal: " + st.to_string());
     }
     ckpt::schedule_replay(city.engine(), std::move(entries), /*order=*/1000,
-                          &city.injector(), ctx.telemetry);
+                          &city.injector());
   }
 
   // Must outlive city.run(): the serve bridge's cmd=checkpoint hook calls

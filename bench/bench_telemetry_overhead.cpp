@@ -6,7 +6,7 @@
 // the headline — a full agent ODA step with tracing off vs on, which
 // bounds the end-to-end cost of decision-provenance tracing. The
 // disabled-path kernels demonstrate the "one branch, zero allocations"
-// contract; run with -DSA_TELEMETRY_OFF to see the compiled-out floor.
+// contract.
 //
 // Grid "seeds" are repeat indices (best-of over repeats damps scheduler
 // noise); timing metrics are wall-clock derived and not bitwise
@@ -122,16 +122,6 @@ const std::vector<Kernel> kKernels = {
        return time_ns(n, [&] {
          reg.observe(m, v);
          v += 0.001;
-       });
-     }},
-    {"metrics_hist_observe", 1 << 17,
-     [](std::size_t n) {
-       sim::MetricsRegistry reg;
-       const auto m = reg.histogram("bench.lat", 0.0, 1.0, 32);
-       double v = 0.0;
-       return time_ns(n, [&] {
-         reg.observe(m, v);
-         v = v < 1.0 ? v + 0.001 : 0.0;
        });
      }},
     {"metrics_snapshot@16", 1 << 14,

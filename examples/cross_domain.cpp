@@ -36,6 +36,7 @@
 #include "multicore/manager.hpp"
 #include "multicore/workload.hpp"
 #include "sim/metrics.hpp"
+#include "sim/stats.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
 
@@ -176,8 +177,12 @@ int main(int argc, char** argv) {
               bus.count(sim::TelemetryBus::kObservation),
               bus.count(sim::TelemetryBus::kDecision),
               bus.count(sim::TelemetryBus::kFailure));
-  std::printf("last %zu events buffered; decision values mean %.2f\n",
-              recent.size(), bus.values(sim::TelemetryBus::kDecision).mean());
+  sim::RunningStats decisions;
+  for (const auto* r : recent.by_category(sim::TelemetryBus::kDecision)) {
+    decisions.add(r->value);
+  }
+  std::printf("last %zu events buffered; buffered decision values mean %.2f\n",
+              recent.size(), decisions.mean());
 
   // Each agent now holds the other domain's public self-description.
   const auto& cloud_kb = autoscaler.agent().knowledge();

@@ -1,7 +1,10 @@
 #include "ckpt/journal.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -15,28 +18,9 @@ std::string render_double(double v) {
   return buf;
 }
 
-/// Minimal x-www-form-urlencoded escaping for the category field (the
-/// only free-form string a journaled command carries).
-std::string form_escape(std::string_view in) {
-  static constexpr char kHex[] = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    const bool plain = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                       (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                       c == '.' || c == '~';
-    if (plain) {
-      out += c;
-    } else {
-      out += '%';
-      out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-      out += kHex[static_cast<unsigned char>(c) & 0xf];
-    }
-  }
-  return out;
-}
-
-bool form_unescape(std::string_view in, std::string& out) {
+/// application/x-www-form-urlencoded decoding: '+' -> space, %XX -> byte.
+/// Returns false on a truncated or non-hex escape.
+bool form_decode(std::string_view in, std::string& out) {
   const auto hex = [](char h) -> int {
     if (h >= '0' && h <= '9') return h - '0';
     if (h >= 'a' && h <= 'f') return h - 'a' + 10;
@@ -63,9 +47,12 @@ bool form_unescape(std::string_view in, std::string& out) {
   return true;
 }
 
-std::string form_get(std::string_view body, std::string_view key) {
+/// The raw (still encoded) value of `key` in a "k=v&k=v" body, or nullopt
+/// if the key is absent.
+std::optional<std::string_view> form_raw(std::string_view body,
+                                         std::string_view key) {
   std::size_t pos = 0;
-  std::string k, v;
+  std::string k;
   while (pos < body.size()) {
     std::size_t amp = body.find('&', pos);
     if (amp == std::string_view::npos) amp = body.size();
@@ -73,25 +60,44 @@ std::string form_get(std::string_view body, std::string_view key) {
     pos = amp + 1;
     const std::size_t eq = pair.find('=');
     if (eq == std::string_view::npos) continue;
-    if (!form_unescape(pair.substr(0, eq), k) || k != key) continue;
-    if (!form_unescape(pair.substr(eq + 1), v)) return {};
-    return v;
+    if (form_decode(pair.substr(0, eq), k) && k == key) {
+      return pair.substr(eq + 1);
+    }
   }
-  return {};
+  return std::nullopt;
 }
 
+/// A finite double spelling all of `s` (strtod alone also takes "inf" and
+/// "nan", and saturates overflow to infinity).
 bool parse_double(const std::string& s, double& out) {
   if (s.empty()) return false;
   char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  const double v = std::strtod(s.c_str(), &end);
+  if (end != s.c_str() + s.size() || !std::isfinite(v)) return false;
+  out = v;
+  return true;
 }
 
+/// A non-negative count that fits size_t (fractions truncate). Checked
+/// before the cast: converting an out-of-range double is undefined.
 bool parse_size(const std::string& s, std::size_t& out) {
+  constexpr double kLimit =
+      static_cast<double>(std::numeric_limits<std::size_t>::max()) + 1.0;
   double d = 0.0;
-  if (!parse_double(s, d) || d < 0) return false;
+  if (!parse_double(s, d) || d < 0.0 || d >= kLimit) return false;
   out = static_cast<std::size_t>(d);
   return true;
+}
+
+/// Reads optional numeric field `key` with `parse`: an absent field keeps
+/// `out` unchanged; a present one must decode and parse.
+template <typename T>
+bool form_number(std::string_view body, std::string_view key, T& out,
+                 bool (*parse)(const std::string&, T&)) {
+  const std::optional<std::string_view> raw = form_raw(body, key);
+  if (!raw) return true;
+  std::string v;
+  return form_decode(*raw, v) && parse(v, out);
 }
 
 std::string_view trim(std::string_view s) {
@@ -106,54 +112,53 @@ std::string_view trim(std::string_view s) {
 
 }  // namespace
 
+std::string form_get(std::string_view body, std::string_view key) {
+  const std::optional<std::string_view> raw = form_raw(body, key);
+  std::string v;
+  if (!raw || !form_decode(*raw, v)) return {};
+  return v;
+}
+
 std::string ControlCommand::to_form() const {
-  std::string out;
-  if (kind == Kind::kInject) {
-    out = "cmd=inject&kind=";
-    out += fault::kind_name(fault_kind);
-    out += "&unit=" + std::to_string(unit);
-    out += "&mag=" + render_double(magnitude);
-    out += "&dur=" + render_double(duration);
-  } else {
-    out = "cmd=histogram&category=" + form_escape(category);
-    out += "&lo=" + render_double(lo);
-    out += "&hi=" + render_double(hi);
-    out += "&bins=" + std::to_string(bins);
-  }
+  std::string out = "cmd=inject&kind=";
+  out += fault::kind_name(fault_kind);
+  out += "&unit=" + std::to_string(unit);
+  out += "&mag=" + render_double(magnitude);
+  out += "&dur=" + render_double(duration);
   return out;
 }
 
 Status ControlCommand::parse_form(std::string_view body, ControlCommand& out) {
   out = ControlCommand{};
   const std::string cmd = form_get(body, "cmd");
-  if (cmd == "inject") {
-    out.kind = Kind::kInject;
-    try {
-      out.fault_kind = fault::kind_from(form_get(body, "kind"));
-    } catch (const std::invalid_argument& e) {
-      return Status::error(Errc::kMalformed, e.what());
-    }
-    parse_size(form_get(body, "unit"), out.unit);
-    parse_double(form_get(body, "mag"), out.magnitude);
-    parse_double(form_get(body, "dur"), out.duration);
-    return {};
+  if (cmd != "inject") {
+    return Status::error(Errc::kMalformed,
+                         "control journal supports cmd=inject, got '" + cmd +
+                             "'");
   }
-  if (cmd == "histogram") {
-    out.kind = Kind::kHistogram;
-    out.category = form_get(body, "category");
-    if (out.category.empty())
-      return Status::error(Errc::kMalformed, "histogram without category");
-    if (!parse_double(form_get(body, "lo"), out.lo) ||
-        !parse_double(form_get(body, "hi"), out.hi) ||
-        !parse_size(form_get(body, "bins"), out.bins) || out.bins == 0 ||
-        !(out.lo < out.hi))
-      return Status::error(Errc::kMalformed,
-                           "histogram needs lo < hi and bins > 0");
-    return {};
+  try {
+    out.fault_kind = fault::kind_from(form_get(body, "kind"));
+  } catch (const std::invalid_argument& e) {
+    return Status::error(Errc::kMalformed, e.what());
   }
-  return Status::error(Errc::kMalformed,
-                       "journal supports cmd=inject|histogram, got '" + cmd +
-                           "'");
+  const char* bad =
+      !form_number(body, "unit", out.unit, parse_size)        ? "unit"
+      : !form_number(body, "mag", out.magnitude, parse_double) ? "mag"
+      : !form_number(body, "dur", out.duration, parse_double)  ? "dur"
+                                                               : nullptr;
+  if (bad != nullptr) {
+    return Status::error(Errc::kMalformed,
+                         std::string("inject: malformed, non-finite or "
+                                     "out-of-range ") +
+                             bad);
+  }
+  return {};
+}
+
+void apply(const ControlCommand& cmd, sim::Engine& engine,
+           fault::Injector& injector) {
+  injector.inject_now(engine, cmd.fault_kind, cmd.unit, cmd.magnitude,
+                      cmd.duration);
 }
 
 Status parse_journal_spec(std::string_view spec,
@@ -222,34 +227,17 @@ Status load_journal(Cursor& in, std::vector<JournalEntry>& out) {
 }
 
 void schedule_replay(sim::Engine& engine, std::vector<JournalEntry> entries,
-                     int order, fault::Injector* injector,
-                     sim::TelemetryBus* bus) {
+                     int order, fault::Injector* injector) {
+  if (injector == nullptr) return;
   // Replay events are themselves tagged (by journal position), so a
   // restored-and-replaying world can be checkpointed again.
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const JournalEntry& e = entries[i];
-    const sim::EventTag tag = sim::event_tag("sa.ckpt.replay", i);
-    if (e.cmd.kind == ControlCommand::Kind::kInject) {
-      if (injector == nullptr) continue;
-      const ControlCommand cmd = e.cmd;
-      engine.at_tagged(
-          tag, e.t,
-          [&engine, injector, cmd] {
-            injector->inject_now(engine, cmd.fault_kind, cmd.unit,
-                                 cmd.magnitude, cmd.duration);
-          },
-          order);
-    } else {
-      if (bus == nullptr) continue;
-      const ControlCommand cmd = e.cmd;
-      engine.at_tagged(
-          tag, e.t,
-          [bus, cmd] {
-            bus->enable_histogram(bus->intern_category(cmd.category), cmd.lo,
-                                  cmd.hi, cmd.bins);
-          },
-          order);
-    }
+    engine.at_tagged(
+        sim::event_tag("sa.ckpt.replay", i), entries[i].t,
+        [&engine, injector, cmd = entries[i].cmd] {
+          apply(cmd, engine, *injector);
+        },
+        order);
   }
 }
 

@@ -1,12 +1,17 @@
-// Control-stream record/replay (sa::ckpt).
+// Control commands: their grammar, the one step that applies them, and
+// their record/replay journal (sa::ckpt).
 //
-// Every state-mutating POST /control command the serve bridge *applies*
-// (inject, histogram — pause/resume/shutdown mutate nothing the sim
-// reads) is appended here with the sim-time stamp at which it landed.
-// Replaying the journal against a rebuilt world schedules each command at
-// its original (t, order) through the engine, so a served run — whose
-// perturbations arrived from live HTTP clients — becomes reproducible
-// offline: rebuild, replay, byte-identical trajectory.
+// The only state-mutating POST /control command is `inject` (pause,
+// resume and shutdown mutate nothing the sim reads; checkpoint only reads
+// state). The serve bridge parses it with ControlCommand::parse_form,
+// applies it with apply() at a mailbox drain, and appends it here with the
+// sim-time stamp at which it landed. Replaying the journal against a
+// rebuilt world schedules the same apply() at each command's original
+// (t, order), so a served run — whose perturbations arrived from live
+// HTTP clients — becomes reproducible offline: rebuild, replay,
+// byte-identical trajectory. Live and replayed commands share one parser
+// and one apply step, so the journal cannot drift from what the live path
+// did.
 //
 // Entries have three interchangeable representations:
 //   * structured (ControlCommand) — what record/replay operate on,
@@ -17,7 +22,7 @@
 //     bit patterns.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -26,32 +31,38 @@
 #include "ckpt/format.hpp"
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
-#include "sim/telemetry.hpp"
 
 namespace sa::ckpt {
 
-/// One mailbox command, structurally. Mirrors the serve bridge's mailbox:
-/// only commands that mutate sim-thread state are journaled.
+/// Decoded value of `key` in an x-www-form-urlencoded body ("k=v&k=v";
+/// '+' is a space, %XX a byte). "" if the key is absent or its value
+/// carries a truncated or non-hex escape.
+[[nodiscard]] std::string form_get(std::string_view body,
+                                   std::string_view key);
+
+/// One `cmd=inject` control command, structurally: a fault of `fault_kind`
+/// on `unit` with `magnitude`, for `duration` sim-seconds.
 struct ControlCommand {
-  enum class Kind : std::uint8_t { kInject = 0, kHistogram = 1 };
-  Kind kind = Kind::kInject;
-  // kInject:
   fault::FaultKind fault_kind = fault::FaultKind::LinkLoss;
   std::size_t unit = 0;
   double magnitude = 1.0;
   double duration = 0.0;
-  // kHistogram:
-  std::string category;
-  double lo = 0.0, hi = 1.0;
-  std::size_t bins = 20;
 
   /// Canonical x-www-form-urlencoded body (doubles printed round-trip).
   [[nodiscard]] std::string to_form() const;
-  /// Parses a canonical/handler-style form body. kMalformed with a
-  /// human-readable reason on unknown cmd, bad kind, or bad numbers.
+  /// Parses a canonical/handler-style form body. An absent unit/mag/dur
+  /// keeps its default; kMalformed with a human-readable reason on any cmd
+  /// but inject, a bad kind, or a present number that is malformed,
+  /// non-finite or out of range.
   [[nodiscard]] static Status parse_form(std::string_view body,
                                          ControlCommand& out);
 };
+
+/// Applies `cmd` to the world now (sim thread, at a step boundary). The
+/// serve bridge's mailbox drain and schedule_replay() both call this, so a
+/// replayed command does exactly what the live one did.
+void apply(const ControlCommand& cmd, sim::Engine& engine,
+           fault::Injector& injector);
 
 struct JournalEntry {
   double t = 0.0;
@@ -97,14 +108,12 @@ class ControlJournal {
 void save_journal(const std::vector<JournalEntry>& in, Buffer& out);
 [[nodiscard]] Status load_journal(Cursor& in, std::vector<JournalEntry>& out);
 
-/// Schedules every entry on `engine` at its recorded sim time and `order`
-/// (use the bridge's event order, 1000, so replayed commands land after
-/// everything else at the same instant — exactly where a drained mailbox
-/// command landed originally). Inject commands need `injector`; histogram
-/// commands need `bus`; entries whose target is absent are skipped, same
-/// as the bridge's drain.
+/// Schedules apply() of every entry on `engine` at its recorded sim time
+/// and `order` (use the bridge's event order, 1000, so replayed commands
+/// land after everything else at the same instant — exactly where a
+/// drained mailbox command landed originally). A null `injector` skips
+/// every entry, as the bridge refuses inject without one.
 void schedule_replay(sim::Engine& engine, std::vector<JournalEntry> entries,
-                     int order, fault::Injector* injector,
-                     sim::TelemetryBus* bus);
+                     int order, fault::Injector* injector);
 
 }  // namespace sa::ckpt

@@ -214,8 +214,8 @@ StandardArgs::StandardArgs() {
        "",
        "SPEC",
        "replay a recorded control stream into cells that\n"
-       "support it (\"T cmd=inject&kind=...; T\n"
-       "cmd=histogram&...\"; sim-time-stamped, applied at\n"
+       "support it (\"T cmd=inject&kind=K&unit=U&mag=M&\n"
+       "dur=D; T ...\"; sim-time-stamped, applied at\n"
        "the recorded instants). A resumed run appends the\n"
        "journal recorded live before the interruption",
        [](std::string_view value, Options& out) -> std::string {

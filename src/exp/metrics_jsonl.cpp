@@ -16,8 +16,6 @@ const char* kind_name(sim::MetricsRegistry::Kind k) {
       return "gauge";
     case sim::MetricsRegistry::Kind::Timer:
       return "timer";
-    case sim::MetricsRegistry::Kind::Histogram:
-      return "histogram";
   }
   return "unknown";
 }
@@ -58,8 +56,7 @@ void write_metrics_jsonl(std::ostream& os,
       case sim::MetricsRegistry::Kind::Gauge:
         entry["value"] = registry.value(m);
         break;
-      case sim::MetricsRegistry::Kind::Timer:
-      case sim::MetricsRegistry::Kind::Histogram: {
+      case sim::MetricsRegistry::Kind::Timer: {
         const sim::RunningStats& s = registry.stats(m);
         entry["count"] = s.count();
         entry["mean"] = s.mean();

@@ -1,12 +1,11 @@
-// JSONL export of a sim::MetricsRegistry — same line-per-record idiom as
-// exp::JsonlSink (and it lives in sa::exp for the same layering reason:
-// the deterministic Json writer is here).
+// JSONL export of a sim::MetricsRegistry (it lives in sa::exp because the
+// deterministic Json writer is here).
 //
 // Layout:
 //   line 1    {"schema":1,"kind":"metrics","names":[...],"kinds":[...]}
 //   line 2..  {"t":<snapshot time>,"v":[<one scalar per metric>]}
 //   last line {"summary":{<name>:{"kind":...,"value":...,...}}} — counters
-//             and gauges report their value; timers/histograms report
+//             and gauges report their value; timers report
 //             count/mean/min/max/stddev of their observations.
 //
 // Timers hold wall-clock measurements, so metric *values* are not

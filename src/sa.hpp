@@ -23,10 +23,7 @@
 #include "learn/drift.hpp"
 #include "learn/estimators.hpp"
 #include "learn/forecast.hpp"
-#include "learn/kalman.hpp"
 #include "learn/markov.hpp"
-#include "learn/qlearn.hpp"
-#include "learn/rls.hpp"
 
 // The computational self-awareness framework (the paper's contribution).
 #include "core/agent.hpp"

@@ -1,76 +1,11 @@
 #include "serve/bridge.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
 #include <utility>
 
 namespace sa::serve {
 
 namespace {
-
-/// application/x-www-form-urlencoded decoding: '+' -> space, %XX -> byte.
-/// Returns false on a truncated or non-hex escape.
-bool form_decode(std::string_view in, std::string& out) {
-  const auto hex = [](char h) -> int {
-    if (h >= '0' && h <= '9') return h - '0';
-    if (h >= 'a' && h <= 'f') return h - 'a' + 10;
-    if (h >= 'A' && h <= 'F') return h - 'A' + 10;
-    return -1;
-  };
-  out.clear();
-  out.reserve(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const char c = in[i];
-    if (c == '+') {
-      out += ' ';
-    } else if (c == '%') {
-      if (i + 2 >= in.size()) return false;
-      const int hi = hex(in[i + 1]);
-      const int lo = hex(in[i + 2]);
-      if (hi < 0 || lo < 0) return false;
-      out += static_cast<char>(hi * 16 + lo);
-      i += 2;
-    } else {
-      out += c;
-    }
-  }
-  return true;
-}
-
-/// Decoded value of `key` in a "k=v&k=v" form body. "" if the key is absent
-/// or carries a malformed escape — the caller's required-field validation
-/// then turns that into a 400.
-std::string form_get(std::string_view body, std::string_view key) {
-  std::size_t pos = 0;
-  std::string k, v;
-  while (pos < body.size()) {
-    std::size_t amp = body.find('&', pos);
-    if (amp == std::string_view::npos) amp = body.size();
-    const std::string_view pair = body.substr(pos, amp - pos);
-    pos = amp + 1;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) continue;
-    if (!form_decode(pair.substr(0, eq), k) || k != key) continue;
-    if (!form_decode(pair.substr(eq + 1), v)) return {};
-    return v;
-  }
-  return {};
-}
-
-bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-bool parse_size(const std::string& s, std::size_t& out) {
-  double d = 0.0;
-  if (!parse_double(s, d) || d < 0) return false;
-  out = static_cast<std::size_t>(d);
-  return true;
-}
 
 HttpResponse json_response(int status, std::string body) {
   HttpResponse resp;
@@ -99,7 +34,7 @@ bool token_equal(std::string_view a, std::string_view b) {
 /// The token a control request presented: the `token=` form field, or an
 /// `Authorization: Bearer …` header.
 std::string presented_token(const HttpRequest& req) {
-  std::string tok = form_get(req.body, "token");
+  std::string tok = ckpt::form_get(req.body, "token");
   if (!tok.empty()) return tok;
   const std::string* auth = req.header("Authorization");
   constexpr std::string_view kBearer = "Bearer ";
@@ -200,52 +135,23 @@ void SimBridge::publish_now(double t) {
 }
 
 void SimBridge::drain_mailbox(sim::Engine* engine) {
-  std::vector<Command> cmds;
+  std::vector<Posted> cmds;
   {
     std::unique_lock lk(mailbox_mu_, std::try_to_lock);
     if (lk.owns_lock()) cmds.swap(mailbox_);
     // A contended mailbox just waits for the next drain period.
   }
-  for (const Command& cmd : cmds) {
-    switch (cmd.kind) {
-      case Command::Kind::Inject:
-        if (injector_ != nullptr && engine != nullptr) {
-          injector_->inject_now(*engine, cmd.fault_kind, cmd.unit,
-                                cmd.magnitude, cmd.duration);
-          if (journal_ != nullptr) {
-            ckpt::ControlCommand jc;
-            jc.kind = ckpt::ControlCommand::Kind::kInject;
-            jc.fault_kind = cmd.fault_kind;
-            jc.unit = cmd.unit;
-            jc.magnitude = cmd.magnitude;
-            jc.duration = cmd.duration;
-            journal_->record(engine->now(), jc);
-          }
-        }
-        break;
-      case Command::Kind::Histogram:
-        if (bus_ != nullptr) {
-          bus_->enable_histogram(bus_->intern_category(cmd.category), cmd.lo,
-                                 cmd.hi, cmd.bins);
-          if (journal_ != nullptr) {
-            ckpt::ControlCommand jc;
-            jc.kind = ckpt::ControlCommand::Kind::kHistogram;
-            jc.category = cmd.category;
-            jc.lo = cmd.lo;
-            jc.hi = cmd.hi;
-            jc.bins = cmd.bins;
-            journal_->record(engine != nullptr ? engine->now() : 0.0, jc);
-          }
-        }
-        break;
-      case Command::Kind::Checkpoint:
-        // Not journaled: a checkpoint reads state but never mutates the
-        // trajectory, so replaying one would be meaningless.
-        if (checkpoint_hook_) {
-          const double t = engine != nullptr ? engine->now() : 0.0;
-          if (checkpoint_hook_(t)) note_checkpoint(t);
-        }
-        break;
+  for (const Posted& cmd : cmds) {
+    if (cmd.has_value()) {
+      if (injector_ != nullptr && engine != nullptr) {
+        ckpt::apply(*cmd, *engine, *injector_);
+        if (journal_ != nullptr) journal_->record(engine->now(), *cmd);
+      }
+    } else if (checkpoint_hook_) {
+      // Not journaled: a checkpoint reads state but never mutates the
+      // trajectory, so replaying one would be meaningless.
+      const double t = engine != nullptr ? engine->now() : 0.0;
+      if (checkpoint_hook_(t)) note_checkpoint(t);
     }
     commands_applied_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -261,11 +167,9 @@ void SimBridge::drain_mailbox(sim::Engine* engine) {
   }
 }
 
-void SimBridge::post(Command cmd) {
-  {
-    const std::scoped_lock lk(mailbox_mu_);
-    mailbox_.push_back(std::move(cmd));
-  }
+void SimBridge::post(Posted cmd) {
+  const std::scoped_lock lk(mailbox_mu_);
+  mailbox_.push_back(cmd);
 }
 
 ServeStats SimBridge::serve_stats() const {
@@ -316,7 +220,7 @@ HttpResponse SimBridge::handle_control(const HttpRequest& req) {
       !token_equal(presented_token(req), opts_.control_token)) {
     return json_response(401, "{\"error\":\"control token required\"}\n");
   }
-  const std::string cmd = form_get(req.body, "cmd");
+  const std::string cmd = ckpt::form_get(req.body, "cmd");
   if (cmd == "pause") {
     paused_.store(true, std::memory_order_relaxed);
     return json_response(202, "{\"queued\":\"pause\"}\n");
@@ -344,38 +248,14 @@ HttpResponse SimBridge::handle_control(const HttpRequest& req) {
     if (injector_ == nullptr) {
       return json_response(503, "{\"error\":\"no injector wired\"}\n");
     }
-    Command c;
-    c.kind = Command::Kind::Inject;
-    try {
-      c.fault_kind = fault::kind_from(form_get(req.body, "kind"));
-    } catch (const std::invalid_argument& e) {
+    ckpt::ControlCommand c;
+    if (const ckpt::Status st = ckpt::ControlCommand::parse_form(req.body, c);
+        !st.ok()) {
       return json_response(
-          400, "{\"error\":\"" + json_escape(e.what()) + "\"}\n");
+          400, "{\"error\":\"" + json_escape(st.detail) + "\"}\n");
     }
-    parse_size(form_get(req.body, "unit"), c.unit);
-    parse_double(form_get(req.body, "mag"), c.magnitude);
-    parse_double(form_get(req.body, "dur"), c.duration);
-    post(std::move(c));
+    post(c);
     return json_response(202, "{\"queued\":\"inject\"}\n");
-  }
-  if (cmd == "histogram") {
-    if (bus_ == nullptr) {
-      return json_response(503, "{\"error\":\"no telemetry bus wired\"}\n");
-    }
-    Command c;
-    c.kind = Command::Kind::Histogram;
-    c.category = form_get(req.body, "category");
-    if (c.category.empty()) {
-      return json_response(400, "{\"error\":\"missing category\"}\n");
-    }
-    if (!parse_double(form_get(req.body, "lo"), c.lo) ||
-        !parse_double(form_get(req.body, "hi"), c.hi) ||
-        !parse_size(form_get(req.body, "bins"), c.bins) || c.bins == 0 ||
-        !(c.lo < c.hi)) {
-      return json_response(400, "{\"error\":\"need lo < hi and bins > 0\"}\n");
-    }
-    post(std::move(c));
-    return json_response(202, "{\"queued\":\"histogram\"}\n");
   }
   if (cmd == "checkpoint") {
     if (!checkpoint_hook_) {
@@ -383,15 +263,13 @@ HttpResponse SimBridge::handle_control(const HttpRequest& req) {
           503, "{\"error\":\"checkpointing not enabled (run with "
                "--checkpoint)\"}\n");
     }
-    Command c;
-    c.kind = Command::Kind::Checkpoint;
-    post(std::move(c));
+    post(std::nullopt);
     return json_response(202, "{\"queued\":\"checkpoint\"}\n");
   }
   return json_response(
       400,
       "{\"error\":\"unknown cmd; expected pause|resume|shutdown|inject|"
-      "histogram|checkpoint\"}\n");
+      "checkpoint\"}\n");
 }
 
 void SimBridge::handle_events(StreamWriter& writer) {

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,10 +92,9 @@ class SimBridge {
   void add_degradation(core::DegradationPolicy* policy);
   /// Enables POST /control fault injection and the /status fault section.
   void set_injector(fault::Injector* injector) { injector_ = injector; }
-  /// Records every applied state-mutating control command (inject,
-  /// histogram) into `journal` with its sim-time stamp at drain time — the
-  /// control stream a restored checkpoint replays. Non-owning; null
-  /// disables.
+  /// Records every applied inject command into `journal` with its
+  /// sim-time stamp at drain time — the control stream a restored
+  /// checkpoint replays. Non-owning; null disables.
   void set_journal(ckpt::ControlJournal* journal) { journal_ = journal; }
 
   /// Wires a sharded run's per-shard stats (sa::shard): the source runs on
@@ -153,25 +153,15 @@ class SimBridge {
   void drain_mailbox(sim::Engine* engine);
 
  private:
-  // Only commands that mutate sim-thread state ride the mailbox. Pause,
-  // resume and shutdown are atomics flipped directly by the handler: pause
-  // takes effect at the next drain (a step boundary), and resume/shutdown
-  // must be able to release a sim thread that is *blocked* in the drain —
-  // a mailboxed resume would never be read. The releasing stores happen
-  // under pause_mu_ so the notify cannot race the waiter's predicate check.
-  struct Command {
-    enum class Kind : std::uint8_t { Inject, Histogram, Checkpoint };
-    Kind kind = Kind::Inject;
-    // Inject:
-    fault::FaultKind fault_kind = fault::FaultKind::LinkLoss;
-    std::size_t unit = 0;
-    double magnitude = 1.0;
-    double duration = 0.0;
-    // Histogram:
-    std::string category;
-    double lo = 0.0, hi = 1.0;
-    std::size_t bins = 20;
-  };
+  // Only commands that act on sim-thread state ride the mailbox: inject
+  // as a parsed ckpt::ControlCommand, and checkpoint as an empty entry
+  // (nullopt), so both apply in posting order. Pause, resume and shutdown
+  // are atomics flipped directly by the handler: pause takes effect at the
+  // next drain (a step boundary), and resume/shutdown must be able to
+  // release a sim thread that is *blocked* in the drain — a mailboxed
+  // resume would never be read. The releasing stores happen under
+  // pause_mu_ so the notify cannot race the waiter's predicate check.
+  using Posted = std::optional<ckpt::ControlCommand>;
 
   /// Interned names published for server-side SSE/status rendering.
   struct NameTable {
@@ -179,7 +169,7 @@ class SimBridge {
     std::vector<std::string> subjects;
   };
 
-  void post(Command cmd);
+  void post(Posted cmd);
   [[nodiscard]] HttpResponse handle_metrics() const;
   [[nodiscard]] HttpResponse handle_status() const;
   [[nodiscard]] HttpResponse handle_control(const HttpRequest& req);
@@ -212,7 +202,7 @@ class SimBridge {
 
   // Control mailbox (server threads post; sim thread try-locks to drain).
   std::mutex mailbox_mu_;
-  std::vector<Command> mailbox_;
+  std::vector<Posted> mailbox_;
 
   // Pause/resume: the sim thread blocks inside drain_mailbox().
   std::mutex pause_mu_;

@@ -60,28 +60,6 @@ void render_metric(std::string& out, const LiveMetric& m) {
       append_sample(out, name + "_max", {}, m.count ? m.max : 0.0);
       break;
     }
-    case Kind::Histogram: {
-      append_meta(out, name, "histogram", "registry histogram " + m.name);
-      const std::size_t nbins = m.bins.size();
-      const double width =
-          nbins ? (m.hi - m.lo) / static_cast<double>(nbins) : 0.0;
-      std::uint64_t cumulative = 0;
-      for (std::size_t b = 0; b < nbins; ++b) {
-        cumulative += m.bins[b];
-        const double le = m.lo + width * static_cast<double>(b + 1);
-        append_sample(out, name + "_bucket",
-                      "le=\"" + format_value(le) + "\"",
-                      static_cast<double>(cumulative));
-      }
-      // The +Inf bucket must equal the observation count even when some
-      // observations fell outside [lo, hi).
-      append_sample(out, name + "_bucket", "le=\"+Inf\"",
-                    static_cast<double>(m.count));
-      append_sample(out, name + "_sum", {}, m.sum);
-      append_sample(out, name + "_count", {},
-                    static_cast<double>(m.count));
-      break;
-    }
   }
 }
 

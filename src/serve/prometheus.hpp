@@ -9,11 +9,8 @@
 // Mapping from sim::MetricsRegistry kinds:
 //   Counter   -> counter  `sa_<name>`
 //   Gauge     -> gauge    `sa_<name>`
-//   Timer     -> summary  `sa_<name>_sum` / `sa_<name>_count` (+ min/max/
-//                stddev gauges, which Prometheus cannot derive post hoc)
-//   Histogram -> histogram with cumulative `le` buckets; the +Inf bucket
-//                always equals the observation count, as the format
-//                requires, even when observations fell outside [lo, hi).
+//   Timer     -> summary  `sa_<name>_sum` / `sa_<name>_count` (+ min/max
+//                gauges, which Prometheus cannot derive post hoc)
 // Telemetry-bus categories surface as `sa_bus_events_total{category="..."}`
 // and the server's own counters as `sa_serve_*`.
 #pragma once

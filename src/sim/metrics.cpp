@@ -34,16 +34,6 @@ MetricsRegistry::MetricId MetricsRegistry::timer(std::string_view name) {
   return register_metric(name, Kind::Timer);
 }
 
-MetricsRegistry::MetricId MetricsRegistry::histogram(std::string_view name,
-                                                     double lo, double hi,
-                                                     std::size_t bins) {
-  const MetricId id = register_metric(name, Kind::Histogram);
-  if (!metrics_[id].hist) {
-    metrics_[id].hist = std::make_unique<Histogram>(lo, hi, bins);
-  }
-  return id;
-}
-
 std::optional<MetricsRegistry::MetricId> MetricsRegistry::find(
     std::string_view name) const {
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
@@ -63,7 +53,6 @@ void MetricsRegistry::snapshot(double t) {
         s.values.push_back(m.value);
         break;
       case Kind::Timer:
-      case Kind::Histogram:
         s.values.push_back(m.stats.count() > 0 ? m.stats.mean() : 0.0);
         break;
     }
@@ -82,7 +71,7 @@ void MetricsRegistry::publish(double t) {
     lm.name = m.name;
     lm.kind = m.kind;
     lm.value = m.value;
-    if (m.kind == Kind::Timer || m.kind == Kind::Histogram) {
+    if (m.kind == Kind::Timer) {
       lm.count = m.stats.count();
       if (lm.count > 0) {
         lm.sum = m.stats.sum();
@@ -90,14 +79,6 @@ void MetricsRegistry::publish(double t) {
         lm.min = m.stats.min();
         lm.max = m.stats.max();
         lm.stddev = m.stats.stddev();
-      }
-    }
-    if (m.hist) {
-      lm.lo = m.hist->bin_lo(0);
-      lm.hi = m.hist->bin_lo(m.hist->bins());
-      lm.bins.reserve(m.hist->bins());
-      for (std::size_t b = 0; b < m.hist->bins(); ++b) {
-        lm.bins.push_back(m.hist->count(b));
       }
     }
     snap->metrics.push_back(std::move(lm));

@@ -1,11 +1,11 @@
-// Self-profiling metrics registry: counters, gauges, timers and histograms
-// behind O(1) pre-registered handles, with per-epoch snapshots.
+// Self-profiling metrics registry: counters, gauges and timers behind O(1)
+// pre-registered handles, with per-epoch snapshots.
 //
 // This is where *wall-clock* self-measurement lives (ODA-loop latency,
 // handler cost per subject) — deliberately separated from the Tracer,
 // whose record is pure sim-time and must stay bitwise reproducible.
-// Register metrics once at wiring time (`counter`/`gauge`/`timer`/
-// `histogram`, idempotent by name); the hot path (`add`/`set`/`observe`)
+// Register metrics once at wiring time (`counter`/`gauge`/`timer`,
+// idempotent by name); the hot path (`add`/`set`/`observe`)
 // is an index into a flat vector and performs no heap allocation.
 // `snapshot(t)` appends one row of all current values, giving a
 // time-series exportable as JSONL (exp::write_metrics_jsonl).
@@ -28,7 +28,7 @@ class MetricsRegistry {
  public:
   using MetricId = std::uint32_t;
 
-  enum class Kind : std::uint8_t { Counter, Gauge, Timer, Histogram };
+  enum class Kind : std::uint8_t { Counter, Gauge, Timer };
 
   /// Registration — linear scan by name, idempotent: re-registering an
   /// existing name returns its id. Throws std::logic_error if the name is
@@ -38,8 +38,6 @@ class MetricsRegistry {
   /// Timers fold observed durations (milliseconds by convention) into
   /// RunningStats.
   MetricId timer(std::string_view name);
-  MetricId histogram(std::string_view name, double lo, double hi,
-                     std::size_t bins);
 
   /// Hot path — O(1), no allocation.
   void add(MetricId m, double delta = 1.0) { metrics_[m].value += delta; }
@@ -48,17 +46,13 @@ class MetricsRegistry {
     Metric& metric = metrics_[m];
     metric.value += 1.0;  // observation count
     metric.stats.add(value);
-    if (metric.hist) metric.hist->add(value);
   }
 
-  /// Counter: running total. Gauge: last set value. Timer/Histogram:
-  /// number of observations.
+  /// Counter: running total. Gauge: last set value. Timer: number of
+  /// observations.
   [[nodiscard]] double value(MetricId m) const { return metrics_[m].value; }
   [[nodiscard]] const RunningStats& stats(MetricId m) const {
     return metrics_[m].stats;
-  }
-  [[nodiscard]] const Histogram* hist(MetricId m) const {
-    return metrics_[m].hist.get();
   }
   [[nodiscard]] const std::string& name(MetricId m) const {
     return metrics_[m].name;
@@ -68,8 +62,8 @@ class MetricsRegistry {
   [[nodiscard]] std::optional<MetricId> find(std::string_view name) const;
 
   /// One row of the exported time-series: every metric's scalar at time t
-  /// (counters/gauges: value; timers/histograms: mean of observations so
-  /// far, cumulative).
+  /// (counters/gauges: value; timers: mean of observations so far,
+  /// cumulative).
   struct Snapshot {
     double t = 0.0;
     std::vector<double> values;
@@ -91,17 +85,14 @@ class MetricsRegistry {
   // scrapeable with no extra wiring.
 
   /// Everything a scraper needs from one metric, deep-copied at publish
-  /// time: identity, scalar, observation stats, and histogram bins.
+  /// time: identity, scalar and observation stats.
   struct LiveMetric {
     std::string name;
     Kind kind = Kind::Counter;
     double value = 0.0;
-    // Timer/Histogram observation stats (count == 0 for counters/gauges).
+    // Timer observation stats (count == 0 for counters/gauges).
     std::uint64_t count = 0;
     double sum = 0.0, mean = 0.0, min = 0.0, max = 0.0, stddev = 0.0;
-    // Histogram layout: `bins` fixed-width buckets over [lo, hi).
-    double lo = 0.0, hi = 0.0;
-    std::vector<std::uint64_t> bins;
   };
   /// One published generation of the whole registry.
   struct LiveSnapshot {
@@ -127,7 +118,6 @@ class MetricsRegistry {
     Kind kind = Kind::Counter;
     double value = 0.0;
     RunningStats stats;
-    std::unique_ptr<Histogram> hist;
   };
   MetricId register_metric(std::string_view name, Kind kind);
 

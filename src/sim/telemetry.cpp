@@ -22,13 +22,13 @@ std::uint32_t intern(std::vector<std::string>& names, std::string_view name) {
 TelemetryBus::TelemetryBus(bool enabled) : enabled_(enabled) {
   // Must match the kDecision/kObservation/kFailure constants.
   category_names_ = {"decision", "observation", "failure"};
-  per_category_.resize(category_names_.size());
+  counts_.resize(category_names_.size());
 }
 
 CategoryId TelemetryBus::intern_category(std::string_view name) {
   const CategoryId id = intern(category_names_, name);
-  if (per_category_.size() < category_names_.size()) {
-    per_category_.resize(category_names_.size());
+  if (counts_.size() < category_names_.size()) {
+    counts_.resize(category_names_.size());
   }
   return id;
 }
@@ -37,19 +37,10 @@ SubjectId TelemetryBus::intern_subject(std::string_view name) {
   return intern(subject_names_, name);
 }
 
-void TelemetryBus::enable_histogram(CategoryId category, double lo, double hi,
-                                    std::size_t bins) {
-  per_category_.at(category).hist =
-      std::make_unique<Histogram>(lo, hi, bins);
-}
-
 void TelemetryBus::record_impl(double t, CategoryId category,
                                SubjectId subject, double value,
                                std::string_view detail) {
-  PerCategory& pc = per_category_.at(category);
-  ++pc.count;
-  pc.values.add(value);
-  if (pc.hist) pc.hist->add(value);
+  ++counts_.at(category);
   ++total_;
   if (sinks_.empty()) return;
   const TelemetryEvent ev{t, category, subject, value, detail};

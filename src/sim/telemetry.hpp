@@ -3,17 +3,15 @@
 // Replaces the old string-triple Trace: substrates and awareness processes
 // emit (time, category, subject, value, detail) events through one
 // TelemetryBus per scenario. Categories and subjects are interned once to
-// small integer ids, so the hot path is O(1): bump a per-category counter,
-// fold the value into that category's running stats (and optional
-// histogram), and hand the event to each registered sink. The disabled
-// path costs exactly one branch and performs no heap allocation — the
-// telemetry test asserts this — and defining SA_TELEMETRY_OFF compiles
-// record() out entirely.
+// small integer ids, so the hot path is O(1): bump a per-category counter
+// and hand the event to each registered sink. The bus keeps counts only;
+// anything that wants the values (a mean, a distribution) reads them from
+// a sink. The disabled path costs exactly one branch and performs no heap
+// allocation — the telemetry test asserts this.
 //
 // Sinks are non-owning observers. RingBufferSink retains the last N events
 // for self-explanation queries (by_category / by_subject, in emission
-// order); sa::exp provides a JSONL file sink built on the deterministic
-// JSON writer.
+// order); FanoutSink feeds the serve plane's SSE subscribers.
 #pragma once
 
 #include <atomic>
@@ -25,8 +23,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "sim/stats.hpp"
 
 namespace sa::sim {
 
@@ -85,64 +81,33 @@ class TelemetryBus {
   void add_sink(TelemetrySink* sink) { sinks_.push_back(sink); }
   void clear_sinks() { sinks_.clear(); }
 
-  [[nodiscard]] bool enabled() const noexcept {
-#ifdef SA_TELEMETRY_OFF
-    return false;
-#else
-    return enabled_;
-#endif
-  }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool e) noexcept { enabled_ = e; }
 
   /// Records one event. Disabled: one branch, no allocation. Enabled:
-  /// counter bump + stats fold + sink dispatch, no allocation in the bus
-  /// itself (sinks may allocate to retain the event).
+  /// counter bump + sink dispatch, no allocation in the bus itself (sinks
+  /// may allocate to retain the event).
   void record(double t, CategoryId category, SubjectId subject,
               double value = 0.0, std::string_view detail = {}) {
-#ifdef SA_TELEMETRY_OFF
-    (void)t, (void)category, (void)subject, (void)value, (void)detail;
-#else
     if (!enabled_) return;
     record_impl(t, category, subject, value, detail);
-#endif
   }
 
   /// Events recorded under `category` so far.
   [[nodiscard]] std::uint64_t count(CategoryId category) const {
-    return category < per_category_.size() ? per_category_[category].count
-                                           : 0;
-  }
-  /// Running stats over the `value` field of `category`'s events.
-  [[nodiscard]] const RunningStats& values(CategoryId category) const {
-    return per_category_.at(category).values;
-  }
-  /// Opts `category` into a fixed-range histogram over its values (e.g.
-  /// latencies). Resets any previous histogram for the category.
-  void enable_histogram(CategoryId category, double lo, double hi,
-                        std::size_t bins);
-  /// The category's histogram, or nullptr if none was enabled.
-  [[nodiscard]] const Histogram* histogram(CategoryId category) const {
-    return category < per_category_.size()
-               ? per_category_[category].hist.get()
-               : nullptr;
+    return category < counts_.size() ? counts_[category] : 0;
   }
   /// Total events recorded across all categories.
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
  private:
-  struct PerCategory {
-    std::uint64_t count = 0;
-    RunningStats values;
-    std::unique_ptr<Histogram> hist;
-  };
-
   void record_impl(double t, CategoryId category, SubjectId subject,
                    double value, std::string_view detail);
 
   bool enabled_;
   std::vector<std::string> category_names_;
   std::vector<std::string> subject_names_;
-  std::vector<PerCategory> per_category_;
+  std::vector<std::uint64_t> counts_;  ///< per CategoryId
   std::vector<TelemetrySink*> sinks_;
   std::uint64_t total_ = 0;
 };

@@ -14,12 +14,6 @@ NameId Tracer::intern_name(std::string_view name) {
 }
 
 Tracer::Span Tracer::span(double t, SubjectId subject, NameId name) {
-#ifdef SA_TELEMETRY_OFF
-  (void)t;
-  (void)subject;
-  (void)name;
-  return Span{};
-#else
   if (!enabled_) return Span{};
   Event ev;
   ev.kind = Event::Kind::Begin;
@@ -32,18 +26,10 @@ Tracer::Span Tracer::span(double t, SubjectId subject, NameId name) {
   open_.push_back(index);
   ++span_count_;
   return Span{this, index, events_[index].id, t};
-#endif
 }
 
 void Tracer::flow(double t, FlowPhase phase, TraceId id, SubjectId subject,
                   NameId name) {
-#ifdef SA_TELEMETRY_OFF
-  (void)t;
-  (void)phase;
-  (void)id;
-  (void)subject;
-  (void)name;
-#else
   if (!enabled_ || id == 0) return;
   Event ev;
   ev.kind = Event::Kind::Flow;
@@ -54,7 +40,6 @@ void Tracer::flow(double t, FlowPhase phase, TraceId id, SubjectId subject,
   ev.phase = phase;
   events_.push_back(std::move(ev));
   ++flow_count_;
-#endif
 }
 
 void Tracer::close(std::size_t event_index, double t) {

@@ -15,9 +15,8 @@
 // self-profiling lives in MetricsRegistry instead (see sim/metrics.hpp).
 //
 // Cost contract (mirrors TelemetryBus): a disabled tracer costs one branch
-// per call and performs zero heap allocations; SA_TELEMETRY_OFF compiles
-// the recording paths out entirely. Tracing must never touch an Rng —
-// enabling a tracer cannot perturb a trajectory.
+// per call and performs zero heap allocations. Tracing must never touch an
+// Rng — enabling a tracer cannot perturb a trajectory.
 #pragma once
 
 #include <cstddef>
@@ -132,13 +131,7 @@ class Tracer {
   [[nodiscard]] TelemetryBus& bus() noexcept { return *bus_; }
   [[nodiscard]] const TelemetryBus& bus() const noexcept { return *bus_; }
 
-  [[nodiscard]] bool enabled() const noexcept {
-#ifdef SA_TELEMETRY_OFF
-    return false;
-#else
-    return enabled_;
-#endif
-  }
+  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   void set_enabled(bool e) noexcept { enabled_ = e; }
 
   /// Interns a span/flow name (linear scan — call at wiring time).

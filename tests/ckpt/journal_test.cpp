@@ -2,7 +2,8 @@
 //
 // The journal has three interchangeable representations — structured
 // ControlCommand, canonical form body, checkpoint section — and all three
-// must round-trip bit-exactly (doubles via %.17g). Replaying a journal
+// must round-trip bit-exactly (doubles via %.17g). Anything but a
+// well-formed inject is a typed kMalformed. Replaying a journal
 // against a rebuilt world must schedule each command at its original
 // (t, order) and produce the same injector trajectory a live operator
 // produced; replay events are themselves tagged so a replaying world can
@@ -18,14 +19,12 @@
 #include "ckpt/state.hpp"
 #include "fault/fault.hpp"
 #include "sim/engine.hpp"
-#include "sim/telemetry.hpp"
 
 namespace sa::ckpt {
 namespace {
 
 ControlCommand make_inject() {
   ControlCommand cmd;
-  cmd.kind = ControlCommand::Kind::kInject;
   cmd.fault_kind = fault::FaultKind::LinkLoss;
   cmd.unit = 3;
   cmd.magnitude = 0.1 + 0.2;  // not exactly representable as a literal
@@ -33,36 +32,33 @@ ControlCommand make_inject() {
   return cmd;
 }
 
-ControlCommand make_histogram() {
+ControlCommand make_crash() {
   ControlCommand cmd;
-  cmd.kind = ControlCommand::Kind::kHistogram;
-  cmd.category = "serve latency (ms) 100%";  // needs form escaping
-  cmd.lo = -0.25;
-  cmd.hi = 12.5;
-  cmd.bins = 40;
+  cmd.fault_kind = fault::FaultKind::NodeCrash;
+  cmd.unit = 0;
+  cmd.magnitude = -0.25;
+  cmd.duration = 1e-300;  // tiny but finite: still exact
   return cmd;
 }
 
 TEST(Journal, FormRoundTripsBothKinds) {
-  for (const ControlCommand& cmd : {make_inject(), make_histogram()}) {
+  // Two fault kinds, with doubles that only %.17g renders exactly.
+  for (const ControlCommand& cmd : {make_inject(), make_crash()}) {
     const std::string form = cmd.to_form();
     ControlCommand back;
     ASSERT_TRUE(ControlCommand::parse_form(form, back).ok()) << form;
-    EXPECT_EQ(back.kind, cmd.kind);
-    if (cmd.kind == ControlCommand::Kind::kInject) {
-      EXPECT_EQ(back.fault_kind, cmd.fault_kind);
-      EXPECT_EQ(back.unit, cmd.unit);
-      EXPECT_EQ(back.magnitude, cmd.magnitude);  // %.17g: exact
-      EXPECT_EQ(back.duration, cmd.duration);
-    } else {
-      EXPECT_EQ(back.category, cmd.category);  // escaping round-trips
-      EXPECT_EQ(back.lo, cmd.lo);
-      EXPECT_EQ(back.hi, cmd.hi);
-      EXPECT_EQ(back.bins, cmd.bins);
-    }
+    EXPECT_EQ(back.fault_kind, cmd.fault_kind);
+    EXPECT_EQ(back.unit, cmd.unit);
+    EXPECT_EQ(back.magnitude, cmd.magnitude);  // %.17g: exact
+    EXPECT_EQ(back.duration, cmd.duration);
     // Canonical: re-rendering is a fixed point.
     EXPECT_EQ(back.to_form(), form);
   }
+  // Absent numbers keep their defaults.
+  ControlCommand dflt;
+  ASSERT_TRUE(ControlCommand::parse_form("cmd=inject&kind=link-loss", dflt)
+                  .ok());
+  EXPECT_EQ(dflt.to_form(), ControlCommand{}.to_form());
 }
 
 TEST(Journal, MalformedFormsAreTyped) {
@@ -73,23 +69,26 @@ TEST(Journal, MalformedFormsAreTyped) {
   EXPECT_EQ(
       ControlCommand::parse_form("cmd=inject&kind=not-a-fault", out).code,
       Errc::kMalformed);
-  EXPECT_EQ(ControlCommand::parse_form("cmd=histogram&lo=0&hi=1&bins=4", out)
-                .code,
-            Errc::kMalformed);  // no category
+  // Inject is the only journaled command; histogram is not one.
   EXPECT_EQ(ControlCommand::parse_form(
-                "cmd=histogram&category=x&lo=2&hi=1&bins=4", out)
+                "cmd=histogram&category=x&lo=0&hi=1&bins=4", out)
                 .code,
-            Errc::kMalformed);  // lo >= hi
-  EXPECT_EQ(ControlCommand::parse_form(
-                "cmd=histogram&category=x&lo=0&hi=1&bins=0", out)
-                .code,
-            Errc::kMalformed);  // zero bins
+            Errc::kMalformed);
+  // Present numbers must be well-formed, finite and in range.
+  for (const char* field :
+       {"unit=abc", "unit=-1", "unit=inf", "unit=nan",
+        "unit=18446744073709551616", "unit=1e30", "mag=nan", "mag=inf",
+        "mag=", "mag=1x", "dur=-inf", "dur=1e999", "dur=%zz"}) {
+    const std::string body = std::string("cmd=inject&kind=link-loss&") + field;
+    EXPECT_EQ(ControlCommand::parse_form(body, out).code, Errc::kMalformed)
+        << body;
+  }
 }
 
 TEST(Journal, SpecRoundTripsAndRejectsGarbage) {
   std::vector<JournalEntry> in;
   in.push_back(JournalEntry{0.7, make_inject()});
-  in.push_back(JournalEntry{123.456789012345678, make_histogram()});
+  in.push_back(JournalEntry{123.456789012345678, make_crash()});
 
   const std::string spec = journal_spec(in);
   std::vector<JournalEntry> back;
@@ -118,12 +117,20 @@ TEST(Journal, SpecRoundTripsAndRejectsGarbage) {
             Errc::kMalformed);
   EXPECT_EQ(parse_journal_spec("2.0 cmd=unknown", back).code,
             Errc::kMalformed);
+  EXPECT_EQ(parse_journal_spec("inf cmd=inject&kind=link-loss", back).code,
+            Errc::kMalformed);
+  EXPECT_EQ(parse_journal_spec(
+                "1.0 cmd=inject&kind=link-loss; "
+                "2.0 cmd=histogram&category=x&lo=0&hi=1&bins=4",
+                back)
+                .code,
+            Errc::kMalformed);
 }
 
 TEST(Journal, CheckpointSectionRoundTrips) {
   std::vector<JournalEntry> in;
   in.push_back(JournalEntry{3.25, make_inject()});
-  in.push_back(JournalEntry{9.75, make_histogram()});
+  in.push_back(JournalEntry{9.75, make_crash()});
 
   Buffer b;
   save_journal(in, b);
@@ -133,7 +140,7 @@ TEST(Journal, CheckpointSectionRoundTrips) {
   ASSERT_TRUE(c.at_end());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].t, 3.25);
-  EXPECT_EQ(back[1].cmd.category, in[1].cmd.category);
+  EXPECT_EQ(back[1].cmd.to_form(), in[1].cmd.to_form());
 
   // Re-save byte-matches (the attestation property).
   Buffer again;
@@ -143,17 +150,25 @@ TEST(Journal, CheckpointSectionRoundTrips) {
   // Truncated payload: typed, not trusted.
   Cursor short_c(std::string_view(b.data()).substr(0, b.data().size() - 3));
   EXPECT_EQ(load_journal(short_c, back).code, Errc::kMalformed);
+
+  // A section holding any other command is malformed, not skipped.
+  Buffer old;
+  old.u64(1);
+  old.f64(2.0);
+  old.str("cmd=histogram&category=lat&lo=0&hi=1&bins=8");
+  Cursor old_c(old.data());
+  EXPECT_EQ(load_journal(old_c, back).code, Errc::kMalformed);
 }
 
 TEST(Journal, ControlJournalSnapshotsConcurrentlyAppendedEntries) {
   ControlJournal j;
   EXPECT_EQ(j.size(), 0u);
   j.record(1.0, make_inject());
-  j.record(2.0, make_histogram());
+  j.record(2.0, make_crash());
   const auto snap = j.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].t, 1.0);
-  EXPECT_EQ(snap[1].cmd.kind, ControlCommand::Kind::kHistogram);
+  EXPECT_EQ(snap[1].cmd.fault_kind, fault::FaultKind::NodeCrash);
 
   // Pre-seeding a resumed run keeps later snapshots cumulative.
   ControlJournal resumed;
@@ -210,7 +225,7 @@ TEST(Journal, ReplayMatchesLiveInjectionTrajectory) {
   fault::Injector replay_inj;
   CountingSurface replay_surface(4);
   replay_inj.add_surface(replay_surface.as_surface());
-  schedule_replay(replay, entries, /*order=*/1000, &replay_inj, nullptr);
+  schedule_replay(replay, entries, /*order=*/1000, &replay_inj);
   replay.run_until(20.0);
 
   const auto got = replay_inj.records();
@@ -231,29 +246,26 @@ TEST(Journal, ReplayMatchesLiveInjectionTrajectory) {
 TEST(Journal, ReplayEventsAreTaggedSoTheWorldStaysCheckpointable) {
   std::vector<JournalEntry> entries;
   entries.push_back(JournalEntry{8.0, make_inject()});
-  sim::TelemetryBus bus;
-  JournalEntry hist;
-  hist.t = 9.0;
-  hist.cmd = make_histogram();
-  entries.push_back(hist);
+  entries.push_back(JournalEntry{9.0, make_inject()});
+  entries[1].cmd.unit = 2;
 
   sim::Engine e;
   fault::Injector inj;
   CountingSurface surface(4);
   inj.add_surface(surface.as_surface());
-  schedule_replay(e, entries, /*order=*/1000, &inj, &bus);
+  schedule_replay(e, entries, /*order=*/1000, &inj);
 
   // Pending replay events export cleanly (they are tagged by position).
   Buffer snap;
   EXPECT_TRUE(save_engine(e, snap).ok());
 
   e.run_until(10.0);
-  const auto id = bus.intern_category(entries[1].cmd.category);
-  EXPECT_NE(bus.histogram(id), nullptr);  // histogram command applied
+  EXPECT_EQ(inj.injected(), 2u);  // both commands applied
 
-  // Entries whose target is absent are skipped, same as the bridge.
+  // Without an injector every entry is skipped, as the bridge refuses
+  // inject without one.
   sim::Engine bare;
-  schedule_replay(bare, entries, 1000, nullptr, nullptr);
+  schedule_replay(bare, entries, 1000, nullptr);
   Buffer empty_snap;
   EXPECT_TRUE(save_engine(bare, empty_snap).ok());
 }

@@ -161,7 +161,6 @@ TEST(Autoscaler, BindReproducesRunEpochLoop) {
   EXPECT_EQ(bound.target(), legacy.target());
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(Autoscaler, TelemetryRecordsEpochsAndFailures) {
   sim::TelemetryBus bus;
   Rig rig(8);
@@ -175,7 +174,6 @@ TEST(Autoscaler, TelemetryRecordsEpochsAndFailures) {
   // With 24 churning nodes over 30 epochs, some went down mid-epoch.
   EXPECT_GT(bus.count(sim::TelemetryBus::kFailure), 0u);
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(Autoscaler, UtilityBlendsSlaAndCost) {
   Rig rig(11);

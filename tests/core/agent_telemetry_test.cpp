@@ -23,8 +23,6 @@ struct Rig {
   }
 };
 
-// Emission assertions only apply when the hot path is compiled in.
-#ifndef SA_TELEMETRY_OFF
 TEST(AgentTelemetry, EmitsObservationAndDecisionPerStep) {
   Rig rig;
   SelfAwareAgent agent("traced", rig.config());
@@ -89,7 +87,6 @@ TEST(AgentTelemetry, AttentionBudgetVisibleInObservations) {
   EXPECT_EQ(obs[0]->detail, "a");
   EXPECT_EQ(obs[1]->detail, "b");
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(AgentTelemetry, NoBusMeansNoEventsAndNoCrash) {
   SelfAwareAgent agent("untraced", {});

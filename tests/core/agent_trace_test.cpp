@@ -38,7 +38,6 @@ std::unique_ptr<SelfAwareAgent> make_agent(const std::string& id,
   return agent;
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(AgentTrace, StepEmitsNestedOdaSpans) {
   Rig rig;
   auto agent = make_agent("traced", rig.config());
@@ -151,7 +150,6 @@ TEST(AgentTrace, RewardWithoutPendingDecisionEmitsNothing) {
   agent.reward(1.0);
   EXPECT_EQ(rig.tracer.events().size(), before);
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(AgentTrace, TracerDoesNotPerturbTrajectory) {
   // Identical seeds, with and without a tracer: decisions must match

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <string>
 
 namespace sa::core {
@@ -25,6 +26,10 @@ struct NamedFactory {
   std::string label;
   std::function<std::unique_ptr<CollectiveAggregator>(std::size_t)> make;
 };
+
+// Test names print the label; gtest's default byte dump would embed heap
+// addresses and change from run to run.
+void PrintTo(const NamedFactory& f, std::ostream* os) { *os << f.label; }
 
 class AnyAggregatorTest : public ::testing::TestWithParam<NamedFactory> {};
 

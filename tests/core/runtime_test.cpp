@@ -181,7 +181,6 @@ TEST(AgentRuntime, SelfProfileVisibleToTheAgentAsKnowledge) {
   EXPECT_GE(as_number(item->value), 0.0);
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(AgentRuntime, TracerRecordsRuntimeSpansPerStream) {
   sim::Engine engine;
   AgentRuntime rt(engine);
@@ -206,7 +205,6 @@ TEST(AgentRuntime, TracerRecordsRuntimeSpansPerStream) {
   }
   EXPECT_EQ(runtime_subjects, 4u);  // alpha, beta, world, exchange
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(AgentRuntime, UnprofiledSchedulingIsUnchanged) {
   // No registry, no tracer: the scheduled body runs exactly as before.

@@ -180,7 +180,6 @@ TEST(PacketNetwork, BoostExplorationRaisesThenDecays) {
   EXPECT_NEAR(net.epsilon(), 0.01, 1e-6);  // decayed back to the floor
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(PacketNetwork, TelemetryRecordsDeliveriesAndDrops) {
   sim::TelemetryBus bus;
   PacketNetwork net(Topology::grid(2, 3, 0, 1),
@@ -197,7 +196,6 @@ TEST(PacketNetwork, TelemetryRecordsDeliveriesAndDrops) {
             static_cast<std::size_t>(s.delivered));
   EXPECT_GT(bus.count(sim::TelemetryBus::kObservation), 0u);
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(PacketNetwork, QRoutingRoutesAroundCongestion) {
   // 2-row grid: two disjoint-ish corridors between the far corners. Flood

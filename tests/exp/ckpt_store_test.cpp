@@ -54,7 +54,6 @@ TEST(CkptStore, SaveLoadRoundTripsExactBits) {
   store.record(gi, make_cell(1, 8));
   std::vector<ckpt::JournalEntry> journal(1);
   journal[0].t = 4.5;
-  journal[0].cmd.kind = ckpt::ControlCommand::Kind::kInject;
   store.set_journal(journal);
   ASSERT_TRUE(store.save(path).ok());
 

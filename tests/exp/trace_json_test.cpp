@@ -32,7 +32,6 @@ TEST(ChromeTrace, EmptyTracerStillYieldsAValidDocument) {
   EXPECT_EQ(doc.back(), '\n');
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(ChromeTrace, SubjectsBecomeNamedThreads) {
   TelemetryBus bus;
   Tracer tracer(bus);
@@ -98,7 +97,6 @@ TEST(ChromeTrace, OutputIsByteDeterministic) {
   };
   EXPECT_EQ(run(), run());
 }
-#endif  // SA_TELEMETRY_OFF
 
 }  // namespace
 }  // namespace sa::exp

@@ -52,8 +52,7 @@ std::string hex_summary(const gen::Scenario& world) {
 void apply_journal(gen::Scenario& world,
                    const std::vector<JournalEntry>& entries) {
   if (entries.empty()) return;
-  schedule_replay(world.engine(), entries, /*order=*/1000, &world.injector(),
-                  nullptr);
+  schedule_replay(world.engine(), entries, /*order=*/1000, &world.injector());
 }
 
 /// The acceptance drill: run A to T, checkpoint, run A to the horizon

@@ -51,7 +51,7 @@ void replay_journal(gen::Scenario& city) {
       entries);
   if (!st.ok()) throw std::runtime_error("journal: " + st.to_string());
   ckpt::schedule_replay(city.engine(), std::move(entries), /*order=*/1000,
-                        &city.injector(), nullptr);
+                        &city.injector());
 }
 
 TEST(ShardDeterminism, MulticoreOnlyWorld) {  // E1-style

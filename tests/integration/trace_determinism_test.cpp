@@ -79,7 +79,6 @@ TEST(TraceDeterminism, TraceFileIsBitwiseIdenticalAcrossJobCounts) {
   std::remove(p4.c_str());
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(TraceDeterminism, TraceFileIsValidChromeTraceJson) {
   const std::string path = testing::TempDir() + "trace_shape.json";
   const std::string doc = run_with_jobs(path, "2");
@@ -130,6 +129,5 @@ TEST(TraceDeterminism, TracedCellExplanationsCiteIdsResolvableInFile) {
   EXPECT_GT(cited_checked, 0u);
   std::remove(path.c_str());
 }
-#endif  // SA_TELEMETRY_OFF
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "sim/rng.hpp"
@@ -17,6 +18,10 @@ struct NamedFactory {
   std::string label;
   Factory make;
 };
+
+// Test names print the label; gtest's default byte dump would embed heap
+// addresses and change from run to run.
+void PrintTo(const NamedFactory& f, std::ostream* os) { *os << f.label; }
 
 class AnyBanditTest : public ::testing::TestWithParam<NamedFactory> {};
 

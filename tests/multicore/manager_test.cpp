@@ -130,7 +130,6 @@ TEST(Manager, BindReproducesRunEpochLoop) {
   EXPECT_DOUBLE_EQ(run(true), run(false));
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(Manager, TelemetryCapturesAgentActivity) {
   sim::TelemetryBus bus;
   Platform platform(PlatformConfig::big_little(2, 4), 7);
@@ -142,7 +141,6 @@ TEST(Manager, TelemetryCapturesAgentActivity) {
   EXPECT_GE(bus.count(sim::TelemetryBus::kObservation), 10u);
   EXPECT_GE(bus.count(sim::TelemetryBus::kDecision), 10u);
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(Manager, SelfAwareBeatsStaticOnPhasedWorkload) {
   // The headline E1 comparison in miniature (short horizon, fixed seed):

@@ -6,41 +6,21 @@
 // pooled-kernel/interned-store refactor bought — a regression here is a
 // performance bug even while every behavioural test still passes.
 //
-// This binary owns its own global operator-new counter (one counter per
-// binary is the rule; telemetry_tests owns the observability one), so no
-// other suites may be linked into it.
+// The binary links the shared operator-new counter
+// (tests/support/alloc_counter), so no other suites are linked into it.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <string_view>
 #include <variant>
 
 #include "core/knowledge.hpp"
 #include "sim/engine.hpp"
-
-// Global allocation counter: every operator new bumps it, so a test can
-// assert that a code region performs no heap allocation at all.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.hpp"
 
 namespace {
 
-std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+using sa::test::support::allocs;
 
 TEST(EngineAlloc, SteadyStateOneShotCycleIsAllocFree) {
   sa::sim::Engine eng;

@@ -5,36 +5,17 @@
 // This is the `ctest -L perf` discipline of tests/perf/ applied to the
 // stats added for the per-route latency histograms.
 //
-// This binary owns its own global operator-new counter (one counter per
-// binary is the rule), so no other suites may be linked into it.
+// The binary links the shared operator-new counter
+// (tests/support/alloc_counter), so no other suites are linked into it.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "serve/stats.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.hpp"
 
 namespace {
 
 using namespace sa::serve;
-
-std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+using sa::test::support::allocs;
 
 TEST(ServeStatsAlloc, HistogramRecordIsAllocFree) {
   LatencyHistogram h;

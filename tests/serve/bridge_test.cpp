@@ -189,73 +189,76 @@ TEST(SimBridge, InjectCommandLandsAtTheNextStepBoundaryOnly) {
 
 TEST(SimBridge, InvalidControlCommandsAreRejected) {
   sim::Engine engine;
+  multicore::Platform platform(multicore::PlatformConfig::big_little(2, 2),
+                               7);
+  fault::Injector inj;
+  fault::bind_platform(inj, platform);
+  SimBridge bare;  // no injector wired; control needs no engine
   SimBridge bridge;
+  bridge.set_injector(&inj);
   bridge.attach(engine);
+  Server bare_server(quick_opts());
   Server server(quick_opts());
+  bare.install(bare_server);
   bridge.install(server);
+  ASSERT_TRUE(bare_server.start()) << bare_server.error();
   ASSERT_TRUE(server.start()) << server.error();
 
-  // No injector wired -> 503; bad kind -> 400; unknown cmd -> 400.
-  EXPECT_EQ(client::status_of(client::http_post(server.port(), "/control",
+  EXPECT_EQ(client::status_of(client::http_post(bare_server.port(), "/control",
                                                 "cmd=inject&kind=core-fail")),
             503);
-  EXPECT_EQ(client::status_of(client::http_post(server.port(), "/control",
-                                                "cmd=warp-speed")),
-            400);
-  EXPECT_EQ(client::status_of(client::http_post(server.port(), "/control",
-                                                "cmd=histogram&category=x")),
-            503);  // no bus wired
-  server.stop();
-}
-
-TEST(SimBridge, HistogramOptInReachesTheBus) {
-  sim::Engine engine;
-  sim::TelemetryBus bus;
-  const auto cat = bus.intern_category("latency");
-  SimBridge bridge;
-  bridge.set_telemetry(&bus);
-  bridge.attach(engine);
-  Server server(quick_opts());
-  bridge.install(server);
-  ASSERT_TRUE(server.start()) << server.error();
-
-  EXPECT_EQ(client::status_of(client::http_post(
-                server.port(), "/control",
-                "cmd=histogram&category=latency&lo=0&hi=10&bins=5")),
-            202);
-  EXPECT_EQ(bus.histogram(cat), nullptr);  // not yet: mailboxed
+  // Unknown cmds (histogram among them), bad kinds, and numbers that are
+  // malformed, non-finite or out of range all answer 400.
+  for (const char* body :
+       {"cmd=warp-speed", "cmd=histogram&category=x&lo=0&hi=1&bins=4",
+        "cmd=inject&kind=not-a-fault", "cmd=inject&kind=core-fail&unit=abc",
+        "cmd=inject&kind=core-fail&unit=-1",
+        "cmd=inject&kind=core-fail&unit=inf",
+        "cmd=inject&kind=core-fail&unit=nan",
+        "cmd=inject&kind=core-fail&unit=18446744073709551616",
+        "cmd=inject&kind=core-fail&unit=1e30",
+        "cmd=inject&kind=core-fail&mag=nan",
+        "cmd=inject&kind=core-fail&mag=inf",
+        "cmd=inject&kind=core-fail&mag=", "cmd=inject&kind=core-fail&dur=-inf",
+        "cmd=inject&kind=core-fail&dur=1e999",
+        "cmd=inject&kind=core-fail&dur=%zz"}) {
+    EXPECT_EQ(client::status_of(
+                  client::http_post(server.port(), "/control", body)),
+              400)
+        << body;
+  }
   engine.run_until(0.2);
-  ASSERT_NE(bus.histogram(cat), nullptr);
-
-  EXPECT_EQ(client::status_of(client::http_post(
-                server.port(), "/control",
-                "cmd=histogram&category=latency&lo=10&hi=0&bins=5")),
-            400);  // lo >= hi
+  EXPECT_EQ(inj.injected(), 0u);  // nothing rejected was queued
+  bare_server.stop();
   server.stop();
 }
 
 TEST(SimBridge, ControlFormValuesArePercentDecoded) {
   sim::Engine engine;
-  sim::TelemetryBus bus;
+  multicore::Platform platform(multicore::PlatformConfig::big_little(2, 2),
+                               7);
+  fault::Injector inj;
+  fault::bind_platform(inj, platform);
   SimBridge bridge;
-  bridge.set_telemetry(&bus);
+  bridge.set_injector(&inj);
   bridge.attach(engine);
   Server server(quick_opts());
   bridge.install(server);
   ASSERT_TRUE(server.start()) << server.error();
 
-  // "a%26b+c" decodes to "a&b c" — reserved characters survive encoding.
+  // "core%2Dfail" decodes to "core-fail" — escaped values are decoded
+  // before they are parsed.
   EXPECT_EQ(client::status_of(client::http_post(
                 server.port(), "/control",
-                "cmd=histogram&category=a%26b+c&lo=0&hi=1&bins=4")),
+                "cmd=inject&kind=core%2Dfail&unit=1&dur=5")),
             202);
   engine.run_until(0.2);
-  ASSERT_NE(bus.histogram(bus.intern_category("a&b c")), nullptr);
+  ASSERT_EQ(inj.injected(), 1u);
+  EXPECT_EQ(inj.records().front().kind, fault::FaultKind::CoreFail);
 
-  // A malformed escape never reaches the bus as a mangled name.
+  // A malformed escape never reaches the injector as a mangled kind.
   EXPECT_EQ(client::status_of(client::http_post(
-                server.port(), "/control",
-                "cmd=histogram&category=%zz&lo=0&hi=1&bins=4")),
+                server.port(), "/control", "cmd=inject&kind=%zz&unit=1")),
             400);
   server.stop();
 }
@@ -506,13 +509,10 @@ TEST(SimBridge, AppliedCommandsAreJournaledWithSimTime) {
                                7);
   fault::Injector inj;
   fault::bind_platform(inj, platform);
-  sim::TelemetryBus bus;
-  bus.intern_category("lat");
 
   ckpt::ControlJournal journal;
   SimBridge bridge;
   bridge.set_injector(&inj);
-  bridge.set_telemetry(&bus);
   bridge.set_journal(&journal);
   bridge.set_checkpoint_hook([](double) { return true; });
   bridge.attach(engine);
@@ -526,7 +526,7 @@ TEST(SimBridge, AppliedCommandsAreJournaledWithSimTime) {
             202);
   ASSERT_EQ(client::status_of(client::http_post(
                 server.port(), "/control",
-                "cmd=histogram&category=lat&lo=0&hi=1&bins=8")),
+                "cmd=inject&kind=core-fail&unit=0&dur=3")),
             202);
   // Checkpoint saves are NOT journaled: they read state, never mutate it,
   // so replaying one would be meaningless.
@@ -538,10 +538,10 @@ TEST(SimBridge, AppliedCommandsAreJournaledWithSimTime) {
 
   const auto entries = journal.snapshot();
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].cmd.kind, ckpt::ControlCommand::Kind::kInject);
   EXPECT_EQ(entries[0].cmd.unit, 1u);
-  EXPECT_EQ(entries[1].cmd.kind, ckpt::ControlCommand::Kind::kHistogram);
-  EXPECT_EQ(entries[1].cmd.category, "lat");
+  EXPECT_EQ(entries[0].cmd.magnitude, 2.0);
+  EXPECT_EQ(entries[1].cmd.unit, 0u);
+  EXPECT_EQ(entries[1].cmd.duration, 3.0);
   // Both drained at the same (first) publish boundary, in POST order.
   EXPECT_GE(entries[0].t, 0.0);
   EXPECT_EQ(entries[0].t, entries[1].t);

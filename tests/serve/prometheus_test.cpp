@@ -1,10 +1,12 @@
 // Prometheus text-exposition conformance (format version 0.0.4): every
-// line render_prometheus() emits must match the exposition grammar, and
-// the registry-kind mapping (counter/gauge/summary/histogram) must follow
-// the format's invariants — cumulative le buckets, +Inf bucket == count.
+// line render_prometheus() emits must match the exposition grammar, the
+// registry-kind mapping (counter/gauge/summary) and the server's latency
+// histograms must follow the format's invariants — cumulative le buckets,
+// +Inf bucket == count — and a fixed snapshot renders golden bytes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -33,14 +35,10 @@ std::string sample_page() {
   const auto c = reg.counter("loop.count");
   const auto g = reg.gauge("svc.coverage");
   const auto t = reg.timer("loop.ms");
-  const auto h = reg.histogram("decide.ms", 0.0, 10.0, 5);
   reg.add(c, 41.0);
   reg.set(g, 0.875);
   reg.observe(t, 1.5);
   reg.observe(t, 2.5);
-  reg.observe(h, 1.0);   // bucket 0
-  reg.observe(h, 9.5);   // bucket 4
-  reg.observe(h, 42.0);  // outside [lo, hi) — must still count in +Inf
   reg.publish(12.5);
 
   BusSnapshot bus;
@@ -119,37 +117,7 @@ TEST(PrometheusFormat, MapsRegistryKinds) {
   EXPECT_NE(page.find("# TYPE sa_loop_ms summary"), std::string::npos);
   EXPECT_NE(page.find("sa_loop_ms_sum 4"), std::string::npos);
   EXPECT_NE(page.find("sa_loop_ms_count 2"), std::string::npos);
-  EXPECT_NE(page.find("# TYPE sa_decide_ms histogram"), std::string::npos);
   EXPECT_NE(page.find("sa_sim_time_seconds 12.5"), std::string::npos);
-}
-
-TEST(PrometheusFormat, HistogramBucketsAreCumulativeWithInfEqualCount) {
-  const auto lines = lines_of(sample_page());
-  std::vector<double> bucket_counts;
-  double inf_count = -1.0, count = -1.0;
-  for (const std::string& line : lines) {
-    if (line.rfind("sa_decide_ms_bucket", 0) == 0) {
-      const double v = std::stod(line.substr(line.rfind(' ') + 1));
-      if (line.find("le=\"+Inf\"") != std::string::npos) {
-        inf_count = v;
-      } else {
-        bucket_counts.push_back(v);
-      }
-    } else if (line.rfind("sa_decide_ms_count ", 0) == 0) {
-      count = std::stod(line.substr(line.rfind(' ') + 1));
-    }
-  }
-  ASSERT_EQ(bucket_counts.size(), 5u);
-  for (std::size_t i = 1; i < bucket_counts.size(); ++i) {
-    EXPECT_GE(bucket_counts[i], bucket_counts[i - 1]) << "not cumulative";
-  }
-  // Three observations total. sim::Histogram clamps out-of-range samples
-  // to the edge bins, so 42.0 lands in the last finite bucket — and the
-  // format invariant +Inf == observation count must still hold.
-  EXPECT_EQ(inf_count, 3.0);
-  EXPECT_EQ(count, 3.0);
-  EXPECT_EQ(bucket_counts.back(), 3.0);  // two in-range + one clamped
-  EXPECT_EQ(bucket_counts.front(), 1.0);
 }
 
 TEST(PrometheusFormat, BusCategoriesBecomeLabelledCounters) {
@@ -210,9 +178,8 @@ TEST(PrometheusFormat, EscapesLabelValues) {
   EXPECT_EQ(escape_label_value("a\nb"), "a\\nb");
 }
 
-/// A page carrying only the server's self-stats section, from a stats
-/// object exercised across workers, routes and reject kinds.
-std::string server_stats_page() {
+/// Server self-stats exercised across workers, routes and reject kinds.
+ServerStats::Snapshot exercised_server_stats() {
   ServerStats stats(3, /*slow_threshold_s=*/1.0);
   stats.record_request(0, RouteClass::Metrics, 1.2e-3, 200, 512);
   stats.record_request(1, RouteClass::Metrics, 3.4e-3, 200, 512);
@@ -229,7 +196,12 @@ std::string server_stats_page() {
   stats.on_parse_reject(0, 400);
   stats.on_parse_reject(1, 418);  // catch-all slot
   stats.connection_opened();
-  const ServerStats::Snapshot snap = stats.snapshot();
+  return stats.snapshot();
+}
+
+/// A page carrying only the server's self-stats section.
+std::string server_stats_page() {
+  const ServerStats::Snapshot snap = exercised_server_stats();
   return render_prometheus(nullptr, nullptr, nullptr, &snap);
 }
 
@@ -328,6 +300,61 @@ TEST(PrometheusFormat, FormatsSpecialValues) {
   EXPECT_EQ(format_value(std::nan("")), "NaN");
   EXPECT_EQ(format_value(42.0), "42");
   EXPECT_EQ(format_value(0.875), "0.875");
+}
+
+TEST(PrometheusFormat, FixedSnapshotRendersTheGoldenPage) {
+  // Every section at once, from fixed inputs: the exact bytes are pinned
+  // in golden/metrics.prom, so any change to the exposition shows up here
+  // as a diff. On a mismatch the rendered page is written to the test
+  // temp dir for comparison.
+  sim::MetricsRegistry reg;
+  reg.add(reg.counter("loop.count"), 41.0);
+  reg.set(reg.gauge("svc.coverage"), 0.875);
+  const auto t = reg.timer("loop.ms");
+  reg.observe(t, 1.5);
+  reg.observe(t, 2.25);
+  reg.publish(12.5);
+  const auto live = reg.live();
+
+  BusSnapshot bus;
+  bus.t = 12.5;
+  bus.total = 9;
+  bus.categories = {{"decision", 3}, {"observation", 4}, {"fault \"x\"", 2}};
+
+  ServeStats serve;
+  serve.connections = 3;
+  serve.requests = 9;
+  serve.parse_errors = 1;
+  serve.sse_subscribers = 2;
+  serve.sse_dropped_contended = 4;
+  serve.sse_dropped_overflow = 5;
+
+  const ServerStats::Snapshot server = exercised_server_stats();
+
+  ShardSnapshot shard;
+  shard.t = 12.5;
+  shard.events = {100, 250, 7};
+  shard.lag_seconds = 0.125;
+
+  const std::string page =
+      render_prometheus(live.get(), &bus, &serve, &server, &shard);
+  std::ifstream in(std::string(SA_GOLDEN_DIR) + "/metrics.prom",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing " << SA_GOLDEN_DIR << "/metrics.prom";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  if (page != golden.str()) {
+    std::ofstream(::testing::TempDir() + "metrics.prom.actual",
+                  std::ios::binary)
+        << page;
+    const auto got = lines_of(page);
+    const auto want = lines_of(golden.str());
+    std::size_t i = 0;
+    while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
+    FAIL() << "page differs from golden at line " << i + 1 << ":\n  got:  "
+           << (i < got.size() ? got[i] : "<eof>") << "\n  want: "
+           << (i < want.size() ? want[i] : "<eof>");
+  }
 }
 
 }  // namespace

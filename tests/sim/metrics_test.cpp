@@ -59,17 +59,6 @@ TEST(MetricsRegistry, TimerFoldsObservationsIntoStats) {
   EXPECT_DOUBLE_EQ(reg.stats(t).mean(), 4.0);
   EXPECT_DOUBLE_EQ(reg.stats(t).min(), 2.0);
   EXPECT_DOUBLE_EQ(reg.stats(t).max(), 6.0);
-  EXPECT_EQ(reg.hist(t), nullptr);
-}
-
-TEST(MetricsRegistry, HistogramBucketsObservations) {
-  MetricsRegistry reg;
-  const auto h = reg.histogram("lat", 0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) reg.observe(h, i + 0.5);
-  const auto* hist = reg.hist(h);
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->total(), 10u);
-  EXPECT_EQ(reg.stats(h).count(), 10u);
 }
 
 TEST(MetricsRegistry, SnapshotCapturesOneRowOfAllMetrics) {

@@ -1,39 +1,22 @@
-// Tests for the typed telemetry bus: interning, counters, histograms, ring
-// sink queries, sink dispatch, and the cost contract of the disabled path
-// (one branch, zero heap allocations). The tracer's and the metrics
-// registry's allocation contracts are asserted here too, because this
-// binary owns the one global operator-new counter.
+// Tests for the typed telemetry bus: interning, counters, ring sink
+// queries, sink dispatch, and the cost contract of the disabled path (one
+// branch, zero heap allocations). The tracer's and the metrics registry's
+// allocation contracts are asserted here too, because this binary links
+// the shared operator-new counter.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
-
-// Global allocation counter: every operator new bumps it, so a test can
-// assert that a code region performs no heap allocation at all.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.hpp"
 
 namespace sa::sim {
 namespace {
+
+using test::support::allocs;
 
 TEST(TelemetryBus, CanonicalCategoriesArePreInterned) {
   TelemetryBus bus;
@@ -55,10 +38,7 @@ TEST(TelemetryBus, InterningIsIdempotent) {
   EXPECT_EQ(bus.subject_name(s1), "mgr");
 }
 
-// Everything from here to the disabled-path tests asserts that events are
-// actually delivered, so it only applies when the hot path is compiled in.
-#ifndef SA_TELEMETRY_OFF
-TEST(TelemetryBus, CountsAndValueStatsPerCategory) {
+TEST(TelemetryBus, CountsPerCategory) {
   TelemetryBus bus;
   const auto subj = bus.intern_subject("x");
   bus.record(0.0, TelemetryBus::kObservation, subj, 2.0);
@@ -68,20 +48,6 @@ TEST(TelemetryBus, CountsAndValueStatsPerCategory) {
   EXPECT_EQ(bus.count(TelemetryBus::kFailure), 1u);
   EXPECT_EQ(bus.count(TelemetryBus::kDecision), 0u);
   EXPECT_EQ(bus.total(), 3u);
-  EXPECT_DOUBLE_EQ(bus.values(TelemetryBus::kObservation).mean(), 3.0);
-}
-
-TEST(TelemetryBus, OptInHistogramCollectsValues) {
-  TelemetryBus bus;
-  const auto subj = bus.intern_subject("x");
-  EXPECT_EQ(bus.histogram(TelemetryBus::kObservation), nullptr);
-  bus.enable_histogram(TelemetryBus::kObservation, 0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) {
-    bus.record(i, TelemetryBus::kObservation, subj, i % 10);
-  }
-  const auto* h = bus.histogram(TelemetryBus::kObservation);
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->total(), 100u);
 }
 
 TEST(TelemetryBus, SinksSeeEventsInOrderWithDetail) {
@@ -129,27 +95,25 @@ TEST(RingBufferSink, QueriesByCategoryAndSubject) {
   ASSERT_EQ(from_b.size(), 2u);
   EXPECT_EQ(from_b[0]->category, TelemetryBus::kFailure);
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(TelemetryBus, DisabledPathPerformsNoHeapAllocation) {
   TelemetryBus bus(/*enabled=*/false);
   RingBufferSink sink;
   bus.add_sink(&sink);
   const auto subj = bus.intern_subject("hot");
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocs();
   for (int i = 0; i < 10000; ++i) {
     bus.record(i, TelemetryBus::kObservation, subj, 1.0, "detail");
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocs();
   EXPECT_EQ(after, before);
   EXPECT_EQ(bus.total(), 0u);
   EXPECT_EQ(sink.seen(), 0u);
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(TelemetryBus, EnabledPathCountsWithoutBusAllocation) {
-  // With no histogram and a no-op sink, the bus's own hot path (counter
-  // bump + stats fold + dispatch) must not allocate either.
+  // With a no-op sink, the bus's own hot path (counter bump + dispatch)
+  // must not allocate either.
   struct NullSink : TelemetrySink {
     void on_event(const TelemetryEvent&) override {}
   };
@@ -158,26 +122,15 @@ TEST(TelemetryBus, EnabledPathCountsWithoutBusAllocation) {
   bus.add_sink(&sink);
   const auto subj = bus.intern_subject("hot");
   bus.record(0.0, TelemetryBus::kObservation, subj, 1.0);  // warm per-category
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocs();
   for (int i = 0; i < 10000; ++i) {
     bus.record(i, TelemetryBus::kObservation, subj, 1.0, "detail");
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocs();
   EXPECT_EQ(after, before);
   EXPECT_EQ(bus.count(TelemetryBus::kObservation), 10001u);
 }
-#endif
 
-#ifdef SA_TELEMETRY_OFF
-TEST(TelemetryBus, CompileTimeOffReportsDisabled) {
-  TelemetryBus bus(/*enabled=*/true);
-  EXPECT_FALSE(bus.enabled());
-  bus.record(0.0, TelemetryBus::kFailure, 0, 1.0);
-  EXPECT_EQ(bus.total(), 0u);
-}
-#endif
-
-#ifndef SA_TELEMETRY_OFF
 TEST(RingBufferSink, DeepCopiesDetailBeyondCallerLifetime) {
   // record() takes the detail as a string_view; the sink must own its copy
   // so reading it after the caller's buffer dies is valid (ASan-visible if
@@ -196,7 +149,6 @@ TEST(RingBufferSink, DeepCopiesDetailBeyondCallerLifetime) {
   EXPECT_EQ(sink.at(0).detail,
             "a detail long enough to be heap-allocated for sure");
 }
-#endif
 
 // --- Tracer / MetricsRegistry allocation contracts -----------------------
 
@@ -205,13 +157,13 @@ TEST(Tracer, DisabledPathPerformsNoHeapAllocation) {
   Tracer tracer(bus, /*enabled=*/false);
   const auto subj = bus.intern_subject("hot");
   const auto name = tracer.intern_name("op");
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocs();
   for (int i = 0; i < 10000; ++i) {
     auto span = tracer.span(i, subj, name);
     span.arg(name, 1.0);
     tracer.flow(i, FlowPhase::Step, tracer.next_id(), subj, name);
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocs();
   EXPECT_EQ(after, before);
   EXPECT_EQ(tracer.spans(), 0u);
   EXPECT_EQ(tracer.flows(), 0u);
@@ -223,33 +175,16 @@ TEST(MetricsRegistry, HotPathPerformsNoHeapAllocation) {
   const auto c = reg.counter("ops");
   const auto g = reg.gauge("level");
   const auto t = reg.timer("ms");
-  const auto h = reg.histogram("lat", 0.0, 1.0, 16);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = allocs();
   for (int i = 0; i < 10000; ++i) {
     reg.add(c);
     reg.set(g, static_cast<double>(i));
     reg.observe(t, 0.25);
-    reg.observe(h, 0.5);
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = allocs();
   EXPECT_EQ(after, before);
   EXPECT_DOUBLE_EQ(reg.value(c), 10000.0);
 }
-
-#ifdef SA_TELEMETRY_OFF
-TEST(Tracer, CompileTimeOffRecordsNothing) {
-  TelemetryBus bus;
-  Tracer tracer(bus, /*enabled=*/true);
-  EXPECT_FALSE(tracer.enabled());
-  {
-    auto span = tracer.span(0.0, 0, 0);
-    EXPECT_FALSE(static_cast<bool>(span));
-  }
-  tracer.flow(0.0, FlowPhase::Begin, 1, 0, 0);
-  EXPECT_EQ(tracer.events().size(), 0u);
-  EXPECT_EQ(tracer.next_id(), 0u);
-}
-#endif
 
 }  // namespace
 }  // namespace sa::sim

@@ -29,7 +29,6 @@ TEST(Tracer, InternNameIsIdempotent) {
   EXPECT_EQ(rig.tracer.names(), 2u);  // "op" + "decide"
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(Tracer, IdsAreMonotoneFromOne) {
   Rig rig;
   EXPECT_EQ(rig.tracer.last_id(), 0u);
@@ -146,9 +145,7 @@ TEST(Tracer, ClearResetsRecordButNotInternings) {
   EXPECT_EQ(rig.tracer.spans(), 0u);
   EXPECT_EQ(rig.tracer.name(rig.op), "op");
 }
-#endif  // SA_TELEMETRY_OFF
 
-#ifndef SA_TELEMETRY_OFF
 TEST(Tracer, NamespaceFieldOccupiesTheHighBits) {
   TelemetryBus bus;
   Tracer tracer(bus, /*enabled=*/true, /*ns=*/5);
@@ -201,7 +198,6 @@ TEST(Tracer, SetNamespaceAppliesToSubsequentIds) {
   EXPECT_EQ(trace_namespace_of(id), 3u);
   EXPECT_EQ(trace_counter_of(id), 2u);  // the counter keeps running
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(Tracer, DisabledTracerIsInert) {
   TelemetryBus bus;

@@ -125,7 +125,6 @@ TEST(CameraFleet, BindReproducesRunEpochLoop) {
   EXPECT_DOUBLE_EQ(bound.coverage().mean(), legacy.coverage().mean());
 }
 
-#ifndef SA_TELEMETRY_OFF
 TEST(CameraFleet, TelemetryFlowsFromNetworkAndAgents) {
   sim::TelemetryBus bus;
   auto net = Network::clustered_layout(world_params());
@@ -140,7 +139,6 @@ TEST(CameraFleet, TelemetryFlowsFromNetworkAndAgents) {
   EXPECT_EQ(bus.subject_name(bus.intern_subject("svc.network")),
             "svc.network");
 }
-#endif  // SA_TELEMETRY_OFF
 
 TEST(CameraFleet, AgentsReceiveGoalUtility) {
   auto net = Network::clustered_layout(world_params());
