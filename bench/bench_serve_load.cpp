@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
 
   if (!load.trajectory.empty()) {
     std::ofstream out(load.trajectory);
-    out << exp::to_json(result, /*include_timing=*/false).dump() << "\n";
+    out << exp::to_json(result).dump() << "\n";
     if (!out) {
       std::cerr << "serve_load: cannot write " << load.trajectory << "\n";
       return 1;
@@ -280,21 +280,18 @@ int main(int argc, char** argv) {
   }
 
   exp::Json doc = exp::Json::object();
-  doc["schema"] = 1;
+  doc["schema"] = 2;
   doc["experiment"] = "serve_load";
   exp::Json meta = exp::Json::object();
   meta["git_rev"] = exp::git_rev();
-  meta["jobs"] = static_cast<std::int64_t>(runner.jobs());
   meta["clients"] = static_cast<std::int64_t>(load.clients);
   meta["sse_clients"] = static_cast<std::int64_t>(load.sse);
   meta["controllers"] = static_cast<std::int64_t>(load.controllers);
   meta["duration_s"] = load.duration_s;
   meta["load_seed"] = static_cast<std::int64_t>(load.load_seed);
-  meta["wall_clock_s"] = wall;
-  meta["peak_rss_mb"] = exp::peak_rss_mb();
   doc["meta"] = std::move(meta);
   doc["grids"] = exp::Json::array();
-  doc["grids"].push_back(exp::to_json(result, /*include_timing=*/false));
+  doc["grids"].push_back(exp::to_json(result));
 
   exp::Json client = exp::Json::object();
   for (std::size_t r = 0; r < serve::kRouteClasses; ++r) {
@@ -345,6 +342,13 @@ int main(int argc, char** argv) {
     }
   }
   doc["consistency"] = std::move(consistency);
+
+  // Run-dependent fields in the harness document's `measured` layout.
+  exp::Json measured = exp::Json::object();
+  measured["wall_clock_s"] = wall;
+  measured["peak_rss_mb"] = exp::peak_rss_mb();
+  measured["jobs"] = static_cast<std::int64_t>(runner.jobs());
+  doc["measured"] = std::move(measured);
 
   if (!opts.json.empty()) {
     std::ofstream out(opts.json);

@@ -69,7 +69,7 @@ struct Harness::ServeState {
 #endif
 };
 
-Json to_json(const GridResult& result, bool include_timing) {
+Json to_json(const GridResult& result) {
   Json g = Json::object();
   g["name"] = result.name;
   Json& variants = g["variants"] = Json::array();
@@ -87,7 +87,6 @@ Json to_json(const GridResult& result, bool include_timing) {
     for (const auto& [name, value] : t.metrics) metrics[name] = value;
     if (!t.note.empty()) cell["note"] = t.note;
     if (!t.error.empty()) cell["error"] = t.error;
-    if (include_timing) cell["wall_s"] = t.wall_s;
     results.push_back(std::move(cell));
   }
   Json& summary = g["summary"] = Json::object();
@@ -104,10 +103,6 @@ Json to_json(const GridResult& result, bool include_timing) {
       m["min"] = s.min;
       m["max"] = s.max;
     }
-  }
-  if (include_timing) {
-    g["wall_s"] = result.wall_s;
-    g["jobs"] = static_cast<std::int64_t>(result.jobs);
   }
   return g;
 }
@@ -286,31 +281,12 @@ void Harness::interrupted_exit(int sig) {
   if (!opts_.json.empty() && store_ != nullptr) {
     std::ofstream out(opts_.json);
     if (out) {
-      interrupted_document().dump(out);
+      build_document(store_->grid_results(), /*interrupted=*/true).dump(out);
       out << "\n";
       out.flush();
     }
   }
   std::_Exit(128 + sig);
-}
-
-Json Harness::interrupted_document() const {
-  Json doc = Json::object();
-  doc["schema"] = 1;
-  doc["experiment"] = experiment_;
-  Json& meta = doc["meta"] = Json::object();
-  meta["interrupted"] = true;
-  meta["git_rev"] = git_rev();
-  meta["jobs"] = static_cast<std::int64_t>(jobs());
-  if (!opts_.fault_plan.empty()) meta["fault_plan"] = opts_.fault_plan;
-  if (!opts_.scenario.empty()) meta["scenario"] = opts_.scenario;
-  Json& grids = doc["grids"] = Json::array();
-  // Timing-free cells (wall-clock is meaningless for a partial document);
-  // never-completed cells carry "interrupted before completion" errors.
-  for (const GridResult& g : store_->grid_results()) {
-    grids.push_back(to_json(g, /*include_timing=*/false));
-  }
-  return doc;
 }
 
 void Harness::start_serving() {
@@ -508,56 +484,35 @@ GridResult Harness::run(Grid grid) {
 }
 
 Json Harness::document() const {
+  return build_document(results_, /*interrupted=*/false);
+}
+
+Json Harness::build_document(const std::vector<GridResult>& grids,
+                             bool interrupted) const {
   Json doc = Json::object();
-  doc["schema"] = 1;
+  doc["schema"] = 2;
   doc["experiment"] = experiment_;
   Json& meta = doc["meta"] = Json::object();
+  if (interrupted) meta["interrupted"] = true;
   meta["git_rev"] = git_rev();
-  meta["jobs"] = static_cast<std::int64_t>(jobs());
-  // Only emitted when set: pre-existing documents stay byte-identical.
+  // Only emitted when set: documents without them stay byte-identical.
   if (!opts_.fault_plan.empty()) meta["fault_plan"] = opts_.fault_plan;
   if (!opts_.scenario.empty()) meta["scenario"] = opts_.scenario;
-  double wall = 0.0;
-  for (const auto& g : results_) wall += g.wall_s;
-  meta["wall_clock_s"] = wall;
-  // Throughput block: how hard the event kernel worked for this document.
-  // events_total is deterministic for a fixed workload; events_per_sec and
-  // peak_rss_mb are wall-clock-dependent, so CI byte-diffs exclude them
-  // alongside wall_clock_s.
+  // Engine events this process executed: deterministic for a fixed
+  // workload and execution path (a resumed or served process runs a
+  // different number, which bench_diff --ignore-events-total allows for).
   const std::uint64_t events = sim::Engine::global_executed() - events_at_start_;
-  meta["events_total"] = static_cast<std::int64_t>(events);
-  meta["events_per_sec"] = wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
-  meta["peak_rss_mb"] = peak_rss_mb();
-  // Sharded-run breakdown (only when --shards > 1, so pre-existing
-  // documents stay byte-identical): per-shard executed-event totals
-  // summed across cells, last entry = the coordinator engine. Encoded as
-  // one comma-joined value per key so the CI byte-diff idiom — grep away
-  // the run-dependent meta lines, compare the rest — keeps holding.
-  if (opts_.shards > 1) {
-    meta["shards"] = static_cast<std::int64_t>(opts_.shards);
-    std::string totals, rates;
-    for (const std::uint64_t n : shard_events()) {
-      if (!totals.empty()) {
-        totals += ',';
-        rates += ',';
-      }
-      totals += std::to_string(n);
-      rates += std::to_string(wall > 0.0 ? static_cast<double>(n) / wall
-                                         : 0.0);
-    }
-    meta["shard_events_total"] = totals;
-    meta["shard_events_per_sec"] = rates;
-  }
-  Json& grids = doc["grids"] = Json::array();
-  for (const auto& g : results_) grids.push_back(to_json(g));
+  if (!interrupted) meta["events_total"] = static_cast<std::int64_t>(events);
+  Json& grid_docs = doc["grids"] = Json::array();
+  for (const auto& g : grids) grid_docs.push_back(to_json(g));
   // Failed cells surfaced top-level so CI does not have to walk every
   // grid's results to learn *what* made the exit code non-zero. Absent
   // when everything passed (byte-stability of green documents).
   std::size_t failed = 0;
-  for (const auto& g : results_) failed += g.errors();
+  for (const auto& g : grids) failed += g.errors();
   if (failed != 0) {
     Json& cells = doc["failed_cells"] = Json::array();
-    for (const auto& g : results_) {
+    for (const auto& g : grids) {
       for (const auto& t : g.tasks) {
         if (t.error.empty()) continue;
         Json cell = Json::object();
@@ -568,6 +523,39 @@ Json Harness::document() const {
         cells.push_back(std::move(cell));
       }
     }
+  }
+  // A partial document has no meaningful timing.
+  if (interrupted) return doc;
+
+  // Everything that depends on the clock, the host or the execution mode,
+  // and nothing else: the one place that knows the split.
+  Json& measured = doc["measured"] = Json::object();
+  double wall = 0.0;
+  for (const auto& g : grids) wall += g.wall_s;
+  measured["wall_clock_s"] = wall;
+  measured["events_per_sec"] =
+      wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
+  measured["peak_rss_mb"] = peak_rss_mb();
+  measured["jobs"] = static_cast<std::int64_t>(jobs());
+  if (opts_.shards > 1) {
+    // Per-shard executed-event totals summed across cells, last entry =
+    // the coordinator engine.
+    measured["shards"] = static_cast<std::int64_t>(opts_.shards);
+    Json& totals = measured["shard_events_total"] = Json::array();
+    Json& rates = measured["shard_events_per_sec"] = Json::array();
+    for (const std::uint64_t n : shard_events()) {
+      totals.push_back(static_cast<std::int64_t>(n));
+      rates.push_back(wall > 0.0 ? static_cast<double>(n) / wall : 0.0);
+    }
+  }
+  Json& grid_timing = measured["grids"] = Json::array();
+  for (const auto& g : grids) {
+    Json timing = Json::object();
+    timing["wall_s"] = g.wall_s;
+    timing["jobs"] = static_cast<std::int64_t>(g.jobs);
+    Json& cell_wall = timing["cell_wall_s"] = Json::array();
+    for (const auto& t : g.tasks) cell_wall.push_back(t.wall_s);
+    grid_timing.push_back(std::move(timing));
   }
   return doc;
 }

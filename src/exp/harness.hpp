@@ -5,7 +5,8 @@
 // harness.finish(). The harness contributes the shared behaviour: the
 // --jobs/--seeds/--json flags, the thread pool, the per-grid aggregation
 // recorded for JSON, the BENCH_<exp>.json document (metrics, per-seed
-// raws, wall-clock, git rev) and the error/timing footer.
+// raws, git rev, and a separate `measured` block for wall-clock, jobs,
+// RSS and shard rates) and the error/timing footer.
 #pragma once
 
 #include <atomic>
@@ -29,11 +30,11 @@
 namespace sa::exp {
 
 /// Serialises one grid's results (variants, seeds, per-seed raw metrics,
-/// notes, errors, per-variant summaries). Timing fields are emitted only
-/// when `include_timing` — the parallel-determinism tests compare the
-/// timing-free form byte-for-byte across thread counts.
-[[nodiscard]] Json to_json(const GridResult& result,
-                           bool include_timing = true);
+/// notes, errors, per-variant summaries). Carries no timing: the output is
+/// a pure function of the grid and its seeds, so it is byte-identical for
+/// every --jobs/--shards/resume/serve mode. Harness::document() records
+/// the grid's wall times and jobs under its `measured` block instead.
+[[nodiscard]] Json to_json(const GridResult& result);
 
 /// Best-effort current git revision: $SA_GIT_REV, else `git rev-parse
 /// --short HEAD`, else "unknown". Never throws.
@@ -95,13 +96,26 @@ class Harness {
 
   /// Accumulates one sharded cell's per-shard executed-event counts
   /// (shard::ShardedWorld::shard_events(): index = shard id, last entry =
-  /// coordinator) into the document's meta block, elementwise across
+  /// coordinator) into the document's `measured` block, elementwise across
   /// cells. Thread-safe; no-op argument lists are ignored.
   void note_shard_events(const std::vector<std::uint64_t>& events);
   /// The elementwise sums recorded so far (exposed for tests).
   [[nodiscard]] std::vector<std::uint64_t> shard_events() const;
 
-  /// The full BENCH_<exp>.json document.
+  /// The full BENCH_<exp>.json document (schema 2). Every field that
+  /// depends on the clock, the host or the execution mode lives in the
+  /// top-level `measured` object, and nowhere else:
+  ///
+  ///   measured.wall_clock_s / events_per_sec / peak_rss_mb / jobs
+  ///   measured.shards / shard_events_total / shard_events_per_sec
+  ///                                                   (--shards > 1)
+  ///   measured.grids[i].{wall_s, jobs, cell_wall_s[]}  (i as in grids)
+  ///
+  /// Everything else — schema, experiment, meta (git_rev, fault_plan,
+  /// scenario, events_total), grids, failed_cells — is byte-identical
+  /// across --jobs, --shards, resume and serve (events_total aside for
+  /// the latter two, which execute a different number of engine events).
+  /// bench/bench_diff.py compares documents on exactly that split.
   [[nodiscard]] Json document() const;
 
   /// The harness checkpoint store (non-null when --checkpoint or --json
@@ -126,7 +140,8 @@ class Harness {
   /// delta as this run's event throughput (events_total / events_per_sec).
   std::uint64_t events_at_start_ = 0;
   /// Per-shard executed-event totals accumulated by note_shard_events
-  /// (meta "shard_events_total"/"shard_events_per_sec" when --shards > 1).
+  /// (measured "shard_events_total"/"shard_events_per_sec" when
+  /// --shards > 1).
   mutable std::mutex shard_mutex_;
   std::vector<std::uint64_t> shard_events_;
 
@@ -167,7 +182,13 @@ class Harness {
   void stop_supervisor();
   void save_store();               ///< journal snapshot + atomic store save
   [[noreturn]] void interrupted_exit(int sig);
-  [[nodiscard]] Json interrupted_document() const;
+  /// The one document builder behind document() and the partial document
+  /// written on SIGTERM/SIGINT. `interrupted` marks meta `"interrupted":
+  /// true` and leaves out events_total and the `measured` block (the run
+  /// never finished). The grids are passed in because the interrupted path
+  /// runs on the supervisor thread and must not read results_.
+  [[nodiscard]] Json build_document(const std::vector<GridResult>& grids,
+                                    bool interrupted) const;
 };
 
 }  // namespace sa::exp

@@ -87,7 +87,7 @@ TEST(RunnerTest, SerialAndParallelAreBitwiseIdentical) {
       }
     }
     // The timing-free JSON form is the canonical determinism witness.
-    EXPECT_EQ(to_json(parallel, false).dump(), to_json(serial, false).dump());
+    EXPECT_EQ(to_json(parallel).dump(), to_json(serial).dump());
   }
 }
 
@@ -197,6 +197,76 @@ TEST(HarnessTest, GreenRunsOmitFailedCellsEntirely) {
   std::ostringstream os;
   EXPECT_EQ(h.finish(os), 0);
   EXPECT_FALSE(h.document().contains("failed_cells"));
+}
+
+TEST(HarnessTest, RunDependentFieldsLiveOnlyInMeasured) {
+  // The BENCH document contract: meta, grids and failed_cells are
+  // byte-identical across --jobs, and every timing key sits in measured.
+  const auto document_at = [](const char* jobs) {
+    const char* argv[] = {"bench", "--jobs", jobs};
+    Harness h("harness_test", 3, argv);
+    Grid g = toy_grid(3, 4);
+    auto inner = g.task;
+    g.task = [inner](const TaskContext& ctx) -> TaskOutput {
+      if (ctx.variant == 2 && ctx.seed == 101) {
+        throw std::runtime_error("contract cell failure");
+      }
+      return inner(ctx);
+    };
+    (void)h.run(std::move(g));
+    (void)h.run(toy_grid(2, 2));
+    std::ostringstream os;
+    (void)h.finish(os);
+    return h.document();
+  };
+  const Json serial = document_at("1");
+  const Json parallel = document_at("3");
+
+  for (const char* key : {"schema", "experiment", "meta", "grids",
+                          "failed_cells"}) {
+    ASSERT_TRUE(serial.contains(key)) << key;
+    EXPECT_EQ(serial.at(key).dump(), parallel.at(key).dump()) << key;
+  }
+  EXPECT_EQ(serial.at("schema").dump(), "2");
+  EXPECT_TRUE(serial.at("meta").contains("events_total"));
+
+  for (const Json* doc : {&serial, &parallel}) {
+    const Json& measured = doc->at("measured");
+    for (const char* key : {"wall_clock_s", "events_per_sec", "peak_rss_mb",
+                            "jobs", "grids"}) {
+      EXPECT_TRUE(measured.contains(key)) << key;
+    }
+    EXPECT_FALSE(doc->at("meta").contains("jobs"));
+    EXPECT_FALSE(doc->at("meta").contains("wall_clock_s"));
+    const std::string grids = doc->at("grids").dump();
+    EXPECT_EQ(grids.find("\"wall_s\""), std::string::npos);
+    EXPECT_EQ(grids.find("\"jobs\""), std::string::npos);
+    // One timing entry per grid.
+    ASSERT_EQ(measured.at("grids").size(), 2u);
+    const std::string timing = measured.at("grids").dump(-1);
+    EXPECT_NE(timing.find("\"wall_s\""), std::string::npos);
+    EXPECT_NE(timing.find("\"jobs\""), std::string::npos);
+    EXPECT_NE(timing.find("\"cell_wall_s\""), std::string::npos);
+  }
+  EXPECT_EQ(serial.at("measured").at("jobs").dump(), "1");
+  EXPECT_EQ(parallel.at("measured").at("jobs").dump(), "3");
+}
+
+TEST(HarnessTest, ShardEventTotalsAreArraysUnderMeasured) {
+  const char* argv[] = {"bench", "--shards", "2"};
+  Harness h("harness_test", 3, argv);
+  (void)h.run(toy_grid(1, 2));
+  h.note_shard_events({10, 20, 3});
+  h.note_shard_events({1, 2});
+  std::ostringstream os;
+  EXPECT_EQ(h.finish(os), 0);
+  const Json doc = h.document();
+  EXPECT_FALSE(doc.at("meta").contains("shards"));
+  const Json& measured = doc.at("measured");
+  EXPECT_EQ(measured.at("shards").dump(), "2");
+  EXPECT_EQ(measured.at("shard_events_total").dump(-1), "[11,22,3]");
+  ASSERT_TRUE(measured.at("shard_events_per_sec").is_array());
+  EXPECT_EQ(measured.at("shard_events_per_sec").size(), 3u);
 }
 
 TEST(RunnerTest, ZeroJobsMeansHardwareConcurrency) {

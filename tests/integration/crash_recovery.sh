@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Crash-recovery acceptance (sa::ckpt): a checkpointed bench killed
 # mid-flight — once with SIGKILL, once with SIGTERM — must resume from
-# its checkpoint and finish with a BENCH json byte-identical to an
-# uninterrupted reference run (wall-clock/timing fields excluded). Both
-# legs run with an active fault plan (the E15 spec carries one) and a
-# replayed control journal, per the acceptance checklist.
+# its checkpoint and finish with a BENCH json that bench/bench_diff.py
+# finds identical to an uninterrupted reference run outside its
+# `measured` block. Both legs run with an active fault plan (the E15 spec
+# carries one) and a replayed control journal, per the acceptance
+# checklist.
 #
 # Usage: crash_recovery.sh /path/to/bench_e15_city [workdir]
 set -u
@@ -16,11 +17,11 @@ JOURNAL='20 cmd=inject&kind=link-loss&unit=0&mag=1.5&dur=10; 45 cmd=inject&kind=
 
 fail() { echo "crash_recovery: FAIL: $*" >&2; exit 1; }
 
-# Timing-derived fields legitimately differ between runs, and a resumed
-# process executes fewer engine events (completed cells never re-run), so
-# events_total is process-local too.
-filtered() {
-  grep -vE '"wall_clock_s"|"wall_s"|"jobs"|"events_per_sec"|"events_total"|"peak_rss_mb"' "$1"
+# A resumed process executes fewer engine events (completed cells never
+# re-run), so events_total is process-local here.
+BENCH_DIFF="$(dirname "$0")/../../bench/bench_diff.py"
+same_results() { # reference.json candidate.json
+  python3 "$BENCH_DIFF" --ignore-events-total "$1" "$2"
 }
 
 # NOTE: backgrounded invocations below spell out the command instead of
@@ -54,7 +55,7 @@ run_bench "$WORK/res.json" --checkpoint "$WORK/ck.sackpt" \
   || fail "resume run failed: $(cat "$WORK/res.log")"
 grep -q "resuming from" "$WORK/res.log" || fail "resume path never engaged"
 grep -o "resuming from.*" "$WORK/res.log"
-diff <(filtered "$WORK/ref.json") <(filtered "$WORK/res.json") \
+same_results "$WORK/ref.json" "$WORK/res.json" \
   || fail "resumed json differs from the uninterrupted reference"
 
 echo "== leg 2: SIGTERM writes partial json + final checkpoint, resume =="
@@ -76,7 +77,7 @@ run_bench "$WORK/res2.json" --checkpoint "$WORK/ck2.sackpt" \
   --resume "$WORK/ck2.sackpt" > "$WORK/res2.log" 2>&1 \
   || fail "post-SIGTERM resume failed: $(cat "$WORK/res2.log")"
 grep -o "resuming from.*" "$WORK/res2.log"
-diff <(filtered "$WORK/ref.json") <(filtered "$WORK/res2.json") \
+same_results "$WORK/ref.json" "$WORK/res2.json" \
   || fail "post-SIGTERM resume differs from the reference"
 
 echo "crash_recovery: PASS"

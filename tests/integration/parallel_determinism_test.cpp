@@ -28,7 +28,6 @@ using namespace sa;
 using test::support::byte_identical;
 using test::support::parallel_jobs;
 using test::support::thread_count_invariant;
-using test::support::timing_free_json;
 
 /// Reduced E1: two manager variants on the phased big.LITTLE workload.
 exp::Grid multicore_grid() {
@@ -271,8 +270,8 @@ TEST(ParallelDeterminism, MulticoreEngineDrivenMatchesLockStep) {
       exp::Runner(1).run("determinism", multicore_engine_grid());
   ASSERT_EQ(legacy.errors(), 0u);
   ASSERT_EQ(engine.errors(), 0u);
-  EXPECT_TRUE(byte_identical(timing_free_json(legacy),
-                             timing_free_json(engine),
+  EXPECT_TRUE(byte_identical(exp::to_json(legacy).dump(),
+                             exp::to_json(engine).dump(),
                              "legacy vs engine-driven E1"));
 }
 
@@ -283,8 +282,8 @@ TEST(ParallelDeterminism, CpnEngineDrivenMatchesLockStep) {
   const auto engine = exp::Runner(1).run("determinism", cpn_engine_grid());
   ASSERT_EQ(legacy.errors(), 0u);
   ASSERT_EQ(engine.errors(), 0u);
-  EXPECT_TRUE(byte_identical(timing_free_json(legacy),
-                             timing_free_json(engine),
+  EXPECT_TRUE(byte_identical(exp::to_json(legacy).dump(),
+                             exp::to_json(engine).dump(),
                              "legacy vs engine-driven E4"));
 }
 
@@ -338,7 +337,7 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAgree) {
   const auto grid = multicore_grid();
   const auto a = exp::Runner(2).run("determinism", grid);
   const auto b = exp::Runner(parallel_jobs() + 1).run("determinism", grid);
-  EXPECT_TRUE(byte_identical(timing_free_json(a), timing_free_json(b),
+  EXPECT_TRUE(byte_identical(exp::to_json(a).dump(), exp::to_json(b).dump(),
                              "2-worker vs wide-pool grid results"));
 }
 

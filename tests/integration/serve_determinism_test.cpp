@@ -30,10 +30,6 @@ namespace {
 using namespace sa;
 namespace client = sa::serve::testing;
 
-std::string timing_free_json(const exp::GridResult& result) {
-  return exp::to_json(result, /*include_timing=*/false).dump();
-}
-
 /// Background load: one thread alternating GET /metrics and /status as
 /// fast as responses come back, one thread holding an SSE stream open.
 class ScrapeLoad {
@@ -210,7 +206,7 @@ void expect_served_run_identical(GridFactory factory) {
   // The load was real: the scraper got responses while the grid ran.
   EXPECT_GT(server.requests(), 0u);
 
-  EXPECT_EQ(timing_free_json(baseline), timing_free_json(served));
+  EXPECT_EQ(exp::to_json(baseline).dump(), exp::to_json(served).dump());
   server.stop();
 }
 
@@ -260,7 +256,7 @@ TEST(ServeDeterminism, TrajectorySurvivesAThousandLoadgenClientMix) {
   pool.stop();
   ASSERT_EQ(served.errors(), 0u);
 
-  EXPECT_EQ(timing_free_json(baseline), timing_free_json(served));
+  EXPECT_EQ(exp::to_json(baseline).dump(), exp::to_json(served).dump());
 
   // The load was real, and both sides of the observability seam agree
   // that it happened: the clients completed requests and the server's
@@ -298,7 +294,7 @@ TEST(ServeDeterminism, ServedCellRepeatsByteIdenticallyAcrossServedRuns) {
         exp::Runner(1).run("serve-determinism", cpn_grid(&bridge, &bus));
     load.finish();
     ASSERT_EQ(result.errors(), 0u);
-    *out = timing_free_json(result);
+    *out = exp::to_json(result).dump();
     server.stop();
   }
   EXPECT_EQ(first, second);

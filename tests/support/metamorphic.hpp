@@ -44,12 +44,6 @@ inline unsigned parallel_jobs() {
   return std::max(4u, std::thread::hardware_concurrency());
 }
 
-/// Grid result serialised without wall-clock fields, so byte comparison
-/// sees only simulated behaviour.
-inline std::string timing_free_json(const exp::GridResult& result) {
-  return exp::to_json(result, /*include_timing=*/false).dump();
-}
-
 /// Byte-exact comparison with a first-difference diagnostic. `what` names
 /// the two artefacts in the failure message.
 inline ::testing::AssertionResult byte_identical(
@@ -91,7 +85,8 @@ inline ::testing::AssertionResult thread_count_invariant(
            << "grid '" << grid.name << "' raised task errors (serial "
            << serial.errors() << ", parallel " << parallel.errors() << ")";
   }
-  return byte_identical(timing_free_json(serial), timing_free_json(parallel),
+  return byte_identical(exp::to_json(serial).dump(),
+                        exp::to_json(parallel).dump(),
                         "serial vs " + std::to_string(jobs) +
                             "-worker grid results");
 }
