@@ -64,7 +64,6 @@ const char* errc_name(Errc code) noexcept {
     case Errc::kShapeMismatch: return "shape-mismatch";
     case Errc::kStateDivergence: return "state-divergence";
     case Errc::kUntaggedEvent: return "untagged-event";
-    case Errc::kUnboundTag: return "unbound-tag";
   }
   return "unknown";
 }

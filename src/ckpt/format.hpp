@@ -51,7 +51,6 @@ enum class Errc {
   kShapeMismatch,   // checkpoint disagrees with the run configuration
   kStateDivergence, // replayed state does not byte-match the attestation
   kUntaggedEvent,   // engine export found a pending event with no tag
-  kUnboundTag,      // engine import found a tag with no registered callable
 };
 
 [[nodiscard]] const char* errc_name(Errc code) noexcept;

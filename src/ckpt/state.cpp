@@ -1,13 +1,10 @@
 #include "ckpt/state.hpp"
 
-#include <limits>
 #include <utility>
 
 namespace sa::ckpt {
 namespace {
 
-/// Engine `order` values fit comfortably in i64; serialize wide so the
-/// format never truncates an exotic order.
 Status malformed(std::string_view what) {
   return Status::error(Errc::kMalformed, std::string(what));
 }
@@ -16,6 +13,8 @@ Status malformed(std::string_view what) {
 
 // -- sim::Engine --------------------------------------------------------------
 
+namespace {
+
 void save_timeline(const sim::Engine::Timeline& tl, Buffer& out) {
   out.f64(tl.now);
   out.u64(tl.seq);
@@ -23,7 +22,7 @@ void save_timeline(const sim::Engine::Timeline& tl, Buffer& out) {
   out.u64(tl.events.size());
   for (const sim::Engine::TimelineEvent& ev : tl.events) {
     out.f64(ev.t);
-    out.i64(ev.order);
+    out.i64(ev.order);  // wide, so the format never truncates an order
     out.u64(ev.seq);
     out.u64(ev.tag);
     out.boolean(ev.is_periodic);
@@ -37,33 +36,7 @@ void save_timeline(const sim::Engine::Timeline& tl, Buffer& out) {
   }
 }
 
-Status load_timeline(Cursor& in, sim::Engine::Timeline& out) {
-  out = sim::Engine::Timeline{};
-  std::uint64_t count = 0;
-  if (!in.f64(out.now) || !in.u64(out.seq) || !in.u64(out.executed) ||
-      !in.u64(count))
-    return malformed("timeline header");
-  out.events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    sim::Engine::TimelineEvent ev;
-    std::int64_t order = 0;
-    if (!in.f64(ev.t) || !in.i64(order) || !in.u64(ev.seq) ||
-        !in.u64(ev.tag) || !in.boolean(ev.is_periodic))
-      return malformed("timeline event");
-    ev.order = static_cast<int>(order);
-    if (ev.is_periodic) {
-      if (!in.f64(ev.base) || !in.f64(ev.period) || !in.u64(ev.n))
-        return malformed("timeline periodic re-arm state");
-    } else {
-      if (!in.str(ev.payload)) return malformed("timeline event payload");
-    }
-    if (ev.tag == 0)
-      return Status::error(Errc::kUntaggedEvent,
-                           "timeline carries a tag-0 event");
-    out.events.push_back(std::move(ev));
-  }
-  return {};
-}
+}  // namespace
 
 Status save_engine(const sim::Engine& engine, Buffer& out) {
   sim::Engine::Timeline tl;
@@ -74,34 +47,12 @@ Status save_engine(const sim::Engine& engine, Buffer& out) {
   return {};
 }
 
-Status restore_engine(Cursor& in, sim::Engine& engine) {
-  sim::Engine::Timeline tl;
-  if (Status st = load_timeline(in, tl); !st.ok()) return st;
-  std::string err;
-  if (!engine.import_timeline(tl, &err)) {
-    const Errc code = err.find("no callable registered") != std::string::npos
-                          ? Errc::kUnboundTag
-                          : Errc::kShapeMismatch;
-    return Status::error(code, err);
-  }
-  return {};
-}
-
 // -- sim::Rng -----------------------------------------------------------------
 
 void save_rng(const sim::Rng::State& s, Buffer& out) {
   for (int i = 0; i < 4; ++i) out.u64(s.s[i]);
   out.f64(s.spare);
   out.boolean(s.has_spare);
-}
-
-Status load_rng(Cursor& in, sim::Rng::State& out) {
-  out = sim::Rng::State{};
-  for (int i = 0; i < 4; ++i)
-    if (!in.u64(out.s[i])) return malformed("rng words");
-  if (!in.f64(out.spare) || !in.boolean(out.has_spare))
-    return malformed("rng spare");
-  return {};
 }
 
 // -- core::Value / KnowledgeItem / KnowledgeBase ------------------------------
@@ -123,51 +74,7 @@ void save_value(const core::Value& v, Buffer& out) {
   }
 }
 
-Status load_value(Cursor& in, core::Value& out) {
-  std::uint8_t idx = 0;
-  if (!in.u8(idx)) return malformed("value tag");
-  switch (idx) {
-    case 0: {
-      bool b = false;
-      if (!in.boolean(b)) return malformed("bool value");
-      out = b;
-      return {};
-    }
-    case 1: {
-      std::int64_t i = 0;
-      if (!in.i64(i)) return malformed("int value");
-      out = i;
-      return {};
-    }
-    case 2: {
-      double d = 0.0;
-      if (!in.f64(d)) return malformed("double value");
-      out = d;
-      return {};
-    }
-    case 3: {
-      std::string s;
-      if (!in.str(s)) return malformed("string value");
-      out = std::move(s);
-      return {};
-    }
-    case 4: {
-      std::uint32_t n = 0;
-      if (!in.u32(n)) return malformed("vector value length");
-      std::vector<double> vec;
-      vec.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        double d = 0.0;
-        if (!in.f64(d)) return malformed("vector value element");
-        vec.push_back(d);
-      }
-      out = std::move(vec);
-      return {};
-    }
-    default:
-      return malformed("unknown value variant " + std::to_string(idx));
-  }
-}
+namespace {
 
 void save_item(const core::KnowledgeItem& item, Buffer& out) {
   save_value(item.value, out);
@@ -178,18 +85,7 @@ void save_item(const core::KnowledgeItem& item, Buffer& out) {
   out.f64(item.ttl);
 }
 
-Status load_item(Cursor& in, core::KnowledgeItem& out) {
-  out = core::KnowledgeItem{};
-  if (Status st = load_value(in, out.value); !st.ok()) return st;
-  std::uint8_t scope = 0;
-  if (!in.f64(out.time) || !in.f64(out.confidence) || !in.u8(scope) ||
-      !in.str(out.source) || !in.f64(out.ttl))
-    return malformed("knowledge item");
-  if (scope > static_cast<std::uint8_t>(core::Scope::Public))
-    return malformed("knowledge item scope " + std::to_string(scope));
-  out.scope = static_cast<core::Scope>(scope);
-  return {};
-}
+}  // namespace
 
 void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
   out.u64(kb.history_limit());
@@ -204,34 +100,6 @@ void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
   }
 }
 
-Status load_knowledge(Cursor& in, core::KnowledgeBase& kb) {
-  std::uint64_t limit = 0;
-  double default_ttl = 0.0;
-  std::uint64_t nkeys = 0;
-  if (!in.u64(limit) || !in.f64(default_ttl) || !in.u64(nkeys))
-    return malformed("knowledge header");
-  if (limit != kb.history_limit())
-    return Status::error(
-        Errc::kShapeMismatch,
-        "knowledge history_limit " + std::to_string(kb.history_limit()) +
-            " != checkpointed " + std::to_string(limit));
-  kb.set_default_ttl(default_ttl);
-  std::string key;
-  for (std::uint64_t k = 0; k < nkeys; ++k) {
-    std::uint64_t nitems = 0;
-    if (!in.str(key) || !in.u64(nitems)) return malformed("knowledge key");
-    std::vector<core::KnowledgeItem> items;
-    items.reserve(static_cast<std::size_t>(nitems));
-    for (std::uint64_t i = 0; i < nitems; ++i) {
-      core::KnowledgeItem item;
-      if (Status st = load_item(in, item); !st.ok()) return st;
-      items.push_back(std::move(item));
-    }
-    kb.restore_key(key, std::move(items));
-  }
-  return {};
-}
-
 // -- fault::Injector ----------------------------------------------------------
 
 namespace {
@@ -244,21 +112,6 @@ void save_record(const fault::Injector::Record& rec, Buffer& out) {
   out.f64(rec.magnitude);
   out.f64(rec.until);
   out.boolean(rec.begin);
-}
-
-Status load_record(Cursor& in, fault::Injector::Record& out) {
-  out = fault::Injector::Record{};
-  std::uint8_t kind = 0;
-  std::uint64_t unit = 0;
-  if (!in.f64(out.t) || !in.u8(kind) || !in.str(out.surface) ||
-      !in.u64(unit) || !in.f64(out.magnitude) || !in.f64(out.until) ||
-      !in.boolean(out.begin))
-    return malformed("fault record");
-  if (kind >= fault::kFaultKinds)
-    return malformed("fault record kind " + std::to_string(kind));
-  out.kind = static_cast<fault::FaultKind>(kind);
-  out.unit = static_cast<std::size_t>(unit);
-  return {};
 }
 
 }  // namespace
@@ -281,37 +134,6 @@ void save_injector(const fault::Injector& inj, Buffer& out) {
   }
 }
 
-Status restore_injector(Cursor& in, fault::Injector& inj) {
-  fault::Injector::State st;
-  std::uint64_t nlog = 0, nstreams = 0;
-  if (!in.u64(st.injected) || !in.u64(st.restored) || !in.u64(st.active) ||
-      !in.u64(st.unmatched) || !in.f64(st.last_onset) || !in.u64(nlog))
-    return malformed("injector header");
-  st.log.reserve(static_cast<std::size_t>(nlog));
-  for (std::uint64_t i = 0; i < nlog; ++i) {
-    fault::Injector::Record rec;
-    if (Status s = load_record(in, rec); !s.ok()) return s;
-    st.log.push_back(std::move(rec));
-  }
-  if (!in.u64(nstreams)) return malformed("injector stream count");
-  st.streams.reserve(static_cast<std::size_t>(nstreams));
-  for (std::uint64_t i = 0; i < nstreams; ++i) {
-    fault::Injector::StreamState s;
-    std::uint64_t process = 0, surface = 0, burst = 0;
-    if (!in.u64(process) || !in.u64(surface)) return malformed("injector stream");
-    if (Status rs = load_rng(in, s.rng); !rs.ok()) return rs;
-    if (!in.u64(burst)) return malformed("injector stream burst");
-    s.process = static_cast<std::size_t>(process);
-    s.surface = static_cast<std::size_t>(surface);
-    s.burst_left = static_cast<std::size_t>(burst);
-    st.streams.push_back(s);
-  }
-  std::string err;
-  if (!inj.import_state(st, &err))
-    return Status::error(Errc::kShapeMismatch, err);
-  return {};
-}
-
 // -- core::DegradationPolicy --------------------------------------------------
 
 void save_ladder(const core::DegradationPolicy& p, Buffer& out) {
@@ -327,21 +149,6 @@ void save_ladder(const core::DegradationPolicy& p, Buffer& out) {
   out.str(st.last_trigger);
 }
 
-Status restore_ladder(Cursor& in, core::DegradationPolicy& p) {
-  core::DegradationPolicy::State st;
-  std::uint8_t mode = 0;
-  if (!in.u8(mode) || !in.u64(st.breach_streak) || !in.u64(st.clean_streak) ||
-      !in.u64(st.degradations) || !in.u64(st.recoveries) || !in.f64(st.dwell) ||
-      !in.f64(st.last_t) || !in.boolean(st.seen_update) ||
-      !in.str(st.last_trigger))
-    return malformed("ladder state");
-  if (mode > static_cast<std::uint8_t>(core::DegradationPolicy::Mode::Reactive))
-    return malformed("ladder mode " + std::to_string(mode));
-  st.mode = static_cast<core::DegradationPolicy::Mode>(mode);
-  p.import_state(st);
-  return {};
-}
-
 // -- core::AgentRuntime -------------------------------------------------------
 
 void save_runtime(const core::AgentRuntime& rt, Buffer& out) {
@@ -355,17 +162,6 @@ void save_runtime(const core::AgentRuntime& rt, Buffer& out) {
   out.boolean(st.exchange_blocked);
 }
 
-Status restore_runtime(Cursor& in, core::AgentRuntime& rt) {
-  core::AgentRuntime::State st;
-  if (!in.u64(st.steps) || !in.u64(st.substrate_ticks) ||
-      !in.u64(st.exchanged) || !in.u64(st.exchange_drops) ||
-      !in.u64(st.exchange_retries) || !in.u64(st.exchange_timeouts) ||
-      !in.boolean(st.exchange_blocked))
-    return malformed("runtime counters");
-  rt.import_state(st);
-  return {};
-}
-
 // -- WorldCheckpoint ----------------------------------------------------------
 
 std::string WorldCheckpoint::section_name(const std::string& component) {
@@ -373,15 +169,8 @@ std::string WorldCheckpoint::section_name(const std::string& component) {
 }
 
 void WorldCheckpoint::add(std::string name,
-                          std::function<Status(Buffer&)> save,
-                          std::function<Status(Cursor&)> restore) {
-  components_.push_back(
-      Component{std::move(name), std::move(save), std::move(restore)});
-}
-
-void WorldCheckpoint::add(Checkpointable& c) {
-  add(c.ckpt_name(), [&c](Buffer& out) { return c.ckpt_save(out); },
-      [&c](Cursor& in) { return c.ckpt_restore(in); });
+                          std::function<Status(Buffer&)> save) {
+  components_.push_back(Component{std::move(name), std::move(save)});
 }
 
 Status WorldCheckpoint::save(const Meta& meta, std::string& image) const {
@@ -423,7 +212,7 @@ Status WorldCheckpoint::read_meta(const Reader& r, Meta& out) {
   return c.finish("meta section");
 }
 
-Status WorldCheckpoint::restore(const Reader& r, const Meta* expect) const {
+Status WorldCheckpoint::verify(const Reader& r, const Meta* expect) const {
   if (expect != nullptr) {
     Meta have;
     if (Status st = read_meta(r, have); !st.ok()) return st;
@@ -441,20 +230,6 @@ Status WorldCheckpoint::restore(const Reader& r, const Meta* expect) const {
                            "checkpoint fault plan '" + have.fault_plan +
                                "' != run plan '" + expect->fault_plan + "'");
   }
-  for (const Component& c : components_) {
-    Cursor cur;
-    if (Status st = r.open(section_name(c.name), cur); !st.ok()) return st;
-    if (Status st = c.restore(cur); !st.ok()) {
-      st.detail = "component '" + c.name + "': " + st.detail;
-      return st;
-    }
-    if (Status st = cur.finish("section '" + c.name + "'"); !st.ok())
-      return st;
-  }
-  return {};
-}
-
-Status WorldCheckpoint::verify(const Reader& r) const {
   for (const Component& c : components_) {
     const std::string section = section_name(c.name);
     if (!r.has(section))

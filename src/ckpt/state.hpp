@@ -1,36 +1,32 @@
 // Component serializers and the WorldCheckpoint registry (sa::ckpt).
 //
-// Each stateful layer exposes a small POD-ish checkpoint seam
+// Each stateful layer exposes a small POD-ish export seam
 // (sim::Engine::Timeline, sim::Rng::State, fault::Injector::State,
-// core::DegradationPolicy::State, core::AgentRuntime::State, and
-// KnowledgeBase::restore_key); this header turns those seams into bytes —
-// one save_/load_ pair per component, all through format.hpp's typed
-// Buffer/Cursor so doubles round-trip bit-exactly.
+// core::DegradationPolicy::State, core::AgentRuntime::State, and the
+// KnowledgeBase's keyed histories); this header turns those seams into
+// bytes — one save_ function per component, all through format.hpp's typed
+// Buffer so doubles are written bit-exactly.
 //
 // Canonical-bytes property: every serializer derives its output from a
 // canonical ordering (the engine sorts pending events by (t, order, seq);
 // the knowledge base iterates keys in ascending order; injector streams
 // are in (process, surface) order). Two worlds in the same state therefore
 // serialize to *identical bytes*, which is what WorldCheckpoint::verify()
-// exploits: restore is attested by re-exporting every component and
+// exploits: a restore is attested by re-exporting every component and
 // byte-comparing against the checkpoint — any divergence is a typed
 // kStateDivergence error naming the section, never a silent drift.
 //
-// Restore protocol (the order matters):
-//   1. Rebuild the world from the same recipe under engine.begin_restore()
-//      — _tagged schedulers register callables without arming them, and
-//      mid-run one-shots (exchange retries, fault end events) register
-//      rebinder factories instead.
-//   2. WorldCheckpoint::restore() feeds each component its section. The
-//      engine component must be registered LAST: import_timeline() arms
-//      the heap against everything the other components just rebuilt and
-//      leaves restore mode.
-//   3. Optionally WorldCheckpoint::verify() re-exports and byte-compares.
+// Restore protocol — there is one, replay:
+//   1. Read the image's meta (WorldCheckpoint::read_meta) and rebuild the
+//      world from the same recipe and seed.
+//   2. Re-apply the control journal and run the world to meta.t.
+//   3. WorldCheckpoint::verify(reader, &expected_meta) refuses a stale
+//      identity (kShapeMismatch), then re-exports every component and
+//      byte-compares it with its section.
 #pragma once
 
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ckpt/format.hpp"
@@ -45,72 +41,44 @@ namespace sa::ckpt {
 
 // -- sim::Engine --------------------------------------------------------------
 
-void save_timeline(const sim::Engine::Timeline& tl, Buffer& out);
-[[nodiscard]] Status load_timeline(Cursor& in, sim::Engine::Timeline& out);
-/// export_timeline + save_timeline; kUntaggedEvent if any pending event
-/// lacks a tag.
+/// Serializes export_timeline(); kUntaggedEvent if any pending event lacks
+/// a tag.
 [[nodiscard]] Status save_engine(const sim::Engine& engine, Buffer& out);
-/// load_timeline + import_timeline; the engine must be in restore mode
-/// with the world already rebuilt. kUnboundTag / kShapeMismatch on rebind
-/// failures.
-[[nodiscard]] Status restore_engine(Cursor& in, sim::Engine& engine);
 
 // -- sim::Rng -----------------------------------------------------------------
 
 void save_rng(const sim::Rng::State& s, Buffer& out);
-[[nodiscard]] Status load_rng(Cursor& in, sim::Rng::State& out);
 
 // -- core::Value / KnowledgeItem / KnowledgeBase ------------------------------
 
 void save_value(const core::Value& v, Buffer& out);
-[[nodiscard]] Status load_value(Cursor& in, core::Value& out);
-void save_item(const core::KnowledgeItem& item, Buffer& out);
-[[nodiscard]] Status load_item(Cursor& in, core::KnowledgeItem& out);
 /// Full store: every key's retained history, keys in ascending order.
 void save_knowledge(const core::KnowledgeBase& kb, Buffer& out);
-/// Restores into `kb` via restore_key (no listener notifications, no
-/// default-TTL stamping). kShapeMismatch if history_limit differs.
-[[nodiscard]] Status load_knowledge(Cursor& in, core::KnowledgeBase& kb);
 
 // -- fault::Injector ----------------------------------------------------------
 
 void save_injector(const fault::Injector& inj, Buffer& out);
-/// Decodes then Injector::import_state — bind() must already have rebuilt
-/// the same chains. kShapeMismatch on plan/surface drift.
-[[nodiscard]] Status restore_injector(Cursor& in, fault::Injector& inj);
 
 // -- core::DegradationPolicy --------------------------------------------------
 
 void save_ladder(const core::DegradationPolicy& p, Buffer& out);
-[[nodiscard]] Status restore_ladder(Cursor& in, core::DegradationPolicy& p);
 
 // -- core::AgentRuntime -------------------------------------------------------
 
 void save_runtime(const core::AgentRuntime& rt, Buffer& out);
-[[nodiscard]] Status restore_runtime(Cursor& in, core::AgentRuntime& rt);
 
 // -- WorldCheckpoint ----------------------------------------------------------
 
-/// Optional OO seam for components that prefer virtual dispatch over the
-/// lambda registry below.
-class Checkpointable {
- public:
-  virtual ~Checkpointable() = default;
-  [[nodiscard]] virtual std::string ckpt_name() const = 0;
-  [[nodiscard]] virtual Status ckpt_save(Buffer& out) const = 0;
-  [[nodiscard]] virtual Status ckpt_restore(Cursor& in) = 0;
-};
-
-/// Named registry of checkpointable components plus a meta header. The
+/// Named registry of checkpointed components plus a meta header. The
 /// same registry drives save (export each component into its own
-/// CRC-framed section), restore (feed each section back, in registration
-/// order), and verify (re-export and byte-compare — the attestation).
+/// CRC-framed section, in registration order) and verify (re-export and
+/// byte-compare — the attestation).
 class WorldCheckpoint {
  public:
   /// The run's identity, stored in section "meta". `recipe` is whatever
-  /// string rebuilds the world (a gen spec, an experiment id); restore
+  /// string rebuilds the world (a gen spec, an experiment id); verify
   /// refuses a checkpoint whose identity disagrees (kShapeMismatch) so a
-  /// stale file can never silently resume a different run.
+  /// stale file can never silently attest a different run.
   struct Meta {
     double t = 0.0;          ///< sim time of the snapshot
     std::uint64_t seed = 0;
@@ -118,14 +86,8 @@ class WorldCheckpoint {
     std::string fault_plan;  ///< canonical FaultPlan spec ("" = none)
   };
 
-  /// Registers a component. Sections are written/restored in registration
-  /// order; register the engine LAST (see restore protocol above).
-  void add(std::string name, std::function<Status(Buffer&)> save,
-           std::function<Status(Cursor&)> restore);
-  void add(Checkpointable& c);
-  [[nodiscard]] std::size_t components() const noexcept {
-    return components_.size();
-  }
+  /// Registers a component. Sections are written in registration order.
+  void add(std::string name, std::function<Status(Buffer&)> save);
 
   /// Serializes meta + every component into a sealed checkpoint image.
   [[nodiscard]] Status save(const Meta& meta, std::string& image) const;
@@ -135,23 +97,19 @@ class WorldCheckpoint {
 
   [[nodiscard]] static Status read_meta(const Reader& r, Meta& out);
 
-  /// Feeds each registered component its section, in registration order.
-  /// With `expect`, first validates recipe/seed/fault_plan identity
-  /// (kShapeMismatch on disagreement). kMissingSection if a component's
-  /// section is absent.
-  [[nodiscard]] Status restore(const Reader& r,
-                               const Meta* expect = nullptr) const;
-
-  /// Byte attestation: re-exports every component and compares against the
-  /// checkpoint's section payloads. kStateDivergence (naming the section)
-  /// if the live world does not byte-match the snapshot.
-  [[nodiscard]] Status verify(const Reader& r) const;
+  /// Byte attestation of a replayed world. With `expect`, first validates
+  /// recipe/seed/fault_plan identity (kShapeMismatch on disagreement,
+  /// before any section is compared). Then re-exports every component and
+  /// compares it against the checkpoint's section payload:
+  /// kMissingSection if a section is absent, kStateDivergence (naming the
+  /// section) if the live world does not byte-match the snapshot.
+  [[nodiscard]] Status verify(const Reader& r,
+                              const Meta* expect = nullptr) const;
 
  private:
   struct Component {
     std::string name;
     std::function<Status(Buffer&)> save;
-    std::function<Status(Cursor&)> restore;
   };
   static std::string section_name(const std::string& component);
 

@@ -117,19 +117,6 @@ DegradationPolicy::State DegradationPolicy::export_state() const {
   return s;
 }
 
-void DegradationPolicy::import_state(const State& s) {
-  mode_ = s.mode;
-  breach_streak_ = static_cast<std::size_t>(s.breach_streak);
-  clean_streak_ = static_cast<std::size_t>(s.clean_streak);
-  degradations_ = static_cast<std::size_t>(s.degradations);
-  recoveries_ = static_cast<std::size_t>(s.recoveries);
-  dwell_ = s.dwell;
-  last_t_ = s.last_t;
-  seen_update_ = s.seen_update;
-  last_trigger_ = s.last_trigger;
-  agent_.set_active_levels(level_set_for(mode_));
-}
-
 void DegradationPolicy::transition(double t, Mode to, const std::string& why,
                                    sim::TraceId trace) {
   const Mode from = mode_;

@@ -114,9 +114,6 @@ class DegradationPolicy {
     std::string last_trigger;
   };
   [[nodiscard]] State export_state() const;
-  /// Restores the ladder and re-applies the rung's level set to the agent
-  /// (silently — no Explanation is recorded for the re-application).
-  void import_state(const State& s);
 
  private:
   [[nodiscard]] LevelSet level_set_for(Mode m) const;

@@ -175,19 +175,6 @@ void KnowledgeBase::unsubscribe(std::size_t handle) {
       listeners_.end());
 }
 
-void KnowledgeBase::restore_key(std::string_view key,
-                                std::vector<KnowledgeItem> items) {
-  const KeyId id = intern(key);
-  KeyEntry& e = entries_[id];
-  if (items.size() > history_limit_) {
-    items.erase(items.begin(),
-                items.begin() +
-                    static_cast<std::ptrdiff_t>(items.size() - history_limit_));
-  }
-  e.ring = std::move(items);
-  e.head = 0;  // linearized oldest-first: reads are layout-agnostic
-}
-
 void KnowledgeBase::clear() {
   index_.clear();     // views point into key_names_: drop them first
   key_names_.clear();

@@ -163,14 +163,6 @@ class KnowledgeBase {
   /// Drops all knowledge (scenario teardown). Listeners stay subscribed.
   void clear();
 
-  /// Checkpoint seam (sa::ckpt): restores `key` with its exact retained
-  /// history, oldest first. Unlike put(), items keep the TTL they carry
-  /// (no default-TTL stamping) and listeners are not notified — restore
-  /// must not re-trigger reactions that already ran before the snapshot.
-  /// An empty `items` interns the key without content (a key that was
-  /// only ever written under history_limit 0).
-  void restore_key(std::string_view key, std::vector<KnowledgeItem> items);
-
   [[nodiscard]] std::size_t history_limit() const noexcept {
     return history_limit_;
   }

@@ -90,7 +90,8 @@ void AgentRuntime::schedule_substrate(std::string name, double period,
 }
 
 namespace {
-/// Exchange-retry checkpoint payload: the attempt number, 8 bytes LE.
+/// Exchange-retry checkpoint payload: the attempt number, 8 bytes LE, so
+/// the attestation covers how far a pending retry has backed off.
 std::string encode_attempt(std::size_t attempt) {
   std::string out(8, '\0');
   for (int i = 0; i < 8; ++i)
@@ -98,14 +99,6 @@ std::string encode_attempt(std::size_t attempt) {
         static_cast<char>((static_cast<std::uint64_t>(attempt) >> (8 * i)) &
                           0xff);
   return out;
-}
-
-std::size_t decode_attempt(std::string_view payload) {
-  if (payload.size() != 8) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<std::uint8_t>(payload[static_cast<std::size_t>(i)]);
-  return static_cast<std::size_t>(v);
 }
 }  // namespace
 
@@ -131,14 +124,6 @@ void AgentRuntime::schedule_exchange(std::vector<SelfAwareAgent*> agents,
         return true;
       },
       kOrderExchange);
-  // A pending retry in a checkpoint is reconstructed from (round, attempt)
-  // alone — the round's parameters live right here in the runtime.
-  engine_.register_rebinder(
-      sim::event_tag("sa.rt.exchange.retry", round),
-      [this, round](std::string_view payload) -> sim::Engine::Action {
-        const std::size_t attempt = decode_attempt(payload);
-        return [this, round, attempt] { run_exchange(round, attempt); };
-      });
 }
 
 void AgentRuntime::schedule_exchange_retry(std::size_t round,

@@ -143,10 +143,9 @@ class AgentRuntime {
   // -- Checkpoint seam (sa::ckpt) -------------------------------------------
   //
   // Every stream the runtime schedules is tagged (sa.rt.* x registration
-  // ordinal), so a rebuilt world that repeats the same schedule*() calls
-  // under engine restore mode re-registers identical tags; exchange-retry
-  // one-shots carry their attempt number as the rebinder payload. The
-  // counters below are the only direct state to carry across.
+  // ordinal), so a replayed world that repeats the same schedule*() calls
+  // exports identical tags; exchange-retry one-shots carry their attempt
+  // number as payload. The counters below are the runtime's own section.
 
   /// Runtime counters that feed bench metrics and /status.
   struct State {
@@ -169,15 +168,6 @@ class AgentRuntime {
     st.exchange_blocked = exchange_blocked_;
     return st;
   }
-  void import_state(const State& st) noexcept {
-    steps_ = static_cast<std::size_t>(st.steps);
-    substrate_ticks_ = static_cast<std::size_t>(st.substrate_ticks);
-    exchanged_ = static_cast<std::size_t>(st.exchanged);
-    exchange_drops_ = static_cast<std::size_t>(st.exchange_drops);
-    exchange_retry_count_ = static_cast<std::size_t>(st.exchange_retries);
-    exchange_timeouts_ = static_cast<std::size_t>(st.exchange_timeouts);
-    exchange_blocked_ = st.exchange_blocked;
-  }
 
  private:
   /// Per-stream profiling/tracing handles resolved at schedule time.
@@ -192,8 +182,7 @@ class AgentRuntime {
 
   /// One scheduled exchange mesh. Rounds live in the runtime (not in the
   /// periodic closure) so retry one-shots — which can outlive any single
-  /// firing — reference stable storage by index, and so a checkpoint
-  /// rebinder can reconstruct a pending retry from (round, attempt) alone.
+  /// firing — reference stable storage by index.
   struct ExchangeRound {
     std::vector<SelfAwareAgent*> agents;
     KnowledgeExchange exchange;

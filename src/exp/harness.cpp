@@ -1,5 +1,6 @@
 #include "exp/harness.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -26,10 +27,14 @@ namespace {
 
 /// Set by the SIGTERM/SIGINT handler; polled by the supervisor thread.
 /// The handler itself does nothing else — saving a checkpoint from signal
-/// context would call non-async-signal-safe functions.
-volatile std::sig_atomic_t g_signal = 0;
+/// context would call non-async-signal-safe functions. An atomic, not a
+/// volatile sig_atomic_t: the handler may run on any thread while the
+/// supervisor reads the flag, and only a lock-free atomic is both
+/// signal-safe and race-free across threads.
+std::atomic<int> g_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
-extern "C" void harness_signal_handler(int sig) { g_signal = sig; }
+extern "C" void harness_signal_handler(int sig) { g_signal.store(sig); }
 
 void install_signal_handlers() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -237,7 +242,8 @@ void Harness::start_supervisor() {
     auto last_save = std::chrono::steady_clock::now();
     while (!supervisor_stop_.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      if (g_signal != 0) interrupted_exit(static_cast<int>(g_signal));
+      if (const int sig = g_signal.load(); sig != 0)
+        interrupted_exit(sig);
       if (opts_.checkpoint.empty()) continue;
       const auto now = std::chrono::steady_clock::now();
       if (std::chrono::duration<double>(now - last_save).count() >=

@@ -74,31 +74,19 @@ std::string format(double v) {
   return os.str();
 }
 
-// Checkpoint payload codec for pending fault-restore events: the Record
-// fields a rebinder cannot rederive from its chain/surface, packed
-// little-endian (t, unit, magnitude, until = 32 bytes).
+// Checkpoint payload of a pending fault-restore event: the Record fields
+// its tag does not name, packed little-endian (t, unit, magnitude, until =
+// 32 bytes), so the attestation covers which unit heals and by how much.
 void pack64(std::string& out, std::uint64_t v) {
   char b[8];
   for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   out.append(b, 8);
 }
 
-std::uint64_t unpack64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
 std::uint64_t dbits(double v) {
   std::uint64_t b = 0;
   std::memcpy(&b, &v, sizeof(b));
   return b;
-}
-
-double bitsd(std::uint64_t b) {
-  double v = 0.0;
-  std::memcpy(&v, &b, sizeof(v));
-  return v;
 }
 
 std::string encode_end_payload(double onset_t, std::size_t unit,
@@ -110,16 +98,6 @@ std::string encode_end_payload(double onset_t, std::size_t unit,
   pack64(out, dbits(magnitude));
   pack64(out, dbits(until));
   return out;
-}
-
-bool decode_end_payload(std::string_view payload, double& onset_t,
-                        std::size_t& unit, double& magnitude, double& until) {
-  if (payload.size() != 32) return false;
-  onset_t = bitsd(unpack64(payload.data()));
-  unit = static_cast<std::size_t>(unpack64(payload.data() + 8));
-  magnitude = bitsd(unpack64(payload.data() + 16));
-  until = bitsd(unpack64(payload.data() + 24));
-  return true;
 }
 
 }  // namespace
@@ -257,63 +235,15 @@ std::size_t Injector::bind(sim::Engine& engine, const FaultPlan& plan) {
                          sim::mix64((pi << 20) | si));
       streams_.push_back(st);
       const double base = std::max(proc.start, engine.now());
-      // In engine restore mode this registers the chain's callable without
-      // arming it (the checkpointed timeline decides whether it pends);
-      // the gap drawn for the unused timestamp is undone when
-      // import_state() overwrites the chain's RNG.
       engine.at_tagged(sim::event_tag("sa.fault.arm", st->chain),
                        base + st->next_gap(),
                        [this, &engine, st] { fire(engine, st); },
                        kOrderFaults);
-      if (engine.restoring()) {
-        engine.register_rebinder(
-            sim::event_tag("sa.fault.end", st->chain),
-            [this, &engine, st](std::string_view payload) {
-              return rebind_end(engine, st->surface, st->proc.kind, payload);
-            });
-      }
       ++chains;
     }
     if (!matched) ++unmatched_;
   }
-  if (engine.restoring()) {
-    // One-shot operator injections (inject_now) tag their restore events
-    // per surface, independent of any plan chain.
-    for (std::size_t si = 0; si < surfaces_.size(); ++si) {
-      engine.register_rebinder(
-          sim::event_tag("sa.fault.injend", si),
-          [this, &engine, si](std::string_view payload) {
-            return rebind_end(engine, si, surfaces_[si].kind, payload);
-          });
-    }
-  }
   return chains;
-}
-
-/// Reconstructs a pending fault-restore action from its checkpoint
-/// payload — behaviorally identical to the closure fire()/inject_now()
-/// scheduled in the original process.
-sim::Engine::Action Injector::rebind_end(sim::Engine& engine, std::size_t si,
-                                         FaultKind kind,
-                                         std::string_view payload) {
-  Record rec;
-  rec.kind = kind;
-  rec.surface = surfaces_[si].name;
-  rec.begin = true;
-  if (!decode_end_payload(payload, rec.t, rec.unit, rec.magnitude,
-                          rec.until)) {
-    return [] {};  // attestation will flag the divergence
-  }
-  return [this, &engine, si, rec] {
-    surfaces_[si].end(rec.unit, rec.magnitude);
-    ++restored_;
-    --active_;
-    Record done = rec;
-    done.t = engine.now();
-    done.begin = false;
-    push_log(done);
-    notify(done);
-  };
 }
 
 void Injector::arm(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
@@ -460,41 +390,6 @@ Injector::State Injector::export_state() const {
     st.streams.push_back(ss);
   }
   return st;
-}
-
-bool Injector::import_state(const State& st, std::string* err) {
-  if (st.streams.size() != streams_.size()) {
-    if (err != nullptr)
-      *err = "injector chain count " + std::to_string(streams_.size()) +
-             " != checkpoint " + std::to_string(st.streams.size()) +
-             " (plan or surfaces drifted)";
-    return false;
-  }
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    if (streams_[i]->process != st.streams[i].process ||
-        streams_[i]->surface != st.streams[i].surface) {
-      if (err != nullptr)
-        *err = "injector chain " + std::to_string(i) +
-               " coordinates drifted from checkpoint";
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    streams_[i]->rng.set_state(st.streams[i].rng);
-    streams_[i]->burst_left = st.streams[i].burst_left;
-  }
-  injected_ = static_cast<std::size_t>(st.injected);
-  restored_ = static_cast<std::size_t>(st.restored);
-  active_ = static_cast<std::size_t>(st.active);
-  unmatched_ = static_cast<std::size_t>(st.unmatched);
-  last_onset_ = st.last_onset;
-  log_ = st.log;
-  log_head_ = 0;
-  if (log_.size() > log_capacity_) {
-    log_.erase(log_.begin(),
-               log_.end() - static_cast<std::ptrdiff_t>(log_capacity_));
-  }
-  return true;
 }
 
 void Injector::set_log_capacity(std::size_t cap) {

@@ -195,13 +195,11 @@ class Injector {
   // The injector's serializable state: counters, the log ring (flattened
   // oldest-first), and each chain's RNG + burst position. The pending
   // onset/restore *events* are not here — they live in the engine's
-  // timeline, tagged per chain, and bind() run in engine restore mode
-  // registers the callables (and end-event rebinders) those tags map back
-  // to. Restore order: bind() under engine.begin_restore(), then
-  // import_state(), then engine.import_timeline().
+  // timeline, tagged per chain, with each pending fault end's unit and
+  // magnitude in its payload.
 
-  /// One chain's resumable randomness (identified by its (process,
-  /// surface) coordinates for shape validation on import).
+  /// One chain's randomness, identified by its (process, surface)
+  /// coordinates.
   struct StreamState {
     std::size_t process = 0;
     std::size_t surface = 0;
@@ -218,19 +216,12 @@ class Injector {
     std::vector<StreamState> streams;
   };
   [[nodiscard]] State export_state() const;
-  /// Overwrites counters, log, and per-chain RNG state. bind() must
-  /// already have rebuilt the same chains (same plan + surfaces): a shape
-  /// mismatch fails with `err` set.
-  [[nodiscard]] bool import_state(const State& st, std::string* err);
 
  private:
   struct Stream;  // per-(process, surface) RNG + burst state
 
   void arm(sim::Engine& engine, const std::shared_ptr<Stream>& st);
   void fire(sim::Engine& engine, const std::shared_ptr<Stream>& st);
-  [[nodiscard]] sim::Engine::Action rebind_end(sim::Engine& engine,
-                                               std::size_t si, FaultKind kind,
-                                               std::string_view payload);
   void push_log(const Record& rec);
   void notify(const Record& rec);
 

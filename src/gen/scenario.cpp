@@ -335,54 +335,37 @@ std::vector<core::SelfAwareAgent*> Scenario::agents() {
 }
 
 void Scenario::register_checkpoint(ckpt::WorldCheckpoint& wc) {
-  wc.add(
-      "runtime",
-      [this](ckpt::Buffer& b) {
-        ckpt::save_runtime(runtime_, b);
-        return ckpt::Status{};
-      },
-      [this](ckpt::Cursor& c) { return ckpt::restore_runtime(c, runtime_); });
-  wc.add(
-      "injector",
-      [this](ckpt::Buffer& b) {
-        ckpt::save_injector(injector_, b);
-        return ckpt::Status{};
-      },
-      [this](ckpt::Cursor& c) {
-        return ckpt::restore_injector(c, injector_);
-      });
+  wc.add("runtime", [this](ckpt::Buffer& b) {
+    ckpt::save_runtime(runtime_, b);
+    return ckpt::Status{};
+  });
+  wc.add("injector", [this](ckpt::Buffer& b) {
+    ckpt::save_injector(injector_, b);
+    return ckpt::Status{};
+  });
   // Section names are indexed by registration position, not agent id
   // alone: homogeneous substrates reuse ids (every multicore node's
   // manager is "multicore-mgr"), and section names must be unique.
   std::size_t li = 0;
   for (auto& d : degradations_) {
     core::DegradationPolicy* p = d.get();
-    wc.add(
-        "ladder." + std::to_string(li++) + "." + p->agent().id(),
-        [p](ckpt::Buffer& b) {
-          ckpt::save_ladder(*p, b);
-          return ckpt::Status{};
-        },
-        [p](ckpt::Cursor& c) { return ckpt::restore_ladder(c, *p); });
+    wc.add("ladder." + std::to_string(li++) + "." + p->agent().id(),
+           [p](ckpt::Buffer& b) {
+             ckpt::save_ladder(*p, b);
+             return ckpt::Status{};
+           });
   }
   std::size_t ki = 0;
   for (core::SelfAwareAgent* a : agents()) {
-    wc.add(
-        "kb." + std::to_string(ki++) + "." + a->id(),
-        [a](ckpt::Buffer& b) {
-          ckpt::save_knowledge(a->knowledge(), b);
-          return ckpt::Status{};
-        },
-        [a](ckpt::Cursor& c) {
-          return ckpt::load_knowledge(c, a->knowledge());
-        });
+    wc.add("kb." + std::to_string(ki++) + "." + a->id(),
+           [a](ckpt::Buffer& b) {
+             ckpt::save_knowledge(a->knowledge(), b);
+             return ckpt::Status{};
+           });
   }
-  // The engine goes last: on a direct restore its import_timeline() arms
-  // the heap against everything registered above and exits restore mode.
-  wc.add(
-      "engine",
-      [this](ckpt::Buffer& b) { return ckpt::save_engine(engine_, b); },
-      [this](ckpt::Cursor& c) { return ckpt::restore_engine(c, engine_); });
+  wc.add("engine", [this](ckpt::Buffer& b) {
+    return ckpt::save_engine(engine_, b);
+  });
 }
 
 std::vector<std::pair<std::string, double>> Scenario::summary() const {

@@ -150,15 +150,14 @@ class Scenario {
     pending_[district] += amount;
   }
 
-  /// Registers this world's checkpointable components on `wc`: per-agent
-  /// knowledge bases, runtime counters, the fault injector, every
-  /// degradation ladder, and — last, per the restore protocol — the
-  /// engine timeline. A scenario is restored by *replay* (rebuild from
-  /// the same (spec, seed), re-apply the control journal, run_until the
-  /// checkpoint's t — agent/learner internals are reproduced by
-  /// re-execution, not serialized), then attested byte-for-byte with
-  /// WorldCheckpoint::verify(); the registered restore lambdas serve the
-  /// direct-import layer tests.
+  /// Registers this world's checkpointed components on `wc`: runtime
+  /// counters, the fault injector, every degradation ladder, per-agent
+  /// knowledge bases and the engine timeline. A scenario is restored only
+  /// by *replay*: rebuild from the same (spec, seed), re-apply the control
+  /// journal and run_until the checkpoint's t (substrate, policy and
+  /// learner internals are reproduced by re-execution, not serialized).
+  /// WorldCheckpoint::verify() then attests the replayed world byte for
+  /// byte against the image.
   void register_checkpoint(ckpt::WorldCheckpoint& wc);
 
   /// Deterministic whole-run metrics in a fixed order (rows depend only

@@ -40,16 +40,13 @@
 // serialized, so persistence works by *naming* them. Schedulers that want
 // their events to survive a checkpoint use the _tagged entry points; a
 // tag is a stable 64-bit identity (conventionally event_tag() of a stream
-// name) that the restoring process can map back to an equivalent
-// callable. export_timeline() then re-serializes every pending heap entry
-// as {t, order, seq, tag} (+ re-arm state for periodic streams, + an
-// opaque payload for one-shots); import_timeline() rebinds those tags to
-// the callables the rebuilt world registered — either directly (the world
-// re-ran its setup inside begin_restore() mode, which registers slots
-// without arming them) or through a rebinder factory for one-shots that
-// only exist mid-run (exchange retries, fault end events). Sequence
-// numbers are preserved verbatim across the seam: tie-breaking depends on
-// them, so a restored heap replays in exactly the original order.
+// name). export_timeline() serializes every pending heap entry as
+// {t, order, seq, tag} (+ re-arm state for periodic streams, + a payload
+// for one-shots) in a canonical order. A world is restored by replaying
+// it from its spec and seed to the checkpoint time; the checkpoint then
+// attests, byte for byte, that the replayed timeline is the saved one
+// (ckpt::WorldCheckpoint::verify). Sequence numbers are part of the image
+// because tie-breaking depends on them.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +57,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -125,10 +121,6 @@ class Engine {
   /// equal time run in ascending `order`, then in scheduling order.
   /// Untagged events cannot cross a checkpoint (export fails on them).
   void at(Time t, Action action, int order = 0) {
-    if (restoring_) {
-      note_restore_error("untagged at() during restore");
-      return;
-    }
     const std::uint32_t slot = alloc_slot();
     Slot& s = slots_[slot];
     s.once = std::move(action);
@@ -145,10 +137,6 @@ class Engine {
   /// The callable occupies one pooled slot for the stream's whole
   /// lifetime; firings re-arm the slot instead of re-capturing it.
   void every(Time period, std::function<bool()> action, int order = 0) {
-    if (restoring_) {
-      note_restore_error("untagged every() during restore");
-      return;
-    }
     const std::uint32_t slot = alloc_slot();
     Slot& s = slots_[slot];
     s.periodic = std::move(action);
@@ -161,14 +149,13 @@ class Engine {
                      seq_++});
   }
 
-  // -- Checkpointable scheduling (sa::ckpt seam) ----------------------------
+  // -- Tagged scheduling (sa::ckpt seam) ------------------------------------
 
-  /// at() with a stable identity. `payload` is opaque bytes carried through
-  /// a checkpoint and handed to the tag's rebinder on import (e.g. a retry
-  /// attempt counter); leave empty when the restoring world re-registers
-  /// the same tag itself. In restore mode the callable is registered under
-  /// `tag` but NOT armed — import_timeline() arms it iff the checkpoint
-  /// holds a pending event with that tag.
+  /// at() with a stable identity. `payload` is opaque bytes written into
+  /// the checkpoint image next to the event, so the attestation covers
+  /// state the tag alone does not name (a pending fault end's unit and
+  /// magnitude, a retry's attempt number); leave empty when the tag says
+  /// it all.
   void at_tagged(EventTag tag, Time t, Action action, int order = 0,
                  std::string payload = {}) {
     const std::uint32_t slot = alloc_slot();
@@ -177,10 +164,6 @@ class Engine {
     s.is_periodic = false;
     s.tag = tag;
     s.payload = std::move(payload);
-    if (restoring_) {
-      adopt_restore_slot(tag, slot);
-      return;
-    }
     push_entry(Entry{t, order, slot, seq_++});
   }
   /// in() with a stable identity (see at_tagged).
@@ -189,10 +172,8 @@ class Engine {
     at_tagged(tag, now_ + delay, std::move(action), order,
               std::move(payload));
   }
-  /// every() with a stable identity. In restore mode the stream is
-  /// registered but not armed; import_timeline() restores its exact re-arm
-  /// state (base, n, order) so the next firing lands where the
-  /// checkpointed one would have.
+  /// every() with a stable identity (see at_tagged). Its re-arm state
+  /// (base, n, period) is part of the checkpoint image.
   void every_tagged(EventTag tag, Time period, std::function<bool()> action,
                     int order = 0) {
     const std::uint32_t slot = alloc_slot();
@@ -204,10 +185,6 @@ class Engine {
     s.n = 1;
     s.order = order;
     s.tag = tag;
-    if (restoring_) {
-      adopt_restore_slot(tag, slot);
-      return;
-    }
     push_entry(Entry{s.base + static_cast<Time>(s.n) * s.period, order, slot,
                      seq_++});
   }
@@ -320,11 +297,11 @@ class Engine {
     ++clear_epoch_;
   }
 
-  // -- Checkpoint export/import (sa::ckpt seam) -----------------------------
+  // -- Checkpoint export (sa::ckpt seam) -------------------------------------
 
   /// One pending event as it crosses a checkpoint: identity + timing, no
-  /// callable. Periodic events carry their drift-free re-arm state so the
-  /// restored stream keeps firing at base + n*period.
+  /// callable. Periodic events carry their drift-free re-arm state
+  /// (the stream fires at base + n*period).
   struct TimelineEvent {
     Time t = 0.0;
     int order = 0;
@@ -334,7 +311,7 @@ class Engine {
     Time base = 0.0;
     Time period = 0.0;
     std::uint64_t n = 0;
-    std::string payload;  ///< one-shot rebinder input (opaque)
+    std::string payload;  ///< one-shot payload (opaque)
   };
   /// The engine's full serializable state. Events are sorted by
   /// (t, order, seq) — a canonical order, so two timelines of the same
@@ -347,8 +324,8 @@ class Engine {
   };
 
   /// Serializes every pending event. Fails (returns false, explains in
-  /// `err`) if any pending event is untagged — such an event could not be
-  /// rebound on restore, so the checkpoint would be silently lossy.
+  /// `err`) if any pending event is untagged — such an event has no
+  /// identity in the image, so the attestation could not cover it.
   [[nodiscard]] bool export_timeline(Timeline& out, std::string* err) const {
     out = Timeline{};
     out.now = now_;
@@ -387,101 +364,6 @@ class Engine {
     return true;
   }
 
-  /// Enters restore mode: _tagged scheduling registers callables without
-  /// arming them, and untagged scheduling is an error. The world's setup
-  /// code runs unchanged between begin_restore() and import_timeline().
-  void begin_restore() {
-    restoring_ = true;
-    restore_error_.clear();
-    restore_slots_.clear();
-    rebinders_.clear();
-  }
-  [[nodiscard]] bool restoring() const noexcept { return restoring_; }
-
-  /// Registers a factory that reconstructs a one-shot callable from its
-  /// checkpointed payload. Used for events that only exist mid-run
-  /// (exchange retries, fault end events) where no register-time slot can
-  /// exist. Several pending events may share a rebinder tag — the payload
-  /// distinguishes them. Only meaningful in restore mode.
-  void register_rebinder(EventTag tag,
-                         std::function<Action(std::string_view)> make) {
-    if (restoring_) rebinders_[tag] = std::move(make);
-  }
-
-  /// Arms the checkpointed timeline against the callables registered since
-  /// begin_restore() and leaves restore mode. Preserves t/order/seq of
-  /// every event verbatim — tie-breaking, and hence the remaining
-  /// trajectory, is byte-identical to the uninterrupted run. Registered
-  /// streams with no pending event (they had ended before the checkpoint)
-  /// are discarded. Fails on: a tag with no registered callable, a
-  /// periodic/one-shot kind mismatch, or a periodic stream whose rebuilt
-  /// period differs from the checkpointed one (config drift).
-  [[nodiscard]] bool import_timeline(const Timeline& in, std::string* err) {
-    auto fail = [&](std::string what) {
-      if (err != nullptr) *err = std::move(what);
-      end_restore();
-      return false;
-    };
-    if (!restore_error_.empty()) return fail(restore_error_);
-    if (!restoring_) return fail("import_timeline outside restore mode");
-    std::vector<bool> used(slots_.size(), false);
-    for (const TimelineEvent& ev : in.events) {
-      const auto it = restore_slots_.find(ev.tag);
-      std::uint32_t slot = kNoSlot;
-      if (it != restore_slots_.end()) {
-        slot = it->second;
-        if (used[slot])
-          return fail("tag " + std::to_string(ev.tag) +
-                      " pending twice but registered once");
-        used[slot] = true;
-        Slot& s = slots_[slot];
-        if (s.is_periodic != ev.is_periodic)
-          return fail("tag " + std::to_string(ev.tag) +
-                      " periodic/one-shot kind mismatch");
-        if (ev.is_periodic) {
-          if (s.period != ev.period)
-            return fail("tag " + std::to_string(ev.tag) +
-                        " period drifted from checkpoint");
-          s.base = ev.base;
-          s.n = ev.n;
-          s.order = ev.order;
-        } else {
-          s.payload = ev.payload;
-        }
-      } else if (const auto rb = rebinders_.find(ev.tag);
-                 rb != rebinders_.end()) {
-        if (ev.is_periodic)
-          return fail("tag " + std::to_string(ev.tag) +
-                      " is periodic but only a one-shot rebinder exists");
-        Action act = rb->second(ev.payload);
-        slot = alloc_slot();
-        if (slot >= used.size()) used.resize(slot + 1, false);
-        used[slot] = true;
-        Slot& s = slots_[slot];
-        s.once = std::move(act);
-        s.is_periodic = false;
-        s.tag = ev.tag;
-        s.payload = ev.payload;
-      } else {
-        return fail("no callable registered for tag " +
-                    std::to_string(ev.tag));
-      }
-      push_entry(Entry{ev.t, ev.order, slot, ev.seq});
-    }
-    // Streams registered during rebuild but absent from the checkpoint had
-    // already ended at checkpoint time — drop them.
-    for (const auto& [tag, slot] : restore_slots_) {
-      if (!used[slot]) free_slot(slot);
-    }
-    now_ = in.now;
-    seq_ = in.seq;
-    executed_ = static_cast<std::size_t>(in.executed);
-    flushed_ = executed_;  // pre-checkpoint events were already accounted
-    end_restore();
-    if (err != nullptr) err->clear();
-    return true;
-  }
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -498,7 +380,7 @@ class Engine {
     bool is_periodic = false;
     std::uint32_t next_free = kNoSlot;
     EventTag tag = 0;      ///< checkpoint identity (0 = not checkpointable)
-    std::string payload;   ///< opaque rebinder input for one-shots
+    std::string payload;   ///< one-shot state the image attests (opaque)
   };
 
   /// Heap entries are POD: sifting copies 24 bytes instead of moving
@@ -536,30 +418,6 @@ class Engine {
     s.payload.clear();
     s.next_free = free_head_;
     free_head_ = idx;
-  }
-
-  void adopt_restore_slot(EventTag tag, std::uint32_t slot) {
-    if (tag == 0) {
-      note_restore_error("tag 0 registered during restore");
-      free_slot(slot);
-      return;
-    }
-    if (!restore_slots_.emplace(tag, slot).second) {
-      note_restore_error("tag " + std::to_string(tag) +
-                         " registered twice during restore");
-      free_slot(slot);
-    }
-  }
-
-  void note_restore_error(std::string what) {
-    if (restore_error_.empty()) restore_error_ = std::move(what);
-  }
-
-  void end_restore() {
-    restoring_ = false;
-    restore_slots_.clear();
-    rebinders_.clear();
-    restore_error_.clear();
   }
 
   void push_entry(const Entry& e) {
@@ -605,12 +463,6 @@ class Engine {
   std::uint64_t clear_epoch_ = 0;
   ProfileHook profile_;
 
-  // Restore-mode bookkeeping (empty outside begin_restore()/import).
-  bool restoring_ = false;
-  std::string restore_error_;
-  std::unordered_map<EventTag, std::uint32_t> restore_slots_;
-  std::unordered_map<EventTag, std::function<Action(std::string_view)>>
-      rebinders_;
 };
 
 }  // namespace sa::sim

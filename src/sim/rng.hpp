@@ -58,8 +58,8 @@ class Rng {
   }
 
   /// Full generator state for checkpointing: the four xoshiro words plus
-  /// the Marsaglia normal() spare — omitting the spare would shift every
-  /// draw after an odd number of normal() calls.
+  /// the Marsaglia normal() spare — omitting the spare would let two
+  /// generators whose next normal() draws differ attest as equal.
   struct State {
     std::uint64_t s[4]{};
     double spare = 0.0;
@@ -71,11 +71,6 @@ class Rng {
     st.spare = spare_;
     st.has_spare = has_spare_;
     return st;
-  }
-  void set_state(const State& st) noexcept {
-    for (int i = 0; i < 4; ++i) s_[i] = st.s[i];
-    spare_ = st.spare;
-    has_spare_ = st.has_spare;
   }
 
   /// Derives an independent generator; `tag` distinguishes sibling streams.

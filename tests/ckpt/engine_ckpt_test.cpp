@@ -1,13 +1,11 @@
-// Engine timeline export/import (the tentpole seam, ctest -L ckpt).
+// Engine timeline export (the checkpoint seam, ctest -L ckpt).
 //
-// A run checkpointed at time T and restored into a freshly wired engine
-// must produce the byte-identical remaining trajectory: periodic streams
-// re-arm at their exact (base, n) phase, mid-run one-shots are rebuilt by
-// tag rebinders from their opaque payloads, and (t, order, seq) survive
-// verbatim so same-instant tie-breaks replay identically. Every error
-// path is typed: untagged events refuse to export, unknown tags refuse to
-// import, and a drifted period or flipped kind is a shape mismatch — not
-// a silently different world.
+// save_engine's bytes are the unit contract of the attestation. An engine
+// replayed by the same calls to the same time exports the same bytes and
+// continues on the same trajectory; changing any pending event's t,
+// order, tag, payload, kind or period changes the bytes, so a drifted
+// replay can never attest. Untagged events refuse to export: the image
+// would have no identity for them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,9 +28,7 @@ std::string stamp(const char* what, double t) {
 }
 
 /// Wires the test world: a periodic tick that (once, at t == 3) schedules
-/// a payload-carrying one-shot, plus a static far-future one-shot. The
-/// same function runs for the original build and, under begin_restore(),
-/// for the rebuilt one.
+/// a payload-carrying one-shot, plus a static far-future one-shot.
 void wire(sim::Engine& e, std::vector<std::string>& log) {
   e.every_tagged(kTick, 1.0, [&e, &log] {
     log.push_back(stamp("tick", e.now()));
@@ -47,48 +43,39 @@ void wire(sim::Engine& e, std::vector<std::string>& log) {
   e.at_tagged(kLate, 7.5, [&log, &e] { log.push_back(stamp("late", e.now())); });
 }
 
-/// The restore-side extra: how to rebuild the mid-run one-shot from its
-/// checkpointed payload (wire() cannot — its scheduling site is inside a
-/// tick that already fired before the checkpoint).
-void register_rebinders(sim::Engine& e, std::vector<std::string>& log) {
-  e.register_rebinder(kRetry, [&log, &e](std::string_view payload) {
-    std::string p(payload);
-    return [&log, &e, p] { log.push_back(stamp(("retry:" + p).c_str(), e.now())); };
-  });
+Buffer saved(const sim::Engine& e) {
+  Buffer b;
+  EXPECT_TRUE(save_engine(e, b).ok());
+  return b;
 }
 
 TEST(EngineCkpt, RestoredTimelineReplaysByteIdentically) {
-  // Reference: run to T=4.2, snapshot, continue to 10.
+  // Reference: run to T=4.2 (the payload-carrying retry is pending),
+  // snapshot, continue to 10.
   sim::Engine a;
   std::vector<std::string> log_a;
   wire(a, log_a);
   a.run_until(4.2);
   const std::size_t prefix = log_a.size();
-  Buffer snap;
-  ASSERT_TRUE(save_engine(a, snap).ok());
+  const Buffer snap = saved(a);
   a.run_until(10.0);
   const std::vector<std::string> expected(log_a.begin() + prefix, log_a.end());
   ASSERT_FALSE(expected.empty());
 
-  // Restore: rebuild under begin_restore(), import, continue to 10.
+  // Restore by replay: the same calls, run to the same T.
   sim::Engine b;
   std::vector<std::string> log_b;
-  b.begin_restore();
   wire(b, log_b);
-  register_rebinders(b, log_b);
-  Cursor c(snap.data());
-  ASSERT_TRUE(restore_engine(c, b).ok());
-  EXPECT_FALSE(b.restoring());
+  b.run_until(4.2);
   EXPECT_EQ(b.now(), 4.2);
 
-  // Attestation before running: the restored engine re-exports to the
-  // same bytes the checkpoint holds.
-  Buffer reexport;
-  ASSERT_TRUE(save_engine(b, reexport).ok());
-  EXPECT_EQ(reexport.data(), snap.data());
+  // Attestation before continuing: the replayed engine exports the bytes
+  // the checkpoint holds.
+  EXPECT_EQ(saved(b).data(), snap.data());
 
   b.run_until(10.0);
-  EXPECT_EQ(log_b, expected);
+  EXPECT_EQ(std::vector<std::string>(log_b.begin() + prefix, log_b.end()),
+            expected);
 }
 
 TEST(EngineCkpt, UntaggedPendingEventRefusesExport) {
@@ -100,131 +87,40 @@ TEST(EngineCkpt, UntaggedPendingEventRefusesExport) {
   EXPECT_NE(st.detail.find("untagged"), std::string::npos);
 }
 
-TEST(EngineCkpt, UnknownTagRefusesImport) {
-  sim::Engine a;
-  std::vector<std::string> log;
-  wire(a, log);
-  a.run_until(0.5);
-  Buffer snap;
-  ASSERT_TRUE(save_engine(a, snap).ok());
+/// Which pending event property build() perturbs.
+enum class Drift { kNone, kT, kOrder, kTag, kPayload, kKind, kPeriod };
 
-  sim::Engine b;
-  b.begin_restore();  // nothing re-registered
-  Cursor c(snap.data());
-  const Status st = restore_engine(c, b);
-  EXPECT_EQ(st.code, Errc::kUnboundTag);
+/// A periodic stream at order -1 plus two one-shots whose payloads hold
+/// embedded NULs, all pending at t = 0.
+void build(sim::Engine& e, Drift d) {
+  if (d == Drift::kKind) {
+    e.at_tagged(kTick, 2.5, [] {}, -1);  // the same t, but a one-shot
+  } else {
+    e.every_tagged(kTick, d == Drift::kPeriod ? 2.0 : 2.5,
+                   [] { return true; }, -1);
+  }
+  e.at_tagged(d == Drift::kTag ? sim::event_tag("test.late", 1) : kLate,
+              d == Drift::kT ? 7.25 : 7.5, [] {},
+              d == Drift::kOrder ? 1 : 0);
+  e.at_tagged(kRetry, 5.5, [] {}, 2,
+              d == Drift::kPayload ? std::string("opaque\0b", 8)
+                                   : std::string("opaque\0a", 8));
 }
 
-TEST(EngineCkpt, DriftedPeriodIsShapeMismatch) {
-  sim::Engine a;
-  std::vector<std::string> log;
-  wire(a, log);
-  a.run_until(0.5);
-  Buffer snap;
-  ASSERT_TRUE(save_engine(a, snap).ok());
+TEST(EngineCkpt, SaveEngineBytesAreCanonical) {
+  sim::Engine a, b;
+  build(a, Drift::kNone);
+  build(b, Drift::kNone);
+  const Buffer base = saved(a);
+  EXPECT_EQ(saved(b).data(), base.data());
 
-  sim::Engine b;
-  std::vector<std::string> log_b;
-  b.begin_restore();
-  b.every_tagged(kTick, 2.0, [] { return true; });  // was 1.0
-  b.at_tagged(kLate, 7.5, [] {});
-  Cursor c(snap.data());
-  const Status st = restore_engine(c, b);
-  EXPECT_EQ(st.code, Errc::kShapeMismatch);
-  EXPECT_NE(st.detail.find("period"), std::string::npos);
-}
-
-TEST(EngineCkpt, PeriodicOneShotKindFlipIsShapeMismatch) {
-  sim::Engine a;
-  std::vector<std::string> log;
-  wire(a, log);
-  a.run_until(0.5);
-  Buffer snap;
-  ASSERT_TRUE(save_engine(a, snap).ok());
-
-  sim::Engine b;
-  b.begin_restore();
-  b.at_tagged(kTick, 1.0, [] {});  // periodic in the checkpoint
-  b.at_tagged(kLate, 7.5, [] {});
-  Cursor c(snap.data());
-  const Status st = restore_engine(c, b);
-  EXPECT_EQ(st.code, Errc::kShapeMismatch);
-}
-
-TEST(EngineCkpt, ImportOutsideRestoreModeFails) {
-  sim::Engine a;
-  std::vector<std::string> log;
-  wire(a, log);
-  Buffer snap;
-  ASSERT_TRUE(save_engine(a, snap).ok());
-
-  sim::Engine b;  // begin_restore() never called
-  Cursor c(snap.data());
-  EXPECT_FALSE(restore_engine(c, b).ok());
-}
-
-TEST(EngineCkpt, UntaggedSchedulingDuringRestoreFailsImport) {
-  sim::Engine a;
-  std::vector<std::string> log;
-  wire(a, log);
-  Buffer snap;
-  ASSERT_TRUE(save_engine(a, snap).ok());
-
-  sim::Engine b;
-  std::vector<std::string> log_b;
-  b.begin_restore();
-  wire(b, log_b);
-  register_rebinders(b, log_b);
-  b.at(1.0, [] {});  // untagged during restore: latched, import must fail
-  Cursor c(snap.data());
-  EXPECT_FALSE(restore_engine(c, b).ok());
-}
-
-TEST(EngineCkpt, TimelineValueRoundTrip) {
-  sim::Engine::Timeline tl;
-  tl.now = 12.5;
-  tl.seq = 99;
-  tl.executed = 42;
-  sim::Engine::TimelineEvent periodic;
-  periodic.t = 13.0;
-  periodic.order = -1;
-  periodic.seq = 7;
-  periodic.tag = sim::event_tag("p");
-  periodic.is_periodic = true;
-  periodic.base = 0.5;
-  periodic.period = 2.5;
-  periodic.n = 5;
-  sim::Engine::TimelineEvent oneshot;
-  oneshot.t = 14.0;
-  oneshot.order = 1000;
-  oneshot.seq = 8;
-  oneshot.tag = sim::event_tag("o", 3);
-  oneshot.is_periodic = false;
-  oneshot.payload = std::string("opaque\0bytes", 12);
-  tl.events = {periodic, oneshot};
-
-  Buffer b;
-  save_timeline(tl, b);
-  Cursor c(b.data());
-  sim::Engine::Timeline back;
-  ASSERT_TRUE(load_timeline(c, back).ok());
-  EXPECT_EQ(back.now, tl.now);
-  EXPECT_EQ(back.seq, tl.seq);
-  EXPECT_EQ(back.executed, tl.executed);
-  ASSERT_EQ(back.events.size(), 2u);
-  EXPECT_EQ(back.events[0].tag, periodic.tag);
-  EXPECT_EQ(back.events[0].n, 5u);
-  EXPECT_EQ(back.events[1].order, 1000);
-  EXPECT_EQ(back.events[1].payload, oneshot.payload);
-
-  // A zero tag in the stream is typed, not trusted.
-  sim::Engine::Timeline zero = tl;
-  zero.events[0].tag = 0;
-  Buffer zb;
-  save_timeline(zero, zb);
-  Cursor zc(zb.data());
-  sim::Engine::Timeline out;
-  EXPECT_EQ(load_timeline(zc, out).code, Errc::kUntaggedEvent);
+  for (const Drift d : {Drift::kT, Drift::kOrder, Drift::kTag,
+                        Drift::kPayload, Drift::kKind, Drift::kPeriod}) {
+    SCOPED_TRACE(static_cast<int>(d));
+    sim::Engine drifted;
+    build(drifted, d);
+    EXPECT_NE(saved(drifted).data(), base.data());
+  }
 }
 
 }  // namespace

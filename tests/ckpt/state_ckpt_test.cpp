@@ -1,15 +1,16 @@
-// Component serializer round-trips (ctest -L ckpt).
+// Component serializers (ctest -L ckpt).
 //
-// Each stateful layer's checkpoint seam must round-trip bit-exactly
-// through the sa::ckpt wire format: RNG streams continue with the same
-// draws (including the Marsaglia normal() spare), knowledge bases restore
-// verbatim without TTL re-stamping or listener firings, degradation
-// ladders resume mid-streak, and a fault injector resumed at T schedules
-// the byte-identical remaining fault trajectory. Malformed payloads come
-// back as typed errors (validated enums, never trusted indices).
+// Each stateful layer's save_ function is the byte contract the
+// attestation compares: a layer replayed by the same inputs saves the
+// same bytes and continues identically — RNG streams including the
+// Marsaglia normal() spare, knowledge bases (only the retained window, in
+// ascending key order), degradation ladders mid-streak, and a fault
+// injector whose remaining fault trajectory is byte-identical — while a
+// layer in a different state saves different bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,142 +26,124 @@
 namespace sa::ckpt {
 namespace {
 
-TEST(StateCkpt, RngContinuesIdenticallyAcrossRoundTrip) {
-  sim::Rng a(1234);
-  (void)a.uniform();
-  (void)a.normal();  // leaves a Marsaglia spare buffered
-  Buffer b;
-  save_rng(a.state(), b);
-  Cursor c(b.data());
-  sim::Rng::State st;
-  ASSERT_TRUE(load_rng(c, st).ok());
-  ASSERT_TRUE(c.at_end());
+TEST(StateCkpt, RngImageCarriesTheNormalSpare) {
+  // Marsaglia's polar method draws two normals per accepted pair and
+  // buffers the second: after one normal() the words match a generator
+  // that drew two, but the next draws do not. The spare must be in the
+  // image or two different streams would attest as equal.
+  sim::Rng one(1234), two(1234);
+  (void)one.normal();  // spare buffered
+  (void)two.normal();
+  (void)two.normal();  // spare consumed, no new words drawn
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(one.state().s[i], two.state().s[i]);
+  Buffer b1, b2;
+  save_rng(one.state(), b1);
+  save_rng(two.state(), b2);
+  EXPECT_NE(b1.data(), b2.data());
 
-  sim::Rng restored(0);
-  restored.set_state(st);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(a.normal(), restored.normal()) << "draw " << i;
-    EXPECT_EQ(a.uniform(), restored.uniform()) << "draw " << i;
-  }
+  // Replayed by the same draws, the bytes match.
+  sim::Rng again(1234);
+  (void)again.normal();
+  Buffer b3;
+  save_rng(again.state(), b3);
+  EXPECT_EQ(b3.data(), b1.data());
 }
 
-TEST(StateCkpt, ValueRoundTripsEveryAlternative) {
+TEST(StateCkpt, ValueImageDistinguishesEveryAlternative) {
   const core::Value values[] = {
-      core::Value{true}, core::Value{std::int64_t{-42}}, core::Value{-0.0},
-      core::Value{std::string("text")},
-      core::Value{std::vector<double>{1.5, -2.5, 0.0}}};
+      core::Value{true}, core::Value{std::int64_t{1}}, core::Value{1.0},
+      core::Value{std::string("1")}, core::Value{std::vector<double>{1.0}}};
+  std::vector<std::string> images;
   for (const core::Value& v : values) {
     Buffer b;
     save_value(v, b);
-    Cursor c(b.data());
-    core::Value back;
-    ASSERT_TRUE(load_value(c, back).ok());
-    EXPECT_EQ(back.index(), v.index());
-    EXPECT_EQ(back, v);
+    images.push_back(b.data());
   }
-
-  // An out-of-range variant index is malformed, not UB.
-  Buffer bad;
-  bad.u8(9);
-  Cursor c(bad.data());
-  core::Value out;
-  EXPECT_EQ(load_value(c, out).code, Errc::kMalformed);
+  for (std::size_t i = 0; i < images.size(); ++i)
+    for (std::size_t j = i + 1; j < images.size(); ++j)
+      EXPECT_NE(images[i], images[j]) << i << " vs " << j;
 }
 
-TEST(StateCkpt, ItemRejectsInvalidScope) {
-  core::KnowledgeItem item;
-  item.value = core::Value{1.5};
-  item.time = 3.0;
+std::string knowledge_image(const core::KnowledgeBase& kb) {
   Buffer b;
-  save_item(item, b);
-  // Scope byte is right after the value (u8 index + f64) and f64 time +
-  // f64 confidence; corrupt it via a rebuilt payload instead of offset
-  // arithmetic: serialize with a hand-rolled bad scope.
-  Buffer bad;
-  save_value(item.value, bad);
-  bad.f64(item.time);
-  bad.f64(item.confidence);
-  bad.u8(250);  // no such Scope
-  bad.str(item.source);
-  bad.f64(item.ttl);
-  Cursor c(bad.data());
-  core::KnowledgeItem out;
-  EXPECT_EQ(load_item(c, out).code, Errc::kMalformed);
+  save_knowledge(kb, b);
+  return b.data();
 }
 
 TEST(StateCkpt, KnowledgeBaseRestoresVerbatim) {
+  auto fill = [](core::KnowledgeBase& kb, int first, bool alpha_first) {
+    kb.set_default_ttl(10.0);
+    if (alpha_first)
+      kb.put_number("alpha", 2.0, 0.25, 0.9, core::Scope::Public, "peer");
+    for (int i = first; i < 6; ++i) {  // overflows the ring: oldest evicted
+      kb.put_number("cpu.load", 0.1 * i, static_cast<double>(i));
+    }
+    kb.put_number("zeta", 1.0, 0.5);
+    if (!alpha_first)
+      kb.put_number("alpha", 2.0, 0.25, 0.9, core::Scope::Public, "peer");
+  };
   core::KnowledgeBase kb(4);
-  kb.set_default_ttl(10.0);
-  for (int i = 0; i < 6; ++i) {  // overflows the ring: oldest evicted
-    kb.put_number("cpu.load", 0.1 * i, static_cast<double>(i));
-  }
-  kb.put_number("zeta", 1.0, 0.5);
-  kb.put_number("alpha", 2.0, 0.25, 0.9, core::Scope::Public, "peer");
+  fill(kb, 0, false);
+  const std::string image = knowledge_image(kb);
 
+  // Replayed by the same puts, the store attests verbatim.
+  core::KnowledgeBase replayed(4);
+  fill(replayed, 0, false);
+  EXPECT_EQ(knowledge_image(replayed), image);
+
+  // Only the retained window reaches the image, keys in ascending order:
+  // a store that never saw the evicted items, and wrote its keys in a
+  // different order, saves the same bytes.
+  core::KnowledgeBase window(4);
+  fill(window, 2, true);
+  EXPECT_EQ(knowledge_image(window), image);
+
+  // A different history_limit is a different store.
+  core::KnowledgeBase wider(8);
+  fill(wider, 0, false);
+  EXPECT_NE(knowledge_image(wider), image);
+}
+
+std::string ladder_image(const core::DegradationPolicy& p) {
   Buffer b;
-  save_knowledge(kb, b);
-
-  core::KnowledgeBase back(4);
-  int notified = 0;
-  back.subscribe([&notified](const std::string&, const core::KnowledgeItem&) {
-    ++notified;
-  });
-  Cursor c(b.data());
-  ASSERT_TRUE(load_knowledge(c, back).ok());
-  EXPECT_EQ(notified, 0) << "restore must not fire listeners";
-
-  // Same keys, same retained windows, same bytes on re-export.
-  Buffer again;
-  save_knowledge(back, again);
-  EXPECT_EQ(again.data(), b.data());
-
-  auto h = back.history("cpu.load");
-  ASSERT_EQ(h.size(), 4u);  // only the ring survives, oldest first
-  EXPECT_EQ(h.front().time, 2.0);
-  EXPECT_EQ(h.back().time, 5.0);
-
-  // A different history_limit is a shape mismatch, not a silent resize.
-  core::KnowledgeBase wrong(8);
-  Cursor c2(b.data());
-  EXPECT_EQ(load_knowledge(c2, wrong).code, Errc::kShapeMismatch);
+  save_ladder(p, b);
+  return b.data();
 }
 
 TEST(StateCkpt, LadderResumesMidStreak) {
-  core::SelfAwareAgent agent("a");
   core::DegradationPolicy::Params p;
   p.fault_active_breach = 1.0;
   p.breach_updates = 2;
   p.recover_updates = 2;
-  core::DegradationPolicy policy(agent, p);
-  agent.knowledge().put_number("fault.active", 3.0, 0.0, 1.0,
-                               core::Scope::Private, "fault");
-  policy.update(1.0);
-  policy.update(2.0);  // stepped down to Goal, streaks mid-flight
-  ASSERT_EQ(policy.mode(), core::DegradationPolicy::Mode::Goal);
+  auto replay = [&p](core::SelfAwareAgent& agent, int updates) {
+    auto policy = std::make_unique<core::DegradationPolicy>(agent, p);
+    agent.knowledge().put_number("fault.active", 3.0, 0.0, 1.0,
+                                 core::Scope::Private, "fault");
+    for (int i = 1; i <= updates; ++i) policy->update(static_cast<double>(i));
+    return policy;
+  };
 
-  Buffer b;
-  save_ladder(policy, b);
+  core::SelfAwareAgent agent("a");
+  auto policy = replay(agent, 3);  // stepped down to Goal, streak mid-flight
+  ASSERT_EQ(policy->mode(), core::DegradationPolicy::Mode::Goal);
+  const std::string image = ladder_image(*policy);
 
+  // Replayed by the same updates, the ladder attests byte for byte...
   core::SelfAwareAgent agent2("a");
-  core::DegradationPolicy policy2(agent2, p);
-  Cursor c(b.data());
-  ASSERT_TRUE(restore_ladder(c, policy2).ok());
-  EXPECT_EQ(policy2.mode(), core::DegradationPolicy::Mode::Goal);
-  EXPECT_EQ(policy2.degradations(), policy.degradations());
-  // The rung's level ceiling was re-applied to the fresh agent.
-  EXPECT_FALSE(agent2.active_levels().has(core::Level::Meta));
-  EXPECT_TRUE(agent2.active_levels().has(core::Level::Goal));
+  auto policy2 = replay(agent2, 3);
+  EXPECT_EQ(ladder_image(*policy2), image);
+  // ...while one update short (same rung, shorter streak) does not.
+  core::SelfAwareAgent agent3("a");
+  auto short_policy = replay(agent3, 2);
+  ASSERT_EQ(short_policy->mode(), policy->mode());
+  EXPECT_NE(ladder_image(*short_policy), image);
 
-  // Re-export byte-matches (the attestation property).
-  Buffer again;
-  save_ladder(policy2, again);
-  EXPECT_EQ(again.data(), b.data());
-
-  // A mode byte past Reactive is malformed.
-  Buffer bad;
-  bad.u8(7);
-  Cursor cb(bad.data());
-  EXPECT_FALSE(restore_ladder(cb, policy2).ok());
+  // Both continue identically from the checkpoint.
+  policy->update(4.0);
+  policy2->update(4.0);
+  EXPECT_EQ(policy2->mode(), policy->mode());
+  EXPECT_EQ(policy2->degradations(), policy->degradations());
+  EXPECT_EQ(ladder_image(*policy2), ladder_image(*policy));
 }
 
 /// A surface over counters, as in injector_test.
@@ -192,57 +175,56 @@ void expect_records_equal(const std::vector<fault::Injector::Record>& a,
   }
 }
 
+/// An injector over counting surfaces, bound to `plan` on its own engine.
+struct InjectorWorld {
+  sim::Engine engine;
+  fault::Injector injector;
+  CountingSurface surface{4};
+  explicit InjectorWorld(const fault::FaultPlan& plan) {
+    injector.add_surface(
+        surface.as_surface(fault::FaultKind::LinkLoss, "test.link"));
+    injector.bind(engine, plan);
+  }
+  [[nodiscard]] std::string injector_image() const {
+    Buffer b;
+    save_injector(injector, b);
+    return b.data();
+  }
+  [[nodiscard]] std::string engine_image() const {
+    Buffer b;
+    EXPECT_TRUE(save_engine(engine, b).ok());
+    return b.data();
+  }
+};
+
 TEST(StateCkpt, InjectorResumesTheExactFaultTrajectory) {
   const auto plan =
       fault::FaultPlan::parse("link-loss:rate=0.1,dur=4,burst=2;seed=11");
 
   // Reference: run to 60, snapshot injector + engine, continue to 150.
-  sim::Engine ea;
-  fault::Injector ia;
-  CountingSurface surf_a(4);
-  ia.add_surface(surf_a.as_surface(fault::FaultKind::LinkLoss, "test.link"));
-  ia.bind(ea, plan);
-  ea.run_until(60.0);
-  Buffer inj_snap, eng_snap;
-  save_injector(ia, inj_snap);
-  ASSERT_TRUE(save_engine(ea, eng_snap).ok());
-  ea.run_until(150.0);
-  const auto reference = ia.records();
+  InjectorWorld a(plan);
+  a.engine.run_until(60.0);
+  const std::string inj_snap = a.injector_image();
+  const std::string eng_snap = a.engine_image();
+  a.engine.run_until(150.0);
+  const auto reference = a.injector.records();
   ASSERT_FALSE(reference.empty());
 
-  // Restore: rebuild the same chains under engine restore mode, import
-  // injector state, then arm the timeline.
-  sim::Engine eb;
-  fault::Injector ib;
-  CountingSurface surf_b(4);
-  ib.add_surface(surf_b.as_surface(fault::FaultKind::LinkLoss, "test.link"));
-  eb.begin_restore();
-  ib.bind(eb, plan);
-  Cursor ci(inj_snap.data());
-  ASSERT_TRUE(restore_injector(ci, ib).ok());
-  Cursor ce(eng_snap.data());
-  ASSERT_TRUE(restore_engine(ce, eb).ok());
-  EXPECT_EQ(eb.now(), 60.0);
+  // Restore by replay: the same chains run to 60 attest byte for byte,
+  // then continue on the byte-identical fault trajectory.
+  InjectorWorld b(plan);
+  b.engine.run_until(60.0);
+  EXPECT_EQ(b.injector_image(), inj_snap);
+  EXPECT_EQ(b.engine_image(), eng_snap);
+  b.engine.run_until(150.0);
+  expect_records_equal(b.injector.records(), reference);
 
-  // Attestation + byte-identical continuation.
-  Buffer again;
-  save_injector(ib, again);
-  EXPECT_EQ(again.data(), inj_snap.data());
-  eb.run_until(150.0);
-  expect_records_equal(ib.records(), reference);
-
-  // Shape mismatch: same checkpoint against a world whose plan armed a
-  // different chain set (two link-loss processes instead of one).
-  const auto two = fault::FaultPlan::parse(
-      "link-loss:rate=0.1,dur=4,burst=2;link-loss:rate=0.2,dur=1;seed=11");
-  sim::Engine ec;
-  fault::Injector ic;
-  CountingSurface surf_c(4);
-  ic.add_surface(surf_c.as_surface(fault::FaultKind::LinkLoss, "test.link"));
-  ec.begin_restore();
-  ic.bind(ec, two);
-  Cursor cc(inj_snap.data());
-  EXPECT_EQ(restore_injector(cc, ic).code, Errc::kShapeMismatch);
+  // A world whose plan armed a different chain set (two link-loss
+  // processes instead of one) cannot attest against the checkpoint.
+  InjectorWorld c(fault::FaultPlan::parse(
+      "link-loss:rate=0.1,dur=4,burst=2;link-loss:rate=0.2,dur=1;seed=11"));
+  c.engine.run_until(60.0);
+  EXPECT_NE(c.injector_image(), inj_snap);
 }
 
 }  // namespace

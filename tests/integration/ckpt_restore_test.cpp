@@ -13,7 +13,10 @@
 // Covered worlds mirror the bench tiers: an E1-style multicore world, an
 // E4-style packet network, and the E15 smart-city composite — the latter
 // twice, once with an active fault plan plus a replayed control journal
-// (the served-run-becomes-reproducible-offline path).
+// (the served-run-becomes-reproducible-offline path). The negative cases:
+// a replay that drifted (wrong T, a dropped journal entry) fails the
+// attestation naming the first drifted section, and a stale identity is
+// refused before any section is compared.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -130,6 +133,85 @@ TEST(CkptRestore, E15CityWithJournalAndActiveFaultsRestores) {
   expect_restore_byte_equal(kE15Spec, 62, 40.0, journal);
 }
 
+/// Saves `world`'s image at `t` under `recipe`/`seed`.
+std::string save_image(gen::Scenario& world, const gen::ScenarioSpec& spec,
+                       std::uint64_t seed, double t) {
+  WorldCheckpoint wc;
+  world.register_checkpoint(wc);
+  WorldCheckpoint::Meta meta;
+  meta.t = t;
+  meta.seed = seed;
+  meta.recipe = spec.to_string();
+  meta.fault_plan = world.fault_plan().to_string();
+  std::string image;
+  EXPECT_TRUE(wc.save(meta, image).ok());
+  return image;
+}
+
+/// The component whose section differs first, in image order, between two
+/// images ("" if every component section matches) — the one verify()
+/// must name.
+std::string first_drifted_component(const std::string& want,
+                                    const std::string& have) {
+  Reader a, b;
+  EXPECT_TRUE(Reader::parse(want, a).ok());
+  EXPECT_TRUE(Reader::parse(have, b).ok());
+  for (const std::string& name : a.names()) {
+    if (name == "meta") continue;
+    if (a.payload(name) != b.payload(name)) return name.substr(2);  // "c."
+  }
+  return "";
+}
+
+TEST(CkptRestore, DivergentReplayFailsAttestationNamingTheSection) {
+  const auto spec = gen::ScenarioSpec::parse(kE15Spec);
+  gen::Scenario::Options opts;
+  opts.self_aware = true;
+  constexpr std::uint64_t kSeed = 63;
+  constexpr double kT = 40.0;
+  std::vector<JournalEntry> journal;
+  ASSERT_TRUE(parse_journal_spec(
+                  "15 cmd=inject&kind=link-loss&unit=0&mag=1.5&dur=10; "
+                  "30 cmd=inject&kind=link-loss&unit=1&mag=2&dur=20",
+                  journal)
+                  .ok());
+
+  gen::Scenario a(spec, kSeed, opts);
+  apply_journal(a, journal);
+  a.run_until(kT);
+  const std::string image = save_image(a, spec, kSeed, kT);
+  Reader r;
+  ASSERT_TRUE(Reader::parse(image, r).ok());
+
+  auto expect_divergence = [&](gen::Scenario& replayed, double t) {
+    WorldCheckpoint wc;
+    replayed.register_checkpoint(wc);
+    const Status st = wc.verify(r);
+    EXPECT_EQ(st.code, Errc::kStateDivergence) << st.to_string();
+    const std::string drifted =
+        first_drifted_component(image, save_image(replayed, spec, kSeed, t));
+    ASSERT_FALSE(drifted.empty());
+    EXPECT_NE(st.detail.find("component '" + drifted + "'"),
+              std::string::npos)
+        << st.detail << " should name " << drifted;
+  };
+
+  {
+    SCOPED_TRACE("replayed to a different T");
+    gen::Scenario b(spec, kSeed, opts);
+    apply_journal(b, journal);
+    b.run_until(kT - 1.0);
+    expect_divergence(b, kT - 1.0);
+  }
+  {
+    SCOPED_TRACE("one journal entry dropped");
+    gen::Scenario c(spec, kSeed, opts);
+    apply_journal(c, {journal.begin() + 1, journal.end()});
+    c.run_until(kT);
+    expect_divergence(c, kT);
+  }
+}
+
 TEST(CkptRestore, StaleIdentityIsRefused) {
   const auto spec = gen::ScenarioSpec::parse(kE1Spec);
   gen::Scenario::Options opts;
@@ -149,14 +231,17 @@ TEST(CkptRestore, StaleIdentityIsRefused) {
   Reader r;
   ASSERT_TRUE(Reader::parse(image, r).ok());
 
+  // The matching identity attests the live world.
+  EXPECT_TRUE(wa.verify(r, &meta).ok());
+
   // A different seed (or recipe) is a shape mismatch before any component
-  // sees a byte: a stale file can never silently resume a different run.
+  // is compared: a stale file can never silently attest a different run.
   WorldCheckpoint::Meta other = meta;
   other.seed = 8;
-  EXPECT_EQ(wa.restore(r, &other).code, Errc::kShapeMismatch);
+  EXPECT_EQ(wa.verify(r, &other).code, Errc::kShapeMismatch);
   other = meta;
   other.recipe = "world:horizon=999";
-  EXPECT_EQ(wa.restore(r, &other).code, Errc::kShapeMismatch);
+  EXPECT_EQ(wa.verify(r, &other).code, Errc::kShapeMismatch);
 
   // A torn/corrupted image is a typed parse error, not a bad restore.
   std::string corrupt = image;
