@@ -94,9 +94,9 @@ void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
   out.u64(keys.size());
   for (const std::string& key : keys) {
     out.str(key);
-    const auto view = kb.history(key);
-    out.u64(view.size());
-    for (const core::KnowledgeItem& item : view) save_item(item, out);
+    const auto& history = kb.history(key);
+    out.u64(history.size());
+    for (const core::KnowledgeItem& item : history) save_item(item, out);
   }
 }
 

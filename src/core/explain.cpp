@@ -54,8 +54,7 @@ Explainer::ActionSummary Explainer::summarise(
   ActionSummary out;
   double utility_sum = 0.0;
   std::size_t with_goal = 0;
-  for (std::size_t i = 0; i < log_.size(); ++i) {
-    const Explanation& e = at(i);  // chronological: last match is newest
+  for (const Explanation& e : log_) {  // chronological: last match is newest
     if (e.decision.action != action) continue;
     ++out.count;
     out.last_rationale = e.decision.rationale;
@@ -75,35 +74,16 @@ std::vector<Explanation> Explainer::snapshot(std::size_t last_n) const {
   std::vector<Explanation> out;
   out.reserve(n);
   for (std::size_t i = log_.size() - n; i < log_.size(); ++i) {
-    out.push_back(at(i));
+    out.push_back(log_[i]);
   }
   return out;
 }
 
 void Explainer::record(Explanation e) {
   ++decisions_;
-  if (!enabled_ || capacity_ == 0) return;
-  if (log_.size() < capacity_) {
-    log_.push_back(std::move(e));
-  } else {
-    log_[head_] = std::move(e);
-    head_ = (head_ + 1) % capacity_;
-  }
-}
-
-void Explainer::set_capacity(std::size_t cap) {
-  if (cap != capacity_ && !log_.empty()) {
-    // Re-linearise, keeping the newest min(cap, size) entries in order.
-    std::vector<Explanation> kept;
-    const std::size_t n = std::min(cap, log_.size());
-    kept.reserve(n);
-    for (std::size_t i = log_.size() - n; i < log_.size(); ++i) {
-      kept.push_back(at(i));
-    }
-    log_ = std::move(kept);
-    head_ = 0;
-  }
-  capacity_ = cap;
+  if (!enabled_ || log_.capacity() == 0) return;
+  ++explained_;
+  log_.push(std::move(e));
 }
 
 }  // namespace sa::core

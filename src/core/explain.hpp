@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/policy.hpp"
+#include "sim/ring.hpp"
 #include "sim/trace.hpp"
 
 namespace sa::core {
@@ -52,7 +53,9 @@ struct Explanation {
 };
 
 /// Collects explanations and tracks coverage (decisions explained /
-/// decisions made). Disabled instances cost one branch per decision.
+/// decisions made). Disabled instances cost one branch per decision. The
+/// log is a sim::Ring holding the most recent `capacity` explanations;
+/// coverage counts every explained decision, including evicted ones.
 class Explainer {
  public:
   explicit Explainer(bool enabled = true) : enabled_(enabled) {}
@@ -66,16 +69,18 @@ class Explainer {
   void set_enabled(bool e) noexcept { enabled_ = e; }
   [[nodiscard]] std::size_t size() const noexcept { return log_.size(); }
   [[nodiscard]] std::size_t decisions() const noexcept { return decisions_; }
-  /// Fraction of decisions for which an explanation exists.
+  /// Fraction of decisions that were explained (retained or since
+  /// evicted from the ring).
   [[nodiscard]] double coverage() const noexcept {
     return decisions_ == 0
                ? 0.0
-               : static_cast<double>(log_.size()) /
+               : static_cast<double>(explained_) /
                      static_cast<double>(decisions_);
   }
-  /// The i-th retained explanation, oldest first.
+  /// The i-th retained explanation, oldest first; throws
+  /// std::out_of_range if i >= size().
   [[nodiscard]] const Explanation& at(std::size_t i) const {
-    return log_[(head_ + i) % log_.size()];
+    return log_.at(i);
   }
   /// Deep copy of the newest min(last_n, size()) explanations in
   /// chronological order. This is the ring's one read path that hands out
@@ -92,7 +97,7 @@ class Explainer {
   }
   [[nodiscard]] std::optional<Explanation> last() const {
     if (log_.empty()) return std::nullopt;
-    return at(log_.size() - 1);
+    return log_.back();
   }
   /// Rendered explanation of the most recent decision ("" if none).
   [[nodiscard]] std::string why_last() const {
@@ -109,24 +114,20 @@ class Explainer {
   };
   [[nodiscard]] ActionSummary summarise(const std::string& action) const;
 
-  /// Keeps memory bounded on long runs: the log is a ring holding the
-  /// most recent `capacity` explanations. Shrinking drops the oldest.
-  void set_capacity(std::size_t cap);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Keeps memory bounded on long runs: the log holds the most recent
+  /// `capacity` explanations. Shrinking drops the oldest.
+  void set_capacity(std::size_t cap) { log_.set_capacity(cap); }
   void clear() {
     log_.clear();
-    head_ = 0;
     decisions_ = 0;
+    explained_ = 0;
   }
 
  private:
   bool enabled_;
-  std::size_t capacity_ = 4096;
-  /// Ring buffer: log_ grows to capacity_, then head_ marks the oldest
-  /// slot and record() overwrites in place — no per-decision reshuffle.
-  std::vector<Explanation> log_;
-  std::size_t head_ = 0;
+  sim::Ring<Explanation> log_{4096};
   std::size_t decisions_ = 0;
+  std::size_t explained_ = 0;
 };
 
 }  // namespace sa::core

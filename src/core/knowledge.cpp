@@ -32,8 +32,8 @@ KnowledgeBase::KeyId KnowledgeBase::intern(std::string_view key) {
   const KeyId id = static_cast<KeyId>(entries_.size());
   key_names_.emplace_back(key);  // deque: stable address for the view below
   index_.emplace(std::string_view(key_names_.back()), id);
-  entries_.emplace_back();
-  entries_.back().ring.reserve(std::min<std::size_t>(history_limit_, 8));
+  entries_.emplace_back(history_limit_);
+  entries_.back().reserve(std::min<std::size_t>(history_limit_, 8));
   // Keep the id list sorted by key name so iteration stays deterministic
   // (ascending key order, as the std::map store used to give for free).
   const auto pos = std::lower_bound(
@@ -47,30 +47,21 @@ void KnowledgeBase::put(std::string_view key, KnowledgeItem item) {
   // Items that declared no shelf life inherit the base's default.
   if (std::isinf(item.ttl)) item.ttl = default_ttl_;
   const KeyId id = intern(key);
-  KeyEntry& e = entries_[id];
+  const std::string& name = key_names_[id];
   if (history_limit_ == 0) {
     // Degenerate store: the key exists but retains nothing.
-    const std::string& bare = key_names_[id];
     for (const auto& [handle, l] : listeners_) {
       (void)handle;
-      l(bare, item);
+      l(name, item);
     }
     return;
   }
-  const KnowledgeItem* stored = nullptr;
-  if (e.ring.size() < history_limit_) {
-    e.ring.push_back(std::move(item));
-    stored = &e.ring.back();
-  } else {
-    // Ring is warm: overwrite the oldest slot in place, no allocation.
-    e.ring[e.head] = std::move(item);
-    stored = &e.ring[e.head];
-    e.head = (e.head + 1) % e.ring.size();
-  }
-  const std::string& name = key_names_[id];
+  sim::Ring<KnowledgeItem>& h = entries_[id];
+  h.push(std::move(item));
+  const KnowledgeItem& stored = h.back();
   for (const auto& [handle, l] : listeners_) {
     (void)handle;
-    l(name, *stored);
+    l(name, stored);
   }
 }
 
@@ -103,12 +94,11 @@ double KnowledgeBase::confidence(std::string_view key) const {
   return item ? item->confidence : 0.0;
 }
 
-KnowledgeBase::HistoryView KnowledgeBase::history(std::string_view key) const {
+const sim::Ring<KnowledgeItem>& KnowledgeBase::history(
+    std::string_view key) const {
+  static const sim::Ring<KnowledgeItem> kNone;
   const KeyId id = find(key);
-  if (id == kNoKey) return {};
-  const KeyEntry& e = entries_[id];
-  if (e.ring.empty()) return {};
-  return HistoryView(e.ring.data(), e.head, e.ring.size(), e.ring.size());
+  return id == kNoKey ? kNone : entries_[id];
 }
 
 bool KnowledgeBase::contains(std::string_view key) const {

@@ -10,7 +10,7 @@
 //
 // Data layout: keys are interned once into stable ids (the
 // sim::TelemetryBus interned-id idiom); per-key state lives in an
-// id-indexed arena of ring-buffered histories. The string-keyed API is a
+// id-indexed arena of sim::Ring histories. The string-keyed API is a
 // thin resolving shim — every lookup is one hash probe on a
 // std::string_view (no temporary std::string, no tree walk), and reads on
 // the hot path (number(), confidence(), fresh(), contains()) perform zero
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/value.hpp"
+#include "sim/ring.hpp"
 
 namespace sa::core {
 
@@ -64,51 +65,6 @@ class KnowledgeBase {
   using Listener =
       std::function<void(const std::string& key, const KnowledgeItem&)>;
 
-  /// Read-only, oldest-first view over one key's ring-buffered history.
-  /// Indexable and iterable like the deque it replaced; valid until the
-  /// next put() to the same key (or clear()).
-  class HistoryView {
-   public:
-    [[nodiscard]] std::size_t size() const noexcept { return count_; }
-    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-    /// i-th oldest retained item (0 = oldest, size()-1 = latest).
-    [[nodiscard]] const KnowledgeItem& operator[](std::size_t i) const {
-      return ring_[(head_ + i) % cap_];
-    }
-    [[nodiscard]] const KnowledgeItem& front() const { return (*this)[0]; }
-    [[nodiscard]] const KnowledgeItem& back() const {
-      return (*this)[count_ - 1];
-    }
-
-    class iterator {
-     public:
-      iterator(const HistoryView* v, std::size_t i) : view_(v), i_(i) {}
-      const KnowledgeItem& operator*() const { return (*view_)[i_]; }
-      iterator& operator++() {
-        ++i_;
-        return *this;
-      }
-      bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-     private:
-      const HistoryView* view_;
-      std::size_t i_;
-    };
-    [[nodiscard]] iterator begin() const { return {this, 0}; }
-    [[nodiscard]] iterator end() const { return {this, count_}; }
-
-   private:
-    friend class KnowledgeBase;
-    HistoryView() = default;
-    HistoryView(const KnowledgeItem* ring, std::size_t head, std::size_t count,
-                std::size_t cap) noexcept
-        : ring_(ring), head_(head), count_(count), cap_(cap) {}
-    const KnowledgeItem* ring_ = nullptr;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-    std::size_t cap_ = 1;
-  };
-
   /// `history_limit` — max items retained per key (oldest evicted first).
   explicit KnowledgeBase(std::size_t history_limit = 128)
       : history_limit_(history_limit) {}
@@ -128,7 +84,9 @@ class KnowledgeBase {
   /// Confidence of the latest item (0 if absent).
   [[nodiscard]] double confidence(std::string_view key) const;
   /// Full retained history for `key` (empty if unknown), oldest first.
-  [[nodiscard]] HistoryView history(std::string_view key) const;
+  /// The reference is valid until the next put() or clear().
+  [[nodiscard]] const sim::Ring<KnowledgeItem>& history(
+      std::string_view key) const;
   /// True if `key` has ever been written.
   [[nodiscard]] bool contains(std::string_view key) const;
   /// True when `key` has an item still within its TTL at sim time `now`.
@@ -171,25 +129,14 @@ class KnowledgeBase {
   using KeyId = std::uint32_t;
   static constexpr KeyId kNoKey = 0xffffffffu;
 
-  /// Per-key store: a ring buffer that grows to history_limit_ then
-  /// overwrites the oldest slot in place — no per-put node allocation once
-  /// warm.
-  struct KeyEntry {
-    std::vector<KnowledgeItem> ring;
-    std::size_t head = 0;  ///< index of the oldest item once the ring is full
-  };
-
   [[nodiscard]] KeyId find(std::string_view key) const noexcept {
     const auto it = index_.find(key);
     return it == index_.end() ? kNoKey : it->second;
   }
   KeyId intern(std::string_view key);
   [[nodiscard]] const KnowledgeItem* latest_item(KeyId id) const noexcept {
-    const KeyEntry& e = entries_[id];
-    if (e.ring.empty()) return nullptr;
-    const std::size_t newest =
-        (e.head + e.ring.size() - 1) % e.ring.size();
-    return &e.ring[newest];
+    const sim::Ring<KnowledgeItem>& h = entries_[id];
+    return h.empty() ? nullptr : &h.back();
   }
 
   std::size_t history_limit_;
@@ -198,7 +145,9 @@ class KnowledgeBase {
   /// string_view keys can point straight into it.
   std::deque<std::string> key_names_;
   std::unordered_map<std::string_view, KeyId> index_;
-  std::vector<KeyEntry> entries_;       ///< id-indexed histories
+  /// id-indexed histories: each ring grows to history_limit_, then
+  /// overwrites its oldest slot in place — no per-put allocation once warm.
+  std::vector<sim::Ring<KnowledgeItem>> entries_;
   std::vector<KeyId> sorted_;           ///< ids in ascending key order
   std::vector<std::pair<std::size_t, Listener>> listeners_;
   std::size_t next_handle_ = 0;

@@ -272,7 +272,7 @@ void Injector::fire(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
   ++injected_;
   ++active_;
   last_onset_ = t;
-  push_log(rec);
+  log_.push(rec);
   notify(rec);
   if (telemetry_ != nullptr && telemetry_->enabled()) {
     telemetry_->record(t, sim::TelemetryBus::kFailure, subject_,
@@ -291,7 +291,7 @@ void Injector::fire(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
           Record done = rec;
           done.t = engine.now();
           done.begin = false;
-          push_log(done);
+          log_.push(done);
           notify(done);
         },
         kOrderFaults,
@@ -320,7 +320,7 @@ bool Injector::inject_now(sim::Engine& engine, FaultKind kind,
     ++injected_;
     ++active_;
     last_onset_ = t;
-    push_log(rec);
+    log_.push(rec);
     notify(rec);
     if (telemetry_ != nullptr && telemetry_->enabled()) {
       telemetry_->record(t, sim::TelemetryBus::kFailure, subject_,
@@ -338,7 +338,7 @@ bool Injector::inject_now(sim::Engine& engine, FaultKind kind,
             Record done = rec;
             done.t = engine.now();
             done.begin = false;
-            push_log(done);
+            log_.push(done);
             notify(done);
           },
           kOrderFaults,
@@ -349,27 +349,8 @@ bool Injector::inject_now(sim::Engine& engine, FaultKind kind,
   return false;
 }
 
-void Injector::push_log(const Record& rec) {
-  if (log_capacity_ == 0) return;
-  if (log_.size() < log_capacity_) {
-    log_.push_back(rec);
-  } else {
-    log_[log_head_] = rec;
-    log_head_ = (log_head_ + 1) % log_capacity_;
-  }
-}
-
 void Injector::notify(const Record& rec) {
   for (const Listener& l : listeners_) l(rec, active_);
-}
-
-std::vector<Injector::Record> Injector::records() const {
-  std::vector<Record> out;
-  out.reserve(log_.size());
-  for (std::size_t i = 0; i < log_.size(); ++i) {
-    out.push_back(log_[(log_head_ + i) % log_.size()]);
-  }
-  return out;
 }
 
 Injector::State Injector::export_state() const {
@@ -390,20 +371,6 @@ Injector::State Injector::export_state() const {
     st.streams.push_back(ss);
   }
   return st;
-}
-
-void Injector::set_log_capacity(std::size_t cap) {
-  if (cap != log_capacity_ && !log_.empty()) {
-    std::vector<Record> kept;
-    const std::size_t n = std::min(cap, log_.size());
-    kept.reserve(n);
-    for (std::size_t i = log_.size() - n; i < log_.size(); ++i) {
-      kept.push_back(log_[(log_head_ + i) % log_.size()]);
-    }
-    log_ = std::move(kept);
-    log_head_ = 0;
-  }
-  log_capacity_ = cap;
 }
 
 }  // namespace sa::fault

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
 
@@ -98,9 +99,9 @@ struct FaultPlan {
 };
 
 /// Schedules a FaultPlan's processes onto an engine and dispatches each
-/// fault to a registered surface. Owns a bounded fault-event log (the same
-/// ring mechanism as core::Explainer) plus counters, and can mirror each
-/// event to telemetry (kFailure) and to subscribed listeners.
+/// fault to a registered surface. Owns a bounded fault-event log (a
+/// sim::Ring, like core::Explainer's decision log) plus counters, and can
+/// mirror each event to telemetry (kFailure) and to subscribed listeners.
 class Injector {
  public:
   /// Engine order of fault onset/restore events: before everything else
@@ -183,12 +184,11 @@ class Injector {
 
   /// Retained log entries, oldest first (bounded ring; a long fault storm
   /// keeps memory constant, like the Explainer's decision log).
-  [[nodiscard]] std::vector<Record> records() const;
-  [[nodiscard]] std::size_t log_size() const noexcept { return log_.size(); }
-  void set_log_capacity(std::size_t cap);
-  [[nodiscard]] std::size_t log_capacity() const noexcept {
-    return log_capacity_;
+  [[nodiscard]] std::vector<Record> records() const {
+    return {log_.begin(), log_.end()};
   }
+  /// Shrinking drops the oldest entries.
+  void set_log_capacity(std::size_t cap) { log_.set_capacity(cap); }
 
   // -- Checkpoint seam (sa::ckpt) -------------------------------------------
   //
@@ -222,7 +222,6 @@ class Injector {
 
   void arm(sim::Engine& engine, const std::shared_ptr<Stream>& st);
   void fire(sim::Engine& engine, const std::shared_ptr<Stream>& st);
-  void push_log(const Record& rec);
   void notify(const Record& rec);
 
   std::vector<Surface> surfaces_;
@@ -237,9 +236,7 @@ class Injector {
   std::size_t unmatched_ = 0;
   double last_onset_ = -std::numeric_limits<double>::infinity();
 
-  std::size_t log_capacity_ = 4096;
-  std::vector<Record> log_;  ///< ring: head_ marks the oldest entry
-  std::size_t log_head_ = 0;
+  sim::Ring<Record> log_{4096};
 
   /// Chains armed by bind(), in (process, surface) order — owned here so
   /// checkpointing can reach their RNG/burst state after the engine has

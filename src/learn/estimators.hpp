@@ -2,15 +2,14 @@
 //
 // These are the simplest "model building" blocks used by awareness
 // processes: exponentially weighted moving averages for recency-weighted
-// estimates, and window estimators that also expose dispersion so callers
-// can reason about their own confidence (a prerequisite for
-// meta-self-awareness: a model that knows how good it is).
+// estimates, one of which also tracks dispersion so callers can reason
+// about their own confidence (a prerequisite for meta-self-awareness: a
+// model that knows how good it is).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
-
-#include "sim/stats.hpp"
 
 namespace sa::learn {
 
@@ -71,35 +70,6 @@ class EwmaVar {
  private:
   Ewma mean_;
   Ewma var_;
-};
-
-/// Window estimator: mean over the last N samples plus a normalised
-/// confidence in [0,1] that grows with fill level and shrinks with
-/// relative dispersion.
-class WindowEstimator {
- public:
-  explicit WindowEstimator(std::size_t window = 32) : win_(window) {}
-
-  void add(double x) { win_.add(x); }
-  [[nodiscard]] double value() const noexcept { return win_.mean(); }
-  [[nodiscard]] double stddev() const noexcept { return win_.stddev(); }
-  [[nodiscard]] std::size_t count() const noexcept { return win_.size(); }
-
-  /// Heuristic confidence: fill-fraction damped by the coefficient of
-  /// variation. Returns 0 with no data, approaches 1 for a full window of
-  /// near-constant samples.
-  [[nodiscard]] double confidence() const noexcept {
-    if (win_.size() == 0) return 0.0;
-    const double fill = static_cast<double>(win_.size()) /
-                        static_cast<double>(win_.capacity());
-    const double m = std::fabs(win_.mean());
-    const double cv = m > 1e-12 ? win_.stddev() / m : win_.stddev();
-    return fill / (1.0 + cv);
-  }
-  void reset() { win_.clear(); }
-
- private:
-  sim::SlidingWindow win_;
 };
 
 }  // namespace sa::learn

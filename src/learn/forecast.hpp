@@ -8,10 +8,11 @@
 
 #include <cmath>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "sim/ring.hpp"
 
 namespace sa::learn {
 
@@ -152,7 +153,9 @@ class ScoredForecaster {
  public:
   explicit ScoredForecaster(std::unique_ptr<Forecaster> f,
                             std::size_t horizon = 1)
-      : f_(std::move(f)), horizon_(horizon == 0 ? 1 : horizon) {}
+      : f_(std::move(f)),
+        horizon_(horizon == 0 ? 1 : horizon),
+        pending_(horizon_) {}
 
   /// Scores the prediction issued `horizon` observations ago against `x`,
   /// then feeds `x` and queues a fresh prediction.
@@ -160,10 +163,9 @@ class ScoredForecaster {
     if (pending_.size() == horizon_) {
       mae_sum_ += std::fabs(pending_.front() - x);
       ++scored_;
-      pending_.pop_front();
     }
     f_->observe(x);
-    pending_.push_back(f_->forecast(horizon_));
+    pending_.push(f_->forecast(horizon_));
   }
   [[nodiscard]] double forecast(std::size_t h = 1) const {
     return f_->forecast(h);
@@ -178,7 +180,7 @@ class ScoredForecaster {
  private:
   std::unique_ptr<Forecaster> f_;
   std::size_t horizon_;
-  std::deque<double> pending_;
+  sim::Ring<double> pending_;  ///< predictions awaiting their target
   double mae_sum_ = 0.0;
   std::size_t scored_ = 0;
 };

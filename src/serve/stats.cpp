@@ -154,9 +154,8 @@ ServerStats::ServerStats(unsigned workers, double slow_threshold_s,
                          std::size_t slow_ring)
     : workers_(std::max(workers, 1u)),
       slow_threshold_s_(slow_threshold_s),
-      slow_ring_() {
-  slow_ring_.reserve(std::max<std::size_t>(slow_ring, 1));
-  slow_ring_.resize(std::max<std::size_t>(slow_ring, 1));
+      slow_(std::max<std::size_t>(slow_ring, 1)) {
+  slow_.reserve(slow_.capacity());
 }
 
 void ServerStats::record_request(unsigned worker, RouteClass route,
@@ -168,9 +167,7 @@ void ServerStats::record_request(unsigned worker, RouteClass route,
   if (seconds >= slow_threshold_s_) {
     SlowRequest entry{route, seconds, status, sim_time()};
     std::lock_guard<std::mutex> lock(slow_mu_);
-    slow_ring_[slow_next_] = entry;
-    slow_next_ = (slow_next_ + 1) % slow_ring_.size();
-    ++slow_seen_;
+    slow_.push(entry);
   }
 }
 
@@ -220,16 +217,7 @@ ServerStats::Snapshot ServerStats::snapshot() const {
   snap.active = active_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(slow_mu_);
-    const std::size_t cap = slow_ring_.size();
-    const std::size_t have =
-        slow_seen_ < cap ? static_cast<std::size_t>(slow_seen_) : cap;
-    snap.slow.reserve(have);
-    // Oldest entry first: when the ring has wrapped, slow_next_ points at
-    // the oldest slot; before wrapping, entries start at index 0.
-    const std::size_t start = slow_seen_ < cap ? 0 : slow_next_;
-    for (std::size_t i = 0; i < have; ++i) {
-      snap.slow.push_back(slow_ring_[(start + i) % cap]);
-    }
+    snap.slow.assign(slow_.begin(), slow_.end());
   }
   return snap;
 }

@@ -41,6 +41,8 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/ring.hpp"
+
 namespace sa::serve {
 
 /// The route classes the server keys its self-model by. Everything not one
@@ -204,13 +206,11 @@ class ServerStats {
   std::atomic<double> sim_time_{0.0};
 
   // Slow-request ring: only requests above the threshold take this lock,
-  // so the steady-state path never does. Fixed capacity, overwrites the
-  // oldest entry; pre-sized at construction (no allocation afterwards).
+  // so the steady-state path never does. Reserved to its full capacity at
+  // construction, so pushes never allocate.
   double slow_threshold_s_;
   mutable std::mutex slow_mu_;
-  std::vector<SlowRequest> slow_ring_;  ///< guarded by slow_mu_
-  std::size_t slow_next_ = 0;           ///< guarded by slow_mu_
-  std::uint64_t slow_seen_ = 0;         ///< guarded by slow_mu_
+  sim::Ring<SlowRequest> slow_;  ///< guarded by slow_mu_
 };
 
 }  // namespace sa::serve

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -145,58 +144,6 @@ class Histogram {
   double lo_, hi_;
   std::vector<std::size_t> counts_;
   std::size_t total_ = 0;
-};
-
-/// Sliding window over the last `capacity` samples with O(1) mean and
-/// O(n) on-demand variance/quantiles. Used by window-based estimators.
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity) : capacity_(capacity) {}
-
-  void add(double x) {
-    buf_.push_back(x);
-    sum_ += x;
-    if (buf_.size() > capacity_) {
-      sum_ -= buf_.front();
-      buf_.pop_front();
-    }
-  }
-  void clear() noexcept {
-    buf_.clear();
-    sum_ = 0.0;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool full() const noexcept { return buf_.size() == capacity_; }
-  [[nodiscard]] double mean() const noexcept {
-    return buf_.empty() ? 0.0 : sum_ / static_cast<double>(buf_.size());
-  }
-  [[nodiscard]] double variance() const noexcept {
-    if (buf_.size() < 2) return 0.0;
-    const double m = mean();
-    double acc = 0.0;
-    for (double x : buf_) acc += (x - m) * (x - m);
-    return acc / static_cast<double>(buf_.size() - 1);
-  }
-  [[nodiscard]] double stddev() const noexcept { return std::sqrt(variance()); }
-  [[nodiscard]] double back() const noexcept { return buf_.back(); }
-  [[nodiscard]] double front() const noexcept { return buf_.front(); }
-  [[nodiscard]] double at(std::size_t i) const noexcept { return buf_[i]; }
-  /// q in [0,1] — exact order statistic of the window contents.
-  [[nodiscard]] double quantile(double q) const {
-    if (buf_.empty()) return 0.0;
-    std::vector<double> v(buf_.begin(), buf_.end());
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(v.size() - 1) + 0.5);
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx),
-                     v.end());
-    return v[idx];
-  }
-
- private:
-  std::size_t capacity_;
-  std::deque<double> buf_;
-  double sum_ = 0.0;
 };
 
 }  // namespace sa::sim

@@ -49,24 +49,14 @@ void TelemetryBus::record_impl(double t, CategoryId category,
 
 void RingBufferSink::on_event(const TelemetryEvent& ev) {
   ++seen_;
-  Rec rec{ev.t, ev.category, ev.subject, ev.value, std::string(ev.detail)};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(rec));
-    return;
-  }
-  ring_[head_] = std::move(rec);
-  head_ = (head_ + 1) % capacity_;
-}
-
-const RingBufferSink::Rec& RingBufferSink::at(std::size_t i) const {
-  return ring_.at((head_ + i) % ring_.size());
+  ring_.push(
+      Rec{ev.t, ev.category, ev.subject, ev.value, std::string(ev.detail)});
 }
 
 std::vector<const RingBufferSink::Rec*> RingBufferSink::by_category(
     CategoryId c) const {
   std::vector<const Rec*> out;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const Rec& r = at(i);
+  for (const Rec& r : ring_) {
     if (r.category == c) out.push_back(&r);
   }
   return out;
@@ -75,16 +65,10 @@ std::vector<const RingBufferSink::Rec*> RingBufferSink::by_category(
 std::vector<const RingBufferSink::Rec*> RingBufferSink::by_subject(
     SubjectId s) const {
   std::vector<const Rec*> out;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const Rec& r = at(i);
+  for (const Rec& r : ring_) {
     if (r.subject == s) out.push_back(&r);
   }
   return out;
-}
-
-void RingBufferSink::clear() {
-  ring_.clear();
-  head_ = 0;
 }
 
 std::vector<RingBufferSink::Rec> FanoutSink::Subscription::drain(

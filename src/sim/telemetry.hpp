@@ -10,8 +10,8 @@
 // allocation — the telemetry test asserts this.
 //
 // Sinks are non-owning observers. RingBufferSink retains the last N events
-// for self-explanation queries (by_category / by_subject, in emission
-// order); FanoutSink feeds the serve plane's SSE subscribers.
+// in a sim::Ring for self-explanation queries (by_category / by_subject, in
+// emission order); FanoutSink feeds the serve plane's SSE subscribers.
 #pragma once
 
 #include <atomic>
@@ -23,6 +23,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "sim/ring.hpp"
 
 namespace sa::sim {
 
@@ -126,7 +128,7 @@ class RingBufferSink : public TelemetrySink {
   };
 
   explicit RingBufferSink(std::size_t capacity = 4096)
-      : capacity_(capacity ? capacity : 1) {}
+      : ring_(capacity ? capacity : 1) {}
 
   void on_event(const TelemetryEvent& ev) override;
 
@@ -134,18 +136,17 @@ class RingBufferSink : public TelemetrySink {
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
   /// Total events observed, including evicted ones.
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
-  /// i-th retained event, oldest first.
-  [[nodiscard]] const Rec& at(std::size_t i) const;
+  /// i-th retained event, oldest first; throws std::out_of_range if
+  /// i >= size().
+  [[nodiscard]] const Rec& at(std::size_t i) const { return ring_.at(i); }
   /// Retained events with the given category, in emission order.
   [[nodiscard]] std::vector<const Rec*> by_category(CategoryId c) const;
   /// Retained events emitted by the given subject, in emission order.
   [[nodiscard]] std::vector<const Rec*> by_subject(SubjectId s) const;
-  void clear();
+  void clear() { ring_.clear(); }
 
  private:
-  std::size_t capacity_;
-  std::vector<Rec> ring_;   ///< circular once full
-  std::size_t head_ = 0;    ///< index of the oldest retained event
+  Ring<Rec> ring_;
   std::uint64_t seen_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace sa::core {
 namespace {
 
@@ -176,6 +178,24 @@ TEST(Explainer, GrowingCapacityKeepsEverything) {
   EXPECT_DOUBLE_EQ(ex.last()->t, 3.0);
 }
 
+TEST(Explainer, CoverageCountsExplanationsEvictedFromTheRing) {
+  Explainer ex;
+  ex.set_capacity(8);
+  for (int i = 0; i < 20; ++i) ex.record(stamped(i));
+  EXPECT_EQ(ex.size(), 8u);
+  EXPECT_DOUBLE_EQ(ex.coverage(), 1.0);
+  ex.note_unexplained();
+  EXPECT_DOUBLE_EQ(ex.coverage(), 20.0 / 21.0);
+}
+
+TEST(Explainer, AtRejectsOutOfRangeIndex) {
+  Explainer ex;
+  EXPECT_THROW((void)ex.at(0), std::out_of_range);
+  ex.set_capacity(4);
+  for (int i = 0; i < 3; ++i) ex.record(stamped(i));
+  EXPECT_THROW((void)ex.at(ex.size()), std::out_of_range);
+}
+
 TEST(Explainer, LongRunMemoryStaysBoundedAtCapacity) {
   // The long-run contract behind E8: millions of decisions, ring-bounded
   // retention, full decision accounting, correct newest/oldest window.
@@ -185,8 +205,7 @@ TEST(Explainer, LongRunMemoryStaysBoundedAtCapacity) {
   for (int i = 0; i < kDecisions; ++i) ex.record(stamped(i));
   EXPECT_EQ(ex.size(), 64u);
   EXPECT_EQ(ex.decisions(), static_cast<std::size_t>(kDecisions));
-  EXPECT_DOUBLE_EQ(ex.coverage(),
-                   64.0 / static_cast<double>(kDecisions));
+  EXPECT_DOUBLE_EQ(ex.coverage(), 1.0);  // evicted entries were explained
   EXPECT_DOUBLE_EQ(ex.at(0).t, kDecisions - 64.0);
   EXPECT_DOUBLE_EQ(ex.last()->t, kDecisions - 1.0);
 }

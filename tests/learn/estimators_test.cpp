@@ -68,40 +68,5 @@ TEST(EwmaVar, NoisyStreamEstimatesSpread) {
   EXPECT_NEAR(ev.stddev(), 2.0, 0.8);
 }
 
-TEST(WindowEstimator, NoDataMeansZeroConfidence) {
-  WindowEstimator w(16);
-  EXPECT_DOUBLE_EQ(w.confidence(), 0.0);
-  EXPECT_DOUBLE_EQ(w.value(), 0.0);
-}
-
-TEST(WindowEstimator, ConfidenceGrowsAsWindowFills) {
-  WindowEstimator w(10);
-  w.add(5.0);
-  const double c1 = w.confidence();
-  for (int i = 0; i < 9; ++i) w.add(5.0);
-  const double c2 = w.confidence();
-  EXPECT_GT(c2, c1);
-  EXPECT_NEAR(c2, 1.0, 1e-9);  // full window, zero dispersion
-}
-
-TEST(WindowEstimator, NoisierDataLowersConfidence) {
-  WindowEstimator steady(16), noisy(16);
-  sim::Rng rng(2);
-  for (int i = 0; i < 16; ++i) {
-    steady.add(10.0);
-    noisy.add(rng.normal(10.0, 5.0));
-  }
-  EXPECT_GT(steady.confidence(), noisy.confidence());
-}
-
-TEST(WindowEstimator, ValueIsWindowMean) {
-  WindowEstimator w(3);
-  w.add(1.0);
-  w.add(2.0);
-  w.add(3.0);
-  w.add(4.0);  // evicts 1.0
-  EXPECT_DOUBLE_EQ(w.value(), 3.0);
-}
-
 }  // namespace
 }  // namespace sa::learn

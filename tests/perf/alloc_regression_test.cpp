@@ -87,7 +87,7 @@ TEST(KnowledgeAlloc, ReadPathsAreAllocFree) {
     acc += kb.confidence("metric.13");
     all = all && kb.contains("metric.0");
     all = all && kb.fresh("metric.21", 0.5);
-    const auto h = kb.history("metric.3");
+    const auto& h = kb.history("metric.3");
     if (!h.empty()) {
       if (const auto* d = std::get_if<double>(&h.back().value)) acc += *d;
     }

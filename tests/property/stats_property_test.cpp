@@ -99,24 +99,6 @@ TEST_P(StatsPropertyTest, TimeWeightedMatchesNumericIntegration) {
   EXPECT_NEAR(tw.mean(t), integral / t, 1e-9 * (1.0 + std::fabs(integral)));
 }
 
-TEST_P(StatsPropertyTest, SlidingWindowEqualsTailOfStream) {
-  sim::Rng rng(GetParam() ^ 0x3333);
-  const std::size_t cap = 1 + rng.below(64);
-  SlidingWindow w(cap);
-  std::vector<double> stream;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(-5.0, 5.0);
-    stream.push_back(x);
-    w.add(x);
-    const std::size_t k = std::min(stream.size(), cap);
-    double sum = 0.0;
-    for (std::size_t j = stream.size() - k; j < stream.size(); ++j) {
-      sum += stream[j];
-    }
-    ASSERT_NEAR(w.mean(), sum / static_cast<double>(k), 1e-9);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, StatsPropertyTest,
                          ::testing::Values(31, 32, 33, 34, 35));
 

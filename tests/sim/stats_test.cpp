@@ -144,51 +144,5 @@ TEST(Histogram, QuantilesAreMonotone) {
   }
 }
 
-TEST(SlidingWindow, EvictsOldestBeyondCapacity) {
-  SlidingWindow w(3);
-  for (double x : {1.0, 2.0, 3.0, 4.0}) w.add(x);
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w.front(), 2.0);
-  EXPECT_DOUBLE_EQ(w.back(), 4.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 3.0);
-}
-
-TEST(SlidingWindow, MeanTracksContents) {
-  SlidingWindow w(2);
-  w.add(10.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 10.0);
-  w.add(20.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 15.0);
-  w.add(30.0);
-  EXPECT_DOUBLE_EQ(w.mean(), 25.0);
-}
-
-TEST(SlidingWindow, VarianceOfConstantIsZero) {
-  SlidingWindow w(8);
-  for (int i = 0; i < 8; ++i) w.add(7.0);
-  EXPECT_DOUBLE_EQ(w.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(w.stddev(), 0.0);
-}
-
-TEST(SlidingWindow, QuantileIsExactOrderStatistic) {
-  SlidingWindow w(5);
-  for (double x : {5.0, 1.0, 4.0, 2.0, 3.0}) w.add(x);
-  EXPECT_DOUBLE_EQ(w.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(w.quantile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(w.quantile(1.0), 5.0);
-}
-
-TEST(SlidingWindow, FullFlagAndClear) {
-  SlidingWindow w(2);
-  EXPECT_FALSE(w.full());
-  w.add(1.0);
-  EXPECT_FALSE(w.full());
-  w.add(2.0);
-  EXPECT_TRUE(w.full());
-  w.clear();
-  EXPECT_EQ(w.size(), 0u);
-  EXPECT_DOUBLE_EQ(w.mean(), 0.0);
-}
-
 }  // namespace
 }  // namespace sa::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "sim/metrics.hpp"
@@ -76,6 +77,18 @@ TEST(RingBufferSink, EvictsOldestBeyondCapacity) {
   EXPECT_EQ(sink.seen(), 10u);
   EXPECT_DOUBLE_EQ(sink.at(0).value, 6.0);  // oldest retained
   EXPECT_DOUBLE_EQ(sink.at(3).value, 9.0);  // newest
+}
+
+TEST(RingBufferSink, AtRejectsOutOfRangeIndex) {
+  TelemetryBus bus;
+  RingBufferSink sink(4);
+  bus.add_sink(&sink);
+  EXPECT_THROW((void)sink.at(0), std::out_of_range);
+  const auto subj = bus.intern_subject("x");
+  for (int i = 0; i < 3; ++i) {
+    bus.record(i, TelemetryBus::kObservation, subj, i);
+  }
+  EXPECT_THROW((void)sink.at(sink.size()), std::out_of_range);
 }
 
 TEST(RingBufferSink, QueriesByCategoryAndSubject) {
