@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+
 namespace sa::multicore {
 namespace {
 
@@ -190,6 +194,77 @@ TEST(Platform, DeterministicGivenSeed) {
 TEST(Platform, InstantaneousPowerPositive) {
   auto p = make_platform();
   EXPECT_GT(p.instantaneous_power(), 0.0);
+}
+
+// FNV-1a over the `%a` spelling of every harvested EpochStats field plus
+// the queue depth, epoch by epoch. Any change to a placement decision, to
+// the drain order or to a float accumulation moves the digest.
+class Fingerprint {
+ public:
+  void add(double v) { format("%a", v); }
+  void add(std::size_t v) { format("%zu", v); }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  template <typename T>
+  void format(const char* fmt, T v) {
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, fmt, v);
+    for (int i = 0; i < n; ++i) {
+      h_ ^= static_cast<unsigned char>(buf[i]);
+      h_ *= 1099511628211ull;
+    }
+    h_ ^= static_cast<unsigned char>('|');
+    h_ *= 1099511628211ull;
+  }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+TEST(Platform, OverloadedTrajectoryIsPinned) {
+  // 600 sim-s of a thermal big.LITTLE chip, mostly overloaded so queues
+  // grow to thousands of tasks, cycling through every mapping and DVFS
+  // level, failing and restoring cores (once all of them), and capping
+  // the frequency. The digest pins the exact least-ETA placement
+  // semantics: any way of computing place() must reproduce it.
+  auto cfg = PlatformConfig::big_little(2, 4);
+  cfg.thermal = true;
+  Platform p(std::move(cfg), 2024);
+  constexpr Mapping kMappings[] = {Mapping::Balanced, Mapping::PackBig,
+                                   Mapping::PackLittle};
+  Fingerprint fp;
+  std::size_t max_queued = 0;
+  bool throttled = false;
+  for (std::size_t epoch = 0; epoch < 120; ++epoch) {  // 120 × 5 s
+    p.set_mapping(kMappings[epoch % 3]);
+    p.set_all_freq(epoch % p.freq_levels());
+    p.set_freq_cap(epoch % 11 == 5 ? 1 : static_cast<std::size_t>(-1));
+    p.set_workload((epoch / 10) % 2 == 0 ? 50.0 : 12.0, 0.3, 1.0);
+    if (epoch == 60) {
+      for (std::size_t c = 0; c < p.cores(); ++c) p.fail_core(c);
+    } else if (epoch == 61) {
+      for (std::size_t c = 0; c < p.cores(); ++c) p.restore_core(c);
+    } else if (epoch % 7 == 3) {
+      p.fail_core((epoch / 7) % p.cores());
+    } else if (epoch % 7 == 5) {
+      p.restore_core((epoch / 7) % p.cores());
+    }
+    p.run_for(5.0);
+    const auto s = p.harvest();
+    for (double v : {s.duration, s.throughput, s.mean_latency, s.p95_latency,
+                     s.mean_power, s.energy, s.miss_rate, s.mean_queue,
+                     s.utilisation, s.offered_gops, s.max_temp_c,
+                     s.throttle_frac}) {
+      fp.add(v);
+    }
+    fp.add(s.completed);
+    fp.add(s.arrived);
+    fp.add(p.queued());
+    max_queued = std::max(max_queued, p.queued());
+    throttled = throttled || s.throttle_frac > 0.0;
+  }
+  EXPECT_GT(max_queued, 1000u);
+  EXPECT_TRUE(throttled);
+  EXPECT_EQ(fp.value(), 0xdd64c66fde646102ull);
 }
 
 TEST(MappingName, Stable) {
