@@ -78,21 +78,42 @@ std::string Status::to_string() const {
 }
 
 std::uint32_t crc32(std::string_view data) noexcept {
-  // CRC-32/ISO-HDLC, table generated on first use (thread-safe statics).
+  // CRC-32/ISO-HDLC, slicing-by-8: v[0] is the byte-at-a-time table and
+  // v[k][i] advances v[k-1][i] by one more zero byte, so eight lookups
+  // fold in eight input bytes. Bytes are assembled little-endian by hand,
+  // so the result does not depend on host byte order. Tables are built on
+  // first use (thread-safe statics).
   static const auto table = [] {
-    struct Table { std::uint32_t v[256]; };
-    Table t{};
+    struct Tables { std::uint32_t v[8][256]; };
+    Tables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k)
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-      t.v[i] = c;
+      t.v[0][i] = c;
     }
+    for (int k = 1; k < 8; ++k)
+      for (std::uint32_t i = 0; i < 256; ++i)
+        t.v[k][i] = (t.v[k - 1][i] >> 8) ^ t.v[0][t.v[k - 1][i] & 0xff];
     return t;
   }();
+  auto byte = [&](std::size_t i) {
+    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(data[i]));
+  };
   std::uint32_t crc = 0xffffffffu;
-  for (char ch : data)
-    crc = table.v[(crc ^ static_cast<std::uint8_t>(ch)) & 0xff] ^ (crc >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    const std::uint32_t lo = crc ^ (byte(i) | byte(i + 1) << 8 |
+                                    byte(i + 2) << 16 | byte(i + 3) << 24);
+    const std::uint32_t hi = byte(i + 4) | byte(i + 5) << 8 |
+                             byte(i + 6) << 16 | byte(i + 7) << 24;
+    crc = table.v[7][lo & 0xff] ^ table.v[6][(lo >> 8) & 0xff] ^
+          table.v[5][(lo >> 16) & 0xff] ^ table.v[4][lo >> 24] ^
+          table.v[3][hi & 0xff] ^ table.v[2][(hi >> 8) & 0xff] ^
+          table.v[1][(hi >> 16) & 0xff] ^ table.v[0][hi >> 24];
+  }
+  for (; i < data.size(); ++i)
+    crc = table.v[0][(crc ^ byte(i)) & 0xff] ^ (crc >> 8);
   return crc ^ 0xffffffffu;
 }
 

@@ -66,7 +66,7 @@ void Platform::fail_core(std::size_t core) {
   // core is down the orphans stall on core 0 until a restore.
   orphans_.clear();
   queue_[core].drain_into(orphans_);
-  for (const auto& t : orphans_) queue_[place(t)].push_back(t);
+  for (const auto& t : orphans_) queue_[place()].push_back(t);
 }
 
 std::size_t Platform::cores_failed() const {
@@ -75,8 +75,7 @@ std::size_t Platform::cores_failed() const {
   return n;
 }
 
-std::size_t Platform::place(const Task& task) const {
-  (void)task;
+std::size_t Platform::place() const {
   // Candidate set by mapping; Balanced considers everyone.
   auto eligible = [&](std::size_t c) {
     switch (mapping_) {
@@ -86,31 +85,72 @@ std::size_t Platform::place(const Task& task) const {
     }
     return true;
   };
-  // Least expected finish time = (queued work)/speed among eligible cores;
-  // fall back to all cores if the preferred class is absent.
-  std::size_t best = std::numeric_limits<std::size_t>::max();
-  double best_eta = std::numeric_limits<double>::infinity();
+  // Least expected finish time, eta = backlog()/speed, among eligible
+  // cores; the first core in index order wins a tie. Pass 1 falls back to
+  // all cores if the preferred class is absent (or all of it failed).
+  //
+  // The decision is made from each queue's O(1) bounds lo ≤ backlog() ≤
+  // hi (a floating-point filter) and is exactly the full scan's:
+  //  - Let min_hi be the smallest hi/speed. A core whose lo/speed exceeds
+  //    min_hi has an eta strictly above the eta of the core attaining
+  //    min_hi: division by a positive speed is monotone under
+  //    round-to-nearest, so fl(backlog/speed) ≥ fl(lo/speed) > min_hi ≥
+  //    that core's eta. The full scan can never pick it.
+  //  - The full scan's winner therefore has lo/speed ≤ min_hi: it is a
+  //    candidate. If it is the only one, it wins outright (min_hi finite
+  //    means its eta beats the scan's initial +inf).
+  //  - Otherwise the same strict-< index-order scan over the candidates,
+  //    on exact backlogs, finds it: no excluded core could have displaced
+  //    it, and every earlier-index candidate has a strictly larger eta.
+  // A core of zero speed gives eta = inf or NaN and is never picked by
+  // either path, as before. Exact re-sums thus run only on near-ties.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const double inf = std::numeric_limits<double>::infinity();
   for (int pass = 0; pass < 2; ++pass) {
+    auto considered = [&](std::size_t c) {
+      return !failed_[c] && (pass == 1 || eligible(c));
+    };
+    double lo = 0.0, hi = 0.0;
+    double min_hi = inf;
     for (std::size_t c = 0; c < specs_.size(); ++c) {
-      if (failed_[c]) continue;
-      if (pass == 0 && !eligible(c)) continue;
+      if (!considered(c)) continue;
+      queue_[c].backlog_bounds(lo, hi);
+      const double eta_hi = hi / speed(c);
+      if (eta_hi < min_hi) min_hi = eta_hi;
+    }
+    auto candidate = [&](std::size_t c) {
+      if (!considered(c)) return false;
+      queue_[c].backlog_bounds(lo, hi);
+      return lo / speed(c) <= min_hi;
+    };
+    std::size_t only = kNone, candidates = 0;
+    for (std::size_t c = 0; c < specs_.size() && candidates < 2; ++c) {
+      if (candidate(c)) {
+        only = c;
+        ++candidates;
+      }
+    }
+    if (candidates == 1 && min_hi < inf) return only;
+    std::size_t best = kNone;
+    double best_eta = inf;
+    for (std::size_t c = 0; c < specs_.size(); ++c) {
+      if (!candidate(c)) continue;
       const double eta = queue_[c].backlog() / speed(c);
       if (eta < best_eta) {
         best_eta = eta;
         best = c;
       }
     }
-    if (best != std::numeric_limits<std::size_t>::max()) break;
+    if (best != kNone) return best;
   }
   // Every core failed: park on core 0 until a restore revives the chip.
-  if (best == std::numeric_limits<std::size_t>::max()) best = 0;
-  return best;
+  return 0;
 }
 
 void Platform::admit(Task task) {
   ++arrived_;
   offered_work_ += task.total;
-  queue_[place(task)].push_back(task);
+  queue_[place()].push_back(task);
 }
 
 void Platform::step() {
@@ -132,11 +172,10 @@ void Platform::step() {
     double budget = speed(c) * dt;  // giga-ops available this tick
     const double full_budget = budget;
     while (budget > 0.0 && !queue_[c].empty()) {
-      Task& t = queue_[c].front();
+      const Task& t = queue_[c].front();
       const double done = std::min(budget, t.remaining);
-      t.remaining -= done;
       budget -= done;
-      if (t.remaining <= 1e-12) {
+      if (queue_[c].consume_front(done) <= 1e-12) {
         const double sojourn = now_ + dt - t.arrived;
         latency_.add(sojourn);
         latency_hist_.add(sojourn);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -81,22 +82,24 @@ struct Task {
   double deadline = 0.0;   ///< relative deadline, s (0 = none)
 };
 
-/// Contiguous FIFO ring of tasks — the per-core run queue. Replaces
-/// std::deque's chunked nodes with one flat buffer: push/pop are
-/// branch-plus-store, and the backlog sweeps in place() walk cache-line
-/// sequential Task structs in exact FIFO order (same front-to-back
-/// summation order as the deque it replaced, so accumulated floats are
-/// bit-identical).
+/// Contiguous FIFO ring of tasks — the per-core run queue, one flat
+/// buffer so push/pop are branch-plus-store.
+///
+/// Besides the tasks it keeps two doubles updated in O(1) by every
+/// mutation: `run_`, a running sum of `remaining`, and `err_`, a bound on
+/// |run_ − T| where T is the exact real sum of the queued work. Every
+/// update charges its own rounding error (with a unit roundoff of 2⁻⁵⁰,
+/// eight times the true 2⁻⁵³) and rounds the charge up, so the bound
+/// holds however long the queue goes without emptying; both reset to
+/// exactly 0 when it does empty. backlog_bounds() widens [run_ ± err_] by
+/// the recursive-summation bound for non-negative terms, |S − T| ≤ γₙ₋₁·T,
+/// so the interval always contains the FIFO-order float sum S that
+/// backlog() returns. A looser bound only costs place() more exact
+/// re-sums; it can never change a decision.
 class TaskRing {
  public:
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  /// Mutable access dirties the backlog cache: step() shrinks
-  /// front().remaining through this reference.
-  [[nodiscard]] Task& front() {
-    dirty_ = true;
-    return buf_[head_];
-  }
   [[nodiscard]] const Task& front() const { return buf_[head_]; }
   /// i-th task in FIFO order (0 = front).
   [[nodiscard]] const Task& operator[](std::size_t i) const {
@@ -107,43 +110,65 @@ class TaskRing {
     buf_[tail_] = t;
     tail_ = wrap(tail_ + 1);
     ++count_;
-    dirty_ = true;
+    update(t.remaining);
   }
   void pop_front() {
+    const double r = buf_[head_].remaining;
     head_ = wrap(head_ + 1);
     --count_;
-    dirty_ = true;
+    update(-r);
+  }
+  /// Drains `done` giga-ops (0 ≤ done ≤ remaining) from the front task
+  /// and returns its new remaining work.
+  double consume_front(double done) {
+    Task& t = buf_[head_];
+    const double before = t.remaining;
+    t.remaining -= done;
+    update(t.remaining - before);
+    return t.remaining;
   }
   /// Drains every task, FIFO order, into `out` (used by core fail-over).
   void drain_into(std::vector<Task>& out) {
     for (std::size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
     head_ = tail_ = count_ = 0;
-    dirty_ = true;
+    run_ = err_ = 0.0;
   }
-  /// Sum of remaining work, accumulated in FIFO order (the same float
-  /// sequence a front-to-back walk produces) but over the ring's two
-  /// contiguous spans, so the scan pays no per-element wrap. The result
-  /// is memoised until the next mutation: re-summing unchanged contents
-  /// runs the identical float-op sequence, so serving the cached double
-  /// is bit-exact — place() scans every core per admission, but between
-  /// admissions only one queue has changed.
+  /// Sum of remaining work, accumulated front to back in FIFO order over
+  /// the ring's two contiguous spans. O(size); place() calls it only when
+  /// the bounds cannot decide.
   [[nodiscard]] double backlog() const noexcept {
-    if (dirty_) {
-      double sum = 0.0;
-      const std::size_t first = std::min(count_, buf_.size() - head_);
-      for (std::size_t i = 0; i < first; ++i) {
-        sum += buf_[head_ + i].remaining;
-      }
-      for (std::size_t i = 0; i < count_ - first; ++i) {
-        sum += buf_[i].remaining;
-      }
-      backlog_ = sum;
-      dirty_ = false;
+    double sum = 0.0;
+    const std::size_t first = std::min(count_, buf_.size() - head_);
+    for (std::size_t i = 0; i < first; ++i) {
+      sum += buf_[head_ + i].remaining;
     }
-    return backlog_;
+    for (std::size_t i = 0; i < count_ - first; ++i) {
+      sum += buf_[i].remaining;
+    }
+    return sum;
+  }
+  /// O(1) interval with lo ≤ backlog() ≤ hi (see the class comment).
+  void backlog_bounds(double& lo, double& hi) const noexcept {
+    // γₙ₋₁ ≤ n·u for any queue a run can hold; (n + 2)·kUnit adds the
+    // slack that absorbs the rounding of the three operations below.
+    const double g = static_cast<double>(count_ + 2) * kUnit;
+    lo = std::max(0.0, (run_ - err_) * (1.0 - g));
+    hi = (run_ + err_) * (1.0 + g);
   }
 
  private:
+  static constexpr double kUnit = 0x1p-50;  ///< conservative unit roundoff
+  /// Adds `delta` to the running sum and charges the rounding error of
+  /// that add (plus any in forming `delta`) to err_, rounded upwards.
+  void update(double delta) noexcept {
+    if (count_ == 0) {
+      run_ = err_ = 0.0;
+      return;
+    }
+    run_ += delta;
+    err_ = (err_ + kUnit * (std::abs(run_) + std::abs(delta))) *
+           (1.0 + kUnit);
+  }
   [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
     return i >= buf_.size() ? i - buf_.size() : i;
   }
@@ -158,8 +183,8 @@ class TaskRing {
   }
   std::vector<Task> buf_;
   std::size_t head_ = 0, tail_ = 0, count_ = 0;
-  mutable double backlog_ = 0.0;  ///< memoised backlog() (see above)
-  mutable bool dirty_ = true;
+  double run_ = 0.0;  ///< running sum of remaining
+  double err_ = 0.0;  ///< bound on |run_ − exact sum of remaining|
 };
 
 /// Statistics harvested per control epoch.
@@ -231,6 +256,10 @@ class Platform {
   EpochStats harvest();
   /// Instantaneous total queue depth (tasks waiting or running).
   [[nodiscard]] std::size_t queued() const;
+  /// Tasks waiting or running on one core.
+  [[nodiscard]] std::size_t queued(std::size_t core) const {
+    return queue_[core].size();
+  }
   /// Instantaneous power draw at current frequencies/occupancy, W.
   [[nodiscard]] double instantaneous_power() const;
 
@@ -264,7 +293,7 @@ class Platform {
 
  private:
   [[nodiscard]] double speed(std::size_t core) const;  // giga-ops/s
-  [[nodiscard]] std::size_t place(const Task& task) const;
+  [[nodiscard]] std::size_t place() const;
   void admit(Task task);
 
   PlatformConfig cfg_;

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace sa::ckpt {
 namespace {
@@ -36,6 +37,37 @@ TEST(CkptFormat, Crc32KnownVector) {
   // The classic IEEE 802.3 check value.
   EXPECT_EQ(crc32("123456789"), 0xcbf43926u);
   EXPECT_EQ(crc32(""), 0u);
+}
+
+// Bit-at-a-time CRC-32/ISO-HDLC: the definition the table-driven crc32
+// must match.
+std::uint32_t crc32_bitwise(std::string_view data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (char ch : data) {
+    crc ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(CkptFormat, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-300 cover the empty input, the byte-at-a-time tail alone,
+  // and many eight-byte blocks plus every tail length; offsets 0-7 cover
+  // every alignment of the first block.
+  std::string pool(308, '\0');
+  std::uint32_t x = 0x12345678u;
+  for (auto& ch : pool) {
+    x = x * 1664525u + 1013904223u;
+    ch = static_cast<char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string_view v(pool.data() + offset, len);
+      ASSERT_EQ(crc32(v), crc32_bitwise(v))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(CkptFormat, BufferCursorRoundTripExactBits) {

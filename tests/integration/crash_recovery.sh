@@ -14,6 +14,11 @@ BENCH=${1:?usage: crash_recovery.sh /path/to/bench_e15_city [workdir]}
 WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
 JOURNAL='20 cmd=inject&kind=link-loss&unit=0&mag=1.5&dur=10; 45 cmd=inject&kind=link-loss&unit=1&mag=2&dur=5'
+# Both kills land about a second into the run, so the run must last well
+# beyond that. E15's default three seeds (6 cells) finish in about 0.6 s
+# at --jobs 2 on an optimised build (4-vCPU Xeon VM); 24 seeds (48 cells)
+# take about 4 s there.
+SEEDS=24
 
 fail() { echo "crash_recovery: FAIL: $*" >&2; exit 1; }
 
@@ -29,7 +34,8 @@ same_results() { # reference.json candidate.json
 # signal the subshell rather than the bench.
 run_bench() { # out_json extra-args...
   local out=$1; shift
-  "$BENCH" --jobs 2 --json "$out" --control-journal "$JOURNAL" "$@"
+  "$BENCH" --jobs 2 --seeds "$SEEDS" --json "$out" \
+    --control-journal "$JOURNAL" "$@"
 }
 
 echo "== reference (uninterrupted) =="
@@ -38,7 +44,8 @@ run_bench "$WORK/ref.json" > "$WORK/ref.log" 2>&1 \
 
 echo "== leg 1: SIGKILL mid-flight, resume =="
 rm -f "$WORK/ck.sackpt" "$WORK/ck.sackpt.prev"
-"$BENCH" --jobs 2 --json "$WORK/int.json" --control-journal "$JOURNAL" \
+"$BENCH" --jobs 2 --seeds "$SEEDS" --json "$WORK/int.json" \
+  --control-journal "$JOURNAL" \
   --checkpoint "$WORK/ck.sackpt" --checkpoint-every 0.2 \
   > "$WORK/int.log" 2>&1 &
 PID=$!
@@ -60,7 +67,8 @@ same_results "$WORK/ref.json" "$WORK/res.json" \
 
 echo "== leg 2: SIGTERM writes partial json + final checkpoint, resume =="
 rm -f "$WORK/ck2.sackpt" "$WORK/ck2.sackpt.prev" "$WORK/part.json"
-"$BENCH" --jobs 2 --json "$WORK/part.json" --control-journal "$JOURNAL" \
+"$BENCH" --jobs 2 --seeds "$SEEDS" --json "$WORK/part.json" \
+  --control-journal "$JOURNAL" \
   --checkpoint "$WORK/ck2.sackpt" --checkpoint-every 60 \
   > "$WORK/part.log" 2>&1 &
 PID=$!
