@@ -94,7 +94,7 @@ void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
   out.u64(keys.size());
   for (const std::string& key : keys) {
     out.str(key);
-    const auto& history = kb.history(key);
+    const std::vector<core::KnowledgeItem> history = kb.history(key);
     out.u64(history.size());
     for (const core::KnowledgeItem& item : history) save_item(item, out);
   }

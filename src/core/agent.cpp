@@ -60,8 +60,8 @@ SelfAwareAgent::SelfAwareAgent(std::string id, AgentConfig cfg)
 
 void SelfAwareAgent::add_sensor(const std::string& name,
                                 std::function<double()> read) {
-  sensors_.emplace_back(name, std::move(read));
-  attention_.register_signal(name);
+  const std::size_t signal = attention_.register_signal(name);
+  sensors_.push_back({name, std::move(read), signal});
 }
 
 void SelfAwareAgent::add_action(const std::string& name,
@@ -82,24 +82,45 @@ void SelfAwareAgent::set_goal_metrics(std::vector<std::string> metrics) {
 
 Observation SelfAwareAgent::observe() {
   Observation obs;
-  const auto chosen = attention_.select(rng_);
-  for (const auto& [name, read] : sensors_) {
-    // With no budget (All) `chosen` holds every signal; otherwise sample
-    // only the attended subset.
-    if (std::find(chosen.begin(), chosen.end(), name) == chosen.end()) {
-      continue;
-    }
-    const double v = read();
+  // With no budget (All) every signal is chosen; otherwise sample only the
+  // attended subset.
+  attended_.assign(attention_.signals(), 0);
+  for (const std::size_t signal : attention_.select(rng_)) {
+    attended_[signal] = 1;
+  }
+  for (const Sensor& sensor : sensors_) {
+    if (!attended_[sensor.signal]) continue;
+    const double v = sensor.read();
     // A NaN read is a dropped-out sensor (the fault surface): skip it so
     // the key simply stops updating and its knowledge ages out.
     if (std::isnan(v)) {
       ++sensor_gaps_;
       continue;
     }
-    obs[name] = v;
-    attention_.feed(name, v);
+    obs[sensor.name] = v;
+    attention_.feed(sensor.signal, v);
   }
   return obs;
+}
+
+void SelfAwareAgent::mirror_readings(double t, const Observation& obs) {
+  if (!mirror_ids_.bind(kb_, "sensor") ||
+      mirror_keys_.size() != attention_.signals()) {
+    mirror_keys_.assign(attention_.signals(), KnowledgeBase::kNoKey);
+    by_name_.resize(attention_.signals());
+    for (std::size_t i = 0; i < by_name_.size(); ++i) by_name_[i] = i;
+    std::sort(by_name_.begin(), by_name_.end(),
+              [this](std::size_t a, std::size_t b) {
+                return attention_.name(a) < attention_.name(b);
+              });
+  }
+  // obs holds sampled signals in name order, a subset of by_name_.
+  auto next = by_name_.begin();
+  for (const auto& [sig, v] : obs) {
+    while (attention_.name(*next) != sig) ++next;
+    kb_.put_number(kb_.key(mirror_keys_[*next], sig), v, t, 1.0,
+                   Scope::Public, mirror_ids_.source());
+  }
 }
 
 void SelfAwareAgent::run_processes(double t, const Observation& obs) {
@@ -159,9 +180,7 @@ Decision SelfAwareAgent::step(double t) {
   // nothing else mirrors raw readings into the KB; do it here so higher
   // levels and policies can still see them.
   if (!stimulus_ || !active_levels_.has(Level::Stimulus)) {
-    for (const auto& [sig, v] : obs) {
-      kb_.put_number(sig, v, t, 1.0, Scope::Public, "sensor");
-    }
+    mirror_readings(t, obs);
   }
 
   // Knowledge: awareness processes fold the observation into the KB; the
@@ -288,7 +307,7 @@ std::string SelfAwareAgent::describe() const {
   if (!sensors_.empty()) {
     os << " (";
     for (std::size_t i = 0; i < sensors_.size(); ++i) {
-      os << (i ? ", " : "") << sensors_[i].first;
+      os << (i ? ", " : "") << sensors_[i].name;
     }
     os << ")";
   }

@@ -168,6 +168,9 @@ class SelfAwareAgent {
 
  private:
   Observation observe();
+  /// Writes this step's raw readings into the KB (stimulus awareness
+  /// off or paused), by cached id.
+  void mirror_readings(double t, const Observation& obs);
   void run_processes(double t, const Observation& obs);
   void explain_decision(double t, const Decision& d,
                         std::vector<sim::TraceId> cited);
@@ -186,7 +189,19 @@ class SelfAwareAgent {
   Explainer explainer_;
   AttentionManager attention_;
 
-  std::vector<std::pair<std::string, std::function<double()>>> sensors_;
+  struct Sensor {
+    std::string name;
+    std::function<double()> read;
+    std::size_t signal;  ///< attention registration index
+  };
+  std::vector<Sensor> sensors_;
+  std::vector<char> attended_;  ///< observe() scratch, by attention index
+  /// The raw-reading mirror's state, built on its first use: attention
+  /// indices in signal-name order (an Observation's order) and cached KB
+  /// ids by attention index.
+  std::vector<std::size_t> by_name_;
+  std::vector<KnowledgeBase::KeyId> mirror_keys_;
+  KnowledgeIds mirror_ids_;
   std::vector<std::string> action_names_;
   std::vector<std::function<void()>> actuators_;
   std::unique_ptr<Policy> policy_;

@@ -5,32 +5,40 @@
 
 namespace sa::core {
 
-void AttentionManager::register_signal(const std::string& name) {
-  if (state_.try_emplace(name).second) order_.push_back(name);
+std::size_t AttentionManager::register_signal(const std::string& name) {
+  const auto it = std::find(order_.begin(), order_.end(), name);
+  if (it != order_.end()) {
+    return static_cast<std::size_t>(it - order_.begin());
+  }
+  order_.push_back(name);
+  state_.emplace_back();
+  return order_.size() - 1;
 }
 
-std::vector<std::string> AttentionManager::select(sim::Rng& rng) {
-  std::vector<std::string> chosen;
-  if (order_.empty()) return chosen;
-  const std::size_t k = std::min(budget_, order_.size());
+const std::vector<std::size_t>& AttentionManager::select(sim::Rng& rng) {
+  chosen_.clear();
+  const std::size_t n = order_.size();
+  if (n == 0) return chosen_;
+  const std::size_t k = std::min(budget_, n);
 
   switch (strategy_) {
     case Strategy::All:
-      chosen = order_;
+      for (std::size_t i = 0; i < n; ++i) chosen_.push_back(i);
       break;
     case Strategy::RoundRobin:
       for (std::size_t i = 0; i < k; ++i) {
-        chosen.push_back(order_[(rr_cursor_ + i) % order_.size()]);
+        chosen_.push_back((rr_cursor_ + i) % n);
       }
-      rr_cursor_ = (rr_cursor_ + k) % order_.size();
+      rr_cursor_ = (rr_cursor_ + k) % n;
       break;
     case Strategy::Random: {
-      std::vector<std::size_t> idx(order_.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+      // A partial Fisher-Yates shuffle of the identity, fresh every step.
+      shuffle_.resize(n);
+      for (std::size_t i = 0; i < n; ++i) shuffle_[i] = i;
       for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t j = i + rng.below(idx.size() - i);
-        std::swap(idx[i], idx[j]);
-        chosen.push_back(order_[idx[i]]);
+        const std::size_t j = i + rng.below(n - i);
+        std::swap(shuffle_[i], shuffle_[j]);
+        chosen_.push_back(shuffle_[i]);
       }
       break;
     }
@@ -39,45 +47,44 @@ std::vector<std::string> AttentionManager::select(sim::Rng& rng) {
       // staleness term guarantees every signal is eventually sampled
       // (no starvation), the volatility term prioritises where change
       // is actually happening.
-      std::vector<std::pair<double, std::size_t>> scored;
-      scored.reserve(order_.size());
-      for (std::size_t i = 0; i < order_.size(); ++i) {
-        const auto& s = state_.at(order_[i]);
+      scored_.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        const SignalState& s = state_[i];
         const double sc = s.volatility.value() +
                           0.1 * static_cast<double>(s.staleness);
-        scored.emplace_back(sc, i);
+        scored_.emplace_back(sc, i);
       }
-      std::partial_sort(scored.begin(),
-                        scored.begin() + static_cast<std::ptrdiff_t>(k),
-                        scored.end(), [](const auto& a, const auto& b) {
+      std::partial_sort(scored_.begin(),
+                        scored_.begin() + static_cast<std::ptrdiff_t>(k),
+                        scored_.end(), [](const auto& a, const auto& b) {
                           return a.first != b.first ? a.first > b.first
                                                     : a.second < b.second;
                         });
-      for (std::size_t i = 0; i < k; ++i) {
-        chosen.push_back(order_[scored[i].second]);
-      }
+      for (std::size_t i = 0; i < k; ++i) chosen_.push_back(scored_[i].second);
       break;
     }
   }
 
   // Update staleness counters.
-  for (auto& [name, s] : state_) ++s.staleness;
-  for (const auto& name : chosen) state_.at(name).staleness = 0;
-  return chosen;
+  for (SignalState& s : state_) ++s.staleness;
+  for (const std::size_t i : chosen_) state_[i].staleness = 0;
+  return chosen_;
 }
 
-void AttentionManager::feed(const std::string& name, double value) {
-  const auto it = state_.find(name);
-  if (it == state_.end()) return;
-  auto& s = it->second;
+void AttentionManager::feed(std::size_t index, double value) {
+  if (index >= state_.size()) return;
+  SignalState& s = state_[index];
   if (s.has_value) s.volatility.add(std::fabs(value - s.last_value));
   s.last_value = value;
   s.has_value = true;
 }
 
 double AttentionManager::score(const std::string& name) const {
-  const auto it = state_.find(name);
-  return it == state_.end() ? 0.0 : it->second.volatility.value();
+  const auto it = std::find(order_.begin(), order_.end(), name);
+  return it == order_.end()
+             ? 0.0
+             : state_[static_cast<std::size_t>(it - order_.begin())]
+                   .volatility.value();
 }
 
 }  // namespace sa::core

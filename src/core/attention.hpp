@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,18 +31,24 @@ class AttentionManager {
   AttentionManager(Strategy strategy, std::size_t budget)
       : strategy_(strategy), budget_(budget) {}
 
-  /// Declares a signal that may be attended to.
-  void register_signal(const std::string& name);
+  /// Declares a signal that may be attended to; returns its index in
+  /// registration order (the existing index for a repeated name).
+  std::size_t register_signal(const std::string& name);
 
-  /// Chooses which signals to sample this step.
-  [[nodiscard]] std::vector<std::string> select(sim::Rng& rng);
+  /// Chooses which signals to sample this step, as registration indices.
+  /// The reference is valid until the next select().
+  [[nodiscard]] const std::vector<std::size_t>& select(sim::Rng& rng);
 
-  /// Reports the value obtained for a sampled signal (drives the
-  /// volatility model behind Adaptive).
-  void feed(const std::string& name, double value);
+  /// Reports the value obtained for sampled signal `index` (drives the
+  /// volatility model behind Adaptive). Unknown indices are ignored.
+  void feed(std::size_t index, double value);
 
   /// Current attention score of a signal (Adaptive; 0 otherwise).
   [[nodiscard]] double score(const std::string& name) const;
+  /// Name of the signal registered at `index`.
+  [[nodiscard]] const std::string& name(std::size_t index) const {
+    return order_[index];
+  }
   [[nodiscard]] Strategy strategy() const noexcept { return strategy_; }
   [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
   [[nodiscard]] std::size_t signals() const noexcept { return order_.size(); }
@@ -58,9 +63,13 @@ class AttentionManager {
 
   Strategy strategy_;
   std::size_t budget_;
-  std::vector<std::string> order_;           // registration order
-  std::map<std::string, SignalState> state_;
+  std::vector<std::string> order_;     // registration order
+  std::vector<SignalState> state_;     // parallel to order_
   std::size_t rr_cursor_ = 0;
+  // select() scratch, reused every step.
+  std::vector<std::size_t> chosen_;
+  std::vector<std::size_t> shuffle_;
+  std::vector<std::pair<double, std::size_t>> scored_;
 };
 
 }  // namespace sa::core

@@ -4,16 +4,25 @@ namespace sa::core {
 
 void GoalAwareness::update(double t, const Observation& obs,
                            KnowledgeBase& kb) {
+  if (!ids_.bind(kb, name())) {
+    metric_keys_.assign(metrics_.size(), KnowledgeBase::kNoKey);
+    k_utility_ = k_trend_ = k_feasible_ = k_violations_ = KnowledgeBase::kNoKey;
+    breakdown_keys_.clear();
+  }
+  const KnowledgeBase::SourceId src = ids_.source();
   last_metrics_.clear();
-  for (const auto& key : metrics_) {
+  for (std::size_t i = 0; i < metrics_.size(); ++i) {
+    const std::string& key = metrics_[i];
     // Fresh observation wins; otherwise fall back to the KB's latest view
     // (the metric may be produced by another process, or unsampled this
     // step under an attention budget).
     if (const auto it = obs.find(key); it != obs.end()) {
       last_metrics_[key] = it->second;
-    } else if (kb.contains(key)) {
-      last_metrics_[key] = kb.number(key);
+      continue;
     }
+    KnowledgeBase::KeyId& id = metric_keys_[i];
+    if (id == KnowledgeBase::kNoKey) id = kb.find(key);
+    if (id != KnowledgeBase::kNoKey) last_metrics_[key] = kb.number(id);
   }
 
   utility_ = goals_.utility(last_metrics_);
@@ -21,17 +30,29 @@ void GoalAwareness::update(double t, const Observation& obs,
   trend_.add(utility_);
   ++updates_;
 
-  kb.put_number("goal.utility", utility_, t, 1.0, Scope::Private, name());
-  kb.put_number("goal.utility.trend", trend_.value(), t, 1.0, Scope::Private,
-                name());
-  kb.put_number("goal.feasible", feasible_ ? 1.0 : 0.0, t, 1.0,
-                Scope::Private, name());
+  kb.put_number(kb.key(k_utility_, "goal.utility"), utility_, t, 1.0,
+                Scope::Private, src);
+  kb.put_number(kb.key(k_trend_, "goal.utility.trend"), trend_.value(), t,
+                1.0, Scope::Private, src);
+  kb.put_number(kb.key(k_feasible_, "goal.feasible"), feasible_ ? 1.0 : 0.0,
+                t, 1.0, Scope::Private, src);
   const auto violated = goals_.violations(last_metrics_);
-  kb.put_number("goal.violations", static_cast<double>(violated.size()), t,
-                1.0, Scope::Private, name());
-  for (const auto& [metric, u] : goals_.breakdown(last_metrics_)) {
-    kb.put_number("goal." + metric + ".utility", u, t, 1.0, Scope::Private,
-                  name());
+  kb.put_number(kb.key(k_violations_, "goal.violations"),
+                static_cast<double>(violated.size()), t, 1.0, Scope::Private,
+                src);
+  const auto breakdown = goals_.breakdown(last_metrics_);
+  if (breakdown_keys_.size() < breakdown.size()) {
+    breakdown_keys_.resize(breakdown.size(), {{}, KnowledgeBase::kNoKey});
+  }
+  for (std::size_t i = 0; i < breakdown.size(); ++i) {
+    const auto& [metric, u] = breakdown[i];
+    auto& [cached_metric, id] = breakdown_keys_[i];
+    if (cached_metric != metric) {  // new objective at this position
+      cached_metric = metric;
+      id = KnowledgeBase::kNoKey;
+    }
+    kb.put_number(kb.key(id, "goal.", metric, ".utility"), u, t, 1.0,
+                  Scope::Private, src);
   }
 }
 

@@ -50,6 +50,16 @@ class GoalAwareness final : public AwarenessProcess {
   GoalModel& goals_;
   std::vector<std::string> metrics_;
   MetricMap last_metrics_;
+  // Cached KB ids: the metrics read back (parallel to metrics_, resolved
+  // once the key exists), the fixed "goal.*" keys, and one
+  // "goal.<metric>.utility" per breakdown position with its metric name.
+  KnowledgeIds ids_;
+  std::vector<KnowledgeBase::KeyId> metric_keys_;
+  KnowledgeBase::KeyId k_utility_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_trend_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_feasible_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_violations_ = KnowledgeBase::kNoKey;
+  std::vector<std::pair<std::string, KnowledgeBase::KeyId>> breakdown_keys_;
   double utility_ = 0.0;
   bool feasible_ = true;
   learn::Ewma trend_{0.05};

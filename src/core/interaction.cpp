@@ -31,20 +31,27 @@ void InteractionAwareness::record_peer_state(const std::string& peer,
 void InteractionAwareness::update(double t, const Observation& obs,
                                   KnowledgeBase& kb) {
   (void)obs;  // interactions arrive via record_*; obs unused at this level
-  for (const auto& [peer, m] : peers_) {
+  if (!ids_.bind(kb, name())) {
+    for (auto& [peer, m] : peers_) {
+      (void)peer;
+      m.k_reliability = m.k_interactions = m.k_value = m.k_predicted =
+          KnowledgeBase::kNoKey;
+    }
+  }
+  const KnowledgeBase::SourceId src = ids_.source();
+  for (auto& [peer, m] : peers_) {
     const double conf =
         1.0 - std::exp(-static_cast<double>(m.count) / 10.0);
-    const std::string base = "peer." + peer + ".";
-    kb.put_number(base + "reliability", m.reliability.value(), t, conf,
-                  Scope::Private, name());
-    kb.put_number(base + "interactions", static_cast<double>(m.count), t, 1.0,
-                  Scope::Private, name());
-    kb.put_number(base + "value", m.value.value(), t, conf, Scope::Private,
-                  name());
+    kb.put_number(kb.key(m.k_reliability, "peer.", peer, ".reliability"),
+                  m.reliability.value(), t, conf, Scope::Private, src);
+    kb.put_number(kb.key(m.k_interactions, "peer.", peer, ".interactions"),
+                  static_cast<double>(m.count), t, 1.0, Scope::Private, src);
+    kb.put_number(kb.key(m.k_value, "peer.", peer, ".value"), m.value.value(),
+                  t, conf, Scope::Private, src);
     if (p_.peer_states > 0 && m.behaviour.observations() > 1) {
-      kb.put_number(base + "predicted_state",
+      kb.put_number(kb.key(m.k_predicted, "peer.", peer, ".predicted_state"),
                     static_cast<double>(m.behaviour.predict_next()), t, conf,
-                    Scope::Private, name());
+                    Scope::Private, src);
     }
   }
 }

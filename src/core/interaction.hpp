@@ -57,6 +57,11 @@ class InteractionAwareness final : public AwarenessProcess {
     learn::Ewma value;
     std::size_t count = 0;
     learn::MarkovPredictor behaviour;
+    /// Cached ids of the "peer.<id>." keys this model publishes.
+    KnowledgeBase::KeyId k_reliability = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId k_interactions = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId k_value = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId k_predicted = KnowledgeBase::kNoKey;
     PeerModel(double alpha, std::size_t states)
         : reliability(alpha), value(alpha),
           behaviour(states == 0 ? 1 : states) {}
@@ -65,6 +70,7 @@ class InteractionAwareness final : public AwarenessProcess {
 
   Params p_;
   std::map<std::string, PeerModel> peers_;
+  KnowledgeIds ids_;
 };
 
 }  // namespace sa::core

@@ -3,7 +3,7 @@
 namespace sa::core {
 
 void MetaSelfAwareness::watch(AwarenessProcess& proc) {
-  watched_.push_back(&proc);
+  watched_.push_back({&proc});
 }
 
 void MetaSelfAwareness::on_drift(std::string name, Adaptation a) {
@@ -19,16 +19,31 @@ void MetaSelfAwareness::update(double t, const Observation& obs,
                                KnowledgeBase& kb) {
   (void)obs;
   ++updates_;
+  constexpr KnowledgeBase::KeyId kNoKey = KnowledgeBase::kNoKey;
+  if (!ids_.bind(kb, name())) {
+    for (Watched& w : watched_) w.k_quality = w.k_reconfigured = kNoKey;
+    k_goal_utility_ = k_goal_trend_ = k_drift_detected_ = k_drift_count_ =
+        k_adaptations_ = kNoKey;
+  }
+  const KnowledgeBase::SourceId src = ids_.source();
 
   // 1. Introspect the watched processes' self-assessed quality.
-  for (AwarenessProcess* proc : watched_) {
-    auto [it, inserted] =
-        qualities_.try_emplace(proc->name(), p_.quality_alpha);
-    it->second.add(proc->quality());
-    kb.put_number("meta." + proc->name() + ".quality", it->second.value(), t,
-                  1.0, Scope::Private, name());
+  for (Watched& w : watched_) {
+    AwarenessProcess* proc = w.proc;
+    bool inserted = false;
+    if (w.quality == nullptr) {
+      auto [it, fresh] = qualities_.try_emplace(proc->name(), p_.quality_alpha);
+      w.quality = &it->second;
+      inserted = fresh;
+    }
+    learn::Ewma& quality = *w.quality;
+    quality.add(proc->quality());
+    if (w.k_quality == kNoKey) {
+      kb.key(w.k_quality, "meta.", proc->name(), ".quality");
+    }
+    kb.put_number(w.k_quality, quality.value(), t, 1.0, Scope::Private, src);
     if (!inserted && updates_ > p_.grace_updates &&
-        it->second.value() < p_.quality_floor) {
+        quality.value() < p_.quality_floor) {
       const auto [lo, hi] = collapse_hooks_.equal_range(proc->name());
       if (lo != hi) {
         for (auto h = lo; h != hi; ++h) {
@@ -39,9 +54,11 @@ void MetaSelfAwareness::update(double t, const Observation& obs,
         proc->reconfigure();
         ++fired_;
       }
-      it->second.reset();  // give the reconfigured process a fresh start
-      kb.put_number("meta." + proc->name() + ".reconfigured", 1.0, t, 1.0,
-                    Scope::Private, name());
+      quality.reset();  // give the reconfigured process a fresh start
+      if (w.k_reconfigured == kNoKey) {
+        kb.key(w.k_reconfigured, "meta.", proc->name(), ".reconfigured");
+      }
+      kb.put_number(w.k_reconfigured, 1.0, t, 1.0, Scope::Private, src);
     }
   }
 
@@ -52,12 +69,15 @@ void MetaSelfAwareness::update(double t, const Observation& obs,
   //    After an adaptation the detector rests for a grace period so that
   //    the recovery ramp is not itself flagged as drift.
   if (cooldown_left_ > 0) --cooldown_left_;
-  const std::string utility_key = kb.contains("goal.utility.trend")
-                                      ? "goal.utility.trend"
-                                      : "goal.utility";
-  if (kb.contains(utility_key) && updates_ > p_.grace_updates &&
+  if (k_goal_trend_ == kNoKey) k_goal_trend_ = kb.find("goal.utility.trend");
+  if (k_goal_trend_ == kNoKey && k_goal_utility_ == kNoKey) {
+    k_goal_utility_ = kb.find("goal.utility");
+  }
+  const KnowledgeBase::KeyId utility =
+      k_goal_trend_ != kNoKey ? k_goal_trend_ : k_goal_utility_;
+  if (utility != kNoKey && updates_ > p_.grace_updates &&
       cooldown_left_ == 0) {
-    if (drift_.add(kb.number(utility_key))) {
+    if (drift_.add(kb.number(utility))) {
       cooldown_left_ = p_.grace_updates;
       ++drifts_;
       for (auto& [hook_name, hook] : drift_hooks_) {
@@ -66,16 +86,16 @@ void MetaSelfAwareness::update(double t, const Observation& obs,
         ++fired_;
       }
       // Stale awareness models are part of the problem: refresh them.
-      for (AwarenessProcess* proc : watched_) proc->reconfigure();
-      kb.put_number("meta.drift.detected", 1.0, t, 1.0, Scope::Private,
-                    name());
+      for (Watched& w : watched_) w.proc->reconfigure();
+      kb.put_number(kb.key(k_drift_detected_, "meta.drift.detected"), 1.0, t,
+                    1.0, Scope::Private, src);
     }
   }
 
-  kb.put_number("meta.drift.count", static_cast<double>(drifts_), t, 1.0,
-                Scope::Private, name());
-  kb.put_number("meta.adaptations", static_cast<double>(fired_), t, 1.0,
-                Scope::Private, name());
+  kb.put_number(kb.key(k_drift_count_, "meta.drift.count"),
+                static_cast<double>(drifts_), t, 1.0, Scope::Private, src);
+  kb.put_number(kb.key(k_adaptations_, "meta.adaptations"),
+                static_cast<double>(fired_), t, 1.0, Scope::Private, src);
 }
 
 double MetaSelfAwareness::process_quality(const std::string& proc) const {

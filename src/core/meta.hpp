@@ -76,9 +76,26 @@ class MetaSelfAwareness final : public AwarenessProcess {
   [[nodiscard]] double quality() const override;
 
  private:
+  /// A watched process, its quality model (an entry of qualities_, made
+  /// on its first update) and the cached ids of its "meta.<proc>." keys.
+  struct Watched {
+    AwarenessProcess* proc;
+    learn::Ewma* quality = nullptr;
+    KnowledgeBase::KeyId k_quality = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId k_reconfigured = KnowledgeBase::kNoKey;
+  };
+
   Params p_;
-  std::vector<AwarenessProcess*> watched_;
+  std::vector<Watched> watched_;
   std::map<std::string, learn::Ewma> qualities_;
+  KnowledgeIds ids_;
+  // Cached ids: the utility streams read (resolved once they exist) and
+  // the fixed "meta.*" keys written.
+  KnowledgeBase::KeyId k_goal_utility_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_goal_trend_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_drift_detected_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_drift_count_ = KnowledgeBase::kNoKey;
+  KnowledgeBase::KeyId k_adaptations_ = KnowledgeBase::kNoKey;
   std::vector<std::pair<std::string, Adaptation>> drift_hooks_;
   std::multimap<std::string, Adaptation> collapse_hooks_;
   learn::PageHinkley drift_;

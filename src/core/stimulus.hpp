@@ -63,9 +63,19 @@ class StimulusAwareness final : public AwarenessProcess {
   void reconfigure() override;
 
  private:
+  /// A signal's baseline model and the KB keys it writes (cached ids).
+  struct Model {
+    explicit Model(double alpha) : var(alpha) {}
+    learn::EwmaVar var;
+    KnowledgeBase::KeyId raw = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId baseline = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId novel = KnowledgeBase::kNoKey;
+  };
+
   Params p_;
-  std::map<std::string, learn::EwmaVar> models_;
+  std::map<std::string, Model> models_;
   std::vector<StimulusEvent> events_;
+  KnowledgeIds ids_;
 };
 
 }  // namespace sa::core

@@ -36,6 +36,13 @@ TimeAwareness::Ensemble TimeAwareness::make_ensemble() const {
 
 void TimeAwareness::update(double t, const Observation& obs,
                            KnowledgeBase& kb) {
+  if (!ids_.bind(kb, name())) {
+    for (auto& [sig, ens] : signals_) {
+      (void)sig;
+      ens.forecast = ens.mae = ens.model = KnowledgeBase::kNoKey;
+    }
+  }
+  const KnowledgeBase::SourceId src = ids_.source();
   for (const auto& [sig, value] : obs) {
     if (!only_.empty() &&
         std::find(only_.begin(), only_.end(), sig) == only_.end()) {
@@ -53,12 +60,12 @@ void TimeAwareness::update(double t, const Observation& obs,
     const double conf =
         winner.scored() > 0 ? 1.0 / (1.0 + winner.mae() / p_.error_scale)
                             : 0.0;
-    kb.put_number("forecast." + sig, winner.forecast(1), t, conf,
-                  Scope::Private, name());
-    kb.put_number("forecast." + sig + ".mae", winner.mae(), t, 1.0,
-                  Scope::Private, name());
-    kb.put_number("forecast." + sig + ".model", static_cast<double>(b), t, 1.0,
-                  Scope::Private, name());
+    kb.put_number(kb.key(ens.forecast, "forecast.", sig), winner.forecast(1),
+                  t, conf, Scope::Private, src);
+    kb.put_number(kb.key(ens.mae, "forecast.", sig, ".mae"), winner.mae(), t,
+                  1.0, Scope::Private, src);
+    kb.put_number(kb.key(ens.model, "forecast.", sig, ".model"),
+                  static_cast<double>(b), t, 1.0, Scope::Private, src);
   }
 }
 

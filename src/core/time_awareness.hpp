@@ -58,6 +58,10 @@ class TimeAwareness final : public AwarenessProcess {
  private:
   struct Ensemble {
     std::vector<learn::ScoredForecaster> members;
+    /// Cached ids of "forecast.<sig>", its ".mae" and ".model".
+    KnowledgeBase::KeyId forecast = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId mae = KnowledgeBase::kNoKey;
+    KnowledgeBase::KeyId model = KnowledgeBase::kNoKey;
     [[nodiscard]] std::size_t best() const;
   };
   [[nodiscard]] Ensemble make_ensemble() const;
@@ -65,6 +69,7 @@ class TimeAwareness final : public AwarenessProcess {
   Params p_;
   std::map<std::string, Ensemble> signals_;
   std::vector<std::string> only_;
+  KnowledgeIds ids_;
 };
 
 }  // namespace sa::core

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 namespace sa::core {
 namespace {
 
@@ -224,6 +231,151 @@ TEST(KnowledgeBase, ClearRemovesEverything) {
   kb.clear();
   EXPECT_EQ(kb.size(), 0u);
   EXPECT_FALSE(kb.contains("x"));
+}
+
+TEST(KnowledgeBase, CopyOutlivesOriginal) {
+  // A copy owns its key table: looking keys up after the original is gone
+  // must not touch the original's storage (run under ASan in CI).
+  auto original = std::make_unique<KnowledgeBase>(4);
+  original->put_number("a.long.key.name.beyond.small.string", 1.0, 0.0, 0.5,
+                       Scope::Public, "a.long.source.name.beyond.sso");
+  original->put("label", KnowledgeItem{Value{std::string("x")}, 1.0, 1.0,
+                                       Scope::Private, ""});
+  KnowledgeBase copy(*original);
+  KnowledgeBase assigned;
+  assigned = *original;
+  original.reset();
+  for (KnowledgeBase* kb : {&copy, &assigned}) {
+    EXPECT_DOUBLE_EQ(kb->number("a.long.key.name.beyond.small.string"), 1.0);
+    ASSERT_TRUE(kb->latest("label").has_value());
+    EXPECT_EQ(std::get<std::string>(kb->latest("label")->value), "x");
+    kb->put_number("a.long.key.name.beyond.small.string", 2.0, 1.0);
+    kb->put_number("new", 3.0, 1.0);
+    EXPECT_DOUBLE_EQ(kb->number("a.long.key.name.beyond.small.string"), 2.0);
+    EXPECT_EQ(kb->keys(),
+              (std::vector<std::string>{"a.long.key.name.beyond.small.string",
+                                        "label", "new"}));
+    EXPECT_EQ(kb->history("a.long.key.name.beyond.small.string")[0].source,
+              "a.long.source.name.beyond.sso");
+  }
+}
+
+TEST(KnowledgeBase, MovedToBaseKeepsItsKnowledge) {
+  KnowledgeBase a;
+  a.put_number("x", 1.0, 0.0);
+  const auto before = a.incarnation();
+  KnowledgeBase b(std::move(a));
+  EXPECT_DOUBLE_EQ(b.number("x"), 1.0);
+  EXPECT_NE(b.incarnation(), before);
+  KnowledgeBase c;
+  c = std::move(b);
+  EXPECT_DOUBLE_EQ(c.number("x"), 1.0);
+  c.put_number("y", 2.0, 1.0);
+  EXPECT_EQ(c.keys(), (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(KnowledgeBase, ScalarValuesRoundTripBitExactly) {
+  KnowledgeBase kb;
+  const std::vector<Value> values{
+      Value{true},
+      Value{false},
+      Value{std::int64_t{-9007199254740993}},
+      Value{-0.0},
+      Value{std::numeric_limits<double>::quiet_NaN()},
+      Value{std::numeric_limits<double>::denorm_min()},
+  };
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    kb.put("v", KnowledgeItem{values[i], static_cast<double>(i), 0.25,
+                              Scope::Public, "src"});
+  }
+  const auto hist = kb.history("v");
+  ASSERT_EQ(hist.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(hist[i].value.index(), values[i].index());
+    if (const auto* d = std::get_if<double>(&values[i])) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(std::get<double>(hist[i].value)),
+                std::bit_cast<std::uint64_t>(*d));
+    } else {
+      EXPECT_EQ(hist[i].value, values[i]);
+    }
+    EXPECT_EQ(hist[i].source, "src");
+    EXPECT_EQ(hist[i].scope, Scope::Public);
+    EXPECT_DOUBLE_EQ(hist[i].confidence, 0.25);
+  }
+  EXPECT_DOUBLE_EQ(kb.number("v"), std::numeric_limits<double>::denorm_min());
+}
+
+TEST(KnowledgeBase, NonScalarHistorySurvivesRingWrap) {
+  // Strings and vectors live beside the ring; a wrapped ring must still
+  // read back the newest values, interleaved with scalars, in order.
+  KnowledgeBase kb(3);
+  std::vector<Value> written;
+  for (int i = 0; i < 20; ++i) {
+    Value v;
+    switch (i % 3) {
+      case 0: v = Value{std::string(20 + i, static_cast<char>('a' + i))};
+        break;
+      case 1: v = Value{std::vector<double>(static_cast<std::size_t>(i), 1.5)};
+        break;
+      default: v = Value{static_cast<double>(i)};
+        break;
+    }
+    written.push_back(v);
+    kb.put("k", KnowledgeItem{v, static_cast<double>(i), 1.0,
+                              Scope::Private, ""});
+  }
+  const auto hist = kb.history("k");
+  ASSERT_EQ(hist.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(hist[i].value, written[written.size() - 3 + i]);
+  }
+}
+
+TEST(KnowledgeBase, HistorylessStoreHandsListenersTheValue) {
+  KnowledgeBase kb(0);
+  std::vector<Value> seen;
+  kb.subscribe([&](const std::string&, const KnowledgeItem& item) {
+    seen.push_back(item.value);
+  });
+  kb.put("s", KnowledgeItem{Value{std::string("label")}, 0.0, 1.0,
+                            Scope::Private, ""});
+  kb.put_number("n", 2.5, 0.0);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], Value{std::string("label")});
+  EXPECT_EQ(seen[1], Value{2.5});
+  EXPECT_TRUE(kb.contains("s"));
+  EXPECT_TRUE(kb.history("s").empty());
+}
+
+TEST(KnowledgeBase, IdPathSharesTheStringPathStore) {
+  KnowledgeBase kb;
+  KnowledgeBase::KeyId cached = KnowledgeBase::kNoKey;
+  const auto id = kb.key(cached, "forecast.", "load", ".mae");
+  EXPECT_EQ(cached, id);
+  EXPECT_EQ(kb.find("forecast.load.mae"), id);
+  EXPECT_EQ(kb.key(cached, "ignored"), id);  // resolved ids are kept
+  kb.put_number(id, 4.0, 1.0, 0.5, Scope::Public, kb.source_id("time"));
+  EXPECT_DOUBLE_EQ(kb.number("forecast.load.mae"), 4.0);
+  EXPECT_DOUBLE_EQ(kb.number(id), 4.0);
+  EXPECT_EQ(kb.latest("forecast.load.mae")->source, "time");
+  kb.put_number("forecast.load.mae", 5.0, 2.0);
+  EXPECT_DOUBLE_EQ(kb.number(id), 5.0);
+  EXPECT_EQ(kb.find("absent"), KnowledgeBase::kNoKey);
+  EXPECT_DOUBLE_EQ(kb.number(KnowledgeBase::kNoKey, -1.0), -1.0);
+}
+
+TEST(KnowledgeBase, ClearStartsANewIncarnation) {
+  KnowledgeBase kb;
+  KnowledgeIds ids;
+  EXPECT_FALSE(ids.bind(kb, "proc"));  // first sight
+  EXPECT_TRUE(ids.bind(kb, "proc"));
+  kb.put_number(kb.key("x"), 1.0, 0.0, 1.0, Scope::Private, ids.source());
+  EXPECT_EQ(kb.latest("x")->source, "proc");
+  kb.clear();
+  EXPECT_FALSE(ids.bind(kb, "proc"));  // cached ids must be re-resolved
+  KnowledgeBase other;
+  EXPECT_FALSE(ids.bind(other, "proc"));
+  EXPECT_NE(other.incarnation(), kb.incarnation());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Steady-state allocation regression tests for the data-oriented hot
 // paths: once an Engine's slot arena and heap have warmed up, scheduling
 // and dispatching events must not touch the heap; once a KnowledgeBase
-// key exists, reads (number/confidence/fresh/contains/history) and
+// key exists, reads (number/confidence/fresh/contains/latest) and
 // ring-overwrite writes must not either. These contracts are what the
 // pooled-kernel/interned-store refactor bought — a regression here is a
 // performance bug even while every behavioural test still passes.
@@ -87,9 +87,8 @@ TEST(KnowledgeAlloc, ReadPathsAreAllocFree) {
     acc += kb.confidence("metric.13");
     all = all && kb.contains("metric.0");
     all = all && kb.fresh("metric.21", 0.5);
-    const auto& h = kb.history("metric.3");
-    if (!h.empty()) {
-      if (const auto* d = std::get_if<double>(&h.back().value)) acc += *d;
+    if (const auto item = kb.latest("metric.3")) {
+      if (const auto* d = std::get_if<double>(&item->value)) acc += *d;
     }
   }
   EXPECT_EQ(allocs(), before) << "knowledge read path allocated";
@@ -110,6 +109,49 @@ TEST(KnowledgeAlloc, RingOverwriteWriteIsAllocFree) {
   EXPECT_EQ(allocs(), before) << "ring-overwrite put_number allocated";
   EXPECT_EQ(kb.history("sensor.load").size(), 8u);
   EXPECT_EQ(kb.number("sensor.load"), 999.0);
+}
+
+TEST(KnowledgeAlloc, CachedIdWriteIsAllocFree) {
+  // The awareness processes' hot path: ids resolved once, then every write
+  // by id. Once the rings are full no write touches the heap.
+  sa::core::KnowledgeBase kb(8);
+  sa::core::KnowledgeBase::KeyId ids[3] = {
+      sa::core::KnowledgeBase::kNoKey, sa::core::KnowledgeBase::kNoKey,
+      sa::core::KnowledgeBase::kNoKey};
+  const auto src = kb.source_id("time");
+  auto write = [&](int i) {
+    const double t = static_cast<double>(i);
+    kb.put_number(kb.key(ids[0], "forecast.", "tracking"), t, t, 1.0,
+                  sa::core::Scope::Private, src);
+    kb.put_number(kb.key(ids[1], "forecast.", "tracking", ".mae"), t, t, 1.0,
+                  sa::core::Scope::Private, src);
+    kb.put_number(kb.key(ids[2], "forecast.", "tracking", ".model"), t, t,
+                  1.0, sa::core::Scope::Private, src);
+  };
+  for (int i = 0; i < 16; ++i) write(i);
+  const auto before = allocs();
+  for (int i = 16; i < 1016; ++i) write(i);
+  EXPECT_EQ(allocs(), before) << "cached-id put_number allocated";
+  EXPECT_EQ(kb.number("forecast.tracking.mae"), 1015.0);
+}
+
+TEST(KnowledgeAlloc, BoxedValueOverwriteReusesItsStorage) {
+  // A string value lives beside the ring; the write that overwrites its
+  // slot reclaims it, so a wrapped ring of strings stays bounded: warm
+  // writes of small (SSO) strings allocate nothing at all.
+  sa::core::KnowledgeBase kb(4);
+  auto put = [&](int i) {
+    kb.put("label", sa::core::KnowledgeItem{
+                        sa::core::Value{std::string(1, static_cast<char>(
+                                                           'a' + i % 26))},
+                        static_cast<double>(i), 1.0,
+                        sa::core::Scope::Private, ""});
+  };
+  for (int i = 0; i < 16; ++i) put(i);
+  const auto before = allocs();
+  for (int i = 16; i < 1016; ++i) put(i);
+  EXPECT_EQ(allocs(), before) << "boxed overwrite grew the side store";
+  EXPECT_EQ(kb.history("label").size(), 4u);
 }
 
 TEST(KnowledgeAlloc, StringViewLookupNeedsNoTemporaryString) {
