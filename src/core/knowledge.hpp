@@ -33,7 +33,7 @@
 // view points into another base) and start a new incarnation.
 //
 // A camera agent of the svc case study holds 33 keys; after its 4 metro
-// epochs its base is ~12 KB (33 rings of 4 slots, the id tables, the name
+// epochs its base is ~10 KB (33 rings of 4 slots, the id tables, the name
 // string), down from ~35 KB with 104-byte items in rings reserved to 8.
 #pragma once
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "learn/bandit.hpp"
 
@@ -56,6 +58,46 @@ TEST(SelfAwareAgent, SensorsReachKnowledgeEvenWithoutStimulusLevel) {
   a.add_sensor("x", [] { return 4.0; });
   a.step(0.0);
   EXPECT_DOUBLE_EQ(a.knowledge().number("x"), 4.0);
+}
+
+TEST(SelfAwareAgent, ProcessesRewriteTheirKeysAfterKnowledgeClear) {
+  // Every process caches the ids of the keys it writes; clearing the base
+  // renews its incarnation, so each process must re-resolve its ids
+  // instead of writing through stale ones.
+  SelfAwareAgent a("cleared", quiet_config());
+  a.add_sensor("load", [] { return 2.0; });
+  a.set_goal_metrics({"load"});
+  a.goals().add_objective({"load", utility::falling(0.0, 10.0), 1.0});
+  a.record_interaction("peer", true);
+  for (int i = 0; i < 3; ++i) a.step(static_cast<double>(i));
+  const std::vector<std::string> before = a.knowledge().keys();
+  a.knowledge().clear();
+  a.step(3.0);
+  EXPECT_EQ(a.knowledge().keys(), before);
+  EXPECT_DOUBLE_EQ(a.knowledge().number("load"), 2.0);
+  EXPECT_EQ(a.knowledge().history("forecast.load").size(), 1u);
+  EXPECT_EQ(a.knowledge().latest("goal.load.utility")->source, "goal");
+  EXPECT_EQ(a.knowledge().latest("peer.peer.reliability")->source,
+            "interaction");
+  EXPECT_EQ(a.knowledge().latest("meta.time.quality")->source, "meta");
+}
+
+TEST(SelfAwareAgent, RawReadingsMirrorByIdWithoutStimulus) {
+  // With stimulus awareness paused the agent mirrors raw readings itself;
+  // a sensor registered after the first step gets a key too.
+  SelfAwareAgent a("mirror", quiet_config());
+  a.set_active_levels(LevelSet{});
+  a.add_sensor("b", [] { return 2.0; });
+  a.add_sensor("a", [] { return 1.0; });
+  a.step(0.0);
+  a.add_sensor("c", [] { return 3.0; });
+  a.step(1.0);
+  EXPECT_EQ(a.knowledge().keys(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(a.knowledge().history("a").size(), 2u);
+  EXPECT_EQ(a.knowledge().history("c").size(), 1u);
+  EXPECT_DOUBLE_EQ(a.knowledge().number("c"), 3.0);
+  EXPECT_EQ(a.knowledge().latest("b")->source, "sensor");
+  EXPECT_EQ(a.knowledge().latest("b")->scope, Scope::Public);
 }
 
 TEST(SelfAwareAgent, DecisionsActuate) {

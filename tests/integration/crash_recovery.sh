@@ -15,12 +15,20 @@ WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
 JOURNAL='20 cmd=inject&kind=link-loss&unit=0&mag=1.5&dur=10; 45 cmd=inject&kind=link-loss&unit=1&mag=2&dur=5'
 # Both kills land about a second into the run, so the run must last well
-# beyond that. E15's default three seeds (6 cells) finish in about 0.6 s
+# beyond that. E15's default three seeds (6 cells) finish in about 0.5 s
 # at --jobs 2 on an optimised build (4-vCPU Xeon VM); 24 seeds (48 cells)
-# take about 4 s there.
+# take about 2.8 s there, and each kill lands with about half the cells
+# done.
 SEEDS=24
 
 fail() { echo "crash_recovery: FAIL: $*" >&2; exit 1; }
+
+# Each leg signals the bench mid-flight. A bench that already exited
+# would make the leg test nothing (and fail later with an opaque exit
+# code), so check it is still alive right before the signal.
+alive_or_fail() { # pid
+  kill -0 "$1" 2>/dev/null || fail "E15 finished before the kill; raise SEEDS"
+}
 
 # A resumed process executes fewer engine events (completed cells never
 # re-run), so events_total is process-local here.
@@ -55,6 +63,7 @@ for _ in $(seq 1 400); do
 done
 [ -f "$WORK/ck.sackpt" ] || { kill -9 "$PID"; fail "no checkpoint appeared"; }
 sleep 1.0  # let some cells complete so the resume actually skips work
+alive_or_fail "$PID"
 kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null
 run_bench "$WORK/res.json" --checkpoint "$WORK/ck.sackpt" \
@@ -73,6 +82,7 @@ rm -f "$WORK/ck2.sackpt" "$WORK/ck2.sackpt.prev" "$WORK/part.json"
   > "$WORK/part.log" 2>&1 &
 PID=$!
 sleep 1.0
+alive_or_fail "$PID"
 kill -TERM "$PID" 2>/dev/null || true
 wait "$PID"
 RC=$?
