@@ -36,7 +36,7 @@ constexpr std::uint8_t kInt = 1;
 constexpr std::uint8_t kDouble = 2;
 constexpr bool boxed_kind(std::uint8_t kind) { return kind > kDouble; }
 
-/// Slots a ring reserves on its key's first write; later growth doubles.
+/// Slots a ring reserves when its key is interned; later growth doubles.
 constexpr std::size_t kFirstBlock = 4;
 
 }  // namespace
@@ -46,17 +46,20 @@ std::uint64_t KnowledgeBase::Incarnation::next() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-KnowledgeBase::KeyId KnowledgeBase::find(std::string_view key) const noexcept {
-  const auto pos = std::lower_bound(
+std::vector<KnowledgeBase::KeyId>::const_iterator KnowledgeBase::lower_bound(
+    std::string_view key) const noexcept {
+  return std::lower_bound(
       sorted_.begin(), sorted_.end(), key,
       [this](KeyId a, std::string_view k) { return name(a) < k; });
+}
+
+KnowledgeBase::KeyId KnowledgeBase::find(std::string_view key) const noexcept {
+  const auto pos = lower_bound(key);
   return pos != sorted_.end() && name(*pos) == key ? *pos : kNoKey;
 }
 
 KnowledgeBase::KeyId KnowledgeBase::key(std::string_view key) {
-  const auto pos = std::lower_bound(
-      sorted_.begin(), sorted_.end(), key,
-      [this](KeyId a, std::string_view k) { return name(a) < k; });
+  const auto pos = lower_bound(key);
   if (pos != sorted_.end() && name(*pos) == key) return *pos;
   const KeyId id = static_cast<KeyId>(entries_.size());
   names_.append(key);

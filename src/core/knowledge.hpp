@@ -219,6 +219,9 @@ class KnowledgeBase {
   };
 
   void store(KeyId id, Slot s, Value* boxed);
+  /// First position in sorted_ whose name is not less than `key`.
+  [[nodiscard]] std::vector<KeyId>::const_iterator lower_bound(
+      std::string_view key) const noexcept;
   [[nodiscard]] std::string_view name(KeyId id) const noexcept {
     const std::uint32_t begin = id == 0 ? 0 : name_end_[id - 1];
     return std::string_view(names_).substr(begin, name_end_[id] - begin);
