@@ -165,157 +165,4 @@ class DiscountedUcb final : public Bandit {
   std::vector<double> s_;  ///< discounted reward sums
 };
 
-/// Thompson sampling for Bernoulli-ish rewards in [0,1]: Beta posteriors
-/// per arm, sampled each decision. Fractional rewards update the
-/// pseudo-counts proportionally, which keeps the policy usable for any
-/// bounded reward.
-class ThompsonSampling final : public Bandit {
- public:
-  explicit ThompsonSampling(std::size_t arms)
-      : alpha_(arms, 1.0), beta_(arms, 1.0) {}
-
-  std::size_t select(sim::Rng& rng) override {
-    std::size_t best = 0;
-    double best_sample = -1.0;
-    for (std::size_t a = 0; a < alpha_.size(); ++a) {
-      const double sample = beta_sample(rng, alpha_[a], beta_[a]);
-      if (sample > best_sample) {
-        best_sample = sample;
-        best = a;
-      }
-    }
-    return best;
-  }
-  void update(std::size_t arm, double reward) override {
-    const double r = std::clamp(reward, 0.0, 1.0);
-    alpha_[arm] += r;
-    beta_[arm] += 1.0 - r;
-  }
-  [[nodiscard]] std::size_t arms() const override { return alpha_.size(); }
-  [[nodiscard]] double value(std::size_t arm) const override {
-    return alpha_[arm] / (alpha_[arm] + beta_[arm]);
-  }
-  [[nodiscard]] std::string name() const override { return "thompson"; }
-  void reset() override {
-    std::fill(alpha_.begin(), alpha_.end(), 1.0);
-    std::fill(beta_.begin(), beta_.end(), 1.0);
-  }
-
- private:
-  /// Beta(a,b) via two gamma draws (Marsaglia-Tsang for shape >= 1, which
-  /// always holds here since priors start at 1 and only grow).
-  static double gamma_sample(sim::Rng& rng, double shape) {
-    const double d = shape - 1.0 / 3.0;
-    const double c = 1.0 / std::sqrt(9.0 * d);
-    for (;;) {
-      double x = rng.normal();
-      double v = 1.0 + c * x;
-      if (v <= 0.0) continue;
-      v = v * v * v;
-      const double u = rng.uniform();
-      if (u < 1.0 - 0.0331 * x * x * x * x) return d * v;
-      if (std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-        return d * v;
-      }
-    }
-  }
-  static double beta_sample(sim::Rng& rng, double a, double b) {
-    const double x = gamma_sample(rng, a);
-    const double y = gamma_sample(rng, b);
-    return x / (x + y);
-  }
-  std::vector<double> alpha_, beta_;
-};
-
-/// EXP3 (Auer et al.): exponential weights for *adversarial* rewards — no
-/// stationarity assumption at all. Heavier exploration cost than the
-/// stochastic policies, but its guarantee survives an adaptive opponent.
-class Exp3 final : public Bandit {
- public:
-  explicit Exp3(std::size_t arms, double gamma = 0.1)
-      : gamma_(gamma), w_(arms, 1.0) {}
-
-  std::size_t select(sim::Rng& rng) override {
-    const auto probs = distribution();
-    double target = rng.uniform(), acc = 0.0;
-    for (std::size_t a = 0; a < probs.size(); ++a) {
-      acc += probs[a];
-      if (acc >= target) {
-        last_prob_ = probs[a];
-        return a;
-      }
-    }
-    last_prob_ = probs.back();
-    return probs.size() - 1;
-  }
-  void update(std::size_t arm, double reward) override {
-    const double r = std::clamp(reward, 0.0, 1.0);
-    const double estimated = r / std::max(last_prob_, 1e-9);
-    w_[arm] *= std::exp(gamma_ * estimated /
-                        static_cast<double>(w_.size()));
-    // Keep the weights bounded (rescaling does not change the policy).
-    const double max_w = *std::max_element(w_.begin(), w_.end());
-    if (max_w > 1e100) {
-      for (auto& w : w_) w /= max_w;
-    }
-  }
-  [[nodiscard]] std::size_t arms() const override { return w_.size(); }
-  [[nodiscard]] double value(std::size_t arm) const override {
-    double total = 0.0;
-    for (double w : w_) total += w;
-    return w_[arm] / total;
-  }
-  [[nodiscard]] std::string name() const override { return "exp3"; }
-  void reset() override { std::fill(w_.begin(), w_.end(), 1.0); }
-
- private:
-  [[nodiscard]] std::vector<double> distribution() const {
-    double total = 0.0;
-    for (double w : w_) total += w;
-    std::vector<double> p(w_.size());
-    const auto k = static_cast<double>(w_.size());
-    for (std::size_t a = 0; a < w_.size(); ++a) {
-      p[a] = (1.0 - gamma_) * w_[a] / total + gamma_ / k;
-    }
-    return p;
-  }
-  double gamma_;
-  std::vector<double> w_;
-  double last_prob_ = 1.0;
-};
-
-/// Boltzmann / softmax exploration over value estimates.
-class SoftmaxBandit final : public Bandit {
- public:
-  SoftmaxBandit(std::size_t arms, double temperature = 0.2, double alpha = 0.1)
-      : temp_(temperature), alpha_(alpha), q_(arms, 0.0) {}
-
-  std::size_t select(sim::Rng& rng) override {
-    double max_q = *std::max_element(q_.begin(), q_.end());
-    std::vector<double> p(q_.size());
-    double z = 0.0;
-    for (std::size_t a = 0; a < q_.size(); ++a) {
-      p[a] = std::exp((q_[a] - max_q) / temp_);
-      z += p[a];
-    }
-    double target = rng.uniform() * z, acc = 0.0;
-    for (std::size_t a = 0; a < p.size(); ++a) {
-      acc += p[a];
-      if (acc >= target) return a;
-    }
-    return p.size() - 1;
-  }
-  void update(std::size_t arm, double reward) override {
-    q_[arm] += alpha_ * (reward - q_[arm]);
-  }
-  [[nodiscard]] std::size_t arms() const override { return q_.size(); }
-  [[nodiscard]] double value(std::size_t arm) const override { return q_[arm]; }
-  [[nodiscard]] std::string name() const override { return "softmax"; }
-  void reset() override { std::fill(q_.begin(), q_.end(), 0.0); }
-
- private:
-  double temp_, alpha_;
-  std::vector<double> q_;
-};
-
 }  // namespace sa::learn

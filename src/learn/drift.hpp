@@ -6,9 +6,8 @@
 // switching.
 #pragma once
 
-#include <cmath>
+#include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <string>
 
 namespace sa::learn {
@@ -45,49 +44,6 @@ class PageHinkley {
   double delta_, lambda_;
   std::size_t n_ = 0;
   double mean_ = 0.0, up_ = 0.0, down_ = 0.0;
-};
-
-/// Lightweight adaptive-windowing detector ("ADWIN-lite"): keeps a bounded
-/// window and fires when the means of the older and newer halves differ by
-/// more than a Hoeffding-style bound at confidence `delta`.
-class AdaptiveWindow {
- public:
-  explicit AdaptiveWindow(std::size_t max_window = 256, double delta = 0.002)
-      : max_window_(max_window), delta_(delta) {}
-
-  /// Feeds a sample; returns true iff drift detected. On detection the
-  /// older half is dropped (the window "adapts").
-  bool add(double x) {
-    buf_.push_back(x);
-    if (buf_.size() > max_window_) buf_.pop_front();
-    if (buf_.size() < 16) return false;
-
-    const std::size_t half = buf_.size() / 2;
-    double m0 = 0.0, m1 = 0.0;
-    for (std::size_t i = 0; i < half; ++i) m0 += buf_[i];
-    for (std::size_t i = half; i < buf_.size(); ++i) m1 += buf_[i];
-    m0 /= static_cast<double>(half);
-    m1 /= static_cast<double>(buf_.size() - half);
-
-    const double n0 = static_cast<double>(half);
-    const double n1 = static_cast<double>(buf_.size() - half);
-    const double m_harm = 1.0 / (1.0 / n0 + 1.0 / n1);
-    const double eps =
-        std::sqrt((1.0 / (2.0 * m_harm)) * std::log(4.0 / delta_));
-    if (std::fabs(m0 - m1) > eps) {
-      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(half));
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] std::size_t window_size() const { return buf_.size(); }
-  void reset() { buf_.clear(); }
-  [[nodiscard]] std::string name() const { return "adwin-lite"; }
-
- private:
-  std::size_t max_window_;
-  double delta_;
-  std::deque<double> buf_;
 };
 
 }  // namespace sa::learn

@@ -68,47 +68,8 @@ TEST(PageHinkley, LargerLambdaIsMoreConservative) {
   EXPECT_LT(sensitive_at, conservative_at);
 }
 
-TEST(AdaptiveWindow, SilentOnStationaryStream) {
-  AdaptiveWindow aw(256, 1e-4);
-  sim::Rng rng(6);
-  int detections = 0;
-  for (int i = 0; i < 5000; ++i) {
-    detections += aw.add(rng.normal(3.0, 0.2)) ? 1 : 0;
-  }
-  EXPECT_LE(detections, 2);  // Hoeffding bound allows rare false alarms
-}
-
-TEST(AdaptiveWindow, DetectsMeanShiftAndDropsOldHalf) {
-  AdaptiveWindow aw(128, 0.01);
-  sim::Rng rng(7);
-  for (int i = 0; i < 200; ++i) aw.add(rng.normal(0.0, 0.5));
-  const std::size_t before = aw.window_size();
-  bool detected = false;
-  for (int i = 0; i < 200 && !detected; ++i) {
-    detected = aw.add(rng.normal(3.0, 0.5));
-  }
-  EXPECT_TRUE(detected);
-  EXPECT_LT(aw.window_size(), before);
-}
-
-TEST(AdaptiveWindow, NeedsMinimumSamples) {
-  AdaptiveWindow aw;
-  // Even a wild swing within the first 15 samples cannot fire.
-  for (int i = 0; i < 15; ++i) {
-    EXPECT_FALSE(aw.add(i < 8 ? 0.0 : 100.0));
-  }
-}
-
-TEST(AdaptiveWindow, ResetEmptiesWindow) {
-  AdaptiveWindow aw;
-  for (int i = 0; i < 50; ++i) aw.add(1.0);
-  aw.reset();
-  EXPECT_EQ(aw.window_size(), 0u);
-}
-
 TEST(DriftDetectors, Names) {
   EXPECT_EQ(PageHinkley{}.name(), "page-hinkley");
-  EXPECT_EQ(AdaptiveWindow{}.name(), "adwin-lite");
 }
 
 }  // namespace

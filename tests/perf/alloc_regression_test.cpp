@@ -10,8 +10,11 @@
 // (tests/support/alloc_counter), so no other suites are linked into it.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <variant>
 
 #include "core/knowledge.hpp"
@@ -21,6 +24,32 @@
 namespace {
 
 using sa::test::support::allocs;
+using sa::test::support::thread_allocs;
+
+TEST(AllocCounter, ThreadCountIgnoresOtherThreads) {
+  // The serve tests need allocations on worker threads counted; E10's
+  // concurrent kernels need them not counted against the calling thread.
+  std::atomic<bool> go{false}, done{false};
+  std::string theirs, mine;
+  std::thread worker([&] {
+    while (!go.load()) std::this_thread::yield();
+    theirs.assign(64, 'x');  // past SSO: one heap allocation
+    done.store(true);
+  });
+  const std::uint64_t all0 = allocs(), own0 = thread_allocs();
+  go.store(true);
+  while (!done.load()) std::this_thread::yield();
+  const std::uint64_t all1 = allocs(), own1 = thread_allocs();
+  mine.assign(64, 'y');
+  const std::uint64_t all2 = allocs(), own2 = thread_allocs();
+  worker.join();
+
+  EXPECT_GT(all1, all0) << "another thread's allocation was not counted";
+  EXPECT_EQ(own1, own0) << "another thread's allocation hit this thread";
+  EXPECT_GT(all2, all1);
+  EXPECT_GT(own2, own1);
+  EXPECT_EQ(theirs.size() + mine.size(), 128u);
+}
 
 TEST(EngineAlloc, SteadyStateOneShotCycleIsAllocFree) {
   sa::sim::Engine eng;

@@ -434,13 +434,19 @@ TEST(SimBridge, EventsStreamDeliversBusRecordsAsSse) {
   std::thread sim;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  bool started = false;
+  // The headers can arrive before handle_events subscribes to the fan-out,
+  // and the whole run can finish in between: start the sim only once
+  // /metrics counts the subscriber.
   while (std::chrono::steady_clock::now() < deadline) {
-    if (!started && got.find("text/event-stream") != std::string::npos) {
-      // Headers arrived -> the subscription exists; now run the sim.
-      started = true;
+    const std::string metrics =
+        client::body_of(client::http_get(server.port(), "/metrics"));
+    if (metrics.find("sa_serve_sse_subscribers 1\n") != std::string::npos) {
       sim = std::thread([&] { engine.run_until(2.0); });
+      break;
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  while (std::chrono::steady_clock::now() < deadline) {
     char buf[4096];
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) got.append(buf, static_cast<std::size_t>(n));

@@ -6,11 +6,13 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+thread_local std::uint64_t t_allocs = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
+  ++t_allocs;
+  if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
@@ -24,5 +26,7 @@ namespace sa::test::support {
 std::uint64_t allocs() noexcept {
   return g_allocs.load(std::memory_order_relaxed);
 }
+
+std::uint64_t thread_allocs() noexcept { return t_allocs; }
 
 }  // namespace sa::test::support
