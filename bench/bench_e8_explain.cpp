@@ -12,11 +12,13 @@
 //
 // The "seeds" of this grid are repeat indices (the simulation itself is
 // fixed at seed 81): repeats exist only to take a best-of wall-clock
-// measurement, exactly like the serial best-of-3 this replaces. The rate
-// metrics are wall-clock derived and therefore the one part of the suite
-// that is *not* bitwise deterministic; coverage and stored counts are.
-#include <chrono>
+// measurement. The rates come from each cell's wall time, which the
+// harness records under the BENCH document's `measured` block, so the
+// document's results (coverage and stored counts) stay bitwise
+// deterministic and comparable with bench/bench_diff.py.
+#include <algorithm>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "exp/harness.hpp"
@@ -46,18 +48,13 @@ exp::TaskOutput run(bool explain, const exp::TaskContext& ctx) {
   Manager mgr(platform, p);
   mgr.agent().explainer().set_enabled(explain);
 
-  const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kEpochs; ++i) {
     workload.apply(platform);
     mgr.run_epoch();
   }
-  const auto stop = std::chrono::steady_clock::now();
-  const double secs =
-      std::chrono::duration<double>(stop - start).count();
 
   exp::TaskOutput out;
   out.metrics = {
-      {"epochs_per_s", kEpochs / secs},
       {"coverage", mgr.agent().explainer().coverage()},
       {"stored", static_cast<double>(mgr.agent().explainer().size())}};
   if (explain) out.note = mgr.agent().explainer().why_last();
@@ -83,8 +80,17 @@ int main(int argc, char** argv) {
   };
   const auto res = h.run(std::move(g));
 
-  const double off_rate = res.stats(0, "epochs_per_s").max();
-  const double on_rate = res.stats(1, "epochs_per_s").max();
+  // Epochs/s of a variant's fastest repeat. The cell wall time includes
+  // building the platform and the manager, not only the epoch loop.
+  const auto best_rate = [&res](std::size_t variant) {
+    double fastest = std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < res.seeds.size(); ++s) {
+      fastest = std::min(fastest, res.at(variant, s).wall_s);
+    }
+    return kEpochs / fastest;
+  };
+  const double off_rate = best_rate(0);
+  const double on_rate = best_rate(1);
 
   sim::Table t("E8.1  explainer on vs off",
                {"explainer", "epochs/s", "coverage", "stored"});

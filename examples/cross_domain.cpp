@@ -35,15 +35,12 @@
 #include "exp/trace_json.hpp"
 #include "multicore/manager.hpp"
 #include "multicore/workload.hpp"
+#include "serve/bridge.hpp"
+#include "serve/server.hpp"
 #include "sim/metrics.hpp"
 #include "sim/stats.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
-
-#ifdef SA_SERVE_ENABLED
-#include "serve/bridge.hpp"
-#include "serve/server.hpp"
-#endif
 
 int main(int argc, char** argv) {
   using namespace sa;
@@ -132,7 +129,6 @@ int main(int argc, char** argv) {
       },
       core::AgentRuntime::kOrderExchange);
 
-#ifdef SA_SERVE_ENABLED
   // Optional live observability: GET /metrics, /status, /events while the
   // run is in flight; POST /control pauses/resumes it.
   serve::SimBridge bridge;
@@ -153,12 +149,6 @@ int main(int argc, char** argv) {
     std::printf("serving on 127.0.0.1:%u (try /metrics, /status, /events)\n",
                 server.port());
   }
-#else
-  if (serve_port >= 0) {
-    std::fprintf(stderr, "--serve requires a build with -DSA_SERVE=ON\n");
-    return 2;
-  }
-#endif
 
   engine.run_until(600.0);  // ten simulated minutes
 
@@ -236,8 +226,6 @@ int main(int argc, char** argv) {
                 merged_path.c_str());
   }
 
-#ifdef SA_SERVE_ENABLED
   server.stop();
-#endif
   return 0;
 }

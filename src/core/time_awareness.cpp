@@ -1,13 +1,8 @@
 #include "core/time_awareness.hpp"
 
-#include <algorithm>
 #include <limits>
 
 namespace sa::core {
-
-void TimeAwareness::track_only(std::vector<std::string> signals) {
-  only_ = std::move(signals);
-}
 
 std::size_t TimeAwareness::Ensemble::best() const {
   std::size_t b = 0;
@@ -44,10 +39,6 @@ void TimeAwareness::update(double t, const Observation& obs,
   }
   const KnowledgeBase::SourceId src = ids_.source();
   for (const auto& [sig, value] : obs) {
-    if (!only_.empty() &&
-        std::find(only_.begin(), only_.end(), sig) == only_.end()) {
-      continue;
-    }
     auto it = signals_.find(sig);
     if (it == signals_.end()) {
       it = signals_.emplace(sig, make_ensemble()).first;

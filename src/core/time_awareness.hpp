@@ -30,9 +30,6 @@ class TimeAwareness final : public AwarenessProcess {
   TimeAwareness() : TimeAwareness(Params{}) {}
   explicit TimeAwareness(Params p) : p_(p) {}
 
-  /// Restricts forecasting to these signals (default: every observed one).
-  void track_only(std::vector<std::string> signals);
-
   [[nodiscard]] Level level() const override { return Level::Time; }
   [[nodiscard]] std::string name() const override { return "time"; }
 
@@ -68,7 +65,6 @@ class TimeAwareness final : public AwarenessProcess {
 
   Params p_;
   std::map<std::string, Ensemble> signals_;
-  std::vector<std::string> only_;
   KnowledgeIds ids_;
 };
 

@@ -135,8 +135,7 @@ StandardArgs::StandardArgs() {
        "expose the designated cell live over HTTP on\n"
        "127.0.0.1:PORT (0 = ephemeral, printed at start):\n"
        "/metrics (Prometheus), /status (JSON), /events\n"
-       "(SSE telemetry), /control (pause/resume/inject).\n"
-       "Needs a build with -DSA_SERVE=ON",
+       "(SSE telemetry), /control (pause/resume/inject)",
        [](std::string_view value, Options& out) -> std::string {
          std::uint64_t n = 0;
          if (!parse_uint(value, n) || n > 65535) {

@@ -16,8 +16,7 @@
 //                    support fault injection (others reject it)
 //   --scenario S     overlay a gen::ScenarioSpec on scenario-driven
 //                    experiments (others ignore it)
-//   --serve PORT     expose the designated cell live over HTTP (sa::serve;
-//                    builds with -DSA_SERVE=OFF reject the flag)
+//   --serve PORT     expose the designated cell live over HTTP (sa::serve)
 //   --serve-bind A   bind address for --serve (default 127.0.0.1)
 //   --serve-token T  require T on POST /control (401 otherwise)
 //   --serve-linger S keep the endpoint up S seconds after the run

@@ -15,12 +15,9 @@
 
 #include "exp/metrics_jsonl.hpp"
 #include "exp/trace_json.hpp"
-#include "sim/engine.hpp"
-
-#ifdef SA_SERVE_ENABLED
 #include "serve/bridge.hpp"
 #include "serve/server.hpp"
-#endif
+#include "sim/engine.hpp"
 
 namespace sa::exp {
 namespace {
@@ -55,11 +52,8 @@ void install_signal_handlers() {
 
 }  // namespace
 
-/// Owns the HTTP endpoint for one served run. Defined even in SA_SERVE=OFF
-/// builds (empty) so the Harness destructor stays a single definition; the
-/// constructor path that would create one exits first on such builds.
+/// Owns the HTTP endpoint for one served run.
 struct Harness::ServeState {
-#ifdef SA_SERVE_ENABLED
   serve::SimBridge bridge;
   serve::Server server;
 
@@ -71,7 +65,6 @@ struct Harness::ServeState {
           o.bind_address = std::move(bind);
           return o;
         }()) {}
-#endif
 };
 
 Json to_json(const GridResult& result) {
@@ -158,13 +151,6 @@ Harness::Harness(std::string experiment, int argc, const char* const* argv)
       }()),
       runner_(opts_.jobs) {
   events_at_start_ = sim::Engine::global_executed();
-#ifndef SA_SERVE_ENABLED
-  if (opts_.serve_port >= 0) {
-    std::cerr << (argc > 0 ? argv[0] : "bench")
-              << ": --serve requires a build with -DSA_SERVE=ON\n";
-    std::exit(2);
-  }
-#endif
 
   if (!opts_.resume.empty()) {
     auto loaded = std::make_unique<CheckpointStore>();
@@ -296,7 +282,6 @@ void Harness::interrupted_exit(int sig) {
 }
 
 void Harness::start_serving() {
-#ifdef SA_SERVE_ENABLED
   if (serve_ != nullptr || opts_.serve_port < 0) return;
   serve::SimBridge::Options bridge_opts;
   bridge_opts.control_token = opts_.serve_token;
@@ -313,11 +298,9 @@ void Harness::start_serving() {
   }
   std::cout << "[" << experiment_ << "] serving on 127.0.0.1:"
             << serve_->server.port() << " (cell " << traced_cell_ << ")\n";
-#endif
 }
 
 void Harness::linger_and_stop(std::ostream& os) {
-#ifdef SA_SERVE_ENABLED
   if (serve_ == nullptr) return;
   if (opts_.serve_linger > 0.0 && !serve_->bridge.shutdown_requested()) {
     os << "[" << experiment_ << "] lingering " << opts_.serve_linger
@@ -331,9 +314,6 @@ void Harness::linger_and_stop(std::ostream& os) {
     }
   }
   serve_->server.stop();
-#else
-  (void)os;
-#endif
 }
 
 std::vector<std::uint64_t> Harness::seeds_for(
@@ -401,7 +381,6 @@ GridResult Harness::run(Grid grid) {
         traced.telemetry = trace_bus_.get();
         traced.tracer = tracer_.get();
         traced.metrics = metrics_.get();
-#ifdef SA_SERVE_ENABLED
         if (serve_ != nullptr) {
           traced.serve_bind = [this](const ServeHooks& hooks) {
             if (hooks.engine == nullptr) return;
@@ -430,7 +409,6 @@ GridResult Harness::run(Grid grid) {
             serve_->bridge.attach(*hooks.engine);
           };
         }
-#endif
         return inner(traced);
       }
       return inner(ctx);

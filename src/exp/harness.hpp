@@ -46,8 +46,7 @@ namespace sa::exp {
 class Harness {
  public:
   /// Parses argv; on --help prints usage and exits 0, on a bad flag
-  /// prints the error and usage and exits 2. --serve on a build without
-  /// SA_SERVE also exits 2 (with a pointer at the CMake option).
+  /// prints the error and usage and exits 2.
   Harness(std::string experiment, int argc, const char* const* argv);
   ~Harness();
 
@@ -155,7 +154,7 @@ class Harness {
   std::string traced_cell_;  ///< "grid/variant/seed" label for the footer
 
   // sa::serve state (server + bridge), pimpl'd so this header stays free
-  // of serve includes and builds identically with SA_SERVE=OFF.
+  // of serve includes.
   struct ServeState;
   std::unique_ptr<ServeState> serve_;
   void start_serving();      ///< creates + starts ServeState (run() calls it)

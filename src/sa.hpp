@@ -48,7 +48,6 @@
 #include "cloud/autoscaler.hpp"
 #include "cloud/cluster.hpp"
 #include "cpn/network.hpp"
-#include "cpn/supervisor.hpp"
 #include "cpn/traffic.hpp"
 #include "multicore/manager.hpp"
 #include "multicore/platform.hpp"

@@ -45,10 +45,18 @@ std::string presented_token(const HttpRequest& req) {
   return {};
 }
 
+template <class T>
+const T* ptr(const std::optional<T>& v) {
+  return v.has_value() ? &*v : nullptr;
+}
+
 }  // namespace
 
 SimBridge::SimBridge(Options opts) : opts_(std::move(opts)) {
   if (opts_.publish_period <= 0.0) opts_.publish_period = 0.1;
+  Frame unpublished;
+  unpublished.status = "{\"published\":false}\n";
+  frame_.emplace(std::move(unpublished));
 }
 
 void SimBridge::set_telemetry(sim::TelemetryBus* bus) {
@@ -99,39 +107,58 @@ void SimBridge::install(Server& server) {
       [this](const HttpRequest&, StreamWriter& w) { handle_events(w); });
 }
 
+std::shared_ptr<const SimBridge::NameTable> SimBridge::current_names() {
+  const std::size_t metrics = metrics_ != nullptr ? metrics_->size() : 0;
+  const std::size_t categories = bus_ != nullptr ? bus_->categories() : 0;
+  const std::size_t subjects = bus_ != nullptr ? bus_->subjects() : 0;
+  if (names_ != nullptr && names_->metrics.size() == metrics &&
+      names_->categories.size() == categories &&
+      names_->subjects.size() == subjects) {
+    return names_;
+  }
+  auto names = std::make_shared<NameTable>();
+  names->metrics.reserve(metrics);
+  for (sim::MetricsRegistry::MetricId m = 0; m < metrics; ++m) {
+    names->metrics.push_back(metrics_->name(m));
+  }
+  names->categories.reserve(categories);
+  for (sim::CategoryId c = 0; c < categories; ++c) {
+    names->categories.push_back(bus_->category_name(c));
+  }
+  names->subjects.reserve(subjects);
+  for (sim::SubjectId s = 0; s < subjects; ++s) {
+    names->subjects.push_back(bus_->subject_name(s));
+  }
+  names_ = std::move(names);
+  return names_;
+}
+
 void SimBridge::publish_now(double t) {
   ++publishes_;
   // Stamp the server's self-model with the sim clock so slow-request ring
   // entries can say *when in the simulation* a scrape was slow.
   if (server_ != nullptr) server_->stats().set_sim_time(t);
-  if (metrics_ != nullptr) metrics_->publish(t);
+  auto frame = std::make_shared<Frame>();
+  frame->names = current_names();
+  const NameTable& names = *frame->names;
+  if (metrics_ != nullptr) {
+    frame->metrics = capture_metrics(*metrics_, names.metrics, t, publishes_);
+  }
   if (bus_ != nullptr) {
-    auto snap = std::make_shared<BusSnapshot>();
-    snap->t = t;
-    snap->total = bus_->total();
-    snap->categories.reserve(bus_->categories());
-    for (sim::CategoryId c = 0; c < bus_->categories(); ++c) {
-      snap->categories.push_back({bus_->category_name(c), bus_->count(c)});
+    BusSnapshot& bus = frame->bus.emplace();
+    bus.t = t;
+    bus.total = bus_->total();
+    bus.categories.reserve(names.categories.size());
+    for (sim::CategoryId c = 0; c < names.categories.size(); ++c) {
+      bus.categories.push_back({names.categories[c], bus_->count(c)});
     }
-    bus_snap_.publish(std::move(snap));
-
-    auto names = std::make_shared<NameTable>();
-    names->categories.reserve(bus_->categories());
-    for (sim::CategoryId c = 0; c < bus_->categories(); ++c) {
-      names->categories.push_back(bus_->category_name(c));
-    }
-    names->subjects.reserve(bus_->subjects());
-    for (sim::SubjectId s = 0; s < bus_->subjects(); ++s) {
-      names->subjects.push_back(bus_->subject_name(s));
-    }
-    names_.publish(std::move(names));
   }
   if (shard_source_) {
-    auto snap = std::make_shared<ShardSnapshot>(shard_source_());
-    snap->t = t;
-    shard_snap_.publish(std::move(snap));
+    frame->shard = shard_source_();
+    frame->shard->t = t;
   }
-  status_doc_.emplace(build_status(t, engine_));
+  frame->status = build_status(t, ptr(frame->shard));
+  frame_.publish(std::move(frame));
 }
 
 void SimBridge::drain_mailbox(sim::Engine* engine) {
@@ -157,8 +184,7 @@ void SimBridge::drain_mailbox(sim::Engine* engine) {
   }
   if (paused_.load(std::memory_order_relaxed)) {
     // Let /status show the pause before the sim thread blocks on it.
-    status_doc_.emplace(
-        build_status(engine != nullptr ? engine->now() : 0.0, engine));
+    publish_now(engine != nullptr ? engine->now() : 0.0);
     std::unique_lock lk(pause_mu_);
     pause_cv_.wait(lk, [this] {
       return !paused_.load(std::memory_order_relaxed) ||
@@ -188,31 +214,19 @@ ServeStats SimBridge::serve_stats() const {
 }
 
 HttpResponse SimBridge::handle_metrics() const {
-  const auto live =
-      metrics_ != nullptr ? metrics_->live()
-                          : std::shared_ptr<
-                                const sim::MetricsRegistry::LiveSnapshot>{};
-  const auto bus = bus_snap_.read();
-  const auto shard = shard_snap_.read();
+  const auto frame = frame_.read();
   const ServeStats st = serve_stats();
+  std::optional<ServerStats::Snapshot> self;
+  if (server_ != nullptr) self = server_->stats().snapshot();
   HttpResponse resp;
   resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  if (server_ != nullptr) {
-    const ServerStats::Snapshot self = server_->stats().snapshot();
-    resp.body =
-        render_prometheus(live.get(), bus.get(), &st, &self, shard.get());
-  } else {
-    resp.body =
-        render_prometheus(live.get(), bus.get(), &st, nullptr, shard.get());
-  }
+  resp.body = render_prometheus(ptr(frame->metrics), ptr(frame->bus), &st,
+                                ptr(self), ptr(frame->shard));
   return resp;
 }
 
 HttpResponse SimBridge::handle_status() const {
-  const auto doc = status_doc_.read();
-  return json_response(200, doc != nullptr
-                                ? *doc
-                                : std::string("{\"published\":false}\n"));
+  return json_response(200, frame_.read()->status);
 }
 
 HttpResponse SimBridge::handle_control(const HttpRequest& req) {
@@ -286,7 +300,8 @@ void SimBridge::handle_events(StreamWriter& writer) {
       if (!writer.write(": keep-alive\n\n")) break;
       continue;
     }
-    const auto names = names_.read();
+    const auto frame = frame_.read();
+    const NameTable* names = frame->names.get();
     std::string payload;
     payload.reserve(recs.size() * 96);
     for (const auto& r : recs) {
@@ -317,7 +332,8 @@ void SimBridge::handle_events(StreamWriter& writer) {
   fanout_->unsubscribe(sub);
 }
 
-std::string SimBridge::build_status(double t, sim::Engine* engine) const {
+std::string SimBridge::build_status(double t,
+                                    const ShardSnapshot* shard) const {
   std::string out;
   out.reserve(1024);
   out += "{\"t\":";
@@ -335,16 +351,16 @@ std::string SimBridge::build_status(double t, sim::Engine* engine) const {
   out += ",\"enabled\":";
   out += checkpoint_hook_ ? "true" : "false";
   out += '}';
-  if (engine != nullptr) {
+  if (engine_ != nullptr) {
     out += ",\"engine\":{\"executed\":";
-    out += std::to_string(engine->executed());
+    out += std::to_string(engine_->executed());
     out += ",\"pending\":";
-    out += std::to_string(engine->pending());
+    out += std::to_string(engine_->pending());
     out += '}';
   }
 
-  // Published just above in publish_now(), so /status and /metrics agree.
-  if (const auto shard = shard_snap_.read(); shard != nullptr) {
+  // The frame's own shard counts, so /status and /metrics agree.
+  if (shard != nullptr) {
     out += ",\"shards\":{\"events\":[";
     for (std::size_t i = 0; i < shard->events.size(); ++i) {
       if (i) out += ',';

@@ -4,12 +4,15 @@
 // Reads and writes cross the seam by different mechanisms, chosen so the
 // sim thread never waits on a server thread:
 //
-//   reads   The sim thread *publishes* immutable snapshots at step
-//           boundaries (SnapshotCell swaps of a shared_ptr): the metrics
-//           registry's LiveSnapshot, a BusSnapshot of telemetry category
-//           counters, a fully rendered /status JSON document, and the
-//           bus's interned name tables for SSE rendering. Server threads
-//           read whichever snapshot is current, lock-free.
+//   reads   At each step-boundary publish the sim thread builds one
+//           immutable Frame and swaps it into a single SnapshotCell: the
+//           registry's metric values, the bus category counts, the shard
+//           counts, the interned name table and the rendered /status
+//           document. /metrics, /status and /events each read one frame,
+//           lock-free, so a page never mixes two publishes (the server's
+//           own counters are the one part sampled at scrape time). The
+//           name table is shared from frame to frame and rebuilt only
+//           when the registry or the bus has interned a new name.
 //
 //   events  A FanoutSink registered on the TelemetryBus copies events into
 //           bounded per-subscriber queues with try_lock + drop-counter
@@ -163,19 +166,36 @@ class SimBridge {
   // pause_mu_ so the notify cannot race the waiter's predicate check.
   using Posted = std::optional<ckpt::ControlCommand>;
 
-  /// Interned names published for server-side SSE/status rendering.
+  /// Names the registry and the bus have interned, in id order. Both only
+  /// ever append, so a table stays current until one of its counts grows.
   struct NameTable {
+    std::vector<std::string> metrics;
     std::vector<std::string> categories;
     std::vector<std::string> subjects;
   };
 
+  /// Everything one publish makes visible to the server threads.
+  /// Immutable once published; the names in `metrics` and `bus` view
+  /// `names`, which the frame keeps alive. Until the first publish the
+  /// cell holds a frame with only a `{"published":false}` status.
+  struct Frame {
+    std::shared_ptr<const NameTable> names;
+    std::optional<LiveSnapshot> metrics;
+    std::optional<BusSnapshot> bus;
+    std::optional<ShardSnapshot> shard;
+    std::string status;  ///< the rendered /status document
+  };
+
   void post(Posted cmd);
+  /// The name table for the next frame: the last one built, or a new one
+  /// if the registry or the bus has grown since (sim thread).
+  [[nodiscard]] std::shared_ptr<const NameTable> current_names();
   [[nodiscard]] HttpResponse handle_metrics() const;
   [[nodiscard]] HttpResponse handle_status() const;
   [[nodiscard]] HttpResponse handle_control(const HttpRequest& req);
   void handle_events(StreamWriter& writer);
   [[nodiscard]] std::string build_status(double t,
-                                         sim::Engine* engine) const;
+                                         const ShardSnapshot* shard) const;
   [[nodiscard]] ServeStats serve_stats() const;
 
   Options opts_;
@@ -194,11 +214,10 @@ class SimBridge {
 
   std::unique_ptr<sim::FanoutSink> fanout_;
 
-  // Published snapshots (written by the sim thread, read by workers).
-  sim::SnapshotCell<BusSnapshot> bus_snap_;
-  sim::SnapshotCell<ShardSnapshot> shard_snap_;
-  sim::SnapshotCell<std::string> status_doc_;
-  sim::SnapshotCell<NameTable> names_;
+  // The one published frame (written by the sim thread, read by workers)
+  // and the name table it last carried (sim thread only).
+  sim::SnapshotCell<Frame> frame_;
+  std::shared_ptr<const NameTable> names_;
 
   // Control mailbox (server threads post; sim thread try-locks to drain).
   std::mutex mailbox_mu_;

@@ -9,7 +9,6 @@ namespace sa::serve {
 namespace {
 
 using Kind = sim::MetricsRegistry::Kind;
-using LiveMetric = sim::MetricsRegistry::LiveMetric;
 
 void append_sample(std::string& out, std::string_view name,
                    std::string_view labels, double value) {
@@ -39,17 +38,18 @@ void append_meta(std::string& out, std::string_view name,
 
 void render_metric(std::string& out, const LiveMetric& m) {
   const std::string name = "sa_" + sanitize_metric_name(m.name);
+  const std::string label(m.name);
   switch (m.kind) {
     case Kind::Counter:
-      append_meta(out, name, "counter", "registry counter " + m.name);
+      append_meta(out, name, "counter", "registry counter " + label);
       append_sample(out, name, {}, m.value);
       break;
     case Kind::Gauge:
-      append_meta(out, name, "gauge", "registry gauge " + m.name);
+      append_meta(out, name, "gauge", "registry gauge " + label);
       append_sample(out, name, {}, m.value);
       break;
     case Kind::Timer: {
-      append_meta(out, name, "summary", "registry timer " + m.name);
+      append_meta(out, name, "summary", "registry timer " + label);
       append_sample(out, name + "_sum", {}, m.sum);
       append_sample(out, name + "_count", {},
                     static_cast<double>(m.count));
@@ -177,8 +177,31 @@ std::string format_value(double v) {
   return buf;
 }
 
+LiveSnapshot capture_metrics(const sim::MetricsRegistry& reg,
+                             const std::vector<std::string>& names, double t,
+                             std::uint64_t generation) {
+  LiveSnapshot snap;
+  snap.t = t;
+  snap.generation = generation;
+  snap.metrics.reserve(reg.size());
+  for (sim::MetricsRegistry::MetricId m = 0; m < reg.size(); ++m) {
+    LiveMetric& lm = snap.metrics.emplace_back();
+    lm.name = names[m];
+    lm.kind = reg.kind(m);
+    lm.value = reg.value(m);
+    const sim::RunningStats& stats = reg.stats(m);
+    lm.count = stats.count();
+    if (lm.count > 0) {
+      lm.sum = stats.sum();
+      lm.min = stats.min();
+      lm.max = stats.max();
+    }
+  }
+  return snap;
+}
+
 std::string render_prometheus(
-    const sim::MetricsRegistry::LiveSnapshot* live, const BusSnapshot* bus,
+    const LiveSnapshot* live, const BusSnapshot* bus,
     const ServeStats* serve, const ServerStats::Snapshot* server,
     const ShardSnapshot* shard) {
   std::string out;

@@ -25,14 +25,42 @@
 
 namespace sa::serve {
 
+// The snapshot types below are plain values the sim thread fills at a
+// publish boundary; nothing in them is read from the live objects again.
+// Their names are views: the bridge points them into the name table of
+// the frame that owns the snapshot, so they live exactly as long as it.
+
+/// One registry metric as a publish saw it: identity, scalar and timer
+/// observation stats (count == 0 for counters and gauges).
+struct LiveMetric {
+  std::string_view name;
+  sim::MetricsRegistry::Kind kind = sim::MetricsRegistry::Kind::Counter;
+  double value = 0.0;
+  std::uint64_t count = 0;
+  double sum = 0.0, min = 0.0, max = 0.0;
+};
+
+/// The whole registry at one publish.
+struct LiveSnapshot {
+  double t = 0.0;                ///< sim time of the publish
+  std::uint64_t generation = 0;  ///< publish count, monotone from 1
+  std::vector<LiveMetric> metrics;
+};
+
+/// Reads every metric of `reg` (sim thread). `names[m]` names metric m and
+/// must outlive the snapshot.
+[[nodiscard]] LiveSnapshot capture_metrics(
+    const sim::MetricsRegistry& reg, const std::vector<std::string>& names,
+    double t, std::uint64_t generation);
+
 /// Per-category event counts copied off the TelemetryBus by the sim thread
 /// at a publish boundary (the bus's own counters are not safe to read
-/// concurrently; the bridge publishes this instead).
+/// concurrently).
 struct BusSnapshot {
   double t = 0.0;
   std::uint64_t total = 0;
   struct Category {
-    std::string name;
+    std::string_view name;
     std::uint64_t count = 0;
   };
   std::vector<Category> categories;
@@ -84,7 +112,7 @@ struct ServeStats {
 /// `sa_shard_events_total{shard=…}` counters (the final sample labelled
 /// `shard="coordinator"`) and the `sa_shard_lag_seconds` gauge.
 [[nodiscard]] std::string render_prometheus(
-    const sim::MetricsRegistry::LiveSnapshot* live, const BusSnapshot* bus,
+    const LiveSnapshot* live, const BusSnapshot* bus,
     const ServeStats* serve, const ServerStats::Snapshot* server = nullptr,
     const ShardSnapshot* shard = nullptr);
 

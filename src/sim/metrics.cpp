@@ -58,32 +58,6 @@ void MetricsRegistry::snapshot(double t) {
     }
   }
   snapshots_.push_back(std::move(s));
-  publish(t);
-}
-
-void MetricsRegistry::publish(double t) {
-  auto snap = std::make_shared<LiveSnapshot>();
-  snap->t = t;
-  snap->generation = ++generation_;
-  snap->metrics.reserve(metrics_.size());
-  for (const Metric& m : metrics_) {
-    LiveMetric lm;
-    lm.name = m.name;
-    lm.kind = m.kind;
-    lm.value = m.value;
-    if (m.kind == Kind::Timer) {
-      lm.count = m.stats.count();
-      if (lm.count > 0) {
-        lm.sum = m.stats.sum();
-        lm.mean = m.stats.mean();
-        lm.min = m.stats.min();
-        lm.max = m.stats.max();
-        lm.stddev = m.stats.stddev();
-      }
-    }
-    snap->metrics.push_back(std::move(lm));
-  }
-  live_.publish(std::move(snap));
 }
 
 }  // namespace sa::sim

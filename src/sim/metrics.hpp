@@ -9,17 +9,20 @@
 // is an index into a flat vector and performs no heap allocation.
 // `snapshot(t)` appends one row of all current values, giving a
 // time-series exportable as JSONL (exp::write_metrics_jsonl).
+//
+// The registry is single-threaded: registration, the hot path and
+// snapshot() all belong to the thread that runs the simulation. A live
+// scraper never reads it; serve::SimBridge copies the values into its own
+// published frame at each publish.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sim/snapshot.hpp"
 #include "sim/stats.hpp"
 
 namespace sa::sim {
@@ -74,44 +77,6 @@ class MetricsRegistry {
   }
   void clear_snapshots() { snapshots_.clear(); }
 
-  // -- Concurrent read path (the sa::serve scrape seam) ---------------------
-  //
-  // The registry itself is single-threaded: add/set/observe and snapshot()
-  // belong to the sim thread. To let an HTTP scraper read metrics while a
-  // run is live, the sim thread *publishes* an immutable deep copy of every
-  // metric's current state; server threads read whichever copy is current
-  // through a lock-free atomic pointer (SnapshotCell). snapshot(t) also
-  // publishes, so any experiment that already snapshots per epoch is
-  // scrapeable with no extra wiring.
-
-  /// Everything a scraper needs from one metric, deep-copied at publish
-  /// time: identity, scalar and observation stats.
-  struct LiveMetric {
-    std::string name;
-    Kind kind = Kind::Counter;
-    double value = 0.0;
-    // Timer observation stats (count == 0 for counters/gauges).
-    std::uint64_t count = 0;
-    double sum = 0.0, mean = 0.0, min = 0.0, max = 0.0, stddev = 0.0;
-  };
-  /// One published generation of the whole registry.
-  struct LiveSnapshot {
-    double t = 0.0;             ///< sim time passed to publish()
-    std::uint64_t generation = 0;  ///< publish() count, monotone from 1
-    std::vector<LiveMetric> metrics;
-  };
-
-  /// Publishes the current state for concurrent readers (sim thread only).
-  /// Reads nothing racy, draws no randomness: publishing cannot perturb a
-  /// trajectory.
-  void publish(double t);
-  /// The most recently published snapshot, or nullptr before the first
-  /// publish()/snapshot(). Safe from any thread; the returned snapshot
-  /// stays valid for as long as the caller holds the pointer.
-  [[nodiscard]] std::shared_ptr<const LiveSnapshot> live() const noexcept {
-    return live_.read();
-  }
-
  private:
   struct Metric {
     std::string name;
@@ -123,8 +88,6 @@ class MetricsRegistry {
 
   std::vector<Metric> metrics_;
   std::vector<Snapshot> snapshots_;
-  SnapshotCell<LiveSnapshot> live_;
-  std::uint64_t generation_ = 0;
 };
 
 }  // namespace sa::sim

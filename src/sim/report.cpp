@@ -70,26 +70,4 @@ void Table::print(std::ostream& os) const {
   os << '\n';
 }
 
-void Table::write_csv(std::ostream& os) const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    return out + "\"";
-  };
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    os << (c ? "," : "") << quote(columns_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c ? "," : "") << quote(format_cell(row[c], c));
-    }
-    os << '\n';
-  }
-}
-
 }  // namespace sa::sim

@@ -1,4 +1,4 @@
-// Console/CSV table reporting used by the benchmark harness.
+// Console table reporting used by the benchmark harness.
 //
 // Every experiment binary prints its results through a Table so that the
 // rows recorded in EXPERIMENTS.md are regenerated verbatim by re-running
@@ -16,7 +16,7 @@ namespace sa::sim {
 /// per-column precision).
 using Cell = std::variant<std::string, std::int64_t, double>;
 
-/// Column-aligned text table with optional CSV export.
+/// Column-aligned text table.
 class Table {
  public:
   /// `title` is printed as a header banner; `columns` are the header row.
@@ -36,8 +36,6 @@ class Table {
 
   /// Renders the aligned table to `os`.
   void print(std::ostream& os) const;
-  /// Renders as CSV (header + rows).
-  void write_csv(std::ostream& os) const;
 
  private:
   [[nodiscard]] std::string format_cell(const Cell& c, std::size_t col) const;

@@ -5,7 +5,9 @@
 // state without ever making the sim thread wait on them: the sim thread
 // *publishes* an immutable, heap-allocated snapshot at a point of its own
 // choosing (an engine-step boundary), and readers grab a shared_ptr to
-// whichever snapshot is current. Publication swaps one pointer under a
+// whichever snapshot is current. serve::SimBridge keeps exactly one cell,
+// holding its whole published frame, so a reader sees every value of one
+// publish and never a mix of two. Publication swaps one pointer under a
 // tiny spinlock — the same technique libstdc++ uses inside
 // std::atomic<shared_ptr>, spelled out here with acquire/release ordering
 // ThreadSanitizer can verify. Critical sections are a pointer swap

@@ -62,17 +62,6 @@ TEST(TimeAwareness, UnknownSignalQueriesAreSafe) {
   EXPECT_EQ(ta.best_model("nothing"), "");
 }
 
-TEST(TimeAwareness, TrackOnlyRestrictsSignals) {
-  TimeAwareness ta;
-  ta.track_only({"a"});
-  KnowledgeBase kb;
-  for (int i = 0; i < 10; ++i) {
-    ta.update(static_cast<double>(i), obs({{"a", 1.0}, {"b", 2.0}}), kb);
-  }
-  EXPECT_TRUE(kb.contains("forecast.a"));
-  EXPECT_FALSE(kb.contains("forecast.b"));
-}
-
 TEST(TimeAwareness, ConfidenceDropsWithErrors) {
   TimeAwareness ta;
   KnowledgeBase kb;

@@ -34,15 +34,29 @@ Server::Options quick_opts() {
   return opts;
 }
 
-/// Polls GET /status until `needle` appears (or ~2.5 s elapse).
-std::string await_status(unsigned short port, const std::string& needle) {
+/// Polls GET `path` until `needle` appears (or ~2.5 s elapse).
+std::string await_body(unsigned short port, const std::string& path,
+                       const std::string& needle) {
   std::string body;
   for (int i = 0; i < 250; ++i) {
-    body = client::body_of(client::http_get(port, "/status"));
+    body = client::body_of(client::http_get(port, path));
     if (body.find(needle) != std::string::npos) return body;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return body;
+}
+
+std::string await_status(unsigned short port, const std::string& needle) {
+  return await_body(port, "/status", needle);
+}
+
+/// The run of digits that follows `key` in `text` ("" if absent).
+std::string number_after(const std::string& text, const std::string& key) {
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + key.size();
+  return text.substr(begin,
+                     text.find_first_not_of("0123456789", begin) - begin);
 }
 
 TEST(SimBridge, PublishesStatusAndMetricsSnapshots) {
@@ -88,6 +102,83 @@ TEST(SimBridge, PublishesStatusAndMetricsSnapshots) {
 
   EXPECT_EQ(client::body_of(client::http_get(server.port(), "/healthz")),
             "ok\n");
+  server.stop();
+}
+
+TEST(SimBridge, MetricsAndStatusShowTheSamePublish) {
+  // One publish is one frame. Registry activity after it, a snapshot()
+  // included, stays invisible until the next publish, and /metrics'
+  // generation is /status's publish count.
+  sim::MetricsRegistry metrics;
+  const auto c = metrics.counter("frame.test");
+  metrics.add(c, 3.0);
+  SimBridge bridge;
+  bridge.set_metrics(&metrics);
+  Server server(quick_opts());
+  bridge.install(server);
+  ASSERT_TRUE(server.start()) << server.error();
+
+  bridge.publish_now(1.0);
+  metrics.add(c, 4.0);
+  metrics.snapshot(5.0);
+
+  const std::string page =
+      client::body_of(client::http_get(server.port(), "/metrics"));
+  const std::string status =
+      client::body_of(client::http_get(server.port(), "/status"));
+  EXPECT_NE(page.find("\nsa_sim_time_seconds 1\n"), std::string::npos)
+      << page;
+  EXPECT_NE(page.find("\nsa_frame_test 3\n"), std::string::npos) << page;
+  const std::string generation =
+      number_after(page, "\nsa_metrics_generation ");
+  EXPECT_FALSE(generation.empty()) << page;
+  EXPECT_EQ(generation, number_after(status, "\"publishes\":")) << status;
+  server.stop();
+}
+
+TEST(SimBridge, NamesInternedAfterAPublishRenderByNameAfterTheNext) {
+  sim::TelemetryBus bus;
+  SimBridge bridge;
+  bridge.set_telemetry(&bus);
+  Server server(quick_opts());
+  bridge.install(server);
+  ASSERT_TRUE(server.start()) << server.error();
+  bridge.publish_now(0.0);  // a name table of the canonical categories
+
+  const int fd = client::connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string req = "GET /events HTTP/1.1\r\n\r\n";
+  ASSERT_GT(::send(fd, req.data(), req.size(), 0), 0);
+  const std::string subscribed = "sa_serve_sse_subscribers 1\n";
+  ASSERT_NE(await_body(server.port(), "/metrics", subscribed).find(subscribed),
+            std::string::npos);
+
+  const auto cat = bus.intern_category("late.category");
+  const auto subj = bus.intern_subject("late.subject");
+  bridge.publish_now(1.0);  // the bus grew: a new name table
+  bus.record(1.0, cat, subj, 2.0, "late");
+  bridge.publish_now(2.0);  // nothing new: the same table again
+
+  std::string got;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline &&
+         got.find("\"detail\":\"late\"") == std::string::npos) {
+    char buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) got.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(got.find("\"category\":\"late.category\",\"subject\":"
+                     "\"late.subject\""),
+            std::string::npos)
+      << got;
+
+  const std::string page =
+      client::body_of(client::http_get(server.port(), "/metrics"));
+  EXPECT_NE(page.find("sa_bus_events_total{category=\"late.category\"} 1\n"),
+            std::string::npos)
+      << page;
   server.stop();
 }
 

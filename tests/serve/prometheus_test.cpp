@@ -29,6 +29,16 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+/// The registry's metric names in id order, as the bridge's name table
+/// holds them.
+std::vector<std::string> names_of(const sim::MetricsRegistry& reg) {
+  std::vector<std::string> names;
+  for (sim::MetricsRegistry::MetricId m = 0; m < reg.size(); ++m) {
+    names.push_back(reg.name(m));
+  }
+  return names;
+}
+
 /// One exposition page built from a registry exercising every metric kind.
 std::string sample_page() {
   sim::MetricsRegistry reg;
@@ -39,7 +49,8 @@ std::string sample_page() {
   reg.set(g, 0.875);
   reg.observe(t, 1.5);
   reg.observe(t, 2.5);
-  reg.publish(12.5);
+  const std::vector<std::string> names = names_of(reg);
+  const LiveSnapshot live = capture_metrics(reg, names, 12.5, 1);
 
   BusSnapshot bus;
   bus.t = 12.5;
@@ -51,8 +62,7 @@ std::string sample_page() {
   stats.connections = 3;
   stats.requests = 9;
 
-  const auto live = reg.live();
-  return render_prometheus(live.get(), &bus, &stats);
+  return render_prometheus(&live, &bus, &stats);
 }
 
 // Exposition grammar per line: comments/metadata, samples, or blank.
@@ -313,8 +323,8 @@ TEST(PrometheusFormat, FixedSnapshotRendersTheGoldenPage) {
   const auto t = reg.timer("loop.ms");
   reg.observe(t, 1.5);
   reg.observe(t, 2.25);
-  reg.publish(12.5);
-  const auto live = reg.live();
+  const std::vector<std::string> names = names_of(reg);
+  const LiveSnapshot live = capture_metrics(reg, names, 12.5, 1);
 
   BusSnapshot bus;
   bus.t = 12.5;
@@ -337,7 +347,7 @@ TEST(PrometheusFormat, FixedSnapshotRendersTheGoldenPage) {
   shard.lag_seconds = 0.125;
 
   const std::string page =
-      render_prometheus(live.get(), &bus, &serve, &server, &shard);
+      render_prometheus(&live, &bus, &serve, &server, &shard);
   std::ifstream in(std::string(SA_GOLDEN_DIR) + "/metrics.prom",
                    std::ios::binary);
   ASSERT_TRUE(in) << "missing " << SA_GOLDEN_DIR << "/metrics.prom";

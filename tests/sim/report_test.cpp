@@ -46,28 +46,12 @@ TEST(Table, PrecisionIsPerColumn) {
   EXPECT_NE(os.str().find("1.2346"), std::string::npos);
 }
 
-TEST(Table, CsvHasHeaderAndRows) {
-  Table t("csv", {"x", "y"});
-  t.add_row({std::int64_t{1}, 2.5});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2.500\n");
-}
-
-TEST(Table, CsvQuotesSpecialCharacters) {
-  Table t("csv", {"label"});
-  t.add_row({std::string("hello, \"world\"")});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "label\n\"hello, \"\"world\"\"\"\n");
-}
-
 TEST(Table, IntegerCellsPrintWithoutDecimals) {
   Table t("ints", {"n"});
   t.add_row({std::int64_t{42}});
   std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "n\n42\n");
+  t.print(os);
+  EXPECT_EQ(os.str(), "== ints ==\n n\n--\n42\n\n");
 }
 
 }  // namespace
