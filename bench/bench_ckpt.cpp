@@ -120,8 +120,7 @@ exp::TaskOutput run_costs(const gen::ScenarioSpec& spec,
   t0 = Clock::now();
   {
     gen::Scenario replayed(spec, ctx.seed, opts);
-    ckpt::schedule_replay(replayed.engine(), journal, /*order=*/1000,
-                          &replayed.injector());
+    ckpt::schedule_replay(replayed.engine(), journal, &replayed.injector());
     replayed.run();
   }
   const double replay_ms = ms_since(t0);

@@ -93,29 +93,18 @@ exp::TaskOutput gossip_round(std::size_t nodes, std::size_t n) {
   return time_op(n, [&](std::size_t) { keep(agg.round(rng)); });
 }
 
-exp::TaskOutput span_open_close(bool enabled, std::size_t n) {
-  sim::TelemetryBus bus;
-  sim::Tracer tracer(bus, enabled);
-  const auto subject = bus.intern_subject("bench");
-  const auto name = tracer.intern_name("op");
-  return time_op(n, [&](std::size_t i) {
-    auto s = tracer.span(static_cast<double>(i), subject, name);
-  });
-}
-
-enum class Tracing { kNone, kOn, kOff };
-
 /// A complete agent (`sensors` sensors, 2 actions, one objective, UCB1)
 /// stepped and rewarded once per op. A traced run clears its tracer now
 /// and then, as a real run exports per cell: it measures recording, not
-/// growth.
-exp::TaskOutput agent_step(std::size_t sensors, Tracing tracing,
-                           std::size_t n) {
+/// growth. An untraced run hands the agent no bus and no tracer.
+exp::TaskOutput agent_step(std::size_t sensors, bool traced, std::size_t n) {
   sim::TelemetryBus bus;
-  sim::Tracer tracer(bus, tracing == Tracing::kOn);
+  sim::Tracer tracer(bus);
   core::AgentConfig cfg;
-  if (tracing != Tracing::kNone) cfg.tracer = &tracer;
-  if (tracing == Tracing::kOn) cfg.telemetry = &bus;
+  if (traced) {
+    cfg.tracer = &tracer;
+    cfg.telemetry = &bus;
+  }
   core::SelfAwareAgent agent("bench", cfg);
   for (std::size_t s = 0; s < sensors; ++s) {
     agent.add_sensor("s" + std::to_string(s),
@@ -231,9 +220,15 @@ const std::vector<Kernel> kKernels = {
        return time_op(n, [&](std::size_t) { ex.record(e); });
      }},
     {"span_open_close", 1 << 17,
-     [](std::size_t n) { return span_open_close(true, n); }},
-    {"span_disabled", 1 << 18,
-     [](std::size_t n) { return span_open_close(false, n); }},
+     [](std::size_t n) {
+       sim::TelemetryBus bus;
+       sim::Tracer tracer(bus);
+       const auto subject = bus.intern_subject("bench");
+       const auto name = tracer.intern_name("op");
+       return time_op(n, [&](std::size_t i) {
+         auto s = tracer.span(static_cast<double>(i), subject, name);
+       });
+     }},
     {"flow_point", 1 << 17,
      [](std::size_t n) {
        sim::TelemetryBus bus;
@@ -270,13 +265,11 @@ const std::vector<Kernel> kKernels = {
        });
      }},
     {"agent_step_plain", 1 << 13,
-     [](std::size_t n) { return agent_step(4, Tracing::kNone, n); }},
+     [](std::size_t n) { return agent_step(4, false, n); }},
     {"agent_step@16", 1 << 12,
-     [](std::size_t n) { return agent_step(16, Tracing::kNone, n); }},
+     [](std::size_t n) { return agent_step(16, false, n); }},
     {"agent_step_traced", 1 << 13,
-     [](std::size_t n) { return agent_step(4, Tracing::kOn, n); }},
-    {"agent_step_tracer_off", 1 << 13,
-     [](std::size_t n) { return agent_step(4, Tracing::kOff, n); }},
+     [](std::size_t n) { return agent_step(4, true, n); }},
     {"platform_step@6core", 1 << 14,
      [](std::size_t n) {
        multicore::Platform plat(multicore::PlatformConfig::big_little(2, 4), 3);
@@ -361,23 +354,19 @@ int main(int argc, char** argv) {
                {"kernel", "ns/op", "allocs/op", "iters"});
   t.precision(1, 1);
   t.precision(2, 3);
-  std::size_t plain = 0, traced = 0, off = 0;
+  std::size_t plain = 0, traced = 0;
   for (std::size_t v = 0; v < res.variants.size(); ++v) {
     t.add_row({res.variants[v], res.stats(v, "ns_per_op").min(),
                res.stats(v, "allocs_per_op").max(),
                static_cast<std::int64_t>(kKernels[v].iters)});
     if (res.variants[v] == "agent_step_plain") plain = v;
     if (res.variants[v] == "agent_step_traced") traced = v;
-    if (res.variants[v] == "agent_step_tracer_off") off = v;
   }
   t.print(std::cout);
 
   const double base = res.stats(plain, "ns_per_op").min();
   const double on = res.stats(traced, "ns_per_op").min();
-  const double dis = res.stats(off, "ns_per_op").min();
   std::cout << "E10.2  ODA step overhead: traced " << (on / base - 1.0) * 100.0
-            << "%, disabled tracer " << (dis / base - 1.0) * 100.0
-            << "% vs plain (values within a few percent of zero are "
-               "measurement noise).\n";
+            << "% vs plain (no bus, no tracer).\n";
   return h.finish();
 }

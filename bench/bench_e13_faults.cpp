@@ -35,6 +35,7 @@
 #include "fault/fault.hpp"
 #include "multicore/manager.hpp"
 #include "multicore/platform.hpp"
+#include "serve/bridge.hpp"
 #include "sim/engine.hpp"
 #include "sim/report.hpp"
 
@@ -89,11 +90,9 @@ exp::TaskOutput run_cpn(cpn::PacketNetwork::Router router,
   net.bind(engine);
   // Served cell: expose the engine and injector live (POST /control can
   // fire one-shot faults into this run at step boundaries).
-  if (ctx.serve_bind) {
-    exp::ServeHooks hooks;
-    hooks.engine = &engine;
-    hooks.injector = &inj;
-    ctx.serve_bind(hooks);
+  if (ctx.bridge != nullptr) {
+    ctx.bridge->set_injector(&inj);
+    ctx.bridge->attach(engine);
   }
 
   // Windowed delivery: the goal signal the recovery detection runs over.
@@ -203,13 +202,11 @@ exp::TaskOutput run_multicore(multicore::Manager::Variant variant,
 
   // Served cell: /status reports this agent's active levels and ladder
   // position, /control can inject extra faults mid-run.
-  if (ctx.serve_bind) {
-    exp::ServeHooks hooks;
-    hooks.engine = &engine;
-    hooks.agents = {&mgr.agent()};
-    if (policy) hooks.ladders = {policy.get()};
-    hooks.injector = &inj;
-    ctx.serve_bind(hooks);
+  if (ctx.bridge != nullptr) {
+    ctx.bridge->add_agent(&mgr.agent());
+    ctx.bridge->add_degradation(policy.get());
+    ctx.bridge->set_injector(&inj);
+    ctx.bridge->attach(engine);
   }
 
   engine.run_until(kMcHorizon);

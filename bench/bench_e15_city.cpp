@@ -34,6 +34,7 @@
 #include "exp/harness.hpp"
 #include "gen/scenario.hpp"
 #include "gen/spec.hpp"
+#include "serve/bridge.hpp"
 #include "shard/world.hpp"
 #include "sim/report.hpp"
 
@@ -42,6 +43,20 @@ namespace {
 using namespace sa;
 
 const std::vector<std::uint64_t> kSeeds{61, 62, 63};
+
+/// Wires the cell's control seams onto the city's engine (the coordinator
+/// on the sharded path): replays the recorded control stream
+/// (--control-journal, or a resumed run's live journal) at its original
+/// sim times and at the bridge's event order, so the replayed trajectory
+/// byte-matches the served one; and in the served cell puts the agents and
+/// the injector on the bridge. The caller attaches the bridge once its own
+/// wiring is done.
+void wire_control(gen::Scenario& city, const exp::TaskContext& ctx) {
+  ckpt::schedule_replay(city.engine(), ctx.control_journal, &city.injector());
+  if (ctx.bridge == nullptr) return;
+  for (core::SelfAwareAgent* a : city.agents()) ctx.bridge->add_agent(a);
+  ctx.bridge->set_injector(&city.injector());
+}
 
 /// Sharded path (--shards N > 1): the same world partitioned across N
 /// engine shards, byte-identical summary (sa::shard). The serve/journal
@@ -57,27 +72,17 @@ exp::TaskOutput run_city_sharded(exp::Harness& h, const gen::ScenarioSpec& spec,
   shard::ShardedWorld world(spec, ctx.seed, opts);
   gen::Scenario& city = world.world();
 
-  if (!ctx.control_journal.empty()) {
-    std::vector<ckpt::JournalEntry> entries;
-    if (const ckpt::Status st =
-            ckpt::parse_journal_spec(ctx.control_journal, entries);
-        !st.ok()) {
-      throw std::invalid_argument("control journal: " + st.to_string());
-    }
-    ckpt::schedule_replay(city.engine(), std::move(entries), /*order=*/1000,
-                          &city.injector());
-  }
-  if (ctx.serve_bind) {
-    exp::ServeHooks hooks;
-    hooks.engine = &city.engine();
-    hooks.injector = &city.injector();
-    hooks.agents = city.agents();
+  wire_control(city, ctx);
+  if (ctx.bridge != nullptr) {
     // Runs at coordinator publish events, i.e. while the shard engines
     // are barrier-paused — the counters are safe to read then.
-    hooks.shard_stats = [&world] {
-      return std::make_pair(world.shard_events(), world.lag_seconds());
-    };
-    ctx.serve_bind(hooks);
+    ctx.bridge->set_shard_source([&world] {
+      serve::ShardSnapshot snap;
+      snap.events = world.shard_events();
+      snap.lag_seconds = world.lag_seconds();
+      return snap;
+    });
+    ctx.bridge->attach(city.engine());
   }
 
   world.run();
@@ -94,40 +99,24 @@ exp::TaskOutput run_city(const gen::ScenarioSpec& spec, bool self_aware,
   opts.metrics = ctx.metrics;
   gen::Scenario city(spec, ctx.seed, opts);
 
-  // Replay a recorded control stream (--control-journal, or a resumed
-  // run's live journal) at its original sim times and at the bridge's
-  // event order, so the replayed trajectory byte-matches the served one.
-  if (!ctx.control_journal.empty()) {
-    std::vector<ckpt::JournalEntry> entries;
-    if (const ckpt::Status st =
-            ckpt::parse_journal_spec(ctx.control_journal, entries);
-        !st.ok()) {
-      throw std::invalid_argument("control journal: " + st.to_string());
-    }
-    ckpt::schedule_replay(city.engine(), std::move(entries), /*order=*/1000,
-                          &city.injector());
-  }
-
+  wire_control(city, ctx);
   // Must outlive city.run(): the serve bridge's cmd=checkpoint hook calls
   // into it from engine-step boundaries for the duration of the run.
   ckpt::WorldCheckpoint wc;
-  if (ctx.serve_bind) {
-    exp::ServeHooks hooks;
-    hooks.engine = &city.engine();
-    hooks.injector = &city.injector();
-    hooks.agents = city.agents();
+  if (ctx.bridge != nullptr) {
     if (!ctx.checkpoint_path.empty()) {
       city.register_checkpoint(wc);
-      hooks.checkpoint = [&wc, &spec, path = std::string(ctx.checkpoint_path),
-                          seed = ctx.seed](double t) {
-        ckpt::WorldCheckpoint::Meta meta;
-        meta.t = t;
-        meta.seed = seed;
-        meta.recipe = spec.to_string();
-        return wc.save_file(meta, path).ok();
-      };
+      ctx.bridge->set_checkpoint_hook(
+          [&wc, &spec, path = std::string(ctx.checkpoint_path),
+           seed = ctx.seed](double t) {
+            ckpt::WorldCheckpoint::Meta meta;
+            meta.t = t;
+            meta.seed = seed;
+            meta.recipe = spec.to_string();
+            return wc.save_file(meta, path).ok();
+          });
     }
-    ctx.serve_bind(hooks);
+    ctx.bridge->attach(city.engine());
   }
 
   city.run();

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exp/harness.hpp"
+#include "serve/bridge.hpp"
 #include "sim/engine.hpp"
 #include "sim/report.hpp"
 #include "sim/stats.hpp"
@@ -71,11 +72,7 @@ exp::TaskOutput run(CameraFleet::Mode mode, Strategy fixed,
   sim::Engine engine;
   // The served cell (--serve) additionally exposes this engine live: the
   // bridge schedules its publish events before anything else runs.
-  if (ctx.serve_bind) {
-    exp::ServeHooks hooks;
-    hooks.engine = &engine;
-    ctx.serve_bind(hooks);
-  }
+  if (ctx.bridge != nullptr) ctx.bridge->attach(engine);
   sim::RunningStats tail_cov, tail_msg, tail_u;
   int e = 0;
   fleet.bind(engine, 1.0, [&](const NetworkEpoch& ne) {

@@ -17,6 +17,7 @@
 #include "cpn/network.hpp"
 #include "cpn/traffic.hpp"
 #include "exp/harness.hpp"
+#include "serve/bridge.hpp"
 #include "sim/engine.hpp"
 #include "sim/report.hpp"
 #include "sim/stats.hpp"
@@ -72,11 +73,7 @@ exp::TaskOutput run(PacketNetwork::Router router, bool defence,
   gen.bind(engine, net);
   net.bind(engine);
   // Served cell (--serve): expose this engine live over HTTP.
-  if (ctx.serve_bind) {
-    exp::ServeHooks hooks;
-    hooks.engine = &engine;
-    ctx.serve_bind(hooks);
-  }
+  if (ctx.bridge != nullptr) ctx.bridge->attach(engine);
 
   exp::Metrics m;
   const double ticks[] = {kBefore, kAttack, kAfter};
@@ -84,7 +81,7 @@ exp::TaskOutput run(PacketNetwork::Router router, bool defence,
   for (int w = 0; w < 3; ++w) {
     const double start = horizon;
     horizon += ticks[w];
-    auto span = (ctx.tracer != nullptr && ctx.tracer->enabled())
+    auto span = ctx.tracer != nullptr
                     ? ctx.tracer->span(start, trace_subject, n_window)
                     : sim::Tracer::Span{};
     engine.run_until(horizon);

@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
   bus.add_sink(&recent);
 
   // One tracer per domain, namespaced so the merged stream stays unique.
-  sim::Tracer edge_tracer(bus, /*enabled=*/true, /*ns=*/1);
-  sim::Tracer cloud_tracer(bus, /*enabled=*/true, /*ns=*/2);
+  sim::Tracer edge_tracer(bus, /*ns=*/1);
+  sim::Tracer cloud_tracer(bus, /*ns=*/2);
 
   // --- Fast loop: the edge appliance (control epoch 0.5 s) ---------------
   multicore::Platform platform(multicore::PlatformConfig::big_little(2, 4),

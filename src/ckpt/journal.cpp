@@ -226,8 +226,9 @@ Status load_journal(Cursor& in, std::vector<JournalEntry>& out) {
   return {};
 }
 
-void schedule_replay(sim::Engine& engine, std::vector<JournalEntry> entries,
-                     int order, fault::Injector* injector) {
+void schedule_replay(sim::Engine& engine,
+                     std::span<const JournalEntry> entries,
+                     fault::Injector* injector) {
   if (injector == nullptr) return;
   // Replay events are themselves tagged (by journal position), so a
   // restored-and-replaying world can be checkpointed again.
@@ -237,7 +238,7 @@ void schedule_replay(sim::Engine& engine, std::vector<JournalEntry> entries,
         [&engine, injector, cmd = entries[i].cmd] {
           apply(cmd, engine, *injector);
         },
-        order);
+        kControlOrder);
   }
 }
 

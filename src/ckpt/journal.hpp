@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,12 @@
 #include "sim/engine.hpp"
 
 namespace sa::ckpt {
+
+/// Engine order of every control event — the serve bridge's publish and
+/// mailbox drain, and every replayed journal entry: far above exchange (2)
+/// so control lands after everything else scheduled at the same instant,
+/// and a replayed command lands exactly where its drain did.
+inline constexpr int kControlOrder = 1000;
 
 /// Decoded value of `key` in an x-www-form-urlencoded body ("k=v&k=v";
 /// '+' is a space, %XX a byte). "" if the key is absent or its value
@@ -109,11 +116,12 @@ void save_journal(const std::vector<JournalEntry>& in, Buffer& out);
 [[nodiscard]] Status load_journal(Cursor& in, std::vector<JournalEntry>& out);
 
 /// Schedules apply() of every entry on `engine` at its recorded sim time
-/// and `order` (use the bridge's event order, 1000, so replayed commands
-/// land after everything else at the same instant — exactly where a
-/// drained mailbox command landed originally). A null `injector` skips
-/// every entry, as the bridge refuses inject without one.
-void schedule_replay(sim::Engine& engine, std::vector<JournalEntry> entries,
-                     int order, fault::Injector* injector);
+/// and kControlOrder, so replayed commands land after everything else at
+/// the same instant — exactly where a drained mailbox command landed
+/// originally. A null `injector` skips every entry, as the bridge refuses
+/// inject without one.
+void schedule_replay(sim::Engine& engine,
+                     std::span<const JournalEntry> entries,
+                     fault::Injector* injector);
 
 }  // namespace sa::ckpt

@@ -186,7 +186,7 @@ core::MetricMap Autoscaler::predict(std::size_t k) const {
 CloudEpoch Autoscaler::run_epoch() {
   // Epoch-length span on the autoscaler's track; the agent's ODA spans
   // (decide-first) open it, the reward's outcome span closes the chain.
-  auto span = (p_.tracer != nullptr && p_.tracer->enabled())
+  auto span = p_.tracer != nullptr
                   ? p_.tracer->span(cluster_.now(), trace_subject_, n_epoch_)
                   : sim::Tracer::Span{};
   // Decide first (using knowledge from previous epochs), then live with it.

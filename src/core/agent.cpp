@@ -149,7 +149,7 @@ void SelfAwareAgent::run_processes(double t, const Observation& obs) {
 Decision SelfAwareAgent::step(double t) {
   ++steps_;
   last_step_t_ = t;
-  sim::Tracer* tr = active_tracer();
+  sim::Tracer* tr = cfg_.tracer;
   auto s_step = tr ? tr->span(t, trace_subject_, n_step_)
                    : sim::Tracer::Span{};
 
@@ -166,7 +166,7 @@ Decision SelfAwareAgent::step(double t) {
       tr->flow(t, sim::FlowPhase::Begin, obs_id, trace_subject_, n_flow_obs_);
     }
   }
-  if (cfg_.telemetry != nullptr && cfg_.telemetry->enabled()) {
+  if (cfg_.telemetry != nullptr) {
     std::string sampled;
     for (const auto& [sig, v] : obs) {
       (void)v;
@@ -234,7 +234,7 @@ Decision SelfAwareAgent::step(double t) {
                  n_flow_decision_);
       }
     }
-    if (cfg_.telemetry != nullptr && cfg_.telemetry->enabled()) {
+    if (cfg_.telemetry != nullptr) {
       cfg_.telemetry->record(t, sim::TelemetryBus::kDecision, subject_,
                              static_cast<double>(d.action_index),
                              d.action + ": " + d.rationale);
@@ -274,7 +274,7 @@ void SelfAwareAgent::reward(double r) {
   if (policy_) policy_->feedback(r);
   // Outcome: reward settles the pending decision chain. The span sits at
   // the deciding step's time (reward arrives between sim events).
-  sim::Tracer* tr = active_tracer();
+  sim::Tracer* tr = cfg_.tracer;
   if (tr != nullptr && pending_outcome_ != 0) {
     auto s = tr->span(last_step_t_, trace_subject_, n_outcome_);
     s.arg(k_reward_, r);

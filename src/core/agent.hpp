@@ -174,11 +174,6 @@ class SelfAwareAgent {
   void run_processes(double t, const Observation& obs);
   void explain_decision(double t, const Decision& d,
                         std::vector<sim::TraceId> cited);
-  /// Active tracer, or null when absent/disabled (checked once per step).
-  [[nodiscard]] sim::Tracer* active_tracer() const noexcept {
-    return (cfg_.tracer != nullptr && cfg_.tracer->enabled()) ? cfg_.tracer
-                                                              : nullptr;
-  }
 
   std::string id_;
   AgentConfig cfg_;

@@ -144,10 +144,6 @@ class PacketNetwork {
   /// Statistics since the last harvest (legit traffic only).
   CpnStats harvest();
 
-  /// Packets currently in flight on link `l`.
-  [[nodiscard]] std::size_t link_load(std::size_t l) const {
-    return in_flight_[l];
-  }
   /// Mean in-flight load across links (a coarse congestion sensor).
   [[nodiscard]] double mean_load() const;
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }

@@ -152,7 +152,7 @@ StandardArgs::StandardArgs() {
        "another host can reach it; pair with --serve-token)",
        [](std::string_view value, Options& out) -> std::string {
          if (value.empty()) return "expects an IPv4 address";
-         out.serve_bind = std::string(value);
+         out.serve_address = std::string(value);
          return {};
        }});
   add({"--serve-token",

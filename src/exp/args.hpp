@@ -66,7 +66,7 @@ struct Options {
   int serve_port = -1;
   /// Bind address of the endpoint (default loopback; 0.0.0.0 lets a load
   /// generator on another host connect — pair with serve_token).
-  std::string serve_bind = "127.0.0.1";
+  std::string serve_address = "127.0.0.1";
   /// Shared token required on POST /control when non-empty (constant-time
   /// compare, 401 on mismatch).
   std::string serve_token;

@@ -11,55 +11,26 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "ckpt/journal.hpp"
 #include "sim/rng.hpp"
 
 namespace sa::sim {
-class Engine;
 class TelemetryBus;
 class Tracer;
 class MetricsRegistry;
 }  // namespace sa::sim
 
-namespace sa::core {
-class SelfAwareAgent;
-class DegradationPolicy;
-}  // namespace sa::core
-
-namespace sa::fault {
-class Injector;
-}  // namespace sa::fault
+namespace sa::serve {
+class SimBridge;
+}  // namespace sa::serve
 
 namespace sa::exp {
-
-/// What a task hands the harness when it is the *served cell* (--serve):
-/// non-owning pointers to the live objects the sa::serve control plane
-/// exposes. Everything is optional except the engine; all of it must stay
-/// alive until the task returns (the serve bridge publishes snapshots at
-/// engine-step boundaries for the duration of the run).
-struct ServeHooks {
-  sim::Engine* engine = nullptr;
-  std::vector<core::SelfAwareAgent*> agents;
-  std::vector<core::DegradationPolicy*> ladders;
-  fault::Injector* injector = nullptr;
-  /// When set, POST /control cmd=checkpoint saves a world snapshot at the
-  /// next step boundary: the callable (built by the task, typically over a
-  /// ckpt::WorldCheckpoint targeting TaskContext::checkpoint_path) runs on
-  /// the sim thread with the current sim time and returns success.
-  std::function<bool(double t)> checkpoint;
-  /// Per-shard stats source for sharded cells (--shards > 1): returns the
-  /// per-shard executed-event counts (shard::ShardedWorld::shard_events();
-  /// last entry = coordinator) and the cumulative barrier-lag seconds. The
-  /// bridge calls it on the sim thread at publish boundaries — where the
-  /// shard engines are barrier-paused — and surfaces the copy as
-  /// sa_shard_events_total{shard=…} / sa_shard_lag_seconds and the /status
-  /// `shards` block.
-  std::function<std::pair<std::vector<std::uint64_t>, double>()> shard_stats;
-};
 
 /// Named metric values produced by one task, in a fixed (reported) order.
 using Metrics = std::vector<std::pair<std::string, double>>;
@@ -112,32 +83,37 @@ struct TaskContext {
   /// scenario world ignore it.
   unsigned shards = 1;
 
-  /// Observability hooks — non-null only for the harness's *traced cell*
-  /// (one designated cell when --trace/--metrics was given; see
-  /// exp/harness.hpp). Tasks that support tracing wire these into their
-  /// substrate/agent configs. They must never influence the trajectory:
-  /// telemetry and tracing never touch an Rng, so a task's metrics must
-  /// be identical whether or not these are set.
+  /// Observability seams — each is on when its object is handed in and
+  /// off when the pointer is null. Non-null only for the harness's *traced
+  /// cell* (one designated cell when --trace/--metrics/--serve was given;
+  /// see exp/harness.hpp). Tasks that support tracing wire these into
+  /// their substrate/agent configs. They must never influence the
+  /// trajectory: telemetry and tracing never touch an Rng, so a task's
+  /// metrics must be identical whether or not these are set.
   sim::TelemetryBus* telemetry = nullptr;
   sim::Tracer* tracer = nullptr;
   sim::MetricsRegistry* metrics = nullptr;
 
-  /// Set only for the harness's *served cell* when --serve was given (the
-  /// same designated cell as tracing). Tasks that support live serving
-  /// call it once, after wiring and before running the engine:
-  ///   exp::ServeHooks hooks;
-  ///   hooks.engine = &engine;          // plus agents/ladders/injector
-  ///   if (ctx.serve_bind) ctx.serve_bind(hooks);
-  /// The callee schedules snapshot-publish events on the engine; like the
-  /// tracer it draws no randomness, so binding never perturbs metrics.
-  std::function<void(const ServeHooks&)> serve_bind;
+  /// The live HTTP bridge — non-null only for the *served cell* when
+  /// --serve was given (the same designated cell as tracing). The harness
+  /// has already wired the registry, the bus and the control journal;
+  /// a task that supports serving adds its own objects through the
+  /// bridge's setters and then attaches it, once, before running:
+  ///   if (ctx.bridge != nullptr) {
+  ///     ctx.bridge->set_injector(&injector);  // agents, ladders, ...
+  ///     ctx.bridge->attach(engine);
+  ///   }
+  /// attach() schedules snapshot-publish events on the engine; like the
+  /// tracer they draw no randomness, so serving never perturbs metrics.
+  /// Everything handed to the bridge must outlive the run.
+  serve::SimBridge* bridge = nullptr;
 
-  /// Control-journal spec (sa::ckpt::parse_journal_spec syntax) to replay
-  /// into this cell, or empty. Set for every cell from --control-journal
-  /// (plus, on --resume, the journal recorded live before the
+  /// Control commands to replay into this cell, in order (empty when
+  /// none). Set for every cell from --control-journal, parsed once at
+  /// startup (plus, on --resume, the journal recorded live before the
   /// interruption); tasks that support it schedule the entries on their
   /// engine at the recorded sim times (ckpt::schedule_replay).
-  std::string_view control_journal;
+  std::span<const ckpt::JournalEntry> control_journal;
 
   /// Destination for this cell's on-demand world snapshot (the /control
   /// cmd=checkpoint path) — non-empty only for the harness's designated

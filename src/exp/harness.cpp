@@ -186,15 +186,13 @@ Harness::Harness(std::string experiment, int argc, const char* const* argv)
     }
   }
 
-  journal_spec_ = opts_.control_journal;
-  if (!journal_spec_.empty()) {
-    // Fail fast on a malformed spec instead of erroring every cell.
-    std::vector<ckpt::JournalEntry> parsed;
-    if (const ckpt::Status st = ckpt::parse_journal_spec(journal_spec_, parsed);
-        !st.ok()) {
-      std::cerr << "error: --control-journal: " << st.to_string() << "\n";
-      std::exit(2);
-    }
+  // Parsed once here, so a malformed spec fails fast instead of erroring
+  // every cell, and every cell replays the same entries.
+  if (const ckpt::Status st =
+          ckpt::parse_journal_spec(opts_.control_journal, replay_);
+      !st.ok()) {
+    std::cerr << "error: --control-journal: " << st.to_string() << "\n";
+    std::exit(2);
   }
   if (resume_store_ != nullptr) {
     // Re-arm the control stream recorded live before the interruption:
@@ -202,12 +200,8 @@ Harness::Harness(std::string experiment, int argc, const char* const* argv)
     // store keeps carrying it (pre-seeding journal_ makes every later
     // save, and any further resume, cumulative).
     std::vector<ckpt::JournalEntry> recorded = resume_store_->journal();
-    if (!recorded.empty()) {
-      const std::string spec = ckpt::journal_spec(recorded);
-      journal_spec_ =
-          journal_spec_.empty() ? spec : journal_spec_ + "; " + spec;
-      journal_.set_entries(std::move(recorded));
-    }
+    replay_.insert(replay_.end(), recorded.begin(), recorded.end());
+    journal_.set_entries(std::move(recorded));
   }
 
   if (!opts_.checkpoint.empty() || !opts_.json.empty()) {
@@ -286,7 +280,7 @@ void Harness::start_serving() {
   serve::SimBridge::Options bridge_opts;
   bridge_opts.control_token = opts_.serve_token;
   serve_ = std::make_unique<ServeState>(
-      static_cast<std::uint16_t>(opts_.serve_port), opts_.serve_bind,
+      static_cast<std::uint16_t>(opts_.serve_port), opts_.serve_address,
       std::move(bridge_opts));
   serve_->bridge.set_metrics(metrics_.get());
   serve_->bridge.set_telemetry(trace_bus_.get());
@@ -381,34 +375,7 @@ GridResult Harness::run(Grid grid) {
         traced.telemetry = trace_bus_.get();
         traced.tracer = tracer_.get();
         traced.metrics = metrics_.get();
-        if (serve_ != nullptr) {
-          traced.serve_bind = [this](const ServeHooks& hooks) {
-            if (hooks.engine == nullptr) return;
-            for (core::SelfAwareAgent* a : hooks.agents) {
-              serve_->bridge.add_agent(a);
-            }
-            for (core::DegradationPolicy* l : hooks.ladders) {
-              serve_->bridge.add_degradation(l);
-            }
-            if (hooks.injector != nullptr) {
-              serve_->bridge.set_injector(hooks.injector);
-            }
-            if (hooks.checkpoint) {
-              serve_->bridge.set_checkpoint_hook(hooks.checkpoint);
-            }
-            if (hooks.shard_stats) {
-              serve_->bridge.set_shard_source(
-                  [src = hooks.shard_stats]() {
-                    serve::ShardSnapshot snap;
-                    auto [events, lag] = src();
-                    snap.events = std::move(events);
-                    snap.lag_seconds = lag;
-                    return snap;
-                  });
-            }
-            serve_->bridge.attach(*hooks.engine);
-          };
-        }
+        if (serve_ != nullptr) traced.bridge = &serve_->bridge;
         return inner(traced);
       }
       return inner(ctx);
@@ -428,7 +395,7 @@ GridResult Harness::run(Grid grid) {
     }
   }
   if (store_ != nullptr || resume_store_ != nullptr ||
-      !journal_spec_.empty() || !world_ckpt_path_.empty()) {
+      !replay_.empty() || !world_ckpt_path_.empty()) {
     // The world-snapshot path goes to the same designated cell the tracer
     // uses (last variant, first seed, first grid) so cmd=checkpoint and
     // --serve compose on one cell.
@@ -451,7 +418,7 @@ GridResult Harness::run(Grid grid) {
         }
       }
       TaskContext cell = ctx;
-      cell.control_journal = journal_spec_;
+      cell.control_journal = replay_;
       if (first_grid && ctx.variant == last_variant && ctx.seed == first_seed) {
         cell.checkpoint_path = world_ckpt_path_;
       }

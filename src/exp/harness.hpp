@@ -73,10 +73,13 @@ class Harness {
   /// so the exported file is bitwise-identical for every thread count.
   ///
   /// --serve designates the same cell as the *served cell*: it receives
-  /// the telemetry/metrics hooks plus a TaskContext::serve_bind callback
-  /// that attaches the HTTP bridge to the cell's engine. The endpoint
-  /// starts before the grid runs (so scrapers can connect mid-run) and
-  /// stays up through finish()'s --serve-linger window.
+  /// the telemetry/metrics hooks plus TaskContext::bridge, the HTTP bridge
+  /// with the registry, the bus and the control journal already wired;
+  /// the task adds its own objects and attaches the bridge to its engine.
+  /// Every other cell gets a null bridge. The endpoint starts before the
+  /// grid runs (so scrapers can connect mid-run; control commands that
+  /// need the cell answer 503 until it attaches) and stays up through
+  /// finish()'s --serve-linger window.
   GridResult run(Grid grid);
 
   /// The tracer/metrics captured from the traced cell (null before a
@@ -172,7 +175,9 @@ class Harness {
   std::unique_ptr<CheckpointStore> store_;
   std::unique_ptr<CheckpointStore> resume_store_;
   ckpt::ControlJournal journal_;   ///< live /control recording (serve)
-  std::string journal_spec_;       ///< effective spec passed to every cell
+  /// Commands every cell replays: --control-journal, then (on --resume)
+  /// the journal recorded live before the interruption.
+  std::vector<ckpt::JournalEntry> replay_;
   std::string world_ckpt_path_;    ///< opts_.checkpoint + ".world"
   std::size_t grid_index_ = 0;     ///< positional grid id for the stores
   std::thread supervisor_;

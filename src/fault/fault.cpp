@@ -274,7 +274,7 @@ void Injector::fire(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
   last_onset_ = t;
   log_.push(rec);
   notify(rec);
-  if (telemetry_ != nullptr && telemetry_->enabled()) {
+  if (telemetry_ != nullptr) {
     telemetry_->record(t, sim::TelemetryBus::kFailure, subject_,
                        rec.magnitude,
                        std::string(kind_name(rec.kind)) + " " + rec.surface +
@@ -322,7 +322,7 @@ bool Injector::inject_now(sim::Engine& engine, FaultKind kind,
     last_onset_ = t;
     log_.push(rec);
     notify(rec);
-    if (telemetry_ != nullptr && telemetry_->enabled()) {
+    if (telemetry_ != nullptr) {
       telemetry_->record(t, sim::TelemetryBus::kFailure, subject_,
                          rec.magnitude,
                          std::string(kind_name(rec.kind)) + " " + rec.surface +

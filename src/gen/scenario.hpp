@@ -122,9 +122,6 @@ class Scenario {
   [[nodiscard]] std::size_t edge_nodes() const noexcept {
     return managers_.size();
   }
-  [[nodiscard]] multicore::Manager* edge_manager(std::size_t i) {
-    return managers_[i].get();
-  }
   /// Camera districts / CPN grids built (0 when the section is disabled).
   [[nodiscard]] std::size_t districts() const noexcept {
     return fleets_.size();

@@ -310,7 +310,7 @@ double Manager::run_epoch_for(double secs) {
   // Epoch-length span on the manager's track; the agent's ODA spans (on
   // its own track) land at the epoch's end time, inside this interval.
   const double t0 = platform_.now();
-  auto span = (p_.tracer != nullptr && p_.tracer->enabled())
+  auto span = p_.tracer != nullptr
                   ? p_.tracer->span(t0, trace_subject_, n_epoch_)
                   : sim::Tracer::Span{};
   platform_.run_for(secs);

@@ -7,6 +7,11 @@ namespace sa::serve {
 
 namespace {
 
+/// Newest explanations, injector records and slow requests in /status.
+constexpr std::size_t kStatusExplanations = 8;
+constexpr std::size_t kStatusFaults = 16;
+constexpr std::size_t kStatusSlowRequests = 16;
+
 HttpResponse json_response(int status, std::string body) {
   HttpResponse resp;
   resp.status = status;
@@ -84,9 +89,10 @@ void SimBridge::attach(sim::Engine& engine) {
         publish_now(engine.now());
         return !shutdown_requested();
       },
-      opts_.event_order);
+      ckpt::kControlOrder);
   drain_mailbox(&engine);
   publish_now(engine.now());
+  attached_.store(true, std::memory_order_release);
 }
 
 void SimBridge::install(Server& server) {
@@ -258,6 +264,11 @@ HttpResponse SimBridge::handle_control(const HttpRequest& req) {
     pause_cv_.notify_all();
     return json_response(200, "{\"shutdown\":true}\n");
   }
+  if ((cmd == "inject" || cmd == "checkpoint") &&
+      !attached_.load(std::memory_order_acquire)) {
+    return json_response(503,
+                         "{\"error\":\"no simulation attached yet\"}\n");
+  }
   if (cmd == "inject") {
     if (injector_ == nullptr) {
       return json_response(503, "{\"error\":\"no injector wired\"}\n");
@@ -378,8 +389,7 @@ std::string SimBridge::build_status(double t,
     out += ",\"keepalive_reuses\":";
     out += std::to_string(self.keepalive_reuses);
     out += ",\"slow_requests\":[";
-    const std::size_t n =
-        std::min(opts_.status_slow_requests, self.slow.size());
+    const std::size_t n = std::min(kStatusSlowRequests, self.slow.size());
     for (std::size_t i = self.slow.size() - n; i < self.slow.size(); ++i) {
       const ServerStats::SlowRequest& s = self.slow[i];
       if (i != self.slow.size() - n) out += ',';
@@ -443,7 +453,7 @@ std::string SimBridge::build_status(double t,
     out += std::to_string(injector_->active());
     out += ",\"recent\":[";
     const auto records = injector_->records();
-    const std::size_t n = std::min(opts_.status_faults, records.size());
+    const std::size_t n = std::min(kStatusFaults, records.size());
     for (std::size_t i = records.size() - n; i < records.size(); ++i) {
       const auto& r = records[i];
       if (i != records.size() - n) out += ',';
@@ -467,7 +477,7 @@ std::string SimBridge::build_status(double t,
   out += ",\"explanations\":[";
   bool first = true;
   for (core::SelfAwareAgent* a : agents_) {
-    const auto recent = a->explainer().snapshot(opts_.status_explanations);
+    const auto recent = a->explainer().snapshot(kStatusExplanations);
     for (const core::Explanation& e : recent) {
       if (!first) out += ',';
       first = false;

@@ -61,19 +61,11 @@ namespace sa::serve {
 class SimBridge {
  public:
   struct Options {
-    /// Sim-time period of the publish + mailbox-drain event.
+    /// Sim-time period of the publish + mailbox-drain event (which runs
+    /// at ckpt::kControlOrder).
     double publish_period = 0.1;
-    /// Engine order of that event: far above exchange (2) so it runs after
-    /// everything else scheduled at the same instant.
-    int event_order = 1000;
-    /// Newest explanations included in /status.
-    std::size_t status_explanations = 8;
-    /// Newest injector records included in /status.
-    std::size_t status_faults = 16;
     /// Per-SSE-subscriber queue capacity (drop-with-counter beyond).
     std::size_t sse_queue = 1024;
-    /// Newest slow-request ring entries included in /status.
-    std::size_t status_slow_requests = 16;
     /// When non-empty, POST /control requires this shared token (form
     /// field `token=` or `Authorization: Bearer …`), compared in constant
     /// time; a mismatch answers 401. Lets a load test run from a second
@@ -84,7 +76,11 @@ class SimBridge {
   SimBridge() : SimBridge(Options{}) {}
   explicit SimBridge(Options opts);
 
-  // -- Wiring (sim thread, before the run starts) ---------------------------
+  // -- Wiring (sim thread, before attach()) --------------------------------
+  //
+  // The server may already be running while the sim thread wires: until
+  // attach() publishes readiness, POST /control answers inject and
+  // checkpoint with 503 and never reads the injector or the hook.
   void set_metrics(sim::MetricsRegistry* metrics) { metrics_ = metrics; }
   /// Registers the bridge's FanoutSink on `bus` and snapshots its category
   /// counters at every publish.
@@ -128,9 +124,10 @@ class SimBridge {
     ckpt_count_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Schedules the periodic publish + mailbox-drain event on `engine` and
-  /// publishes once immediately. Call after all wiring, before the run.
-  /// The engine (and everything wired) must outlive the bridge's server.
+  /// Schedules the periodic publish + mailbox-drain event on `engine`,
+  /// publishes once immediately and opens inject/checkpoint control. Call
+  /// once, after all wiring, before the run. The engine (and everything
+  /// wired) must outlive the bridge's server.
   void attach(sim::Engine& engine);
 
   /// Registers /metrics, /status, /events, /control and /healthz on
@@ -228,6 +225,10 @@ class SimBridge {
   std::condition_variable pause_cv_;
   std::atomic<bool> paused_{false};
   std::atomic<bool> shutdown_{false};
+  /// Set (release) by attach() once the wiring is final; the control
+  /// handler loads it (acquire) before it reads injector_ or
+  /// checkpoint_hook_, which the sim thread writes while wiring.
+  std::atomic<bool> attached_{false};
 
   std::atomic<std::uint64_t> commands_applied_{0};
   std::atomic<double> ckpt_last_t_{-1.0};  ///< -1 before the first save

@@ -19,7 +19,7 @@ std::uint32_t intern(std::vector<std::string>& names, std::string_view name) {
 
 }  // namespace
 
-TelemetryBus::TelemetryBus(bool enabled) : enabled_(enabled) {
+TelemetryBus::TelemetryBus() {
   // Must match the kDecision/kObservation/kFailure constants.
   category_names_ = {"decision", "observation", "failure"};
   counts_.resize(category_names_.size());
@@ -37,9 +37,8 @@ SubjectId TelemetryBus::intern_subject(std::string_view name) {
   return intern(subject_names_, name);
 }
 
-void TelemetryBus::record_impl(double t, CategoryId category,
-                               SubjectId subject, double value,
-                               std::string_view detail) {
+void TelemetryBus::record(double t, CategoryId category, SubjectId subject,
+                          double value, std::string_view detail) {
   ++counts_.at(category);
   ++total_;
   if (sinks_.empty()) return;

@@ -6,8 +6,8 @@
 // small integer ids, so the hot path is O(1): bump a per-category counter
 // and hand the event to each registered sink. The bus keeps counts only;
 // anything that wants the values (a mean, a distribution) reads them from
-// a sink. The disabled path costs exactly one branch and performs no heap
-// allocation — the telemetry test asserts this.
+// a sink. Telemetry is off where no bus is handed in: an emitter holding a
+// null TelemetryBus* pays one null check and no allocation.
 //
 // Sinks are non-owning observers. RingBufferSink retains the last N events
 // in a sim::Ring for self-explanation queries (by_category / by_subject, in
@@ -59,7 +59,7 @@ class TelemetryBus {
   static constexpr CategoryId kObservation = 1;
   static constexpr CategoryId kFailure = 2;
 
-  explicit TelemetryBus(bool enabled = true);
+  TelemetryBus();
 
   /// Returns the id for `name`, interning it on first use. O(categories);
   /// call once at wiring time, not per event.
@@ -83,17 +83,10 @@ class TelemetryBus {
   void add_sink(TelemetrySink* sink) { sinks_.push_back(sink); }
   void clear_sinks() { sinks_.clear(); }
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool e) noexcept { enabled_ = e; }
-
-  /// Records one event. Disabled: one branch, no allocation. Enabled:
-  /// counter bump + sink dispatch, no allocation in the bus itself (sinks
-  /// may allocate to retain the event).
+  /// Records one event: counter bump + sink dispatch, no allocation in
+  /// the bus itself (sinks may allocate to retain the event).
   void record(double t, CategoryId category, SubjectId subject,
-              double value = 0.0, std::string_view detail = {}) {
-    if (!enabled_) return;
-    record_impl(t, category, subject, value, detail);
-  }
+              double value = 0.0, std::string_view detail = {});
 
   /// Events recorded under `category` so far.
   [[nodiscard]] std::uint64_t count(CategoryId category) const {
@@ -103,10 +96,6 @@ class TelemetryBus {
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
  private:
-  void record_impl(double t, CategoryId category, SubjectId subject,
-                   double value, std::string_view detail);
-
-  bool enabled_;
   std::vector<std::string> category_names_;
   std::vector<std::string> subject_names_;
   std::vector<std::uint64_t> counts_;  ///< per CategoryId

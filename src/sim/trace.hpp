@@ -14,9 +14,10 @@
 // `--jobs N` (each grid cell owns its own Tracer). Wall-clock
 // self-profiling lives in MetricsRegistry instead (see sim/metrics.hpp).
 //
-// Cost contract (mirrors TelemetryBus): a disabled tracer costs one branch
-// per call and performs zero heap allocations. Tracing must never touch an
-// Rng — enabling a tracer cannot perturb a trajectory.
+// Cost contract (mirrors TelemetryBus): tracing is off where no tracer is
+// handed in, and an absent tracer costs one null check and zero heap
+// allocations at each call site. Tracing must never touch an Rng — handing
+// in a tracer cannot perturb a trajectory.
 #pragma once
 
 #include <cstddef>
@@ -80,7 +81,7 @@ class Tracer {
 
   /// RAII handle for an open span. Destruction closes the span at its
   /// begin time; end_at() closes it at a later sim time. An inert Span
-  /// (default-constructed, or returned by a disabled tracer) does nothing.
+  /// (default-constructed, as untraced call sites use) does nothing.
   class Span {
    public:
     Span() = default;
@@ -124,15 +125,11 @@ class Tracer {
   /// events share one subject namespace. Non-owning; must outlive the
   /// tracer. `ns` becomes the high-16-bit namespace of every TraceId this
   /// tracer assigns (0 keeps ids plain counters — the single-tracer case).
-  explicit Tracer(TelemetryBus& bus, bool enabled = true,
-                  std::uint16_t ns = 0)
-      : bus_(&bus), enabled_(enabled), ns_(ns) {}
+  explicit Tracer(TelemetryBus& bus, std::uint16_t ns = 0)
+      : bus_(&bus), ns_(ns) {}
 
   [[nodiscard]] TelemetryBus& bus() noexcept { return *bus_; }
   [[nodiscard]] const TelemetryBus& bus() const noexcept { return *bus_; }
-
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  void set_enabled(bool e) noexcept { enabled_ = e; }
 
   /// Interns a span/flow name (linear scan — call at wiring time).
   NameId intern_name(std::string_view name);
@@ -141,24 +138,18 @@ class Tracer {
   }
   [[nodiscard]] std::size_t names() const noexcept { return names_.size(); }
 
-  /// Next TraceId (counter monotone from 1, namespaced). Returns 0 while
-  /// disabled so ids are only ever assigned to recorded work.
-  TraceId next_id() noexcept {
-    return enabled() ? compose(++counter_) : 0;
-  }
+  /// Next TraceId (counter monotone from 1, namespaced).
+  TraceId next_id() noexcept { return compose(++counter_); }
   /// Last assigned TraceId (0 before the first).
   [[nodiscard]] TraceId last_id() const noexcept {
     return counter_ == 0 ? 0 : compose(counter_);
   }
 
-  /// This tracer's TraceId namespace. Changing it mid-run is legal (ids
-  /// already assigned keep their old namespace) but unusual; set it at
-  /// construction.
-  void set_namespace(std::uint16_t ns) noexcept { ns_ = ns; }
+  /// This tracer's TraceId namespace (the constructor's `ns`).
   [[nodiscard]] std::uint16_t trace_namespace() const noexcept { return ns_; }
 
-  /// Opens a span at sim time `t`. Disabled: returns an inert Span, no
-  /// allocation. Spans on one subject must close LIFO (they nest).
+  /// Opens a span at sim time `t`. Spans on one subject must close LIFO
+  /// (they nest).
   [[nodiscard]] Span span(double t, SubjectId subject, NameId name);
 
   /// Records one causal flow point. Flow points are exported bound to the
@@ -187,7 +178,6 @@ class Tracer {
   }
 
   TelemetryBus* bus_;
-  bool enabled_;
   std::uint16_t ns_ = 0;  ///< namespace stamped into assigned TraceIds
   std::vector<std::string> names_;
   std::vector<Event> events_;

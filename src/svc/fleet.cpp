@@ -87,7 +87,7 @@ void CameraFleet::bind(sim::Engine& engine, double step_period,
 NetworkEpoch CameraFleet::finish_epoch() {
   // Epoch span on the fleet's own track; camera agents emit their ODA
   // spans inside it (on their own tracks, at t = epoch index).
-  auto span = (p_.tracer != nullptr && p_.tracer->enabled())
+  auto span = p_.tracer != nullptr
                   ? p_.tracer->span(static_cast<double>(epoch_),
                                     trace_subject_, n_epoch_)
                   : sim::Tracer::Span{};

@@ -205,7 +205,7 @@ TEST(Journal, ReplayMatchesLiveInjectionTrajectory) {
   }
 
   // Live: an operator fires inject_now at t=5 (as the bridge's drained
-  // mailbox does, at order 1000).
+  // mailbox does, at kControlOrder).
   sim::Engine live;
   fault::Injector live_inj;
   CountingSurface live_surface(4);
@@ -217,7 +217,7 @@ TEST(Journal, ReplayMatchesLiveInjectionTrajectory) {
         live_inj.inject_now(live, cmd.fault_kind, cmd.unit, cmd.magnitude,
                             cmd.duration);
       },
-      1000);
+      kControlOrder);
   live.run_until(20.0);
 
   // Replay: the recorded journal against a rebuilt world.
@@ -225,7 +225,7 @@ TEST(Journal, ReplayMatchesLiveInjectionTrajectory) {
   fault::Injector replay_inj;
   CountingSurface replay_surface(4);
   replay_inj.add_surface(replay_surface.as_surface());
-  schedule_replay(replay, entries, /*order=*/1000, &replay_inj);
+  schedule_replay(replay, entries, &replay_inj);
   replay.run_until(20.0);
 
   const auto got = replay_inj.records();
@@ -253,7 +253,7 @@ TEST(Journal, ReplayEventsAreTaggedSoTheWorldStaysCheckpointable) {
   fault::Injector inj;
   CountingSurface surface(4);
   inj.add_surface(surface.as_surface());
-  schedule_replay(e, entries, /*order=*/1000, &inj);
+  schedule_replay(e, entries, &inj);
 
   // Pending replay events export cleanly (they are tagged by position).
   Buffer snap;
@@ -265,7 +265,7 @@ TEST(Journal, ReplayEventsAreTaggedSoTheWorldStaysCheckpointable) {
   // Without an injector every entry is skipped, as the bridge refuses
   // inject without one.
   sim::Engine bare;
-  schedule_replay(bare, entries, 1000, nullptr);
+  schedule_replay(bare, entries, nullptr);
   Buffer empty_snap;
   EXPECT_TRUE(save_engine(bare, empty_snap).ok());
 }

@@ -95,17 +95,5 @@ TEST(AgentTelemetry, NoBusMeansNoEventsAndNoCrash) {
   SUCCEED();
 }
 
-TEST(AgentTelemetry, DisabledBusStaysSilent) {
-  Rig rig;
-  rig.bus.set_enabled(false);
-  SelfAwareAgent agent("muted", rig.config());
-  agent.add_sensor("x", [] { return 1.0; });
-  agent.add_action("go", [] {});
-  agent.set_policy(std::make_unique<FixedPolicy>(0));
-  agent.step(0.0);
-  EXPECT_EQ(rig.bus.total(), 0u);
-  EXPECT_EQ(rig.sink.seen(), 0u);
-}
-
 }  // namespace
 }  // namespace sa::core

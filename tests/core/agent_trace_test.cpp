@@ -167,16 +167,11 @@ TEST(AgentTrace, TracerDoesNotPerturbTrajectory) {
   }
 }
 
-TEST(AgentTrace, DisabledTracerAssignsNoIds) {
-  TelemetryBus bus;
-  Tracer tracer(bus, /*enabled=*/false);
-  AgentConfig cfg;
-  cfg.tracer = &tracer;
-  auto agent = make_agent("muted", cfg);
+TEST(AgentTrace, NoTracerAssignsNoIds) {
+  auto agent = make_agent("untraced", AgentConfig{});
   const Decision d = agent->step(0.0);
   EXPECT_EQ(d.trace_id, 0u);
   agent->reward(0.5);
-  EXPECT_TRUE(tracer.events().empty());
   const auto last = agent->explainer().last();
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->trace_id, 0u);

@@ -137,7 +137,7 @@ TEST(ArgsTest, ParsesServeFlags) {
             "");
   EXPECT_EQ(o.serve_port, 9464);
   EXPECT_EQ(o.serve_linger, 2.5);
-  EXPECT_EQ(o.serve_bind, "0.0.0.0");
+  EXPECT_EQ(o.serve_address, "0.0.0.0");
   EXPECT_EQ(o.serve_token, "s3cret");
 
   Options eph;
@@ -148,7 +148,7 @@ TEST(ArgsTest, ParsesServeFlags) {
   EXPECT_EQ(parse({}, off), "");
   EXPECT_EQ(off.serve_port, -1);  // ...the not-serving default
   EXPECT_EQ(off.serve_linger, 0.0);
-  EXPECT_EQ(off.serve_bind, "127.0.0.1");
+  EXPECT_EQ(off.serve_address, "127.0.0.1");
   EXPECT_TRUE(off.serve_token.empty());
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -267,6 +268,50 @@ TEST(HarnessTest, ShardEventTotalsAreArraysUnderMeasured) {
   EXPECT_EQ(measured.at("shard_events_total").dump(-1), "[11,22,3]");
   ASSERT_TRUE(measured.at("shard_events_per_sec").is_array());
   EXPECT_EQ(measured.at("shard_events_per_sec").size(), 3u);
+}
+
+TEST(HarnessTest, EveryCellGetsTheJournalOnlyTheServedCellGetsTheBridge) {
+  // --control-journal is parsed once and handed to every cell as entries;
+  // --serve hands the bridge to the one designated cell (last variant,
+  // first seed, first grid) and a null bridge to every other cell.
+  const char* argv[] = {
+      "bench", "--jobs", "2", "--serve", "0", "--control-journal",
+      "1.5 cmd=inject&kind=link-loss&unit=1; 3 cmd=inject&kind=core-fail"};
+  Harness h("harness_test", 7, argv);
+  struct Seen {
+    std::size_t variant;
+    std::uint64_t seed;
+    bool bridge;
+    std::vector<double> journal_t;
+  };
+  std::mutex mu;
+  std::vector<Seen> seen;
+  const auto record = [&](const TaskContext& ctx) -> TaskOutput {
+    Seen s{ctx.variant, ctx.seed, ctx.bridge != nullptr, {}};
+    for (const auto& e : ctx.control_journal) s.journal_t.push_back(e.t);
+    const std::scoped_lock lk(mu);
+    seen.push_back(std::move(s));
+    return {{{"x", 1.0}}};
+  };
+  Grid first = toy_grid(3, 2);
+  first.task = record;
+  Grid second = toy_grid(1, 1);
+  second.task = record;
+  (void)h.run(std::move(first));
+  (void)h.run(std::move(second));
+  std::ostringstream os;
+  EXPECT_EQ(h.finish(os), 0);
+
+  ASSERT_EQ(seen.size(), 7u);
+  std::size_t served = 0;
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.journal_t, (std::vector<double>{1.5, 3.0}));
+    if (!s.bridge) continue;
+    ++served;
+    EXPECT_EQ(s.variant, 2u);
+    EXPECT_EQ(s.seed, 100u);
+  }
+  EXPECT_EQ(served, 1u);
 }
 
 TEST(RunnerTest, ZeroJobsMeansHardwareConcurrency) {

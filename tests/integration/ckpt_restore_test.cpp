@@ -55,7 +55,7 @@ std::string hex_summary(const gen::Scenario& world) {
 void apply_journal(gen::Scenario& world,
                    const std::vector<JournalEntry>& entries) {
   if (entries.empty()) return;
-  schedule_replay(world.engine(), entries, /*order=*/1000, &world.injector());
+  schedule_replay(world.engine(), entries, &world.injector());
 }
 
 /// The acceptance drill: run A to T, checkpoint, run A to the horizon

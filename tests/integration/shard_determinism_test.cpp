@@ -50,8 +50,7 @@ void replay_journal(gen::Scenario& city) {
       "31 cmd=inject&kind=core-fail&unit=1&mag=1&dur=8",
       entries);
   if (!st.ok()) throw std::runtime_error("journal: " + st.to_string());
-  ckpt::schedule_replay(city.engine(), std::move(entries), /*order=*/1000,
-                        &city.injector());
+  ckpt::schedule_replay(city.engine(), entries, &city.injector());
 }
 
 TEST(ShardDeterminism, MulticoreOnlyWorld) {  // E1-style

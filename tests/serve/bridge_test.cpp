@@ -600,6 +600,59 @@ TEST(SimBridge, CheckpointCommandWithoutHookIs503) {
   server.stop();
 }
 
+TEST(SimBridge, InjectAndCheckpointAnswer503UntilAttach) {
+  // A served run starts its server before the sim thread wires the cell.
+  // Until attach(), control that would read the injector or the checkpoint
+  // hook answers 503 without touching either, even while they are being
+  // written (TSan sees any unordered read); pause, resume and shutdown
+  // need no wiring and work throughout.
+  sim::Engine engine;
+  multicore::Platform platform(multicore::PlatformConfig::big_little(2, 2),
+                               7);
+  fault::Injector inj;
+  fault::bind_platform(inj, platform);
+  SimBridge bridge;
+  Server server(quick_opts());
+  bridge.install(server);
+  ASSERT_TRUE(server.start()) << server.error();
+  const auto post = [port = server.port()](const char* body) {
+    return client::status_of(client::http_post(port, "/control", body));
+  };
+
+  std::vector<int> early;
+  std::thread poster([&] {
+    for (int i = 0; i < 10; ++i) {
+      early.push_back(post("cmd=inject&kind=core-fail&unit=1&dur=5"));
+      early.push_back(post("cmd=checkpoint"));
+    }
+  });
+  std::vector<double> saves;
+  bridge.set_injector(&inj);
+  bridge.set_checkpoint_hook([&saves](double t) {
+    saves.push_back(t);
+    return true;
+  });
+  poster.join();
+  ASSERT_EQ(early.size(), 20u);
+  for (const int status : early) EXPECT_EQ(status, 503);
+
+  EXPECT_EQ(post("cmd=pause"), 202);
+  EXPECT_TRUE(bridge.paused());
+  EXPECT_EQ(post("cmd=resume"), 202);
+  EXPECT_FALSE(bridge.paused());
+
+  bridge.attach(engine);
+  EXPECT_EQ(post("cmd=inject&kind=core-fail&unit=1&dur=5"), 202);
+  EXPECT_EQ(post("cmd=checkpoint"), 202);
+  engine.run_until(0.2);
+  EXPECT_EQ(inj.injected(), 1u);  // none of the early posts was queued
+  EXPECT_EQ(saves.size(), 1u);
+
+  EXPECT_EQ(post("cmd=shutdown"), 200);
+  EXPECT_TRUE(bridge.shutdown_requested());
+  server.stop();
+}
+
 TEST(SimBridge, AppliedCommandsAreJournaledWithSimTime) {
   sim::Engine engine;
   multicore::Platform platform(multicore::PlatformConfig::big_little(2, 2),

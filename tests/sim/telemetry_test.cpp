@@ -1,8 +1,8 @@
 // Tests for the typed telemetry bus: interning, counters, ring sink
-// queries, sink dispatch, and the cost contract of the disabled path (one
-// branch, zero heap allocations). The tracer's and the metrics registry's
-// allocation contracts are asserted here too, because this binary links
-// the shared operator-new counter.
+// queries, sink dispatch, and the bus's allocation-free hot path. The
+// tracer's (absent = one null check, zero allocations) and the metrics
+// registry's allocation contracts are asserted here too, because this
+// binary links the shared operator-new counter.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -109,21 +109,6 @@ TEST(RingBufferSink, QueriesByCategoryAndSubject) {
   EXPECT_EQ(from_b[0]->category, TelemetryBus::kFailure);
 }
 
-TEST(TelemetryBus, DisabledPathPerformsNoHeapAllocation) {
-  TelemetryBus bus(/*enabled=*/false);
-  RingBufferSink sink;
-  bus.add_sink(&sink);
-  const auto subj = bus.intern_subject("hot");
-  const std::uint64_t before = allocs();
-  for (int i = 0; i < 10000; ++i) {
-    bus.record(i, TelemetryBus::kObservation, subj, 1.0, "detail");
-  }
-  const std::uint64_t after = allocs();
-  EXPECT_EQ(after, before);
-  EXPECT_EQ(bus.total(), 0u);
-  EXPECT_EQ(sink.seen(), 0u);
-}
-
 TEST(TelemetryBus, EnabledPathCountsWithoutBusAllocation) {
   // With a no-op sink, the bus's own hot path (counter bump + dispatch)
   // must not allocate either.
@@ -165,22 +150,20 @@ TEST(RingBufferSink, DeepCopiesDetailBeyondCallerLifetime) {
 
 // --- Tracer / MetricsRegistry allocation contracts -----------------------
 
-TEST(Tracer, DisabledPathPerformsNoHeapAllocation) {
-  TelemetryBus bus;
-  Tracer tracer(bus, /*enabled=*/false);
-  const auto subj = bus.intern_subject("hot");
-  const auto name = tracer.intern_name("op");
+TEST(Tracer, AbsentTracerPerformsNoHeapAllocation) {
+  // Tracing is off where no tracer is handed in: call sites test the
+  // pointer and fall back to an inert Span, which must never allocate.
+  Tracer* tracer = nullptr;
+  std::size_t live = 0;
   const std::uint64_t before = allocs();
   for (int i = 0; i < 10000; ++i) {
-    auto span = tracer.span(i, subj, name);
-    span.arg(name, 1.0);
-    tracer.flow(i, FlowPhase::Step, tracer.next_id(), subj, name);
+    auto span = tracer != nullptr ? tracer->span(i, 0, 0) : Tracer::Span{};
+    span.arg(0, 1.0);
+    if (span || span.id() != 0) ++live;
   }
   const std::uint64_t after = allocs();
   EXPECT_EQ(after, before);
-  EXPECT_EQ(tracer.spans(), 0u);
-  EXPECT_EQ(tracer.flows(), 0u);
-  EXPECT_EQ(tracer.last_id(), 0u);  // ids only assigned to recorded work
+  EXPECT_EQ(live, 0u);
 }
 
 TEST(MetricsRegistry, HotPathPerformsNoHeapAllocation) {

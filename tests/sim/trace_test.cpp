@@ -148,7 +148,7 @@ TEST(Tracer, ClearResetsRecordButNotInternings) {
 
 TEST(Tracer, NamespaceFieldOccupiesTheHighBits) {
   TelemetryBus bus;
-  Tracer tracer(bus, /*enabled=*/true, /*ns=*/5);
+  Tracer tracer(bus, /*ns=*/5);
   EXPECT_EQ(tracer.trace_namespace(), 5u);
   const TraceId id = tracer.next_id();
   EXPECT_EQ(trace_namespace_of(id), 5u);
@@ -175,8 +175,8 @@ TEST(Tracer, DistinctNamespacesYieldGloballyUniqueIds) {
   // The cross-domain pattern: one tracer per domain, stitched into one
   // stream afterwards. Same counters, disjoint ids.
   TelemetryBus bus_a, bus_b;
-  Tracer a(bus_a, true, 1);
-  Tracer b(bus_b, true, 2);
+  Tracer a(bus_a, 1);
+  Tracer b(bus_b, 2);
   std::vector<TraceId> ids;
   for (int i = 0; i < 100; ++i) {
     ids.push_back(a.next_id());
@@ -188,32 +188,6 @@ TEST(Tracer, DistinctNamespacesYieldGloballyUniqueIds) {
   for (const TraceId id : ids) {
     EXPECT_TRUE(trace_namespace_of(id) == 1 || trace_namespace_of(id) == 2);
   }
-}
-
-TEST(Tracer, SetNamespaceAppliesToSubsequentIds) {
-  Rig rig;
-  EXPECT_EQ(rig.tracer.next_id(), 1u);
-  rig.tracer.set_namespace(3);
-  const TraceId id = rig.tracer.next_id();
-  EXPECT_EQ(trace_namespace_of(id), 3u);
-  EXPECT_EQ(trace_counter_of(id), 2u);  // the counter keeps running
-}
-
-TEST(Tracer, DisabledTracerIsInert) {
-  TelemetryBus bus;
-  Tracer tracer(bus, /*enabled=*/false);
-  const auto subj = bus.intern_subject("x");
-  const auto name = tracer.intern_name("op");
-  EXPECT_FALSE(tracer.enabled());
-  EXPECT_EQ(tracer.next_id(), 0u);
-  {
-    auto span = tracer.span(0.0, subj, name);
-    EXPECT_FALSE(static_cast<bool>(span));
-    EXPECT_EQ(span.id(), 0u);
-    span.arg(name, 1.0);  // no-op, no crash
-  }
-  tracer.flow(0.0, FlowPhase::Begin, 1, subj, name);
-  EXPECT_TRUE(tracer.events().empty());
 }
 
 TEST(Tracer, InertSpanIsSafeToEndTwice) {
