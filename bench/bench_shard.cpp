@@ -10,7 +10,9 @@
 // protocol. The trajectory is byte-identical for every row, so the
 // substrate metrics double as a built-in correctness check (the bench
 // fails if any row disagrees); wall_ms / events_per_shard carry the
-// scaling story. --scenario SPEC swaps in any other generated world.
+// scaling story. The rows run one at a time (--jobs is pinned to 1), so
+// each wall time is measured without the other rows competing for cores.
+// --scenario SPEC swaps in any other generated world.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -103,7 +105,11 @@ bool rows_identical(const exp::GridResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  exp::Harness h("shard", argc, argv);
+  // The speedup column compares wall times, so the rows run one at a
+  // time: --jobs=1 goes after the caller's flags and the last value wins.
+  std::vector<const char*> args(argv, argv + argc);
+  args.push_back("--jobs=1");
+  exp::Harness h("shard", static_cast<int>(args.size()), args.data());
 
   gen::ScenarioSpec spec;
   try {

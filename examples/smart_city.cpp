@@ -1,6 +1,6 @@
 // Example: a whole smart city generated from one spec string.
 //
-// gen::ScenarioSpec::city() expands — deterministically, from per-section
+// gen::ScenarioSpec::city_spec() expands — deterministically, from per-section
 // seeded streams — into sixteen street cameras, a 4x6 cognitive packet
 // network, a 32-node volunteer-cloud backend and four multicore edge
 // appliances, all on ONE discrete-event engine, with a standing fault

@@ -135,11 +135,6 @@ void Buffer::str(std::string_view v) {
   data_.append(v.data(), v.size());
 }
 
-void Buffer::bytes(std::string_view v) {
-  u64(v.size());
-  data_.append(v.data(), v.size());
-}
-
 // ---------------------------------------------------------------------------
 // Cursor
 
@@ -174,13 +169,6 @@ bool Cursor::u64(std::uint64_t& out) {
   return true;
 }
 
-bool Cursor::i64(std::int64_t& out) {
-  std::uint64_t v = 0;
-  if (!u64(v)) return false;
-  out = static_cast<std::int64_t>(v);
-  return true;
-}
-
 bool Cursor::boolean(bool& out) {
   std::uint8_t v = 0;
   if (!u8(v)) return false;
@@ -201,19 +189,6 @@ bool Cursor::str(std::string& out) {
   const char* p = nullptr;
   if (!take(len, &p)) return false;
   out.assign(p, len);
-  return true;
-}
-
-bool Cursor::bytes(std::string& out) {
-  std::uint64_t len = 0;
-  if (!u64(len)) return false;
-  if (len > remaining()) {  // reject absurd lengths before any allocation
-    ok_ = false;
-    return false;
-  }
-  const char* p = nullptr;
-  if (!take(static_cast<std::size_t>(len), &p)) return false;
-  out.assign(p, static_cast<std::size_t>(len));
   return true;
 }
 

@@ -15,7 +15,7 @@
 //   trailer            'E' u32 section_count
 //
 // Section payloads are written through `Buffer` and read through `Cursor`,
-// which provide the typed primitives (u8/u32/u64/i64/f64/str/bytes).
+// which provide the typed primitives (u8/u32/u64/f64/str; i64 on write).
 // Doubles are serialized as their exact IEEE-754 bit pattern — checkpoint
 // equality is byte equality, the same discipline the metamorphic tests
 // apply to trajectories.
@@ -81,8 +81,6 @@ class Buffer {
   void f64(double v);
   /// u32 length prefix + bytes.
   void str(std::string_view v);
-  /// u64 length prefix + bytes (for nested/attestation payloads).
-  void bytes(std::string_view v);
   /// Raw append without a length prefix.
   void raw(std::string_view v) { data_.append(v.data(), v.size()); }
 
@@ -103,11 +101,9 @@ class Cursor {
   [[nodiscard]] bool u8(std::uint8_t& out);
   [[nodiscard]] bool u32(std::uint32_t& out);
   [[nodiscard]] bool u64(std::uint64_t& out);
-  [[nodiscard]] bool i64(std::int64_t& out);
   [[nodiscard]] bool boolean(bool& out);
   [[nodiscard]] bool f64(double& out);
   [[nodiscard]] bool str(std::string& out);
-  [[nodiscard]] bool bytes(std::string& out);
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }

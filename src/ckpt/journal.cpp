@@ -190,17 +190,6 @@ Status parse_journal_spec(std::string_view spec,
   return {};
 }
 
-std::string journal_spec(const std::vector<JournalEntry>& in) {
-  std::string out;
-  for (const JournalEntry& e : in) {
-    if (!out.empty()) out += "; ";
-    out += render_double(e.t);
-    out += ' ';
-    out += e.cmd.to_form();
-  }
-  return out;
-}
-
 void save_journal(const std::vector<JournalEntry>& in, Buffer& out) {
   out.u64(in.size());
   for (const JournalEntry& e : in) {

@@ -108,8 +108,6 @@ class ControlJournal {
 /// around entries is ignored; empty items are skipped.
 [[nodiscard]] Status parse_journal_spec(std::string_view spec,
                                         std::vector<JournalEntry>& out);
-/// Renders entries back to the spec syntax (round-trips via %.17g).
-[[nodiscard]] std::string journal_spec(const std::vector<JournalEntry>& in);
 
 /// Checkpoint-section (de)serialization.
 void save_journal(const std::vector<JournalEntry>& in, Buffer& out);

@@ -154,7 +154,7 @@ void save_ladder(const core::DegradationPolicy& p, Buffer& out) {
 void save_runtime(const core::AgentRuntime& rt, Buffer& out) {
   const core::AgentRuntime::State st = rt.export_state();
   out.u64(st.steps);
-  out.u64(st.substrate_ticks);
+  out.u64(0);  // a retired substrate-tick counter; kept so images are stable
   out.u64(st.exchanged);
   out.u64(st.exchange_drops);
   out.u64(st.exchange_retries);

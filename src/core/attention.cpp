@@ -79,12 +79,4 @@ void AttentionManager::feed(std::size_t index, double value) {
   s.has_value = true;
 }
 
-double AttentionManager::score(const std::string& name) const {
-  const auto it = std::find(order_.begin(), order_.end(), name);
-  return it == order_.end()
-             ? 0.0
-             : state_[static_cast<std::size_t>(it - order_.begin())]
-                   .volatility.value();
-}
-
 }  // namespace sa::core

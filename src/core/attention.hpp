@@ -43,8 +43,6 @@ class AttentionManager {
   /// volatility model behind Adaptive). Unknown indices are ignored.
   void feed(std::size_t index, double value);
 
-  /// Current attention score of a signal (Adaptive; 0 otherwise).
-  [[nodiscard]] double score(const std::string& name) const;
   /// Name of the signal registered at `index`.
   [[nodiscard]] const std::string& name(std::size_t index) const {
     return order_[index];

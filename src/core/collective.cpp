@@ -159,14 +159,4 @@ void HierarchyAggregator::fail_node(std::size_t node) {
   alive_[node] = false;
 }
 
-std::size_t HierarchyAggregator::depth() const {
-  std::size_t d = 0, span = 1, covered = 1;
-  while (covered < value_.size()) {
-    span *= arity_;
-    covered += span;
-    ++d;
-  }
-  return d;
-}
-
 }  // namespace sa::core

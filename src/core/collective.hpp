@@ -109,7 +109,6 @@ class HierarchyAggregator final : public CollectiveAggregator {
   [[nodiscard]] bool alive(std::size_t node) const override {
     return alive_[node];
   }
-  [[nodiscard]] std::size_t depth() const;
 
  private:
   [[nodiscard]] bool path_to_root_alive(std::size_t node) const;

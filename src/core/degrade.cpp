@@ -4,9 +4,6 @@
 
 namespace sa::core {
 
-DegradationPolicy::DegradationPolicy(SelfAwareAgent& agent)
-    : DegradationPolicy(agent, Params{}) {}
-
 DegradationPolicy::DegradationPolicy(SelfAwareAgent& agent, Params p)
     : agent_(agent), params_(std::move(p)) {
   if (params_.knowledge_ttl > 0.0) {

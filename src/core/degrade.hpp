@@ -67,10 +67,6 @@ class DegradationPolicy {
     std::size_t recover_updates = 4;
   };
 
-  // Two overloads rather than `Params p = {}`: a nested aggregate's
-  // member initializers are unusable as a default argument inside the
-  // enclosing class.
-  explicit DegradationPolicy(SelfAwareAgent& agent);
   DegradationPolicy(SelfAwareAgent& agent, Params p);
 
   /// One monitoring tick at sim time `t`. Evaluates the triggers, steps

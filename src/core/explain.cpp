@@ -49,26 +49,6 @@ std::string Explanation::render() const {
   return os.str();
 }
 
-Explainer::ActionSummary Explainer::summarise(
-    const std::string& action) const {
-  ActionSummary out;
-  double utility_sum = 0.0;
-  std::size_t with_goal = 0;
-  for (const Explanation& e : log_) {  // chronological: last match is newest
-    if (e.decision.action != action) continue;
-    ++out.count;
-    out.last_rationale = e.decision.rationale;
-    if (e.has_goal) {
-      utility_sum += e.goal_utility;
-      ++with_goal;
-    }
-  }
-  if (with_goal > 0) {
-    out.mean_goal_utility = utility_sum / static_cast<double>(with_goal);
-  }
-  return out;
-}
-
 std::vector<Explanation> Explainer::snapshot(std::size_t last_n) const {
   const std::size_t n = std::min(last_n, log_.size());
   std::vector<Explanation> out;

@@ -104,16 +104,6 @@ class Explainer {
     const auto newest = snapshot(1);
     return newest.empty() ? std::string{} : newest.back().render();
   }
-  /// Aggregate view over the retained log: how often was `action` chosen,
-  /// at what mean goal utility, and what did the most recent choice of it
-  /// look like? Answers the operator question "why do you keep doing X?".
-  struct ActionSummary {
-    std::size_t count = 0;       ///< times `action` appears in the log
-    double mean_goal_utility = 0.0;  ///< over entries with goal state
-    std::string last_rationale;  ///< rationale of the most recent one
-  };
-  [[nodiscard]] ActionSummary summarise(const std::string& action) const;
-
   /// Keeps memory bounded on long runs: the log holds the most recent
   /// `capacity` explanations. Shrinking drops the oldest.
   void set_capacity(std::size_t cap) { log_.set_capacity(cap); }

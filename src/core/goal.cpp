@@ -28,14 +28,6 @@ UtilityFn target(double t, double tolerance) {
   };
 }
 
-UtilityFn step_at_least(double threshold) {
-  return [threshold](double x) { return x >= threshold ? 1.0 : 0.0; };
-}
-
-UtilityFn step_at_most(double threshold) {
-  return [threshold](double x) { return x <= threshold ? 1.0 : 0.0; };
-}
-
 }  // namespace utility
 
 std::size_t GoalModel::add_objective(Objective o) {
@@ -56,13 +48,6 @@ bool GoalModel::set_weight(const std::string& metric, double weight) {
     }
   }
   return found;
-}
-
-std::optional<double> GoalModel::weight(const std::string& metric) const {
-  for (const auto& o : objectives_) {
-    if (o.metric == metric) return o.weight;
-  }
-  return std::nullopt;
 }
 
 double GoalModel::raw_utility(const MetricMap& m) const {

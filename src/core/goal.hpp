@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,9 +30,6 @@ UtilityFn rising(double lo, double hi);
 UtilityFn falling(double lo, double hi);
 /// Peaks at `target`, decaying linearly to 0 at distance `tolerance`.
 UtilityFn target(double target, double tolerance);
-/// 1 if metric >= threshold else 0 (or inverted).
-UtilityFn step_at_least(double threshold);
-UtilityFn step_at_most(double threshold);
 }  // namespace utility
 
 /// One stakeholder concern.
@@ -61,7 +57,6 @@ class GoalModel {
   /// Re-weights the objective over `metric` (run-time goal change).
   /// Returns false if no objective uses that metric.
   bool set_weight(const std::string& metric, double weight);
-  [[nodiscard]] std::optional<double> weight(const std::string& metric) const;
 
   /// Scalarised utility in [0,1]: weighted mean of objective utilities,
   /// zeroed by any violated hard constraint, reduced by soft penalties.

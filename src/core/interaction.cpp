@@ -1,6 +1,5 @@
 #include "core/interaction.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace sa::core {
@@ -9,7 +8,7 @@ InteractionAwareness::PeerModel& InteractionAwareness::model_for(
     const std::string& peer) {
   auto it = peers_.find(peer);
   if (it == peers_.end()) {
-    it = peers_.emplace(peer, PeerModel(p_.alpha, p_.peer_states)).first;
+    it = peers_.emplace(peer, PeerModel(p_.alpha)).first;
   }
   return it->second;
 }
@@ -22,20 +21,13 @@ void InteractionAwareness::record_interaction(const std::string& peer,
   ++m.count;
 }
 
-void InteractionAwareness::record_peer_state(const std::string& peer,
-                                             std::size_t state) {
-  if (p_.peer_states == 0) return;
-  model_for(peer).behaviour.observe(std::min(state, p_.peer_states - 1));
-}
-
 void InteractionAwareness::update(double t, const Observation& obs,
                                   KnowledgeBase& kb) {
   (void)obs;  // interactions arrive via record_*; obs unused at this level
   if (!ids_.bind(kb, name())) {
     for (auto& [peer, m] : peers_) {
       (void)peer;
-      m.k_reliability = m.k_interactions = m.k_value = m.k_predicted =
-          KnowledgeBase::kNoKey;
+      m.k_reliability = m.k_interactions = m.k_value = KnowledgeBase::kNoKey;
     }
   }
   const KnowledgeBase::SourceId src = ids_.source();
@@ -48,11 +40,6 @@ void InteractionAwareness::update(double t, const Observation& obs,
                   static_cast<double>(m.count), t, 1.0, Scope::Private, src);
     kb.put_number(kb.key(m.k_value, "peer.", peer, ".value"), m.value.value(),
                   t, conf, Scope::Private, src);
-    if (p_.peer_states > 0 && m.behaviour.observations() > 1) {
-      kb.put_number(kb.key(m.k_predicted, "peer.", peer, ".predicted_state"),
-                    static_cast<double>(m.behaviour.predict_next()), t, conf,
-                    Scope::Private, src);
-    }
   }
 }
 

@@ -1,9 +1,9 @@
 // Interaction awareness: models of the entities the agent deals with.
 //
-// Covers Neisser's interpersonal self: who do I interact with, how reliable
-// are they, what do they tend to do next? Substrates report interactions
-// explicitly (record_interaction); the process distils them into per-peer
-// reliability and behaviour models and publishes them to the knowledge base
+// Covers Neisser's interpersonal self: who do I interact with, and how
+// reliable are they? Substrates report interactions explicitly
+// (record_interaction); the process distils them into per-peer
+// reliability and payoff models and publishes them to the knowledge base
 // so policies can, e.g., prefer dependable volunteer nodes (paper,
 // Section II, volunteer clouds [14][15]).
 #pragma once
@@ -15,15 +15,13 @@
 
 #include "core/process.hpp"
 #include "learn/estimators.hpp"
-#include "learn/markov.hpp"
 
 namespace sa::core {
 
 class InteractionAwareness final : public AwarenessProcess {
  public:
   struct Params {
-    double alpha = 0.1;          ///< EWMA reactivity of reliability estimate
-    std::size_t peer_states = 0; ///< >0 enables Markov behaviour model
+    double alpha = 0.1;  ///< EWMA reactivity of reliability estimate
   };
 
   InteractionAwareness() : InteractionAwareness(Params{}) {}
@@ -37,11 +35,9 @@ class InteractionAwareness final : public AwarenessProcess {
   /// payoff of the interaction (e.g. response time contribution).
   void record_interaction(const std::string& peer, bool success,
                           double value = 0.0);
-  /// Records a discrete behavioural state of `peer` (feeds Markov model).
-  void record_peer_state(const std::string& peer, std::size_t state);
 
-  /// Publishes "peer.<id>.reliability", ".interactions", ".value" and, if
-  /// enabled, ".predicted_state" for every known peer.
+  /// Publishes "peer.<id>.reliability", ".interactions" and ".value" for
+  /// every known peer.
   void update(double t, const Observation& obs, KnowledgeBase& kb) override;
 
   [[nodiscard]] double reliability(const std::string& peer) const;
@@ -56,15 +52,11 @@ class InteractionAwareness final : public AwarenessProcess {
     learn::Ewma reliability;
     learn::Ewma value;
     std::size_t count = 0;
-    learn::MarkovPredictor behaviour;
     /// Cached ids of the "peer.<id>." keys this model publishes.
     KnowledgeBase::KeyId k_reliability = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId k_interactions = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId k_value = KnowledgeBase::kNoKey;
-    KnowledgeBase::KeyId k_predicted = KnowledgeBase::kNoKey;
-    PeerModel(double alpha, std::size_t states)
-        : reliability(alpha), value(alpha),
-          behaviour(states == 0 ? 1 : states) {}
+    explicit PeerModel(double alpha) : reliability(alpha), value(alpha) {}
   };
   PeerModel& model_for(const std::string& peer);
 

@@ -4,29 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 namespace sa::core {
-
-std::string to_string(const Value& v) {
-  std::ostringstream os;
-  if (const auto* b = std::get_if<bool>(&v)) {
-    os << (*b ? "true" : "false");
-  } else if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    os << *i;
-  } else if (const auto* d = std::get_if<double>(&v)) {
-    os << *d;
-  } else if (const auto* s = std::get_if<std::string>(&v)) {
-    os << *s;
-  } else {
-    const auto& vec = std::get<std::vector<double>>(v);
-    os << '[';
-    for (std::size_t i = 0; i < vec.size(); ++i) os << (i ? "," : "") << vec[i];
-    os << ']';
-  }
-  return os.str();
-}
 
 namespace {
 
@@ -125,39 +105,25 @@ void KnowledgeBase::put_number(KeyId id, double value, double time,
 }
 
 void KnowledgeBase::store(KeyId id, Slot s, Value* boxed) {
-  const Slot* stored = &s;
-  if (history_limit_ > 0) {
-    sim::Ring<Slot>& h = entries_[id];
-    // The write about to overwrite the oldest slot reclaims its boxed value.
-    if (h.size() == h.capacity() && boxed_kind(h.front().kind)) {
-      const auto freed = static_cast<std::uint32_t>(h.front().bits);
-      boxed_[freed] = Value{};
-      boxed_free_.push_back(freed);
-    }
-    if (boxed != nullptr) {
-      if (boxed_free_.empty()) {
-        s.bits = boxed_.size();
-        boxed_.push_back(std::move(*boxed));
-      } else {
-        s.bits = boxed_free_.back();
-        boxed_free_.pop_back();
-        boxed_[s.bits] = std::move(*boxed);
-      }
-      boxed = nullptr;
-    }
-    h.push(s);
-    stored = &h.back();
+  if (history_limit_ == 0) return;
+  sim::Ring<Slot>& h = entries_[id];
+  // The write about to overwrite the oldest slot reclaims its boxed value.
+  if (h.size() == h.capacity() && boxed_kind(h.front().kind)) {
+    const auto freed = static_cast<std::uint32_t>(h.front().bits);
+    boxed_[freed] = Value{};
+    boxed_free_.push_back(freed);
   }
-  if (listeners_.empty()) return;
-  KnowledgeItem item = this->item(*stored);
-  // A degenerate store (history_limit 0) retains nothing: hand listeners
-  // the value it was given.
-  if (boxed != nullptr) item.value = std::move(*boxed);
-  const std::string key(name(id));
-  for (const auto& [handle, l] : listeners_) {
-    (void)handle;
-    l(key, item);
+  if (boxed != nullptr) {
+    if (boxed_free_.empty()) {
+      s.bits = boxed_.size();
+      boxed_.push_back(std::move(*boxed));
+    } else {
+      s.bits = boxed_free_.back();
+      boxed_free_.pop_back();
+      boxed_[s.bits] = std::move(*boxed);
+    }
   }
+  h.push(s);
 }
 
 KnowledgeItem KnowledgeBase::item(const Slot& s) const {
@@ -173,8 +139,7 @@ KnowledgeItem KnowledgeBase::item(const Slot& s) const {
       out.value = std::bit_cast<double>(s.bits);
       break;
     default:
-      // A listener of a history-less store gets its value from store().
-      if (history_limit_ > 0) out.value = boxed_[s.bits];
+      out.value = boxed_[s.bits];
       break;
   }
   out.time = s.time;
@@ -233,32 +198,10 @@ bool KnowledgeBase::fresh(std::string_view key, double now) const noexcept {
   return s != nullptr && now - s->time <= s->ttl;
 }
 
-std::vector<std::string> KnowledgeBase::stale_keys(std::string_view prefix,
-                                                   double now) const {
-  std::vector<std::string> out;
-  for (const KeyId id : sorted_) {
-    const std::string_view key = name(id);
-    if (!key.starts_with(prefix)) continue;
-    const Slot* s = latest_slot(id);
-    if (s != nullptr && now - s->time > s->ttl) out.emplace_back(key);
-  }
-  return out;
-}
-
 std::vector<std::string> KnowledgeBase::keys() const {
   std::vector<std::string> out;
   out.reserve(sorted_.size());
   for (const KeyId id : sorted_) out.emplace_back(name(id));
-  return out;
-}
-
-std::vector<std::string> KnowledgeBase::keys_with_prefix(
-    std::string_view prefix) const {
-  std::vector<std::string> out;
-  for (const KeyId id : sorted_) {
-    const std::string_view key = name(id);
-    if (key.starts_with(prefix)) out.emplace_back(key);
-  }
   return out;
 }
 
@@ -272,29 +215,6 @@ KnowledgeBase::public_snapshot() const {
     }
   }
   return out;
-}
-
-std::size_t KnowledgeBase::subscribe(Listener l) {
-  listeners_.emplace_back(next_handle_, std::move(l));
-  return next_handle_++;
-}
-
-void KnowledgeBase::unsubscribe(std::size_t handle) {
-  listeners_.erase(
-      std::remove_if(listeners_.begin(), listeners_.end(),
-                     [handle](const auto& p) { return p.first == handle; }),
-      listeners_.end());
-}
-
-void KnowledgeBase::clear() {
-  names_.clear();
-  name_end_.clear();
-  entries_.clear();
-  sorted_.clear();
-  sources_.clear();
-  boxed_.clear();
-  boxed_free_.clear();
-  incarnation_ = Incarnation();
 }
 
 }  // namespace sa::core

@@ -22,15 +22,15 @@
 // overwrites its oldest slot in place, so a warm write never allocates.
 //
 // KnowledgeItem is the exchange type only: it is built on reads (latest(),
-// history(), public_snapshot()) and for listeners, never stored. The hot
-// path writes by id: an awareness process resolves each key it derives
-// once, on first write, caches the KeyId under the base's incarnation()
-// (unique per object and bumped by clear()), and re-resolves when that
-// changes. The string-keyed calls are one-line forwarders onto the id
-// path. Reads by string are a binary search on a std::string_view and
-// never allocate. keys()/stale_keys()/public_snapshot() and the checkpoint
-// writer iterate in ascending key order. Copies are self-contained (no
-// view points into another base) and start a new incarnation.
+// history(), public_snapshot()), never stored. The hot path writes by id:
+// an awareness process resolves each key it derives once, on first write,
+// caches the KeyId under the base's incarnation() (unique per object and
+// renewed by copy and move), and re-resolves when that changes. The
+// string-keyed calls are one-line forwarders onto the id path. Reads by
+// string are a binary search on a std::string_view and never allocate.
+// keys()/public_snapshot() and the checkpoint writer iterate in ascending
+// key order. Copies are self-contained (no view points into another base)
+// and start a new incarnation.
 //
 // A camera agent of the svc case study holds 33 keys; after its 4 metro
 // epochs its base is ~10 KB (33 rings of 4 slots, the id tables, the name
@@ -39,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -66,7 +65,7 @@ struct KnowledgeItem {
   std::string source;       ///< producing process/sensor (provenance)
   /// Sim-time shelf life: the item counts as stale once now - time > ttl.
   /// Infinity (default) never expires. Stale items are still readable —
-  /// staleness is a *signal* (see fresh()/stale_keys() and
+  /// staleness is a *signal* (see fresh() and
   /// core::DegradationPolicy), not an eviction.
   double ttl = std::numeric_limits<double>::infinity();
 };
@@ -78,8 +77,6 @@ struct KnowledgeItem {
 /// time-awareness processes can inspect the past.
 class KnowledgeBase {
  public:
-  using Listener =
-      std::function<void(const std::string& key, const KnowledgeItem&)>;
   /// Interned key; valid for the incarnation() it was resolved in.
   using KeyId = std::uint32_t;
   /// Interned provenance tag; valid like a KeyId.
@@ -103,12 +100,12 @@ class KnowledgeBase {
   /// Id of the provenance tag `source`, interning it if new.
   SourceId source_id(std::string_view source);
   /// Identity of this base's id tables: unique per object, renewed by
-  /// clear(), copy and move. Ids cached under another value are invalid.
+  /// copy and move. Ids cached under another value are invalid.
   [[nodiscard]] std::uint64_t incarnation() const noexcept {
     return incarnation_.value;
   }
 
-  /// Stores a new item under `id`; notifies listeners.
+  /// Stores a new item under `id`.
   void put(KeyId id, KnowledgeItem item);
   /// Stores a numeric fact under `id` (TTL: the base's default).
   void put_number(KeyId id, double value, double time, double confidence,
@@ -150,34 +147,18 @@ class KnowledgeBase {
   /// Unknown keys are not fresh. The stale-knowledge detector of the
   /// degradation machinery is built on this.
   [[nodiscard]] bool fresh(std::string_view key, double now) const noexcept;
-  /// Keys under `prefix` (all keys if empty) whose latest item has
-  /// outlived its TTL at `now`, sorted.
-  [[nodiscard]] std::vector<std::string> stale_keys(std::string_view prefix,
-                                                    double now) const;
   /// Default TTL stamped onto items put() without an explicit finite TTL
   /// (infinity = never expire). Existing items keep the TTL they carry.
   void set_default_ttl(double ttl) noexcept { default_ttl_ = ttl; }
   [[nodiscard]] double default_ttl() const noexcept { return default_ttl_; }
   /// All keys, sorted (deterministic iteration).
   [[nodiscard]] std::vector<std::string> keys() const;
-  /// Keys beginning with `prefix`, sorted.
-  [[nodiscard]] std::vector<std::string> keys_with_prefix(
-      std::string_view prefix) const;
   /// Number of distinct keys.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   /// Snapshot of the latest Public item per key — the shareable self.
   [[nodiscard]] std::vector<std::pair<std::string, KnowledgeItem>>
   public_snapshot() const;
-
-  /// Registers a listener fired on every put(). Returns a handle usable
-  /// with unsubscribe().
-  std::size_t subscribe(Listener l);
-  void unsubscribe(std::size_t handle);
-
-  /// Drops all knowledge (scenario teardown) and starts a new incarnation.
-  /// Listeners stay subscribed.
-  void clear();
 
   [[nodiscard]] std::size_t history_limit() const noexcept {
     return history_limit_;
@@ -198,7 +179,7 @@ class KnowledgeBase {
 
   /// A process-unique number, renewed whenever the base's id tables stop
   /// being the ones ids were resolved against: on copy (the copy interns
-  /// independently from then on), on move (both sides) and on clear().
+  /// independently from then on) and on move (both sides).
   struct Incarnation {
     static std::uint64_t next() noexcept;
     Incarnation() noexcept : value(next()) {}
@@ -248,14 +229,12 @@ class KnowledgeBase {
   /// Non-scalar values of retained slots; freed indices are reused.
   std::vector<Value> boxed_;
   std::vector<std::uint32_t> boxed_free_;
-  std::vector<std::pair<std::size_t, Listener>> listeners_;
-  std::size_t next_handle_ = 0;
 };
 
 /// A writer's cached ids for one KnowledgeBase. Awareness processes receive
 /// their base as an update() parameter, so each update starts with
 /// bind(kb, name): while it returns true every cached KeyId is valid; when
-/// it returns false the base is another object (or was clear()ed), and the
+/// it returns false the base is another object (or a copy or move), and the
 /// writer must reset its cached ids to kNoKey before using them.
 class KnowledgeIds {
  public:

@@ -10,11 +10,6 @@ void MetaSelfAwareness::on_drift(std::string name, Adaptation a) {
   drift_hooks_.emplace_back(std::move(name), std::move(a));
 }
 
-void MetaSelfAwareness::on_quality_collapse(std::string proc_name,
-                                            Adaptation a) {
-  collapse_hooks_.emplace(std::move(proc_name), std::move(a));
-}
-
 void MetaSelfAwareness::update(double t, const Observation& obs,
                                KnowledgeBase& kb) {
   (void)obs;
@@ -44,16 +39,8 @@ void MetaSelfAwareness::update(double t, const Observation& obs,
     kb.put_number(w.k_quality, quality.value(), t, 1.0, Scope::Private, src);
     if (!inserted && updates_ > p_.grace_updates &&
         quality.value() < p_.quality_floor) {
-      const auto [lo, hi] = collapse_hooks_.equal_range(proc->name());
-      if (lo != hi) {
-        for (auto h = lo; h != hi; ++h) {
-          h->second();
-          ++fired_;
-        }
-      } else {
-        proc->reconfigure();
-        ++fired_;
-      }
+      proc->reconfigure();
+      ++fired_;
       quality.reset();  // give the reconfigured process a fresh start
       if (w.k_reconfigured == kNoKey) {
         kb.key(w.k_reconfigured, "meta.", proc->name(), ".reconfigured");
@@ -96,11 +83,6 @@ void MetaSelfAwareness::update(double t, const Observation& obs,
                 static_cast<double>(drifts_), t, 1.0, Scope::Private, src);
   kb.put_number(kb.key(k_adaptations_, "meta.adaptations"),
                 static_cast<double>(fired_), t, 1.0, Scope::Private, src);
-}
-
-double MetaSelfAwareness::process_quality(const std::string& proc) const {
-  const auto it = qualities_.find(proc);
-  return it == qualities_.end() ? 0.0 : it->second.value();
 }
 
 double MetaSelfAwareness::quality() const {

@@ -6,8 +6,8 @@
 //   * it tracks each process's self-assessed quality over time;
 //   * it watches the goal-utility stream with a drift detector;
 //   * when utility drifts or a process's quality collapses, it acts *on the
-//    system itself*: reconfigure() on stale processes and user-registered
-//    adaptation hooks (e.g. "reset the policy's bandit").
+//    system itself*: reconfigure() on stale processes and, on drift,
+//    user-registered adaptation hooks (e.g. "reset the policy's bandit").
 // That closing of the loop — using self-knowledge to modify how
 // self-knowledge is produced and used — is what distinguishes
 // meta-self-awareness from plain monitoring (Cox [27]: awareness is not
@@ -51,9 +51,6 @@ class MetaSelfAwareness final : public AwarenessProcess {
   void watch(AwarenessProcess& proc);
   /// Registers an adaptation run whenever utility drift is detected.
   void on_drift(std::string name, Adaptation a);
-  /// Registers an adaptation run when `proc_name`'s quality drops below
-  /// the floor.
-  void on_quality_collapse(std::string proc_name, Adaptation a);
 
   [[nodiscard]] Level level() const override { return Level::Meta; }
   [[nodiscard]] std::string name() const override { return "meta"; }
@@ -70,9 +67,6 @@ class MetaSelfAwareness final : public AwarenessProcess {
   [[nodiscard]] std::size_t adaptations_fired() const noexcept {
     return fired_;
   }
-  /// Smoothed quality of a watched process (0 if unknown).
-  [[nodiscard]] double process_quality(const std::string& proc) const;
-
   [[nodiscard]] double quality() const override;
 
  private:
@@ -97,7 +91,6 @@ class MetaSelfAwareness final : public AwarenessProcess {
   KnowledgeBase::KeyId k_drift_count_ = KnowledgeBase::kNoKey;
   KnowledgeBase::KeyId k_adaptations_ = KnowledgeBase::kNoKey;
   std::vector<std::pair<std::string, Adaptation>> drift_hooks_;
-  std::multimap<std::string, Adaptation> collapse_hooks_;
   learn::PageHinkley drift_;
   std::size_t cooldown_left_ = 0;
   std::size_t updates_ = 0;

@@ -62,47 +62,6 @@ void BanditPolicy::feedback(double reward) {
   pending_ = false;
 }
 
-ContextualBanditPolicy::ContextualBanditPolicy(
-    std::size_t contexts, ContextFn context, BanditFactory make,
-    std::vector<std::string> evidence)
-    : context_(std::move(context)), evidence_(std::move(evidence)) {
-  bandits_.reserve(contexts);
-  for (std::size_t c = 0; c < contexts; ++c) bandits_.push_back(make());
-}
-
-Decision ContextualBanditPolicy::decide(
-    double t, const KnowledgeBase& kb,
-    const std::vector<std::string>& actions, sim::Rng& rng) {
-  (void)t;
-  last_ctx_ = std::min(context_(kb), bandits_.size() - 1);
-  auto& bandit = *bandits_[last_ctx_];
-  last_arm_ = bandit.select(rng);
-  pending_ = true;
-
-  Decision d;
-  d.action_index = last_arm_;
-  d.action = actions[std::min(last_arm_, actions.size() - 1)];
-  d.evidence = evidence_;
-  for (std::size_t a = 0; a < actions.size() && a < bandit.arms(); ++a) {
-    d.considered.push_back({actions[a], bandit.value(a)});
-  }
-  std::ostringstream os;
-  os << "in context " << last_ctx_ << ", " << bandit.name()
-     << " value estimate " << bandit.value(last_arm_);
-  d.rationale = os.str();
-  return d;
-}
-
-void ContextualBanditPolicy::feedback(double reward) {
-  if (!pending_) return;
-  bandits_[last_ctx_]->update(last_arm_, reward);
-  pending_ = false;
-}
-
-void ContextualBanditPolicy::reset() {
-  for (auto& b : bandits_) b->reset();
-}
-
 Decision ModelBasedPolicy::decide(double t, const KnowledgeBase& kb,
                                   const std::vector<std::string>& actions,
                                   sim::Rng& rng) {

@@ -115,44 +115,6 @@ class BanditPolicy final : public Policy {
   bool pending_ = false;
 };
 
-/// Contextual bandit: partitions decisions by a discrete *context* derived
-/// from the knowledge base (e.g. "which workload regime am I in?") and
-/// learns independent action values per context. This is where
-/// self-awareness pays over a plain bandit: a context-free learner can at
-/// best converge to the single best-on-average action, while a self-aware
-/// system that recognises its situation can be best in *each* situation.
-class ContextualBanditPolicy final : public Policy {
- public:
-  /// Maps current knowledge to a context id in [0, contexts).
-  using ContextFn = std::function<std::size_t(const KnowledgeBase&)>;
-  using BanditFactory = std::function<std::unique_ptr<learn::Bandit>()>;
-
-  /// `contexts` — number of discrete contexts; `make` is invoked once per
-  /// context to build its bandit (all must have the same arm count).
-  ContextualBanditPolicy(std::size_t contexts, ContextFn context,
-                         BanditFactory make, std::vector<std::string>
-                             evidence = {});
-
-  Decision decide(double t, const KnowledgeBase& kb,
-                  const std::vector<std::string>& actions,
-                  sim::Rng& rng) override;
-  void feedback(double reward) override;
-  void reset() override;
-  [[nodiscard]] std::string name() const override { return "ctx-bandit"; }
-  [[nodiscard]] std::size_t contexts() const { return bandits_.size(); }
-  [[nodiscard]] const learn::Bandit& bandit(std::size_t ctx) const {
-    return *bandits_[ctx];
-  }
-
- private:
-  ContextFn context_;
-  std::vector<std::unique_ptr<learn::Bandit>> bandits_;
-  std::vector<std::string> evidence_;
-  std::size_t last_ctx_ = 0;
-  std::size_t last_arm_ = 0;
-  bool pending_ = false;
-};
-
 /// Model-predictive policy: for each action, ask a user-supplied response
 /// model to predict the resulting metrics, score them with the goal model,
 /// and take the argmax. Realises Kounev et al.'s self-prediction

@@ -64,31 +64,6 @@ void AgentRuntime::schedule(SelfAwareAgent& agent, double period,
       kOrderControl);
 }
 
-void AgentRuntime::schedule_substrate(std::string name, double period,
-                                      std::function<void()> tick) {
-  ++scheduled_;
-  const StreamInstruments si = instrument(name, "tick");
-  const sim::EventTag tag = sim::event_tag("sa.rt.sub." + name, scheduled_);
-  substrates_.push_back(std::move(name));
-  engine_.every_tagged(
-      tag, period,
-      [this, tick = std::move(tick), si] {
-        auto span = tracer_ != nullptr
-                        ? tracer_->span(engine_.now(), si.subject, si.name)
-                        : sim::Tracer::Span{};
-        if (metrics_ != nullptr) {
-          const double ms = timed_ms(tick);
-          metrics_->add(si.count);
-          metrics_->observe(si.ms, ms);
-        } else {
-          tick();
-        }
-        ++substrate_ticks_;
-        return true;
-      },
-      kOrderDynamics);
-}
-
 namespace {
 /// Exchange-retry checkpoint payload: the attempt number, 8 bytes LE, so
 /// the attestation covers how far a pending retry has backed off.

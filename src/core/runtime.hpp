@@ -65,13 +65,6 @@ class AgentRuntime {
   void schedule(SelfAwareAgent& agent, double period,
                 std::function<double()> reward_after = {});
 
-  /// Runs `tick` every `period` seconds at kOrderDynamics — the hook the
-  /// substrate bind() adapters use, exposed here so scenarios can co-locate
-  /// ad-hoc world dynamics with their agents. `name` labels the stream for
-  /// introspection only.
-  void schedule_substrate(std::string name, double period,
-                          std::function<void()> tick);
-
   /// Every `period`, exchanges public knowledge among `agents` in a full
   /// mesh (each imports every other's snapshot) at kOrderExchange.
   /// Pointers must stay valid. When the exchange gate is blocked (see
@@ -122,22 +115,14 @@ class AgentRuntime {
     return exchange_timeouts_;
   }
 
-  /// Number of schedule()/schedule_substrate()/schedule_exchange()
+  /// Number of schedule()/schedule_exchange()/schedule_degradation()
   /// registrations.
   [[nodiscard]] std::size_t scheduled() const noexcept { return scheduled_; }
   /// Total agent steps executed through this runtime.
   [[nodiscard]] std::size_t steps_run() const noexcept { return steps_; }
-  /// Total substrate ticks executed through this runtime.
-  [[nodiscard]] std::size_t substrate_ticks() const noexcept {
-    return substrate_ticks_;
-  }
   /// Total knowledge items imported through scheduled exchanges.
   [[nodiscard]] std::size_t items_exchanged() const noexcept {
     return exchanged_;
-  }
-  /// Names passed to schedule_substrate(), in registration order.
-  [[nodiscard]] const std::vector<std::string>& substrates() const noexcept {
-    return substrates_;
   }
 
   // -- Checkpoint seam (sa::ckpt) -------------------------------------------
@@ -150,7 +135,6 @@ class AgentRuntime {
   /// Runtime counters that feed bench metrics and /status.
   struct State {
     std::uint64_t steps = 0;
-    std::uint64_t substrate_ticks = 0;
     std::uint64_t exchanged = 0;
     std::uint64_t exchange_drops = 0;
     std::uint64_t exchange_retries = 0;
@@ -160,7 +144,6 @@ class AgentRuntime {
   [[nodiscard]] State export_state() const noexcept {
     State st;
     st.steps = steps_;
-    st.substrate_ticks = substrate_ticks_;
     st.exchanged = exchanged_;
     st.exchange_drops = exchange_drops_;
     st.exchange_retries = exchange_retry_count_;
@@ -203,9 +186,7 @@ class AgentRuntime {
   sim::Tracer* tracer_ = nullptr;
   std::size_t scheduled_ = 0;
   std::size_t steps_ = 0;
-  std::size_t substrate_ticks_ = 0;
   std::size_t exchanged_ = 0;
-  std::vector<std::string> substrates_;
 
   std::vector<ExchangeRound> exchange_rounds_;
   bool exchange_blocked_ = false;

@@ -35,11 +35,6 @@ void StimulusAwareness::update(double t, const Observation& obs,
   }
 }
 
-double StimulusAwareness::baseline(const std::string& signal) const {
-  const auto it = models_.find(signal);
-  return it == models_.end() ? 0.0 : it->second.var.mean();
-}
-
 double StimulusAwareness::quality() const {
   // No signals observed yet — neutral, not failing.
   if (models_.empty()) return 1.0;

@@ -55,8 +55,6 @@ class StimulusAwareness final : public AwarenessProcess {
   [[nodiscard]] std::vector<StimulusEvent>& events() noexcept {
     return events_;
   }
-  /// Learned baseline mean of a signal (0 if unseen).
-  [[nodiscard]] double baseline(const std::string& signal) const;
   /// Fraction of known signals past warm-up.
   [[nodiscard]] double quality() const override;
   /// Forgets baselines (meta-triggered on drift).

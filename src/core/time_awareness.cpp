@@ -1,7 +1,5 @@
 #include "core/time_awareness.hpp"
 
-#include <limits>
-
 namespace sa::core {
 
 std::size_t TimeAwareness::Ensemble::best() const {
@@ -65,20 +63,6 @@ double TimeAwareness::forecast(const std::string& signal,
   const auto it = signals_.find(signal);
   if (it == signals_.end()) return 0.0;
   return it->second.members[it->second.best()].forecast(h);
-}
-
-double TimeAwareness::error(const std::string& signal) const {
-  const auto it = signals_.find(signal);
-  if (it == signals_.end()) return std::numeric_limits<double>::max();
-  const auto& winner = it->second.members[it->second.best()];
-  return winner.scored() > 0 ? winner.mae()
-                             : std::numeric_limits<double>::max();
-}
-
-std::string TimeAwareness::best_model(const std::string& signal) const {
-  const auto it = signals_.find(signal);
-  if (it == signals_.end()) return {};
-  return it->second.members[it->second.best()].model().name();
 }
 
 double TimeAwareness::quality() const {

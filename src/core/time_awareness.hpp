@@ -42,10 +42,6 @@ class TimeAwareness final : public AwarenessProcess {
   /// unknown signal).
   [[nodiscard]] double forecast(const std::string& signal,
                                 std::size_t h = 1) const;
-  /// MAE of the best member for `signal` (+inf-ish large if unknown).
-  [[nodiscard]] double error(const std::string& signal) const;
-  /// Name of the winning forecaster for `signal` ("" if unknown).
-  [[nodiscard]] std::string best_model(const std::string& signal) const;
 
   /// 1/(1 + meanMAE/error_scale): near 1 when predictions are good.
   [[nodiscard]] double quality() const override;

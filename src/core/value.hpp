@@ -32,7 +32,4 @@ template <typename T>
   return fallback;
 }
 
-/// Short textual rendering, for traces and explanations.
-[[nodiscard]] std::string to_string(const Value& v);
-
 }  // namespace sa::core

@@ -93,8 +93,6 @@ PacketNetwork::PacketNetwork(Topology topo, Params p)
     : topo_(std::move(topo)),
       p_(p),
       rng_(p.seed),
-      eps_(p.epsilon),
-      eps_floor_(p.epsilon),
       in_flight_(topo_.links().size(), 0),
       dead_(topo_.links().size(), false),
       slowdown_(topo_.links().size(), 1.0),
@@ -136,7 +134,7 @@ std::size_t PacketNetwork::choose_next(std::size_t node, std::size_t dst,
   if (p_.router == Router::Static) {
     return topo_.next_hop(node, dst);
   }
-  if (rng_.chance(eps_)) {
+  if (rng_.chance(p_.epsilon)) {
     return nbrs[rng_.below(nbrs.size())];
   }
   std::size_t best = kNone;
@@ -294,7 +292,6 @@ void PacketNetwork::arrive(Packet pkt) {
 
 void PacketNetwork::step() {
   now_ += 1.0;
-  eps_ = std::max(eps_floor_, eps_ * eps_decay_);
   if (p_.dos_defence) {
     for (std::size_t i = 0; i < fwd_rate_.size(); ++i) {
       fwd_rate_[i] = 0.98 * fwd_rate_[i] + 0.02 * fwd_count_[i];
@@ -321,10 +318,6 @@ void PacketNetwork::step() {
   for (auto& pkt : arrivals_) arrive(pkt);
 }
 
-void PacketNetwork::run(std::size_t ticks) {
-  for (std::size_t i = 0; i < ticks; ++i) step();
-}
-
 void PacketNetwork::bind(sim::Engine& engine, double period) {
   engine.every_tagged(
       sim::event_tag("sa.cpn.network"), period,
@@ -334,20 +327,6 @@ void PacketNetwork::bind(sim::Engine& engine, double period) {
 void PacketNetwork::set_telemetry(sim::TelemetryBus* bus) {
   telemetry_ = bus;
   if (telemetry_) subject_ = telemetry_->intern_subject("cpn.network");
-}
-
-double PacketNetwork::mean_load() const {
-  if (in_flight_.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t l : in_flight_) acc += static_cast<double>(l);
-  return acc / static_cast<double>(in_flight_.size());
-}
-
-std::size_t PacketNetwork::in_flight_total() const { return flying_.size(); }
-
-void PacketNetwork::boost_exploration(double eps, double decay) {
-  eps_ = std::max(eps_, eps);
-  eps_decay_ = decay;
 }
 
 CpnStats PacketNetwork::harvest() {

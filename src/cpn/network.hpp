@@ -130,7 +130,6 @@ class PacketNetwork {
   void inject(std::size_t src, std::size_t dst, bool legit);
   /// Advances one tick: transits progress, arrivals are re-routed/absorbed.
   void step();
-  void run(std::size_t ticks);
   [[nodiscard]] double now() const noexcept { return now_; }
   /// Drives step() through `engine` every `period` (order 0 = dynamics).
   /// Bind the traffic generator *before* the network so each tick's
@@ -144,12 +143,7 @@ class PacketNetwork {
   /// Statistics since the last harvest (legit traffic only).
   CpnStats harvest();
 
-  /// Mean in-flight load across links (a coarse congestion sensor).
-  [[nodiscard]] double mean_load() const;
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
-  /// Exploration boost hook: the meta level raises ε after drift so the
-  /// router re-discovers routes, then decays it back per tick.
-  void boost_exploration(double eps, double decay = 0.995);
   /// Packets shed by the DoS defence so far (any traffic class).
   [[nodiscard]] std::size_t defence_drops() const noexcept {
     return defence_drops_;
@@ -168,8 +162,6 @@ class PacketNetwork {
   [[nodiscard]] double link_slowdown(std::size_t l) const {
     return slowdown_[l];
   }
-  [[nodiscard]] double epsilon() const noexcept { return eps_; }
-  [[nodiscard]] std::size_t in_flight_total() const;
 
  private:
   struct Packet {
@@ -199,9 +191,6 @@ class PacketNetwork {
   Params p_;
   sim::Rng rng_;
   double now_ = 0.0;
-  double eps_;
-  double eps_decay_ = 1.0;
-  double eps_floor_;
 
   std::vector<Packet> flying_;
   std::vector<Packet> arrivals_;  ///< per-tick scratch, reused across steps

@@ -19,10 +19,6 @@ void Aggregate::add(const Metrics& metrics) {
   for (const auto& [name, value] : metrics) add(name, value);
 }
 
-bool Aggregate::has(const std::string& metric) const {
-  return stats_.find(metric) != stats_.end();
-}
-
 const sim::RunningStats& Aggregate::stats(const std::string& metric) const {
   const auto it = stats_.find(metric);
   if (it == stats_.end()) {

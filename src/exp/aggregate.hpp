@@ -36,7 +36,6 @@ class Aggregate {
   [[nodiscard]] const std::vector<std::string>& names() const noexcept {
     return order_;
   }
-  [[nodiscard]] bool has(const std::string& metric) const;
   /// Raw accumulator; throws std::out_of_range on an unknown metric.
   [[nodiscard]] const sim::RunningStats& stats(const std::string& metric) const;
   [[nodiscard]] MetricSummary summary(const std::string& metric) const;

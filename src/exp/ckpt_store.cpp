@@ -69,11 +69,6 @@ void CheckpointStore::set_interrupted(bool on) {
   interrupted_ = on;
 }
 
-std::size_t CheckpointStore::grids() const {
-  const std::scoped_lock lk(mu_);
-  return grids_.size();
-}
-
 std::size_t CheckpointStore::completed() const {
   const std::scoped_lock lk(mu_);
   std::size_t n = 0;

@@ -66,7 +66,6 @@ class CheckpointStore {
     return experiment_;
   }
   [[nodiscard]] bool interrupted() const noexcept { return interrupted_; }
-  [[nodiscard]] std::size_t grids() const;
   /// Total recorded cells across all grids.
   [[nodiscard]] std::size_t completed() const;
   /// Strict shape check of grid `grid` against the one about to run:

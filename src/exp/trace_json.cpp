@@ -188,11 +188,4 @@ Json merge_perfetto(const std::vector<const sim::Tracer*>& tracers,
   return doc;
 }
 
-void write_merged_trace(std::ostream& os,
-                        const std::vector<const sim::Tracer*>& tracers,
-                        const MergeOptions& opts) {
-  merge_perfetto(tracers, opts).dump(os, /*indent=*/-1);
-  os << "\n";
-}
-
 }  // namespace sa::exp

@@ -76,9 +76,4 @@ struct MergeStats {
                                   const MergeOptions& opts = {},
                                   MergeStats* stats = nullptr);
 
-/// Serialises merge_perfetto() compactly, newline-terminated.
-void write_merged_trace(std::ostream& os,
-                        const std::vector<const sim::Tracer*>& tracers,
-                        const MergeOptions& opts = {});
-
 }  // namespace sa::exp

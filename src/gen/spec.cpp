@@ -343,8 +343,6 @@ const char* ScenarioSpec::city_spec() {
          "cloud:nodes=32;cpn:rows=4,cols=6,shortcuts=6;faults";
 }
 
-ScenarioSpec ScenarioSpec::city() { return parse(city_spec()); }
-
 sim::Rng ScenarioSpec::section_stream(std::uint64_t scenario_seed,
                                       std::string_view section) {
   // splitmix64-finalised per-section stream: changing the scenario seed

@@ -162,10 +162,9 @@ struct ScenarioSpec {
   /// Canonical spec string (parse(to_string()) round-trips).
   [[nodiscard]] std::string to_string() const;
 
-  /// The flagship composite: cameras → packet network → cloud backend →
-  /// multicore edge nodes plus a standing fault environment (E15).
-  [[nodiscard]] static ScenarioSpec city();
-  /// The city spec as its canonical string (what --scenario defaults to).
+  /// The flagship composite as its canonical string (what --scenario
+  /// defaults to): cameras → packet network → cloud backend → multicore
+  /// edge nodes plus a standing fault environment (E15).
   [[nodiscard]] static const char* city_spec();
 
   // -- Seeded expansion -----------------------------------------------------

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "serve/prometheus.hpp"  // format_value
 
 namespace sa::loadgen {
 
@@ -173,56 +172,6 @@ bool read_response(int fd, const std::atomic<bool>& running, long timeout_ms,
 }
 
 }  // namespace
-
-void Report::merge(const Report& other) noexcept {
-  for (std::size_t r = 0; r < routes.size(); ++r) {
-    routes[r].requests += other.routes[r].requests;
-    routes[r].errors += other.routes[r].errors;
-    routes[r].latency.merge(other.routes[r].latency);
-  }
-  connects += other.connects;
-  connect_failures += other.connect_failures;
-  bytes_received += other.bytes_received;
-}
-
-std::string summary_json(const Report& report) {
-  using serve::format_value;
-  std::string out;
-  out.reserve(1024);
-  out += "{\"routes\":{";
-  for (std::size_t r = 0; r < report.routes.size(); ++r) {
-    const RouteReport& route = report.routes[r];
-    if (r) out += ',';
-    out += '"';
-    out += serve::route_label(static_cast<serve::RouteClass>(r));
-    out += "\":{\"requests\":";
-    out += std::to_string(route.requests);
-    out += ",\"errors\":";
-    out += std::to_string(route.errors);
-    out += ",\"p50_s\":";
-    out += format_value(route.latency.quantile(0.50));
-    out += ",\"p90_s\":";
-    out += format_value(route.latency.quantile(0.90));
-    out += ",\"p99_s\":";
-    out += format_value(route.latency.quantile(0.99));
-    out += ",\"p999_s\":";
-    out += format_value(route.latency.quantile(0.999));
-    out += ",\"mean_s\":";
-    out += format_value(route.latency.count
-                            ? route.latency.sum_s() /
-                                  static_cast<double>(route.latency.count)
-                            : 0.0);
-    out += '}';
-  }
-  out += "},\"connects\":";
-  out += std::to_string(report.connects);
-  out += ",\"connect_failures\":";
-  out += std::to_string(report.connect_failures);
-  out += ",\"bytes_received\":";
-  out += std::to_string(report.bytes_received);
-  out += "}";
-  return out;
-}
 
 std::string fetch(const std::string& host, std::uint16_t port,
                   const std::string& target, long timeout_ms,

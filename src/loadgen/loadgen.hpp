@@ -17,9 +17,9 @@
 // machine gives, but the *request schedule* is reproducible per seed.
 // POSIX sockets only; no dependencies beyond sa_serve for the histogram.
 //
-// Reports merge per-thread state with integer addition, so the merged
-// summary is byte-identical regardless of how many threads the samples
-// were spread over — serve_determinism_test relies on this.
+// Pool::report() folds per-thread state with integer addition, so the
+// merged histograms do not depend on how many threads the samples were
+// spread over.
 #pragma once
 
 #include <array>
@@ -65,15 +65,7 @@ struct Report {
   std::uint64_t connects = 0;
   std::uint64_t connect_failures = 0;
   std::uint64_t bytes_received = 0;
-
-  void merge(const Report& other) noexcept;
 };
-
-/// Renders a report as a JSON object keyed by route label, each with
-/// requests/errors and p50/p90/p99/p99.9/mean seconds. Pure function of
-/// the report — byte-identical for equal reports, however they were
-/// accumulated.
-[[nodiscard]] std::string summary_json(const Report& report);
 
 /// One-shot GET helper (Connection: close, reads to EOF). Returns the
 /// response body and stores the status in `status_out` (0 on transport

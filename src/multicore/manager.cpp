@@ -21,15 +21,6 @@ std::vector<ManagerAction> default_actions(const Platform& platform) {
   return out;
 }
 
-const char* Manager::variant_name(Variant v) noexcept {
-  switch (v) {
-    case Variant::Static: return "static";
-    case Variant::Reactive: return "reactive";
-    case Variant::SelfAware: return "self-aware";
-  }
-  return "?";
-}
-
 Manager::Manager(Platform& platform, Params params)
     : platform_(platform), p_(params), actions_(default_actions(platform)) {
   if (p_.telemetry != nullptr) platform_.set_telemetry(p_.telemetry);

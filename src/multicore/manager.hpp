@@ -72,8 +72,8 @@ class Manager {
 
   /// Event-driven equivalent of calling run_epoch() in a loop: schedules
   /// one control epoch every `period` (order 1 = control; <= 0 defaults to
-  /// epoch_s). Each firing steps the platform for the whole period itself,
-  /// so do not also bind() the platform. `on_epoch`, if set, receives each
+  /// epoch_s). Each firing steps the platform for the whole period itself.
+  /// `on_epoch`, if set, receives each
   /// epoch's utility. The trajectory is identical to the synchronous loop.
   void bind(sim::Engine& engine, double period = 0.0,
             std::function<void(double)> on_epoch = {});
@@ -85,7 +85,6 @@ class Manager {
   [[nodiscard]] const std::vector<ManagerAction>& actions() const noexcept {
     return actions_;
   }
-  [[nodiscard]] static const char* variant_name(Variant v) noexcept;
 
   // Whole-run aggregates (across every epoch so far).
   [[nodiscard]] const sim::RunningStats& utility() const noexcept {

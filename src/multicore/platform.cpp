@@ -69,12 +69,6 @@ void Platform::fail_core(std::size_t core) {
   for (const auto& t : orphans_) queue_[place()].push_back(t);
 }
 
-std::size_t Platform::cores_failed() const {
-  std::size_t n = 0;
-  for (std::size_t c = 0; c < failed_.size(); ++c) n += failed_[c] ? 1 : 0;
-  return n;
-}
-
 std::size_t Platform::place() const {
   // Candidate set by mapping; Balanced considers everyone.
   auto eligible = [&](std::size_t c) {
@@ -222,13 +216,6 @@ void Platform::run_for(double secs) {
   for (std::size_t i = 0; i < ticks; ++i) step();
 }
 
-void Platform::bind(sim::Engine& engine, double period) {
-  if (period <= 0.0) period = cfg_.tick;
-  engine.every_tagged(
-      sim::event_tag("sa.multicore.platform"), period,
-      [this] { step(); return true; }, /*order=*/0);
-}
-
 void Platform::set_telemetry(sim::TelemetryBus* bus) {
   telemetry_ = bus;
   if (telemetry_) subject_ = telemetry_->intern_subject("multicore.platform");
@@ -238,18 +225,6 @@ std::size_t Platform::queued() const {
   std::size_t n = 0;
   for (const auto& q : queue_) n += q.size();
   return n;
-}
-
-double Platform::instantaneous_power() const {
-  double p = 0.0;
-  for (std::size_t c = 0; c < specs_.size(); ++c) {
-    if (failed_[c]) continue;
-    const double f = cfg_.freqs[std::min(level_[c], freq_cap_)];
-    const double util = queue_[c].empty() ? 0.0 : 1.0;
-    p += specs_[c].static_w * f * f +
-         specs_[c].dyn_coeff * f * f * f * util;
-  }
-  return p;
 }
 
 EpochStats Platform::harvest() {

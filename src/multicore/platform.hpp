@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/telemetry.hpp"
@@ -226,7 +225,6 @@ class Platform {
   [[nodiscard]] bool core_failed(std::size_t core) const {
     return failed_[core];
   }
-  [[nodiscard]] std::size_t cores_failed() const;
   /// Clamps the *effective* DVFS level chip-wide (firmware/power-delivery
   /// cap): speed and power use min(requested, cap), and the manager's
   /// requested levels resume untouched when the cap lifts. SIZE_MAX = none.
@@ -242,11 +240,6 @@ class Platform {
   void step();                 ///< advance one tick
   void run_for(double secs);   ///< advance ⌈secs/tick⌉ ticks
   [[nodiscard]] double now() const noexcept { return now_; }
-  /// Drives step() through `engine` every `period` (<= 0 defaults to the
-  /// configured tick) at order 0 = dynamics. Don't combine with a
-  /// Manager::bind on the same platform — the manager adapter steps the
-  /// platform itself.
-  void bind(sim::Engine& engine, double period = 0.0);
   /// Emits one kFailure per thermal-throttle engagement (value = core
   /// temperature, detail = core name). Non-owning; null disables emission.
   void set_telemetry(sim::TelemetryBus* bus);
@@ -260,8 +253,6 @@ class Platform {
   [[nodiscard]] std::size_t queued(std::size_t core) const {
     return queue_[core].size();
   }
-  /// Instantaneous power draw at current frequencies/occupancy, W.
-  [[nodiscard]] double instantaneous_power() const;
 
   [[nodiscard]] std::size_t cores() const noexcept { return specs_.size(); }
   [[nodiscard]] const CoreSpec& spec(std::size_t core) const {

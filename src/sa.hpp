@@ -23,7 +23,6 @@
 #include "learn/drift.hpp"
 #include "learn/estimators.hpp"
 #include "learn/forecast.hpp"
-#include "learn/markov.hpp"
 
 // The computational self-awareness framework (the paper's contribution).
 #include "core/agent.hpp"

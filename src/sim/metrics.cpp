@@ -34,14 +34,6 @@ MetricsRegistry::MetricId MetricsRegistry::timer(std::string_view name) {
   return register_metric(name, Kind::Timer);
 }
 
-std::optional<MetricsRegistry::MetricId> MetricsRegistry::find(
-    std::string_view name) const {
-  for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    if (metrics_[i].name == name) return static_cast<MetricId>(i);
-  }
-  return std::nullopt;
-}
-
 void MetricsRegistry::snapshot(double t) {
   Snapshot s;
   s.t = t;

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,7 +61,6 @@ class MetricsRegistry {
   }
   [[nodiscard]] Kind kind(MetricId m) const { return metrics_[m].kind; }
   [[nodiscard]] std::size_t size() const noexcept { return metrics_.size(); }
-  [[nodiscard]] std::optional<MetricId> find(std::string_view name) const;
 
   /// One row of the exported time-series: every metric's scalar at time t
   /// (counters/gauges: value; timers: mean of observations so far,

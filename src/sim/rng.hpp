@@ -100,11 +100,6 @@ class Rng {
     return static_cast<std::uint64_t>(
         (static_cast<unsigned __int128>((*this)()) * n) >> 64);
   }
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept {
-    return lo + static_cast<std::int64_t>(
-                    below(static_cast<std::uint64_t>(hi - lo + 1)));
-  }
   /// Bernoulli trial with probability p.
   bool chance(double p) noexcept { return uniform() < p; }
   /// Exponential variate with given mean (> 0).
@@ -144,18 +139,6 @@ class Rng {
       prod *= uniform();
     }
     return n;
-  }
-  /// Zipf-distributed integer in [0, n) with exponent s (simple inversion
-  /// over precomputable tail; O(n) worst case, used only at setup time).
-  std::uint64_t zipf(std::uint64_t n, double s) noexcept {
-    double total = 0.0;
-    for (std::uint64_t k = 1; k <= n; ++k) total += 1.0 / std::pow(double(k), s);
-    double target = uniform() * total, acc = 0.0;
-    for (std::uint64_t k = 1; k <= n; ++k) {
-      acc += 1.0 / std::pow(double(k), s);
-      if (acc >= target) return k - 1;
-    }
-    return n - 1;
   }
 
  private:

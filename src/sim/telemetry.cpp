@@ -25,14 +25,6 @@ TelemetryBus::TelemetryBus() {
   counts_.resize(category_names_.size());
 }
 
-CategoryId TelemetryBus::intern_category(std::string_view name) {
-  const CategoryId id = intern(category_names_, name);
-  if (counts_.size() < category_names_.size()) {
-    counts_.resize(category_names_.size());
-  }
-  return id;
-}
-
 SubjectId TelemetryBus::intern_subject(std::string_view name) {
   return intern(subject_names_, name);
 }
@@ -57,15 +49,6 @@ std::vector<const RingBufferSink::Rec*> RingBufferSink::by_category(
   std::vector<const Rec*> out;
   for (const Rec& r : ring_) {
     if (r.category == c) out.push_back(&r);
-  }
-  return out;
-}
-
-std::vector<const RingBufferSink::Rec*> RingBufferSink::by_subject(
-    SubjectId s) const {
-  std::vector<const Rec*> out;
-  for (const Rec& r : ring_) {
-    if (r.subject == s) out.push_back(&r);
   }
   return out;
 }

@@ -10,8 +10,8 @@
 // null TelemetryBus* pays one null check and no allocation.
 //
 // Sinks are non-owning observers. RingBufferSink retains the last N events
-// in a sim::Ring for self-explanation queries (by_category / by_subject, in
-// emission order); FanoutSink feeds the serve plane's SSE subscribers.
+// in a sim::Ring for self-explanation queries (by_category, in emission
+// order); FanoutSink feeds the serve plane's SSE subscribers.
 #pragma once
 
 #include <atomic>
@@ -61,9 +61,8 @@ class TelemetryBus {
 
   TelemetryBus();
 
-  /// Returns the id for `name`, interning it on first use. O(categories);
+  /// Returns the id for `name`, interning it on first use. O(subjects);
   /// call once at wiring time, not per event.
-  CategoryId intern_category(std::string_view name);
   SubjectId intern_subject(std::string_view name);
   [[nodiscard]] const std::string& category_name(CategoryId c) const {
     return category_names_.at(c);
@@ -78,10 +77,9 @@ class TelemetryBus {
     return subject_names_.size();
   }
 
-  /// Registers a non-owning sink; it must outlive the bus (or be removed
-  /// by clear_sinks()). Events are dispatched in registration order.
+  /// Registers a non-owning sink; it must outlive the bus. Events are
+  /// dispatched in registration order.
   void add_sink(TelemetrySink* sink) { sinks_.push_back(sink); }
-  void clear_sinks() { sinks_.clear(); }
 
   /// Records one event: counter bump + sink dispatch, no allocation in
   /// the bus itself (sinks may allocate to retain the event).
@@ -104,8 +102,7 @@ class TelemetryBus {
 };
 
 /// Bounded in-memory sink: retains the most recent `capacity` events (with
-/// their details copied) and answers the query API the old Trace offered —
-/// by_category / by_subject in emission order.
+/// their details copied) and answers by_category queries in emission order.
 class RingBufferSink : public TelemetrySink {
  public:
   struct Rec {
@@ -130,8 +127,6 @@ class RingBufferSink : public TelemetrySink {
   [[nodiscard]] const Rec& at(std::size_t i) const { return ring_.at(i); }
   /// Retained events with the given category, in emission order.
   [[nodiscard]] std::vector<const Rec*> by_category(CategoryId c) const;
-  /// Retained events emitted by the given subject, in emission order.
-  [[nodiscard]] std::vector<const Rec*> by_subject(SubjectId s) const;
   void clear() { ring_.clear(); }
 
  private:

@@ -201,15 +201,6 @@ void Network::auction(std::size_t obj, std::size_t seller) {
   }
 }
 
-std::vector<std::size_t> Network::learned_links(std::size_t cam) const {
-  std::vector<std::size_t> out;
-  out.reserve(links_[cam].size());
-  for (const Link& link : links_[cam]) {
-    if (link.strength >= 1.0) out.push_back(link.peer);
-  }
-  return out;
-}
-
 void Network::claim_unowned() {
   for (std::size_t o = 0; o < owner_.size(); ++o) {
     if (owner_[o] != kUnowned) continue;
@@ -271,12 +262,6 @@ void Network::step() {
 
 void Network::run(std::size_t steps) {
   for (std::size_t i = 0; i < steps; ++i) step();
-}
-
-void Network::bind(sim::Engine& engine, double period) {
-  engine.every_tagged(
-      sim::event_tag("sa.svc.network"), period,
-      [this] { step(); return true; }, /*order=*/0);
 }
 
 void Network::set_telemetry(sim::TelemetryBus* bus) {

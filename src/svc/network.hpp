@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
 
@@ -132,10 +131,6 @@ class Network {
   /// One world step: motion, tracking, handovers, re-detection.
   void step();
   void run(std::size_t steps);
-  /// Drives step() through `engine` every `period` (order 0 = dynamics).
-  /// The engine-driven trajectory is identical to calling step() directly
-  /// at the same cadence.
-  void bind(sim::Engine& engine, double period = 1.0);
   /// Emits handover observations and lost-track failures to `bus` (event
   /// time = world step count). Non-owning; null disables emission.
   void set_telemetry(sim::TelemetryBus* bus);
@@ -156,10 +151,6 @@ class Network {
       std::size_t cam) const {
     return neighbours_[cam];
   }
-  /// Learned vision-graph partners of `cam` (the Smooth audience): cameras
-  /// that have won auctions initiated by `cam`.
-  [[nodiscard]] std::vector<std::size_t> learned_links(
-      std::size_t cam) const;
   /// Visibility of object `obj` from camera `cam` in [0,1].
   [[nodiscard]] double visibility(std::size_t cam, std::size_t obj) const;
   /// Owner camera of `obj` or SIZE_MAX if unowned.

@@ -26,7 +26,7 @@ std::string image_with_sections() {
   alpha.f64(-0.0);
   Buffer beta;
   beta.boolean(true);
-  beta.bytes(std::string(300, 'x'));
+  beta.str(std::string(300, 'x'));
   Writer w;
   w.section("alpha", alpha);
   w.section("beta", beta);
@@ -80,35 +80,32 @@ TEST(CkptFormat, BufferCursorRoundTripExactBits) {
   b.f64(std::numeric_limits<double>::quiet_NaN());
   b.f64(-0.0);
   b.str("key");
-  b.bytes("payload");
 
   Cursor c(b.data());
   std::uint8_t u8v = 0;
   std::uint32_t u32v = 0;
   std::uint64_t u64v = 0;
-  std::int64_t i64v = 0;
+  std::uint64_t i64bits = 0;
   bool bv = true;
   double nan = 0.0, negzero = 1.0;
-  std::string s, p;
+  std::string s;
   ASSERT_TRUE(c.u8(u8v));
   ASSERT_TRUE(c.u32(u32v));
   ASSERT_TRUE(c.u64(u64v));
-  ASSERT_TRUE(c.i64(i64v));
+  ASSERT_TRUE(c.u64(i64bits));  // an i64 is written as its u64 bits
   ASSERT_TRUE(c.boolean(bv));
   ASSERT_TRUE(c.f64(nan));
   ASSERT_TRUE(c.f64(negzero));
   ASSERT_TRUE(c.str(s));
-  ASSERT_TRUE(c.bytes(p));
   EXPECT_EQ(u8v, 0xab);
   EXPECT_EQ(u32v, 0xdeadbeefu);
   EXPECT_EQ(u64v, 0x0123456789abcdefULL);
-  EXPECT_EQ(i64v, -17);
+  EXPECT_EQ(static_cast<std::int64_t>(i64bits), -17);
   EXPECT_FALSE(bv);
   EXPECT_TRUE(std::isnan(nan));
   EXPECT_TRUE(std::signbit(negzero));
   EXPECT_EQ(negzero, 0.0);
   EXPECT_EQ(s, "key");
-  EXPECT_EQ(p, "payload");
   EXPECT_TRUE(c.at_end());
   EXPECT_TRUE(c.finish("roundtrip").ok());
 }

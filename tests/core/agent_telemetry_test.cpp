@@ -33,7 +33,10 @@ TEST(AgentTelemetry, EmitsObservationAndDecisionPerStep) {
   EXPECT_EQ(rig.bus.count(TelemetryBus::kObservation), 5u);
   EXPECT_EQ(rig.bus.count(TelemetryBus::kDecision), 5u);
   const auto subject = rig.bus.intern_subject("traced");
-  EXPECT_EQ(rig.sink.by_subject(subject).size(), 10u);
+  ASSERT_EQ(rig.sink.size(), 10u);
+  for (std::size_t i = 0; i < rig.sink.size(); ++i) {
+    EXPECT_EQ(rig.sink.at(i).subject, subject);
+  }
 }
 
 TEST(AgentTelemetry, ObservationListsSampledSignals) {

@@ -71,7 +71,7 @@ TEST(SelfAwareAgent, ProcessesRewriteTheirKeysAfterKnowledgeClear) {
   a.record_interaction("peer", true);
   for (int i = 0; i < 3; ++i) a.step(static_cast<double>(i));
   const std::vector<std::string> before = a.knowledge().keys();
-  a.knowledge().clear();
+  a.knowledge() = KnowledgeBase();
   a.step(3.0);
   EXPECT_EQ(a.knowledge().keys(), before);
   EXPECT_DOUBLE_EQ(a.knowledge().number("load"), 2.0);

@@ -159,16 +159,6 @@ TEST(AttentionManager, AdaptivePrefersVolatileSignals) {
   EXPECT_GT(volatile_picks, static_cast<std::size_t>(steps / 2));
 }
 
-TEST(AttentionManager, ScoreReflectsVolatility) {
-  AttentionManager am(Strategy::Adaptive, 1);
-  const std::size_t x = am.register_signal("x");
-  am.feed(x, 0.0);
-  am.feed(x, 10.0);
-  am.feed(x, 0.0);
-  EXPECT_GT(am.score("x"), 1.0);
-  EXPECT_DOUBLE_EQ(am.score("unknown"), 0.0);
-}
-
 TEST(AttentionManager, DuplicateRegistrationIgnored) {
   AttentionManager am(Strategy::All, 8);
   am.register_signal("x");

@@ -162,14 +162,6 @@ TEST(HierarchyAggregator, InteriorFailurePartitionsSubtree) {
   EXPECT_NE(agg.estimate(2), before);
 }
 
-TEST(HierarchyAggregator, DepthIsLogarithmic) {
-  EXPECT_EQ(HierarchyAggregator(1, 2).depth(), 0u);
-  EXPECT_EQ(HierarchyAggregator(3, 2).depth(), 1u);
-  EXPECT_EQ(HierarchyAggregator(7, 2).depth(), 2u);
-  EXPECT_EQ(HierarchyAggregator(15, 2).depth(), 3u);
-  EXPECT_EQ(HierarchyAggregator(13, 3).depth(), 2u);
-}
-
 TEST(Aggregators, NamesAreDistinct) {
   EXPECT_EQ(CentralAggregator(2).name(), "central");
   EXPECT_EQ(GossipAggregator(2).name(), "gossip");

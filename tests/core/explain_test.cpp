@@ -85,41 +85,6 @@ TEST(Explainer, CapacityBoundsMemory) {
   EXPECT_EQ(ex.decisions(), 100u);
 }
 
-TEST(Explainer, SummariseAggregatesPerAction) {
-  Explainer ex;
-  for (int i = 0; i < 3; ++i) {
-    auto e = sample_explanation();
-    e.goal_utility = 0.5 + 0.1 * i;  // 0.5, 0.6, 0.7
-    ex.record(std::move(e));
-  }
-  auto other = sample_explanation();
-  other.decision.action = "freq_down";
-  other.decision.rationale = "power over budget";
-  ex.record(std::move(other));
-
-  const auto up = ex.summarise("freq_up");
-  EXPECT_EQ(up.count, 3u);
-  EXPECT_NEAR(up.mean_goal_utility, 0.6, 1e-9);
-  EXPECT_EQ(up.last_rationale, "utility 0.8 is the maximum");
-
-  const auto down = ex.summarise("freq_down");
-  EXPECT_EQ(down.count, 1u);
-  EXPECT_EQ(down.last_rationale, "power over budget");
-
-  EXPECT_EQ(ex.summarise("never").count, 0u);
-}
-
-TEST(Explainer, SummariseIgnoresEntriesWithoutGoalState) {
-  Explainer ex;
-  auto e = sample_explanation();
-  e.has_goal = false;
-  e.goal_utility = 123.0;  // must not be counted
-  ex.record(std::move(e));
-  const auto s = ex.summarise("freq_up");
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_DOUBLE_EQ(s.mean_goal_utility, 0.0);
-}
-
 TEST(Explainer, ClearResets) {
   Explainer ex;
   ex.record(sample_explanation());

@@ -29,13 +29,6 @@ TEST(UtilityFns, TargetPeaksAtTarget) {
   EXPECT_DOUBLE_EQ(u(65.0), 0.0);
 }
 
-TEST(UtilityFns, StepFunctions) {
-  EXPECT_DOUBLE_EQ(utility::step_at_least(5.0)(5.0), 1.0);
-  EXPECT_DOUBLE_EQ(utility::step_at_least(5.0)(4.9), 0.0);
-  EXPECT_DOUBLE_EQ(utility::step_at_most(5.0)(5.0), 1.0);
-  EXPECT_DOUBLE_EQ(utility::step_at_most(5.0)(5.1), 0.0);
-}
-
 TEST(UtilityFns, DegenerateRangesActAsSteps) {
   EXPECT_DOUBLE_EQ(utility::rising(5.0, 5.0)(6.0), 1.0);
   EXPECT_DOUBLE_EQ(utility::rising(5.0, 5.0)(4.0), 0.0);
@@ -79,14 +72,12 @@ TEST(GoalModel, SetWeightChangesTradeoffAtRuntime) {
   EXPECT_DOUBLE_EQ(g.utility(m), 0.5);
   ASSERT_TRUE(g.set_weight("power", 3.0));  // stakeholder now cares re power
   EXPECT_DOUBLE_EQ(g.utility(m), 0.25);
-  EXPECT_DOUBLE_EQ(g.weight("power").value(), 3.0);
 }
 
 TEST(GoalModel, SetWeightOnUnknownMetricFails) {
   GoalModel g;
   g.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
   EXPECT_FALSE(g.set_weight("y", 2.0));
-  EXPECT_FALSE(g.weight("y").has_value());
 }
 
 TEST(GoalModel, HardConstraintZeroesUtility) {

@@ -56,31 +56,6 @@ TEST(InteractionAwareness, ConfidenceGrowsWithInteractions) {
   EXPECT_GT(c2, 0.95);
 }
 
-TEST(InteractionAwareness, MarkovModelPredictsPeerState) {
-  InteractionAwareness::Params p;
-  p.peer_states = 3;
-  InteractionAwareness ia(p);
-  KnowledgeBase kb;
-  for (int i = 0; i < 60; ++i) {
-    ia.record_peer_state("n", static_cast<std::size_t>(i % 3));
-  }
-  ia.record_interaction("n", true);
-  ia.update(0.0, {}, kb);
-  // Last state was 2 (i=59 -> 59%3=2... 59%3==2), successor is 0.
-  EXPECT_DOUBLE_EQ(kb.number("peer.n.predicted_state"), 0.0);
-}
-
-TEST(InteractionAwareness, PeerStatesClampedToRange) {
-  InteractionAwareness::Params p;
-  p.peer_states = 2;
-  InteractionAwareness ia(p);
-  ia.record_peer_state("n", 99);  // out of range: clamps, must not crash
-  ia.record_peer_state("n", 0);
-  KnowledgeBase kb;
-  ia.update(0.0, {}, kb);
-  SUCCEED();
-}
-
 TEST(InteractionAwareness, PeersListsAllKnown) {
   InteractionAwareness ia;
   ia.record_interaction("b", true);

@@ -31,7 +31,6 @@ TEST(MetaSelfAwareness, PublishesProcessQuality) {
   KnowledgeBase kb;
   for (int i = 0; i < 10; ++i) meta.update(i, {}, kb);
   EXPECT_NEAR(kb.number("meta.fake.quality"), 1.0, 1e-9);
-  EXPECT_NEAR(meta.process_quality("fake"), 1.0, 1e-9);
 }
 
 TEST(MetaSelfAwareness, ReconfiguresFailingProcess) {
@@ -57,21 +56,6 @@ TEST(MetaSelfAwareness, HealthyProcessLeftAlone) {
   for (int i = 0; i < 100; ++i) meta.update(i, {}, kb);
   EXPECT_EQ(p.reconfigures, 0);
   EXPECT_EQ(meta.adaptations_fired(), 0u);
-}
-
-TEST(MetaSelfAwareness, CollapseHookReplacesDefaultReconfigure) {
-  FakeProcess p("custom");
-  MetaSelfAwareness::Params prm;
-  prm.grace_updates = 2;
-  MetaSelfAwareness meta(prm);
-  meta.watch(p);
-  int hook_calls = 0;
-  meta.on_quality_collapse("custom", [&] { ++hook_calls; });
-  KnowledgeBase kb;
-  p.quality_value = 0.0;
-  for (int i = 0; i < 30; ++i) meta.update(i, {}, kb);
-  EXPECT_GE(hook_calls, 1);
-  EXPECT_EQ(p.reconfigures, 0);  // hook took over
 }
 
 TEST(MetaSelfAwareness, DetectsUtilityDriftAndFiresHooks) {

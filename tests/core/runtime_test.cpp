@@ -103,23 +103,16 @@ TEST(AgentRuntime, SubstrateTicksBeforeAgentStepsAtCoincidentTimes) {
     return static_cast<double>(world);
   });
   rt.schedule(agent, 1.0);           // registered FIRST...
-  rt.schedule_substrate("counter", 0.5, [&] { ++world; });
+  engine.every(
+      0.5,
+      [&] {
+        ++world;
+        return true;
+      },
+      AgentRuntime::kOrderDynamics);
   engine.run_until(1.0);
   // ...but at t = 1.0 the substrate (ticks at 0.5 and 1.0) still ran first.
   EXPECT_EQ(seen_at_step, 2);
-  EXPECT_EQ(rt.substrate_ticks(), 2u);
-}
-
-TEST(AgentRuntime, TracksSubstratesByName) {
-  sim::Engine engine;
-  AgentRuntime rt(engine);
-  rt.schedule_substrate("svc.network", 1.0, [] {});
-  rt.schedule_substrate("cloud.cluster", 10.0, [] {});
-  ASSERT_EQ(rt.substrates().size(), 2u);
-  EXPECT_EQ(rt.substrates()[0], "svc.network");
-  EXPECT_EQ(rt.substrates()[1], "cloud.cluster");
-  engine.run_until(20.0);
-  EXPECT_EQ(rt.substrate_ticks(), 22u);  // 20 fast + 2 slow
 }
 
 TEST(AgentRuntime, ExchangeRunsAfterStepsAtCoincidentTimes) {
@@ -149,19 +142,16 @@ TEST(AgentRuntime, ProfilesScheduledStreamsIntoMetrics) {
   SelfAwareAgent agent("prof", quiet());
   agent.add_sensor("x", [] { return 1.0; });
   rt.schedule(agent, 1.0);
-  rt.schedule_substrate("world", 0.5, [] {});
   engine.run_until(10.0);
 
-  const auto steps = metrics.find("profile.prof.count");
-  const auto step_ms = metrics.find("profile.prof.ms");
-  const auto ticks = metrics.find("profile.world.count");
-  ASSERT_TRUE(steps.has_value());
-  ASSERT_TRUE(step_ms.has_value());
-  ASSERT_TRUE(ticks.has_value());
-  EXPECT_DOUBLE_EQ(metrics.value(*steps), 10.0);
-  EXPECT_DOUBLE_EQ(metrics.value(*ticks), 20.0);
-  EXPECT_EQ(metrics.stats(*step_ms).count(), 10u);
-  EXPECT_GE(metrics.stats(*step_ms).min(), 0.0);
+  // Registration is idempotent, so re-registering reads the stream's ids.
+  ASSERT_EQ(metrics.size(), 2u);
+  const auto steps = metrics.counter("profile.prof.count");
+  const auto step_ms = metrics.timer("profile.prof.ms");
+  EXPECT_EQ(metrics.size(), 2u);
+  EXPECT_DOUBLE_EQ(metrics.value(steps), 10.0);
+  EXPECT_EQ(metrics.stats(step_ms).count(), 10u);
+  EXPECT_GE(metrics.stats(step_ms).min(), 0.0);
 }
 
 TEST(AgentRuntime, SelfProfileVisibleToTheAgentAsKnowledge) {
@@ -191,19 +181,17 @@ TEST(AgentRuntime, TracerRecordsRuntimeSpansPerStream) {
   a.add_sensor("x", [] { return 1.0; });
   rt.schedule(a, 1.0);
   rt.schedule(b, 2.0);
-  rt.schedule_substrate("world", 1.0, [] {});
   rt.schedule_exchange({&a, &b}, 5.0);
   engine.run_until(10.0);
 
   EXPECT_EQ(tracer.depth(), 0u);
-  // Per-stream subjects exist and carry spans: 10 + 5 oda, 10 ticks,
-  // 2 exchanges.
-  EXPECT_EQ(tracer.spans(), 27u);
+  // Per-stream subjects exist and carry spans: 10 + 5 oda, 2 exchanges.
+  EXPECT_EQ(tracer.spans(), 17u);
   std::size_t runtime_subjects = 0;
   for (sim::SubjectId s = 0; s < bus.subjects(); ++s) {
     if (bus.subject_name(s).rfind("runtime.", 0) == 0) ++runtime_subjects;
   }
-  EXPECT_EQ(runtime_subjects, 4u);  // alpha, beta, world, exchange
+  EXPECT_EQ(runtime_subjects, 3u);  // alpha, beta, exchange
 }
 
 TEST(AgentRuntime, UnprofiledSchedulingIsUnchanged) {

@@ -28,7 +28,6 @@ TEST(StimulusAwareness, LearnsBaseline) {
   for (int i = 0; i < 50; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", 10.0}}), kb);
   }
-  EXPECT_NEAR(sa.baseline("x"), 10.0, 1e-9);
   EXPECT_NEAR(kb.number("stimulus.x.baseline"), 10.0, 1e-9);
 }
 
@@ -92,8 +91,8 @@ TEST(StimulusAwareness, TracksMultipleSignalsIndependently) {
   for (int i = 0; i < 30; ++i) {
     sa.update(static_cast<double>(i), obs({{"a", 1.0}, {"b", 100.0}}), kb);
   }
-  EXPECT_NEAR(sa.baseline("a"), 1.0, 1e-9);
-  EXPECT_NEAR(sa.baseline("b"), 100.0, 1e-9);
+  EXPECT_NEAR(kb.number("stimulus.a.baseline"), 1.0, 1e-9);
+  EXPECT_NEAR(kb.number("stimulus.b.baseline"), 100.0, 1e-9);
 }
 
 TEST(StimulusAwareness, QualityGrowsWithWarmSignals) {
@@ -117,8 +116,10 @@ TEST(StimulusAwareness, ReconfigureForgetsBaselines) {
     sa.update(static_cast<double>(i), obs({{"x", 5.0}}), kb);
   }
   sa.reconfigure();
-  EXPECT_DOUBLE_EQ(sa.baseline("x"), 0.0);
   EXPECT_DOUBLE_EQ(sa.quality(), 1.0);  // fresh model: neutral again
+  // The next reading starts a new baseline instead of joining the old one.
+  sa.update(30.0, obs({{"x", 7.0}}), kb);
+  EXPECT_DOUBLE_EQ(kb.number("stimulus.x.baseline"), 7.0);
 }
 
 TEST(StimulusAwareness, LevelAndName) {

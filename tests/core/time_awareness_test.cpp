@@ -30,7 +30,7 @@ TEST(TimeAwareness, ConstantSignalForecastIsExact) {
     ta.update(static_cast<double>(i), obs({{"x", 7.0}}), kb);
   }
   EXPECT_NEAR(ta.forecast("x"), 7.0, 1e-9);
-  EXPECT_NEAR(ta.error("x"), 0.0, 1e-9);
+  EXPECT_NEAR(kb.number("forecast.x.mae"), 0.0, 1e-9);
 }
 
 TEST(TimeAwareness, TrendSignalSelectsHolt) {
@@ -39,7 +39,8 @@ TEST(TimeAwareness, TrendSignalSelectsHolt) {
   for (int i = 0; i < 120; ++i) {
     ta.update(static_cast<double>(i), obs({{"x", 2.0 * i}}), kb);
   }
-  EXPECT_EQ(ta.best_model("x"), "holt");
+  // "forecast.x.model" indexes the ensemble: naive, ses, holt[, holt-winters].
+  EXPECT_DOUBLE_EQ(kb.number("forecast.x.model"), 2.0);  // holt
   EXPECT_NEAR(ta.forecast("x"), 240.0, 2.0);
 }
 
@@ -52,14 +53,12 @@ TEST(TimeAwareness, SeasonalSignalSelectsHoltWintersWhenAvailable) {
     const double x = 10.0 + 5.0 * std::sin(2.0 * 3.14159265 * i / 8.0);
     ta.update(static_cast<double>(i), obs({{"x", x}}), kb);
   }
-  EXPECT_EQ(ta.best_model("x"), "holt-winters");
+  EXPECT_DOUBLE_EQ(kb.number("forecast.x.model"), 3.0);  // holt-winters
 }
 
 TEST(TimeAwareness, UnknownSignalQueriesAreSafe) {
   TimeAwareness ta;
   EXPECT_DOUBLE_EQ(ta.forecast("nothing"), 0.0);
-  EXPECT_GT(ta.error("nothing"), 1e100);
-  EXPECT_EQ(ta.best_model("nothing"), "");
 }
 
 TEST(TimeAwareness, ConfidenceDropsWithErrors) {

@@ -74,11 +74,11 @@ TEST(FiniteBuffers, FullLinkDropsInsteadOfQueueingForever) {
   p.seed = 3;
   PacketNetwork net(topo, p);
   for (int i = 0; i < 100; ++i) net.inject(0, 1, true);
-  EXPECT_LE(net.in_flight_total(), 32u);
-  net.run(2000);
+  for (int i = 0; i < 2000; ++i) net.step();
   const auto s = net.harvest();
   EXPECT_EQ(s.delivered + s.dropped, 100u);
   EXPECT_GT(s.dropped, 0u);
+  EXPECT_LE(s.delivered, 32u);  // one burst: at most the buffer gets through
 }
 
 TEST(FiniteBuffers, QRouterLearnsFromDrops) {

@@ -37,7 +37,7 @@ TEST(LinkFailure, RestoreBringsTheLinkBack) {
     net.inject(0, 1, true);
     net.step();
   }
-  net.run(20);
+  for (int i = 0; i < 20; ++i) net.step();
   EXPECT_GT(net.harvest().delivered, 15u);
 }
 
@@ -70,7 +70,7 @@ TEST(LinkFailure, QRoutingLearnsTheDetour) {
     if (t % 3 == 0) net.inject(0, 2, true);
     net.step();
   }
-  net.run(100);
+  for (int i = 0; i < 100; ++i) net.step();
   const auto s = net.harvest();
   EXPECT_GT(s.delivery_rate(), 0.9);  // found 0->3->4->5->2 (or similar)
 }

@@ -113,7 +113,7 @@ TEST(PacketNetwork, SelfInjectionIsIgnored) {
   PacketNetwork net(Topology::grid(2, 2, 0, 1),
                     params_for(PacketNetwork::Router::Static));
   net.inject(1, 1, true);
-  net.run(10);
+  for (int i = 0; i < 10; ++i) net.step();
   const auto s = net.harvest();
   EXPECT_EQ(s.injected, 0u);
   EXPECT_EQ(s.delivered, 0u);
@@ -159,25 +159,6 @@ TEST(PacketNetwork, HarvestResetsCounters) {
   const auto s = net.harvest();
   EXPECT_EQ(s.injected, 0u);
   EXPECT_EQ(s.delivered, 0u);
-}
-
-TEST(PacketNetwork, MeanLoadTracksInFlightPackets) {
-  PacketNetwork net(Topology::grid(2, 3, 0, 1),
-                    params_for(PacketNetwork::Router::Static));
-  EXPECT_DOUBLE_EQ(net.mean_load(), 0.0);
-  for (int i = 0; i < 20; ++i) net.inject(0, 5, true);
-  EXPECT_GT(net.mean_load(), 0.0);
-  EXPECT_EQ(net.in_flight_total(), 20u);
-}
-
-TEST(PacketNetwork, BoostExplorationRaisesThenDecays) {
-  PacketNetwork::Params p = params_for(PacketNetwork::Router::QRouting);
-  p.epsilon = 0.01;
-  PacketNetwork net(Topology::grid(2, 3, 0, 1), p);
-  net.boost_exploration(0.5, 0.9);
-  EXPECT_DOUBLE_EQ(net.epsilon(), 0.5);
-  for (int i = 0; i < 200; ++i) net.step();
-  EXPECT_NEAR(net.epsilon(), 0.01, 1e-6);  // decayed back to the floor
 }
 
 TEST(PacketNetwork, TelemetryRecordsDeliveriesAndDrops) {

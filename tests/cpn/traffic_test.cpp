@@ -54,7 +54,7 @@ TEST(TrafficGenerator, InjectsLegitimateTraffic) {
     gen.tick(net);
     net.step();
   }
-  net.run(500);  // drain
+  for (int i = 0; i < 500; ++i) net.step();  // drain
   const auto s = net.harvest();
   EXPECT_NEAR(static_cast<double>(s.injected), 600.0, 120.0);
   EXPECT_GT(s.delivered, 0u);
@@ -86,8 +86,7 @@ TEST(TrafficGenerator, AttackAddsLoadWithoutCountingAsLegit) {
   const auto sa_ = attacked_net.harvest();
   EXPECT_NEAR(static_cast<double>(sa_.injected),
               static_cast<double>(sq.injected), 80.0);
-  EXPECT_GT(attacked_net.in_flight_total() + sa_.delivered,
-            quiet_net.in_flight_total() + sq.delivered);
+  EXPECT_GT(sa_.mean_latency, sq.mean_latency);
 }
 
 }  // namespace

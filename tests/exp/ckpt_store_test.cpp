@@ -63,7 +63,6 @@ TEST(CkptStore, SaveLoadRoundTripsExactBits) {
   EXPECT_EQ(used, path);
   EXPECT_EQ(back.experiment(), "e1");
   EXPECT_FALSE(back.interrupted());
-  EXPECT_EQ(back.grids(), 1u);
   EXPECT_EQ(back.completed(), 2u);
   EXPECT_EQ(back.match(0, g), "");
 

@@ -29,7 +29,7 @@ void put_fault_active(SelfAwareAgent& agent, double value, double t) {
 
 TEST(DegradationPolicy, StartsHealthyAtMeta) {
   SelfAwareAgent agent("a");
-  DegradationPolicy policy(agent);
+  DegradationPolicy policy(agent, DegradationPolicy::Params{});
   EXPECT_EQ(policy.mode(), Mode::Meta);
   EXPECT_EQ(policy.rung(), 0u);
   EXPECT_EQ(agent.active_levels(), LevelSet::full());

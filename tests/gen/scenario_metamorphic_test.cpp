@@ -167,7 +167,7 @@ TEST(ScenarioMetamorphic, FaultPressureMonotonicity) {
 TEST(ScenarioMetamorphic, CitySanity) {
   // The flagship E15 world: all four substrates live on one engine, the
   // couplings move data, and the standing fault environment fires.
-  Scenario city(ScenarioSpec::city(), 61);
+  Scenario city(ScenarioSpec::parse(ScenarioSpec::city_spec()), 61);
   ASSERT_NE(city.fleet(), nullptr);
   ASSERT_NE(city.autoscaler(), nullptr);
   ASSERT_NE(city.packet_network(), nullptr);

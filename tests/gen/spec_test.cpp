@@ -39,7 +39,7 @@ TEST(ScenarioSpecParse, BareSectionEnablesItWithDefaults) {
 }
 
 TEST(ScenarioSpecParse, CityRoundTrips) {
-  const auto city = ScenarioSpec::city();
+  const auto city = ScenarioSpec::parse(ScenarioSpec::city_spec());
   EXPECT_TRUE(city.any_substrate());
   EXPECT_TRUE(city.multicore.enabled);
   EXPECT_TRUE(city.cameras.enabled);
@@ -47,7 +47,6 @@ TEST(ScenarioSpecParse, CityRoundTrips) {
   EXPECT_TRUE(city.cpn.enabled);
   EXPECT_TRUE(city.faults.enabled);
   EXPECT_EQ(ScenarioSpec::parse(city.to_string()), city);
-  EXPECT_EQ(ScenarioSpec::parse(ScenarioSpec::city_spec()), city);
 }
 
 TEST(ScenarioSpecParse, FullRange64BitSeedRoundTrips) {
@@ -239,7 +238,7 @@ TEST(ScenarioSpecFuzz, RoundTripsAThousandRandomSpecs) {
 // -- Expansion determinism --------------------------------------------------
 
 TEST(ScenarioSpecExpand, SameSeedExpandsByteIdentically) {
-  const auto spec = ScenarioSpec::city();
+  const auto spec = ScenarioSpec::parse(ScenarioSpec::city_spec());
   const auto cams_a = spec.expand_cameras(9);
   const auto cams_b = spec.expand_cameras(9);
   ASSERT_EQ(cams_a.size(), spec.cameras.count);
@@ -262,7 +261,7 @@ TEST(ScenarioSpecExpand, SameSeedExpandsByteIdentically) {
 }
 
 TEST(ScenarioSpecExpand, DifferentSeedsExpandDifferentlyButValidly) {
-  const auto spec = ScenarioSpec::city();
+  const auto spec = ScenarioSpec::parse(ScenarioSpec::city_spec());
   EXPECT_NE(spec.expand_faults(1), spec.expand_faults(2));
   const auto a = spec.expand_cameras(1);
   const auto b = spec.expand_cameras(2);
@@ -282,7 +281,7 @@ TEST(ScenarioSpecExpand, DifferentSeedsExpandDifferentlyButValidly) {
 }
 
 TEST(ScenarioSpecExpand, SpecSeedPinsExpansionAcrossRunSeeds) {
-  auto spec = ScenarioSpec::city();
+  auto spec = ScenarioSpec::parse(ScenarioSpec::city_spec());
   spec.seed = 77;  // explicit spec seed: run seed must stop mattering
   EXPECT_EQ(spec.expand_faults(1), spec.expand_faults(2));
   EXPECT_EQ(spec.expand_cameras(1)[0].pos.x, spec.expand_cameras(2)[0].pos.x);
@@ -290,7 +289,8 @@ TEST(ScenarioSpecExpand, SpecSeedPinsExpansionAcrossRunSeeds) {
 }
 
 TEST(ScenarioSpecExpand, PressureScalesRatesAndNothingElse) {
-  const auto base = ScenarioSpec::city();  // pressure 1
+  // The city runs at pressure 1.
+  const auto base = ScenarioSpec::parse(ScenarioSpec::city_spec());
   auto hot = base;
   hot.faults.pressure = 3.0;
   const auto p1 = base.expand_faults(5);
@@ -308,13 +308,13 @@ TEST(ScenarioSpecExpand, PressureScalesRatesAndNothingElse) {
 }
 
 TEST(ScenarioSpecExpand, PressureZeroYieldsTheEmptyPlan) {
-  auto spec = ScenarioSpec::city();
+  auto spec = ScenarioSpec::parse(ScenarioSpec::city_spec());
   spec.faults.pressure = 0.0;
   EXPECT_TRUE(spec.expand_faults(5).empty());
 }
 
 TEST(ScenarioSpecExpand, DisabledFaultSectionYieldsTheEmptyPlan) {
-  auto spec = ScenarioSpec::city();
+  auto spec = ScenarioSpec::parse(ScenarioSpec::city_spec());
   spec.faults.enabled = false;
   EXPECT_TRUE(spec.expand_faults(5).empty());
   EXPECT_EQ(spec.expand_faults(5).seed, 0u);

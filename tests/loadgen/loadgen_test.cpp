@@ -1,7 +1,5 @@
-// sa::loadgen contracts: report merging is order-independent integer
-// addition (so percentile summaries are byte-identical however many
-// threads the samples were spread over), the one-shot fetch helper, and
-// the three client populations driven against a live loopback server.
+// sa::loadgen contracts: the one-shot fetch helper and the three client
+// populations driven against a live loopback server.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,60 +16,6 @@ namespace {
 
 using namespace sa;
 using namespace sa::loadgen;
-
-serve::LatencyHistogram::Snapshot samples(
-    const std::vector<double>& values) {
-  serve::LatencyHistogram h;
-  for (const double v : values) h.record(v);
-  return h.snapshot();
-}
-
-TEST(LoadgenReport, MergeIsOrderIndependentAndSummaryIsPure) {
-  // The same samples spread over three per-thread reports...
-  Report a, b, c;
-  a.routes[0].requests = 2;
-  a.routes[0].latency = samples({1e-3, 2e-3});
-  a.connects = 2;
-  b.routes[0].requests = 1;
-  b.routes[0].errors = 1;
-  b.routes[0].latency = samples({5e-4});
-  b.connects = 2;
-  b.bytes_received = 100;
-  c.routes[2].requests = 3;
-  c.routes[2].latency = samples({1e-2, 2e-2, 3e-2});
-  c.connects = 3;
-  c.connect_failures = 1;
-
-  Report abc = a;
-  abc.merge(b);
-  abc.merge(c);
-  Report cba = c;
-  cba.merge(b);
-  cba.merge(a);
-  EXPECT_EQ(summary_json(abc), summary_json(cba));
-
-  // ...equal one report that saw everything at once.
-  Report whole;
-  whole.routes[0].requests = 3;
-  whole.routes[0].errors = 1;
-  whole.routes[0].latency = samples({1e-3, 2e-3, 5e-4});
-  whole.routes[2].requests = 3;
-  whole.routes[2].latency = samples({1e-2, 2e-2, 3e-2});
-  whole.connects = 7;
-  whole.connect_failures = 1;
-  whole.bytes_received = 100;
-  EXPECT_EQ(summary_json(abc), summary_json(whole));
-}
-
-TEST(LoadgenReport, SummaryJsonKeysEveryRouteLabel) {
-  const std::string json = summary_json(Report{});
-  for (const std::string label :
-       {"/metrics", "/status", "/events", "/control", "/healthz", "other"}) {
-    EXPECT_NE(json.find("\"" + label + "\":{"), std::string::npos) << label;
-  }
-  EXPECT_NE(json.find("\"p50_s\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"connect_failures\":0"), std::string::npos);
-}
 
 serve::Server::Options quick_opts() {
   serve::Server::Options opts;

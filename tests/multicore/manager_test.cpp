@@ -28,13 +28,6 @@ TEST(DefaultActions, CrossProductOfFreqAndMapping) {
   EXPECT_EQ(actions[10].name, "f3/pack-big");
 }
 
-TEST(Manager, VariantNames) {
-  EXPECT_STREQ(Manager::variant_name(Manager::Variant::Static), "static");
-  EXPECT_STREQ(Manager::variant_name(Manager::Variant::Reactive), "reactive");
-  EXPECT_STREQ(Manager::variant_name(Manager::Variant::SelfAware),
-               "self-aware");
-}
-
 class ManagerVariantTest
     : public ::testing::TestWithParam<Manager::Variant> {};
 
@@ -58,12 +51,15 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, ManagerVariantTest,
                          ::testing::Values(Manager::Variant::Static,
                                            Manager::Variant::Reactive,
                                            Manager::Variant::SelfAware),
-                         [](const auto& info) {
-                           std::string n = Manager::variant_name(info.param);
-                           for (auto& ch : n) {
-                             if (ch == '-') ch = '_';
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case Manager::Variant::Static: return "static";
+                             case Manager::Variant::Reactive:
+                               return "reactive";
+                             case Manager::Variant::SelfAware:
+                               return "self_aware";
                            }
-                           return n;
+                           return "unknown";
                          });
 
 TEST(Manager, StaticNeverChangesConfiguration) {

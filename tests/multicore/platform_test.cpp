@@ -191,11 +191,6 @@ TEST(Platform, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(sa_.energy, sb.energy);
 }
 
-TEST(Platform, InstantaneousPowerPositive) {
-  auto p = make_platform();
-  EXPECT_GT(p.instantaneous_power(), 0.0);
-}
-
 // FNV-1a over the `%a` spelling of every harvested EpochStats field plus
 // the queue depth, epoch by epoch. Any change to a placement decision, to
 // the drain order or to a float accumulation moves the digest.

@@ -27,15 +27,6 @@ TEST(MetricsRegistry, ReRegisteringWithDifferentKindThrows) {
   EXPECT_THROW(reg.timer("x"), std::logic_error);
 }
 
-TEST(MetricsRegistry, FindLocatesRegisteredMetrics) {
-  MetricsRegistry reg;
-  const auto g = reg.gauge("level");
-  const auto found = reg.find("level");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, g);
-  EXPECT_FALSE(reg.find("missing").has_value());
-}
-
 TEST(MetricsRegistry, CounterAccumulatesAndGaugeOverwrites) {
   MetricsRegistry reg;
   const auto c = reg.counter("ops");

@@ -89,20 +89,6 @@ TEST(Rng, BelowStaysInRangeAndHitsAllValues) {
   EXPECT_EQ(seen.size(), 7u);
 }
 
-TEST(Rng, RangeInclusiveBothEnds) {
-  Rng r(8);
-  bool lo = false, hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = r.range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    lo |= (v == -2);
-    hi |= (v == 2);
-  }
-  EXPECT_TRUE(lo);
-  EXPECT_TRUE(hi);
-}
-
 TEST(Rng, ChanceZeroAndOneAreDegenerate) {
   Rng r(9);
   for (int i = 0; i < 1000; ++i) {
@@ -163,18 +149,6 @@ TEST(Rng, PoissonZeroMeanIsZero) {
 TEST(Rng, ParetoRespectsScaleFloor) {
   Rng r(16);
   for (int i = 0; i < 10000; ++i) EXPECT_GE(r.pareto(2.0, 1.5), 2.0);
-}
-
-TEST(Rng, ZipfStaysInRangeAndSkewsLow) {
-  Rng r(17);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) {
-    const auto v = r.zipf(10, 1.2);
-    ASSERT_LT(v, 10u);
-    ++counts[v];
-  }
-  EXPECT_GT(counts[0], counts[5]);
-  EXPECT_GT(counts[0], counts[9]);
 }
 
 TEST(Mix64, IsDeterministicAndSpreads) {
