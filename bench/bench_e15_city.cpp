@@ -44,66 +44,32 @@ using namespace sa;
 
 const std::vector<std::uint64_t> kSeeds{61, 62, 63};
 
-/// Wires the cell's control seams onto the city's engine (the coordinator
-/// on the sharded path): replays the recorded control stream
-/// (--control-journal, or a resumed run's live journal) at its original
-/// sim times and at the bridge's event order, so the replayed trajectory
-/// byte-matches the served one; and in the served cell puts the agents and
-/// the injector on the bridge. The caller attaches the bridge once its own
-/// wiring is done.
-void wire_control(gen::Scenario& city, const exp::TaskContext& ctx) {
-  ckpt::schedule_replay(city.engine(), ctx.control_journal, &city.injector());
-  if (ctx.bridge == nullptr) return;
-  for (core::SelfAwareAgent* a : city.agents()) ctx.bridge->add_agent(a);
-  ctx.bridge->set_injector(&city.injector());
-}
-
-/// Sharded path (--shards N > 1): the same world partitioned across N
-/// engine shards, byte-identical summary (sa::shard). The serve/journal
-/// seams stay on the coordinator engine, so --control-journal composes;
-/// --checkpoint was already rejected by the arg parser.
-exp::TaskOutput run_city_sharded(exp::Harness& h, const gen::ScenarioSpec& spec,
-                                 bool self_aware,
-                                 const exp::TaskContext& ctx) {
-  shard::ShardedWorld::Options opts;
-  opts.shards = ctx.shards;
-  opts.self_aware = self_aware;
-  opts.telemetry = ctx.telemetry;
-  shard::ShardedWorld world(spec, ctx.seed, opts);
+/// Builds the city as a ShardedWorld at the cell's shard count (one shard
+/// is the plain single-engine run) and wires the cell's seams onto its
+/// engine, the coordinator when sharded: replays the recorded control
+/// stream (--control-journal, or a resumed run's live journal) at its
+/// original sim times and at the bridge's event order, so the replayed
+/// trajectory byte-matches the served one; and in the served cell puts the
+/// agents, the injector, the checkpoint hook and the shard counters on the
+/// bridge, then attaches it. The arg parser already refused --checkpoint
+/// at more than one shard.
+exp::TaskOutput run_city(exp::Harness& h, const gen::ScenarioSpec& spec,
+                         bool self_aware, const exp::TaskContext& ctx) {
+  shard::ShardedWorld world(spec, ctx.seed,
+                            {.shards = ctx.shards,
+                             .scenario = {.self_aware = self_aware,
+                                          .telemetry = ctx.telemetry,
+                                          .tracer = ctx.tracer,
+                                          .metrics = ctx.metrics}});
   gen::Scenario& city = world.world();
 
-  wire_control(city, ctx);
-  if (ctx.bridge != nullptr) {
-    // Runs at coordinator publish events, i.e. while the shard engines
-    // are barrier-paused — the counters are safe to read then.
-    ctx.bridge->set_shard_source([&world] {
-      serve::ShardSnapshot snap;
-      snap.events = world.shard_events();
-      snap.lag_seconds = world.lag_seconds();
-      return snap;
-    });
-    ctx.bridge->attach(city.engine());
-  }
-
-  world.run();
-  h.note_shard_events(world.shard_events());
-  return {city.summary()};
-}
-
-exp::TaskOutput run_city(const gen::ScenarioSpec& spec, bool self_aware,
-                         const exp::TaskContext& ctx) {
-  gen::Scenario::Options opts;
-  opts.self_aware = self_aware;
-  opts.telemetry = ctx.telemetry;
-  opts.tracer = ctx.tracer;
-  opts.metrics = ctx.metrics;
-  gen::Scenario city(spec, ctx.seed, opts);
-
-  wire_control(city, ctx);
-  // Must outlive city.run(): the serve bridge's cmd=checkpoint hook calls
+  ckpt::schedule_replay(city.engine(), ctx.control_journal, &city.injector());
+  // Must outlive world.run(): the serve bridge's cmd=checkpoint hook calls
   // into it from engine-step boundaries for the duration of the run.
   ckpt::WorldCheckpoint wc;
   if (ctx.bridge != nullptr) {
+    for (core::SelfAwareAgent* a : city.agents()) ctx.bridge->add_agent(a);
+    ctx.bridge->set_injector(&city.injector());
     if (!ctx.checkpoint_path.empty()) {
       city.register_checkpoint(wc);
       ctx.bridge->set_checkpoint_hook(
@@ -116,10 +82,19 @@ exp::TaskOutput run_city(const gen::ScenarioSpec& spec, bool self_aware,
             return wc.save_file(meta, path).ok();
           });
     }
+    // Runs at coordinator publish events, i.e. while any shard engines
+    // are barrier-paused — the counters are safe to read then.
+    ctx.bridge->set_shard_source([&world] {
+      serve::ShardSnapshot snap;
+      snap.events = world.shard_events();
+      snap.lag_seconds = world.lag_seconds();
+      return snap;
+    });
     ctx.bridge->attach(city.engine());
   }
 
-  city.run();
+  world.run();
+  h.note_shard_events(world.shard_events());
   return {city.summary()};
 }
 
@@ -137,6 +112,7 @@ int main(int argc, char** argv) {
       throw std::invalid_argument(
           "scenario: spec enables no substrate section");
     }
+    shard::ShardedWorld::validate(spec, {.shards = h.options().shards});
   } catch (const std::exception& e) {
     std::cerr << "bench_e15_city: " << e.what() << "\n";
     return 2;
@@ -153,10 +129,7 @@ int main(int argc, char** argv) {
   g.variants = {"baseline", "self-aware"};
   g.seeds = kSeeds;
   g.task = [&h, &spec](const exp::TaskContext& ctx) {
-    if (ctx.shards > 1) {
-      return run_city_sharded(h, spec, ctx.variant == 1, ctx);
-    }
-    return run_city(spec, ctx.variant == 1, ctx);
+    return run_city(h, spec, ctx.variant == 1, ctx);
   };
   const auto r = h.run(std::move(g));
 

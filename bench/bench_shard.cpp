@@ -4,15 +4,16 @@
 // One large generated ScenarioSpec — by default ~102k cameras across 800
 // districts feeding ~1M packet flows across 2000 CPN grids into a cloud
 // backend with multicore edge offload and a standing fault environment —
-// is run at shard counts 1, 2, 4 and 8 (variant rows). Shard count 1 is
-// the legacy single-engine gen::Scenario path; every other row partitions
+// is run as a shard::ShardedWorld at shard counts 1, 2, 4 and 8 (variant
+// rows). One shard is the single-engine run; every other row partitions
 // the same world across N engine shards with the conservative barrier
 // protocol. The trajectory is byte-identical for every row, so the
 // substrate metrics double as a built-in correctness check (the bench
-// fails if any row disagrees); wall_ms / events_per_shard carry the
-// scaling story. The rows run one at a time (--jobs is pinned to 1), so
-// each wall time is measured without the other rows competing for cores.
-// --scenario SPEC swaps in any other generated world.
+// fails if any row disagrees); wall_ms and lag_s carry the scaling story.
+// The rows run one at a time (--jobs is pinned to 1), so each wall time
+// is measured without the other rows competing for cores. The rows are
+// the shard counts, so --shards is pinned to 1 as well. --scenario SPEC
+// swaps in any other generated world.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "exp/harness.hpp"
-#include "gen/scenario.hpp"
 #include "gen/spec.hpp"
 #include "shard/world.hpp"
 #include "sim/report.hpp"
@@ -48,27 +48,17 @@ std::string big_city_spec() {
          "faults";
 }
 
-exp::TaskOutput run_cell(exp::Harness& h, const gen::ScenarioSpec& spec,
-                         std::size_t shards, const exp::TaskContext& ctx) {
+exp::TaskOutput run_cell(const gen::ScenarioSpec& spec, std::size_t shards,
+                         const exp::TaskContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
   exp::Metrics m;
   double lag = 0.0;
-  if (shards == 1) {
-    gen::Scenario::Options opts;
-    opts.self_aware = true;
-    opts.telemetry = ctx.telemetry;
-    gen::Scenario city(spec, ctx.seed, opts);
-    city.run();
-    m = city.summary();
-  } else {
-    shard::ShardedWorld::Options opts;
-    opts.shards = shards;
-    opts.self_aware = true;
-    opts.telemetry = ctx.telemetry;
-    shard::ShardedWorld world(spec, ctx.seed, opts);
+  {  // the world's teardown counts toward wall_ms
+    shard::ShardedWorld world(
+        spec, ctx.seed,
+        {.shards = shards, .scenario = {.telemetry = ctx.telemetry}});
     world.run();
     m = world.world().summary();
-    h.note_shard_events(world.shard_events());
     lag = world.lag_seconds();
   }
   const double wall_ms =
@@ -106,9 +96,11 @@ bool rows_identical(const exp::GridResult& r) {
 
 int main(int argc, char** argv) {
   // The speedup column compares wall times, so the rows run one at a
-  // time: --jobs=1 goes after the caller's flags and the last value wins.
+  // time, and each row sets its own shard count: --jobs=1 and --shards=1
+  // go after the caller's flags and the last value wins.
   std::vector<const char*> args(argv, argv + argc);
   args.push_back("--jobs=1");
+  args.push_back("--shards=1");
   exp::Harness h("shard", static_cast<int>(args.size()), args.data());
 
   gen::ScenarioSpec spec;
@@ -116,8 +108,7 @@ int main(int argc, char** argv) {
     spec = gen::ScenarioSpec::parse(h.options().scenario.empty()
                                         ? big_city_spec()
                                         : h.options().scenario);
-    shard::ShardedWorld::validate(
-        spec, {.shards = kShardCounts.back(), .self_aware = true});
+    shard::ShardedWorld::validate(spec, {.shards = kShardCounts.back()});
   } catch (const std::exception& e) {
     std::cerr << "bench_shard: " << e.what() << "\n";
     return 2;
@@ -135,8 +126,8 @@ int main(int argc, char** argv) {
     g.variants.push_back("shards=" + std::to_string(n));
   }
   g.seeds = kSeeds;
-  g.task = [&h, &spec](const exp::TaskContext& ctx) {
-    return run_cell(h, spec, kShardCounts[ctx.variant], ctx);
+  g.task = [&spec](const exp::TaskContext& ctx) {
+    return run_cell(spec, kShardCounts[ctx.variant], ctx);
   };
   const auto r = h.run(std::move(g));
 

@@ -76,8 +76,8 @@ StandardArgs::StandardArgs() {
        "",
        "N",
        "partition each scenario world across N engine\n"
-       "shards (sa::shard). --shards 1 is the legacy\n"
-       "single-engine path; N > 1 runs the shards on a\n"
+       "shards (sa::shard). --shards 1 runs the world\n"
+       "inline on one engine; N > 1 runs the shards on a\n"
        "worker pool with a byte-identical trajectory,\n"
        "pins --jobs to 1 and rejects --checkpoint/--resume",
        [](std::string_view value, Options& out) -> std::string {

@@ -7,7 +7,7 @@
 //                    all hardware threads; results are identical for any N)
 //   --seeds K        override the experiment's default seed count
 //   --shards N       engine shards per scenario world (sa::shard); 1 =
-//                    the single-engine path, N > 1 byte-identical to it
+//                    one engine, N > 1 byte-identical to it
 //   --json PATH      write a machine-readable BENCH_<exp>.json document
 //   --trace PATH     write a Chrome/Perfetto trace-event JSON of one
 //                    designated cell (bitwise-stable across --jobs N)
@@ -44,10 +44,10 @@ namespace sa::exp {
 struct Options {
   unsigned jobs = 0;      ///< worker threads; 0 = hardware_concurrency()
   std::size_t seeds = 0;  ///< seed-count override; 0 = experiment default
-  /// Engine shards for scenario-driven experiments (sa::shard): 1 = the
-  /// legacy single-engine path, bit-for-bit; N > 1 partitions each
-  /// world's districts/grids/edge nodes across N worker-owned engines
-  /// with a byte-identical trajectory. N > 1 pins --jobs to 1 (the shard
+  /// Engine shards for scenario-driven experiments (sa::shard): 1 runs
+  /// each world inline on one engine; N > 1 partitions each world's
+  /// districts/grids/edge nodes across N worker-owned engines with a
+  /// byte-identical trajectory. N > 1 pins --jobs to 1 (the shard
   /// workers are the parallelism) and rejects --checkpoint/--resume
   /// (sharded worlds are restored by replay, not snapshot).
   unsigned shards = 1;

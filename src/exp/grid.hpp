@@ -76,11 +76,11 @@ struct TaskContext {
   std::uint64_t stream = 0;      ///< stream_of(experiment, variant, seed)
 
   /// Engine shards this cell should run its world across (--shards N;
-  /// sa::shard). 1 = the single-engine path. Tasks that build scenario
-  /// worlds honour it via shard::ShardedWorld — trajectories are
-  /// byte-identical for every value — and report the per-shard event
-  /// counts back through Harness::note_shard_events. Tasks without a
-  /// scenario world ignore it.
+  /// sa::shard). Tasks that build scenario worlds build one
+  /// shard::ShardedWorld at this count — one shard runs inline on one
+  /// engine, and trajectories are byte-identical for every value — and
+  /// report the per-shard event counts back through
+  /// Harness::note_shard_events. Tasks without a scenario world ignore it.
   unsigned shards = 1;
 
   /// Observability seams — each is on when its object is handed in and

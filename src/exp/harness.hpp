@@ -96,7 +96,7 @@ class Harness {
     return results_;
   }
 
-  /// Accumulates one sharded cell's per-shard executed-event counts
+  /// Accumulates one cell's per-shard executed-event counts
   /// (shard::ShardedWorld::shard_events(): index = shard id, last entry =
   /// coordinator) into the document's `measured` block, elementwise across
   /// cells. Thread-safe; no-op argument lists are ignored.

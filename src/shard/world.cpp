@@ -28,6 +28,7 @@ void ShardedWorld::validate(const gen::ScenarioSpec& spec,
   if (opts.shards < 1) {
     throw ShardError("shard: shard count must be >= 1");
   }
+  if (opts.shards == 1) return;  // no coordinator/shard split to guard
   if (spec.cpn.enabled) {
     // The coupling window (coordinator, order 0) must out-period every
     // shard-local order-0 stream (substrate steps), so the monolithic
@@ -55,10 +56,15 @@ void ShardedWorld::validate(const gen::ScenarioSpec& spec,
 }
 
 ShardedWorld::ShardedWorld(const gen::ScenarioSpec& spec,
-                           std::uint64_t run_seed, Options opts)
-    : spec_(spec), part_(), pool_(std::make_unique<Pool>()) {
+                           std::uint64_t run_seed, Options opts) {
   validate(spec, opts);
-  part_ = partition_world(spec_, opts.shards);
+  part_ = partition_world(spec, opts.shards);
+  gen::Scenario::Options& sopts = opts.scenario;
+  if (opts.shards == 1) {
+    sopts.placement = nullptr;
+    world_ = std::make_unique<gen::Scenario>(spec, run_seed, sopts);
+    return;
+  }
 
   shard_engines_.reserve(opts.shards);
   outboxes_.reserve(opts.shards);
@@ -87,14 +93,12 @@ ShardedWorld::ShardedWorld(const gen::ScenarioSpec& spec,
         t, /*order=*/0, /*origin=*/district, district, amount);
   };
 
-  gen::Scenario::Options sopts;
-  sopts.self_aware = opts.self_aware;
-  sopts.telemetry = opts.telemetry;
   sopts.tracer = nullptr;   // shard-owned agents run off-thread: no tracer
   sopts.metrics = nullptr;  // ladder timings would be written off-thread
   sopts.placement = &placement_;
-  world_ = std::make_unique<gen::Scenario>(spec_, run_seed, sopts);
+  world_ = std::make_unique<gen::Scenario>(spec, run_seed, sopts);
 
+  pool_ = std::make_unique<Pool>();
   pool_->threads.reserve(opts.shards);
   for (std::size_t s = 0; s < opts.shards; ++s) {
     pool_->threads.emplace_back([this, s] { worker_loop(s); });
@@ -102,6 +106,7 @@ ShardedWorld::ShardedWorld(const gen::ScenarioSpec& spec,
 }
 
 ShardedWorld::~ShardedWorld() {
+  if (pool_ == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(pool_->m);
     pool_->stop = true;
@@ -189,9 +194,15 @@ void ShardedWorld::pump(double horizon) {
   coordinator.run_until(horizon);
 }
 
-void ShardedWorld::run() { run_until(spec_.world.horizon); }
+void ShardedWorld::run() { run_until(world_->spec().world.horizon); }
 
-void ShardedWorld::run_until(double t) { pump(t); }
+void ShardedWorld::run_until(double t) {
+  if (pool_ == nullptr) {
+    world_->run_until(t);
+  } else {
+    pump(t);
+  }
+}
 
 std::vector<std::uint64_t> ShardedWorld::shard_events() const {
   std::vector<std::uint64_t> out;

@@ -1,15 +1,21 @@
 // ShardedWorld: one generated world, N engine shards, byte-identical to
-// the single-engine run.
+// the single-engine run. It is the one world type every caller that takes
+// a shard count builds.
 //
-// Topology. The world's units (camera districts, CPN grids, edge nodes —
-// see shard::partition_world) are placed on N worker-owned sim::Engines
-// via gen::Scenario::Options::Placement. Everything that couples units or
-// substrates stays on one *coordinator* engine (the Scenario's own):
-// cross-substrate coupling windows, the cloud backend + autoscaler,
-// knowledge exchange and its retries, the whole fault injector, control
-// journal replay and the serve bridge. Shard-local events therefore never
-// read or write another shard's state, and every cross-shard interaction
-// executes on the coordinator.
+// One shard is the plain gen::Scenario run: no shard engine, no worker
+// thread, no outbox, no barrier, every unit on the Scenario's own engine
+// and every Scenario::Options seam (telemetry, tracer, metrics) passed
+// through, so world().register_checkpoint() works as on a bare Scenario.
+//
+// Topology (N > 1). The world's units (camera districts, CPN grids, edge
+// nodes — see shard::partition_world) are placed on N worker-owned
+// sim::Engines via gen::Scenario::Options::Placement. Everything that
+// couples units or substrates stays on one *coordinator* engine (the
+// Scenario's own): cross-substrate coupling windows, the cloud backend +
+// autoscaler, knowledge exchange and its retries, the whole fault
+// injector, control journal replay and the serve bridge. Shard-local
+// events therefore never read or write another shard's state, and every
+// cross-shard interaction executes on the coordinator.
 //
 // Protocol (conservative, lookahead-windowed). The gap to the
 // coordinator's next event (t, o) is the lookahead window: every shard
@@ -34,18 +40,20 @@
 // event before releasing the shards into (t, order). validate() rejects
 // the spec configurations where that dominance argument would not hold
 // (window not strictly longer than the step period; manager epochs longer
-// than the autoscaler's). Mailbox traffic is re-ordered by the global
-// (t, order, origin unit, per-origin seq) key, which is independent of
-// the unit-to-shard packing. Hence the trajectory — and every downstream
-// summary byte — matches the single-engine run for any shard count
-// (tests/support/metamorphic.hpp: shard_count_invariant).
+// than the autoscaler's); with one shard there is no split to guard.
+// Mailbox traffic is re-ordered by the global (t, order, origin unit,
+// per-origin seq) key, which is independent of the unit-to-shard packing.
+// Hence the trajectory — and every downstream summary byte — matches the
+// single-engine run for any shard count (tests/support/metamorphic.hpp:
+// shard_count_invariant).
 //
-// Observability. Shard-owned components run off the coordinator thread,
-// so they are built without telemetry/tracer hooks; coordinator-owned
-// components (cloud, injector, exchange, bridge) keep them. Options
-// deliberately has no tracer seam, and checkpointing a sharded run is a
-// typed error (the exp harness rejects --checkpoint with --shards > 1
-// before construction).
+// Observability (N > 1). Shard-owned components run off the coordinator
+// thread, so they are built without telemetry hooks, and the tracer and
+// metrics registry are cleared (agent spans and degradation timings would
+// be written from shard threads); coordinator-owned components (cloud,
+// injector, exchange, bridge) keep the telemetry bus.
+// Checkpointing a sharded run is a typed error (the exp harness rejects
+// --checkpoint with --shards > 1 before construction).
 #pragma once
 
 #include <cstddef>
@@ -60,7 +68,6 @@
 #include "shard/mailbox.hpp"
 #include "shard/partition.hpp"
 #include "sim/engine.hpp"
-#include "sim/telemetry.hpp"
 
 namespace sa::shard {
 
@@ -75,17 +82,15 @@ class ShardedWorld {
  public:
   struct Options {
     std::size_t shards = 1;
-    bool self_aware = true;
-    /// Coordinator-side observability only (cloud, injector, exchange);
-    /// shard-owned substrates run bare. Never perturbs the trajectory.
-    /// There is deliberately no tracer or metrics seam: both would be
-    /// written from shard threads (agent spans, degradation timings).
-    sim::TelemetryBus* telemetry = nullptr;
+    /// The world's own options. Placement is always overwritten; more than
+    /// one shard also clears tracer and metrics (see Observability above).
+    gen::Scenario::Options scenario{};
   };
 
-  /// Validates, partitions, builds the world across the shard engines and
-  /// starts one worker thread per shard. Throws ShardError on specs whose
-  /// sharded execution could not be proven byte-identical (see
+  /// Validates and builds the world. With one shard that is the plain
+  /// Scenario; with more it partitions the units across the shard engines
+  /// and starts one worker thread per shard. Throws ShardError on specs
+  /// whose sharded execution could not be proven byte-identical (see
   /// validate()), std::invalid_argument on spec expansion errors.
   ShardedWorld(const gen::ScenarioSpec& spec, std::uint64_t run_seed,
                Options opts);
@@ -100,22 +105,22 @@ class ShardedWorld {
 
   [[nodiscard]] gen::Scenario& world() noexcept { return *world_; }
   [[nodiscard]] const Partition& partition() const noexcept { return part_; }
-  [[nodiscard]] std::size_t shards() const noexcept {
-    return shard_engines_.size();
-  }
+  [[nodiscard]] std::size_t shards() const noexcept { return part_.shards; }
 
   /// Events executed per shard engine so far (index = shard id; the last
-  /// entry is the coordinator). Safe to call between runs, and from
-  /// coordinator-side events (e.g. the serve bridge's publish event)
-  /// while the shards are barrier-paused.
+  /// entry is the coordinator, the only one with one shard). Safe to call
+  /// between runs, and from coordinator-side events (e.g. the serve
+  /// bridge's publish event) while the shards are barrier-paused.
   [[nodiscard]] std::vector<std::uint64_t> shard_events() const;
   /// Cumulative wall-clock seconds the coordinator spent waiting at
-  /// barriers — the sharding overhead signal behind sa_shard_lag_seconds.
+  /// barriers — the sharding overhead signal behind sa_shard_lag_seconds
+  /// (0 with one shard, which raises no barrier).
   [[nodiscard]] double lag_seconds() const noexcept { return lag_seconds_; }
 
-  /// Checks `spec`/`opts` against the byte-equality preconditions and
-  /// throws ShardError naming the first violated one. Called by the
-  /// constructor; public so callers can pre-flight a spec.
+  /// Checks `spec`/`opts` against the byte-equality preconditions (with
+  /// one shard, only `shards >= 1`) and throws ShardError naming the first
+  /// violated one. Called by the constructor; public so callers can
+  /// pre-flight a spec.
   static void validate(const gen::ScenarioSpec& spec, const Options& opts);
 
  private:
@@ -130,7 +135,6 @@ class ShardedWorld {
   void apply_mailboxes();
   void worker_loop(std::size_t shard);
 
-  gen::ScenarioSpec spec_;
   Partition part_;
   std::vector<std::unique_ptr<sim::Engine>> shard_engines_;
   std::vector<std::unique_ptr<Outbox>> outboxes_;  // one per shard
@@ -139,7 +143,8 @@ class ShardedWorld {
 
   double lag_seconds_ = 0.0;
 
-  // Worker pool: one thread per shard, generation-counted barrier.
+  // Worker pool: one thread per shard, generation-counted barrier. Null
+  // with one shard.
   struct Pool;
   std::unique_ptr<Pool> pool_;
 };

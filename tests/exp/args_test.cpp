@@ -84,7 +84,7 @@ TEST(ArgsTest, BoundaryValuesAccepted) {
 TEST(ArgsTest, ParsesShards) {
   Options o;
   EXPECT_EQ(parse({}, o), "");
-  EXPECT_EQ(o.shards, 1u);  // default: the legacy single-engine path
+  EXPECT_EQ(o.shards, 1u);  // default: one engine, run inline
   EXPECT_EQ(parse({"--shards", "4"}, o), "");
   EXPECT_EQ(o.shards, 4u);
   Options eq;

@@ -103,8 +103,9 @@ inline std::string scenario_fingerprint(gen::Scenario& city) {
 }
 
 /// The shard-count-invariance relation (sa::shard's determinism contract):
-/// one generated world, run single-engine and as a ShardedWorld at every
-/// count in `counts`, must produce a bit-identical summary fingerprint —
+/// one generated world, run as a bare gen::Scenario (the reference) and as
+/// a ShardedWorld at every count in `counts`, must produce a bit-identical
+/// summary fingerprint —
 /// and the shards together must execute exactly the events the monolithic
 /// engine did. `prepare` (optional) runs after construction and before the
 /// run on every world, e.g. to schedule a control-journal replay on
@@ -135,11 +136,9 @@ inline ::testing::AssertionResult shard_count_invariant(
   }
 
   for (const std::size_t n : counts) {
-    shard::ShardedWorld::Options opts;
-    opts.shards = n;
-    opts.self_aware = self_aware;
     try {
-      shard::ShardedWorld world(spec, seed, opts);
+      shard::ShardedWorld world(
+          spec, seed, {.shards = n, .scenario = {.self_aware = self_aware}});
       if (prepare) prepare(world.world());
       world.run();
       const std::string got = scenario_fingerprint(world.world());
