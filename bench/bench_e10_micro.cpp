@@ -184,11 +184,11 @@ const std::vector<Kernel> kKernels = {
      }},
     {"stimulus_update", 1 << 16,
      [](std::size_t n) {
-       core::StimulusAwareness sa_;
        core::KnowledgeBase kb;
+       core::StimulusAwareness sa_(kb);
        core::Observation obs{{"a", 1.0}, {"b", 2.0}, {"c", 3.0}, {"d", 4.0}};
        return time_op(n, [&](std::size_t i) {
-         sa_.update(static_cast<double>(i), obs, kb);
+         sa_.update(static_cast<double>(i), obs);
        });
      }},
     {"forecaster_observe", 1 << 18,

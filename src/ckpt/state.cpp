@@ -55,29 +55,18 @@ void save_rng(const sim::Rng::State& s, Buffer& out) {
   out.boolean(s.has_spare);
 }
 
-// -- core::Value / KnowledgeItem / KnowledgeBase ------------------------------
-
-void save_value(const core::Value& v, Buffer& out) {
-  out.u8(static_cast<std::uint8_t>(v.index()));
-  if (const auto* b = std::get_if<bool>(&v)) {
-    out.boolean(*b);
-  } else if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    out.i64(*i);
-  } else if (const auto* d = std::get_if<double>(&v)) {
-    out.f64(*d);
-  } else if (const auto* s = std::get_if<std::string>(&v)) {
-    out.str(*s);
-  } else {
-    const auto& vec = std::get<std::vector<double>>(v);
-    out.u32(static_cast<std::uint32_t>(vec.size()));
-    for (double d : vec) out.f64(d);
-  }
-}
+// -- core::KnowledgeBase ------------------------------------------------------
 
 namespace {
 
+/// Kind byte before each value. The image format tags a double as 2, its
+/// index among the value kinds the format was defined with. Every value is
+/// a double, so the byte is constant; it stays so images keep their bytes.
+constexpr std::uint8_t kDoubleKind = 2;
+
 void save_item(const core::KnowledgeItem& item, Buffer& out) {
-  save_value(item.value, out);
+  out.u8(kDoubleKind);
+  out.f64(item.value);
   out.f64(item.time);
   out.f64(item.confidence);
   out.u8(static_cast<std::uint8_t>(item.scope));

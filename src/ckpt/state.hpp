@@ -49,9 +49,8 @@ namespace sa::ckpt {
 
 void save_rng(const sim::Rng::State& s, Buffer& out);
 
-// -- core::Value / KnowledgeItem / KnowledgeBase ------------------------------
+// -- core::KnowledgeBase ------------------------------------------------------
 
-void save_value(const core::Value& v, Buffer& out);
 /// Full store: every key's retained history, keys in ascending order.
 void save_knowledge(const core::KnowledgeBase& kb, Buffer& out);
 

@@ -134,8 +134,8 @@ std::vector<std::size_t> Autoscaler::enrolment_order() const {
 
   // Learned ranking: expected delivered capacity per unit cost, with a
   // prior that keeps unexplored nodes attractive enough to be tried.
-  const auto* ia =
-      const_cast<core::SelfAwareAgent&>(*agent_).interaction();
+  const core::SelfAwareAgent& agent = *agent_;
+  const core::InteractionAwareness* ia = agent.interaction();
   if (ia == nullptr) return order;
   std::vector<double> score(order.size());
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -153,7 +153,8 @@ std::vector<std::size_t> Autoscaler::enrolment_order() const {
 
 core::MetricMap Autoscaler::predict(std::size_t k) const {
   const auto order = enrolment_order();
-  const auto* ia = const_cast<core::SelfAwareAgent&>(*agent_).interaction();
+  const core::SelfAwareAgent& agent = *agent_;
+  const core::InteractionAwareness* ia = agent.interaction();
   double capacity = 0.0, cost = 0.0;
   for (std::size_t i = 0; i < std::min(k, order.size()); ++i) {
     const auto& n = cluster_.node(order[i]);
@@ -166,9 +167,9 @@ core::MetricMap Autoscaler::predict(std::size_t k) const {
   // Demand forecast from time awareness when warm, else last observation.
   // With provisioning lag, a fresh node only helps *next* epoch, so the
   // relevant demand is the two-epochs-ahead forecast.
-  const auto& kb = const_cast<core::SelfAwareAgent&>(*agent_).knowledge();
+  const core::KnowledgeBase& kb = agent.knowledge();
   double demand_rate = last_.arrival_rate;
-  auto* ta = const_cast<core::SelfAwareAgent&>(*agent_).time_awareness();
+  const core::TimeAwareness* ta = agent.time_awareness();
   if (ta != nullptr && kb.confidence("forecast.demand") >= 0.2) {
     // Trust the model for anticipation, but bound it to a plausible band
     // around the last observation: seasonal models occasionally misfire

@@ -13,8 +13,6 @@ SelfAwareAgent::SelfAwareAgent(std::string id, AgentConfig cfg)
       cfg_(cfg),
       active_levels_(cfg.levels),
       rng_(sim::mix64(cfg.seed) ^ std::hash<std::string>{}(id_)),
-      kb_(cfg.history_limit),
-      explainer_(cfg.explain),
       attention_(cfg.attention_strategy, cfg.attention_budget) {
   if (cfg_.telemetry != nullptr) {
     subject_ = cfg_.telemetry->intern_subject(id_);
@@ -37,16 +35,16 @@ SelfAwareAgent::SelfAwareAgent(std::string id, AgentConfig cfg)
     k_reward_ = cfg_.tracer->intern_name("reward");
   }
   if (cfg_.levels.has(Level::Stimulus)) {
-    stimulus_ = std::make_unique<StimulusAwareness>(cfg_.stimulus);
+    stimulus_ = std::make_unique<StimulusAwareness>(kb_);
   }
   if (cfg_.levels.has(Level::Interaction)) {
-    interaction_ = std::make_unique<InteractionAwareness>(cfg_.interaction);
+    interaction_ = std::make_unique<InteractionAwareness>(kb_);
   }
   if (cfg_.levels.has(Level::Time)) {
-    time_ = std::make_unique<TimeAwareness>(cfg_.time);
+    time_ = std::make_unique<TimeAwareness>(kb_, cfg_.time);
   }
   if (cfg_.levels.has(Level::Meta)) {
-    meta_ = std::make_unique<MetaSelfAwareness>(cfg_.meta);
+    meta_ = std::make_unique<MetaSelfAwareness>(kb_, cfg_.meta);
     if (stimulus_) meta_->watch(*stimulus_);
     if (interaction_) meta_->watch(*interaction_);
     if (time_) meta_->watch(*time_);
@@ -76,7 +74,8 @@ void SelfAwareAgent::set_policy(std::unique_ptr<Policy> policy) {
 
 void SelfAwareAgent::set_goal_metrics(std::vector<std::string> metrics) {
   if (!cfg_.levels.has(Level::Goal)) return;
-  goal_aware_ = std::make_unique<GoalAwareness>(goals_, std::move(metrics));
+  goal_aware_ =
+      std::make_unique<GoalAwareness>(kb_, goals_, std::move(metrics));
   if (meta_) meta_->watch(*goal_aware_);
 }
 
@@ -104,8 +103,8 @@ Observation SelfAwareAgent::observe() {
 }
 
 void SelfAwareAgent::mirror_readings(double t, const Observation& obs) {
-  if (!mirror_ids_.bind(kb_, "sensor") ||
-      mirror_keys_.size() != attention_.signals()) {
+  if (mirror_src_ == 0) mirror_src_ = kb_.source_id("sensor");
+  if (mirror_keys_.size() != attention_.signals()) {
     mirror_keys_.assign(attention_.signals(), KnowledgeBase::kNoKey);
     by_name_.resize(attention_.signals());
     for (std::size_t i = 0; i < by_name_.size(); ++i) by_name_[i] = i;
@@ -119,7 +118,7 @@ void SelfAwareAgent::mirror_readings(double t, const Observation& obs) {
   for (const auto& [sig, v] : obs) {
     while (attention_.name(*next) != sig) ++next;
     kb_.put_number(kb_.key(mirror_keys_[*next], sig), v, t, 1.0,
-                   Scope::Public, mirror_ids_.source());
+                   Scope::Public, mirror_src_);
   }
 }
 
@@ -130,19 +129,19 @@ void SelfAwareAgent::run_processes(double t, const Observation& obs) {
   // Degradation (set_active_levels) pauses a constructed process without
   // destroying it: skipped here, state intact, resumes on reactivation.
   if (stimulus_ && active_levels_.has(Level::Stimulus)) {
-    stimulus_->update(t, obs, kb_);
+    stimulus_->update(t, obs);
   }
   if (interaction_ && active_levels_.has(Level::Interaction)) {
-    interaction_->update(t, obs, kb_);
+    interaction_->update(t, obs);
   }
   if (time_ && active_levels_.has(Level::Time)) {
-    time_->update(t, obs, kb_);
+    time_->update(t, obs);
   }
   if (goal_aware_ && active_levels_.has(Level::Goal)) {
-    goal_aware_->update(t, obs, kb_);
+    goal_aware_->update(t, obs);
   }
   if (meta_ && active_levels_.has(Level::Meta)) {
-    meta_->update(t, obs, kb_);
+    meta_->update(t, obs);
   }
 }
 
@@ -259,8 +258,7 @@ void SelfAwareAgent::explain_decision(double t, const Decision& d,
   e.cited = std::move(cited);
   for (const auto& key : d.evidence) {
     if (const auto item = kb_.latest(key)) {
-      e.evidence.push_back(
-          {key, as_number(item->value), item->confidence});
+      e.evidence.push_back({key, item->value, item->confidence});
     }
   }
   if (goal_aware_) {

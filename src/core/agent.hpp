@@ -56,13 +56,8 @@ struct AgentConfig {
   AttentionManager::Strategy attention_strategy =
       AttentionManager::Strategy::All;
 
-  StimulusAwareness::Params stimulus{};
-  InteractionAwareness::Params interaction{};
   TimeAwareness::Params time{};
   MetaSelfAwareness::Params meta{};
-
-  bool explain = true;            ///< record explanations for decisions
-  std::size_t history_limit = 128;///< KB history depth per key
 
   /// Optional telemetry bus: the agent emits one kObservation event per
   /// step (value = signals sampled, detail = their names) and one kDecision
@@ -81,9 +76,13 @@ struct AgentConfig {
 };
 
 /// One self-aware entity. Not thread-safe; one agent per logical entity.
+/// Its processes and callbacks hold references into it, so it is neither
+/// copied nor moved.
 class SelfAwareAgent {
  public:
   explicit SelfAwareAgent(std::string id, AgentConfig cfg = {});
+  SelfAwareAgent(const SelfAwareAgent&) = delete;
+  SelfAwareAgent& operator=(const SelfAwareAgent&) = delete;
 
   // -- Wiring ---------------------------------------------------------------
   /// Registers a named sensor; `read` is pulled during the observe phase.
@@ -150,7 +149,13 @@ class SelfAwareAgent {
   [[nodiscard]] InteractionAwareness* interaction() noexcept {
     return interaction_.get();
   }
+  [[nodiscard]] const InteractionAwareness* interaction() const noexcept {
+    return interaction_.get();
+  }
   [[nodiscard]] TimeAwareness* time_awareness() noexcept {
+    return time_.get();
+  }
+  [[nodiscard]] const TimeAwareness* time_awareness() const noexcept {
     return time_.get();
   }
   [[nodiscard]] GoalAwareness* goal_awareness() noexcept {
@@ -192,11 +197,11 @@ class SelfAwareAgent {
   std::vector<Sensor> sensors_;
   std::vector<char> attended_;  ///< observe() scratch, by attention index
   /// The raw-reading mirror's state, built on its first use: attention
-  /// indices in signal-name order (an Observation's order) and cached KB
-  /// ids by attention index.
+  /// indices in signal-name order (an Observation's order), cached KB ids
+  /// by attention index, and the "sensor" provenance tag.
   std::vector<std::size_t> by_name_;
   std::vector<KnowledgeBase::KeyId> mirror_keys_;
-  KnowledgeIds mirror_ids_;
+  KnowledgeBase::SourceId mirror_src_ = 0;
   std::vector<std::string> action_names_;
   std::vector<std::function<void()>> actuators_;
   std::unique_ptr<Policy> policy_;

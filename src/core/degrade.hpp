@@ -21,8 +21,9 @@
 // Explanation into the agent's Explainer citing the triggering trace id.
 //
 // Determinism: step_ms_breach defaults to +inf because wall-clock
-// latency is nondeterministic; experiments that must be bitwise
-// reproducible (E13) trigger on fault.active / staleness only.
+// latency is nondeterministic. E13 and the E15 city set no watch_keys and
+// trigger on fault.active alone; staleness is a deterministic trigger too
+// (sim-time TTLs) for callers that watch keys.
 #pragma once
 
 #include <cstddef>

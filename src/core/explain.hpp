@@ -58,8 +58,6 @@ struct Explanation {
 /// coverage counts every explained decision, including evicted ones.
 class Explainer {
  public:
-  explicit Explainer(bool enabled = true) : enabled_(enabled) {}
-
   /// Counts a decision; stores the explanation when enabled.
   void record(Explanation e);
   /// Counts a decision that produced no explanation (coverage accounting).
@@ -114,7 +112,7 @@ class Explainer {
   }
 
  private:
-  bool enabled_;
+  bool enabled_ = true;
   sim::Ring<Explanation> log_{4096};
   std::size_t decisions_ = 0;
   std::size_t explained_ = 0;

@@ -2,14 +2,8 @@
 
 namespace sa::core {
 
-void GoalAwareness::update(double t, const Observation& obs,
-                           KnowledgeBase& kb) {
-  if (!ids_.bind(kb, name())) {
-    metric_keys_.assign(metrics_.size(), KnowledgeBase::kNoKey);
-    k_utility_ = k_trend_ = k_feasible_ = k_violations_ = KnowledgeBase::kNoKey;
-    breakdown_keys_.clear();
-  }
-  const KnowledgeBase::SourceId src = ids_.source();
+void GoalAwareness::update(double t, const Observation& obs) {
+  if (src_ == 0) src_ = kb_.source_id(name());
   last_metrics_.clear();
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     const std::string& key = metrics_[i];
@@ -21,8 +15,8 @@ void GoalAwareness::update(double t, const Observation& obs,
       continue;
     }
     KnowledgeBase::KeyId& id = metric_keys_[i];
-    if (id == KnowledgeBase::kNoKey) id = kb.find(key);
-    if (id != KnowledgeBase::kNoKey) last_metrics_[key] = kb.number(id);
+    if (id == KnowledgeBase::kNoKey) id = kb_.find(key);
+    if (id != KnowledgeBase::kNoKey) last_metrics_[key] = kb_.number(id);
   }
 
   utility_ = goals_.utility(last_metrics_);
@@ -30,16 +24,16 @@ void GoalAwareness::update(double t, const Observation& obs,
   trend_.add(utility_);
   ++updates_;
 
-  kb.put_number(kb.key(k_utility_, "goal.utility"), utility_, t, 1.0,
-                Scope::Private, src);
-  kb.put_number(kb.key(k_trend_, "goal.utility.trend"), trend_.value(), t,
-                1.0, Scope::Private, src);
-  kb.put_number(kb.key(k_feasible_, "goal.feasible"), feasible_ ? 1.0 : 0.0,
-                t, 1.0, Scope::Private, src);
+  kb_.put_number(kb_.key(k_utility_, "goal.utility"), utility_, t, 1.0,
+                 Scope::Private, src_);
+  kb_.put_number(kb_.key(k_trend_, "goal.utility.trend"), trend_.value(), t,
+                 1.0, Scope::Private, src_);
+  kb_.put_number(kb_.key(k_feasible_, "goal.feasible"), feasible_ ? 1.0 : 0.0,
+                 t, 1.0, Scope::Private, src_);
   const auto violated = goals_.violations(last_metrics_);
-  kb.put_number(kb.key(k_violations_, "goal.violations"),
-                static_cast<double>(violated.size()), t, 1.0, Scope::Private,
-                src);
+  kb_.put_number(kb_.key(k_violations_, "goal.violations"),
+                 static_cast<double>(violated.size()), t, 1.0, Scope::Private,
+                 src_);
   const auto breakdown = goals_.breakdown(last_metrics_);
   if (breakdown_keys_.size() < breakdown.size()) {
     breakdown_keys_.resize(breakdown.size(), {{}, KnowledgeBase::kNoKey});
@@ -51,8 +45,8 @@ void GoalAwareness::update(double t, const Observation& obs,
       cached_metric = metric;
       id = KnowledgeBase::kNoKey;
     }
-    kb.put_number(kb.key(id, "goal.", metric, ".utility"), u, t, 1.0,
-                  Scope::Private, src);
+    kb_.put_number(kb_.key(id, "goal.", metric, ".utility"), u, t, 1.0,
+                   Scope::Private, src_);
   }
 }
 

@@ -18,17 +18,22 @@ namespace sa::core {
 
 class GoalAwareness final : public AwarenessProcess {
  public:
-  /// `goals` must outlive this process. `metrics` lists the KB keys (or
-  /// observation signals) that carry the objectives' raw metric values.
-  GoalAwareness(GoalModel& goals, std::vector<std::string> metrics)
-      : goals_(goals), metrics_(std::move(metrics)) {}
+  /// `kb` and `goals` must outlive this process. `metrics` lists the KB
+  /// keys (or observation signals) that carry the objectives' raw metric
+  /// values.
+  GoalAwareness(KnowledgeBase& kb, GoalModel& goals,
+                std::vector<std::string> metrics)
+      : kb_(kb),
+        goals_(goals),
+        metrics_(std::move(metrics)),
+        metric_keys_(metrics_.size(), KnowledgeBase::kNoKey) {}
 
   [[nodiscard]] Level level() const override { return Level::Goal; }
   [[nodiscard]] std::string name() const override { return "goal"; }
 
   /// Publishes "goal.utility", "goal.feasible", "goal.violations" and
   /// "goal.<metric>.utility" per objective.
-  void update(double t, const Observation& obs, KnowledgeBase& kb) override;
+  void update(double t, const Observation& obs) override;
 
   /// Utility computed on the most recent update.
   [[nodiscard]] double current_utility() const noexcept { return utility_; }
@@ -47,13 +52,14 @@ class GoalAwareness final : public AwarenessProcess {
   void reconfigure() override { trend_.reset(); }
 
  private:
+  KnowledgeBase& kb_;
   GoalModel& goals_;
   std::vector<std::string> metrics_;
   MetricMap last_metrics_;
   // Cached KB ids: the metrics read back (parallel to metrics_, resolved
   // once the key exists), the fixed "goal.*" keys, and one
   // "goal.<metric>.utility" per breakdown position with its metric name.
-  KnowledgeIds ids_;
+  KnowledgeBase::SourceId src_ = 0;  ///< "goal", resolved on first update
   std::vector<KnowledgeBase::KeyId> metric_keys_;
   KnowledgeBase::KeyId k_utility_ = KnowledgeBase::kNoKey;
   KnowledgeBase::KeyId k_trend_ = KnowledgeBase::kNoKey;

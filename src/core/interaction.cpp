@@ -4,42 +4,26 @@
 
 namespace sa::core {
 
-InteractionAwareness::PeerModel& InteractionAwareness::model_for(
-    const std::string& peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) {
-    it = peers_.emplace(peer, PeerModel(p_.alpha)).first;
-  }
-  return it->second;
-}
-
 void InteractionAwareness::record_interaction(const std::string& peer,
                                               bool success, double value) {
-  auto& m = model_for(peer);
+  PeerModel& m = peers_[peer];
   m.reliability.add(success ? 1.0 : 0.0);
   m.value.add(value);
   ++m.count;
 }
 
-void InteractionAwareness::update(double t, const Observation& obs,
-                                  KnowledgeBase& kb) {
+void InteractionAwareness::update(double t, const Observation& obs) {
   (void)obs;  // interactions arrive via record_*; obs unused at this level
-  if (!ids_.bind(kb, name())) {
-    for (auto& [peer, m] : peers_) {
-      (void)peer;
-      m.k_reliability = m.k_interactions = m.k_value = KnowledgeBase::kNoKey;
-    }
-  }
-  const KnowledgeBase::SourceId src = ids_.source();
+  if (src_ == 0) src_ = kb_.source_id(name());
   for (auto& [peer, m] : peers_) {
     const double conf =
         1.0 - std::exp(-static_cast<double>(m.count) / 10.0);
-    kb.put_number(kb.key(m.k_reliability, "peer.", peer, ".reliability"),
-                  m.reliability.value(), t, conf, Scope::Private, src);
-    kb.put_number(kb.key(m.k_interactions, "peer.", peer, ".interactions"),
-                  static_cast<double>(m.count), t, 1.0, Scope::Private, src);
-    kb.put_number(kb.key(m.k_value, "peer.", peer, ".value"), m.value.value(),
-                  t, conf, Scope::Private, src);
+    kb_.put_number(kb_.key(m.k_reliability, "peer.", peer, ".reliability"),
+                   m.reliability.value(), t, conf, Scope::Private, src_);
+    kb_.put_number(kb_.key(m.k_interactions, "peer.", peer, ".interactions"),
+                   static_cast<double>(m.count), t, 1.0, Scope::Private, src_);
+    kb_.put_number(kb_.key(m.k_value, "peer.", peer, ".value"),
+                   m.value.value(), t, conf, Scope::Private, src_);
   }
 }
 

@@ -20,12 +20,10 @@ namespace sa::core {
 
 class InteractionAwareness final : public AwarenessProcess {
  public:
-  struct Params {
-    double alpha = 0.1;  ///< EWMA reactivity of reliability estimate
-  };
+  static constexpr double kAlpha = 0.1;  ///< EWMA reactivity of estimates
 
-  InteractionAwareness() : InteractionAwareness(Params{}) {}
-  explicit InteractionAwareness(Params p) : p_(p) {}
+  /// `kb` must outlive this process.
+  explicit InteractionAwareness(KnowledgeBase& kb) : kb_(kb) {}
 
   [[nodiscard]] Level level() const override { return Level::Interaction; }
   [[nodiscard]] std::string name() const override { return "interaction"; }
@@ -38,7 +36,7 @@ class InteractionAwareness final : public AwarenessProcess {
 
   /// Publishes "peer.<id>.reliability", ".interactions" and ".value" for
   /// every known peer.
-  void update(double t, const Observation& obs, KnowledgeBase& kb) override;
+  void update(double t, const Observation& obs) override;
 
   [[nodiscard]] double reliability(const std::string& peer) const;
   [[nodiscard]] std::size_t interactions(const std::string& peer) const;
@@ -49,20 +47,18 @@ class InteractionAwareness final : public AwarenessProcess {
 
  private:
   struct PeerModel {
-    learn::Ewma reliability;
-    learn::Ewma value;
+    learn::Ewma reliability{kAlpha};
+    learn::Ewma value{kAlpha};
     std::size_t count = 0;
     /// Cached ids of the "peer.<id>." keys this model publishes.
     KnowledgeBase::KeyId k_reliability = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId k_interactions = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId k_value = KnowledgeBase::kNoKey;
-    explicit PeerModel(double alpha) : reliability(alpha), value(alpha) {}
   };
-  PeerModel& model_for(const std::string& peer);
 
-  Params p_;
+  KnowledgeBase& kb_;
+  KnowledgeBase::SourceId src_ = 0;  ///< "interaction", resolved on update
   std::map<std::string, PeerModel> peers_;
-  KnowledgeIds ids_;
 };
 
 }  // namespace sa::core

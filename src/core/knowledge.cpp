@@ -1,30 +1,16 @@
 #include "core/knowledge.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
-#include <utility>
 
 namespace sa::core {
 
 namespace {
 
-// Slot kinds are Value alternative indices.
-constexpr std::uint8_t kBool = 0;
-constexpr std::uint8_t kInt = 1;
-constexpr std::uint8_t kDouble = 2;
-constexpr bool boxed_kind(std::uint8_t kind) { return kind > kDouble; }
-
 /// Slots a ring reserves when its key is interned; later growth doubles.
 constexpr std::size_t kFirstBlock = 4;
 
 }  // namespace
-
-std::uint64_t KnowledgeBase::Incarnation::next() noexcept {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::vector<KnowledgeBase::KeyId>::const_iterator KnowledgeBase::lower_bound(
     std::string_view key) const noexcept {
@@ -73,75 +59,26 @@ KnowledgeBase::SourceId KnowledgeBase::source_id(std::string_view source) {
 }
 
 void KnowledgeBase::put(KeyId id, KnowledgeItem item) {
-  Slot s{0, item.time, item.confidence,
-         // Items that declared no shelf life inherit the base's default.
-         std::isinf(item.ttl) ? default_ttl_ : item.ttl,
-         source_id(item.source), static_cast<std::uint8_t>(item.value.index()),
-         item.scope};
-  switch (s.kind) {
-    case kBool:
-      s.bits = std::get<bool>(item.value) ? 1 : 0;
-      break;
-    case kInt:
-      s.bits = static_cast<std::uint64_t>(std::get<std::int64_t>(item.value));
-      break;
-    case kDouble:
-      s.bits = std::bit_cast<std::uint64_t>(std::get<double>(item.value));
-      break;
-    default:
-      store(id, s, &item.value);
-      return;
-  }
-  store(id, s, nullptr);
+  store(id, Slot{item.value, item.time, item.confidence,
+                 // Items that declared no shelf life inherit the default.
+                 std::isinf(item.ttl) ? default_ttl_ : item.ttl,
+                 source_id(item.source), item.scope});
 }
 
 void KnowledgeBase::put_number(KeyId id, double value, double time,
                                double confidence, Scope scope,
                                SourceId source) {
-  store(id,
-        Slot{std::bit_cast<std::uint64_t>(value), time, confidence,
-             default_ttl_, source, kDouble, scope},
-        nullptr);
+  store(id, Slot{value, time, confidence, default_ttl_, source, scope});
 }
 
-void KnowledgeBase::store(KeyId id, Slot s, Value* boxed) {
+void KnowledgeBase::store(KeyId id, const Slot& s) {
   if (history_limit_ == 0) return;
-  sim::Ring<Slot>& h = entries_[id];
-  // The write about to overwrite the oldest slot reclaims its boxed value.
-  if (h.size() == h.capacity() && boxed_kind(h.front().kind)) {
-    const auto freed = static_cast<std::uint32_t>(h.front().bits);
-    boxed_[freed] = Value{};
-    boxed_free_.push_back(freed);
-  }
-  if (boxed != nullptr) {
-    if (boxed_free_.empty()) {
-      s.bits = boxed_.size();
-      boxed_.push_back(std::move(*boxed));
-    } else {
-      s.bits = boxed_free_.back();
-      boxed_free_.pop_back();
-      boxed_[s.bits] = std::move(*boxed);
-    }
-  }
-  h.push(s);
+  entries_[id].push(s);
 }
 
 KnowledgeItem KnowledgeBase::item(const Slot& s) const {
   KnowledgeItem out;
-  switch (s.kind) {
-    case kBool:
-      out.value = s.bits != 0;
-      break;
-    case kInt:
-      out.value = static_cast<std::int64_t>(s.bits);
-      break;
-    case kDouble:
-      out.value = std::bit_cast<double>(s.bits);
-      break;
-    default:
-      out.value = boxed_[s.bits];
-      break;
-  }
+  out.value = s.value;
   out.time = s.time;
   out.confidence = s.confidence;
   out.scope = s.scope;
@@ -153,17 +90,7 @@ KnowledgeItem KnowledgeBase::item(const Slot& s) const {
 double KnowledgeBase::number(KeyId id, double fallback) const noexcept {
   if (id == kNoKey) return fallback;
   const Slot* s = latest_slot(id);
-  if (s == nullptr) return fallback;
-  switch (s->kind) {
-    case kBool:
-      return s->bits != 0 ? 1.0 : 0.0;
-    case kInt:
-      return static_cast<double>(static_cast<std::int64_t>(s->bits));
-    case kDouble:
-      return std::bit_cast<double>(s->bits);
-    default:
-      return fallback;
-  }
+  return s != nullptr ? s->value : fallback;
 }
 
 std::optional<KnowledgeItem> KnowledgeBase::latest(std::string_view key) const {

@@ -1,7 +1,7 @@
 // The knowledge base — the agent's self-model substrate.
 //
 // Everything an agent knows about itself and its world is a KnowledgeItem:
-// a typed value with a timestamp, a confidence, a provenance tag, and a
+// a numeric value with a timestamp, a confidence, a provenance tag, and a
 // scope. Scope realises the paper's first framework concept (Section IV):
 // *private* self-awareness covers knowledge of internal phenomena, while
 // *public* self-awareness covers knowledge derived from / observable by the
@@ -12,25 +12,22 @@
 // sim::TelemetryBus interned-id idiom): names sit back to back in one
 // string, and a name-sorted id vector is both the lookup index (binary
 // search) and the iteration order. Each key's history is a sim::Ring
-// of 40-byte POD slots. A slot holds the scalar value inline (bool, int64
-// or double bits plus the Value alternative as a kind tag), time,
-// confidence, TTL, scope, and its provenance as an index into a small
-// per-base table of interned source names. A string or vector value —
-// written only through the public API, never by the awareness processes —
-// lives in a side store the slot indexes; overwriting the slot reclaims it.
-// A ring starts at a 4-slot block, doubles up to history_limit, then
-// overwrites its oldest slot in place, so a warm write never allocates.
+// of 40-byte POD slots. A slot holds the value, time, confidence, TTL,
+// scope, and its provenance as an index into a small per-base table of
+// interned source names. A ring starts at a 4-slot block, doubles up to
+// history_limit, then overwrites its oldest slot in place, so a warm write
+// never allocates.
 //
 // KnowledgeItem is the exchange type only: it is built on reads (latest(),
 // history(), public_snapshot()), never stored. The hot path writes by id:
-// an awareness process resolves each key it derives once, on first write,
-// caches the KeyId under the base's incarnation() (unique per object and
-// renewed by copy and move), and re-resolves when that changes. The
-// string-keyed calls are one-line forwarders onto the id path. Reads by
-// string are a binary search on a std::string_view and never allocate.
-// keys()/public_snapshot() and the checkpoint writer iterate in ascending
-// key order. Copies are self-contained (no view points into another base)
-// and start a new incarnation.
+// an awareness process holds the base it writes to from construction on,
+// resolves each key it derives once, on first write, and keeps the KeyId.
+// A base has one owner and is never assigned, so a resolved id stays valid
+// for the writer's lifetime. The string-keyed calls are one-line forwarders
+// onto the id path. Reads by string are a binary search on a
+// std::string_view and never allocate. keys()/public_snapshot() and the
+// checkpoint writer iterate in ascending key order. Copies are
+// self-contained (no view points into another base).
 //
 // A camera agent of the svc case study holds 33 keys; after its 4 metro
 // epochs its base is ~10 KB (33 rings of 4 slots, the id tables, the name
@@ -45,7 +42,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/value.hpp"
 #include "sim/ring.hpp"
 
 namespace sa::core {
@@ -58,7 +54,7 @@ enum class Scope : std::uint8_t {
 
 /// One piece of knowledge.
 struct KnowledgeItem {
-  Value value;
+  double value = 0.0;
   double time = 0.0;        ///< when the knowledge was produced
   double confidence = 1.0;  ///< producer's self-assessed confidence in [0,1]
   Scope scope = Scope::Private;
@@ -77,7 +73,7 @@ struct KnowledgeItem {
 /// time-awareness processes can inspect the past.
 class KnowledgeBase {
  public:
-  /// Interned key; valid for the incarnation() it was resolved in.
+  /// Interned key; valid for the base's lifetime.
   using KeyId = std::uint32_t;
   /// Interned provenance tag; valid like a KeyId.
   using SourceId = std::uint32_t;
@@ -86,6 +82,12 @@ class KnowledgeBase {
   /// `history_limit` — max items retained per key (oldest evicted first).
   explicit KnowledgeBase(std::size_t history_limit = 128)
       : history_limit_(history_limit) {}
+  KnowledgeBase(const KnowledgeBase&) = default;
+  KnowledgeBase(KnowledgeBase&&) = default;
+  /// Writers keep ids resolved against this base: replacing its contents
+  /// under them is not an operation a base offers.
+  KnowledgeBase& operator=(const KnowledgeBase&) = delete;
+  KnowledgeBase& operator=(KnowledgeBase&&) = delete;
 
   // -- id path ---------------------------------------------------------------
 
@@ -99,19 +101,13 @@ class KnowledgeBase {
   [[nodiscard]] KeyId find(std::string_view key) const noexcept;
   /// Id of the provenance tag `source`, interning it if new.
   SourceId source_id(std::string_view source);
-  /// Identity of this base's id tables: unique per object, renewed by
-  /// copy and move. Ids cached under another value are invalid.
-  [[nodiscard]] std::uint64_t incarnation() const noexcept {
-    return incarnation_.value;
-  }
 
   /// Stores a new item under `id`.
   void put(KeyId id, KnowledgeItem item);
   /// Stores a numeric fact under `id` (TTL: the base's default).
   void put_number(KeyId id, double value, double time, double confidence,
                   Scope scope, SourceId source);
-  /// Numeric view of the latest item under `id` (`fallback` if kNoKey,
-  /// empty or non-numeric).
+  /// Value of the latest item under `id` (`fallback` if kNoKey or empty).
   [[nodiscard]] double number(KeyId id, double fallback = 0.0) const noexcept;
 
   // -- string-keyed forwarders -----------------------------------------------
@@ -125,7 +121,7 @@ class KnowledgeBase {
                   std::string_view source = {}) {
     put_number(key(k), value, time, confidence, scope, source_id(source));
   }
-  /// Numeric view of the latest item (or `fallback` if absent/non-numeric).
+  /// Value of the latest item (or `fallback` if absent).
   [[nodiscard]] double number(std::string_view k,
                               double fallback = 0.0) const noexcept {
     return number(find(k), fallback);
@@ -167,39 +163,16 @@ class KnowledgeBase {
  private:
   /// One retained item: 40 bytes, trivially copyable.
   struct Slot {
-    std::uint64_t bits;  ///< bool/int64/double bits, or a side-store index
+    double value;
     double time;
     double confidence;
     double ttl;
     SourceId source;
-    std::uint8_t kind;   ///< Value::index() of the stored value
     Scope scope;
   };
   static_assert(sizeof(Slot) <= 40);
 
-  /// A process-unique number, renewed whenever the base's id tables stop
-  /// being the ones ids were resolved against: on copy (the copy interns
-  /// independently from then on) and on move (both sides).
-  struct Incarnation {
-    static std::uint64_t next() noexcept;
-    Incarnation() noexcept : value(next()) {}
-    Incarnation(const Incarnation&) noexcept : value(next()) {}
-    Incarnation(Incarnation&& other) noexcept : value(next()) {
-      other.value = next();
-    }
-    Incarnation& operator=(const Incarnation&) noexcept {
-      value = next();
-      return *this;
-    }
-    Incarnation& operator=(Incarnation&& other) noexcept {
-      value = next();
-      other.value = next();
-      return *this;
-    }
-    std::uint64_t value;
-  };
-
-  void store(KeyId id, Slot s, Value* boxed);
+  void store(KeyId id, const Slot& s);
   /// First position in sorted_ whose name is not less than `key`.
   [[nodiscard]] std::vector<KeyId>::const_iterator lower_bound(
       std::string_view key) const noexcept;
@@ -215,7 +188,6 @@ class KnowledgeBase {
 
   std::size_t history_limit_;
   double default_ttl_ = std::numeric_limits<double>::infinity();
-  Incarnation incarnation_;
   /// Key names, back to back in id order; key `id` ends at name_end_[id].
   std::string names_;
   std::vector<std::uint32_t> name_end_;
@@ -226,32 +198,6 @@ class KnowledgeBase {
   std::vector<KeyId> sorted_;
   /// Source names; SourceId 0 is "" and id i > 0 is sources_[i - 1].
   std::vector<std::string> sources_;
-  /// Non-scalar values of retained slots; freed indices are reused.
-  std::vector<Value> boxed_;
-  std::vector<std::uint32_t> boxed_free_;
-};
-
-/// A writer's cached ids for one KnowledgeBase. Awareness processes receive
-/// their base as an update() parameter, so each update starts with
-/// bind(kb, name): while it returns true every cached KeyId is valid; when
-/// it returns false the base is another object (or a copy or move), and the
-/// writer must reset its cached ids to kNoKey before using them.
-class KnowledgeIds {
- public:
-  bool bind(KnowledgeBase& kb, std::string_view source) {
-    if (kb.incarnation() == incarnation_) return true;
-    incarnation_ = kb.incarnation();
-    source_ = kb.source_id(source);
-    return false;
-  }
-  /// The writer's provenance tag in the bound base.
-  [[nodiscard]] KnowledgeBase::SourceId source() const noexcept {
-    return source_;
-  }
-
- private:
-  std::uint64_t incarnation_ = 0;  ///< 0: never bound
-  KnowledgeBase::SourceId source_ = 0;
 };
 
 }  // namespace sa::core

@@ -27,9 +27,10 @@ namespace sa::core {
 
 class MetaSelfAwareness final : public AwarenessProcess {
  public:
+  static constexpr double kQualityAlpha = 0.1;  ///< quality smoothing
+  static constexpr double kQualityFloor = 0.25;  ///< below: "failing"
+
   struct Params {
-    double quality_alpha = 0.1;      ///< smoothing of per-process quality
-    double quality_floor = 0.25;     ///< below this a process is "failing"
     std::size_t grace_updates = 16;  ///< warm-up before judging anyone
     // Drift defaults are deliberately conservative: utility swings from a
     // recurring workload mix are the policy's job (e.g. contextual
@@ -43,9 +44,11 @@ class MetaSelfAwareness final : public AwarenessProcess {
   /// A named run-time adaptation the meta level may trigger.
   using Adaptation = std::function<void()>;
 
-  MetaSelfAwareness() : MetaSelfAwareness(Params{}) {}
-  explicit MetaSelfAwareness(Params p)
-      : p_(p), drift_(p.ph_delta, p.ph_lambda) {}
+  /// `kb` must outlive this process.
+  explicit MetaSelfAwareness(KnowledgeBase& kb)
+      : MetaSelfAwareness(kb, Params{}) {}
+  MetaSelfAwareness(KnowledgeBase& kb, Params p)
+      : p_(p), kb_(kb), drift_(p.ph_delta, p.ph_lambda) {}
 
   /// Registers a process to watch. Non-owning; must outlive this object.
   void watch(AwarenessProcess& proc);
@@ -59,7 +62,7 @@ class MetaSelfAwareness final : public AwarenessProcess {
   /// updates quality models, runs the drift detector, fires adaptations.
   /// Publishes "meta.<proc>.quality", "meta.drift.count",
   /// "meta.adaptations".
-  void update(double t, const Observation& obs, KnowledgeBase& kb) override;
+  void update(double t, const Observation& obs) override;
 
   [[nodiscard]] std::size_t drift_detections() const noexcept {
     return drifts_;
@@ -80,9 +83,10 @@ class MetaSelfAwareness final : public AwarenessProcess {
   };
 
   Params p_;
+  KnowledgeBase& kb_;
+  KnowledgeBase::SourceId src_ = 0;  ///< "meta", resolved on first update
   std::vector<Watched> watched_;
   std::map<std::string, learn::Ewma> qualities_;
-  KnowledgeIds ids_;
   // Cached ids: the utility streams read (resolved once they exist) and
   // the fixed "meta.*" keys written.
   KnowledgeBase::KeyId k_goal_utility_ = KnowledgeBase::kNoKey;

@@ -3,9 +3,10 @@
 // The reference architecture (Lewis et al. [41]) models a self-aware system
 // as a collection of processes, each realising one or more levels of
 // self-awareness, reading observations and depositing derived knowledge
-// into the knowledge base. Processes self-assess (quality()) so the meta
-// level can reason about them, and expose reconfigure() as the hook through
-// which meta-self-awareness acts back on the awareness machinery itself.
+// into the knowledge base it was constructed with. Processes self-assess
+// (quality()) so the meta level can reason about them, and expose
+// reconfigure() as the hook through which meta-self-awareness acts back on
+// the awareness machinery itself.
 #pragma once
 
 #include <map>
@@ -31,7 +32,7 @@ class AwarenessProcess {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Consumes this step's observations; derives and stores knowledge.
-  virtual void update(double t, const Observation& obs, KnowledgeBase& kb) = 0;
+  virtual void update(double t, const Observation& obs) = 0;
 
   /// Self-assessed quality in [0,1] — "how well is my model doing?".
   /// 1.0 means fully confident; the default suits stateless processes.

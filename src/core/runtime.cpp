@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "core/degrade.hpp"
+#include "core/sharing.hpp"
 
 namespace sa::core {
 
@@ -78,13 +79,11 @@ std::string encode_attempt(std::size_t attempt) {
 }  // namespace
 
 void AgentRuntime::schedule_exchange(std::vector<SelfAwareAgent*> agents,
-                                     double period,
-                                     KnowledgeExchange exchange) {
+                                     double period) {
   ++scheduled_;
   const std::size_t round = exchange_rounds_.size();
   ExchangeRound r;
   r.agents = std::move(agents);
-  r.exchange = std::move(exchange);
   r.si = instrument("exchange", "exchange");
   r.period = period;
   // Retry parameters are captured per registration so later calls to
@@ -141,8 +140,8 @@ void AgentRuntime::run_exchange(std::size_t round, std::size_t attempt) {
     for (SelfAwareAgent* from : r.agents) {
       for (SelfAwareAgent* into : r.agents) {
         if (from == into) continue;
-        exchanged_ += r.exchange.import(from->knowledge(), from->id(),
-                                        into->knowledge());
+        exchanged_ += KnowledgeExchange::import(from->knowledge(), from->id(),
+                                                into->knowledge());
       }
     }
   };

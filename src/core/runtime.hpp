@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/agent.hpp"
-#include "core/sharing.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
@@ -72,8 +71,7 @@ class AgentRuntime {
   /// not aborted: it retries with exponential backoff (set_exchange_retry)
   /// and, only after the retries are exhausted, counts a timeout and
   /// reports the failed round to every agent's interaction awareness.
-  void schedule_exchange(std::vector<SelfAwareAgent*> agents, double period,
-                         KnowledgeExchange exchange = KnowledgeExchange{});
+  void schedule_exchange(std::vector<SelfAwareAgent*> agents, double period);
 
   /// Every `period`, runs `policy.update(now)` at kOrderControl (after
   /// agent steps at the same instant, in registration order), passing the
@@ -168,7 +166,6 @@ class AgentRuntime {
   /// firing — reference stable storage by index.
   struct ExchangeRound {
     std::vector<SelfAwareAgent*> agents;
-    KnowledgeExchange exchange;
     StreamInstruments si;
     double period = 0.0;
     std::size_t retries = 0;

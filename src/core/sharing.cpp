@@ -4,7 +4,7 @@ namespace sa::core {
 
 std::size_t KnowledgeExchange::import(const KnowledgeBase& from,
                                       const std::string& peer_id,
-                                      KnowledgeBase& into) const {
+                                      KnowledgeBase& into) {
   std::size_t imported = 0;
   for (const auto& [key, item] : from.public_snapshot()) {
     const std::string local = shared_key(peer_id, key);
@@ -12,7 +12,7 @@ std::size_t KnowledgeExchange::import(const KnowledgeBase& from,
       if (existing->time >= item.time) continue;  // ours is fresher
     }
     KnowledgeItem copy = item;
-    copy.confidence *= p_.confidence_decay;
+    copy.confidence *= kConfidenceDecay;
     copy.scope = Scope::Private;  // no transitive gossip
     copy.source = "shared:" + peer_id;
     into.put(local, std::move(copy));

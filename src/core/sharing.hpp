@@ -4,10 +4,10 @@
 // what makes sharing well-defined: only Public knowledge — the externally
 // observable self — crosses agent boundaries. KnowledgeExchange imports a
 // peer's public snapshot under "shared.<peer>.<key>", discounting
-// confidence (second-hand knowledge is weaker evidence) and never
-// overwriting fresher local copies. Imported items are stored Private, so
-// knowledge does not gossip transitively by accident — an agent shares
-// what it knows of itself, not rumours.
+// confidence by kConfidenceDecay (second-hand knowledge is weaker
+// evidence) and never overwriting fresher local copies. Imported items are
+// stored Private, so knowledge does not gossip transitively by accident —
+// an agent shares what it knows of itself, not rumours.
 #pragma once
 
 #include <cstddef>
@@ -19,31 +19,20 @@ namespace sa::core {
 
 class KnowledgeExchange {
  public:
-  struct Params {
-    double confidence_decay = 0.8;  ///< imported confidence multiplier
-    std::string prefix = "shared";  ///< namespace for imported knowledge
-  };
-
-  KnowledgeExchange() : KnowledgeExchange(Params{}) {}
-  explicit KnowledgeExchange(Params p) : p_(p) {}
+  /// Factor applied to an imported item's confidence.
+  static constexpr double kConfidenceDecay = 0.8;
 
   /// Imports `from`'s public snapshot into `into` as
-  /// "<prefix>.<peer_id>.<key>". Items older than what `into` already
-  /// holds under that key are skipped. Returns the number of items
-  /// imported.
-  std::size_t import(const KnowledgeBase& from, const std::string& peer_id,
-                     KnowledgeBase& into) const;
-
-  [[nodiscard]] const Params& params() const noexcept { return p_; }
+  /// "shared.<peer_id>.<key>". Items older than what `into` already holds
+  /// under that key are skipped. Returns the number of items imported.
+  static std::size_t import(const KnowledgeBase& from,
+                            const std::string& peer_id, KnowledgeBase& into);
 
   /// Key under which `key` from `peer_id` lands locally.
-  [[nodiscard]] std::string shared_key(const std::string& peer_id,
-                                       const std::string& key) const {
-    return p_.prefix + "." + peer_id + "." + key;
+  [[nodiscard]] static std::string shared_key(const std::string& peer_id,
+                                              const std::string& key) {
+    return "shared." + peer_id + "." + key;
   }
-
- private:
-  Params p_;
 };
 
 }  // namespace sa::core

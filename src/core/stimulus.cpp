@@ -4,34 +4,27 @@
 
 namespace sa::core {
 
-void StimulusAwareness::update(double t, const Observation& obs,
-                               KnowledgeBase& kb) {
+void StimulusAwareness::update(double t, const Observation& obs) {
   events_.clear();
-  if (!ids_.bind(kb, name())) {
-    for (auto& [sig, m] : models_) {
-      (void)sig;
-      m.raw = m.baseline = m.novel = KnowledgeBase::kNoKey;
-    }
-  }
-  const KnowledgeBase::SourceId src = ids_.source();
+  if (src_ == 0) src_ = kb_.source_id(name());
   for (const auto& [sig, value] : obs) {
-    auto [it, inserted] = models_.try_emplace(sig, p_.alpha);
+    auto [it, inserted] = models_.try_emplace(sig);
     Model& m = it->second;
-    const bool warm = !inserted && m.var.count() >= p_.min_samples;
+    const bool warm = !inserted && m.var.count() >= kMinSamples;
     if (warm) {
       const double sd = m.var.stddev();
       const double z = sd > 1e-9 ? (value - m.var.mean()) / sd : 0.0;
-      if (std::fabs(z) >= p_.novelty_z) {
+      if (std::fabs(z) >= kNoveltyZ) {
         events_.push_back({sig, value, z, t});
-        kb.put_number(kb.key(m.novel, "stimulus.", sig, ".novel"), z, t, 1.0,
-                      Scope::Private, src);
+        kb_.put_number(kb_.key(m.novel, "stimulus.", sig, ".novel"), z, t,
+                       1.0, Scope::Private, src_);
       }
     }
     m.var.add(value);
     // Raw reading is part of the public self: it is externally observable.
-    kb.put_number(kb.key(m.raw, sig), value, t, 1.0, Scope::Public, src);
-    kb.put_number(kb.key(m.baseline, "stimulus.", sig, ".baseline"),
-                  m.var.mean(), t, warm ? 1.0 : 0.5, Scope::Private, src);
+    kb_.put_number(kb_.key(m.raw, sig), value, t, 1.0, Scope::Public, src_);
+    kb_.put_number(kb_.key(m.baseline, "stimulus.", sig, ".baseline"),
+                   m.var.mean(), t, warm ? 1.0 : 0.5, Scope::Private, src_);
   }
 }
 
@@ -41,7 +34,7 @@ double StimulusAwareness::quality() const {
   std::size_t warm = 0;
   for (const auto& [sig, m] : models_) {
     (void)sig;
-    if (m.var.count() >= p_.min_samples) ++warm;
+    if (m.var.count() >= kMinSamples) ++warm;
   }
   return static_cast<double>(warm) / static_cast<double>(models_.size());
 }

@@ -30,21 +30,19 @@ struct StimulusEvent {
 
 class StimulusAwareness final : public AwarenessProcess {
  public:
-  struct Params {
-    double alpha = 0.1;        ///< EWMA reactivity for the baseline model
-    double novelty_z = 3.0;    ///< |z| threshold for an event
-    std::size_t min_samples = 8;  ///< suppress events during warm-up
-  };
+  static constexpr double kAlpha = 0.1;  ///< EWMA reactivity of a baseline
+  static constexpr double kNoveltyZ = 3.0;  ///< |z| threshold for an event
+  static constexpr std::size_t kMinSamples = 8;  ///< warm-up, no events
 
-  StimulusAwareness() : StimulusAwareness(Params{}) {}
-  explicit StimulusAwareness(Params p) : p_(p) {}
+  /// `kb` must outlive this process.
+  explicit StimulusAwareness(KnowledgeBase& kb) : kb_(kb) {}
 
   [[nodiscard]] Level level() const override { return Level::Stimulus; }
   [[nodiscard]] std::string name() const override { return "stimulus"; }
 
   /// Mirrors each observed signal to the KB (key = signal name, Public) and
   /// writes "stimulus.<sig>.novel" = z-score when an event fires.
-  void update(double t, const Observation& obs, KnowledgeBase& kb) override;
+  void update(double t, const Observation& obs) override;
 
   /// Events fired on the most recent update().
   [[nodiscard]] const std::vector<StimulusEvent>& events() const noexcept {
@@ -63,17 +61,16 @@ class StimulusAwareness final : public AwarenessProcess {
  private:
   /// A signal's baseline model and the KB keys it writes (cached ids).
   struct Model {
-    explicit Model(double alpha) : var(alpha) {}
-    learn::EwmaVar var;
+    learn::EwmaVar var{kAlpha};
     KnowledgeBase::KeyId raw = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId baseline = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId novel = KnowledgeBase::kNoKey;
   };
 
-  Params p_;
+  KnowledgeBase& kb_;
+  KnowledgeBase::SourceId src_ = 0;  ///< "stimulus", resolved on first update
   std::map<std::string, Model> models_;
   std::vector<StimulusEvent> events_;
-  KnowledgeIds ids_;
 };
 
 }  // namespace sa::core

@@ -27,15 +27,8 @@ TimeAwareness::Ensemble TimeAwareness::make_ensemble() const {
   return e;
 }
 
-void TimeAwareness::update(double t, const Observation& obs,
-                           KnowledgeBase& kb) {
-  if (!ids_.bind(kb, name())) {
-    for (auto& [sig, ens] : signals_) {
-      (void)sig;
-      ens.forecast = ens.mae = ens.model = KnowledgeBase::kNoKey;
-    }
-  }
-  const KnowledgeBase::SourceId src = ids_.source();
+void TimeAwareness::update(double t, const Observation& obs) {
+  if (src_ == 0) src_ = kb_.source_id(name());
   for (const auto& [sig, value] : obs) {
     auto it = signals_.find(sig);
     if (it == signals_.end()) {
@@ -49,12 +42,12 @@ void TimeAwareness::update(double t, const Observation& obs,
     const double conf =
         winner.scored() > 0 ? 1.0 / (1.0 + winner.mae() / p_.error_scale)
                             : 0.0;
-    kb.put_number(kb.key(ens.forecast, "forecast.", sig), winner.forecast(1),
-                  t, conf, Scope::Private, src);
-    kb.put_number(kb.key(ens.mae, "forecast.", sig, ".mae"), winner.mae(), t,
-                  1.0, Scope::Private, src);
-    kb.put_number(kb.key(ens.model, "forecast.", sig, ".model"),
-                  static_cast<double>(b), t, 1.0, Scope::Private, src);
+    kb_.put_number(kb_.key(ens.forecast, "forecast.", sig),
+                   winner.forecast(1), t, conf, Scope::Private, src_);
+    kb_.put_number(kb_.key(ens.mae, "forecast.", sig, ".mae"), winner.mae(),
+                   t, 1.0, Scope::Private, src_);
+    kb_.put_number(kb_.key(ens.model, "forecast.", sig, ".model"),
+                   static_cast<double>(b), t, 1.0, Scope::Private, src_);
   }
 }
 

@@ -27,8 +27,9 @@ class TimeAwareness final : public AwarenessProcess {
     std::size_t score_horizon = 1;    ///< rank models by h-step error
   };
 
-  TimeAwareness() : TimeAwareness(Params{}) {}
-  explicit TimeAwareness(Params p) : p_(p) {}
+  /// `kb` must outlive this process.
+  explicit TimeAwareness(KnowledgeBase& kb) : TimeAwareness(kb, Params{}) {}
+  TimeAwareness(KnowledgeBase& kb, Params p) : p_(p), kb_(kb) {}
 
   [[nodiscard]] Level level() const override { return Level::Time; }
   [[nodiscard]] std::string name() const override { return "time"; }
@@ -36,7 +37,7 @@ class TimeAwareness final : public AwarenessProcess {
   /// Feeds observations to each signal's ensemble; publishes
   /// "forecast.<sig>" (best model, h=1), "forecast.<sig>.mae" and
   /// "forecast.<sig>.model" (index of the winning member).
-  void update(double t, const Observation& obs, KnowledgeBase& kb) override;
+  void update(double t, const Observation& obs) override;
 
   /// h-step forecast of `signal` from the currently best member (0 if
   /// unknown signal).
@@ -60,8 +61,9 @@ class TimeAwareness final : public AwarenessProcess {
   [[nodiscard]] Ensemble make_ensemble() const;
 
   Params p_;
+  KnowledgeBase& kb_;
+  KnowledgeBase::SourceId src_ = 0;  ///< "time", resolved on first update
   std::map<std::string, Ensemble> signals_;
-  KnowledgeIds ids_;
 };
 
 }  // namespace sa::core

@@ -79,7 +79,8 @@ StandardArgs::StandardArgs() {
        "shards (sa::shard). --shards 1 runs the world\n"
        "inline on one engine; N > 1 runs the shards on a\n"
        "worker pool with a byte-identical trajectory,\n"
-       "pins --jobs to 1 and rejects --checkpoint/--resume",
+       "pins --jobs to 1 and rejects --checkpoint,\n"
+       "--resume, --trace and --metrics",
        [](std::string_view value, Options& out) -> std::string {
          std::uint64_t n = 0;
          if (!parse_uint(value, n) || n == 0 || n > 4096) {
@@ -267,6 +268,10 @@ std::string StandardArgs::parse(int argc, const char* const* argv,
     if (!out.checkpoint.empty() || !out.resume.empty()) {
       return "--shards > 1 cannot be combined with --checkpoint/--resume "
              "(sharded worlds are restored by replay, not snapshot)";
+    }
+    if (!out.trace.empty() || !out.metrics.empty()) {
+      return "--shards > 1 cannot be combined with --trace/--metrics "
+             "(shard threads run with no tracer and no metrics registry)";
     }
     // The shard workers are the parallelism; grid workers on top would
     // oversubscribe and the results are --jobs-invariant anyway.

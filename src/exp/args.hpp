@@ -48,8 +48,9 @@ struct Options {
   /// each world inline on one engine; N > 1 partitions each world's
   /// districts/grids/edge nodes across N worker-owned engines with a
   /// byte-identical trajectory. N > 1 pins --jobs to 1 (the shard
-  /// workers are the parallelism) and rejects --checkpoint/--resume
-  /// (sharded worlds are restored by replay, not snapshot).
+  /// workers are the parallelism), rejects --checkpoint/--resume
+  /// (sharded worlds are restored by replay, not snapshot) and rejects
+  /// --trace/--metrics (shard threads run with neither seam attached).
   unsigned shards = 1;
   std::string json;       ///< BENCH json output path; empty = no JSON
   std::string trace;      ///< Chrome trace output path; empty = no trace

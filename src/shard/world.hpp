@@ -51,7 +51,9 @@
 // thread, so they are built without telemetry hooks, and the tracer and
 // metrics registry are cleared (agent spans and degradation timings would
 // be written from shard threads); coordinator-owned components (cloud,
-// injector, exchange, bridge) keep the telemetry bus.
+// injector, exchange, bridge) keep the telemetry bus. The exp harness
+// therefore rejects --trace and --metrics with --shards > 1, which would
+// otherwise write files holding no spans and no metrics.
 // Checkpointing a sharded run is a typed error (the exp harness rejects
 // --checkpoint with --shards > 1 before construction).
 #pragma once

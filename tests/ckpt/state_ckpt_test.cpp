@@ -49,19 +49,23 @@ TEST(StateCkpt, RngImageCarriesTheNormalSpare) {
   EXPECT_EQ(b3.data(), b1.data());
 }
 
-TEST(StateCkpt, ValueImageDistinguishesEveryAlternative) {
-  const core::Value values[] = {
-      core::Value{true}, core::Value{std::int64_t{1}}, core::Value{1.0},
-      core::Value{std::string("1")}, core::Value{std::vector<double>{1.0}}};
-  std::vector<std::string> images;
-  for (const core::Value& v : values) {
-    Buffer b;
-    save_value(v, b);
-    images.push_back(b.data());
-  }
-  for (std::size_t i = 0; i < images.size(); ++i)
-    for (std::size_t j = i + 1; j < images.size(); ++j)
-      EXPECT_NE(images[i], images[j]) << i << " vs " << j;
+TEST(StateCkpt, NumericItemImageIsKindTwoThenLittleEndianDouble) {
+  // Each item opens with the kind byte 2 and its value as a little-endian
+  // IEEE-754 double; older images were written with the same bytes.
+  core::KnowledgeBase kb(4);
+  kb.put_number("k", -0.1, 3.0, 0.5, core::Scope::Public, "src");
+  Buffer image;
+  save_knowledge(kb, image);
+  Buffer head;  // everything the image holds before its one item
+  head.u64(4);
+  head.f64(kb.default_ttl());
+  head.u64(1);
+  head.str("k");
+  head.u64(1);
+  ASSERT_GT(image.data().size(), head.data().size() + 9);
+  EXPECT_EQ(image.data().substr(0, head.data().size()), head.data());
+  EXPECT_EQ(image.data().substr(head.data().size(), 9),
+            std::string("\x02\x9a\x99\x99\x99\x99\x99\xb9\xbf", 9));
 }
 
 std::string knowledge_image(const core::KnowledgeBase& kb) {

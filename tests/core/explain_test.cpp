@@ -56,7 +56,8 @@ TEST(Explainer, RecordsAndCounts) {
 }
 
 TEST(Explainer, DisabledStillCountsDecisions) {
-  Explainer ex(false);
+  Explainer ex;
+  ex.set_enabled(false);
   ex.record(sample_explanation());
   EXPECT_EQ(ex.size(), 0u);
   EXPECT_EQ(ex.decisions(), 1u);

@@ -13,9 +13,9 @@ GoalModel simple_goals() {
 
 TEST(GoalAwareness, PublishesUtilityFromObservation) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {"x"});
   KnowledgeBase kb;
-  ga.update(1.0, {{"x", 5.0}}, kb);
+  GoalAwareness ga(kb, goals, {"x"});
+  ga.update(1.0, {{"x", 5.0}});
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.5);
   EXPECT_DOUBLE_EQ(kb.number("goal.utility"), 0.5);
   EXPECT_DOUBLE_EQ(kb.number("goal.feasible"), 1.0);
@@ -24,19 +24,19 @@ TEST(GoalAwareness, PublishesUtilityFromObservation) {
 
 TEST(GoalAwareness, FallsBackToKnowledgeBaseWhenUnsampled) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {"x"});
   KnowledgeBase kb;
+  GoalAwareness ga(kb, goals, {"x"});
   kb.put_number("x", 10.0, 0.0);  // produced earlier by another process
-  ga.update(1.0, {}, kb);         // attention skipped "x" this step
+  ga.update(1.0, {});             // attention skipped "x" this step
   EXPECT_DOUBLE_EQ(ga.current_utility(), 1.0);
 }
 
 TEST(GoalAwareness, FreshObservationBeatsStaleKnowledge) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {"x"});
   KnowledgeBase kb;
+  GoalAwareness ga(kb, goals, {"x"});
   kb.put_number("x", 0.0, 0.0);
-  ga.update(1.0, {{"x", 10.0}}, kb);
+  ga.update(1.0, {{"x", 10.0}});
   EXPECT_DOUBLE_EQ(ga.current_utility(), 1.0);
 }
 
@@ -45,9 +45,9 @@ TEST(GoalAwareness, ReportsViolations) {
   goals.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
   goals.add_constraint(
       {"cap", [](const MetricMap& m) { return m.at("x") < 0.5; }, true});
-  GoalAwareness ga(goals, {"x"});
   KnowledgeBase kb;
-  ga.update(1.0, {{"x", 0.9}}, kb);
+  GoalAwareness ga(kb, goals, {"x"});
+  ga.update(1.0, {{"x", 0.9}});
   EXPECT_FALSE(ga.currently_feasible());
   EXPECT_DOUBLE_EQ(kb.number("goal.violations"), 1.0);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.0);
@@ -55,11 +55,11 @@ TEST(GoalAwareness, ReportsViolations) {
 
 TEST(GoalAwareness, TrendSmoothsUtility) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {"x"});
   KnowledgeBase kb;
-  for (int i = 0; i < 50; ++i) ga.update(i, {{"x", 10.0}}, kb);
+  GoalAwareness ga(kb, goals, {"x"});
+  for (int i = 0; i < 50; ++i) ga.update(i, {{"x", 10.0}});
   EXPECT_NEAR(ga.utility_trend(), 1.0, 1e-6);
-  ga.update(50.0, {{"x", 0.0}}, kb);
+  ga.update(50.0, {{"x", 0.0}});
   // One bad step dents the trend only slightly.
   EXPECT_GT(ga.utility_trend(), 0.8);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.0);
@@ -69,40 +69,41 @@ TEST(GoalAwareness, RespondsToRuntimeGoalChange) {
   GoalModel goals;
   goals.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
   goals.add_objective({"b", utility::rising(0.0, 1.0), 1.0});
-  GoalAwareness ga(goals, {"a", "b"});
   KnowledgeBase kb;
+  GoalAwareness ga(kb, goals, {"a", "b"});
   const Observation o{{"a", 1.0}, {"b", 0.0}};
-  ga.update(0.0, o, kb);
+  ga.update(0.0, o);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.5);
   ga.goals().set_weight("b", 3.0);  // stakeholder priorities shift
-  ga.update(1.0, o, kb);
+  ga.update(1.0, o);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.25);
 }
 
 TEST(GoalAwareness, QualityIsMetricAvailability) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {"x", "y"});
   KnowledgeBase kb;
+  GoalAwareness ga(kb, goals, {"x", "y"});
   EXPECT_DOUBLE_EQ(ga.quality(), 0.0);  // never updated
-  ga.update(0.0, {{"x", 1.0}}, kb);     // y nowhere to be found
+  ga.update(0.0, {{"x", 1.0}});  // y nowhere to be found
   EXPECT_DOUBLE_EQ(ga.quality(), 0.5);
   kb.put_number("y", 2.0, 0.0);
-  ga.update(1.0, {{"x", 1.0}}, kb);
+  ga.update(1.0, {{"x", 1.0}});
   EXPECT_DOUBLE_EQ(ga.quality(), 1.0);
 }
 
 TEST(GoalAwareness, LastMetricsExposesAssembledMap) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {"x"});
   KnowledgeBase kb;
-  ga.update(0.0, {{"x", 4.0}}, kb);
+  GoalAwareness ga(kb, goals, {"x"});
+  ga.update(0.0, {{"x", 4.0}});
   ASSERT_EQ(ga.last_metrics().size(), 1u);
   EXPECT_DOUBLE_EQ(ga.last_metrics().at("x"), 4.0);
 }
 
 TEST(GoalAwareness, LevelAndName) {
   auto goals = simple_goals();
-  GoalAwareness ga(goals, {});
+  KnowledgeBase kb;
+  GoalAwareness ga(kb, goals, {});
   EXPECT_EQ(ga.level(), Level::Goal);
   EXPECT_EQ(ga.name(), "goal");
 }

@@ -6,14 +6,16 @@ namespace sa::core {
 namespace {
 
 TEST(InteractionAwareness, UnknownPeerHasZeroReliability) {
-  InteractionAwareness ia;
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   EXPECT_DOUBLE_EQ(ia.reliability("ghost"), 0.0);
   EXPECT_EQ(ia.interactions("ghost"), 0u);
   EXPECT_TRUE(ia.peers().empty());
 }
 
 TEST(InteractionAwareness, ReliabilityTracksSuccessRate) {
-  InteractionAwareness ia;
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   for (int i = 0; i < 100; ++i) {
     ia.record_interaction("good", true);
     ia.record_interaction("bad", false);
@@ -25,46 +27,47 @@ TEST(InteractionAwareness, ReliabilityTracksSuccessRate) {
 }
 
 TEST(InteractionAwareness, RecentOutcomesDominate) {
-  InteractionAwareness::Params p;
-  p.alpha = 0.2;
-  InteractionAwareness ia(p);
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   for (int i = 0; i < 50; ++i) ia.record_interaction("n", true);
   for (int i = 0; i < 50; ++i) ia.record_interaction("n", false);
   EXPECT_LT(ia.reliability("n"), 0.05);  // the failures are recent
 }
 
 TEST(InteractionAwareness, PublishesPeerKnowledge) {
-  InteractionAwareness ia;
   KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   for (int i = 0; i < 20; ++i) ia.record_interaction("n1", true, 2.0);
-  ia.update(5.0, {}, kb);
+  ia.update(5.0, {});
   EXPECT_NEAR(kb.number("peer.n1.reliability"), 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(kb.number("peer.n1.interactions"), 20.0);
   EXPECT_NEAR(kb.number("peer.n1.value"), 2.0, 1e-9);
 }
 
 TEST(InteractionAwareness, ConfidenceGrowsWithInteractions) {
-  InteractionAwareness ia;
   KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   ia.record_interaction("n", true);
-  ia.update(0.0, {}, kb);
+  ia.update(0.0, {});
   const double c1 = kb.confidence("peer.n.reliability");
   for (int i = 0; i < 50; ++i) ia.record_interaction("n", true);
-  ia.update(1.0, {}, kb);
+  ia.update(1.0, {});
   const double c2 = kb.confidence("peer.n.reliability");
   EXPECT_GT(c2, c1);
   EXPECT_GT(c2, 0.95);
 }
 
 TEST(InteractionAwareness, PeersListsAllKnown) {
-  InteractionAwareness ia;
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   ia.record_interaction("b", true);
   ia.record_interaction("a", false);
   EXPECT_EQ(ia.peers(), (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(InteractionAwareness, QualityReflectsEvidence) {
-  InteractionAwareness ia;
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   EXPECT_DOUBLE_EQ(ia.quality(), 1.0);  // no peers: neutral
   ia.record_interaction("n", true);
   const double q1 = ia.quality();
@@ -73,7 +76,8 @@ TEST(InteractionAwareness, QualityReflectsEvidence) {
 }
 
 TEST(InteractionAwareness, ReconfigureForgetsPeers) {
-  InteractionAwareness ia;
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   ia.record_interaction("n", true);
   ia.reconfigure();
   EXPECT_TRUE(ia.peers().empty());
@@ -81,7 +85,8 @@ TEST(InteractionAwareness, ReconfigureForgetsPeers) {
 }
 
 TEST(InteractionAwareness, LevelAndName) {
-  InteractionAwareness ia;
+  KnowledgeBase kb;
+  InteractionAwareness ia(kb);
   EXPECT_EQ(ia.level(), Level::Interaction);
   EXPECT_EQ(ia.name(), "interaction");
 }

@@ -7,27 +7,11 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sa::core {
 namespace {
-
-TEST(Value, AsNumberConvertsScalars) {
-  EXPECT_DOUBLE_EQ(as_number(Value{true}), 1.0);
-  EXPECT_DOUBLE_EQ(as_number(Value{false}), 0.0);
-  EXPECT_DOUBLE_EQ(as_number(Value{std::int64_t{42}}), 42.0);
-  EXPECT_DOUBLE_EQ(as_number(Value{3.5}), 3.5);
-}
-
-TEST(Value, AsNumberFallsBackForNonScalars) {
-  EXPECT_DOUBLE_EQ(as_number(Value{std::string("abc")}, -1.0), -1.0);
-  EXPECT_DOUBLE_EQ(as_number(Value{std::vector<double>{1.0}}, 9.0), 9.0);
-}
-
-TEST(Value, HoldsChecksAlternative) {
-  EXPECT_TRUE(holds<double>(Value{1.0}));
-  EXPECT_FALSE(holds<bool>(Value{1.0}));
-}
 
 TEST(KnowledgeBase, LatestReturnsMostRecent) {
   KnowledgeBase kb;
@@ -35,7 +19,7 @@ TEST(KnowledgeBase, LatestReturnsMostRecent) {
   kb.put_number("load", 2.0, 1.0);
   const auto item = kb.latest("load");
   ASSERT_TRUE(item.has_value());
-  EXPECT_DOUBLE_EQ(as_number(item->value), 2.0);
+  EXPECT_DOUBLE_EQ(item->value, 2.0);
   EXPECT_DOUBLE_EQ(item->time, 1.0);
 }
 
@@ -48,10 +32,6 @@ TEST(KnowledgeBase, LatestOnUnknownKeyIsEmpty) {
 TEST(KnowledgeBase, NumberFallsBack) {
   KnowledgeBase kb;
   EXPECT_DOUBLE_EQ(kb.number("missing", 7.5), 7.5);
-  kb.put("label",
-          KnowledgeItem{Value{std::string("x")}, 0.0, 1.0, Scope::Private,
-                        ""});
-  EXPECT_DOUBLE_EQ(kb.number("label", 3.0), 3.0);
 }
 
 TEST(KnowledgeBase, HistoryPreservesOrder) {
@@ -62,7 +42,7 @@ TEST(KnowledgeBase, HistoryPreservesOrder) {
   const auto& hist = kb.history("x");
   ASSERT_EQ(hist.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(as_number(hist[static_cast<std::size_t>(i)].value), i);
+    EXPECT_DOUBLE_EQ(hist[static_cast<std::size_t>(i)].value, i);
   }
 }
 
@@ -73,8 +53,8 @@ TEST(KnowledgeBase, HistoryIsBounded) {
   }
   const auto& hist = kb.history("x");
   ASSERT_EQ(hist.size(), 3u);
-  EXPECT_DOUBLE_EQ(as_number(hist.front().value), 7.0);  // oldest evicted
-  EXPECT_DOUBLE_EQ(as_number(hist.back().value), 9.0);
+  EXPECT_DOUBLE_EQ(hist.front().value, 7.0);  // oldest evicted
+  EXPECT_DOUBLE_EQ(hist.back().value, 9.0);
 }
 
 TEST(KnowledgeBase, ConfidenceOfLatest) {
@@ -124,7 +104,7 @@ TEST(KnowledgeBase, SourceAndProvenancePreserved) {
 TEST(KnowledgeBase, ItemsAreFreshWithinTheirTtl) {
   KnowledgeBase kb;
   KnowledgeItem item;
-  item.value = Value{1.0};
+  item.value = 1.0;
   item.time = 10.0;
   item.ttl = 5.0;
   kb.put("reading", item);
@@ -158,7 +138,7 @@ TEST(KnowledgeBase, ExplicitFiniteTtlWinsOverTheDefault) {
   KnowledgeBase kb;
   kb.set_default_ttl(2.0);
   KnowledgeItem item;
-  item.value = Value{1.0};
+  item.value = 1.0;
   item.time = 0.0;
   item.ttl = 50.0;
   kb.put("long_lived", item);
@@ -172,50 +152,41 @@ TEST(KnowledgeBase, CopyOutlivesOriginal) {
   auto original = std::make_unique<KnowledgeBase>(4);
   original->put_number("a.long.key.name.beyond.small.string", 1.0, 0.0, 0.5,
                        Scope::Public, "a.long.source.name.beyond.sso");
-  original->put("label", KnowledgeItem{Value{std::string("x")}, 1.0, 1.0,
-                                       Scope::Private, ""});
+  original->put_number("label", 4.0, 1.0);
   KnowledgeBase copy(*original);
-  KnowledgeBase assigned;
-  assigned = *original;
   original.reset();
-  for (KnowledgeBase* kb : {&copy, &assigned}) {
-    EXPECT_DOUBLE_EQ(kb->number("a.long.key.name.beyond.small.string"), 1.0);
-    ASSERT_TRUE(kb->latest("label").has_value());
-    EXPECT_EQ(std::get<std::string>(kb->latest("label")->value), "x");
-    kb->put_number("a.long.key.name.beyond.small.string", 2.0, 1.0);
-    kb->put_number("new", 3.0, 1.0);
-    EXPECT_DOUBLE_EQ(kb->number("a.long.key.name.beyond.small.string"), 2.0);
-    EXPECT_EQ(kb->keys(),
-              (std::vector<std::string>{"a.long.key.name.beyond.small.string",
-                                        "label", "new"}));
-    EXPECT_EQ(kb->history("a.long.key.name.beyond.small.string")[0].source,
-              "a.long.source.name.beyond.sso");
-  }
+  EXPECT_DOUBLE_EQ(copy.number("a.long.key.name.beyond.small.string"), 1.0);
+  EXPECT_DOUBLE_EQ(copy.number("label"), 4.0);
+  copy.put_number("a.long.key.name.beyond.small.string", 2.0, 1.0);
+  copy.put_number("new", 3.0, 1.0);
+  EXPECT_DOUBLE_EQ(copy.number("a.long.key.name.beyond.small.string"), 2.0);
+  EXPECT_EQ(copy.keys(),
+            (std::vector<std::string>{"a.long.key.name.beyond.small.string",
+                                      "label", "new"}));
+  EXPECT_EQ(copy.history("a.long.key.name.beyond.small.string")[0].source,
+            "a.long.source.name.beyond.sso");
 }
+
+// A writer keeps the ids it resolved for as long as it lives, so a base
+// is never replaced under it.
+static_assert(!std::is_copy_assignable_v<KnowledgeBase>);
+static_assert(!std::is_move_assignable_v<KnowledgeBase>);
 
 TEST(KnowledgeBase, MovedToBaseKeepsItsKnowledge) {
   KnowledgeBase a;
   a.put_number("x", 1.0, 0.0);
-  const auto before = a.incarnation();
   KnowledgeBase b(std::move(a));
   EXPECT_DOUBLE_EQ(b.number("x"), 1.0);
-  EXPECT_NE(b.incarnation(), before);
-  KnowledgeBase c;
-  c = std::move(b);
-  EXPECT_DOUBLE_EQ(c.number("x"), 1.0);
-  c.put_number("y", 2.0, 1.0);
-  EXPECT_EQ(c.keys(), (std::vector<std::string>{"x", "y"}));
+  b.put_number("y", 2.0, 1.0);
+  EXPECT_EQ(b.keys(), (std::vector<std::string>{"x", "y"}));
 }
 
 TEST(KnowledgeBase, ScalarValuesRoundTripBitExactly) {
   KnowledgeBase kb;
-  const std::vector<Value> values{
-      Value{true},
-      Value{false},
-      Value{std::int64_t{-9007199254740993}},
-      Value{-0.0},
-      Value{std::numeric_limits<double>::quiet_NaN()},
-      Value{std::numeric_limits<double>::denorm_min()},
+  const std::vector<double> values{
+      -0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
   };
   for (std::size_t i = 0; i < values.size(); ++i) {
     kb.put("v", KnowledgeItem{values[i], static_cast<double>(i), 0.25,
@@ -224,13 +195,8 @@ TEST(KnowledgeBase, ScalarValuesRoundTripBitExactly) {
   const auto hist = kb.history("v");
   ASSERT_EQ(hist.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    ASSERT_EQ(hist[i].value.index(), values[i].index());
-    if (const auto* d = std::get_if<double>(&values[i])) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(std::get<double>(hist[i].value)),
-                std::bit_cast<std::uint64_t>(*d));
-    } else {
-      EXPECT_EQ(hist[i].value, values[i]);
-    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(hist[i].value),
+              std::bit_cast<std::uint64_t>(values[i]));
     EXPECT_EQ(hist[i].source, "src");
     EXPECT_EQ(hist[i].scope, Scope::Public);
     EXPECT_DOUBLE_EQ(hist[i].confidence, 0.25);
@@ -239,35 +205,28 @@ TEST(KnowledgeBase, ScalarValuesRoundTripBitExactly) {
 }
 
 TEST(KnowledgeBase, NonScalarHistorySurvivesRingWrap) {
-  // Strings and vectors live beside the ring; a wrapped ring must still
-  // read back the newest values, interleaved with scalars, in order.
+  // Every slot carries its own value, time and provenance; a wrapped ring
+  // must read back the newest of them, in order, with nothing mixed up
+  // between overwritten slots.
   KnowledgeBase kb(3);
-  std::vector<Value> written;
+  const char* sources[] = {"a", "b", "c"};
   for (int i = 0; i < 20; ++i) {
-    Value v;
-    switch (i % 3) {
-      case 0: v = Value{std::string(20 + i, static_cast<char>('a' + i))};
-        break;
-      case 1: v = Value{std::vector<double>(static_cast<std::size_t>(i), 1.5)};
-        break;
-      default: v = Value{static_cast<double>(i)};
-        break;
-    }
-    written.push_back(v);
-    kb.put("k", KnowledgeItem{v, static_cast<double>(i), 1.0,
-                              Scope::Private, ""});
+    kb.put("k", KnowledgeItem{0.5 * i, static_cast<double>(i), 1.0,
+                              Scope::Private, sources[i % 3]});
   }
   const auto hist = kb.history("k");
   ASSERT_EQ(hist.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(hist[i].value, written[written.size() - 3 + i]);
+    const int written = 17 + static_cast<int>(i);
+    EXPECT_DOUBLE_EQ(hist[i].value, 0.5 * written);
+    EXPECT_DOUBLE_EQ(hist[i].time, written);
+    EXPECT_EQ(hist[i].source, sources[written % 3]);
   }
 }
 
 TEST(KnowledgeBase, HistorylessStoreRetainsNothing) {
   KnowledgeBase kb(0);
-  kb.put("s", KnowledgeItem{Value{std::string("label")}, 0.0, 1.0,
-                            Scope::Private, ""});
+  kb.put("s", KnowledgeItem{1.0, 0.0, 1.0, Scope::Private, ""});
   kb.put_number("n", 2.5, 0.0);
   EXPECT_TRUE(kb.contains("s"));
   EXPECT_TRUE(kb.history("s").empty());
@@ -290,20 +249,6 @@ TEST(KnowledgeBase, IdPathSharesTheStringPathStore) {
   EXPECT_DOUBLE_EQ(kb.number(id), 5.0);
   EXPECT_EQ(kb.find("absent"), KnowledgeBase::kNoKey);
   EXPECT_DOUBLE_EQ(kb.number(KnowledgeBase::kNoKey, -1.0), -1.0);
-}
-
-TEST(KnowledgeBase, ReplacedBaseStartsANewIncarnation) {
-  KnowledgeBase kb;
-  KnowledgeIds ids;
-  EXPECT_FALSE(ids.bind(kb, "proc"));  // first sight
-  EXPECT_TRUE(ids.bind(kb, "proc"));
-  kb.put_number(kb.key("x"), 1.0, 0.0, 1.0, Scope::Private, ids.source());
-  EXPECT_EQ(kb.latest("x")->source, "proc");
-  kb = KnowledgeBase();
-  EXPECT_FALSE(ids.bind(kb, "proc"));  // cached ids must be re-resolved
-  KnowledgeBase other;
-  EXPECT_FALSE(ids.bind(other, "proc"));
-  EXPECT_NE(other.incarnation(), kb.incarnation());
 }
 
 }  // namespace

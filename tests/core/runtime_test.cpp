@@ -168,7 +168,7 @@ TEST(AgentRuntime, SelfProfileVisibleToTheAgentAsKnowledge) {
   const auto item = agent.knowledge().latest("meta.profile.step_ms");
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->source, "profiler");
-  EXPECT_GE(as_number(item->value), 0.0);
+  EXPECT_GE(item->value, 0.0);
 }
 
 TEST(AgentRuntime, TracerRecordsRuntimeSpansPerStream) {

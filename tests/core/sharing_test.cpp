@@ -9,8 +9,7 @@ TEST(KnowledgeExchange, ImportsOnlyPublicKnowledge) {
   KnowledgeBase from, into;
   from.put_number("position", 4.0, 1.0, 1.0, Scope::Public);
   from.put_number("secret", 9.0, 1.0, 1.0, Scope::Private);
-  KnowledgeExchange ex;
-  EXPECT_EQ(ex.import(from, "peerA", into), 1u);
+  EXPECT_EQ(KnowledgeExchange::import(from, "peerA", into), 1u);
   EXPECT_TRUE(into.contains("shared.peerA.position"));
   EXPECT_FALSE(into.contains("shared.peerA.secret"));
   EXPECT_DOUBLE_EQ(into.number("shared.peerA.position"), 4.0);
@@ -19,11 +18,9 @@ TEST(KnowledgeExchange, ImportsOnlyPublicKnowledge) {
 TEST(KnowledgeExchange, DiscountsConfidence) {
   KnowledgeBase from, into;
   from.put_number("x", 1.0, 0.0, 0.9, Scope::Public);
-  KnowledgeExchange::Params p;
-  p.confidence_decay = 0.5;
-  KnowledgeExchange ex(p);
-  ex.import(from, "p", into);
-  EXPECT_DOUBLE_EQ(into.confidence("shared.p.x"), 0.45);
+  KnowledgeExchange::import(from, "p", into);
+  EXPECT_DOUBLE_EQ(into.confidence("shared.p.x"),
+                   0.9 * KnowledgeExchange::kConfidenceDecay);
 }
 
 TEST(KnowledgeExchange, ImportedKnowledgeIsPrivate) {
@@ -31,9 +28,9 @@ TEST(KnowledgeExchange, ImportedKnowledgeIsPrivate) {
   // public self, so it will not be re-exported to peer B.
   KnowledgeBase a, b, c;
   a.put_number("x", 1.0, 0.0, 1.0, Scope::Public);
-  KnowledgeExchange ex;
-  ex.import(a, "a", b);
-  EXPECT_EQ(ex.import(b, "b", c), 0u);  // b has no public items of its own
+  KnowledgeExchange::import(a, "a", b);
+  // b has no public items of its own.
+  EXPECT_EQ(KnowledgeExchange::import(b, "b", c), 0u);
   EXPECT_FALSE(c.contains("shared.b.shared.a.x"));
 }
 
@@ -41,8 +38,7 @@ TEST(KnowledgeExchange, NewerLocalCopyIsKept) {
   KnowledgeBase from, into;
   from.put_number("x", 1.0, /*time=*/5.0, 1.0, Scope::Public);
   into.put_number("shared.p.x", 99.0, /*time=*/7.0);
-  KnowledgeExchange ex;
-  EXPECT_EQ(ex.import(from, "p", into), 0u);
+  EXPECT_EQ(KnowledgeExchange::import(from, "p", into), 0u);
   EXPECT_DOUBLE_EQ(into.number("shared.p.x"), 99.0);
 }
 
@@ -50,27 +46,21 @@ TEST(KnowledgeExchange, FresherRemoteReplacesStaleLocal) {
   KnowledgeBase from, into;
   into.put_number("shared.p.x", 1.0, /*time=*/1.0);
   from.put_number("x", 2.0, /*time=*/3.0, 1.0, Scope::Public);
-  KnowledgeExchange ex;
-  EXPECT_EQ(ex.import(from, "p", into), 1u);
+  EXPECT_EQ(KnowledgeExchange::import(from, "p", into), 1u);
   EXPECT_DOUBLE_EQ(into.number("shared.p.x"), 2.0);
 }
 
 TEST(KnowledgeExchange, ProvenanceNamesThePeer) {
   KnowledgeBase from, into;
   from.put_number("x", 1.0, 0.0, 1.0, Scope::Public);
-  KnowledgeExchange ex;
-  ex.import(from, "cam7", into);
+  KnowledgeExchange::import(from, "cam7", into);
   const auto item = into.latest("shared.cam7.x");
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->source, "shared:cam7");
 }
 
 TEST(KnowledgeExchange, SharedKeyHelper) {
-  KnowledgeExchange ex;
-  EXPECT_EQ(ex.shared_key("p1", "load"), "shared.p1.load");
-  KnowledgeExchange::Params p;
-  p.prefix = "peerview";
-  EXPECT_EQ(KnowledgeExchange(p).shared_key("a", "b"), "peerview.a.b");
+  EXPECT_EQ(KnowledgeExchange::shared_key("p1", "load"), "shared.p1.load");
 }
 
 }  // namespace

@@ -123,6 +123,23 @@ TEST(ArgsTest, ShardsRejectCheckpointAndResume) {
   EXPECT_EQ(parse({"--shards", "1", "--checkpoint", "c.ck"}, legacy), "");
 }
 
+TEST(ArgsTest, ShardsRejectTraceAndMetrics) {
+  // Shard threads run with no tracer and no metrics registry, so either
+  // file would come out empty: refused rather than written hollow.
+  Options t;
+  const std::string err = parse({"--shards", "2", "--trace", "t.json"}, t);
+  EXPECT_NE(err, "");
+  EXPECT_NE(err.find("--trace"), std::string::npos);
+  Options m;
+  const std::string merr =
+      parse({"--metrics", "m.jsonl", "--shards", "4"}, m);
+  EXPECT_NE(merr, "");
+  EXPECT_NE(merr.find("--metrics"), std::string::npos);
+  Options one;
+  EXPECT_EQ(parse({"--shards", "1", "--trace", "t.json"}, one), "");
+  EXPECT_EQ(one.trace, "t.json");
+}
+
 TEST(ArgsTest, LaterFlagWins) {
   Options o;
   EXPECT_EQ(parse({"--jobs", "2", "--jobs", "6"}, o), "");

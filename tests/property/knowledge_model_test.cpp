@@ -39,7 +39,7 @@ TEST_P(KnowledgeModelTest, AgreesWithReferenceModel) {
           EXPECT_FALSE(kb.latest(key).has_value());
         } else {
           ASSERT_TRUE(kb.latest(key).has_value());
-          EXPECT_DOUBLE_EQ(as_number(kb.latest(key)->value),
+          EXPECT_DOUBLE_EQ(kb.latest(key)->value,
                            it->second.back());
         }
         break;
@@ -51,7 +51,7 @@ TEST_P(KnowledgeModelTest, AgreesWithReferenceModel) {
             it == model.end() ? 0 : it->second.size();
         ASSERT_EQ(hist.size(), expected);
         for (std::size_t i = 0; i < expected; ++i) {
-          EXPECT_DOUBLE_EQ(as_number(hist[i].value), it->second[i]);
+          EXPECT_DOUBLE_EQ(hist[i].value, it->second[i]);
         }
         break;
       }
