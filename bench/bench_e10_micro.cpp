@@ -123,6 +123,21 @@ exp::TaskOutput agent_step(std::size_t sensors, bool traced, std::size_t n) {
   });
 }
 
+/// Signals "a".."d" read as 1..4: the observation the awareness-process
+/// rows feed every op. Built in place (the observation points at the
+/// table).
+struct FourSignals {
+  core::SignalTable table;
+  core::Observation obs;
+  FourSignals() {
+    for (const char* name : {"a", "b", "c", "d"}) table.add(name);
+    obs = core::Observation(table);
+    for (std::size_t slot = 0; slot < 4; ++slot) {
+      obs.set(slot, static_cast<double>(slot + 1));
+    }
+  }
+};
+
 /// 64 cameras on an 8x8 lattice over the unit square, dense enough that
 /// fields of view overlap and auctions actually fire.
 svc::Network big_fleet() {
@@ -184,11 +199,20 @@ const std::vector<Kernel> kKernels = {
      }},
     {"stimulus_update", 1 << 16,
      [](std::size_t n) {
+       FourSignals sig;
        core::KnowledgeBase kb;
        core::StimulusAwareness sa_(kb);
-       core::Observation obs{{"a", 1.0}, {"b", 2.0}, {"c", 3.0}, {"d", 4.0}};
        return time_op(n, [&](std::size_t i) {
-         sa_.update(static_cast<double>(i), obs);
+         sa_.update(static_cast<double>(i), sig.obs);
+       });
+     }},
+    {"time_update", 1 << 16,
+     [](std::size_t n) {
+       FourSignals sig;
+       core::KnowledgeBase kb;
+       core::TimeAwareness ta(kb);
+       return time_op(n, [&](std::size_t i) {
+         ta.update(static_cast<double>(i), sig.obs);
        });
      }},
     {"forecaster_observe", 1 << 18,
@@ -266,7 +290,10 @@ const std::vector<Kernel> kKernels = {
      }},
     {"agent_step_plain", 1 << 13,
      [](std::size_t n) { return agent_step(4, false, n); }},
-    {"agent_step@16", 1 << 12,
+    // As many ops as agent_step_plain: the explainer's log grows on the
+    // same schedule, so equal allocs/op means the step's allocations do
+    // not depend on the sensor count.
+    {"agent_step@16", 1 << 13,
      [](std::size_t n) { return agent_step(16, false, n); }},
     {"agent_step_traced", 1 << 13,
      [](std::size_t n) { return agent_step(4, true, n); }},

@@ -1,6 +1,5 @@
 #include "core/agent.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <iomanip>
@@ -59,7 +58,7 @@ SelfAwareAgent::SelfAwareAgent(std::string id, AgentConfig cfg)
 void SelfAwareAgent::add_sensor(const std::string& name,
                                 std::function<double()> read) {
   const std::size_t signal = attention_.register_signal(name);
-  sensors_.push_back({name, std::move(read), signal});
+  sensors_.push_back({std::move(read), signal});
 }
 
 void SelfAwareAgent::add_action(const std::string& name,
@@ -74,13 +73,18 @@ void SelfAwareAgent::set_policy(std::unique_ptr<Policy> policy) {
 
 void SelfAwareAgent::set_goal_metrics(std::vector<std::string> metrics) {
   if (!cfg_.levels.has(Level::Goal)) return;
-  goal_aware_ =
-      std::make_unique<GoalAwareness>(kb_, goals_, std::move(metrics));
-  if (meta_) meta_->watch(*goal_aware_);
+  auto goal = std::make_unique<GoalAwareness>(kb_, goals_, std::move(metrics));
+  // The meta level must not keep watching a process about to be destroyed.
+  if (meta_ && goal_aware_) {
+    meta_->replace(*goal_aware_, *goal);
+  } else if (meta_) {
+    meta_->watch(*goal);
+  }
+  goal_aware_ = std::move(goal);
 }
 
-Observation SelfAwareAgent::observe() {
-  Observation obs;
+void SelfAwareAgent::observe() {
+  obs_.clear();
   // With no budget (All) every signal is chosen; otherwise sample only the
   // attended subset.
   attended_.assign(attention_.signals(), 0);
@@ -96,52 +100,42 @@ Observation SelfAwareAgent::observe() {
       ++sensor_gaps_;
       continue;
     }
-    obs[sensor.name] = v;
+    obs_.set(sensor.signal, v);
     attention_.feed(sensor.signal, v);
   }
-  return obs;
 }
 
-void SelfAwareAgent::mirror_readings(double t, const Observation& obs) {
+void SelfAwareAgent::mirror_readings(double t) {
   if (mirror_src_ == 0) mirror_src_ = kb_.source_id("sensor");
-  if (mirror_keys_.size() != attention_.signals()) {
-    mirror_keys_.assign(attention_.signals(), KnowledgeBase::kNoKey);
-    by_name_.resize(attention_.signals());
-    for (std::size_t i = 0; i < by_name_.size(); ++i) by_name_[i] = i;
-    std::sort(by_name_.begin(), by_name_.end(),
-              [this](std::size_t a, std::size_t b) {
-                return attention_.name(a) < attention_.name(b);
-              });
+  if (mirror_keys_.size() < attention_.signals()) {
+    mirror_keys_.resize(attention_.signals(), KnowledgeBase::kNoKey);
   }
-  // obs holds sampled signals in name order, a subset of by_name_.
-  auto next = by_name_.begin();
-  for (const auto& [sig, v] : obs) {
-    while (attention_.name(*next) != sig) ++next;
-    kb_.put_number(kb_.key(mirror_keys_[*next], sig), v, t, 1.0,
-                   Scope::Public, mirror_src_);
+  for (const auto [slot, v] : obs_) {
+    kb_.put_number(kb_.key(mirror_keys_[slot], attention_.name(slot)), v, t,
+                   1.0, Scope::Public, mirror_src_);
   }
 }
 
-void SelfAwareAgent::run_processes(double t, const Observation& obs) {
+void SelfAwareAgent::run_processes(double t) {
   // Order matters and mirrors the levels: raw stimuli first, then models
   // over them, goals over those, and the meta level last so it sees this
   // step's goal.utility.
   // Degradation (set_active_levels) pauses a constructed process without
   // destroying it: skipped here, state intact, resumes on reactivation.
   if (stimulus_ && active_levels_.has(Level::Stimulus)) {
-    stimulus_->update(t, obs);
+    stimulus_->update(t, obs_);
   }
   if (interaction_ && active_levels_.has(Level::Interaction)) {
-    interaction_->update(t, obs);
+    interaction_->update(t, obs_);
   }
   if (time_ && active_levels_.has(Level::Time)) {
-    time_->update(t, obs);
+    time_->update(t, obs_);
   }
   if (goal_aware_ && active_levels_.has(Level::Goal)) {
-    goal_aware_->update(t, obs);
+    goal_aware_->update(t, obs_);
   }
   if (meta_ && active_levels_.has(Level::Meta)) {
-    meta_->update(t, obs);
+    meta_->update(t, obs_);
   }
 }
 
@@ -154,32 +148,30 @@ Decision SelfAwareAgent::step(double t) {
 
   // Observe: the attention-filtered sensor sweep opens the causal chain.
   sim::TraceId obs_id = 0;
-  Observation obs;
   {
     auto s_obs = tr ? tr->span(t, trace_subject_, n_observe_)
                     : sim::Tracer::Span{};
-    obs = observe();
+    observe();
     if (tr) {
-      s_obs.arg(k_signals_, static_cast<double>(obs.size()));
+      s_obs.arg(k_signals_, static_cast<double>(obs_.size()));
       obs_id = s_obs.id();
       tr->flow(t, sim::FlowPhase::Begin, obs_id, trace_subject_, n_flow_obs_);
     }
   }
   if (cfg_.telemetry != nullptr) {
     std::string sampled;
-    for (const auto& [sig, v] : obs) {
-      (void)v;
+    for (const auto sample : obs_) {
       if (!sampled.empty()) sampled += ',';
-      sampled += sig;
+      sampled += attention_.name(sample.slot);
     }
     cfg_.telemetry->record(t, sim::TelemetryBus::kObservation, subject_,
-                           static_cast<double>(obs.size()), sampled);
+                           static_cast<double>(obs_.size()), sampled);
   }
   // Without stimulus awareness (disabled at construction or degraded away)
   // nothing else mirrors raw readings into the KB; do it here so higher
   // levels and policies can still see them.
   if (!stimulus_ || !active_levels_.has(Level::Stimulus)) {
-    mirror_readings(t, obs);
+    mirror_readings(t);
   }
 
   // Knowledge: awareness processes fold the observation into the KB; the
@@ -189,7 +181,7 @@ Decision SelfAwareAgent::step(double t) {
   {
     auto s_know = tr ? tr->span(t, trace_subject_, n_knowledge_)
                      : sim::Tracer::Span{};
-    run_processes(t, obs);
+    run_processes(t);
     if (tr) {
       tr->flow(t, sim::FlowPhase::Step, obs_id, trace_subject_, n_flow_obs_);
       cited.push_back(obs_id);
@@ -246,26 +238,24 @@ Decision SelfAwareAgent::step(double t) {
 
 void SelfAwareAgent::explain_decision(double t, const Decision& d,
                                       std::vector<sim::TraceId> cited) {
-  if (!explainer_.enabled()) {
-    explainer_.note_unexplained();
-    return;
-  }
-  Explanation e;
-  e.t = t;
-  e.agent = id_;
-  e.decision = d;
-  e.trace_id = d.trace_id;
-  e.cited = std::move(cited);
+  Explanation* e = explainer_.next();
+  if (e == nullptr) return;
+  // A recycled log entry keeps its old contents: set every field.
+  e->t = t;
+  e->agent = id_;
+  e->decision = d;
+  e->evidence.clear();
   for (const auto& key : d.evidence) {
     if (const auto item = kb_.latest(key)) {
-      e.evidence.push_back({key, item->value, item->confidence});
+      e->evidence.push_back({key, item->value, item->confidence});
     }
   }
-  if (goal_aware_) {
-    e.goal_utility = goal_aware_->current_utility();
-    e.has_goal = true;
-  }
-  explainer_.record(std::move(e));
+  e->goal_utility = goal_aware_ ? goal_aware_->current_utility() : 0.0;
+  e->has_goal = goal_aware_ != nullptr;
+  e->trace_id = d.trace_id;
+  e->cited = std::move(cited);
+  e->from_mode.clear();
+  e->to_mode.clear();
 }
 
 void SelfAwareAgent::reward(double r) {
@@ -305,7 +295,7 @@ std::string SelfAwareAgent::describe() const {
   if (!sensors_.empty()) {
     os << " (";
     for (std::size_t i = 0; i < sensors_.size(); ++i) {
-      os << (i ? ", " : "") << sensors_[i].name;
+      os << (i ? ", " : "") << attention_.name(sensors_[i].signal);
     }
     os << ")";
   }

@@ -92,7 +92,8 @@ class SelfAwareAgent {
   /// Installs the decision policy (replaces any previous one).
   void set_policy(std::unique_ptr<Policy> policy);
   /// Declares which KB keys carry the goal metrics (enables goal awareness
-  /// evaluation over them; requires Level::Goal).
+  /// evaluation over them; requires Level::Goal). A later call replaces the
+  /// goal process, and the meta level watches the replacement.
   void set_goal_metrics(std::vector<std::string> metrics);
 
   // -- The loop -------------------------------------------------------------
@@ -172,11 +173,12 @@ class SelfAwareAgent {
   [[nodiscard]] std::string describe() const;
 
  private:
-  Observation observe();
+  /// Samples the attended sensors into obs_.
+  void observe();
   /// Writes this step's raw readings into the KB (stimulus awareness
   /// off or paused), by cached id.
-  void mirror_readings(double t, const Observation& obs);
-  void run_processes(double t, const Observation& obs);
+  void mirror_readings(double t);
+  void run_processes(double t);
   void explain_decision(double t, const Decision& d,
                         std::vector<sim::TraceId> cited);
 
@@ -190,16 +192,15 @@ class SelfAwareAgent {
   AttentionManager attention_;
 
   struct Sensor {
-    std::string name;
     std::function<double()> read;
-    std::size_t signal;  ///< attention registration index
+    std::size_t signal;  ///< slot in attention_.table()
   };
   std::vector<Sensor> sensors_;
-  std::vector<char> attended_;  ///< observe() scratch, by attention index
-  /// The raw-reading mirror's state, built on its first use: attention
-  /// indices in signal-name order (an Observation's order), cached KB ids
-  /// by attention index, and the "sensor" provenance tag.
-  std::vector<std::size_t> by_name_;
+  std::vector<char> attended_;  ///< observe() scratch, by slot
+  /// This step's readings over attention_.table(), refilled in place.
+  Observation obs_{attention_.table()};
+  /// The raw-reading mirror's state, built on its first use: cached KB ids
+  /// by slot and the "sensor" provenance tag.
   std::vector<KnowledgeBase::KeyId> mirror_keys_;
   KnowledgeBase::SourceId mirror_src_ = 0;
   std::vector<std::string> action_names_;

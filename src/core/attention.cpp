@@ -6,18 +6,14 @@
 namespace sa::core {
 
 std::size_t AttentionManager::register_signal(const std::string& name) {
-  const auto it = std::find(order_.begin(), order_.end(), name);
-  if (it != order_.end()) {
-    return static_cast<std::size_t>(it - order_.begin());
-  }
-  order_.push_back(name);
-  state_.emplace_back();
-  return order_.size() - 1;
+  const std::size_t slot = table_.add(name);
+  if (slot == state_.size()) state_.emplace_back();
+  return slot;
 }
 
 const std::vector<std::size_t>& AttentionManager::select(sim::Rng& rng) {
   chosen_.clear();
-  const std::size_t n = order_.size();
+  const std::size_t n = table_.size();
   if (n == 0) return chosen_;
   const std::size_t k = std::min(budget_, n);
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/observation.hpp"
 #include "learn/estimators.hpp"
 #include "sim/rng.hpp"
 
@@ -32,7 +33,8 @@ class AttentionManager {
       : strategy_(strategy), budget_(budget) {}
 
   /// Declares a signal that may be attended to; returns its index in
-  /// registration order (the existing index for a repeated name).
+  /// registration order (the existing index for a repeated name), which is
+  /// its slot in table().
   std::size_t register_signal(const std::string& name);
 
   /// Chooses which signals to sample this step, as registration indices.
@@ -45,11 +47,13 @@ class AttentionManager {
 
   /// Name of the signal registered at `index`.
   [[nodiscard]] const std::string& name(std::size_t index) const {
-    return order_[index];
+    return table_.name(index);
   }
+  /// The registered signals: an agent's observations index this table.
+  [[nodiscard]] const SignalTable& table() const noexcept { return table_; }
   [[nodiscard]] Strategy strategy() const noexcept { return strategy_; }
   [[nodiscard]] std::size_t budget() const noexcept { return budget_; }
-  [[nodiscard]] std::size_t signals() const noexcept { return order_.size(); }
+  [[nodiscard]] std::size_t signals() const noexcept { return table_.size(); }
 
  private:
   struct SignalState {
@@ -61,8 +65,8 @@ class AttentionManager {
 
   Strategy strategy_;
   std::size_t budget_;
-  std::vector<std::string> order_;     // registration order
-  std::vector<SignalState> state_;     // parallel to order_
+  SignalTable table_;                  // slot = registration index
+  std::vector<SignalState> state_;     // by slot
   std::size_t rr_cursor_ = 0;
   // select() scratch, reused every step.
   std::vector<std::size_t> chosen_;

@@ -60,10 +60,14 @@ std::vector<Explanation> Explainer::snapshot(std::size_t last_n) const {
 }
 
 void Explainer::record(Explanation e) {
+  if (Explanation* slot = next()) *slot = std::move(e);
+}
+
+Explanation* Explainer::next() {
   ++decisions_;
-  if (!enabled_ || log_.capacity() == 0) return;
+  if (!enabled_ || log_.capacity() == 0) return nullptr;
   ++explained_;
-  log_.push(std::move(e));
+  return &log_.push_slot();
 }
 
 }  // namespace sa::core

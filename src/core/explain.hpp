@@ -60,6 +60,11 @@ class Explainer {
  public:
   /// Counts a decision; stores the explanation when enabled.
   void record(Explanation e);
+  /// Counts a decision and, when enabled, returns the log entry to write
+  /// its explanation into (null when disabled). Once the log is full the
+  /// entry is the oldest one, recycled with its contents, so its strings
+  /// and vectors keep their storage: the caller must set every field.
+  Explanation* next();
   /// Counts a decision that produced no explanation (coverage accounting).
   void note_unexplained() { ++decisions_; }
 

@@ -53,11 +53,9 @@ bool GoalModel::set_weight(const std::string& metric, double weight) {
 double GoalModel::raw_utility(const MetricMap& m) const {
   if (objectives_.empty()) return 0.0;
   double acc = 0.0, total_w = 0.0;
-  for (const auto& o : objectives_) {
-    const auto it = m.find(o.metric);
-    const double u = it == m.end() ? 0.0 : o.fn(it->second);
-    acc += o.weight * u;
-    total_w += o.weight;
+  for (std::size_t i = 0; i < objectives_.size(); ++i) {
+    acc += objectives_[i].weight * objective_utility(i, m);
+    total_w += objectives_[i].weight;
   }
   return total_w > 0.0 ? acc / total_w : 0.0;
 }
@@ -73,12 +71,10 @@ double GoalModel::utility(const MetricMap& m) const {
   return std::clamp(u, 0.0, 1.0);
 }
 
-std::vector<std::string> GoalModel::violations(const MetricMap& m) const {
-  std::vector<std::string> out;
-  for (const auto& c : constraints_) {
-    if (!c.satisfied(m)) out.push_back(c.name);
-  }
-  return out;
+std::size_t GoalModel::violated(const MetricMap& m) const {
+  return static_cast<std::size_t>(
+      std::count_if(constraints_.begin(), constraints_.end(),
+                    [&](const Constraint& c) { return !c.satisfied(m); }));
 }
 
 bool GoalModel::feasible(const MetricMap& m) const {
@@ -88,23 +84,17 @@ bool GoalModel::feasible(const MetricMap& m) const {
                      });
 }
 
-std::vector<std::pair<std::string, double>> GoalModel::breakdown(
-    const MetricMap& m) const {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(objectives_.size());
-  for (const auto& o : objectives_) {
-    const auto it = m.find(o.metric);
-    out.emplace_back(o.metric, it == m.end() ? 0.0 : o.fn(it->second));
-  }
-  return out;
+double GoalModel::objective_utility(std::size_t i, const MetricMap& m) const {
+  const Objective& o = objectives_[i];
+  const auto it = m.find(o.metric);
+  return it == m.end() ? 0.0 : o.fn(it->second);
 }
 
 bool GoalModel::dominates(const MetricMap& a, const MetricMap& b) const {
   bool strictly_better = false;
-  for (const auto& o : objectives_) {
-    const auto ia = a.find(o.metric), ib = b.find(o.metric);
-    const double ua = ia == a.end() ? 0.0 : o.fn(ia->second);
-    const double ub = ib == b.end() ? 0.0 : o.fn(ib->second);
+  for (std::size_t i = 0; i < objectives_.size(); ++i) {
+    const double ua = objective_utility(i, a);
+    const double ub = objective_utility(i, b);
     if (ua < ub) return false;
     if (ua > ub) strictly_better = true;
   }

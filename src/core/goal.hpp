@@ -63,16 +63,21 @@ class GoalModel {
   [[nodiscard]] double utility(const MetricMap& m) const;
   /// Utility ignoring constraints (for diagnosis).
   [[nodiscard]] double raw_utility(const MetricMap& m) const;
-  /// Names of constraints violated by `m`.
-  [[nodiscard]] std::vector<std::string> violations(const MetricMap& m) const;
+  /// Number of constraints (hard or soft) violated by `m`.
+  [[nodiscard]] std::size_t violated(const MetricMap& m) const;
   [[nodiscard]] bool feasible(const MetricMap& m) const;
 
-  /// Per-objective utilities, for explanation ("power contributed 0.31").
-  [[nodiscard]] std::vector<std::pair<std::string, double>> breakdown(
-      const MetricMap& m) const;
+  /// Utility of objective `i` alone, for explanation ("power contributed
+  /// 0.31"); 0 when its metric is missing from `m`.
+  [[nodiscard]] double objective_utility(std::size_t i,
+                                         const MetricMap& m) const;
 
   [[nodiscard]] std::size_t objectives() const noexcept {
     return objectives_.size();
+  }
+  /// The metric objective `i` reads.
+  [[nodiscard]] const std::string& objective_metric(std::size_t i) const {
+    return objectives_[i].metric;
   }
   [[nodiscard]] std::size_t constraints() const noexcept {
     return constraints_.size();

@@ -1,16 +1,29 @@
 #include "core/knowledge.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 
 namespace sa::core {
 
 namespace {
 
-/// Slots a ring reserves when its key is interned; later growth doubles.
-constexpr std::size_t kFirstBlock = 4;
+/// Room the key tables take on a base's first key: 40 keys with names
+/// averaging 20 bytes, and 8 sources. The most numerous agents, the svc
+/// case study's cameras, hold 33-37 keys (~620 bytes of names) from 5
+/// sources, so their tables are allocated once instead of doubling up
+/// from one entry; a bigger base grows by doubling from there.
+constexpr std::size_t kFirstKeys = 40;
+constexpr std::size_t kFirstNameBytes = kFirstKeys * 20;
+constexpr std::size_t kFirstSources = 8;
 
 }  // namespace
+
+std::size_t KnowledgeBase::block_size(std::size_t size) const noexcept {
+  if (size == 0) return 0;
+  return std::min(limit(), std::max(kFirstBlock, std::bit_ceil(size)));
+}
 
 std::vector<KnowledgeBase::KeyId>::const_iterator KnowledgeBase::lower_bound(
     std::string_view key) const noexcept {
@@ -24,26 +37,47 @@ KnowledgeBase::KeyId KnowledgeBase::find(std::string_view key) const noexcept {
   return pos != sorted_.end() && name(*pos) == key ? *pos : kNoKey;
 }
 
-KnowledgeBase::KeyId KnowledgeBase::key(std::string_view key) {
-  const auto pos = lower_bound(key);
-  if (pos != sorted_.end() && name(*pos) == key) return *pos;
+void KnowledgeBase::reserve_tables() {
+  if (entries_.capacity() != 0) return;
+  names_.reserve(kFirstNameBytes);
+  name_end_.reserve(kFirstKeys);
+  entries_.reserve(kFirstKeys);
+  sorted_.reserve(kFirstKeys);
+}
+
+KnowledgeBase::KeyId KnowledgeBase::add_key(
+    std::vector<KeyId>::const_iterator pos) {
   const KeyId id = static_cast<KeyId>(entries_.size());
-  names_.append(key);
   name_end_.push_back(static_cast<std::uint32_t>(names_.size()));
-  entries_.emplace_back(history_limit_);
-  entries_.back().reserve(std::min(history_limit_, kFirstBlock));
+  entries_.emplace_back();
   sorted_.insert(pos, id);
   return id;
+}
+
+KnowledgeBase::KeyId KnowledgeBase::key(std::string_view key) {
+  reserve_tables();
+  const auto pos = lower_bound(key);
+  if (pos != sorted_.end() && name(*pos) == key) return *pos;
+  names_.append(key);
+  return add_key(pos);
 }
 
 KnowledgeBase::KeyId KnowledgeBase::key(KeyId& id, std::string_view prefix,
                                         std::string_view name,
                                         std::string_view suffix) {
   if (id != kNoKey) return id;
-  std::string full;
-  full.reserve(prefix.size() + name.size() + suffix.size());
-  full.append(prefix).append(name).append(suffix);
-  return id = key(full);
+  reserve_tables();
+  // Assemble the name where a new key's name goes, at the end of names_,
+  // rather than in a temporary string; drop it again if the key exists.
+  const std::size_t begin = names_.size();
+  names_.append(prefix).append(name).append(suffix);
+  const std::string_view full(names_.data() + begin, names_.size() - begin);
+  const auto pos = lower_bound(full);
+  if (pos != sorted_.end() && this->name(*pos) == full) {
+    names_.resize(begin);
+    return id = *pos;
+  }
+  return id = add_key(pos);
 }
 
 KnowledgeBase::SourceId KnowledgeBase::source_id(std::string_view source) {
@@ -52,28 +86,63 @@ KnowledgeBase::SourceId KnowledgeBase::source_id(std::string_view source) {
   if (source.empty()) return 0;
   const auto it = std::find(sources_.begin(), sources_.end(), source);
   if (it == sources_.end()) {
+    if (sources_.empty()) sources_.reserve(kFirstSources);
     sources_.emplace_back(source);
     return static_cast<SourceId>(sources_.size());
   }
   return static_cast<SourceId>(it - sources_.begin()) + 1;
 }
 
+KnowledgeBase::TtlId KnowledgeBase::ttl_id(double ttl) {
+  const auto bits = std::bit_cast<std::uint64_t>(ttl);
+  if (bits == std::bit_cast<std::uint64_t>(
+                  std::numeric_limits<double>::infinity())) {
+    return 0;
+  }
+  const auto it =
+      std::find_if(ttls_.begin(), ttls_.end(), [bits](double known) {
+        return std::bit_cast<std::uint64_t>(known) == bits;
+      });
+  if (it != ttls_.end()) return static_cast<TtlId>(it - ttls_.begin()) + 1;
+  if (ttls_.size() == std::numeric_limits<TtlId>::max()) {
+    throw std::length_error("KnowledgeBase: too many distinct TTLs");
+  }
+  ttls_.push_back(ttl);
+  return static_cast<TtlId>(ttls_.size());
+}
+
 void KnowledgeBase::put(KeyId id, KnowledgeItem item) {
+  // Items that declared no shelf life inherit the default.
+  const double ttl = std::isinf(item.ttl) ? default_ttl_ : item.ttl;
   store(id, Slot{item.value, item.time, item.confidence,
-                 // Items that declared no shelf life inherit the default.
-                 std::isinf(item.ttl) ? default_ttl_ : item.ttl,
-                 source_id(item.source), item.scope});
+                 source_id(item.source), ttl_id(ttl), item.scope});
 }
 
 void KnowledgeBase::put_number(KeyId id, double value, double time,
                                double confidence, Scope scope,
                                SourceId source) {
-  store(id, Slot{value, time, confidence, default_ttl_, source, scope});
+  if (default_ttl_id_ == kNoTtl) default_ttl_id_ = ttl_id(default_ttl_);
+  store(id, Slot{value, time, confidence, source,
+                 static_cast<TtlId>(default_ttl_id_), scope});
 }
 
 void KnowledgeBase::store(KeyId id, const Slot& s) {
   if (history_limit_ == 0) return;
-  entries_[id].push(s);
+  History& h = entries_[id];
+  const std::size_t full = limit();
+  if (h.size == full) {
+    h.slots[h.head] = s;
+    if (++h.head == full) h.head = 0;
+    return;
+  }
+  const std::size_t cap = block_size(h.size);
+  if (h.size == cap) {  // first write, or the block is full: grow it
+    const std::size_t grown = std::min(full, cap == 0 ? kFirstBlock : 2 * cap);
+    std::unique_ptr<Slot[]> bigger(new Slot[grown]);
+    std::copy_n(h.slots.get(), h.size, bigger.get());
+    h.slots = std::move(bigger);
+  }
+  h.slots[h.size++] = s;
 }
 
 KnowledgeItem KnowledgeBase::item(const Slot& s) const {
@@ -83,7 +152,7 @@ KnowledgeItem KnowledgeBase::item(const Slot& s) const {
   out.confidence = s.confidence;
   out.scope = s.scope;
   if (s.source != 0) out.source = sources_[s.source - 1];
-  out.ttl = s.ttl;
+  out.ttl = ttl(s);
   return out;
 }
 
@@ -112,9 +181,9 @@ std::vector<KnowledgeItem> KnowledgeBase::history(std::string_view key) const {
   std::vector<KnowledgeItem> out;
   const KeyId id = find(key);
   if (id == kNoKey) return out;
-  const sim::Ring<Slot>& h = entries_[id];
-  out.reserve(h.size());
-  for (const Slot& s : h) out.push_back(item(s));
+  const History& h = entries_[id];
+  out.reserve(h.size);
+  for (std::size_t i = 0; i < h.size; ++i) out.push_back(item(at(h, i)));
   return out;
 }
 
@@ -122,7 +191,7 @@ bool KnowledgeBase::fresh(std::string_view key, double now) const noexcept {
   const KeyId id = find(key);
   if (id == kNoKey) return false;
   const Slot* s = latest_slot(id);
-  return s != nullptr && now - s->time <= s->ttl;
+  return s != nullptr && now - s->time <= ttl(*s);
 }
 
 std::vector<std::string> KnowledgeBase::keys() const {

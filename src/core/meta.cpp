@@ -1,9 +1,53 @@
 #include "core/meta.hpp"
 
+#include <algorithm>
+#include <cstddef>
+#include <stdexcept>
+#include <string>
+
 namespace sa::core {
 
 void MetaSelfAwareness::watch(AwarenessProcess& proc) {
   watched_.push_back({&proc});
+}
+
+bool MetaSelfAwareness::resolve_model(Watched& w) {
+  const std::string name = w.proc->name();
+  // A model's name is that of the processes resolved to it.
+  const auto name_of = [this](std::size_t m) {
+    for (const Watched& o : watched_) {
+      if (o.model == m) return o.proc->name();
+    }
+    return std::string{};
+  };
+  std::size_t pos = 0;
+  for (; pos < models_.size(); ++pos) {
+    const std::string other = name_of(pos);
+    if (other == name) {
+      w.model = pos;
+      return false;
+    }
+    if (name < other) break;
+  }
+  models_.insert(models_.begin() + static_cast<std::ptrdiff_t>(pos),
+                 learn::Ewma(kQualityAlpha));
+  for (Watched& o : watched_) {
+    if (o.model != kNoModel && o.model >= pos) ++o.model;
+  }
+  w.model = pos;
+  return true;
+}
+
+void MetaSelfAwareness::replace(const AwarenessProcess& old,
+                                AwarenessProcess& now) {
+  const auto it =
+      std::find_if(watched_.begin(), watched_.end(),
+                   [&old](const Watched& w) { return w.proc == &old; });
+  if (it == watched_.end() || old.name() != now.name()) {
+    throw std::invalid_argument(
+        "MetaSelfAwareness::replace: not a watched process of that name");
+  }
+  it->proc = &now;
 }
 
 void MetaSelfAwareness::on_drift(std::string name, Adaptation a) {
@@ -19,13 +63,10 @@ void MetaSelfAwareness::update(double t, const Observation& obs) {
   // 1. Introspect the watched processes' self-assessed quality.
   for (Watched& w : watched_) {
     AwarenessProcess* proc = w.proc;
-    bool inserted = false;
-    if (w.quality == nullptr) {
-      auto [it, fresh] = qualities_.try_emplace(proc->name(), kQualityAlpha);
-      w.quality = &it->second;
-      inserted = fresh;
-    }
-    learn::Ewma& quality = *w.quality;
+    // The first assessment under a name starts its model; a just-started
+    // model is not judged.
+    const bool inserted = w.model == kNoModel && resolve_model(w);
+    learn::Ewma& quality = models_[w.model];
     quality.add(proc->quality());
     if (w.k_quality == kNoKey) {
       kb_.key(w.k_quality, "meta.", proc->name(), ".quality");
@@ -81,13 +122,10 @@ void MetaSelfAwareness::update(double t, const Observation& obs) {
 }
 
 double MetaSelfAwareness::quality() const {
-  if (qualities_.empty()) return updates_ > 0 ? 1.0 : 0.0;
+  if (models_.empty()) return updates_ > 0 ? 1.0 : 0.0;
   double acc = 0.0;
-  for (const auto& [proc, q] : qualities_) {
-    (void)proc;
-    acc += q.value();
-  }
-  return acc / static_cast<double>(qualities_.size());
+  for (const learn::Ewma& q : models_) acc += q.value();
+  return acc / static_cast<double>(models_.size());
 }
 
 }  // namespace sa::core

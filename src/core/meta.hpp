@@ -14,8 +14,8 @@
 // merely possessing information but using it to modify goals/behaviour).
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -50,8 +50,15 @@ class MetaSelfAwareness final : public AwarenessProcess {
   MetaSelfAwareness(KnowledgeBase& kb, Params p)
       : p_(p), kb_(kb), drift_(p.ph_delta, p.ph_lambda) {}
 
-  /// Registers a process to watch. Non-owning; must outlive this object.
+  /// Registers a process to watch. Non-owning; must outlive this object
+  /// (or be replaced first). Processes sharing a name share one quality
+  /// model.
   void watch(AwarenessProcess& proc);
+  /// Hands `old`'s watch, with its quality model and keys, to `now` (say,
+  /// a goal process rebuilt over new metrics), so `old` can be destroyed.
+  /// Throws std::invalid_argument if `old` is not watched or the two
+  /// differ in name.
+  void replace(const AwarenessProcess& old, AwarenessProcess& now);
   /// Registers an adaptation run whenever utility drift is detected.
   void on_drift(std::string name, Adaptation a);
 
@@ -70,23 +77,32 @@ class MetaSelfAwareness final : public AwarenessProcess {
   [[nodiscard]] std::size_t adaptations_fired() const noexcept {
     return fired_;
   }
+  /// Mean smoothed quality of the watched processes, summed in process-
+  /// name order (1 before any is assessed, 0 before the first update).
   [[nodiscard]] double quality() const override;
 
  private:
-  /// A watched process, its quality model (an entry of qualities_, made
-  /// on its first update) and the cached ids of its "meta.<proc>." keys.
+  static constexpr std::size_t kNoModel = static_cast<std::size_t>(-1);
+
+  /// A watched process, the index of its quality model in models_ (set on
+  /// its first assessment) and the cached ids of its "meta.<proc>." keys.
   struct Watched {
     AwarenessProcess* proc;
-    learn::Ewma* quality = nullptr;
+    std::size_t model = kNoModel;
     KnowledgeBase::KeyId k_quality = KnowledgeBase::kNoKey;
     KnowledgeBase::KeyId k_reconfigured = KnowledgeBase::kNoKey;
   };
+  /// Resolves `w`'s quality model: the one of any process with its name,
+  /// else a new one. Returns true when the model is new.
+  bool resolve_model(Watched& w);
 
   Params p_;
   KnowledgeBase& kb_;
   KnowledgeBase::SourceId src_ = 0;  ///< "meta", resolved on first update
   std::vector<Watched> watched_;
-  std::map<std::string, learn::Ewma> qualities_;
+  /// One smoothed quality per distinct process name, in ascending name
+  /// order (quality()'s order); made on the first assessment under a name.
+  std::vector<learn::Ewma> models_;
   // Cached ids: the utility streams read (resolved once they exist) and
   // the fixed "meta.*" keys written.
   KnowledgeBase::KeyId k_goal_utility_ = KnowledgeBase::kNoKey;

@@ -1,7 +1,9 @@
 #include "core/policy.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace sa::core {
 
@@ -50,9 +52,15 @@ Decision BanditPolicy::decide(double t, const KnowledgeBase& kb,
   for (std::size_t a = 0; a < actions.size() && a < bandit_->arms(); ++a) {
     d.considered.push_back({actions[a], bandit_->value(a)});
   }
-  std::ostringstream os;
-  os << bandit_->name() << " value estimate " << bandit_->value(last_arm_);
-  d.rationale = os.str();
+  // "%g" is what an ostream prints a double as by default; formatting into
+  // a stack buffer leaves the rationale string the step's one allocation.
+  char value[32];
+  const auto n = static_cast<std::size_t>(std::snprintf(
+      value, sizeof value, "%g", bandit_->value(last_arm_)));
+  const std::string name = bandit_->name();
+  constexpr std::string_view kMiddle = " value estimate ";
+  d.rationale.reserve(name.size() + kMiddle.size() + n);
+  d.rationale.append(name).append(kMiddle).append(value, n);
   return d;
 }
 

@@ -9,17 +9,14 @@
 // the awareness machinery itself.
 #pragma once
 
-#include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/knowledge.hpp"
 #include "core/levels.hpp"
+#include "core/observation.hpp"
 
 namespace sa::core {
-
-/// The sensor samples gathered in one observe phase: signal name → value.
-/// Signals not sampled this step (attention!) are simply absent.
-using Observation = std::map<std::string, double>;
 
 /// Base class for all awareness processes.
 class AwarenessProcess {
@@ -41,6 +38,22 @@ class AwarenessProcess {
   /// Invoked by the meta level when it judges this process stale
   /// (e.g. after concept drift). Default: no-op.
   virtual void reconfigure() {}
+
+ protected:
+  /// For processes that keep per-signal state by slot: binds `table` to
+  /// the first signal table an observation brings. Returns false for an
+  /// observation over no table (nothing sampled). Throws
+  /// std::invalid_argument when `obs` indexes a different table, whose
+  /// slots would not line up with the state already kept.
+  static bool bind_signals(const SignalTable*& table, const Observation& obs) {
+    if (obs.signals() == nullptr) return false;
+    if (table == nullptr) table = obs.signals();
+    if (table != obs.signals()) {
+      throw std::invalid_argument(
+          "awareness process: observations must share one signal table");
+    }
+    return true;
+  }
 };
 
 }  // namespace sa::core

@@ -6,11 +6,13 @@ namespace sa::core {
 
 void StimulusAwareness::update(double t, const Observation& obs) {
   events_.clear();
+  if (!bind_signals(signals_, obs)) return;
   if (src_ == 0) src_ = kb_.source_id(name());
-  for (const auto& [sig, value] : obs) {
-    auto [it, inserted] = models_.try_emplace(sig);
-    Model& m = it->second;
-    const bool warm = !inserted && m.var.count() >= kMinSamples;
+  if (models_.size() < signals_->size()) models_.resize(signals_->size());
+  for (const auto [slot, value] : obs) {
+    const std::string& sig = signals_->name(slot);
+    Model& m = models_[slot];
+    const bool warm = m.var.count() >= kMinSamples;
     if (warm) {
       const double sd = m.var.stddev();
       const double z = sd > 1e-9 ? (value - m.var.mean()) / sd : 0.0;
@@ -29,16 +31,19 @@ void StimulusAwareness::update(double t, const Observation& obs) {
 }
 
 double StimulusAwareness::quality() const {
-  // No signals observed yet — neutral, not failing.
-  if (models_.empty()) return 1.0;
-  std::size_t warm = 0;
-  for (const auto& [sig, m] : models_) {
-    (void)sig;
-    if (m.var.count() >= kMinSamples) ++warm;
+  std::size_t made = 0, warm = 0;
+  for (const Model& m : models_) {
+    made += m.var.count() > 0;
+    warm += m.var.count() >= kMinSamples;
   }
-  return static_cast<double>(warm) / static_cast<double>(models_.size());
+  // No signals observed yet — neutral, not failing.
+  if (made == 0) return 1.0;
+  return static_cast<double>(warm) / static_cast<double>(made);
 }
 
-void StimulusAwareness::reconfigure() { models_.clear(); }
+void StimulusAwareness::reconfigure() {
+  // Fresh baselines; the cached key ids stay valid for the same keys.
+  for (Model& m : models_) m.var.reset();
+}
 
 }  // namespace sa::core

@@ -7,7 +7,6 @@
 // what the paper adds.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -41,7 +40,8 @@ class StimulusAwareness final : public AwarenessProcess {
   [[nodiscard]] std::string name() const override { return "stimulus"; }
 
   /// Mirrors each observed signal to the KB (key = signal name, Public) and
-  /// writes "stimulus.<sig>.novel" = z-score when an event fires.
+  /// writes "stimulus.<sig>.novel" = z-score when an event fires. Every
+  /// observation must come from one signal table (see bind_signals()).
   void update(double t, const Observation& obs) override;
 
   /// Events fired on the most recent update().
@@ -59,7 +59,9 @@ class StimulusAwareness final : public AwarenessProcess {
   void reconfigure() override;
 
  private:
-  /// A signal's baseline model and the KB keys it writes (cached ids).
+  /// A signal's baseline model and the KB keys it writes (cached ids). A
+  /// model with no samples is one the process does not have yet: it is
+  /// made on the signal's first reading, and reconfigure() unmakes it.
   struct Model {
     learn::EwmaVar var{kAlpha};
     KnowledgeBase::KeyId raw = KnowledgeBase::kNoKey;
@@ -69,7 +71,8 @@ class StimulusAwareness final : public AwarenessProcess {
 
   KnowledgeBase& kb_;
   KnowledgeBase::SourceId src_ = 0;  ///< "stimulus", resolved on first update
-  std::map<std::string, Model> models_;
+  const SignalTable* signals_ = nullptr;  ///< bound on the first update
+  std::vector<Model> models_;             ///< by signal slot
   std::vector<StimulusEvent> events_;
 };
 

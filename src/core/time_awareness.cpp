@@ -1,77 +1,71 @@
 #include "core/time_awareness.hpp"
 
+#include <algorithm>
+
 namespace sa::core {
 
-std::size_t TimeAwareness::Ensemble::best() const {
-  std::size_t b = 0;
-  for (std::size_t i = 1; i < members.size(); ++i) {
-    // Prefer scored members; among scored, lowest MAE wins.
-    const bool i_scored = members[i].scored() > 0;
-    const bool b_scored = members[b].scored() > 0;
-    if (i_scored && (!b_scored || members[i].mae() < members[b].mae())) b = i;
-  }
-  return b;
-}
-
-TimeAwareness::Ensemble TimeAwareness::make_ensemble() const {
-  Ensemble e;
-  const std::size_t h = p_.score_horizon;
-  e.members.emplace_back(std::make_unique<learn::NaiveForecaster>(), h);
-  e.members.emplace_back(std::make_unique<learn::SesForecaster>(), h);
-  e.members.emplace_back(std::make_unique<learn::HoltForecaster>(), h);
-  if (p_.seasonal_period > 1) {
-    e.members.emplace_back(
-        std::make_unique<learn::HoltWintersForecaster>(p_.seasonal_period),
-        h);
-  }
-  return e;
+double TimeAwareness::confidence(const Signal& s, std::size_t best) const {
+  return s.ens.scored(shape_) > 0
+             ? 1.0 / (1.0 + s.ens.mae(best, shape_) / p_.error_scale)
+             : 0.0;
 }
 
 void TimeAwareness::update(double t, const Observation& obs) {
+  if (!bind_signals(signals_, obs)) return;
   if (src_ == 0) src_ = kb_.source_id(name());
-  for (const auto& [sig, value] : obs) {
-    auto it = signals_.find(sig);
-    if (it == signals_.end()) {
-      it = signals_.emplace(sig, make_ensemble()).first;
+  if (state_.size() < signals_->size()) state_.resize(signals_->size());
+  const std::size_t tail_size = shape_.tail_size();
+  for (const auto [slot, value] : obs) {
+    Signal& s = state_[slot];
+    if (s.tail == kNoTail) {
+      // First reading ever: room for every signal's tail at once.
+      if (tails_.empty()) tails_.reserve(state_.size() * tail_size);
+      s.tail = static_cast<std::uint32_t>(tails_.size());
+      tails_.resize(tails_.size() + tail_size, 0.0);
     }
-    auto& ens = it->second;
-    for (auto& m : ens.members) m.observe(value);
+    double* tail = tails_.data() + s.tail;
+    s.ens.observe(value, shape_, tail);
 
-    const std::size_t b = ens.best();
-    const auto& winner = ens.members[b];
-    const double conf =
-        winner.scored() > 0 ? 1.0 / (1.0 + winner.mae() / p_.error_scale)
-                            : 0.0;
-    kb_.put_number(kb_.key(ens.forecast, "forecast.", sig),
-                   winner.forecast(1), t, conf, Scope::Private, src_);
-    kb_.put_number(kb_.key(ens.mae, "forecast.", sig, ".mae"), winner.mae(),
-                   t, 1.0, Scope::Private, src_);
-    kb_.put_number(kb_.key(ens.model, "forecast.", sig, ".model"),
+    const std::size_t b = s.ens.best(shape_);
+    const std::string& sig = signals_->name(slot);
+    kb_.put_number(kb_.key(s.forecast, "forecast.", sig),
+                   s.ens.forecast(b, 1, shape_, tail), t, confidence(s, b),
+                   Scope::Private, src_);
+    kb_.put_number(kb_.key(s.mae, "forecast.", sig, ".mae"),
+                   s.ens.mae(b, shape_), t, 1.0, Scope::Private, src_);
+    kb_.put_number(kb_.key(s.model, "forecast.", sig, ".model"),
                    static_cast<double>(b), t, 1.0, Scope::Private, src_);
   }
 }
 
-double TimeAwareness::forecast(const std::string& signal,
-                               std::size_t h) const {
-  const auto it = signals_.find(signal);
-  if (it == signals_.end()) return 0.0;
-  return it->second.members[it->second.best()].forecast(h);
+double TimeAwareness::forecast(std::string_view signal, std::size_t h) const {
+  const std::size_t slot =
+      signals_ != nullptr ? signals_->find(signal) : SignalTable::npos;
+  if (slot >= state_.size() || state_[slot].ens.count() == 0) return 0.0;
+  const Signal& s = state_[slot];
+  return s.ens.forecast(s.ens.best(shape_), h, shape_, tails_.data() + s.tail);
 }
 
 double TimeAwareness::quality() const {
-  // No tracked signals yet — neutral, not failing.
-  if (signals_.empty()) return 1.0;
   double acc = 0.0;
-  for (const auto& [sig, ens] : signals_) {
-    (void)sig;
-    const auto& winner = ens.members[ens.best()];
-    acc += winner.scored() > 0
-               ? 1.0 / (1.0 + winner.mae() / p_.error_scale)
-               : 0.0;
+  std::size_t tracked = 0;
+  if (signals_ != nullptr) {
+    for (const std::uint32_t slot : signals_->by_name()) {
+      if (slot >= state_.size() || state_[slot].ens.count() == 0) continue;
+      const Signal& s = state_[slot];
+      acc += confidence(s, s.ens.best(shape_));
+      ++tracked;
+    }
   }
-  return acc / static_cast<double>(signals_.size());
+  // No tracked signals yet — neutral, not failing.
+  if (tracked == 0) return 1.0;
+  return acc / static_cast<double>(tracked);
 }
 
-void TimeAwareness::reconfigure() { signals_.clear(); }
+void TimeAwareness::reconfigure() {
+  // Fresh ensembles in place: each signal keeps its tail and key ids.
+  for (Signal& s : state_) s.ens = {};
+  std::fill(tails_.begin(), tails_.end(), 0.0);
+}
 
 }  // namespace sa::core

@@ -1,47 +1,86 @@
 // One-step-ahead forecasters for time-awareness.
 //
 // Time-awareness in the framework (Section IV of the paper, level T) is the
-// capability to use knowledge of history to anticipate the future. These
-// forecasters share a minimal interface so the meta-self-awareness layer
-// can race them against each other and switch at run time.
+// capability to use knowledge of history to anticipate the future. Four
+// models compete: naive (last value), simple exponential smoothing, Holt's
+// linear trend and additive Holt-Winters. Their update rules are written
+// once, in `rules`, and used two ways: by the standalone forecasters, and
+// by ForecastEnsemble, the flat record in which time awareness races all
+// of them over one signal and scores each by its own error — the
+// self-assessment the meta-self-awareness layer reads.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/ring.hpp"
-
 namespace sa::learn {
 
-/// Interface: incremental one-step-ahead scalar forecaster.
-class Forecaster {
- public:
-  virtual ~Forecaster() = default;
-  /// Feed the next observed value.
-  virtual void observe(double x) = 0;
-  /// Predict the next value (h=1) or h steps ahead.
-  [[nodiscard]] virtual double forecast(std::size_t h = 1) const = 0;
-  /// Identifier for explanation traces.
-  [[nodiscard]] virtual std::string name() const = 0;
-  /// Observations consumed so far.
-  [[nodiscard]] virtual std::size_t count() const = 0;
-};
+/// Update and forecast rules; `n` is the number of observations the state
+/// has already folded in.
+namespace rules {
+
+inline double ses(double level, double x, std::size_t n, double alpha) {
+  return n == 0 ? x : alpha * x + (1.0 - alpha) * level;
+}
+
+inline void holt(double& level, double& trend, double x, std::size_t n,
+                 double alpha, double beta) {
+  if (n == 0) {
+    level = x;
+  } else if (n == 1) {
+    trend = x - level;
+    level = x;
+  } else {
+    const double prev_level = level;
+    level = alpha * x + (1.0 - alpha) * (level + trend);
+    trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+  }
+}
+
+/// `season` holds `period` values.
+inline void holt_winters(double& level, double& trend, double& warm_sum,
+                         double* season, std::size_t period, double x,
+                         std::size_t n, double alpha, double beta,
+                         double gamma) {
+  const std::size_t s = n % period;
+  if (n < period) {
+    // Warm-up: accumulate one full season before smoothing.
+    season[s] = x;
+    warm_sum += x;
+    if (n + 1 == period) {
+      level = warm_sum / static_cast<double>(period);
+      for (std::size_t i = 0; i < period; ++i) season[i] -= level;
+    }
+  } else {
+    const double prev_level = level;
+    level = alpha * (x - season[s]) + (1.0 - alpha) * (level + trend);
+    trend = beta * (level - prev_level) + (1.0 - beta) * trend;
+    season[s] = gamma * (x - level) + (1.0 - gamma) * season[s];
+  }
+}
+
+inline double holt_winters_forecast(double level, double trend,
+                                    const double* season, std::size_t period,
+                                    std::size_t n, std::size_t h) {
+  if (n < period) return n ? season[(n - 1) % period] : 0.0;
+  const std::size_t s = (n + h - 1) % period;
+  return level + static_cast<double>(h) * trend + season[s];
+}
+
+}  // namespace rules
 
 /// Predicts the last observed value (random-walk baseline).
-class NaiveForecaster final : public Forecaster {
+class NaiveForecaster {
  public:
-  void observe(double x) override {
+  void observe(double x) {
     last_ = x;
     ++n_;
   }
-  [[nodiscard]] double forecast(std::size_t = 1) const override {
-    return last_;
-  }
-  [[nodiscard]] std::string name() const override { return "naive"; }
-  [[nodiscard]] std::size_t count() const override { return n_; }
+  [[nodiscard]] double forecast(std::size_t = 1) const { return last_; }
+  [[nodiscard]] std::string name() const { return "naive"; }
+  [[nodiscard]] std::size_t count() const { return n_; }
 
  private:
   double last_ = 0.0;
@@ -49,18 +88,13 @@ class NaiveForecaster final : public Forecaster {
 };
 
 /// Simple exponential smoothing (level only).
-class SesForecaster final : public Forecaster {
+class SesForecaster {
  public:
   explicit SesForecaster(double alpha = 0.3) : alpha_(alpha) {}
-  void observe(double x) override {
-    level_ = n_ == 0 ? x : alpha_ * x + (1.0 - alpha_) * level_;
-    ++n_;
-  }
-  [[nodiscard]] double forecast(std::size_t = 1) const override {
-    return level_;
-  }
-  [[nodiscard]] std::string name() const override { return "ses"; }
-  [[nodiscard]] std::size_t count() const override { return n_; }
+  void observe(double x) { level_ = rules::ses(level_, x, n_++, alpha_); }
+  [[nodiscard]] double forecast(std::size_t = 1) const { return level_; }
+  [[nodiscard]] std::string name() const { return "ses"; }
+  [[nodiscard]] std::size_t count() const { return n_; }
 
  private:
   double alpha_;
@@ -69,28 +103,18 @@ class SesForecaster final : public Forecaster {
 };
 
 /// Holt's linear trend method (level + trend).
-class HoltForecaster final : public Forecaster {
+class HoltForecaster {
  public:
   HoltForecaster(double alpha = 0.3, double beta = 0.1)
       : alpha_(alpha), beta_(beta) {}
-  void observe(double x) override {
-    if (n_ == 0) {
-      level_ = x;
-    } else if (n_ == 1) {
-      trend_ = x - level_;
-      level_ = x;
-    } else {
-      const double prev_level = level_;
-      level_ = alpha_ * x + (1.0 - alpha_) * (level_ + trend_);
-      trend_ = beta_ * (level_ - prev_level) + (1.0 - beta_) * trend_;
-    }
-    ++n_;
+  void observe(double x) {
+    rules::holt(level_, trend_, x, n_++, alpha_, beta_);
   }
-  [[nodiscard]] double forecast(std::size_t h = 1) const override {
+  [[nodiscard]] double forecast(std::size_t h = 1) const {
     return level_ + static_cast<double>(h) * trend_;
   }
-  [[nodiscard]] std::string name() const override { return "holt"; }
-  [[nodiscard]] std::size_t count() const override { return n_; }
+  [[nodiscard]] std::string name() const { return "holt"; }
+  [[nodiscard]] std::size_t count() const { return n_; }
 
  private:
   double alpha_, beta_;
@@ -99,39 +123,23 @@ class HoltForecaster final : public Forecaster {
 };
 
 /// Holt-Winters additive seasonal method with fixed period.
-class HoltWintersForecaster final : public Forecaster {
+class HoltWintersForecaster {
  public:
   HoltWintersForecaster(std::size_t period, double alpha = 0.3,
                         double beta = 0.05, double gamma = 0.1)
       : period_(period), alpha_(alpha), beta_(beta), gamma_(gamma),
         seasonal_(period, 0.0) {}
 
-  void observe(double x) override {
-    const std::size_t s = n_ % period_;
-    if (n_ < period_) {
-      // Warm-up: accumulate one full season before smoothing.
-      seasonal_[s] = x;
-      warm_sum_ += x;
-      if (n_ + 1 == period_) {
-        level_ = warm_sum_ / static_cast<double>(period_);
-        for (auto& v : seasonal_) v -= level_;
-      }
-    } else {
-      const double prev_level = level_;
-      level_ = alpha_ * (x - seasonal_[s]) +
-               (1.0 - alpha_) * (level_ + trend_);
-      trend_ = beta_ * (level_ - prev_level) + (1.0 - beta_) * trend_;
-      seasonal_[s] = gamma_ * (x - level_) + (1.0 - gamma_) * seasonal_[s];
-    }
-    ++n_;
+  void observe(double x) {
+    rules::holt_winters(level_, trend_, warm_sum_, seasonal_.data(), period_,
+                        x, n_++, alpha_, beta_, gamma_);
   }
-  [[nodiscard]] double forecast(std::size_t h = 1) const override {
-    if (n_ < period_) return n_ ? seasonal_[(n_ - 1) % period_] : 0.0;
-    const std::size_t s = (n_ + h - 1) % period_;
-    return level_ + static_cast<double>(h) * trend_ + seasonal_[s];
+  [[nodiscard]] double forecast(std::size_t h = 1) const {
+    return rules::holt_winters_forecast(level_, trend_, seasonal_.data(),
+                                        period_, n_, h);
   }
-  [[nodiscard]] std::string name() const override { return "holt-winters"; }
-  [[nodiscard]] std::size_t count() const override { return n_; }
+  [[nodiscard]] std::string name() const { return "holt-winters"; }
+  [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] std::size_t period() const noexcept { return period_; }
 
  private:
@@ -142,47 +150,126 @@ class HoltWintersForecaster final : public Forecaster {
   std::size_t n_ = 0;
 };
 
-/// Tracks a forecaster's own mean absolute error — the self-assessment
-/// hook used by meta-self-awareness to compare competing models.
+/// Naive, SES, Holt and — when the shape has a period > 1 — Holt-Winters
+/// (each at the standalone forecasters' default parameters) racing over
+/// one signal, as one flat value. Every member tracks its own mean
+/// absolute error at the shape's horizon: the prediction it made `horizon`
+/// observations ago against the value that has just arrived. A consumer
+/// acting on forecast(2), an autoscaler with provisioning lag say, should
+/// rank models by their 2-step error, where trend and seasonal models beat
+/// the naive lag that usually wins at h=1.
 ///
-/// `horizon` sets which h-step-ahead prediction is scored: a consumer that
-/// acts on forecast(2) (e.g. an autoscaler with provisioning lag) should
-/// rank models by their 2-step error, where trend/seasonal models beat the
-/// naive lag that usually wins at h=1.
-class ScoredForecaster {
+/// The predictions awaiting their target and the Holt-Winters season live
+/// outside the record, in Shape::tail_size() doubles the owner keeps and
+/// passes to every call (time awareness packs all its signals' tails into
+/// one vector), so the record holds no pointer and never allocates.
+class ForecastEnsemble {
  public:
-  explicit ScoredForecaster(std::unique_ptr<Forecaster> f,
-                            std::size_t horizon = 1)
-      : f_(std::move(f)),
-        horizon_(horizon == 0 ? 1 : horizon),
-        pending_(horizon_) {}
+  /// Member indices, in race order (ties go to the lower index).
+  static constexpr std::size_t kNaive = 0, kSes = 1, kHolt = 2,
+                               kHoltWinters = 3;
 
-  /// Scores the prediction issued `horizon` observations ago against `x`,
-  /// then feeds `x` and queues a fresh prediction.
-  void observe(double x) {
-    if (pending_.size() == horizon_) {
-      mae_sum_ += std::fabs(pending_.front() - x);
-      ++scored_;
+  /// What every ensemble of one owner shares.
+  struct Shape {
+    std::size_t horizon = 1;  ///< scored h-step error (0 counts as 1)
+    std::size_t period = 0;   ///< > 1 adds the Holt-Winters member
+
+    [[nodiscard]] std::size_t h() const noexcept {
+      return horizon == 0 ? 1 : horizon;
     }
-    f_->observe(x);
-    pending_.push(f_->forecast(horizon_));
+    [[nodiscard]] std::size_t members() const noexcept {
+      return period > 1 ? 4 : 3;
+    }
+    /// Doubles of outside state: `h()` pending predictions per member,
+    /// then the season.
+    [[nodiscard]] std::size_t tail_size() const noexcept {
+      return members() * h() + (period > 1 ? period : 0);
+    }
+  };
+
+  /// Scores each member's due prediction against `x`, folds `x` into every
+  /// member, and queues each member's fresh h-step prediction.
+  void observe(double x, const Shape& s, double* tail);
+
+  /// `member`'s h-step forecast.
+  [[nodiscard]] double forecast(std::size_t member, std::size_t h,
+                                const Shape& s, const double* tail) const;
+  /// The member with the lowest error; member 0 until any is scored.
+  [[nodiscard]] std::size_t best(const Shape& s) const;
+  /// `member`'s mean absolute error (0 until scored).
+  [[nodiscard]] double mae(std::size_t member, const Shape& s) const {
+    const std::size_t k = scored(s);
+    return k ? mae_sum_[member] / static_cast<double>(k) : 0.0;
   }
-  [[nodiscard]] double forecast(std::size_t h = 1) const {
-    return f_->forecast(h);
+  /// Predictions scored so far (the same for every member).
+  [[nodiscard]] std::size_t scored(const Shape& s) const noexcept {
+    return n_ > s.h() ? n_ - s.h() : 0;
   }
-  [[nodiscard]] double mae() const noexcept {
-    return scored_ ? mae_sum_ / static_cast<double>(scored_) : 0.0;
-  }
-  [[nodiscard]] std::size_t scored() const noexcept { return scored_; }
-  [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
-  [[nodiscard]] const Forecaster& model() const noexcept { return *f_; }
+  /// Observations folded in.
+  [[nodiscard]] std::size_t count() const noexcept { return n_; }
 
  private:
-  std::unique_ptr<Forecaster> f_;
-  std::size_t horizon_;
-  sim::Ring<double> pending_;  ///< predictions awaiting their target
-  double mae_sum_ = 0.0;
-  std::size_t scored_ = 0;
+  static constexpr double kSesAlpha = 0.3;
+  static constexpr double kHoltAlpha = 0.3, kHoltBeta = 0.1;
+  static constexpr double kHwAlpha = 0.3, kHwBeta = 0.05, kHwGamma = 0.1;
+
+  std::size_t n_ = 0;
+  double last_ = 0.0;  ///< naive
+  double ses_ = 0.0;   ///< SES level
+  double holt_level_ = 0.0, holt_trend_ = 0.0;
+  double hw_level_ = 0.0, hw_trend_ = 0.0, hw_warm_sum_ = 0.0;
+  double mae_sum_[4] = {};
 };
+
+inline double ForecastEnsemble::forecast(std::size_t member, std::size_t h,
+                                         const Shape& s,
+                                         const double* tail) const {
+  switch (member) {
+    case kNaive:
+      return last_;
+    case kSes:
+      return ses_;
+    case kHolt:
+      return holt_level_ + static_cast<double>(h) * holt_trend_;
+    default:
+      return rules::holt_winters_forecast(hw_level_, hw_trend_,
+                                          tail + s.members() * s.h(),
+                                          s.period, n_, h);
+  }
+}
+
+inline void ForecastEnsemble::observe(double x, const Shape& s,
+                                      double* tail) {
+  const std::size_t h = s.h(), m = s.members();
+  // Member i's pending predictions are tail[i*h, i*h + h): the one made
+  // after observation k sits at k % h, so the one due now (made h
+  // observations ago) is where this observation's prediction goes.
+  const std::size_t at = n_ % h;
+  if (n_ >= h) {
+    for (std::size_t i = 0; i < m; ++i) {
+      mae_sum_[i] += std::fabs(tail[i * h + at] - x);
+    }
+  }
+  last_ = x;
+  ses_ = rules::ses(ses_, x, n_, kSesAlpha);
+  rules::holt(holt_level_, holt_trend_, x, n_, kHoltAlpha, kHoltBeta);
+  if (m == 4) {
+    rules::holt_winters(hw_level_, hw_trend_, hw_warm_sum_, tail + m * h,
+                        s.period, x, n_, kHwAlpha, kHwBeta, kHwGamma);
+  }
+  ++n_;
+  for (std::size_t i = 0; i < m; ++i) {
+    tail[i * h + at] = forecast(i, h, s, tail);
+  }
+}
+
+inline std::size_t ForecastEnsemble::best(const Shape& s) const {
+  if (scored(s) == 0) return 0;
+  std::size_t b = 0;
+  for (std::size_t i = 1; i < s.members(); ++i) {
+    if (mae(i, s) < mae(b, s)) b = i;
+  }
+  return b;
+}
 
 }  // namespace sa::learn

@@ -1,11 +1,14 @@
 // Bounded, overwrite-oldest ring buffer.
 //
-// The one history buffer behind every bounded memory of the recent past:
-// the knowledge base's per-key histories, the explainer's decision log, the
-// fault injector's log, the telemetry RingBufferSink, the serve layer's
-// slow-request ring and ScoredForecaster's pending predictions. Storage
-// grows lazily (push_back) up to the capacity; after that each push
-// overwrites the oldest slot in place, so a warm ring never allocates.
+// The history buffer behind the bounded memories of the recent past that
+// hold objects: the explainer's decision log, the fault injector's log, the
+// telemetry RingBufferSink and the serve layer's slow-request ring. (The
+// knowledge base keeps its slots in per-key blocks behind 16-byte headers,
+// and time awareness its pending predictions in one flat vector: at a
+// camera fleet's scale a 40-byte Ring per key or per forecaster is too
+// much.) Storage grows lazily (push_back) up to the capacity; after
+// that each push overwrites the oldest slot in place, so a warm ring never
+// allocates.
 // Reads are oldest first: index 0 is the oldest retained item, size()-1
 // the newest. A capacity of 0 stores nothing.
 #pragma once
@@ -61,6 +64,17 @@ class Ring {
       buf_[head_] = std::forward<U>(v);
       if (++head_ == cap_) head_ = 0;
     }
+  }
+
+  /// Makes room for a new newest item and returns it for the caller to
+  /// fill: a value-initialised item below capacity, else the oldest item
+  /// as it stands, so whatever storage it owns can be reused. Requires
+  /// capacity() > 0.
+  T& push_slot() {
+    if (buf_.size() < cap_) return buf_.emplace_back();
+    T& slot = buf_[head_];
+    if (++head_ == cap_) head_ = 0;
+    return slot;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }

@@ -131,6 +131,26 @@ TEST(SelfAwareAgent, GoalUtilityComputedFromSensors) {
   EXPECT_DOUBLE_EQ(a.knowledge().number("goal.utility"), 0.5);
 }
 
+// Declaring the goal metrics again rebuilds the goal process. The meta
+// level must go on assessing the new one: it once kept watching the
+// destroyed one, a heap use-after-free on the next step under ASan.
+TEST(SelfAwareAgent, RedeclaredGoalMetricsAreWatchedByMeta) {
+  SelfAwareAgent a("regoal", quiet_config());
+  a.add_sensor("x", [] { return 2.0; });
+  a.add_sensor("y", [] { return 8.0; });
+  a.goals().add_objective({"x", utility::rising(0.0, 10.0), 1.0});
+  a.goals().add_objective({"y", utility::rising(0.0, 10.0), 1.0});
+  a.set_goal_metrics({"x"});
+  a.step(0.0);
+  EXPECT_DOUBLE_EQ(a.current_utility(), 0.1);  // y is not a goal metric
+  a.set_goal_metrics({"x", "y"});
+  for (int i = 1; i < 5; ++i) a.step(i);
+  EXPECT_DOUBLE_EQ(a.current_utility(), 0.5);
+  // Both processes had every metric, so meta's smoothed goal quality is 1.
+  EXPECT_DOUBLE_EQ(a.knowledge().number("meta.goal.quality"), 1.0);
+  EXPECT_NE(a.describe().find("goal=1.00"), std::string::npos);
+}
+
 TEST(SelfAwareAgent, TimeAwarenessForecastsSensorSignals) {
   SelfAwareAgent a("forecaster", quiet_config());
   double v = 0.0;

@@ -112,23 +112,25 @@ TEST(GoalModel, UtilityIsClampedToUnitInterval) {
   EXPECT_DOUBLE_EQ(g.utility({{"x", 0.5}}), 0.0);
 }
 
-TEST(GoalModel, ViolationsListsNames) {
+TEST(GoalModel, ViolatedCountsHardAndSoftConstraints) {
   GoalModel g;
   g.add_constraint({"a", [](const MetricMap&) { return false; }, true});
   g.add_constraint({"b", [](const MetricMap&) { return true; }, true});
   g.add_constraint({"c", [](const MetricMap&) { return false; }, false});
-  EXPECT_EQ(g.violations({}), (std::vector<std::string>{"a", "c"}));
+  EXPECT_EQ(g.violated({}), 2u);
 }
 
 TEST(GoalModel, BreakdownReportsPerObjective) {
   GoalModel g;
   g.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
   g.add_objective({"b", utility::falling(0.0, 1.0), 2.0});
-  const auto bd = g.breakdown({{"a", 0.25}, {"b", 0.25}});
-  ASSERT_EQ(bd.size(), 2u);
-  EXPECT_EQ(bd[0].first, "a");
-  EXPECT_DOUBLE_EQ(bd[0].second, 0.25);
-  EXPECT_DOUBLE_EQ(bd[1].second, 0.75);
+  const MetricMap m{{"a", 0.25}, {"b", 0.25}};
+  ASSERT_EQ(g.objectives(), 2u);
+  EXPECT_EQ(g.objective_metric(0), "a");
+  EXPECT_EQ(g.objective_metric(1), "b");
+  EXPECT_DOUBLE_EQ(g.objective_utility(0, m), 0.25);
+  EXPECT_DOUBLE_EQ(g.objective_utility(1, m), 0.75);
+  EXPECT_DOUBLE_EQ(g.objective_utility(0, {}), 0.0);  // metric missing
 }
 
 TEST(GoalModel, DominatesRequiresStrictImprovement) {

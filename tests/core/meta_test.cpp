@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/rng.hpp"
 
 namespace sa::core {
@@ -110,6 +112,47 @@ TEST(MetaSelfAwareness, QualityAggregatesWatchedProcesses) {
   meta.watch(b);
   for (int i = 0; i < 20; ++i) meta.update(i, {});
   EXPECT_NEAR(meta.quality(), 0.5, 0.05);
+}
+
+TEST(MetaSelfAwareness, ReplaceHandsTheWatchOver) {
+  FakeProcess old_proc("proc"), new_proc("proc"), other("other");
+  MetaSelfAwareness::Params prm;
+  prm.grace_updates = 2;
+  KnowledgeBase kb;
+  MetaSelfAwareness meta(kb, prm);
+  meta.watch(old_proc);
+  meta.update(0.0, {});
+  meta.replace(old_proc, new_proc);
+  new_proc.quality_value = 0.0;  // the replacement fails and is acted on
+  for (int i = 1; i < 40; ++i) meta.update(i, {});
+  EXPECT_GE(new_proc.reconfigures, 1);
+  EXPECT_EQ(old_proc.reconfigures, 0);
+  EXPECT_THROW(meta.replace(old_proc, new_proc), std::invalid_argument);
+  EXPECT_THROW(meta.replace(new_proc, other), std::invalid_argument);
+}
+
+TEST(MetaSelfAwareness, QualitySumsInProcessNameOrder) {
+  // Watched out of name order, the mean is the same bits as the sum taken
+  // in name order.
+  FakeProcess c("c"), a("a"), b("b");
+  a.quality_value = 0.1;
+  b.quality_value = 0.2;
+  c.quality_value = 0.9;
+  KnowledgeBase kb;
+  MetaSelfAwareness meta(kb);
+  meta.watch(c);
+  meta.watch(a);
+  meta.watch(b);
+  meta.update(0.0, {});
+  const auto smoothed = [](double x) {
+    learn::Ewma q(MetaSelfAwareness::kQualityAlpha);
+    q.add(x);
+    return q.value();
+  };
+  const double by_name = smoothed(0.1) + smoothed(0.2) + smoothed(0.9);
+  const double by_watch = smoothed(0.9) + smoothed(0.1) + smoothed(0.2);
+  ASSERT_NE(by_name, by_watch);  // the order shows in the bits
+  EXPECT_EQ(meta.quality(), by_name / 3.0);
 }
 
 TEST(MetaSelfAwareness, LevelAndName) {

@@ -2,17 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/rng.hpp"
+#include "support/observations.hpp"
 
 namespace sa::core {
 namespace {
 
-Observation obs(std::initializer_list<std::pair<const std::string, double>> m) {
-  return Observation{m};
-}
+using test::support::Feed;
 
 TEST(StimulusAwareness, MirrorsSignalsToKnowledgeBaseAsPublic) {
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   sa.update(1.0, obs({{"load", 5.0}}));
   const auto item = kb.latest("load");
@@ -24,6 +26,7 @@ TEST(StimulusAwareness, MirrorsSignalsToKnowledgeBaseAsPublic) {
 
 TEST(StimulusAwareness, LearnsBaseline) {
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   for (int i = 0; i < 50; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", 10.0}}));
@@ -33,6 +36,7 @@ TEST(StimulusAwareness, LearnsBaseline) {
 
 TEST(StimulusAwareness, NoEventsDuringWarmup) {
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   // Wild values during warm-up should not fire events.
   for (std::size_t i = 0; i < StimulusAwareness::kMinSamples; ++i) {
@@ -44,6 +48,7 @@ TEST(StimulusAwareness, NoEventsDuringWarmup) {
 TEST(StimulusAwareness, DetectsNovelStimulus) {
   sim::Rng rng(1);
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   for (int i = 0; i < 100; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", rng.normal(5.0, 0.5)}}));
@@ -59,6 +64,7 @@ TEST(StimulusAwareness, DetectsNovelStimulus) {
 TEST(StimulusAwareness, NegativeExcursionsAlsoDetected) {
   sim::Rng rng(2);
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   for (int i = 0; i < 100; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", rng.normal(5.0, 0.5)}}));
@@ -71,6 +77,7 @@ TEST(StimulusAwareness, NegativeExcursionsAlsoDetected) {
 TEST(StimulusAwareness, EventsClearEachUpdate) {
   sim::Rng rng(3);
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   for (int i = 0; i < 100; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", rng.normal(0.0, 1.0)}}));
@@ -84,6 +91,7 @@ TEST(StimulusAwareness, EventsClearEachUpdate) {
 
 TEST(StimulusAwareness, TracksMultipleSignalsIndependently) {
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   for (int i = 0; i < 30; ++i) {
     sa.update(static_cast<double>(i), obs({{"a", 1.0}, {"b", 100.0}}));
@@ -94,6 +102,7 @@ TEST(StimulusAwareness, TracksMultipleSignalsIndependently) {
 
 TEST(StimulusAwareness, QualityGrowsWithWarmSignals) {
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   EXPECT_DOUBLE_EQ(sa.quality(), 1.0);  // nothing observed: neutral
   for (int i = 0; i < 10; ++i) {
@@ -106,6 +115,7 @@ TEST(StimulusAwareness, QualityGrowsWithWarmSignals) {
 
 TEST(StimulusAwareness, ReconfigureForgetsBaselines) {
   KnowledgeBase kb;
+  Feed obs;
   StimulusAwareness sa(kb);
   for (int i = 0; i < 30; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", 5.0}}));
@@ -115,6 +125,15 @@ TEST(StimulusAwareness, ReconfigureForgetsBaselines) {
   // The next reading starts a new baseline instead of joining the old one.
   sa.update(30.0, obs({{"x", 7.0}}));
   EXPECT_DOUBLE_EQ(kb.number("stimulus.x.baseline"), 7.0);
+}
+
+TEST(StimulusAwareness, RefusesObservationsFromAnotherSignalTable) {
+  KnowledgeBase kb;
+  Feed obs, other;
+  StimulusAwareness sa(kb);
+  sa.update(0.0, obs({{"x", 1.0}}));
+  sa.update(1.0, Observation{});  // nothing sampled: no table to check
+  EXPECT_THROW(sa.update(2.0, other({{"x", 1.0}})), std::invalid_argument);
 }
 
 TEST(StimulusAwareness, LevelAndName) {

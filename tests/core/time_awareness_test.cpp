@@ -4,15 +4,16 @@
 
 #include <cmath>
 
+#include "support/observations.hpp"
+
 namespace sa::core {
 namespace {
 
-Observation obs(std::initializer_list<std::pair<const std::string, double>> m) {
-  return Observation{m};
-}
+using test::support::Feed;
 
 TEST(TimeAwareness, PublishesForecastKeys) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   for (int i = 0; i < 20; ++i) {
     ta.update(static_cast<double>(i), obs({{"load", 5.0}}));
@@ -25,6 +26,7 @@ TEST(TimeAwareness, PublishesForecastKeys) {
 
 TEST(TimeAwareness, ConstantSignalForecastIsExact) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   for (int i = 0; i < 50; ++i) {
     ta.update(static_cast<double>(i), obs({{"x", 7.0}}));
@@ -35,6 +37,7 @@ TEST(TimeAwareness, ConstantSignalForecastIsExact) {
 
 TEST(TimeAwareness, TrendSignalSelectsHolt) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   for (int i = 0; i < 120; ++i) {
     ta.update(static_cast<double>(i), obs({{"x", 2.0 * i}}));
@@ -48,6 +51,7 @@ TEST(TimeAwareness, SeasonalSignalSelectsHoltWintersWhenAvailable) {
   TimeAwareness::Params p;
   p.seasonal_period = 8;
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb, p);
   for (int i = 0; i < 400; ++i) {
     const double x = 10.0 + 5.0 * std::sin(2.0 * 3.14159265 * i / 8.0);
@@ -64,6 +68,7 @@ TEST(TimeAwareness, UnknownSignalQueriesAreSafe) {
 
 TEST(TimeAwareness, ConfidenceDropsWithErrors) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   // Highly unpredictable alternating signal.
   for (int i = 0; i < 60; ++i) {
@@ -75,6 +80,7 @@ TEST(TimeAwareness, ConfidenceDropsWithErrors) {
 
 TEST(TimeAwareness, QualityHighForPredictableSignals) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   for (int i = 0; i < 50; ++i) {
     ta.update(static_cast<double>(i), obs({{"x", 3.0}}));
@@ -82,8 +88,26 @@ TEST(TimeAwareness, QualityHighForPredictableSignals) {
   EXPECT_GT(ta.quality(), 0.9);
 }
 
+TEST(TimeAwareness, QualitySumsInSignalNameOrder) {
+  KnowledgeBase kb;
+  Feed obs;
+  TimeAwareness ta(kb);
+  // Registered (first seen) as c, a, b: slot order is not name order.
+  for (int i = 0; i < 10; ++i) {
+    ta.update(i, obs({{"c", i % 2 ? 0.0 : 9.0},
+                      {"a", 0.5 * i * i},
+                      {"b", std::sin(0.7 * i)}}));
+  }
+  const double a = kb.confidence("forecast.a");
+  const double b = kb.confidence("forecast.b");
+  const double c = kb.confidence("forecast.c");
+  ASSERT_NE(a + b + c, c + a + b);  // the order shows in the bits
+  EXPECT_EQ(ta.quality(), (a + b + c) / 3.0);
+}
+
 TEST(TimeAwareness, ReconfigureForgetsEnsembles) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   for (int i = 0; i < 20; ++i) {
     ta.update(static_cast<double>(i), obs({{"x", 5.0}}));
@@ -95,6 +119,7 @@ TEST(TimeAwareness, ReconfigureForgetsEnsembles) {
 
 TEST(TimeAwareness, MultiStepForecastExtrapolates) {
   KnowledgeBase kb;
+  Feed obs;
   TimeAwareness ta(kb);
   for (int i = 0; i < 100; ++i) {
     ta.update(static_cast<double>(i), obs({{"x", 1.0 * i}}));

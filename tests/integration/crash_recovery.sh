@@ -17,7 +17,7 @@ JOURNAL='20 cmd=inject&kind=link-loss&unit=0&mag=1.5&dur=10; 45 cmd=inject&kind=
 # Both kills land about a second into the run, so the run must last well
 # beyond that. E15's default three seeds (6 cells) finish in about 0.5 s
 # at --jobs 2 on an optimised build (4-vCPU Xeon VM); 24 seeds (48 cells)
-# take about 2.8 s there, and each kill lands with about half the cells
+# take 3.2-3.9 s there, and each kill lands with 17-24 of the 48 cells
 # done.
 SEEDS=24
 

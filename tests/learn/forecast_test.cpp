@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <vector>
 
 #include "sim/rng.hpp"
 
@@ -91,20 +91,59 @@ TEST(HoltWinters, BeatsHoltOnSeasonalData) {
   EXPECT_LT(hw_err, holt_err * 0.5);
 }
 
+// The ensemble scores each member the way a standalone scored forecaster
+// would: here its naive member at horizon 1.
 TEST(ScoredForecaster, TracksMeanAbsoluteError) {
-  ScoredForecaster s(std::make_unique<NaiveForecaster>());
-  s.observe(0.0);  // nothing to score yet
-  EXPECT_EQ(s.scored(), 0u);
-  s.observe(1.0);  // naive predicted 0, error 1
-  s.observe(3.0);  // predicted 1, error 2
-  EXPECT_EQ(s.scored(), 2u);
-  EXPECT_DOUBLE_EQ(s.mae(), 1.5);
+  const ForecastEnsemble::Shape shape;
+  std::vector<double> tail(shape.tail_size());
+  ForecastEnsemble e;
+  e.observe(0.0, shape, tail.data());  // nothing to score yet
+  EXPECT_EQ(e.scored(shape), 0u);
+  e.observe(1.0, shape, tail.data());  // naive predicted 0, error 1
+  e.observe(3.0, shape, tail.data());  // predicted 1, error 2
+  EXPECT_EQ(e.scored(shape), 2u);
+  EXPECT_DOUBLE_EQ(e.mae(ForecastEnsemble::kNaive, shape), 1.5);
 }
 
 TEST(ScoredForecaster, PerfectForecasterHasZeroMae) {
-  ScoredForecaster s(std::make_unique<NaiveForecaster>());
-  for (int i = 0; i < 10; ++i) s.observe(4.0);
-  EXPECT_DOUBLE_EQ(s.mae(), 0.0);
+  const ForecastEnsemble::Shape shape;
+  std::vector<double> tail(shape.tail_size());
+  ForecastEnsemble e;
+  for (int i = 0; i < 10; ++i) e.observe(4.0, shape, tail.data());
+  EXPECT_DOUBLE_EQ(e.mae(ForecastEnsemble::kNaive, shape), 0.0);
+}
+
+// The ensemble's members follow the standalone forecasters bit for bit,
+// at every horizon, including Holt-Winters through its warm-up season.
+TEST(ForecastEnsemble, MembersMatchTheStandaloneForecasters) {
+  const ForecastEnsemble::Shape shape{2, 5};
+  std::vector<double> tail(shape.tail_size());
+  ForecastEnsemble e;
+  NaiveForecaster naive;
+  SesForecaster ses;
+  HoltForecaster holt;
+  HoltWintersForecaster hw(5);
+  sim::Rng rng(7);
+  for (int i = 0; i < 60; ++i) {
+    const double x = 10.0 + 3.0 * std::sin(i * 1.3) + rng.normal(0.0, 1.0);
+    e.observe(x, shape, tail.data());
+    naive.observe(x);
+    ses.observe(x);
+    holt.observe(x);
+    hw.observe(x);
+    for (const std::size_t h : {1u, 2u, 7u}) {
+      EXPECT_EQ(e.forecast(ForecastEnsemble::kNaive, h, shape, tail.data()),
+                naive.forecast(h));
+      EXPECT_EQ(e.forecast(ForecastEnsemble::kSes, h, shape, tail.data()),
+                ses.forecast(h));
+      EXPECT_EQ(e.forecast(ForecastEnsemble::kHolt, h, shape, tail.data()),
+                holt.forecast(h));
+      EXPECT_EQ(
+          e.forecast(ForecastEnsemble::kHoltWinters, h, shape, tail.data()),
+          hw.forecast(h));
+    }
+  }
+  EXPECT_EQ(e.count(), 60u);
 }
 
 TEST(Forecasters, NamesAreDistinct) {

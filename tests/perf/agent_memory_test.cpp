@@ -2,10 +2,10 @@
 // svc case study is its own self-aware agent, so what one agent's self-model
 // costs, times the fleet, is most of a large world's heap. A camera that has
 // run the 4 control epochs of a perfbench `metro` world must hold at most
-// 24 KB of live heap: its agent, knowledge base, awareness processes and
-// policy together. The bound is measured with glibc's mallinfo2(), which
-// sanitizer allocators bypass, so the test skips itself under ASan/TSan and
-// off glibc.
+// 16 KB of live heap: its agent, knowledge base, awareness processes,
+// policy and explanations together. The bound is measured with glibc's
+// mallinfo2(), which sanitizer allocators bypass, so the test skips itself
+// under ASan/TSan and off glibc.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -37,7 +37,7 @@ namespace {
 
 constexpr std::size_t kCameras = 64;
 constexpr std::size_t kEpochs = 4;
-constexpr double kBytesPerCamera = 24.0 * 1024.0;
+constexpr double kBytesPerCamera = 16.0 * 1024.0;
 
 /// An 8x8 grid of overlapping cameras over the unit square.
 Network grid_network() {
@@ -53,7 +53,7 @@ Network grid_network() {
   return Network(std::move(cams), p);
 }
 
-TEST(AgentMemory, LearningCameraHoldsAtMost24KB) {
+TEST(AgentMemory, LearningCameraHoldsAtMost16KB) {
 #if !SA_HEAP_PROBE
   GTEST_SKIP() << "mallinfo2() does not see the sanitizer or non-glibc "
                   "allocator";

@@ -2,21 +2,28 @@
 // paths: once an Engine's slot arena and heap have warmed up, scheduling
 // and dispatching events must not touch the heap; once a KnowledgeBase
 // key exists, reads (number/confidence/fresh/contains/latest) and
-// ring-overwrite writes must not either. These contracts are what the
-// pooled-kernel/interned-store refactor bought — a regression here is a
-// performance bug even while every behavioural test still passes.
+// ring-overwrite writes must not either; and once an agent's awareness
+// processes have seen their signals, their updates must not either. These
+// contracts are what the pooled-kernel/interned-store and dense-agent
+// refactors bought — a regression here is a performance bug even while
+// every behavioural test still passes.
 //
 // The binary links the shared operator-new counter
 // (tests/support/alloc_counter), so no other suites are linked into it.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <thread>
 
+#include "core/goal_awareness.hpp"
 #include "core/knowledge.hpp"
+#include "core/meta.hpp"
+#include "core/stimulus.hpp"
+#include "core/time_awareness.hpp"
 #include "sim/engine.hpp"
 #include "support/alloc_counter.hpp"
 
@@ -172,6 +179,80 @@ TEST(KnowledgeAlloc, StringViewLookupNeedsNoTemporaryString) {
     ASSERT_EQ(kb.number(std::string_view(key)), 42.0);
   }
   EXPECT_EQ(allocs(), before) << "string_view lookup materialised a string";
+}
+
+TEST(KnowledgeAlloc, ComposedKeyInternNeedsNoTemporaryString) {
+  // A writer's first write interns prefix + name + suffix. The name is
+  // assembled in the base's own name storage, which the first key sized
+  // for dozens more, so interning further keys allocates only their
+  // history blocks, on their first writes.
+  sa::core::KnowledgeBase kb;
+  sa::core::KnowledgeBase::KeyId first = sa::core::KnowledgeBase::kNoKey;
+  kb.key(first, "stimulus.", "first", ".baseline");
+  sa::core::KnowledgeBase::KeyId ids[8];
+  for (auto& id : ids) id = sa::core::KnowledgeBase::kNoKey;
+  const char* names[8] = {"tracking", "messages", "lost", "owned",
+                          "latency", "throughput", "power", "queue"};
+  const auto before = allocs();
+  for (int i = 0; i < 8; ++i) {
+    kb.key(ids[i], "stimulus.", names[i], ".baseline");
+  }
+  EXPECT_EQ(allocs(), before) << "interning a composed key allocated";
+  EXPECT_EQ(kb.find("stimulus.throughput.baseline"), ids[5]);
+  // An existing key resolves to its id without keeping a second name.
+  sa::core::KnowledgeBase::KeyId again = sa::core::KnowledgeBase::kNoKey;
+  EXPECT_EQ(kb.key(again, "stimulus.", "lost", ".baseline"), ids[2]);
+  EXPECT_EQ(kb.size(), 9u);
+}
+
+TEST(AgentAlloc, WarmAwarenessUpdatesAreAllocFree) {
+  // A camera-shaped observation: four signals, every slot sampled.
+  sa::core::SignalTable table;
+  for (const char* name : {"tracking", "messages", "lost", "owned"}) {
+    table.add(name);
+  }
+  sa::core::Observation obs(table);
+  sa::core::KnowledgeBase kb;
+  sa::core::StimulusAwareness stimulus(kb);
+  // A seasonal ensemble scored at horizon 2: every member, every tail.
+  sa::core::TimeAwareness time(kb, {4, 1.0, 2});
+  sa::core::GoalModel goals;
+  goals.add_objective({"tracking", sa::core::utility::rising(0.0, 8.0), 2.0});
+  goals.add_objective({"lost", sa::core::utility::falling(0.0, 4.0), 1.0});
+  goals.add_constraint({"few-messages",
+                        [](const sa::core::MetricMap& m) {
+                          const auto it = m.find("messages");
+                          return it == m.end() || it->second < 6.0;
+                        },
+                        false});
+  // "spare" names no sensor and no key: it stays absent every step.
+  sa::core::GoalAwareness goal(kb, goals, {"tracking", "messages", "lost",
+                                           "spare"});
+  sa::core::MetaSelfAwareness meta(kb);
+  meta.watch(stimulus);
+  meta.watch(time);
+  meta.watch(goal);
+  std::size_t resets = 0;
+  meta.on_drift("count", [&resets] { ++resets; });
+
+  auto update = [&](int i) {
+    const double t = static_cast<double>(i);
+    obs.clear();
+    for (std::size_t slot = 0; slot < table.size(); ++slot) {
+      obs.set(slot, 3.0 + static_cast<double>(slot) + std::sin(0.3 * t));
+    }
+    stimulus.update(t, obs);
+    time.update(t, obs);
+    goal.update(t, obs);
+    meta.update(t, obs);
+  };
+  // Warm-up: every key's history fills (128 slots) and every model exists.
+  for (int i = 0; i < 300; ++i) update(i);
+  const auto before = allocs();
+  for (int i = 300; i < 1300; ++i) update(i);
+  EXPECT_EQ(allocs(), before) << "a warm awareness update allocated";
+  EXPECT_EQ(goal.last_metrics().size(), 3u);
+  EXPECT_NE(time.forecast("owned", 2), 0.0);
 }
 
 }  // namespace
