@@ -5,6 +5,7 @@
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
 #include "sim/telemetry.hpp"
+#include "support/fingerprint.hpp"
 
 namespace sa::cloud {
 namespace {
@@ -183,6 +184,45 @@ TEST(Autoscaler, UtilityBlendsSlaAndCost) {
   EXPECT_GT(as.utility().mean(), 0.0);
   EXPECT_LE(as.utility().mean(), 1.0);
   EXPECT_GT(as.cost().mean(), 0.0);
+}
+
+TEST(Autoscaler, E3RunIsPinned) {
+  // E3's volunteer cloud (seed 21, MTTF x1) under each autoscaler for 120
+  // epochs: the digest covers the demand's burst length, the nodes' mean
+  // capacity and the autoscaler's SLA target and cost scale.
+  test::support::Fingerprint fp;
+  for (const auto v : {Autoscaler::Variant::Static,
+                       Autoscaler::Variant::Reactive,
+                       Autoscaler::Variant::SelfAware}) {
+    Cluster::Params cp;
+    cp.nodes = 30;
+    cp.mttf_mean_s = 300.0;
+    cp.seed = 21;
+    Cluster cluster(cp);
+    DemandModel::Params dp;
+    dp.base = 80.0;
+    dp.diurnal_amp = 0.4;
+    dp.burst_prob = 0.03;
+    dp.burst_mult = 2.0;
+    DemandModel demand(dp);
+    Autoscaler::Params ap;
+    ap.variant = v;
+    ap.seed = 21;
+    ap.initial_nodes = 12;
+    Autoscaler as(cluster, demand, ap);
+    for (int e = 0; e < 120; ++e) {
+      const CloudEpoch ep = as.run_epoch();
+      for (double x : {ep.demand, ep.arrival_rate, ep.served, ep.dropped,
+                       ep.backlog, ep.capacity, ep.sla, ep.cost,
+                       ep.utilisation}) {
+        fp.add(x);
+      }
+      fp.add(ep.enrolled);
+      fp.add(ep.up_enrolled);
+    }
+    fp.add(as.utility().mean());
+  }
+  EXPECT_EQ(fp.value(), 0x5c98e934b2bd2b64ull) << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace

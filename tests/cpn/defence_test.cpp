@@ -4,6 +4,7 @@
 
 #include "cpn/network.hpp"
 #include "cpn/traffic.hpp"
+#include "support/fingerprint.hpp"
 
 namespace sa::cpn {
 namespace {
@@ -102,6 +103,49 @@ TEST(FiniteBuffers, QRouterLearnsFromDrops) {
   // With drop-penalty learning the delivery rate stays high despite the
   // preferred (shorter) route being saturated.
   EXPECT_GT(s.delivery_rate(), 0.8);
+}
+
+TEST(DosDefence, E4AttackRunIsPinned) {
+  // E4's world (seed 41) with its flood in the middle of three 800-tick
+  // windows, Q-routing with and without the defence: the digest covers the
+  // Q-routing rate, the link buffers and their drop penalty, and the
+  // defence's per-destination rate cap.
+  test::support::Fingerprint fp;
+  std::size_t shed = 0;
+  for (const bool defence : {false, true}) {
+    const auto topo = Topology::grid(4, 6, 4, 41);
+    PacketNetwork::Params np;
+    np.router = PacketNetwork::Router::QRouting;
+    np.dos_defence = defence;
+    np.seed = 41;
+    PacketNetwork net(topo, np);
+    TrafficParams tp;
+    tp.flows = 8;
+    tp.legit_rate = 2.0;
+    tp.attack_start = 800.0;
+    tp.attack_end = 1600.0;
+    tp.attack_rate = 25.0;
+    tp.attackers = 3;
+    tp.seed = 41;
+    TrafficGenerator gen(topo, tp);
+    for (int w = 0; w < 3; ++w) {
+      for (int t = 0; t < 800; ++t) {
+        gen.tick(net);
+        net.step();
+      }
+      const CpnStats s = net.harvest();
+      fp.add(s.injected);
+      fp.add(s.delivered);
+      fp.add(s.dropped);
+      fp.add(s.mean_latency);
+      fp.add(s.p95_latency);
+      fp.add(s.mean_hops);
+    }
+    fp.add(net.defence_drops());
+    shed += net.defence_drops();
+  }
+  EXPECT_GT(shed, 0u) << "the defence shed nothing";
+  EXPECT_EQ(fp.value(), 0x76bdac65d95c3bf6ull) << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace

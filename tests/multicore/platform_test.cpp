@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
+
+#include "support/fingerprint.hpp"
 
 namespace sa::multicore {
 namespace {
+
+using test::support::Fingerprint;
 
 Platform make_platform(std::uint64_t seed = 1) {
   return Platform(PlatformConfig::big_little(2, 4), seed);
@@ -190,30 +193,6 @@ TEST(Platform, DeterministicGivenSeed) {
   EXPECT_EQ(sa_.completed, sb.completed);
   EXPECT_DOUBLE_EQ(sa_.energy, sb.energy);
 }
-
-// FNV-1a over the `%a` spelling of every harvested EpochStats field plus
-// the queue depth, epoch by epoch. Any change to a placement decision, to
-// the drain order or to a float accumulation moves the digest.
-class Fingerprint {
- public:
-  void add(double v) { format("%a", v); }
-  void add(std::size_t v) { format("%zu", v); }
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  template <typename T>
-  void format(const char* fmt, T v) {
-    char buf[64];
-    const int n = std::snprintf(buf, sizeof buf, fmt, v);
-    for (int i = 0; i < n; ++i) {
-      h_ ^= static_cast<unsigned char>(buf[i]);
-      h_ *= 1099511628211ull;
-    }
-    h_ ^= static_cast<unsigned char>('|');
-    h_ *= 1099511628211ull;
-  }
-  std::uint64_t h_ = 14695981039346656037ull;
-};
 
 TEST(Platform, OverloadedTrajectoryIsPinned) {
   // 600 sim-s of a thermal big.LITTLE chip, mostly overloaded so queues

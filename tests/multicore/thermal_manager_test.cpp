@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "multicore/manager.hpp"
+#include "support/fingerprint.hpp"
 
 namespace sa::multicore {
 namespace {
@@ -59,6 +60,48 @@ TEST(ThermalManager, NonThermalChipBehaviourUnchangedByTempSensor) {
   for (int e = 0; e < 100; ++e) u.add(mgr.run_epoch());
   EXPECT_GT(u.mean(), 0.5);
   EXPECT_DOUBLE_EQ(mgr.agent().knowledge().number("temp"), 40.0);
+}
+
+TEST(ThermalManager, E12RunIsPinned) {
+  // E12's four managers on the thermal chip under its saturating load, 80
+  // epochs each: the digest covers the platform's frequency table, tick and
+  // thermal constants (the sprinter throttles) and the manager's utility
+  // scales and thermal self-model (the self-aware row reads the same
+  // constants as its datasheet).
+  struct Row {
+    Manager::Variant variant;
+    std::size_t static_action;
+  };
+  const Row rows[] = {{Manager::Variant::Static, 9},
+                      {Manager::Variant::Static, 3},
+                      {Manager::Variant::Reactive, 0},
+                      {Manager::Variant::SelfAware, 0}};
+  test::support::Fingerprint fp;
+  bool throttled = false;
+  for (const Row& row : rows) {
+    auto cfg = PlatformConfig::big_little(2, 4);
+    cfg.thermal = true;
+    Platform platform(cfg, 121);
+    platform.set_workload(40.0, 0.15, 0.5);
+    Manager::Params p;
+    p.variant = row.variant;
+    p.static_action = row.static_action;
+    p.seed = 121;
+    Manager mgr(platform, p);
+    for (int e = 0; e < 80; ++e) {
+      fp.add(mgr.run_epoch());
+      const EpochStats& s = mgr.last_stats();
+      for (double v : {s.throughput, s.mean_latency, s.p95_latency,
+                       s.mean_power, s.energy, s.miss_rate, s.mean_queue,
+                       s.utilisation, s.max_temp_c, s.throttle_frac}) {
+        fp.add(v);
+      }
+      fp.add(s.completed);
+      throttled = throttled || s.throttle_frac > 0.0;
+    }
+  }
+  EXPECT_TRUE(throttled) << "no row reached the throttle path";
+  EXPECT_EQ(fp.value(), 0xbcf1e840822e098cull) << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "ckpt/state.hpp"
 #include "svc/fleet.hpp"
 #include "svc/network.hpp"
+#include "support/fingerprint.hpp"
 
 namespace sa::svc {
 namespace {
@@ -64,6 +65,33 @@ TEST(CameraFleet, LearningTrajectoryIsPinned) {
   EXPECT_GT(reconfigured, 0u) << "the meta level reconfigured nothing";
   EXPECT_EQ(explanations, fleet.cameras() * kEpochs);
   EXPECT_EQ(h, 0xb89b4abad72dd0c7ull) << std::hex << "digest 0x" << h;
+}
+
+TEST(CameraFleet, E2LearningRunIsPinned) {
+  // E2's learning fleet (24 objects, seed 31) for 100 epochs: the digest
+  // covers every epoch record and the strategies the cameras settle on, so
+  // it moves with the network's visibility threshold, message cost,
+  // handover bonus, re-detection chance and hotspot.
+  NetworkParams np;
+  np.objects = 24;
+  np.seed = 31;
+  auto net = Network::clustered_layout(np);
+  CameraFleet::Params fleet_params;
+  fleet_params.seed = 31;
+  CameraFleet fleet(net, fleet_params);
+  test::support::Fingerprint fp;
+  for (int e = 0; e < 100; ++e) {
+    const NetworkEpoch ne = fleet.run_epoch();
+    for (double v : {ne.steps, ne.coverage, ne.mean_visibility, ne.messages,
+                     ne.global_utility}) {
+      fp.add(v);
+    }
+  }
+  for (std::size_t c = 0; c < net.cameras(); ++c) {
+    fp.add(static_cast<std::size_t>(net.strategy(c)));
+  }
+  fp.add(fleet.diversity());
+  EXPECT_EQ(fp.value(), 0xff6645382eabf0e5ull) << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace
