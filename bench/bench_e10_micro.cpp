@@ -189,14 +189,6 @@ const std::vector<Kernel> kKernels = {
          keep(kb.number(i & 1 ? "m17" : "m42"));
        });
      }},
-    {"kb_fresh_check", 1 << 18,
-     [](std::size_t n) {
-       core::KnowledgeBase kb(16);
-       kb.put_number("heartbeat", 1.0, 0.0, 1.0);
-       return time_op(n, [&](std::size_t i) {
-         keep(kb.fresh("heartbeat", static_cast<double>(i) * 1e-6));
-       });
-     }},
     {"stimulus_update", 1 << 16,
      [](std::size_t n) {
        FourSignals sig;

@@ -58,7 +58,7 @@ exp::TaskOutput run(Autoscaler::Variant v, double mttf_mult,
       tail_sla.add(ep.sla);
       tail_cost.add(ep.cost);
       ++judged;
-      if (ep.sla < ap.sla_target) ++viol;
+      if (ep.sla < Autoscaler::kSlaTarget) ++viol;
     }
   }
   return {{{"sla", tail_sla.mean()},

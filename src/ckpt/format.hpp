@@ -33,7 +33,9 @@
 
 namespace sa::ckpt {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Raised with every change to a section's layout, so an image written by
+/// another layout fails with kBadVersion instead of kStateDivergence.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Typed error codes for every way a checkpoint can be unusable. The
 /// loader returns these — it never throws, crashes, or invokes UB on

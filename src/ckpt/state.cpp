@@ -59,26 +59,18 @@ void save_rng(const sim::Rng::State& s, Buffer& out) {
 
 namespace {
 
-/// Kind byte before each value. The image format tags a double as 2, its
-/// index among the value kinds the format was defined with. Every value is
-/// a double, so the byte is constant; it stays so images keep their bytes.
-constexpr std::uint8_t kDoubleKind = 2;
-
 void save_item(const core::KnowledgeItem& item, Buffer& out) {
-  out.u8(kDoubleKind);
   out.f64(item.value);
   out.f64(item.time);
   out.f64(item.confidence);
   out.u8(static_cast<std::uint8_t>(item.scope));
   out.str(item.source);
-  out.f64(item.ttl);
 }
 
 }  // namespace
 
 void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
   out.u64(kb.history_limit());
-  out.f64(kb.default_ttl());
   const std::vector<std::string> keys = kb.keys();  // ascending — canonical
   out.u64(keys.size());
   for (const std::string& key : keys) {
@@ -143,7 +135,6 @@ void save_ladder(const core::DegradationPolicy& p, Buffer& out) {
 void save_runtime(const core::AgentRuntime& rt, Buffer& out) {
   const core::AgentRuntime::State st = rt.export_state();
   out.u64(st.steps);
-  out.u64(0);  // a retired substrate-tick counter; kept so images are stable
   out.u64(st.exchanged);
   out.u64(st.exchange_drops);
   out.u64(st.exchange_retries);

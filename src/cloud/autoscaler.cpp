@@ -6,6 +6,10 @@
 
 namespace sa::cloud {
 
+namespace {
+constexpr double kCostScale = 400.0;  ///< epoch cost mapped to utility 0
+}  // namespace
+
 const char* Autoscaler::variant_name(Variant v) noexcept {
   switch (v) {
     case Variant::Static: return "static";
@@ -79,7 +83,7 @@ void Autoscaler::build_agent() {
 
   auto& goals = agent_->goals();
   goals.add_objective({"sla", core::utility::rising(0.0, 1.0), 2.0});
-  goals.add_objective({"cost", core::utility::falling(0.0, p_.cost_scale),
+  goals.add_objective({"cost", core::utility::falling(0.0, kCostScale),
                        1.0});
   agent_->set_goal_metrics({"sla", "cost"});
 
@@ -91,7 +95,7 @@ void Autoscaler::build_agent() {
     case Variant::Reactive: {
       auto rules =
           std::make_unique<core::RulePolicy>(std::size(kDeltas) / 2);
-      const double target = p_.sla_target;
+      const double target = kSlaTarget;
       rules->add_rule({"sla below target -> scale out",
                        [target](const core::KnowledgeBase& kb) {
                          return kb.number("sla", 1.0) < target;
@@ -212,7 +216,7 @@ CloudEpoch Autoscaler::run_epoch() {
   sla_.add(last_.sla);
   cost_.add(last_.cost);
   utility_.add(u);
-  if (last_.sla < p_.sla_target) ++violations_;
+  if (last_.sla < kSlaTarget) ++violations_;
   if (span) {
     span.arg(k_sla_, last_.sla);
     span.arg(k_cost_, last_.cost);

@@ -31,12 +31,13 @@ class Autoscaler {
  public:
   enum class Variant { Static, Reactive, SelfAware };
 
+  /// SLA an epoch must reach not to count as a violation.
+  static constexpr double kSlaTarget = 0.95;
+
   struct Params {
     Variant variant = Variant::SelfAware;
     core::LevelSet levels = core::LevelSet::full();  ///< SelfAware only
     std::size_t initial_nodes = 12;
-    double sla_target = 0.95;
-    double cost_scale = 400.0;  ///< epoch cost mapped to utility 0
     /// Epochs per demand season (e.g. the diurnal cycle); feeds the
     /// Holt-Winters member of time awareness. 0 disables seasonality.
     std::size_t seasonal_epochs = 60;

@@ -5,17 +5,21 @@
 
 namespace sa::cloud {
 
+namespace {
+constexpr double kBurstLenS = 40.0;    ///< mean burst duration
+constexpr double kCapacityMean = 10.0; ///< per-node requests/s (±50% uniform)
+}  // namespace
+
 double DemandModel::rate(double t, double epoch_s, sim::Rng& rng) {
-  const double base = p_.base + p_.drift_per_s * t;
   const double diurnal =
       1.0 + p_.diurnal_amp * std::sin(2.0 * 3.141592653589793 * t / p_.period_s);
-  double r = base * diurnal;
+  double r = p_.base * diurnal;
   if (t < burst_until_) {
     r *= p_.burst_mult;
   } else {
     burst_until_ = 0.0;
     if (rng.chance(p_.burst_prob)) {
-      burst_until_ = t + rng.exponential(p_.burst_len_s);
+      burst_until_ = t + rng.exponential(kBurstLenS);
       r *= p_.burst_mult;
     }
   }
@@ -30,7 +34,7 @@ Cluster::Cluster(Params p) : p_(p), rng_(p.seed) {
   for (std::size_t i = 0; i < p_.nodes; ++i) {
     VolunteerNode n;
     n.id = "vn" + std::to_string(i);
-    n.capacity = p_.capacity_mean * rng_.uniform(0.5, 1.5);
+    n.capacity = kCapacityMean * rng_.uniform(0.5, 1.5);
     // Reliability heterogeneity: MTTF spans an order of magnitude, so
     // learning who to trust actually matters.
     n.mttf_s = p_.mttf_mean_s * rng_.pareto(0.4, 1.6);
@@ -38,7 +42,7 @@ Cluster::Cluster(Params p) : p_(p), rng_(p.seed) {
     n.up = rng_.chance(n.mttf_s / (n.mttf_s + n.mttr_s));
     n.next_transition =
         rng_.exponential(n.up ? n.mttf_s : n.mttr_s);
-    n.cost_per_s = 0.5 + n.capacity / p_.capacity_mean;
+    n.cost_per_s = 0.5 + n.capacity / kCapacityMean;
     nodes_.push_back(std::move(n));
   }
 }

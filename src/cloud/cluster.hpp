@@ -55,7 +55,7 @@ struct CloudEpoch {
   double utilisation = 0.0;     ///< demand / capacity (clamped)
 };
 
-/// Diurnal demand with bursts and a slow drift — the "ongoing change" knob.
+/// Diurnal demand with bursts — the "ongoing change" knob.
 class DemandModel {
  public:
   struct Params {
@@ -64,8 +64,6 @@ class DemandModel {
     double period_s = 600.0;   ///< length of a simulated "day"
     double burst_prob = 0.02;  ///< per-epoch chance a burst starts
     double burst_mult = 2.5;   ///< demand multiplier during a burst
-    double burst_len_s = 40.0; ///< mean burst duration
-    double drift_per_s = 0.0;  ///< linear growth of the base rate
   };
 
   DemandModel() : DemandModel(Params{}) {}
@@ -92,7 +90,6 @@ class Cluster {
     std::size_t nodes = 30;
     double epoch_s = 10.0;
     double queue_bound = 400.0;    ///< requests held before dropping
-    double capacity_mean = 10.0;   ///< per-node requests/s (±50% uniform)
     double mttf_mean_s = 300.0;    ///< heterogeneous: drawn per node
     double mttr_mean_s = 60.0;
     double boot_s = 0.0;           ///< provisioning lag for new enrolments

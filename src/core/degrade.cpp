@@ -5,10 +5,7 @@
 namespace sa::core {
 
 DegradationPolicy::DegradationPolicy(SelfAwareAgent& agent, Params p)
-    : agent_(agent), params_(std::move(p)) {
-  if (params_.knowledge_ttl > 0.0) {
-    agent_.knowledge().set_default_ttl(params_.knowledge_ttl);
-  }
+    : agent_(agent), params_(p) {
   if (params_.breach_updates == 0) params_.breach_updates = 1;
   if (params_.recover_updates == 0) params_.recover_updates = 1;
 }
@@ -50,46 +47,15 @@ void DegradationPolicy::update(double t, sim::TraceId trace) {
   last_t_ = t;
   seen_update_ = true;
 
-  const KnowledgeBase& kb = agent_.knowledge();
-  std::string why;
-
-  const double step_ms = kb.number("meta.profile.step_ms", 0.0);
-  if (step_ms > params_.step_ms_breach) {
-    std::ostringstream os;
-    os << "step_ms breach (" << step_ms << " > " << params_.step_ms_breach
-       << " ms)";
-    why = os.str();
-  }
-  if (why.empty()) {
-    const double active = kb.number("fault.active", 0.0);
-    if (active >= params_.fault_active_breach) {
-      std::ostringstream os;
-      os << "fault pressure (" << active << " active)";
-      why = os.str();
-    }
-  }
-  if (why.empty() && !params_.watch_keys.empty()) {
-    std::size_t stale = 0;
-    for (const std::string& key : params_.watch_keys) {
-      if (!kb.fresh(key, t)) ++stale;
-    }
-    const double frac =
-        static_cast<double>(stale) /
-        static_cast<double>(params_.watch_keys.size());
-    if (frac > params_.stale_fraction_breach) {
-      std::ostringstream os;
-      os << "stale knowledge (" << stale << "/" << params_.watch_keys.size()
-         << " watched keys)";
-      why = os.str();
-    }
-  }
-
-  if (!why.empty()) {
+  const double active = agent_.knowledge().number("fault.active", 0.0);
+  if (active >= params_.fault_active_breach) {
     clean_streak_ = 0;
     if (++breach_streak_ >= params_.breach_updates &&
         mode_ != Mode::Reactive) {
       breach_streak_ = 0;
-      transition(t, static_cast<Mode>(rung() + 1), why, trace);
+      std::ostringstream why;
+      why << "fault pressure (" << active << " active)";
+      transition(t, static_cast<Mode>(rung() + 1), why.str(), trace);
     }
   } else {
     breach_streak_ = 0;

@@ -1,36 +1,28 @@
 // Graceful degradation of self-awareness levels.
 //
 // The paper (Section VII) argues a self-aware system should trade awareness
-// for robustness under duress: when its own machinery is too slow, its
-// knowledge too stale, or its substrate visibly faulting, it can step down
-// to a cheaper configuration and still act — and step back up when the
-// pressure lifts. DegradationPolicy implements that as a four-rung ladder
-// over SelfAwareAgent::set_active_levels():
+// for robustness under duress: when its substrate is visibly faulting, it
+// can step down to a cheaper configuration and still act — and step back
+// up when the pressure lifts. DegradationPolicy implements that as a
+// four-rung ladder over SelfAwareAgent::set_active_levels():
 //
 //   Meta      — full constructed level set (normal operation)
 //   Goal      — constructed set minus Meta (drop self-monitoring overhead)
 //   Stimulus  — stimulus awareness only (reflexive, models paused)
 //   Reactive  — no awareness processes; raw readings mirror into the KB
 //
-// Triggers are breaches of: meta.profile.step_ms (own-loop latency — the
-// meta level watching itself), "fault.active" (injected fault pressure,
-// fed by fault::feed_agent), and the stale fraction of watched KB keys
-// (the stale-knowledge detector over KnowledgeItem TTLs). A breach must
-// persist for `breach_updates` consecutive updates to step down one rung;
-// `recover_updates` clean updates step back up. Each transition emits an
-// Explanation into the agent's Explainer citing the triggering trace id.
-//
-// Determinism: step_ms_breach defaults to +inf because wall-clock
-// latency is nondeterministic. E13 and the E15 city set no watch_keys and
-// trigger on fault.active alone; staleness is a deterministic trigger too
-// (sim-time TTLs) for callers that watch keys.
+// The trigger is a breach of "fault.active" (injected fault pressure, fed
+// by fault::feed_agent), which is what E13 and the E15 city run. A breach
+// must persist for `breach_updates` consecutive updates to step down one
+// rung; `recover_updates` clean updates step back up. Each transition
+// emits an Explanation into the agent's Explainer citing the triggering
+// trace id. The trigger reads sim-time knowledge only, so the ladder is
+// deterministic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
-#include <vector>
 
 #include "core/agent.hpp"
 #include "sim/trace.hpp"
@@ -49,19 +41,8 @@ class DegradationPolicy {
   };
 
   struct Params {
-    /// Breach when meta.profile.step_ms exceeds this (own-loop latency).
-    /// Default +inf: wall-clock is nondeterministic, so opt in explicitly.
-    double step_ms_breach = std::numeric_limits<double>::infinity();
     /// Breach when the KB's "fault.active" count reaches this.
     double fault_active_breach = 1.0;
-    /// Breach when > this fraction of `watch_keys` is stale.
-    double stale_fraction_breach = 0.5;
-    /// TTL stamped onto `watch_keys` items via KB::set_default_ttl at
-    /// attach; <= 0 leaves the KB default untouched (staleness disabled
-    /// unless producers set TTLs themselves).
-    double knowledge_ttl = 0.0;
-    /// KB keys whose freshness the stale-knowledge detector watches.
-    std::vector<std::string> watch_keys;
     /// Consecutive breached updates required to step down one rung.
     std::size_t breach_updates = 2;
     /// Consecutive clean updates required to step back up one rung.
@@ -95,7 +76,6 @@ class DegradationPolicy {
   [[nodiscard]] const std::string& last_trigger() const noexcept {
     return last_trigger_;
   }
-  [[nodiscard]] const Params& params() const noexcept { return params_; }
 
   /// Checkpoint seam (sa::ckpt): ladder position, streaks, and counters.
   /// Params are not part of the state — they come from the rebuilt world.

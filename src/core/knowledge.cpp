@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <stdexcept>
 
 namespace sa::core {
 
@@ -93,37 +91,15 @@ KnowledgeBase::SourceId KnowledgeBase::source_id(std::string_view source) {
   return static_cast<SourceId>(it - sources_.begin()) + 1;
 }
 
-KnowledgeBase::TtlId KnowledgeBase::ttl_id(double ttl) {
-  const auto bits = std::bit_cast<std::uint64_t>(ttl);
-  if (bits == std::bit_cast<std::uint64_t>(
-                  std::numeric_limits<double>::infinity())) {
-    return 0;
-  }
-  const auto it =
-      std::find_if(ttls_.begin(), ttls_.end(), [bits](double known) {
-        return std::bit_cast<std::uint64_t>(known) == bits;
-      });
-  if (it != ttls_.end()) return static_cast<TtlId>(it - ttls_.begin()) + 1;
-  if (ttls_.size() == std::numeric_limits<TtlId>::max()) {
-    throw std::length_error("KnowledgeBase: too many distinct TTLs");
-  }
-  ttls_.push_back(ttl);
-  return static_cast<TtlId>(ttls_.size());
-}
-
 void KnowledgeBase::put(KeyId id, KnowledgeItem item) {
-  // Items that declared no shelf life inherit the default.
-  const double ttl = std::isinf(item.ttl) ? default_ttl_ : item.ttl;
   store(id, Slot{item.value, item.time, item.confidence,
-                 source_id(item.source), ttl_id(ttl), item.scope});
+                 source_id(item.source), item.scope});
 }
 
 void KnowledgeBase::put_number(KeyId id, double value, double time,
                                double confidence, Scope scope,
                                SourceId source) {
-  if (default_ttl_id_ == kNoTtl) default_ttl_id_ = ttl_id(default_ttl_);
-  store(id, Slot{value, time, confidence, source,
-                 static_cast<TtlId>(default_ttl_id_), scope});
+  store(id, Slot{value, time, confidence, source, scope});
 }
 
 void KnowledgeBase::store(KeyId id, const Slot& s) {
@@ -152,7 +128,6 @@ KnowledgeItem KnowledgeBase::item(const Slot& s) const {
   out.confidence = s.confidence;
   out.scope = s.scope;
   if (s.source != 0) out.source = sources_[s.source - 1];
-  out.ttl = ttl(s);
   return out;
 }
 
@@ -185,13 +160,6 @@ std::vector<KnowledgeItem> KnowledgeBase::history(std::string_view key) const {
   out.reserve(h.size);
   for (std::size_t i = 0; i < h.size; ++i) out.push_back(item(at(h, i)));
   return out;
-}
-
-bool KnowledgeBase::fresh(std::string_view key, double now) const noexcept {
-  const KeyId id = find(key);
-  if (id == kNoKey) return false;
-  const Slot* s = latest_slot(id);
-  return s != nullptr && now - s->time <= ttl(*s);
 }
 
 std::vector<std::string> KnowledgeBase::keys() const {

@@ -13,11 +13,9 @@
 // string, and a name-sorted id vector is both the lookup index (binary
 // search) and the iteration order. Each key's history costs a 16-byte
 // header (a pointer and two 32-bit counters) plus its block of 32-byte POD
-// slots. A slot holds the value, time, confidence and scope, its
+// slots. A slot holds the value, time, confidence and scope, and its
 // provenance as an index into a small per-base table of interned source
-// names, and its TTL as an index into a table of the distinct TTLs the
-// base has seen (index 0 is infinity, so a base whose items never expire
-// keeps no table). A block is made on the key's first write at 4 slots,
+// names. A block is made on the key's first write at 4 slots,
 // doubles up to history_limit, then each write overwrites the oldest slot
 // in place, so a warm write never allocates.
 //
@@ -44,7 +42,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -66,11 +63,6 @@ struct KnowledgeItem {
   double confidence = 1.0;  ///< producer's self-assessed confidence in [0,1]
   Scope scope = Scope::Private;
   std::string source;       ///< producing process/sensor (provenance)
-  /// Sim-time shelf life: the item counts as stale once now - time > ttl.
-  /// Infinity (default) never expires. Stale items are still readable —
-  /// staleness is a *signal* (see fresh() and
-  /// core::DegradationPolicy), not an eviction.
-  double ttl = std::numeric_limits<double>::infinity();
 };
 
 /// Keyed, history-preserving store of knowledge items.
@@ -112,7 +104,7 @@ class KnowledgeBase {
 
   /// Stores a new item under `id`.
   void put(KeyId id, KnowledgeItem item);
-  /// Stores a numeric fact under `id` (TTL: the base's default).
+  /// Stores a numeric fact under `id`.
   void put_number(KeyId id, double value, double time, double confidence,
                   Scope scope, SourceId source);
   /// Value of the latest item under `id` (`fallback` if kNoKey or empty).
@@ -147,17 +139,6 @@ class KnowledgeBase {
   [[nodiscard]] bool contains(std::string_view key) const noexcept {
     return find(key) != kNoKey;
   }
-  /// True when `key` has an item still within its TTL at sim time `now`.
-  /// Unknown keys are not fresh. The stale-knowledge detector of the
-  /// degradation machinery is built on this.
-  [[nodiscard]] bool fresh(std::string_view key, double now) const noexcept;
-  /// Default TTL stamped onto items put() without an explicit finite TTL
-  /// (infinity = never expire). Existing items keep the TTL they carry.
-  void set_default_ttl(double ttl) noexcept {
-    default_ttl_ = ttl;
-    default_ttl_id_ = kNoTtl;
-  }
-  [[nodiscard]] double default_ttl() const noexcept { return default_ttl_; }
   /// All keys, sorted (deterministic iteration).
   [[nodiscard]] std::vector<std::string> keys() const;
   /// Number of distinct keys.
@@ -172,28 +153,15 @@ class KnowledgeBase {
   }
 
  private:
-  /// Index of a TTL: 0 is infinity, i > 0 is ttls_[i - 1].
-  using TtlId = std::uint16_t;
-  static constexpr std::uint32_t kNoTtl = 0xffffffffu;
-
   /// One retained item: 32 bytes, trivially copyable.
   struct Slot {
     double value;
     double time;
     double confidence;
     SourceId source;
-    TtlId ttl;
     Scope scope;
   };
   static_assert(sizeof(Slot) == 32);
-
-  /// Id of `ttl` (bit-exact), interning it if new. Throws
-  /// std::length_error past 65535 distinct finite TTLs in one base.
-  TtlId ttl_id(double ttl);
-  [[nodiscard]] double ttl(const Slot& s) const noexcept {
-    return s.ttl == 0 ? std::numeric_limits<double>::infinity()
-                      : ttls_[s.ttl - 1];
-  }
 
   /// Slots of a history's first block; later growth doubles.
   static constexpr std::size_t kFirstBlock = 4;
@@ -254,7 +222,6 @@ class KnowledgeBase {
   [[nodiscard]] KnowledgeItem item(const Slot& s) const;
 
   std::size_t history_limit_;
-  double default_ttl_ = std::numeric_limits<double>::infinity();
   /// Key names, back to back in id order; key `id` ends at name_end_[id].
   std::string names_;
   std::vector<std::uint32_t> name_end_;
@@ -265,10 +232,6 @@ class KnowledgeBase {
   std::vector<KeyId> sorted_;
   /// Source names; SourceId 0 is "" and id i > 0 is sources_[i - 1].
   std::vector<std::string> sources_;
-  /// Distinct TTLs other than infinity, and default_ttl_'s id (kNoTtl
-  /// until the next write resolves it).
-  std::vector<double> ttls_;
-  std::uint32_t default_ttl_id_ = kNoTtl;
 };
 
 }  // namespace sa::core

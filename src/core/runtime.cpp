@@ -53,10 +53,6 @@ void AgentRuntime::schedule(SelfAwareAgent& agent, double period,
           const double ms = timed_ms(body);
           metrics_->add(si.count);
           metrics_->observe(si.ms, ms);
-          // The agent reads its own loop latency next step, like any
-          // other knowledge item.
-          agent.knowledge().put_number("meta.profile.step_ms", ms, t, 1.0,
-                                       Scope::Private, "profiler");
         } else {
           body();
         }

@@ -44,12 +44,9 @@ class AgentRuntime {
 
   /// Attaches a self-profiling registry: every subsequently scheduled
   /// stream registers a `profile.<name>.count` counter and a
-  /// `profile.<name>.ms` wall-clock timer, and each agent's measured
-  /// ODA-loop latency is additionally written into its own knowledge base
-  /// as `meta.profile.step_ms` — the meta level reading its own cost as
-  /// just another knowledge item. Wall-clock values never enter simulation
-  /// logic or the trace; they are observational only. Call before
-  /// schedule*(). Non-owning; null disables.
+  /// `profile.<name>.ms` wall-clock timer. Wall-clock values never enter
+  /// simulation logic, knowledge or the trace; they are observational
+  /// only. Call before schedule*(). Non-owning; null disables.
   void set_metrics(sim::MetricsRegistry* metrics) noexcept {
     metrics_ = metrics;
   }

@@ -9,6 +9,12 @@ namespace sa::cpn {
 namespace {
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kAlpha = 0.2;          ///< Q-routing learning rate
+constexpr double kBufferFactor = 4.0;   ///< max in-flight per link, x capacity
+constexpr double kDropPenalty = 200.0;  ///< Q backup value for a buffer drop
+/// DoS defence: packets/tick forwarded towards one destination before the
+/// excess is shed.
+constexpr double kDestRateCap = 1.0;
 }  // namespace
 
 Topology::Topology(std::size_t nodes, std::vector<LinkSpec> links)
@@ -155,8 +161,8 @@ bool PacketNetwork::send(Packet& pkt, std::size_t from, std::size_t to) {
     // Upstream shedding: if this node is already forwarding more traffic
     // towards pkt.dst than the cap, drop the excess probabilistically.
     const double rate = fwd_rate_[from * topo_.nodes() + pkt.dst];
-    if (rate > p_.dest_rate_cap &&
-        rng_.chance(1.0 - p_.dest_rate_cap / rate)) {
+    if (rate > kDestRateCap &&
+        rng_.chance(1.0 - kDestRateCap / rate)) {
       ++defence_drops_;
       if (pkt.legit) ++dropped_;
       if (telemetry_) {
@@ -169,7 +175,7 @@ bool PacketNetwork::send(Packet& pkt, std::size_t from, std::size_t to) {
   }
   const std::size_t l = topo_.link_between(from, to);
   const auto buffer_limit = static_cast<std::size_t>(
-      p_.buffer_factor * topo_.links()[l].capacity);
+      kBufferFactor * topo_.links()[l].capacity);
   if (dead_[l] || in_flight_[l] >= buffer_limit) {
     // Finite buffers: the packet is lost, and the sender's Q estimate for
     // this link takes a heavy penalty so future traffic routes around it.
@@ -178,7 +184,7 @@ bool PacketNetwork::send(Packet& pkt, std::size_t from, std::size_t to) {
       for (std::size_t s = 0; s < nbrs.size(); ++s) {
         if (nbrs[s] == to) {
           double& qv = q(from, pkt.dst, s);
-          qv += p_.alpha * (p_.drop_penalty - qv);
+          qv += kAlpha * (kDropPenalty - qv);
           break;
         }
       }
@@ -250,7 +256,7 @@ void PacketNetwork::arrive(Packet pkt) {
         if (best_next == kInf) best_next = 0.0;
       }
       double& qv = q(pkt.at, pkt.dst, slot);
-      qv += p_.alpha * (observed + best_next - qv);
+      qv += kAlpha * (observed + best_next - qv);
     }
   }
 

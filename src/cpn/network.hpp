@@ -109,17 +109,13 @@ class PacketNetwork {
 
   struct Params {
     Router router = Router::QRouting;
-    double alpha = 0.2;        ///< Q-routing learning rate
     double epsilon = 0.05;     ///< exploration probability
     std::size_t ttl_hops = 64; ///< drop packets after this many hops
-    double buffer_factor = 4.0;  ///< max in-flight per link, x capacity
-    double drop_penalty = 200.0; ///< Q backup value for a buffer drop
     /// Self-aware DoS defence (Gelenbe & Loukas [39]): every node tracks
     /// the rate of traffic it forwards towards each destination; traffic
-    /// exceeding `dest_rate_cap` packets/tick is shed upstream, so a flood
+    /// exceeding kDestRateCap packets/tick is shed upstream, so a flood
     /// is strangled near its sources instead of converging on the victim.
     bool dos_defence = false;
-    double dest_rate_cap = 1.0;
     std::uint64_t seed = 41;
   };
 

@@ -37,9 +37,13 @@ using Metrics = std::vector<std::pair<std::string, double>>;
 
 /// What one grid cell returns: metrics plus an optional free-text payload
 /// (e.g. a sample explanation) surfaced in the console/JSON reports.
+/// `measured` holds the cell's clock- or host-dependent values: the
+/// document lists them under its `measured` block, apart from the
+/// compared metrics (a cell restored on --resume reports none).
 struct TaskOutput {
   Metrics metrics;
   std::string note;
+  Metrics measured;
 
   TaskOutput() = default;
   TaskOutput(Metrics m, std::string n = {})  // NOLINT(google-explicit-constructor)

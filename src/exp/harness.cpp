@@ -1,5 +1,6 @@
 #include "exp/harness.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -506,6 +507,15 @@ Json Harness::build_document(const std::vector<GridResult>& grids,
     timing["jobs"] = static_cast<std::int64_t>(g.jobs);
     Json& cell_wall = timing["cell_wall_s"] = Json::array();
     for (const auto& t : g.tasks) cell_wall.push_back(t.wall_s);
+    if (std::any_of(g.tasks.begin(), g.tasks.end(),
+                    [](const TaskResult& t) { return !t.measured.empty(); })) {
+      Json& cells = timing["cell_measured"] = Json::array();
+      for (const auto& t : g.tasks) {
+        Json cell = Json::object();
+        for (const auto& [name, value] : t.measured) cell[name] = value;
+        cells.push_back(std::move(cell));
+      }
+    }
     grid_timing.push_back(std::move(timing));
   }
   return doc;

@@ -112,6 +112,8 @@ class Harness {
   ///   measured.shards / shard_events_total / shard_events_per_sec
   ///                                                   (--shards > 1)
   ///   measured.grids[i].{wall_s, jobs, cell_wall_s[]}  (i as in grids)
+  ///   measured.grids[i].cell_measured[]  (when a cell reports
+  ///                                       TaskOutput::measured)
   ///
   /// Everything else — schema, experiment, meta (git_rev, fault_plan,
   /// scenario, events_total), grids, failed_cells — is byte-identical

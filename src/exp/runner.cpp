@@ -98,6 +98,7 @@ GridResult Runner::run(std::string_view experiment, const Grid& grid) const {
       TaskOutput o = grid.task(ctx);
       slot.metrics = std::move(o.metrics);
       slot.note = std::move(o.note);
+      slot.measured = std::move(o.measured);
     } catch (const std::exception& e) {
       slot.error = e.what();
       if (slot.error.empty()) slot.error = "exception";

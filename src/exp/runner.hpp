@@ -28,6 +28,7 @@ struct TaskResult {
   std::string note;
   std::string error;    ///< non-empty iff the task threw
   double wall_s = 0.0;  ///< task wall-clock (excluded from determinism)
+  Metrics measured;     ///< TaskOutput::measured (excluded likewise)
 };
 
 /// All cells of one grid, in variant-major order, plus aggregation helpers.

@@ -6,6 +6,11 @@
 
 namespace sa::multicore {
 
+namespace {
+constexpr double kTargetLatencyS = 0.4;    ///< latency goal scale
+constexpr double kThroughputScale = 45.0;  ///< tasks/s mapped to utility 1.0
+}  // namespace
+
 std::vector<ManagerAction> default_actions(const Platform& platform) {
   std::vector<ManagerAction> out;
   for (std::size_t lvl = 0; lvl < platform.freq_levels(); ++lvl) {
@@ -84,12 +89,12 @@ void Manager::build_agent() {
   // a hard constraint (stakeholder non-negotiable).
   auto& goals = agent_->goals();
   goals.add_objective(
-      {"throughput", core::utility::rising(0.0, p_.throughput_scale), 1.0});
+      {"throughput", core::utility::rising(0.0, kThroughputScale), 1.0});
   // Tail latency carries double weight: the motivating workloads are
   // latency-critical (interactive phase), and it is the metric a static
   // design-time choice cannot keep low across regimes.
   goals.add_objective(
-      {"latency", core::utility::falling(0.0, 5.0 * p_.target_latency_s),
+      {"latency", core::utility::falling(0.0, 5.0 * kTargetLatencyS),
        2.0});
   goals.add_objective(
       {"power", core::utility::falling(1.0, 10.0), 1.0});
@@ -116,7 +121,7 @@ void Manager::build_agent() {
       // Threshold rules over *current* readings only — no models.
       auto rules = std::make_unique<core::RulePolicy>(
           /*default: mid frequency, balanced*/ std::size_t{3});
-      const double target = p_.target_latency_s;
+      const double target = kTargetLatencyS;
       rules->add_rule({"power over cap -> min freq, pack little",
                        [cap](const core::KnowledgeBase& kb) {
                          return kb.number("power") > cap;
@@ -160,10 +165,10 @@ core::MetricMap Manager::predict(const ManagerAction& a,
   // a core whose steady-state temperature would exceed the envelope
   // duty-cycles between the requested and the minimum frequency, so its
   // *sustained* speed and power are the duty-weighted mixture. Constants
-  // come from the platform's datasheet (config()).
-  const auto& pc = platform_.config();
+  // come from the platform's datasheet (platform.hpp).
+  const bool thermal = platform_.config().thermal;
   double cap = 0.0, leak = 0.0, dyn_full = 0.0, eligible_cap = 0.0;
-  double hottest_c = pc.ambient_c;  // predicted hottest eligible core
+  double hottest_c = kAmbientC;  // predicted hottest eligible core
   const double freq = platform_.freq_ghz(a.freq_level);
   const double f_min = platform_.freq_ghz(0);
   // Utilisation estimate for the thermal model: sensed demand over this
@@ -191,23 +196,23 @@ core::MetricMap Manager::predict(const ManagerAction& a,
       continue;
     }
     double duty = 1.0;  // fraction of time at the requested frequency
-    if (pc.thermal) {
+    if (thermal) {
       const double p_hot_now =
           spec.static_w * freq * freq +
           spec.dyn_coeff * freq * freq * freq * util_guess;
       hottest_c = std::max(
           hottest_c,
-          std::min(pc.throttle_c,
-                   pc.ambient_c + pc.heat_per_w * p_hot_now / pc.cool_rate));
-      const double t_mid = 0.5 * (pc.throttle_c + pc.recover_c);
+          std::min(kThrottleC,
+                   kAmbientC + kHeatPerW * p_hot_now / kCoolRate));
+      const double t_mid = 0.5 * (kThrottleC + kRecoverC);
       const double p_hot = spec.static_w * freq * freq +
                            spec.dyn_coeff * freq * freq * freq * util_guess;
       const double p_cold =
           spec.static_w * f_min * f_min +
           spec.dyn_coeff * f_min * f_min * f_min * util_guess;
-      const double sink = pc.cool_rate * (t_mid - pc.ambient_c);
-      const double heat_rate = pc.heat_per_w * p_hot - sink;
-      const double cool_rate = sink - pc.heat_per_w * p_cold;
+      const double sink = kCoolRate * (t_mid - kAmbientC);
+      const double heat_rate = kHeatPerW * p_hot - sink;
+      const double cool_rate = sink - kHeatPerW * p_cold;
       if (heat_rate > 0.0 && cool_rate > 0.0) {
         duty = cool_rate / (cool_rate + heat_rate);
       } else if (heat_rate > 0.0) {
@@ -218,8 +223,8 @@ core::MetricMap Manager::predict(const ManagerAction& a,
       // duty only applies from a cool start.
       if (heat_rate > 0.0) {
         const double headroom =
-            std::clamp((pc.throttle_c - stats_.max_temp_c) /
-                           (pc.throttle_c - pc.recover_c),
+            std::clamp((kThrottleC - stats_.max_temp_c) /
+                           (kThrottleC - kRecoverC),
                        0.0, 1.0);
         duty = std::min(duty, headroom);
       }

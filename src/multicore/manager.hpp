@@ -51,8 +51,6 @@ class Manager {
     core::LevelSet levels = core::LevelSet::full();  ///< SelfAware only
     double epoch_s = 0.5;          ///< control period
     double power_cap_w = 18.0;     ///< hard constraint bound
-    double target_latency_s = 0.4; ///< latency goal scale
-    double throughput_scale = 45.0;///< tasks/s mapped to utility 1.0
     std::size_t static_action = 3; ///< Static's fixed choice: f-mid/balanced
     std::uint64_t seed = 7;
     /// Optional telemetry bus: wired into the agent (and the platform via

@@ -23,19 +23,19 @@ PlatformConfig PlatformConfig::big_little(std::size_t n_big,
 Platform::Platform(PlatformConfig cfg, std::uint64_t seed)
     : cfg_(std::move(cfg)),
       specs_(cfg_.cores),
-      level_(specs_.size(), cfg_.freqs.size() / 2),
+      level_(specs_.size(), kFreqs.size() / 2),
       failed_(specs_.size(), false),
       queue_(specs_.size()),
       rng_(seed) {
   if (cfg_.thermal) {
-    temp_.assign(specs_.size(), cfg_.ambient_c);
+    temp_.assign(specs_.size(), kAmbientC);
     throttled_.assign(specs_.size(), false);
   }
   queue_tw_.set(0.0, 0.0);
 }
 
 void Platform::set_freq_level(std::size_t core, std::size_t level) {
-  level_[core] = std::min(level, cfg_.freqs.size() - 1);
+  level_[core] = std::min(level, kFreqs.size() - 1);
 }
 
 void Platform::set_all_freq(std::size_t level) {
@@ -54,8 +54,8 @@ double Platform::speed(std::size_t core) const {
   // regardless of what the manager asked for; a fault-injected cap bounds
   // the effective level below whatever the manager requested.
   const double f =
-      throttled(core) ? cfg_.freqs.front()
-                      : cfg_.freqs[std::min(level_[core], freq_cap_)];
+      throttled(core) ? kFreqs.front()
+                      : kFreqs[std::min(level_[core], freq_cap_)];
   return specs_[core].ipc * f;
 }
 
@@ -148,7 +148,7 @@ void Platform::admit(Task task) {
 }
 
 void Platform::step() {
-  const double dt = cfg_.tick;
+  const double dt = kTick;
 
   // 1. Arrivals: Poisson(rate·dt) per tick.
   const int arrivals = rate_ > 0.0 ? rng_.poisson(rate_ * dt) : 0;
@@ -182,8 +182,8 @@ void Platform::step() {
         full_budget > 0.0 ? (full_budget - budget) / full_budget : 0.0;
     busy_time_ += busy_frac * dt;
     const double f =
-        throttled(c) ? cfg_.freqs.front()
-                     : cfg_.freqs[std::min(level_[c], freq_cap_)];
+        throttled(c) ? kFreqs.front()
+                     : kFreqs[std::min(level_[c], freq_cap_)];
     // Leakage scales with f^2 (supply voltage tracks frequency under DVFS),
     // dynamic power with f^3 x activity.
     const double power = specs_[c].static_w * f * f +
@@ -191,16 +191,16 @@ void Platform::step() {
     energy_ += power * dt;
 
     if (cfg_.thermal) {
-      temp_[c] += dt * (cfg_.heat_per_w * power -
-                        cfg_.cool_rate * (temp_[c] - cfg_.ambient_c));
+      temp_[c] += dt * (kHeatPerW * power -
+                        kCoolRate * (temp_[c] - kAmbientC));
       max_temp_epoch_ = std::max(max_temp_epoch_, temp_[c]);
-      if (!throttled_[c] && temp_[c] >= cfg_.throttle_c) {
+      if (!throttled_[c] && temp_[c] >= kThrottleC) {
         throttled_[c] = true;
         if (telemetry_) {
           telemetry_->record(now_ + dt, sim::TelemetryBus::kFailure,
                              subject_, temp_[c], specs_[c].name);
         }
-      } else if (throttled_[c] && temp_[c] <= cfg_.recover_c) {
+      } else if (throttled_[c] && temp_[c] <= kRecoverC) {
         throttled_[c] = false;
       }
       if (throttled_[c]) throttle_time_ += dt;
@@ -212,7 +212,7 @@ void Platform::step() {
 }
 
 void Platform::run_for(double secs) {
-  const auto ticks = static_cast<std::size_t>(std::ceil(secs / cfg_.tick));
+  const auto ticks = static_cast<std::size_t>(std::ceil(secs / kTick));
   for (std::size_t i = 0; i < ticks; ++i) step();
 }
 
@@ -247,7 +247,7 @@ EpochStats Platform::harvest() {
                           static_cast<double>(completed_)
                     : 0.0;
   s.mean_queue = queue_tw_.mean(now_);
-  s.max_temp_c = cfg_.thermal ? max_temp_epoch_ : cfg_.ambient_c;
+  s.max_temp_c = cfg_.thermal ? max_temp_epoch_ : kAmbientC;
   if (cfg_.thermal && s.duration > 0.0) {
     s.throttle_frac = throttle_time_ /
                       (s.duration * static_cast<double>(specs_.size()));

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -52,22 +53,27 @@ struct CoreSpec {
   double dyn_coeff = 1.0;///< dynamic power = coeff · f³ · utilisation, W@GHz³
 };
 
+/// Available DVFS levels, GHz.
+inline constexpr std::array<double, 4> kFreqs{0.6, 1.0, 1.4, 1.8};
+inline constexpr double kTick = 0.005;  ///< simulation step, s
+
+// First-order thermal model (per core): dT/dt = heat·power − cool·(T−amb).
+// When a core crosses kThrottleC the hardware clamps it to the minimum
+// frequency until it cools below kRecoverC — invisible to a manager that
+// does not watch temperature. The manager's self-model reads the same
+// constants as its datasheet.
+inline constexpr double kAmbientC = 40.0;
+/// °C/s gained per watt of core power.
+inline constexpr double kHeatPerW = 12.0;
+inline constexpr double kCoolRate = 0.5;  ///< 1/s towards ambient
+inline constexpr double kThrottleC = 85.0;
+/// Deep hysteresis: throttling is punishing.
+inline constexpr double kRecoverC = 60.0;
+
 /// Platform-wide configuration.
 struct PlatformConfig {
   std::vector<CoreSpec> cores;
-  std::vector<double> freqs{0.6, 1.0, 1.4, 1.8};  ///< available GHz levels
-  double tick = 0.005;                             ///< simulation step, s
-
-  // First-order thermal model (per core): dT/dt = heat·power − cool·(T−amb).
-  // When a core crosses `throttle_c` the hardware clamps it to the minimum
-  // frequency until it cools below `recover_c` — invisible to a manager
-  // that does not watch temperature.
-  bool thermal = false;       ///< enable the thermal model
-  double ambient_c = 40.0;
-  double heat_per_w = 12.0;   ///< °C/s gained per watt of core power
-  double cool_rate = 0.5;     ///< 1/s towards ambient
-  double throttle_c = 85.0;
-  double recover_c = 60.0;    ///< deep hysteresis: throttling is punishing
+  bool thermal = false;  ///< enable the thermal model
 
   /// Canonical big.LITTLE chip used throughout tests and benches.
   static PlatformConfig big_little(std::size_t n_big, std::size_t n_little);
@@ -262,11 +268,11 @@ class Platform {
     return level_[core];
   }
   [[nodiscard]] std::size_t freq_levels() const noexcept {
-    return cfg_.freqs.size();
+    return kFreqs.size();
   }
   /// Frequency in GHz of a DVFS level.
   [[nodiscard]] double freq_ghz(std::size_t level) const {
-    return cfg_.freqs[std::min(level, cfg_.freqs.size() - 1)];
+    return kFreqs[std::min(level, kFreqs.size() - 1)];
   }
   [[nodiscard]] Mapping mapping() const noexcept { return mapping_; }
   /// Full platform configuration (the "datasheet" a self-model may use).
@@ -275,7 +281,7 @@ class Platform {
   }
   /// Current temperature of `core` (ambient when thermal model disabled).
   [[nodiscard]] double temperature(std::size_t core) const {
-    return temp_.empty() ? cfg_.ambient_c : temp_[core];
+    return temp_.empty() ? kAmbientC : temp_[core];
   }
   /// True if `core` is currently thermally throttled.
   [[nodiscard]] bool throttled(std::size_t core) const {

@@ -100,9 +100,7 @@ NetworkEpoch CameraFleet::finish_epoch() {
       agent.step(static_cast<double>(epoch_));
       // Reward: the camera's own market utility, normalised per step.
       const double u =
-          last_[c].utility(net_.params().comm_weight,
-                           net_.params().handover_bonus) /
-          static_cast<double>(p_.epoch_steps);
+          last_[c].utility() / static_cast<double>(p_.epoch_steps);
       agent.reward(u);
     }
   }

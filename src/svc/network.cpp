@@ -8,6 +8,14 @@ namespace sa::svc {
 
 namespace {
 constexpr std::size_t kUnowned = std::numeric_limits<std::size_t>::max();
+/// Minimum visibility to keep a track.
+constexpr double kVisThreshold = 0.15;
+/// Chance an unowned visible object is claimed in a step.
+constexpr double kRedetectProb = 0.5;
+/// Fraction of waypoints inside the hotspot.
+constexpr double kHotspotBias = 0.7;
+constexpr Vec2 kHotspot{0.5, 0.5};
+constexpr double kHotspotRadius = 0.2;
 }  // namespace
 
 double distance(Vec2 a, Vec2 b) noexcept {
@@ -49,7 +57,7 @@ Network::Network(std::vector<CameraSpec> cameras, NetworkParams params)
 Network Network::clustered_layout(NetworkParams params) {
   std::vector<CameraSpec> cams;
   // Dense 2x2 cluster around the hotspot: heavily overlapping FoVs.
-  const Vec2 h = params.hotspot;
+  const Vec2 h = kHotspot;
   for (double dx : {-0.06, 0.06}) {
     for (double dy : {-0.06, 0.06}) {
       cams.push_back({{h.x + dx, h.y + dy}, 0.22, 6});
@@ -98,27 +106,17 @@ void Network::transfer_owner(std::size_t obj, std::size_t to) {
   owner_[obj] = to;
 }
 
-Vec2 Network::current_hotspot() const {
-  if (p_.hotspot_drift <= 0.0) return p_.hotspot;
-  const double ang = p_.hotspot_drift * static_cast<double>(steps_);
-  return {std::clamp(p_.hotspot.x + p_.hotspot_orbit * std::cos(ang), 0.1,
-                     0.9),
-          std::clamp(p_.hotspot.y + p_.hotspot_orbit * std::sin(ang), 0.1,
-                     0.9)};
-}
-
 void Network::move_objects() {
-  const Vec2 hotspot = current_hotspot();
   for (std::size_t o = 0; o < object_pos_.size(); ++o) {
     Vec2& pos = object_pos_[o];
     Vec2& wp = object_waypoint_[o];
     if (distance(pos, wp) < p_.speed) {
-      // New waypoint, biased towards the (possibly moving) hotspot.
-      if (rng_.chance(p_.hotspot_bias)) {
+      // New waypoint, biased towards the hotspot.
+      if (rng_.chance(kHotspotBias)) {
         const double ang = rng_.uniform(0.0, 6.283185307179586);
-        const double rad = p_.hotspot_radius * std::sqrt(rng_.uniform());
-        wp = {std::clamp(hotspot.x + rad * std::cos(ang), 0.0, 1.0),
-              std::clamp(hotspot.y + rad * std::sin(ang), 0.0, 1.0)};
+        const double rad = kHotspotRadius * std::sqrt(rng_.uniform());
+        wp = {std::clamp(kHotspot.x + rad * std::cos(ang), 0.0, 1.0),
+              std::clamp(kHotspot.y + rad * std::sin(ang), 0.0, 1.0)};
       } else {
         wp = {rng_.uniform(), rng_.uniform()};
       }
@@ -162,7 +160,7 @@ void Network::auction(std::size_t obj, std::size_t seller) {
   double best_bid = 0.0;
   for (std::size_t c : audience_) {
     const double vis = visibility(c, obj);
-    if (vis < p_.vis_threshold) continue;
+    if (vis < kVisThreshold) continue;
     if (load(c) >= specs_[c].capacity) continue;
     // Bid: how well I see it, discounted by how busy I am.
     const double bid =
@@ -204,9 +202,9 @@ void Network::auction(std::size_t obj, std::size_t seller) {
 void Network::claim_unowned() {
   for (std::size_t o = 0; o < owner_.size(); ++o) {
     if (owner_[o] != kUnowned) continue;
-    if (!rng_.chance(p_.redetect_prob)) continue;  // detection latency
+    if (!rng_.chance(kRedetectProb)) continue;  // detection latency
     std::size_t best = kUnowned;
-    double best_vis = p_.vis_threshold;
+    double best_vis = kVisThreshold;
     for (std::size_t c = 0; c < specs_.size(); ++c) {
       if (load(c) >= specs_[c].capacity) continue;
       const double vis = visibility(c, o);
@@ -229,7 +227,7 @@ void Network::step() {
     const std::size_t cam = owner_[o];
     if (cam == kUnowned) continue;
     const double vis = visibility(cam, o);
-    if (vis >= p_.vis_threshold) {
+    if (vis >= kVisThreshold) {
       cam_epoch_[cam].tracking += vis;
       step_vis += vis;
       ++tracked;
@@ -239,7 +237,7 @@ void Network::step() {
       const std::size_t now = owner_[o];
       if (now != kUnowned) {
         const double v2 = visibility(now, o);
-        if (v2 >= p_.vis_threshold) {
+        if (v2 >= kVisThreshold) {
           cam_epoch_[now].tracking += v2;
           step_vis += v2;
           ++tracked;
@@ -282,7 +280,7 @@ NetworkEpoch Network::harvest_network() {
     out.coverage /= out.steps;
     out.mean_visibility /= out.steps;
   }
-  out.global_utility -= p_.comm_weight * out.messages;
+  out.global_utility -= kCommWeight * out.messages;
   net_epoch_ = NetworkEpoch{};
   return out;
 }

@@ -57,22 +57,13 @@ struct CameraSpec {
   std::size_t capacity = 6;  ///< max simultaneous tracks
 };
 
+inline constexpr double kCommWeight = 0.05;  ///< utility cost per message
+/// Reward for a successful auction.
+inline constexpr double kHandoverBonus = 0.3;
+
 struct NetworkParams {
   std::size_t objects = 24;
   double speed = 0.015;          ///< object speed per step
-  double vis_threshold = 0.15;   ///< minimum visibility to keep a track
-  double comm_weight = 0.05;     ///< utility cost per message
-  double handover_bonus = 0.3;   ///< reward for a successful auction
-  double redetect_prob = 0.5;    ///< chance an unowned visible object is
-                                 ///< claimed in a step
-  double hotspot_bias = 0.7;     ///< fraction of waypoints inside hotspot
-  Vec2 hotspot{0.5, 0.5};
-  double hotspot_radius = 0.2;
-  /// Environmental drift: the hotspot orbits its initial position at this
-  /// angular speed (radians/step) on a circle of `hotspot_orbit` radius.
-  /// 0 keeps the scene stationary.
-  double hotspot_drift = 0.0;
-  double hotspot_orbit = 0.25;
   std::uint64_t seed = 17;
 };
 
@@ -84,9 +75,8 @@ struct CameraEpoch {
   double lost = 0.0;       ///< objects that went unowned on this camera
   std::size_t owned_now = 0;
   /// Local utility: what the camera's own agent optimises.
-  [[nodiscard]] double utility(double comm_weight,
-                               double handover_bonus) const {
-    return tracking + handover_bonus * handovers - comm_weight * messages;
+  [[nodiscard]] double utility() const {
+    return tracking + kHandoverBonus * handovers - kCommWeight * messages;
   }
 };
 
@@ -96,7 +86,7 @@ struct NetworkEpoch {
   double coverage = 0.0;        ///< mean fraction of objects tracked
   double mean_visibility = 0.0; ///< mean visibility over tracked objects
   double messages = 0.0;        ///< total auction messages
-  double global_utility = 0.0;  ///< Σ visibility − comm_weight·messages
+  double global_utility = 0.0;  ///< Σ visibility − kCommWeight·messages
 };
 
 class Network {
@@ -122,7 +112,7 @@ class Network {
   }
   /// Degrades `cam`'s sensor: visibility is multiplied by `factor` in
   /// [0, 1] (1 = sharp, 0 = total dropout). Tracks fade below the
-  /// vis_threshold and are auctioned away like any genuine loss.
+  /// visibility threshold and are auctioned away like any genuine loss.
   void set_sensor_blur(std::size_t cam, double factor);
   [[nodiscard]] double sensor_blur(std::size_t cam) const {
     return blur_[cam];
@@ -134,8 +124,6 @@ class Network {
   /// Emits handover observations and lost-track failures to `bus` (event
   /// time = world step count). Non-owning; null disables emission.
   void set_telemetry(sim::TelemetryBus* bus);
-  /// Current hotspot centre (moves when hotspot_drift > 0).
-  [[nodiscard]] Vec2 current_hotspot() const;
 
   [[nodiscard]] std::size_t cameras() const noexcept {
     return specs_.size();
@@ -162,7 +150,6 @@ class Network {
   CameraEpoch harvest_camera(std::size_t cam);
   /// Network stats since last harvest_network (resets them).
   NetworkEpoch harvest_network();
-  [[nodiscard]] const NetworkParams& params() const noexcept { return p_; }
 
  private:
   /// One learned vision-graph edge. Each camera's edges are kept sorted by

@@ -49,23 +49,27 @@ TEST(StateCkpt, RngImageCarriesTheNormalSpare) {
   EXPECT_EQ(b3.data(), b1.data());
 }
 
-TEST(StateCkpt, NumericItemImageIsKindTwoThenLittleEndianDouble) {
-  // Each item opens with the kind byte 2 and its value as a little-endian
-  // IEEE-754 double; older images were written with the same bytes.
+TEST(StateCkpt, NumericItemImageIsLittleEndianDouble) {
+  // A base's image is its history limit and key count, then per key its
+  // name, item count and items. An item opens with its value as a
+  // little-endian IEEE-754 double, followed by time, confidence, the scope
+  // byte and the source: nothing else.
   core::KnowledgeBase kb(4);
   kb.put_number("k", -0.1, 3.0, 0.5, core::Scope::Public, "src");
   Buffer image;
   save_knowledge(kb, image);
   Buffer head;  // everything the image holds before its one item
   head.u64(4);
-  head.f64(kb.default_ttl());
   head.u64(1);
   head.str("k");
   head.u64(1);
-  ASSERT_GT(image.data().size(), head.data().size() + 9);
-  EXPECT_EQ(image.data().substr(0, head.data().size()), head.data());
-  EXPECT_EQ(image.data().substr(head.data().size(), 9),
-            std::string("\x02\x9a\x99\x99\x99\x99\x99\xb9\xbf", 9));
+  Buffer tail;  // everything after the item's value
+  tail.f64(3.0);
+  tail.f64(0.5);
+  tail.u8(static_cast<std::uint8_t>(core::Scope::Public));
+  tail.str("src");
+  const std::string value("\x9a\x99\x99\x99\x99\x99\xb9\xbf", 8);  // -0.1
+  EXPECT_EQ(image.data(), head.data() + value + tail.data());
 }
 
 std::string knowledge_image(const core::KnowledgeBase& kb) {
@@ -76,7 +80,6 @@ std::string knowledge_image(const core::KnowledgeBase& kb) {
 
 TEST(StateCkpt, KnowledgeBaseRestoresVerbatim) {
   auto fill = [](core::KnowledgeBase& kb, int first, bool alpha_first) {
-    kb.set_default_ttl(10.0);
     if (alpha_first)
       kb.put_number("alpha", 2.0, 0.25, 0.9, core::Scope::Public, "peer");
     for (int i = first; i < 6; ++i) {  // overflows the ring: oldest evicted

@@ -55,17 +55,6 @@ TEST(DemandModel, BurstsMultiplyDemand) {
   EXPECT_TRUE(dm.bursting());
 }
 
-TEST(DemandModel, DriftGrowsBase) {
-  DemandModel::Params p;
-  p.base = 10.0;
-  p.diurnal_amp = 0.0;
-  p.burst_prob = 0.0;
-  p.drift_per_s = 0.1;
-  DemandModel dm(p);
-  sim::Rng rng(4);
-  EXPECT_NEAR(dm.rate(100.0, 10.0, rng), 20.0, 1e-9);
-}
-
 TEST(Cluster, NodesAreHeterogeneous) {
   Cluster c(small_params());
   double min_cap = 1e9, max_cap = 0.0, min_mttf = 1e18, max_mttf = 0.0;

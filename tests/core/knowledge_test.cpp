@@ -101,51 +101,6 @@ TEST(KnowledgeBase, SourceAndProvenancePreserved) {
   EXPECT_EQ(item->scope, Scope::Public);
 }
 
-TEST(KnowledgeBase, ItemsAreFreshWithinTheirTtl) {
-  KnowledgeBase kb;
-  KnowledgeItem item;
-  item.value = 1.0;
-  item.time = 10.0;
-  item.ttl = 5.0;
-  kb.put("reading", item);
-  EXPECT_TRUE(kb.fresh("reading", 10.0));
-  EXPECT_TRUE(kb.fresh("reading", 15.0));  // exactly at the TTL boundary
-  EXPECT_FALSE(kb.fresh("reading", 15.01));
-  // Staleness is a signal, not an eviction: the item is still readable.
-  EXPECT_DOUBLE_EQ(kb.number("reading"), 1.0);
-  EXPECT_FALSE(kb.fresh("unknown", 0.0));
-}
-
-TEST(KnowledgeBase, InfiniteTtlNeverGoesStale) {
-  KnowledgeBase kb;
-  kb.put_number("constant", 1.0, 0.0);
-  EXPECT_TRUE(kb.fresh("constant", 1e12));
-}
-
-TEST(KnowledgeBase, DefaultTtlIsStampedOntoNewItems) {
-  KnowledgeBase kb;
-  kb.put_number("before", 1.0, 0.0);
-  kb.set_default_ttl(2.0);
-  kb.put_number("after", 1.0, 0.0);
-  // Items already stored keep the TTL they carried.
-  EXPECT_TRUE(kb.fresh("before", 100.0));
-  EXPECT_FALSE(kb.fresh("after", 100.0));
-  ASSERT_TRUE(kb.latest("after").has_value());
-  EXPECT_DOUBLE_EQ(kb.latest("after")->ttl, 2.0);
-}
-
-TEST(KnowledgeBase, ExplicitFiniteTtlWinsOverTheDefault) {
-  KnowledgeBase kb;
-  kb.set_default_ttl(2.0);
-  KnowledgeItem item;
-  item.value = 1.0;
-  item.time = 0.0;
-  item.ttl = 50.0;
-  kb.put("long_lived", item);
-  EXPECT_TRUE(kb.fresh("long_lived", 10.0));
-  EXPECT_DOUBLE_EQ(kb.latest("long_lived")->ttl, 50.0);
-}
-
 TEST(KnowledgeBase, CopyOutlivesOriginal) {
   // A copy owns its key table: looking keys up after the original is gone
   // must not touch the original's storage (run under ASan in CI).

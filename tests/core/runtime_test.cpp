@@ -154,23 +154,6 @@ TEST(AgentRuntime, ProfilesScheduledStreamsIntoMetrics) {
   EXPECT_GE(metrics.stats(step_ms).min(), 0.0);
 }
 
-TEST(AgentRuntime, SelfProfileVisibleToTheAgentAsKnowledge) {
-  // The self-awareness hook: the agent can read its own ODA-loop latency
-  // from its knowledge base, like any other sensed quantity.
-  sim::Engine engine;
-  AgentRuntime rt(engine);
-  sim::MetricsRegistry metrics;
-  rt.set_metrics(&metrics);
-  SelfAwareAgent agent("introspect", quiet());
-  agent.add_sensor("x", [] { return 1.0; });
-  rt.schedule(agent, 1.0);
-  engine.run_until(3.0);
-  const auto item = agent.knowledge().latest("meta.profile.step_ms");
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(item->source, "profiler");
-  EXPECT_GE(item->value, 0.0);
-}
-
 TEST(AgentRuntime, TracerRecordsRuntimeSpansPerStream) {
   sim::Engine engine;
   AgentRuntime rt(engine);
@@ -203,7 +186,6 @@ TEST(AgentRuntime, UnprofiledSchedulingIsUnchanged) {
   rt.schedule(agent, 1.0);
   engine.run_until(5.0);
   EXPECT_EQ(agent.steps(), 5u);
-  EXPECT_FALSE(agent.knowledge().latest("meta.profile.step_ms").has_value());
 }
 
 }  // namespace

@@ -120,40 +120,6 @@ TEST(DegradationPolicy, DwellAccruesOnlyWhileDegraded) {
   EXPECT_DOUBLE_EQ(policy.degraded_dwell(), 2.0);
 }
 
-TEST(DegradationPolicy, StepLatencyBreachTriggersWhenOptedIn) {
-  SelfAwareAgent agent("a");
-  auto p = fast_params();
-  p.step_ms_breach = 50.0;
-  DegradationPolicy policy(agent, p);
-  agent.knowledge().put_number("meta.profile.step_ms", 80.0, 0.0);
-  policy.update(1.0);
-  policy.update(2.0);
-  EXPECT_EQ(policy.mode(), Mode::Goal);
-  EXPECT_NE(policy.last_trigger().find("step_ms"), std::string::npos);
-}
-
-TEST(DegradationPolicy, StaleWatchedKnowledgeTriggers) {
-  SelfAwareAgent agent("a");
-  auto p = fast_params();
-  p.watch_keys = {"sensor.a", "sensor.b"};
-  p.stale_fraction_breach = 0.4;  // one of two stale breaches
-  p.knowledge_ttl = 5.0;  // stamped as the KB default at attach
-  DegradationPolicy policy(agent, p);
-  EXPECT_DOUBLE_EQ(agent.knowledge().default_ttl(), 5.0);
-
-  agent.knowledge().put_number("sensor.a", 1.0, 0.0);
-  agent.knowledge().put_number("sensor.b", 1.0, 0.0);
-  policy.update(1.0);  // both fresh
-  EXPECT_EQ(policy.mode(), Mode::Meta);
-  // Only sensor.b keeps updating; sensor.a ages past its TTL.
-  agent.knowledge().put_number("sensor.b", 1.0, 10.0);
-  policy.update(10.0);
-  agent.knowledge().put_number("sensor.b", 1.0, 11.0);
-  policy.update(11.0);
-  EXPECT_EQ(policy.mode(), Mode::Goal);
-  EXPECT_NE(policy.last_trigger().find("stale"), std::string::npos);
-}
-
 TEST(DegradationPolicy, TransitionsAreExplainedWithTraceIds) {
   SelfAwareAgent agent("a");
   DegradationPolicy policy(agent, fast_params());
@@ -234,8 +200,8 @@ TEST(SelfAwareAgent, NanSensorReadsAreSkippedAndCounted) {
   agent.step(2.0);
   agent.step(3.0);
   EXPECT_EQ(agent.sensor_gaps(), 2u);
-  // The key stops updating instead of turning into NaN: the stale-
-  // knowledge detector sees an aging item, not a poisoned one.
+  // The key stops updating instead of turning into NaN: a reader sees an
+  // aging item, not a poisoned one.
   reading = 5.0;
   agent.step(4.0);
   const auto item = agent.knowledge().latest("x");

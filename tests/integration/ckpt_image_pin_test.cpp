@@ -115,13 +115,13 @@ void expect_pinned(std::uint64_t seed, const Pin& early, const Pin& late) {
 }
 
 TEST(CkptImagePin, CitySeed61ImagesAreByteStable) {
-  expect_pinned(61, {100.0, 944130, 5723694792320453012ull},
-                {1200.0, 2844344, 15468860573628037361ull});
+  expect_pinned(61, {100.0, 753991, 13954001195313379844ull},
+                {1200.0, 2273127, 12841530739774129337ull});
 }
 
 TEST(CkptImagePin, CitySeed62ImagesAreByteStable) {
-  expect_pinned(62, {100.0, 587574, 4947966874201762094ull},
-                {1200.0, 2892493, 4643024442318314310ull});
+  expect_pinned(62, {100.0, 472126, 7284363188505818677ull},
+                {1200.0, 2313095, 5419301596055785368ull});
 }
 
 }  // namespace

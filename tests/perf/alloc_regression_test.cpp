@@ -1,7 +1,7 @@
 // Steady-state allocation regression tests for the data-oriented hot
 // paths: once an Engine's slot arena and heap have warmed up, scheduling
 // and dispatching events must not touch the heap; once a KnowledgeBase
-// key exists, reads (number/confidence/fresh/contains/latest) and
+// key exists, reads (number/confidence/contains/latest) and
 // ring-overwrite writes must not either; and once an agent's awareness
 // processes have seen their signals, their updates must not either. These
 // contracts are what the pooled-kernel/interned-store and dense-agent
@@ -121,7 +121,6 @@ TEST(KnowledgeAlloc, ReadPathsAreAllocFree) {
     acc += kb.number("metric.7");
     acc += kb.confidence("metric.13");
     all = all && kb.contains("metric.0");
-    all = all && kb.fresh("metric.21", 0.5);
     if (const auto item = kb.latest("metric.3")) acc += item->value;
   }
   EXPECT_EQ(allocs(), before) << "knowledge read path allocated";

@@ -126,7 +126,7 @@ TEST(Network, CameraEpochUtilityBlendsComponents) {
   e.tracking = 10.0;
   e.messages = 20.0;
   e.handovers = 2.0;
-  EXPECT_DOUBLE_EQ(e.utility(0.1, 0.5), 10.0 + 1.0 - 2.0);
+  EXPECT_DOUBLE_EQ(e.utility(), 10.0 + 0.3 * 2.0 - 0.05 * 20.0);
 }
 
 TEST(Network, HarvestCameraResetsCounters) {
