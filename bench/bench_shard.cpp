@@ -63,16 +63,6 @@ exp::TaskOutput run_cell(const gen::ScenarioSpec& spec, std::size_t shards,
   return out;
 }
 
-/// Mean over a variant's cells of `value(cell)`.
-template <typename F>
-double cell_mean(const exp::GridResult& r, std::size_t variant, F value) {
-  double sum = 0.0;
-  for (std::size_t s = 0; s < r.seeds.size(); ++s) {
-    sum += value(r.at(variant, s));
-  }
-  return r.seeds.empty() ? 0.0 : sum / static_cast<double>(r.seeds.size());
-}
-
 /// True when every metric is bit-equal across all variants for every seed.
 bool rows_identical(const exp::GridResult& r) {
   for (std::size_t s = 0; s < r.seeds.size(); ++s) {
@@ -126,23 +116,19 @@ int main(int argc, char** argv) {
   sim::Table t("shard  scaling: one city, N engine shards",
                {"config", "goal", "coverage", "delivery", "wall_ms",
                 "speedup", "lag_s"});
-  // The cell's wall time includes building and tearing down its world.
-  const auto wall_ms = [&r](std::size_t v) {
-    return cell_mean(r, v, [](const exp::TaskResult& c) {
-      return 1e3 * c.wall_s;
-    });
-  };
-  const auto lag_s = [&r](std::size_t v) {
-    return cell_mean(r, v, [](const exp::TaskResult& c) {
-      return c.measured.empty() ? 0.0 : c.measured.front().second;
-    });
-  };
-  const double base = wall_ms(0);
+  // Means over each variant's cells. A cell's wall time includes building
+  // and tearing down its world; its one measured value is the lag.
+  std::vector<double> wall_ms(r.variants.size()), lag_s(r.variants.size());
+  const double cells = static_cast<double>(r.seeds.size());
+  for (const exp::TaskResult& c : r.tasks) {
+    wall_ms[c.variant] += 1e3 * c.wall_s / cells;
+    if (!c.measured.empty()) lag_s[c.variant] += c.measured[0].second / cells;
+  }
   for (std::size_t v = 0; v < r.variants.size(); ++v) {
-    const double wall = wall_ms(v);
+    const double wall = wall_ms[v];
     t.add_row({r.variants[v], r.mean(v, "goal"), r.mean(v, "coverage"),
                r.mean(v, "cpn_delivery"), wall,
-               wall > 0.0 ? base / wall : 0.0, lag_s(v)});
+               wall > 0.0 ? wall_ms[0] / wall : 0.0, lag_s[v]});
   }
   t.print(std::cout);
 

@@ -222,7 +222,8 @@ TEST(Autoscaler, E3RunIsPinned) {
     }
     fp.add(as.utility().mean());
   }
-  EXPECT_EQ(fp.value(), 0x5c98e934b2bd2b64ull) << std::hex << "digest 0x" << fp.value();
+  EXPECT_EQ(fp.value(), 0x5c98e934b2bd2b64ull)
+      << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace

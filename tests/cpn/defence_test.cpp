@@ -145,7 +145,8 @@ TEST(DosDefence, E4AttackRunIsPinned) {
     shed += net.defence_drops();
   }
   EXPECT_GT(shed, 0u) << "the defence shed nothing";
-  EXPECT_EQ(fp.value(), 0x76bdac65d95c3bf6ull) << std::hex << "digest 0x" << fp.value();
+  EXPECT_EQ(fp.value(), 0x76bdac65d95c3bf6ull)
+      << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace

@@ -101,7 +101,8 @@ TEST(ThermalManager, E12RunIsPinned) {
     }
   }
   EXPECT_TRUE(throttled) << "no row reached the throttle path";
-  EXPECT_EQ(fp.value(), 0xbcf1e840822e098cull) << std::hex << "digest 0x" << fp.value();
+  EXPECT_EQ(fp.value(), 0xbcf1e840822e098cull)
+      << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace

@@ -91,7 +91,8 @@ TEST(CameraFleet, E2LearningRunIsPinned) {
     fp.add(static_cast<std::size_t>(net.strategy(c)));
   }
   fp.add(fleet.diversity());
-  EXPECT_EQ(fp.value(), 0xff6645382eabf0e5ull) << std::hex << "digest 0x" << fp.value();
+  EXPECT_EQ(fp.value(), 0xff6645382eabf0e5ull)
+      << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace
