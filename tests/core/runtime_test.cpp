@@ -152,6 +152,16 @@ TEST(AgentRuntime, ProfilesScheduledStreamsIntoMetrics) {
   EXPECT_DOUBLE_EQ(metrics.value(steps), 10.0);
   EXPECT_EQ(metrics.stats(step_ms).count(), 10u);
   EXPECT_GE(metrics.stats(step_ms).min(), 0.0);
+
+  // The timings stay in the registry: the agent knows what an unprofiled
+  // twin knows.
+  sim::Engine plain_engine;
+  AgentRuntime plain_rt(plain_engine);
+  SelfAwareAgent twin("prof", quiet());
+  twin.add_sensor("x", [] { return 1.0; });
+  plain_rt.schedule(twin, 1.0);
+  plain_engine.run_until(10.0);
+  EXPECT_EQ(agent.knowledge().keys(), twin.knowledge().keys());
 }
 
 TEST(AgentRuntime, TracerRecordsRuntimeSpansPerStream) {
