@@ -173,20 +173,23 @@ const std::vector<Kernel> kKernels = {
      [](std::size_t n) { return engine_dispatch(1024, n); }},
     {"kb_put_number", 1 << 18,
      [](std::size_t n) {
+       // Writers resolve a key once and keep its id.
        core::KnowledgeBase kb(16);
+       const auto load = kb.key("sensor.load");
        return time_op(n, [&](std::size_t i) {
          const auto t = static_cast<double>(i + 1);
-         kb.put_number("sensor.load", t, t);
+         kb.put_number(load, t, t);
        });
      }},
     {"kb_number_read", 1 << 18,
      [](std::size_t n) {
        core::KnowledgeBase kb(16);
        for (int i = 0; i < 64; ++i) {
-         kb.put_number("m" + std::to_string(i), i, 0.0);
+         kb.put_number(kb.key("m" + std::to_string(i)), i, 0.0);
        }
+       // Readers resolve by name on each read, and never intern.
        return time_op(n, [&](std::size_t i) {
-         keep(kb.number(i & 1 ? "m17" : "m42"));
+         keep(kb.number(kb.find(i & 1 ? "m17" : "m42")));
        });
      }},
     {"stimulus_update", 1 << 16,

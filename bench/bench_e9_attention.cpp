@@ -71,8 +71,8 @@ double run(core::AttentionManager::Strategy strategy, std::size_t budget,
     agent.step(t);
     if (t < 100) continue;  // warm-up
     for (std::size_t s = 0; s < kSignals; ++s) {
-      const double known =
-          agent.knowledge().number("sig" + std::to_string(s), 0.0);
+      const core::KnowledgeBase& kb = agent.knowledge();
+      const double known = kb.number(kb.find("sig" + std::to_string(s)));
       staleness.add(std::fabs(known - world.value[s]));
     }
   }

@@ -177,13 +177,15 @@ int main(int argc, char** argv) {
   // Each agent now holds the other domain's public self-description.
   const auto& cloud_kb = autoscaler.agent().knowledge();
   const auto& edge_kb = manager.agent().knowledge();
-  if (cloud_kb.contains("shared.multicore-mgr.power")) {
+  const auto edge_power = cloud_kb.find("shared.multicore-mgr.power");
+  if (edge_power != core::KnowledgeBase::kNoKey) {
     std::printf("cloud agent sees edge power: %.2f W\n",
-                cloud_kb.number("shared.multicore-mgr.power"));
+                cloud_kb.number(edge_power));
   }
-  if (edge_kb.contains("shared.autoscaler.sla")) {
+  const auto cloud_sla = edge_kb.find("shared.autoscaler.sla");
+  if (cloud_sla != core::KnowledgeBase::kNoKey) {
     std::printf("edge agent sees cloud SLA: %.3f\n",
-                edge_kb.number("shared.autoscaler.sla"));
+                edge_kb.number(cloud_sla));
   }
 
   // Stitch the two domains' trace streams: with per-tracer namespaces in

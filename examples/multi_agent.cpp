@@ -77,8 +77,8 @@ int main() {
       h.battery = std::clamp(h.battery + h.flow, 0.0, 10.0);
       const double grid_draw = std::max(0.0, h.load + h.flow);
       // "cost" is what goal awareness reads next step.
-      h.agent->knowledge().put_number("cost", grid_draw * price,
-                                      engine.now());
+      core::KnowledgeBase& kb = h.agent->knowledge();
+      kb.put_number(kb.key("cost"), grid_draw * price, engine.now());
     }
     return true;
   });
@@ -96,14 +96,13 @@ int main() {
 
   // --- What happened -------------------------------------------------------
   std::printf("district coordinator's view (via shared public knowledge):\n");
+  const core::KnowledgeBase& seen = coordinator.knowledge();
   for (const auto& h : houses) {
+    const auto load = seen.find("shared." + h.name + ".load");
     std::printf("  %-6s load=%.2f kW  battery=%.1f kWh  (conf %.2f)\n",
-                h.name.c_str(),
-                coordinator.knowledge().number("shared." + h.name + ".load"),
-                coordinator.knowledge().number("shared." + h.name +
-                                               ".battery"),
-                coordinator.knowledge().confidence("shared." + h.name +
-                                                   ".load"));
+                h.name.c_str(), seen.number(load),
+                seen.number(seen.find("shared." + h.name + ".battery")),
+                seen.confidence(load));
   }
   std::printf("\nitems exchanged: %zu, coordinator steps: %zu, "
               "house steps each: %zu\n",

@@ -61,12 +61,13 @@ int main() {
 
   // --- Introspection: what does the agent know, and why did it act? -------
   std::printf("\nThe agent's self-knowledge (selected):\n");
+  const core::KnowledgeBase& kb = agent.knowledge();
   for (const auto& key :
        {"temperature", "forecast.temperature", "goal.utility",
         "stimulus.temperature.baseline"}) {
-    std::printf("  %-30s = %7.3f (confidence %.2f)\n", key,
-                agent.knowledge().number(key),
-                agent.knowledge().confidence(key));
+    const auto id = kb.find(key);
+    std::printf("  %-30s = %7.3f (confidence %.2f)\n", key, kb.number(id),
+                kb.confidence(id));
   }
   std::printf("\nThe agent describes itself:\n  %s\n",
               agent.describe().c_str());

@@ -71,11 +71,10 @@ void save_item(const core::KnowledgeItem& item, Buffer& out) {
 
 void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
   out.u64(kb.history_limit());
-  const std::vector<std::string> keys = kb.keys();  // ascending — canonical
-  out.u64(keys.size());
-  for (const std::string& key : keys) {
-    out.str(key);
-    const std::vector<core::KnowledgeItem> history = kb.history(key);
+  out.u64(kb.size());
+  for (const core::KnowledgeBase::KeyId id : kb.ids()) {  // ascending — canonical
+    out.str(kb.name(id));
+    const std::vector<core::KnowledgeItem> history = kb.history(id);
     out.u64(history.size());
     for (const core::KnowledgeItem& item : history) save_item(item, out);
   }

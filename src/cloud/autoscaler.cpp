@@ -98,13 +98,13 @@ void Autoscaler::build_agent() {
       const double target = kSlaTarget;
       rules->add_rule({"sla below target -> scale out",
                        [target](const core::KnowledgeBase& kb) {
-                         return kb.number("sla", 1.0) < target;
+                         return kb.number(kb.find("sla"), 1.0) < target;
                        },
                        /*delta+3*/ 4,
                        {"sla"}});
       rules->add_rule({"underutilised -> scale in",
                        [](const core::KnowledgeBase& kb) {
-                         return kb.number("utilisation", 1.0) < 0.5;
+                         return kb.number(kb.find("utilisation"), 1.0) < 0.5;
                        },
                        /*delta-1*/ 1,
                        {"utilisation"}});
@@ -174,7 +174,7 @@ core::MetricMap Autoscaler::predict(std::size_t k) const {
   const core::KnowledgeBase& kb = agent.knowledge();
   double demand_rate = last_.arrival_rate;
   const core::TimeAwareness* ta = agent.time_awareness();
-  if (ta != nullptr && kb.confidence("forecast.demand") >= 0.2) {
+  if (ta != nullptr && kb.confidence(kb.find("forecast.demand")) >= 0.2) {
     // Trust the model for anticipation, but bound it to a plausible band
     // around the last observation: seasonal models occasionally misfire
     // right after a burst, and a wild forecast is worse than a stale one.

@@ -246,7 +246,7 @@ void SelfAwareAgent::explain_decision(double t, const Decision& d,
   e->decision = d;
   e->evidence.clear();
   for (const auto& key : d.evidence) {
-    if (const auto item = kb_.latest(key)) {
+    if (const auto item = kb_.latest(kb_.find(key))) {
       e->evidence.push_back({key, item->value, item->confidence});
     }
   }

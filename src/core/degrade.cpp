@@ -47,7 +47,8 @@ void DegradationPolicy::update(double t, sim::TraceId trace) {
   last_t_ = t;
   seen_update_ = true;
 
-  const double active = agent_.knowledge().number("fault.active", 0.0);
+  const KnowledgeBase& kb = agent_.knowledge();
+  const double active = kb.number(kb.find("fault.active"));
   if (active >= params_.fault_active_breach) {
     clean_streak_ = 0;
     if (++breach_streak_ >= params_.breach_updates &&

@@ -91,11 +91,6 @@ KnowledgeBase::SourceId KnowledgeBase::source_id(std::string_view source) {
   return static_cast<SourceId>(it - sources_.begin()) + 1;
 }
 
-void KnowledgeBase::put(KeyId id, KnowledgeItem item) {
-  store(id, Slot{item.value, item.time, item.confidence,
-                 source_id(item.source), item.scope});
-}
-
 void KnowledgeBase::put_number(KeyId id, double value, double time,
                                double confidence, Scope scope,
                                SourceId source) {
@@ -132,40 +127,27 @@ KnowledgeItem KnowledgeBase::item(const Slot& s) const {
 }
 
 double KnowledgeBase::number(KeyId id, double fallback) const noexcept {
-  if (id == kNoKey) return fallback;
   const Slot* s = latest_slot(id);
   return s != nullptr ? s->value : fallback;
 }
 
-std::optional<KnowledgeItem> KnowledgeBase::latest(std::string_view key) const {
-  const KeyId id = find(key);
-  if (id == kNoKey) return std::nullopt;
+std::optional<KnowledgeItem> KnowledgeBase::latest(KeyId id) const {
   const Slot* s = latest_slot(id);
   if (s == nullptr) return std::nullopt;
   return item(*s);
 }
 
-double KnowledgeBase::confidence(std::string_view key) const noexcept {
-  const KeyId id = find(key);
-  if (id == kNoKey) return 0.0;
+double KnowledgeBase::confidence(KeyId id) const noexcept {
   const Slot* s = latest_slot(id);
   return s != nullptr ? s->confidence : 0.0;
 }
 
-std::vector<KnowledgeItem> KnowledgeBase::history(std::string_view key) const {
+std::vector<KnowledgeItem> KnowledgeBase::history(KeyId id) const {
   std::vector<KnowledgeItem> out;
-  const KeyId id = find(key);
   if (id == kNoKey) return out;
   const History& h = entries_[id];
   out.reserve(h.size);
   for (std::size_t i = 0; i < h.size; ++i) out.push_back(item(at(h, i)));
-  return out;
-}
-
-std::vector<std::string> KnowledgeBase::keys() const {
-  std::vector<std::string> out;
-  out.reserve(sorted_.size());
-  for (const KeyId id : sorted_) out.emplace_back(name(id));
   return out;
 }
 

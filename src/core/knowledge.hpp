@@ -20,15 +20,16 @@
 // in place, so a warm write never allocates.
 //
 // KnowledgeItem is the exchange type only: it is built on reads (latest(),
-// history(), public_snapshot()), never stored. The hot path writes by id:
-// an awareness process holds the base it writes to from construction on,
-// resolves each key it derives once, on first write, and keeps the KeyId.
-// A base has one owner and is never assigned, so a resolved id stays valid
-// for the writer's lifetime. The string-keyed calls are one-line forwarders
-// onto the id path. Reads by string are a binary search on a
-// std::string_view and never allocate. keys()/public_snapshot() and the
-// checkpoint writer iterate in ascending key order. Copies are
-// self-contained (no view points into another base).
+// history(), public_snapshot()), never stored. Every read and write is by
+// KeyId; a string enters a base only through key(), which interns a key a
+// writer is about to write, find(), which resolves a key for a read and
+// never interns (a binary search on a std::string_view that never
+// allocates), and source_id(). An awareness process holds the base it
+// writes to from construction on, resolves each key it derives once, on
+// first write, and keeps the KeyId. A base has one owner and is never
+// assigned, so a resolved id stays valid for the writer's lifetime.
+// ids()/public_snapshot() and the checkpoint writer iterate in ascending
+// key order. Copies are self-contained (no view points into another base).
 //
 // A camera agent of the svc case study holds 33 keys; after its 4 metro
 // epochs its base is ~6.8 KB: 33 blocks of 4 slots (~4.8 KB with their
@@ -44,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,7 +90,7 @@ class KnowledgeBase {
   KnowledgeBase& operator=(const KnowledgeBase&) = delete;
   KnowledgeBase& operator=(KnowledgeBase&&) = delete;
 
-  // -- id path ---------------------------------------------------------------
+  // -- resolution and the write ---------------------------------------------
 
   /// Id of `key`, interning it (as an empty history) if new.
   KeyId key(std::string_view key);
@@ -102,45 +104,32 @@ class KnowledgeBase {
   /// Id of the provenance tag `source`, interning it if new.
   SourceId source_id(std::string_view source);
 
-  /// Stores a new item under `id`.
-  void put(KeyId id, KnowledgeItem item);
-  /// Stores a numeric fact under `id`.
-  void put_number(KeyId id, double value, double time, double confidence,
-                  Scope scope, SourceId source);
+  /// Stores a numeric fact under `id`: the base's one write.
+  void put_number(KeyId id, double value, double time,
+                  double confidence = 1.0, Scope scope = Scope::Private,
+                  SourceId source = 0);
+
+  // -- reads (kNoKey reads as an absent key) ---------------------------------
+
   /// Value of the latest item under `id` (`fallback` if kNoKey or empty).
   [[nodiscard]] double number(KeyId id, double fallback = 0.0) const noexcept;
-
-  // -- string-keyed forwarders -----------------------------------------------
-
-  void put(std::string_view k, KnowledgeItem item) {
-    put(key(k), std::move(item));
+  /// Most recent item under `id`, if any.
+  [[nodiscard]] std::optional<KnowledgeItem> latest(KeyId id) const;
+  /// Confidence of the latest item under `id` (0 if absent).
+  [[nodiscard]] double confidence(KeyId id) const noexcept;
+  /// Full retained history under `id` (empty if absent), oldest first.
+  [[nodiscard]] std::vector<KnowledgeItem> history(KeyId id) const;
+  /// Name of the interned key `id` (requires id < size()); valid until
+  /// the next key is interned.
+  [[nodiscard]] std::string_view name(KeyId id) const noexcept {
+    const std::uint32_t begin = id == 0 ? 0 : name_end_[id - 1];
+    return std::string_view(names_).substr(begin, name_end_[id] - begin);
   }
-  /// Convenience: store a numeric fact.
-  void put_number(std::string_view k, double value, double time,
-                  double confidence = 1.0, Scope scope = Scope::Private,
-                  std::string_view source = {}) {
-    put_number(key(k), value, time, confidence, scope, source_id(source));
+  /// Every key's id, in ascending name order (deterministic iteration);
+  /// valid until the next key is interned.
+  [[nodiscard]] std::span<const KeyId> ids() const noexcept {
+    return sorted_;
   }
-  /// Value of the latest item (or `fallback` if absent).
-  [[nodiscard]] double number(std::string_view k,
-                              double fallback = 0.0) const noexcept {
-    return number(find(k), fallback);
-  }
-
-  // -- reads -----------------------------------------------------------------
-
-  /// Most recent item for `key`, if any.
-  [[nodiscard]] std::optional<KnowledgeItem> latest(std::string_view key) const;
-  /// Confidence of the latest item (0 if absent).
-  [[nodiscard]] double confidence(std::string_view key) const noexcept;
-  /// Full retained history for `key` (empty if unknown), oldest first.
-  [[nodiscard]] std::vector<KnowledgeItem> history(std::string_view key) const;
-  /// True if `key` has ever been written.
-  [[nodiscard]] bool contains(std::string_view key) const noexcept {
-    return find(key) != kNoKey;
-  }
-  /// All keys, sorted (deterministic iteration).
-  [[nodiscard]] std::vector<std::string> keys() const;
   /// Number of distinct keys.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
@@ -211,11 +200,9 @@ class KnowledgeBase {
   /// First position in sorted_ whose name is not less than `key`.
   [[nodiscard]] std::vector<KeyId>::const_iterator lower_bound(
       std::string_view key) const noexcept;
-  [[nodiscard]] std::string_view name(KeyId id) const noexcept {
-    const std::uint32_t begin = id == 0 ? 0 : name_end_[id - 1];
-    return std::string_view(names_).substr(begin, name_end_[id] - begin);
-  }
+  /// The latest slot under `id`; null if kNoKey or empty.
   [[nodiscard]] const Slot* latest_slot(KeyId id) const noexcept {
+    if (id == kNoKey) return nullptr;
     const History& h = entries_[id];
     return h.size == 0 ? nullptr : &at(h, h.size - 1);
   }

@@ -8,14 +8,13 @@ std::size_t KnowledgeExchange::import(const KnowledgeBase& from,
   std::size_t imported = 0;
   for (const auto& [key, item] : from.public_snapshot()) {
     const std::string local = shared_key(peer_id, key);
-    if (const auto existing = into.latest(local)) {
+    if (const auto existing = into.latest(into.find(local))) {
       if (existing->time >= item.time) continue;  // ours is fresher
     }
-    KnowledgeItem copy = item;
-    copy.confidence *= kConfidenceDecay;
-    copy.scope = Scope::Private;  // no transitive gossip
-    copy.source = "shared:" + peer_id;
-    into.put(local, std::move(copy));
+    // No transitive gossip: an imported item is Private.
+    into.put_number(into.key(local), item.value, item.time,
+                    item.confidence * kConfidenceDecay, Scope::Private,
+                    into.source_id("shared:" + peer_id));
     ++imported;
   }
   return imported;

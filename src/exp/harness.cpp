@@ -426,7 +426,7 @@ GridResult Harness::run(Grid grid) {
       TaskOutput out = inner(cell);
       if (store_ != nullptr) {
         store_->record(grid_id, TaskResult{ctx.variant, ctx.seed, out.metrics,
-                                           out.note, std::string{}, 0.0});
+                                           out.note, std::string{}, 0.0, {}});
       }
       return out;
     };

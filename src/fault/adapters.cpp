@@ -197,11 +197,13 @@ void bind_exchange(Injector& inj, core::AgentRuntime& rt) {
 void feed_agent(Injector& inj, core::SelfAwareAgent& agent) {
   inj.subscribe([&agent](const Injector::Record& rec, std::size_t active) {
     auto& kb = agent.knowledge();
-    kb.put_number("fault.active", static_cast<double>(active), rec.t, 1.0,
-                  core::Scope::Private, "fault");
+    const auto fault = kb.source_id("fault");
+    kb.put_number(kb.key("fault.active"), static_cast<double>(active), rec.t,
+                  1.0, core::Scope::Private, fault);
     if (rec.begin) {
-      kb.put_number("fault.count", kb.number("fault.count", 0.0) + 1.0,
-                    rec.t, 1.0, core::Scope::Private, "fault");
+      const auto count = kb.key("fault.count");
+      kb.put_number(count, kb.number(count) + 1.0, rec.t, 1.0,
+                    core::Scope::Private, fault);
     }
   });
 }

@@ -124,13 +124,13 @@ void Manager::build_agent() {
       const double target = kTargetLatencyS;
       rules->add_rule({"power over cap -> min freq, pack little",
                        [cap](const core::KnowledgeBase& kb) {
-                         return kb.number("power") > cap;
+                         return kb.number(kb.find("power")) > cap;
                        },
                        /*f0/pack-little*/ 2,
                        {"power"}});
       rules->add_rule({"latency over target -> max freq, pack big",
                        [target](const core::KnowledgeBase& kb) {
-                         return kb.number("latency") > target;
+                         return kb.number(kb.find("latency")) > target;
                        },
                        /*f3/pack-big*/ 10,
                        {"latency"}});
@@ -183,7 +183,7 @@ core::MetricMap Manager::predict(const ManagerAction& a,
   }
   const double util_guess =
       nominal_cap > 0.0
-          ? std::clamp(kb.number("demand") / nominal_cap, 0.2, 1.0)
+          ? std::clamp(kb.number(kb.find("demand")) / nominal_cap, 0.2, 1.0)
           : 1.0;
   for (std::size_t c = 0; c < platform_.cores(); ++c) {
     const auto& spec = platform_.spec(c);
@@ -238,9 +238,10 @@ core::MetricMap Manager::predict(const ManagerAction& a,
 
   // Sensed workload: offered giga-ops/s, arrival rate, carried queue. The
   // demand forecast from time awareness is preferred once it is warm.
-  double demand = kb.number("demand");
-  if (kb.confidence("forecast.demand") > 0.3) {
-    demand = std::max(0.0, kb.number("forecast.demand", demand));
+  double demand = kb.number(kb.find("demand"));
+  const auto forecast = kb.find("forecast.demand");
+  if (kb.confidence(forecast) > 0.3) {
+    demand = std::max(0.0, kb.number(forecast, demand));
   }
   const double rate = stats_.duration > 0.0
                           ? static_cast<double>(stats_.arrived) /
@@ -268,7 +269,8 @@ core::MetricMap Manager::predict(const ManagerAction& a,
   const double wait = service *
                       std::pow(rho, std::sqrt(2.0 * (cs + 1.0))) /
                       (cs * (1.0 - rho));
-  const double backlog_gops = kb.number("queue") * mean_work;
+  const double queue = kb.number(kb.find("queue"));
+  const double backlog_gops = queue * mean_work;
   const double drain = backlog_gops / std::max(eligible_cap, 1e-9);
   // p95 of a roughly exponential sojourn is ~3x its mean.
   const double p95 = 3.0 * (service + wait) + drain;
@@ -284,9 +286,9 @@ core::MetricMap Manager::predict(const ManagerAction& a,
           : rate;
   // Predicted queue depth after one more epoch under this configuration.
   const double epoch = stats_.duration > 0.0 ? stats_.duration : p_.epoch_s;
-  const double queue_next = std::max(
-      0.0, kb.number("queue") +
-               (demand - eligible_cap) * epoch / std::max(mean_work, 1e-9));
+  const double queue_next =
+      std::max(0.0, queue + (demand - eligible_cap) * epoch /
+                                std::max(mean_work, 1e-9));
 
   (void)hottest_c;
   return core::MetricMap{{"throughput", throughput},

@@ -55,7 +55,8 @@ TEST(StateCkpt, NumericItemImageIsLittleEndianDouble) {
   // little-endian IEEE-754 double, followed by time, confidence, the scope
   // byte and the source: nothing else.
   core::KnowledgeBase kb(4);
-  kb.put_number("k", -0.1, 3.0, 0.5, core::Scope::Public, "src");
+  kb.put_number(kb.key("k"), -0.1, 3.0, 0.5, core::Scope::Public,
+                kb.source_id("src"));
   Buffer image;
   save_knowledge(kb, image);
   Buffer head;  // everything the image holds before its one item
@@ -81,13 +82,15 @@ std::string knowledge_image(const core::KnowledgeBase& kb) {
 TEST(StateCkpt, KnowledgeBaseRestoresVerbatim) {
   auto fill = [](core::KnowledgeBase& kb, int first, bool alpha_first) {
     if (alpha_first)
-      kb.put_number("alpha", 2.0, 0.25, 0.9, core::Scope::Public, "peer");
+      kb.put_number(kb.key("alpha"), 2.0, 0.25, 0.9, core::Scope::Public,
+                    kb.source_id("peer"));
     for (int i = first; i < 6; ++i) {  // overflows the ring: oldest evicted
-      kb.put_number("cpu.load", 0.1 * i, static_cast<double>(i));
+      kb.put_number(kb.key("cpu.load"), 0.1 * i, static_cast<double>(i));
     }
-    kb.put_number("zeta", 1.0, 0.5);
+    kb.put_number(kb.key("zeta"), 1.0, 0.5);
     if (!alpha_first)
-      kb.put_number("alpha", 2.0, 0.25, 0.9, core::Scope::Public, "peer");
+      kb.put_number(kb.key("alpha"), 2.0, 0.25, 0.9, core::Scope::Public,
+                    kb.source_id("peer"));
   };
   core::KnowledgeBase kb(4);
   fill(kb, 0, false);
@@ -124,8 +127,9 @@ TEST(StateCkpt, LadderResumesMidStreak) {
   p.recover_updates = 2;
   auto replay = [&p](core::SelfAwareAgent& agent, int updates) {
     auto policy = std::make_unique<core::DegradationPolicy>(agent, p);
-    agent.knowledge().put_number("fault.active", 3.0, 0.0, 1.0,
-                                 core::Scope::Private, "fault");
+    core::KnowledgeBase& kb = agent.knowledge();
+    kb.put_number(kb.key("fault.active"), 3.0, 0.0, 1.0, core::Scope::Private,
+                  kb.source_id("fault"));
     for (int i = 1; i <= updates; ++i) policy->update(static_cast<double>(i));
     return policy;
   };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "learn/bandit.hpp"
+#include "support/key_names.hpp"
 
 namespace sa::core {
 namespace {
@@ -53,10 +54,11 @@ TEST(SelfAwareAgent, SensorsFlowIntoKnowledge) {
   double load = 3.0;
   a.add_sensor("load", [&] { return load; });
   a.step(1.0);
-  EXPECT_DOUBLE_EQ(a.knowledge().number("load"), 3.0);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("load")), 3.0);
   load = 9.0;
   a.step(2.0);
-  EXPECT_DOUBLE_EQ(a.knowledge().number("load"), 9.0);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("load")), 9.0);
 }
 
 TEST(SelfAwareAgent, SensorsReachKnowledgeEvenWithoutStimulusLevel) {
@@ -65,7 +67,7 @@ TEST(SelfAwareAgent, SensorsReachKnowledgeEvenWithoutStimulusLevel) {
   SelfAwareAgent a("none", cfg);
   a.add_sensor("x", [] { return 4.0; });
   a.step(0.0);
-  EXPECT_DOUBLE_EQ(a.knowledge().number("x"), 4.0);
+  EXPECT_DOUBLE_EQ(a.knowledge().number(a.knowledge().find("x")), 4.0);
 }
 
 TEST(SelfAwareAgent, RawReadingsMirrorByIdWithoutStimulus) {
@@ -78,12 +80,14 @@ TEST(SelfAwareAgent, RawReadingsMirrorByIdWithoutStimulus) {
   a.step(0.0);
   a.add_sensor("c", [] { return 3.0; });
   a.step(1.0);
-  EXPECT_EQ(a.knowledge().keys(), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(a.knowledge().history("a").size(), 2u);
-  EXPECT_EQ(a.knowledge().history("c").size(), 1u);
-  EXPECT_DOUBLE_EQ(a.knowledge().number("c"), 3.0);
-  EXPECT_EQ(a.knowledge().latest("b")->source, "sensor");
-  EXPECT_EQ(a.knowledge().latest("b")->scope, Scope::Public);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_EQ(test::support::key_names(kb),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(kb.history(kb.find("a")).size(), 2u);
+  EXPECT_EQ(kb.history(kb.find("c")).size(), 1u);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("c")), 3.0);
+  EXPECT_EQ(kb.latest(kb.find("b"))->source, "sensor");
+  EXPECT_EQ(kb.latest(kb.find("b"))->scope, Scope::Public);
 }
 
 TEST(SelfAwareAgent, DecisionsActuate) {
@@ -128,7 +132,8 @@ TEST(SelfAwareAgent, GoalUtilityComputedFromSensors) {
   a.set_goal_metrics({"perf"});
   a.step(0.0);
   EXPECT_DOUBLE_EQ(a.current_utility(), 0.5);
-  EXPECT_DOUBLE_EQ(a.knowledge().number("goal.utility"), 0.5);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.utility")), 0.5);
 }
 
 // Declaring the goal metrics again rebuilds the goal process. The meta
@@ -147,7 +152,8 @@ TEST(SelfAwareAgent, RedeclaredGoalMetricsAreWatchedByMeta) {
   for (int i = 1; i < 5; ++i) a.step(i);
   EXPECT_DOUBLE_EQ(a.current_utility(), 0.5);
   // Both processes had every metric, so meta's smoothed goal quality is 1.
-  EXPECT_DOUBLE_EQ(a.knowledge().number("meta.goal.quality"), 1.0);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("meta.goal.quality")), 1.0);
   EXPECT_NE(a.describe().find("goal=1.00"), std::string::npos);
 }
 
@@ -159,8 +165,9 @@ TEST(SelfAwareAgent, TimeAwarenessForecastsSensorSignals) {
     v = 2.0 * i;
     a.step(i);
   }
-  EXPECT_TRUE(a.knowledge().contains("forecast.ramp"));
-  EXPECT_NEAR(a.knowledge().number("forecast.ramp"), 120.0, 5.0);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_NE(kb.find("forecast.ramp"), KnowledgeBase::kNoKey);
+  EXPECT_NEAR(kb.number(kb.find("forecast.ramp")), 120.0, 5.0);
 }
 
 TEST(SelfAwareAgent, ExplanationsRecordedPerDecision) {
@@ -192,7 +199,9 @@ TEST(SelfAwareAgent, ExplanationCapturesGoalUtilityAndEvidence) {
   a.add_action("act", [] {});
   auto rules = std::make_unique<RulePolicy>(0);
   rules->add_rule({"m seen",
-                   [](const KnowledgeBase& kb) { return kb.number("m") > 5; },
+                   [](const KnowledgeBase& kb) {
+                     return kb.number(kb.find("m")) > 5;
+                   },
                    0,
                    {"m"}});
   a.set_policy(std::move(rules));
@@ -210,7 +219,8 @@ TEST(SelfAwareAgent, InteractionsFlowToPeerKnowledge) {
   SelfAwareAgent a("social", quiet_config());
   for (int i = 0; i < 20; ++i) a.record_interaction("friend", true, 1.0);
   a.step(0.0);
-  EXPECT_NEAR(a.knowledge().number("peer.friend.reliability"), 1.0, 1e-9);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_NEAR(kb.number(kb.find("peer.friend.reliability")), 1.0, 1e-9);
 }
 
 TEST(SelfAwareAgent, InteractionIgnoredWhenLevelDisabled) {
@@ -219,7 +229,8 @@ TEST(SelfAwareAgent, InteractionIgnoredWhenLevelDisabled) {
   SelfAwareAgent a("antisocial", cfg);
   a.record_interaction("friend", true);  // must be a safe no-op
   a.step(0.0);
-  EXPECT_FALSE(a.knowledge().contains("peer.friend.reliability"));
+  EXPECT_EQ(a.knowledge().find("peer.friend.reliability"),
+            KnowledgeBase::kNoKey);
 }
 
 TEST(SelfAwareAgent, AttentionBudgetLimitsSampling) {

@@ -22,16 +22,17 @@ TEST(GoalAwareness, PublishesUtilityFromObservation) {
   GoalAwareness ga(kb, goals, {"x"});
   ga.update(1.0, obs({{"x", 5.0}}));
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.5);
-  EXPECT_DOUBLE_EQ(kb.number("goal.utility"), 0.5);
-  EXPECT_DOUBLE_EQ(kb.number("goal.feasible"), 1.0);
-  EXPECT_DOUBLE_EQ(kb.number("goal.x.utility"), 0.5);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.utility")), 0.5);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.feasible")), 1.0);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.x.utility")), 0.5);
 }
 
 TEST(GoalAwareness, FallsBackToKnowledgeBaseWhenUnsampled) {
   auto goals = simple_goals();
   KnowledgeBase kb;
   GoalAwareness ga(kb, goals, {"x"});
-  kb.put_number("x", 10.0, 0.0);  // produced earlier by another process
+  // Produced earlier by another process.
+  kb.put_number(kb.key("x"), 10.0, 0.0);
   ga.update(1.0, {});             // attention skipped "x" this step
   EXPECT_DOUBLE_EQ(ga.current_utility(), 1.0);
 }
@@ -41,7 +42,7 @@ TEST(GoalAwareness, FreshObservationBeatsStaleKnowledge) {
   KnowledgeBase kb;
   Feed obs;
   GoalAwareness ga(kb, goals, {"x"});
-  kb.put_number("x", 0.0, 0.0);
+  kb.put_number(kb.key("x"), 0.0, 0.0);
   ga.update(1.0, obs({{"x", 10.0}}));
   EXPECT_DOUBLE_EQ(ga.current_utility(), 1.0);
 }
@@ -56,7 +57,7 @@ TEST(GoalAwareness, ReportsViolations) {
   GoalAwareness ga(kb, goals, {"x"});
   ga.update(1.0, obs({{"x", 0.9}}));
   EXPECT_FALSE(ga.currently_feasible());
-  EXPECT_DOUBLE_EQ(kb.number("goal.violations"), 1.0);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.violations")), 1.0);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.0);
 }
 
@@ -95,7 +96,7 @@ TEST(GoalAwareness, QualityIsMetricAvailability) {
   EXPECT_DOUBLE_EQ(ga.quality(), 0.0);  // never updated
   ga.update(0.0, obs({{"x", 1.0}}));  // y nowhere to be found
   EXPECT_DOUBLE_EQ(ga.quality(), 0.5);
-  kb.put_number("y", 2.0, 0.0);
+  kb.put_number(kb.key("y"), 2.0, 0.0);
   ga.update(1.0, obs({{"x", 1.0}}));
   EXPECT_DOUBLE_EQ(ga.quality(), 1.0);
 }

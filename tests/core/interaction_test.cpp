@@ -39,9 +39,9 @@ TEST(InteractionAwareness, PublishesPeerKnowledge) {
   InteractionAwareness ia(kb);
   for (int i = 0; i < 20; ++i) ia.record_interaction("n1", true, 2.0);
   ia.update(5.0, {});
-  EXPECT_NEAR(kb.number("peer.n1.reliability"), 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(kb.number("peer.n1.interactions"), 20.0);
-  EXPECT_NEAR(kb.number("peer.n1.value"), 2.0, 1e-9);
+  EXPECT_NEAR(kb.number(kb.find("peer.n1.reliability")), 1.0, 1e-9);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("peer.n1.interactions")), 20.0);
+  EXPECT_NEAR(kb.number(kb.find("peer.n1.value")), 2.0, 1e-9);
 }
 
 TEST(InteractionAwareness, ConfidenceGrowsWithInteractions) {
@@ -49,10 +49,10 @@ TEST(InteractionAwareness, ConfidenceGrowsWithInteractions) {
   InteractionAwareness ia(kb);
   ia.record_interaction("n", true);
   ia.update(0.0, {});
-  const double c1 = kb.confidence("peer.n.reliability");
+  const double c1 = kb.confidence(kb.find("peer.n.reliability"));
   for (int i = 0; i < 50; ++i) ia.record_interaction("n", true);
   ia.update(1.0, {});
-  const double c2 = kb.confidence("peer.n.reliability");
+  const double c2 = kb.confidence(kb.find("peer.n.reliability"));
   EXPECT_GT(c2, c1);
   EXPECT_GT(c2, 0.95);
 }

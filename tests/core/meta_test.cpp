@@ -32,7 +32,7 @@ TEST(MetaSelfAwareness, PublishesProcessQuality) {
   MetaSelfAwareness meta(kb);
   meta.watch(p);
   for (int i = 0; i < 10; ++i) meta.update(i, {});
-  EXPECT_NEAR(kb.number("meta.fake.quality"), 1.0, 1e-9);
+  EXPECT_NEAR(kb.number(kb.find("meta.fake.quality")), 1.0, 1e-9);
 }
 
 TEST(MetaSelfAwareness, ReconfiguresFailingProcess) {
@@ -46,7 +46,7 @@ TEST(MetaSelfAwareness, ReconfiguresFailingProcess) {
   for (int i = 0; i < 40; ++i) meta.update(i, {});
   EXPECT_GE(p.reconfigures, 1);
   EXPECT_GE(meta.adaptations_fired(), 1u);
-  EXPECT_TRUE(kb.contains("meta.weak.reconfigured"));
+  EXPECT_NE(kb.find("meta.weak.reconfigured"), KnowledgeBase::kNoKey);
 }
 
 TEST(MetaSelfAwareness, HealthyProcessLeftAlone) {
@@ -71,18 +71,18 @@ TEST(MetaSelfAwareness, DetectsUtilityDriftAndFiresHooks) {
   meta.on_drift("reset-policy", [&] { ++drift_hook; });
   sim::Rng rng(1);
   for (int i = 0; i < 200; ++i) {
-    kb.put_number("goal.utility", 0.9 + rng.uniform(-0.02, 0.02), i);
+    kb.put_number(kb.key("goal.utility"), 0.9 + rng.uniform(-0.02, 0.02), i);
     meta.update(i, {});
   }
   EXPECT_EQ(meta.drift_detections(), 0u);
   for (int i = 200; i < 400; ++i) {
-    kb.put_number("goal.utility", 0.2 + rng.uniform(-0.02, 0.02), i);
+    kb.put_number(kb.key("goal.utility"), 0.2 + rng.uniform(-0.02, 0.02), i);
     meta.update(i, {});
   }
   EXPECT_GE(meta.drift_detections(), 1u);
   EXPECT_GE(drift_hook, 1);
   EXPECT_GE(p.reconfigures, 1);  // drift refreshes the watched processes
-  EXPECT_TRUE(kb.contains("meta.drift.detected"));
+  EXPECT_NE(kb.find("meta.drift.detected"), KnowledgeBase::kNoKey);
 }
 
 TEST(MetaSelfAwareness, NoDriftCheckWithoutUtilityKey) {
@@ -96,8 +96,8 @@ TEST(MetaSelfAwareness, PublishesCounters) {
   KnowledgeBase kb;
   MetaSelfAwareness meta(kb);
   meta.update(0.0, {});
-  EXPECT_TRUE(kb.contains("meta.drift.count"));
-  EXPECT_TRUE(kb.contains("meta.adaptations"));
+  EXPECT_NE(kb.find("meta.drift.count"), KnowledgeBase::kNoKey);
+  EXPECT_NE(kb.find("meta.adaptations"), KnowledgeBase::kNoKey);
 }
 
 TEST(MetaSelfAwareness, QualityAggregatesWatchedProcesses) {

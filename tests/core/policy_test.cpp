@@ -30,19 +30,21 @@ TEST(FixedPolicy, ClampsOutOfRangeIndex) {
 TEST(RulePolicy, FirstMatchingRuleWins) {
   RulePolicy p(0);
   p.add_rule({"x high",
-              [](const KnowledgeBase& kb) { return kb.number("x") > 5.0; },
+              [](const KnowledgeBase& kb) {
+                return kb.number(kb.find("x")) > 5.0;
+              },
               1,
               {"x"}});
   p.add_rule({"always", [](const KnowledgeBase&) { return true; }, 2, {}});
   KnowledgeBase kb;
   sim::Rng rng(1);
-  kb.put_number("x", 10.0, 0.0);
+  kb.put_number(kb.key("x"), 10.0, 0.0);
   auto d = p.decide(0.0, kb, kActions, rng);
   EXPECT_EQ(d.action_index, 1u);
   EXPECT_NE(d.rationale.find("x high"), std::string::npos);
   EXPECT_EQ(d.evidence, std::vector<std::string>{"x"});
 
-  kb.put_number("x", 0.0, 1.0);
+  kb.put_number(kb.key("x"), 0.0, 1.0);
   d = p.decide(1.0, kb, kActions, rng);
   EXPECT_EQ(d.action_index, 2u);  // second rule fires
 }

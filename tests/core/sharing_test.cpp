@@ -7,19 +7,19 @@ namespace {
 
 TEST(KnowledgeExchange, ImportsOnlyPublicKnowledge) {
   KnowledgeBase from, into;
-  from.put_number("position", 4.0, 1.0, 1.0, Scope::Public);
-  from.put_number("secret", 9.0, 1.0, 1.0, Scope::Private);
+  from.put_number(from.key("position"), 4.0, 1.0, 1.0, Scope::Public);
+  from.put_number(from.key("secret"), 9.0, 1.0, 1.0, Scope::Private);
   EXPECT_EQ(KnowledgeExchange::import(from, "peerA", into), 1u);
-  EXPECT_TRUE(into.contains("shared.peerA.position"));
-  EXPECT_FALSE(into.contains("shared.peerA.secret"));
-  EXPECT_DOUBLE_EQ(into.number("shared.peerA.position"), 4.0);
+  EXPECT_NE(into.find("shared.peerA.position"), KnowledgeBase::kNoKey);
+  EXPECT_EQ(into.find("shared.peerA.secret"), KnowledgeBase::kNoKey);
+  EXPECT_DOUBLE_EQ(into.number(into.find("shared.peerA.position")), 4.0);
 }
 
 TEST(KnowledgeExchange, DiscountsConfidence) {
   KnowledgeBase from, into;
-  from.put_number("x", 1.0, 0.0, 0.9, Scope::Public);
+  from.put_number(from.key("x"), 1.0, 0.0, 0.9, Scope::Public);
   KnowledgeExchange::import(from, "p", into);
-  EXPECT_DOUBLE_EQ(into.confidence("shared.p.x"),
+  EXPECT_DOUBLE_EQ(into.confidence(into.find("shared.p.x")),
                    0.9 * KnowledgeExchange::kConfidenceDecay);
 }
 
@@ -27,34 +27,34 @@ TEST(KnowledgeExchange, ImportedKnowledgeIsPrivate) {
   // No transitive gossip: what I learned about peer A is not part of MY
   // public self, so it will not be re-exported to peer B.
   KnowledgeBase a, b, c;
-  a.put_number("x", 1.0, 0.0, 1.0, Scope::Public);
+  a.put_number(a.key("x"), 1.0, 0.0, 1.0, Scope::Public);
   KnowledgeExchange::import(a, "a", b);
   // b has no public items of its own.
   EXPECT_EQ(KnowledgeExchange::import(b, "b", c), 0u);
-  EXPECT_FALSE(c.contains("shared.b.shared.a.x"));
+  EXPECT_EQ(c.find("shared.b.shared.a.x"), KnowledgeBase::kNoKey);
 }
 
 TEST(KnowledgeExchange, NewerLocalCopyIsKept) {
   KnowledgeBase from, into;
-  from.put_number("x", 1.0, /*time=*/5.0, 1.0, Scope::Public);
-  into.put_number("shared.p.x", 99.0, /*time=*/7.0);
+  from.put_number(from.key("x"), 1.0, /*time=*/5.0, 1.0, Scope::Public);
+  into.put_number(into.key("shared.p.x"), 99.0, /*time=*/7.0);
   EXPECT_EQ(KnowledgeExchange::import(from, "p", into), 0u);
-  EXPECT_DOUBLE_EQ(into.number("shared.p.x"), 99.0);
+  EXPECT_DOUBLE_EQ(into.number(into.find("shared.p.x")), 99.0);
 }
 
 TEST(KnowledgeExchange, FresherRemoteReplacesStaleLocal) {
   KnowledgeBase from, into;
-  into.put_number("shared.p.x", 1.0, /*time=*/1.0);
-  from.put_number("x", 2.0, /*time=*/3.0, 1.0, Scope::Public);
+  into.put_number(into.key("shared.p.x"), 1.0, /*time=*/1.0);
+  from.put_number(from.key("x"), 2.0, /*time=*/3.0, 1.0, Scope::Public);
   EXPECT_EQ(KnowledgeExchange::import(from, "p", into), 1u);
-  EXPECT_DOUBLE_EQ(into.number("shared.p.x"), 2.0);
+  EXPECT_DOUBLE_EQ(into.number(into.find("shared.p.x")), 2.0);
 }
 
 TEST(KnowledgeExchange, ProvenanceNamesThePeer) {
   KnowledgeBase from, into;
-  from.put_number("x", 1.0, 0.0, 1.0, Scope::Public);
+  from.put_number(from.key("x"), 1.0, 0.0, 1.0, Scope::Public);
   KnowledgeExchange::import(from, "cam7", into);
-  const auto item = into.latest("shared.cam7.x");
+  const auto item = into.latest(into.find("shared.cam7.x"));
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->source, "shared:cam7");
 }

@@ -17,7 +17,7 @@ TEST(StimulusAwareness, MirrorsSignalsToKnowledgeBaseAsPublic) {
   Feed obs;
   StimulusAwareness sa(kb);
   sa.update(1.0, obs({{"load", 5.0}}));
-  const auto item = kb.latest("load");
+  const auto item = kb.latest(kb.find("load"));
   ASSERT_TRUE(item.has_value());
   EXPECT_DOUBLE_EQ(item->value, 5.0);
   EXPECT_EQ(item->scope, Scope::Public);
@@ -31,7 +31,7 @@ TEST(StimulusAwareness, LearnsBaseline) {
   for (int i = 0; i < 50; ++i) {
     sa.update(static_cast<double>(i), obs({{"x", 10.0}}));
   }
-  EXPECT_NEAR(kb.number("stimulus.x.baseline"), 10.0, 1e-9);
+  EXPECT_NEAR(kb.number(kb.find("stimulus.x.baseline")), 10.0, 1e-9);
 }
 
 TEST(StimulusAwareness, NoEventsDuringWarmup) {
@@ -58,7 +58,7 @@ TEST(StimulusAwareness, DetectsNovelStimulus) {
   ASSERT_EQ(sa.events().size(), 1u);
   EXPECT_EQ(sa.events()[0].signal, "x");
   EXPECT_GT(sa.events()[0].zscore, 3.0);
-  EXPECT_TRUE(kb.contains("stimulus.x.novel"));
+  EXPECT_NE(kb.find("stimulus.x.novel"), KnowledgeBase::kNoKey);
 }
 
 TEST(StimulusAwareness, NegativeExcursionsAlsoDetected) {
@@ -96,8 +96,8 @@ TEST(StimulusAwareness, TracksMultipleSignalsIndependently) {
   for (int i = 0; i < 30; ++i) {
     sa.update(static_cast<double>(i), obs({{"a", 1.0}, {"b", 100.0}}));
   }
-  EXPECT_NEAR(kb.number("stimulus.a.baseline"), 1.0, 1e-9);
-  EXPECT_NEAR(kb.number("stimulus.b.baseline"), 100.0, 1e-9);
+  EXPECT_NEAR(kb.number(kb.find("stimulus.a.baseline")), 1.0, 1e-9);
+  EXPECT_NEAR(kb.number(kb.find("stimulus.b.baseline")), 100.0, 1e-9);
 }
 
 TEST(StimulusAwareness, QualityGrowsWithWarmSignals) {
@@ -124,7 +124,7 @@ TEST(StimulusAwareness, ReconfigureForgetsBaselines) {
   EXPECT_DOUBLE_EQ(sa.quality(), 1.0);  // fresh model: neutral again
   // The next reading starts a new baseline instead of joining the old one.
   sa.update(30.0, obs({{"x", 7.0}}));
-  EXPECT_DOUBLE_EQ(kb.number("stimulus.x.baseline"), 7.0);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("stimulus.x.baseline")), 7.0);
 }
 
 TEST(StimulusAwareness, RefusesObservationsFromAnotherSignalTable) {

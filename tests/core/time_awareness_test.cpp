@@ -18,10 +18,10 @@ TEST(TimeAwareness, PublishesForecastKeys) {
   for (int i = 0; i < 20; ++i) {
     ta.update(static_cast<double>(i), obs({{"load", 5.0}}));
   }
-  EXPECT_TRUE(kb.contains("forecast.load"));
-  EXPECT_TRUE(kb.contains("forecast.load.mae"));
-  EXPECT_TRUE(kb.contains("forecast.load.model"));
-  EXPECT_NEAR(kb.number("forecast.load"), 5.0, 1e-9);
+  EXPECT_NE(kb.find("forecast.load"), KnowledgeBase::kNoKey);
+  EXPECT_NE(kb.find("forecast.load.mae"), KnowledgeBase::kNoKey);
+  EXPECT_NE(kb.find("forecast.load.model"), KnowledgeBase::kNoKey);
+  EXPECT_NEAR(kb.number(kb.find("forecast.load")), 5.0, 1e-9);
 }
 
 TEST(TimeAwareness, ConstantSignalForecastIsExact) {
@@ -32,7 +32,7 @@ TEST(TimeAwareness, ConstantSignalForecastIsExact) {
     ta.update(static_cast<double>(i), obs({{"x", 7.0}}));
   }
   EXPECT_NEAR(ta.forecast("x"), 7.0, 1e-9);
-  EXPECT_NEAR(kb.number("forecast.x.mae"), 0.0, 1e-9);
+  EXPECT_NEAR(kb.number(kb.find("forecast.x.mae")), 0.0, 1e-9);
 }
 
 TEST(TimeAwareness, TrendSignalSelectsHolt) {
@@ -43,7 +43,7 @@ TEST(TimeAwareness, TrendSignalSelectsHolt) {
     ta.update(static_cast<double>(i), obs({{"x", 2.0 * i}}));
   }
   // "forecast.x.model" indexes the ensemble: naive, ses, holt[, holt-winters].
-  EXPECT_DOUBLE_EQ(kb.number("forecast.x.model"), 2.0);  // holt
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("forecast.x.model")), 2.0);  // holt
   EXPECT_NEAR(ta.forecast("x"), 240.0, 2.0);
 }
 
@@ -57,7 +57,8 @@ TEST(TimeAwareness, SeasonalSignalSelectsHoltWintersWhenAvailable) {
     const double x = 10.0 + 5.0 * std::sin(2.0 * 3.14159265 * i / 8.0);
     ta.update(static_cast<double>(i), obs({{"x", x}}));
   }
-  EXPECT_DOUBLE_EQ(kb.number("forecast.x.model"), 3.0);  // holt-winters
+  // holt-winters
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("forecast.x.model")), 3.0);
 }
 
 TEST(TimeAwareness, UnknownSignalQueriesAreSafe) {
@@ -75,7 +76,7 @@ TEST(TimeAwareness, ConfidenceDropsWithErrors) {
     ta.update(static_cast<double>(i),
               obs({{"x", i % 2 == 0 ? 0.0 : 100.0}}));
   }
-  EXPECT_LT(kb.confidence("forecast.x"), 0.2);
+  EXPECT_LT(kb.confidence(kb.find("forecast.x")), 0.2);
 }
 
 TEST(TimeAwareness, QualityHighForPredictableSignals) {
@@ -98,9 +99,9 @@ TEST(TimeAwareness, QualitySumsInSignalNameOrder) {
                       {"a", 0.5 * i * i},
                       {"b", std::sin(0.7 * i)}}));
   }
-  const double a = kb.confidence("forecast.a");
-  const double b = kb.confidence("forecast.b");
-  const double c = kb.confidence("forecast.c");
+  const double a = kb.confidence(kb.find("forecast.a"));
+  const double b = kb.confidence(kb.find("forecast.b"));
+  const double c = kb.confidence(kb.find("forecast.c"));
   ASSERT_NE(a + b + c, c + a + b);  // the order shows in the bits
   EXPECT_EQ(ta.quality(), (a + b + c) / 3.0);
 }

@@ -205,11 +205,11 @@ TEST(FeedAgent, MirrorsInjectorStateIntoTheKnowledgeBase) {
 
   ASSERT_GT(inj.injected(), 0u);
   const auto& kb = agent.knowledge();
-  EXPECT_DOUBLE_EQ(kb.number("fault.count"),
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("fault.count")),
                    static_cast<double>(inj.injected()));
   // Long after the window every transient expired: active mirrors zero.
-  EXPECT_DOUBLE_EQ(kb.number("fault.active"), 0.0);
-  const auto item = kb.latest("fault.active");
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("fault.active")), 0.0);
+  const auto item = kb.latest(kb.find("fault.active"));
   ASSERT_TRUE(item.has_value());
   EXPECT_EQ(item->source, "fault");
 }

@@ -23,8 +23,9 @@ DegradationPolicy::Params fast_params() {
 }
 
 void put_fault_active(SelfAwareAgent& agent, double value, double t) {
-  agent.knowledge().put_number("fault.active", value, t, 1.0, Scope::Private,
-                               "fault");
+  KnowledgeBase& kb = agent.knowledge();
+  kb.put_number(kb.key("fault.active"), value, t, 1.0, Scope::Private,
+                kb.source_id("fault"));
 }
 
 TEST(DegradationPolicy, StartsHealthyAtMeta) {
@@ -187,7 +188,8 @@ TEST(SelfAwareAgent, ReactiveModeStillMirrorsSensorsIntoTheKb) {
   agent.set_active_levels(LevelSet{});
   agent.step(1.0);
   // No stimulus process ran, but the raw reading is in the KB.
-  EXPECT_DOUBLE_EQ(agent.knowledge().number("x", -1.0), 42.0);
+  const KnowledgeBase& kb = agent.knowledge();
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("x"), -1.0), 42.0);
 }
 
 TEST(SelfAwareAgent, NanSensorReadsAreSkippedAndCounted) {
@@ -204,7 +206,8 @@ TEST(SelfAwareAgent, NanSensorReadsAreSkippedAndCounted) {
   // aging item, not a poisoned one.
   reading = 5.0;
   agent.step(4.0);
-  const auto item = agent.knowledge().latest("x");
+  const KnowledgeBase& kb = agent.knowledge();
+  const auto item = kb.latest(kb.find("x"));
   ASSERT_TRUE(item.has_value());
   EXPECT_DOUBLE_EQ(item->time, 4.0);
 }

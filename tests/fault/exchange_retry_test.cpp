@@ -3,6 +3,7 @@
 // retry budget counts as a timeout (reported to interaction awareness).
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
 #include "core/agent.hpp"
@@ -14,6 +15,13 @@
 namespace sa::core {
 namespace {
 
+/// Writes a public fact for the exchange to carry.
+void publish(SelfAwareAgent& agent, std::string_view key, double value) {
+  KnowledgeBase& kb = agent.knowledge();
+  kb.put_number(kb.key(key), value, 0.0, 1.0, Scope::Public,
+                kb.source_id("t"));
+}
+
 struct ExchangeRig {
   sim::Engine engine;
   AgentRuntime rt{engine};
@@ -21,8 +29,8 @@ struct ExchangeRig {
   SelfAwareAgent b{"bob"};
 
   explicit ExchangeRig(double period = 1.0) {
-    a.knowledge().put_number("temp", 21.0, 0.0, 1.0, Scope::Public, "t");
-    b.knowledge().put_number("temp", 23.0, 0.0, 1.0, Scope::Public, "t");
+    publish(a, "temp", 21.0);
+    publish(b, "temp", 23.0);
     rt.schedule_exchange({&a, &b}, period);
   }
 };
@@ -34,8 +42,9 @@ TEST(ExchangeRetry, OpenGateExchangesWithoutDropsOrRetries) {
   EXPECT_EQ(rig.rt.exchange_drops(), 0u);
   EXPECT_EQ(rig.rt.exchange_retries(), 0u);
   EXPECT_EQ(rig.rt.exchange_timeouts(), 0u);
-  EXPECT_TRUE(rig.a.knowledge().contains("shared.bob.temp"));
-  EXPECT_TRUE(rig.b.knowledge().contains("shared.alice.temp"));
+  EXPECT_NE(rig.a.knowledge().find("shared.bob.temp"), KnowledgeBase::kNoKey);
+  EXPECT_NE(rig.b.knowledge().find("shared.alice.temp"),
+            KnowledgeBase::kNoKey);
 }
 
 TEST(ExchangeRetry, BlockedRoundsRetryThenTimeOut) {
@@ -49,7 +58,7 @@ TEST(ExchangeRetry, BlockedRoundsRetryThenTimeOut) {
   EXPECT_EQ(rig.rt.exchange_retries(), 3u);
   EXPECT_EQ(rig.rt.exchange_timeouts(), 1u);
   EXPECT_EQ(rig.rt.items_exchanged(), 0u);
-  EXPECT_FALSE(rig.a.knowledge().contains("shared.bob.temp"));
+  EXPECT_EQ(rig.a.knowledge().find("shared.bob.temp"), KnowledgeBase::kNoKey);
 }
 
 TEST(ExchangeRetry, TransientBlockResolvesWithinTheRetryBudget) {
@@ -63,7 +72,7 @@ TEST(ExchangeRetry, TransientBlockResolvesWithinTheRetryBudget) {
   EXPECT_EQ(rig.rt.exchange_retries(), 1u);
   EXPECT_EQ(rig.rt.exchange_timeouts(), 0u);
   EXPECT_GT(rig.rt.items_exchanged(), 0u);
-  EXPECT_TRUE(rig.a.knowledge().contains("shared.bob.temp"));
+  EXPECT_NE(rig.a.knowledge().find("shared.bob.temp"), KnowledgeBase::kNoKey);
 }
 
 TEST(ExchangeRetry, TimeoutIsReportedToInteractionAwareness) {
@@ -83,7 +92,7 @@ TEST(ExchangeRetry, CustomRetryBudgetAndBackoffAreHonoured) {
   sim::Engine engine;
   AgentRuntime rt(engine);
   SelfAwareAgent a("a"), b("b");
-  a.knowledge().put_number("k", 1.0, 0.0, 1.0, Scope::Public, "t");
+  publish(a, "k", 1.0);
   rt.set_exchange_retry(1, 0.25);
   rt.schedule_exchange({&a, &b}, 1.0);
   rt.set_exchange_blocked(true);
@@ -112,7 +121,7 @@ TEST(ExchangeRetry, RetryLadderOutlivingItsRoundIsSafe) {
   EXPECT_GT(rig.rt.exchange_retries(), 0u);
   EXPECT_GT(rig.rt.exchange_timeouts(), 0u);
   EXPECT_GT(rig.rt.items_exchanged(), 0u);  // resumed once unblocked
-  EXPECT_TRUE(rig.a.knowledge().contains("shared.bob.temp"));
+  EXPECT_NE(rig.a.knowledge().find("shared.bob.temp"), KnowledgeBase::kNoKey);
 }
 
 TEST(ExchangeRetry, InjectorDrivesTheGateThroughTheFaultWindow) {
@@ -122,8 +131,8 @@ TEST(ExchangeRetry, InjectorDrivesTheGateThroughTheFaultWindow) {
   sim::Engine engine;
   AgentRuntime rt(engine);
   SelfAwareAgent a("a"), b("b");
-  a.knowledge().put_number("k", 1.0, 0.0, 1.0, Scope::Public, "t");
-  b.knowledge().put_number("k", 2.0, 0.0, 1.0, Scope::Public, "t");
+  publish(a, "k", 1.0);
+  publish(b, "k", 2.0);
   rt.schedule_exchange({&a, &b}, 1.0);
 
   fault::Injector inj;

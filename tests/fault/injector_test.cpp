@@ -138,7 +138,9 @@ TEST(Injector, PermanentFaultsNeverRestore) {
   for (const int d : surface.depth) held += d;
   EXPECT_EQ(static_cast<std::size_t>(held), inj.injected());
   for (const auto& rec : inj.records()) {
-    if (rec.begin) EXPECT_TRUE(std::isinf(rec.until));
+    if (rec.begin) {
+      EXPECT_TRUE(std::isinf(rec.until));
+    }
   }
 }
 

@@ -49,16 +49,17 @@ std::string image_at(gen::Scenario& world, const gen::ScenarioSpec& spec,
 }
 
 /// Oldest retained item time of every (agent, key) history.
-using Oldest = std::map<std::pair<std::size_t, std::string>, double>;
+using Oldest =
+    std::map<std::pair<std::size_t, core::KnowledgeBase::KeyId>, double>;
 
 Oldest oldest_items(gen::Scenario& world) {
   Oldest out;
   std::size_t ai = 0;
   for (core::SelfAwareAgent* a : world.agents()) {
     const core::KnowledgeBase& kb = a->knowledge();
-    for (const std::string& key : kb.keys()) {
-      const auto hist = kb.history(key);
-      if (!hist.empty()) out[{ai, key}] = hist.front().time;
+    for (const core::KnowledgeBase::KeyId id : kb.ids()) {
+      const auto hist = kb.history(id);
+      if (!hist.empty()) out[{ai, id}] = hist.front().time;
     }
     ++ai;
   }
@@ -72,9 +73,9 @@ bool some_ring_wrapped(gen::Scenario& world, const Oldest& early) {
   std::size_t ai = 0;
   for (core::SelfAwareAgent* a : world.agents()) {
     const core::KnowledgeBase& kb = a->knowledge();
-    for (const std::string& key : kb.keys()) {
-      const auto hist = kb.history(key);
-      const auto it = early.find({ai, key});
+    for (const core::KnowledgeBase::KeyId id : kb.ids()) {
+      const auto hist = kb.history(id);
+      const auto it = early.find({ai, id});
       if (it != early.end() && hist.size() == kb.history_limit() &&
           hist.front().time > it->second) {
         return true;

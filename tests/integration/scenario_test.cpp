@@ -144,8 +144,8 @@ TEST(Integration, RuntimeDrivesManagerAgentsOnTheEngine) {
   EXPECT_EQ(sensor_agent.steps(), 100u);
   EXPECT_EQ(display_agent.steps(), 25u);
   // The display learned the latest temperature it never sensed itself.
-  EXPECT_DOUBLE_EQ(
-      display_agent.knowledge().number("shared.sensornode.temp"), 30.0);
+  const core::KnowledgeBase& seen = display_agent.knowledge();
+  EXPECT_DOUBLE_EQ(seen.number(seen.find("shared.sensornode.temp")), 30.0);
 }
 
 }  // namespace

@@ -43,7 +43,8 @@ TEST(ThermalManager, TempSensorPublishedToKnowledge) {
   p.seed = 9;
   Manager mgr(platform, p);
   for (int e = 0; e < 10; ++e) mgr.run_epoch();
-  EXPECT_GT(mgr.agent().knowledge().number("temp"), 35.0);
+  const core::KnowledgeBase& kb = mgr.agent().knowledge();
+  EXPECT_GT(kb.number(kb.find("temp")), 35.0);
 }
 
 TEST(ThermalManager, NonThermalChipBehaviourUnchangedByTempSensor) {
@@ -59,7 +60,8 @@ TEST(ThermalManager, NonThermalChipBehaviourUnchangedByTempSensor) {
   sim::RunningStats u;
   for (int e = 0; e < 100; ++e) u.add(mgr.run_epoch());
   EXPECT_GT(u.mean(), 0.5);
-  EXPECT_DOUBLE_EQ(mgr.agent().knowledge().number("temp"), 40.0);
+  const core::KnowledgeBase& kb = mgr.agent().knowledge();
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("temp")), 40.0);
 }
 
 TEST(ThermalManager, E12RunIsPinned) {

@@ -112,16 +112,16 @@ TEST(EngineAlloc, WarmHeapMixedScheduleIsAllocFree) {
 TEST(KnowledgeAlloc, ReadPathsAreAllocFree) {
   sa::core::KnowledgeBase kb(16);
   for (int i = 0; i < 32; ++i) {
-    kb.put_number("metric." + std::to_string(i), i, 0.0, 1.0);
+    kb.put_number(kb.key("metric." + std::to_string(i)), i, 0.0, 1.0);
   }
   const auto before = allocs();
   double acc = 0.0;
   bool all = true;
   for (int i = 0; i < 1000; ++i) {
-    acc += kb.number("metric.7");
-    acc += kb.confidence("metric.13");
-    all = all && kb.contains("metric.0");
-    if (const auto item = kb.latest("metric.3")) acc += item->value;
+    acc += kb.number(kb.find("metric.7"));
+    acc += kb.confidence(kb.find("metric.13"));
+    all = all && kb.find("metric.0") != sa::core::KnowledgeBase::kNoKey;
+    if (const auto item = kb.latest(kb.find("metric.3"))) acc += item->value;
   }
   EXPECT_EQ(allocs(), before) << "knowledge read path allocated";
   EXPECT_TRUE(all);
@@ -132,15 +132,15 @@ TEST(KnowledgeAlloc, RingOverwriteWriteIsAllocFree) {
   sa::core::KnowledgeBase kb(8);
   // Fill the ring: after history_limit puts the ring stops growing and
   // every further put overwrites the oldest slot in place.
-  for (int i = 0; i < 16; ++i) kb.put_number("sensor.load", i, i);
+  for (int i = 0; i < 16; ++i) kb.put_number(kb.key("sensor.load"), i, i);
   const auto before = allocs();
   for (int i = 0; i < 1000; ++i) {
-    kb.put_number("sensor.load", static_cast<double>(i),
+    kb.put_number(kb.key("sensor.load"), static_cast<double>(i),
                   static_cast<double>(16 + i));
   }
   EXPECT_EQ(allocs(), before) << "ring-overwrite put_number allocated";
-  EXPECT_EQ(kb.history("sensor.load").size(), 8u);
-  EXPECT_EQ(kb.number("sensor.load"), 999.0);
+  EXPECT_EQ(kb.history(kb.find("sensor.load")).size(), 8u);
+  EXPECT_EQ(kb.number(kb.find("sensor.load")), 999.0);
 }
 
 TEST(KnowledgeAlloc, CachedIdWriteIsAllocFree) {
@@ -164,7 +164,7 @@ TEST(KnowledgeAlloc, CachedIdWriteIsAllocFree) {
   const auto before = allocs();
   for (int i = 16; i < 1016; ++i) write(i);
   EXPECT_EQ(allocs(), before) << "cached-id put_number allocated";
-  EXPECT_EQ(kb.number("forecast.tracking.mae"), 1015.0);
+  EXPECT_EQ(kb.number(kb.find("forecast.tracking.mae")), 1015.0);
 }
 
 TEST(KnowledgeAlloc, StringViewLookupNeedsNoTemporaryString) {
@@ -172,10 +172,10 @@ TEST(KnowledgeAlloc, StringViewLookupNeedsNoTemporaryString) {
   // A key long enough to defeat SSO: if the lookup path built a
   // std::string from the view, this test would observe the allocation.
   const char* key = "subsystem.component.metric.with.a.deliberately.long.name";
-  kb.put_number(key, 42.0, 0.0);
+  kb.put_number(kb.key(key), 42.0, 0.0);
   const auto before = allocs();
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(kb.number(std::string_view(key)), 42.0);
+    ASSERT_EQ(kb.number(kb.find(std::string_view(key))), 42.0);
   }
   EXPECT_EQ(allocs(), before) << "string_view lookup materialised a string";
 }

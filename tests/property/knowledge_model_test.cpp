@@ -27,7 +27,7 @@ TEST_P(KnowledgeModelTest, AgreesWithReferenceModel) {
       case 0:
       case 1: {  // put (weighted: writes dominate)
         const double v = rng.uniform(-100.0, 100.0);
-        kb.put_number(key, v, static_cast<double>(op));
+        kb.put_number(kb.key(key), v, static_cast<double>(op));
         auto& hist = model[key];
         hist.push_back(v);
         if (hist.size() > limit) hist.pop_front();
@@ -36,16 +36,16 @@ TEST_P(KnowledgeModelTest, AgreesWithReferenceModel) {
       case 2: {  // latest agrees
         const auto it = model.find(key);
         if (it == model.end()) {
-          EXPECT_FALSE(kb.latest(key).has_value());
+          EXPECT_FALSE(kb.latest(kb.find(key)).has_value());
         } else {
-          ASSERT_TRUE(kb.latest(key).has_value());
-          EXPECT_DOUBLE_EQ(kb.latest(key)->value,
+          ASSERT_TRUE(kb.latest(kb.find(key)).has_value());
+          EXPECT_DOUBLE_EQ(kb.latest(kb.find(key))->value,
                            it->second.back());
         }
         break;
       }
       case 3: {  // history agrees
-        const auto& hist = kb.history(key);
+        const auto& hist = kb.history(kb.find(key));
         const auto it = model.find(key);
         const std::size_t expected =
             it == model.end() ? 0 : it->second.size();
@@ -60,8 +60,8 @@ TEST_P(KnowledgeModelTest, AgreesWithReferenceModel) {
   // Final structural agreement.
   EXPECT_EQ(kb.size(), model.size());
   for (const auto& [key, hist] : model) {
-    EXPECT_TRUE(kb.contains(key));
-    EXPECT_DOUBLE_EQ(kb.number(key), hist.back());
+    EXPECT_NE(kb.find(key), KnowledgeBase::kNoKey);
+    EXPECT_DOUBLE_EQ(kb.number(kb.find(key)), hist.back());
   }
 }
 

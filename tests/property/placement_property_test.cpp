@@ -93,7 +93,9 @@ TEST_P(TaskRingBoundsTest, HundredThousandTaskQueue) {
     q.push_back(t);
     exact += t.remaining;
     ASSERT_TRUE(bounds_contain(q, exact)) << "push " << i;
-    if (i % 10000 == 0) ASSERT_EQ(exact, q.backlog());
+    if (i % 10000 == 0) {
+      ASSERT_EQ(exact, q.backlog());
+    }
   }
   ASSERT_EQ(exact, q.backlog());
   for (int op = 0; op < 300; ++op) {

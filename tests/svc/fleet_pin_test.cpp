@@ -37,21 +37,18 @@ TEST(CameraFleet, LearningTrajectoryIsPinned) {
   for (std::size_t c = 0; c < fleet.cameras(); ++c) {
     core::SelfAwareAgent& agent = fleet.agent(c);
     const core::KnowledgeBase& kb = agent.knowledge();
-    for (const std::string& key : kb.keys()) {
+    for (const core::KnowledgeBase::KeyId id : kb.ids()) {
+      const std::string_view key = kb.name(id);
       fp.add(key);
-      for (const core::KnowledgeItem& item : kb.history(key)) {
+      for (const core::KnowledgeItem& item : kb.history(id)) {
         fp.add(item.value);
         fp.add(item.time);
         fp.add(item.confidence);
         fp.add(static_cast<std::size_t>(item.scope));
         fp.add(item.source);
       }
-      const auto ends_with = [&key](std::string_view tail) {
-        return key.size() >= tail.size() &&
-               key.compare(key.size() - tail.size(), tail.size(), tail) == 0;
-      };
-      novel += ends_with(".novel");
-      reconfigured += ends_with(".reconfigured");
+      novel += key.ends_with(".novel");
+      reconfigured += key.ends_with(".reconfigured");
     }
     for (const core::Explanation& e : agent.explainer().all()) {
       fp.add(e.render());

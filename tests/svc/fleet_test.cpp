@@ -144,7 +144,8 @@ TEST(CameraFleet, AgentsReceiveGoalUtility) {
   auto net = Network::clustered_layout(world_params());
   CameraFleet fleet(net, {});
   for (int i = 0; i < 3; ++i) fleet.run_epoch();
-  EXPECT_TRUE(fleet.agent(0).knowledge().contains("goal.utility"));
+  EXPECT_NE(fleet.agent(0).knowledge().find("goal.utility"),
+            core::KnowledgeBase::kNoKey);
 }
 
 }  // namespace
