@@ -24,7 +24,9 @@
 #include "exp/harness.hpp"
 #include "learn/bandit.hpp"
 #include "learn/forecast.hpp"
+#include "multicore/manager.hpp"
 #include "multicore/platform.hpp"
+#include "multicore/workload.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
@@ -107,13 +109,12 @@ exp::TaskOutput agent_step(std::size_t sensors, bool traced, std::size_t n) {
   }
   core::SelfAwareAgent agent("bench", cfg);
   for (std::size_t s = 0; s < sensors; ++s) {
-    agent.add_sensor("s" + std::to_string(s),
+    agent.add_sensor(std::string("s").append(std::to_string(s)),
                      [s] { return static_cast<double>(s); });
   }
   agent.add_action("a", [] {});
   agent.add_action("b", [] {});
-  agent.goals().add_objective({"s0", core::utility::rising(0.0, 10.0), 1.0});
-  agent.set_goal_metrics({"s0"});
+  agent.goals().add_objective("s0", core::utility::rising(0.0, 10.0), 1.0);
   agent.set_policy(std::make_unique<core::BanditPolicy>(
       std::make_unique<learn::Ucb1>(2)));
   return time_op(n, [&](std::size_t i) {
@@ -185,7 +186,8 @@ const std::vector<Kernel> kKernels = {
      [](std::size_t n) {
        core::KnowledgeBase kb(16);
        for (int i = 0; i < 64; ++i) {
-         kb.put_number(kb.key("m" + std::to_string(i)), i, 0.0);
+         kb.put_number(kb.key(std::string("m").append(std::to_string(i))), i,
+                       0.0);
        }
        // Readers resolve by name on each read, and never intern.
        return time_op(n, [&](std::size_t i) {
@@ -277,7 +279,9 @@ const std::vector<Kernel> kKernels = {
     {"metrics_snapshot@16", 1 << 14,
      [](std::size_t n) {
        sim::MetricsRegistry reg;
-       for (int i = 0; i < 16; ++i) reg.gauge("g" + std::to_string(i));
+       for (int i = 0; i < 16; ++i) {
+         reg.gauge(std::string("g").append(std::to_string(i)));
+       }
        return time_op(n, [&](std::size_t i) {
          reg.snapshot(static_cast<double>(i));
          if (reg.snapshots().size() > 1024) reg.clear_snapshots();
@@ -292,6 +296,22 @@ const std::vector<Kernel> kKernels = {
      [](std::size_t n) { return agent_step(16, false, n); }},
     {"agent_step_traced", 1 << 13,
      [](std::size_t n) { return agent_step(4, true, n); }},
+    // E1's self-aware manager on E1's platform and phased workload, one
+    // warm epoch per op: 0.5 s of platform simulation, then the measured
+    // utility and a model-based decision over the 12 configurations.
+    {"manager_epoch@selfaware", 1 << 10,
+     [](std::size_t n) {
+       multicore::Platform plat(multicore::PlatformConfig::big_little(2, 4),
+                                11);
+       auto workload = multicore::PhasedWorkload::standard();
+       multicore::Manager::Params p;
+       p.seed = 11;
+       multicore::Manager mgr(plat, p);
+       return time_op(n, [&](std::size_t) {
+         workload.apply(plat);
+         keep(mgr.run_epoch());
+       });
+     }},
     {"platform_step@6core", 1 << 14,
      [](std::size_t n) {
        multicore::Platform plat(multicore::PlatformConfig::big_little(2, 4), 3);

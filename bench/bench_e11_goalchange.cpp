@@ -42,6 +42,9 @@ constexpr double kRate = 25.0, kWork = 0.15, kDeadline = 0.8;
 constexpr int kEpochs = 1200;
 constexpr int kChangeAt = 600;
 const std::vector<std::uint64_t> kSeeds{111, 112, 113};
+/// The goal model's metric ids: main's objectives intern the metrics in
+/// this order.
+enum : core::MetricId { kThroughput, kLatency, kPower, kQueue };
 
 void set_regime(core::GoalModel& goals, bool energy_first) {
   goals.set_weight("latency", energy_first ? 0.5 : 3.0);
@@ -63,10 +66,8 @@ std::vector<core::ParetoPoint> measure_configs() {
     p.run_for(20.0);
     const auto s = p.harvest();
     points.push_back({actions[a].name,
-                      {{"throughput", s.throughput},
-                       {"latency", s.p95_latency},
-                       {"power", s.mean_power},
-                       {"queue", s.mean_queue}}});
+                      {s.throughput, s.p95_latency, s.mean_power,
+                       s.mean_queue}});
   }
   return points;
 }
@@ -124,11 +125,10 @@ int main(int argc, char** argv) {
   // outside the grid.
   const auto points = measure_configs();
   core::GoalModel goals;
-  goals.add_objective({"throughput", core::utility::rising(0.0, 45.0), 1.0});
-  goals.add_objective(
-      {"latency", core::utility::falling(0.0, 2.0), 3.0});
-  goals.add_objective({"power", core::utility::falling(1.0, 10.0), 0.5});
-  goals.add_objective({"queue", core::utility::falling(0.0, 40.0), 1.0});
+  goals.add_objective("throughput", core::utility::rising(0.0, 45.0), 1.0);
+  goals.add_objective("latency", core::utility::falling(0.0, 2.0), 3.0);
+  goals.add_objective("power", core::utility::falling(1.0, 10.0), 0.5);
+  goals.add_objective("queue", core::utility::falling(0.0, 40.0), 1.0);
 
   const auto front = core::pareto_front(goals, points);
   set_regime(goals, false);
@@ -144,9 +144,8 @@ int main(int argc, char** argv) {
     std::string chosen;
     if (i == perf_pick) chosen += "perf-first ";
     if (i == energy_pick) chosen += "energy-first";
-    t1.add_row({points[i].label, points[i].metrics.at("throughput"),
-                points[i].metrics.at("latency"),
-                points[i].metrics.at("power"),
+    t1.add_row({points[i].label, points[i].values[kThroughput],
+                points[i].values[kLatency], points[i].values[kPower],
                 std::string(efficient ? "yes" : "-"), chosen});
   }
   t1.print(std::cout);
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
   // informed manager would run.
   const double post_target = [&] {
     set_regime(goals, true);
-    return goals.utility(points[energy_pick].metrics);
+    return goals.utility(points[energy_pick].values);
   }();
 
   const std::vector<std::pair<std::string, Kind>> rows{

@@ -163,9 +163,10 @@ int main(int argc, char** argv) {
   for (const auto& [row, prefix] :
        {std::pair{"cluster (dense)", "cluster."},
         std::pair{"ring (isolated)", "ring."}}) {
-    std::vector<sim::Cell> cells{std::string(row)};
+    std::vector<sim::Cell> cells;
+    cells.emplace_back(std::string(row));
     for (const char* s : {"broadcast", "smooth", "passive"}) {
-      cells.push_back(static_cast<std::int64_t>(
+      cells.emplace_back(static_cast<std::int64_t>(
           res.sum(learned, std::string(prefix) + s)));
     }
     t2.add_row(std::move(cells));

@@ -68,9 +68,7 @@ exp::TaskOutput run(const Config& cfg, std::uint64_t seed) {
   for (std::size_t a = 0; a < kArms; ++a) {
     agent.add_action("arm" + std::to_string(a), [] {});
   }
-  agent.goals().add_objective(
-      {"reward", core::utility::rising(0.0, 1.0), 1.0});
-  agent.set_goal_metrics({"reward"});
+  agent.goals().add_objective("reward", core::utility::rising(0.0, 1.0), 1.0);
 
   std::unique_ptr<learn::Bandit> bandit;
   if (cfg.discounted) {

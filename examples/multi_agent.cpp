@@ -57,11 +57,10 @@ int main() {
     h.agent->add_action("discharge", [&h] { h.flow = -1.0; });
 
     // Goals: minimise grid cost, keep the battery healthy (2..8 kWh band).
-    h.agent->goals().add_objective(
-        {"cost", core::utility::falling(0.0, 1.0), 2.0});
-    h.agent->goals().add_objective(
-        {"battery", core::utility::target(5.0, 3.0), 1.0});
-    h.agent->set_goal_metrics({"cost", "battery"});
+    h.agent->goals().add_objective("cost", core::utility::falling(0.0, 1.0),
+                                   2.0);
+    h.agent->goals().add_objective("battery",
+                                   core::utility::target(5.0, 3.0), 1.0);
     h.agent->set_policy(std::make_unique<core::BanditPolicy>(
         std::make_unique<learn::DiscountedUcb>(3, 0.995)));
 

@@ -38,11 +38,10 @@ int main() {
   agent.add_action("high", [&] { heat = 1.0; });
 
   // Stakeholder goals: 21 C +/- 3, using as little power as possible.
-  agent.goals().add_objective(
-      {"temperature", core::utility::target(21.0, 3.0), 2.0});
-  agent.goals().add_objective(
-      {"power", core::utility::falling(0.0, 1.0), 1.0});
-  agent.set_goal_metrics({"temperature", "power"});
+  agent.goals().add_objective("temperature",
+                              core::utility::target(21.0, 3.0), 2.0);
+  agent.goals().add_objective("power", core::utility::falling(0.0, 1.0),
+                              1.0);
 
   agent.set_policy(std::make_unique<core::BanditPolicy>(
       std::make_unique<learn::DiscountedUcb>(3)));

@@ -8,6 +8,9 @@ namespace sa::cloud {
 
 namespace {
 constexpr double kCostScale = 400.0;  ///< epoch cost mapped to utility 0
+/// The goal model's metric ids: build_agent's objectives intern the
+/// metrics in this order.
+enum : core::MetricId { kSla, kCost };
 }  // namespace
 
 const char* Autoscaler::variant_name(Variant v) noexcept {
@@ -82,10 +85,8 @@ void Autoscaler::build_agent() {
   }
 
   auto& goals = agent_->goals();
-  goals.add_objective({"sla", core::utility::rising(0.0, 1.0), 2.0});
-  goals.add_objective({"cost", core::utility::falling(0.0, kCostScale),
-                       1.0});
-  agent_->set_goal_metrics({"sla", "cost"});
+  goals.add_objective("sla", core::utility::rising(0.0, 1.0), 2.0);
+  goals.add_objective("cost", core::utility::falling(0.0, kCostScale), 1.0);
 
   switch (p_.variant) {
     case Variant::Static:
@@ -114,14 +115,13 @@ void Autoscaler::build_agent() {
     case Variant::SelfAware: {
       // Self-prediction: simulate each scaling action against the forecast
       // demand and learned node reliabilities, score with the goal model.
-      auto model = [this](std::size_t action,
-                          const core::KnowledgeBase& kb) -> core::MetricMap {
+      auto model = [this](std::size_t action, const core::KnowledgeBase&,
+                          std::span<double> out) {
         const int d = kDeltas[action];
         const auto n = static_cast<long>(target_) + d;
         const auto k = static_cast<std::size_t>(
             std::clamp<long>(n, 0, static_cast<long>(cluster_.size())));
-        (void)kb;
-        return predict(k);
+        predict(k, out);
       };
       agent_->set_policy(std::make_unique<core::ModelBasedPolicy>(
           agent_->goals(), std::move(model),
@@ -155,7 +155,7 @@ std::vector<std::size_t> Autoscaler::enrolment_order() const {
   return order;
 }
 
-core::MetricMap Autoscaler::predict(std::size_t k) const {
+void Autoscaler::predict(std::size_t k, std::span<double> out) const {
   const auto order = enrolment_order();
   const core::SelfAwareAgent& agent = *agent_;
   const core::InteractionAwareness* ia = agent.interaction();
@@ -185,7 +185,8 @@ core::MetricMap Autoscaler::predict(std::size_t k) const {
   const double offered = demand_rate * epoch_s + last_.backlog;
   const double service = capacity * epoch_s;
   const double sla = offered > 0.0 ? std::min(1.0, service / offered) : 1.0;
-  return core::MetricMap{{"sla", sla}, {"cost", cost * epoch_s}};
+  out[kSla] = sla;
+  out[kCost] = cost * epoch_s;
 }
 
 CloudEpoch Autoscaler::run_epoch() {
@@ -208,7 +209,7 @@ CloudEpoch Autoscaler::run_epoch() {
                                o.delivered);
   }
 
-  const core::MetricMap m{{"sla", last_.sla}, {"cost", last_.cost}};
+  const double m[] = {last_.sla, last_.cost};
   const double u = agent_->goals().utility(m);
   agent_->reward(u);
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cloud/cluster.hpp"
@@ -87,8 +88,9 @@ class Autoscaler {
   /// Node enrolment order: learned reliability ranking for SelfAware,
   /// design-time list order otherwise.
   [[nodiscard]] std::vector<std::size_t> enrolment_order() const;
-  /// Predicted epoch metrics if the enrolment target were `k`.
-  [[nodiscard]] core::MetricMap predict(std::size_t k) const;
+  /// Writes the predicted epoch metrics into `out` (by goal metric id) if
+  /// the enrolment target were `k`.
+  void predict(std::size_t k, std::span<double> out) const;
 
   Cluster& cluster_;
   DemandModel& demand_;

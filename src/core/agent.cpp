@@ -71,18 +71,6 @@ void SelfAwareAgent::set_policy(std::unique_ptr<Policy> policy) {
   policy_ = std::move(policy);
 }
 
-void SelfAwareAgent::set_goal_metrics(std::vector<std::string> metrics) {
-  if (!cfg_.levels.has(Level::Goal)) return;
-  auto goal = std::make_unique<GoalAwareness>(kb_, goals_, std::move(metrics));
-  // The meta level must not keep watching a process about to be destroyed.
-  if (meta_ && goal_aware_) {
-    meta_->replace(*goal_aware_, *goal);
-  } else if (meta_) {
-    meta_->watch(*goal);
-  }
-  goal_aware_ = std::move(goal);
-}
-
 void SelfAwareAgent::observe() {
   obs_.clear();
   // With no budget (All) every signal is chosen; otherwise sample only the
@@ -130,6 +118,11 @@ void SelfAwareAgent::run_processes(double t) {
   }
   if (time_ && active_levels_.has(Level::Time)) {
     time_->update(t, obs_);
+  }
+  if (!goal_aware_ && cfg_.levels.has(Level::Goal) &&
+      goals_.objectives() > 0) {
+    goal_aware_ = std::make_unique<GoalAwareness>(kb_, goals_);
+    if (meta_) meta_->watch(*goal_aware_);
   }
   if (goal_aware_ && active_levels_.has(Level::Goal)) {
     goal_aware_->update(t, obs_);

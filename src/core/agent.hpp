@@ -14,9 +14,8 @@
 //   agent.add_sensor("load", [&]{ return platform.load(); });
 //   agent.add_action("freq_up",   [&]{ platform.step_freq(+1); });
 //   agent.add_action("freq_down", [&]{ platform.step_freq(-1); });
-//   agent.goals().add_objective({"throughput", utility::rising(0, 100), 2.0});
-//   agent.goals().add_objective({"power", utility::falling(1, 10), 1.0});
-//   agent.set_goal_metrics({"throughput", "power"});
+//   agent.goals().add_objective("throughput", utility::rising(0, 100), 2.0);
+//   agent.goals().add_objective("power", utility::falling(1, 10), 1.0);
 //   agent.set_policy(std::make_unique<BanditPolicy>(
 //       std::make_unique<learn::Ucb1>(2)));
 //   ...
@@ -91,10 +90,6 @@ class SelfAwareAgent {
   void add_action(const std::string& name, std::function<void()> act);
   /// Installs the decision policy (replaces any previous one).
   void set_policy(std::unique_ptr<Policy> policy);
-  /// Declares which KB keys carry the goal metrics (enables goal awareness
-  /// evaluation over them; requires Level::Goal). A later call replaces the
-  /// goal process, and the meta level watches the replacement.
-  void set_goal_metrics(std::vector<std::string> metrics);
 
   // -- The loop -------------------------------------------------------------
   /// Runs one Observe-Decide-Act cycle at time `t`. Returns the decision
@@ -143,7 +138,10 @@ class SelfAwareAgent {
     return action_names_;
   }
 
-  /// Direct access to the level processes (null when disabled).
+  /// Direct access to the level processes (null when disabled). With
+  /// Level::Goal the goal process starts at the first step after goals()
+  /// gains an objective; it evaluates the KB keys (or sensors) its metrics
+  /// name, and the meta level watches it from then on.
   [[nodiscard]] StimulusAwareness* stimulus() noexcept {
     return stimulus_.get();
   }

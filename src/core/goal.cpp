@@ -5,44 +5,44 @@
 
 namespace sa::core {
 
-namespace utility {
-
-UtilityFn rising(double lo, double hi) {
-  return [lo, hi](double x) {
-    if (hi <= lo) return x >= hi ? 1.0 : 0.0;
-    return std::clamp((x - lo) / (hi - lo), 0.0, 1.0);
-  };
+double UtilityFn::operator()(double x) const {
+  switch (shape) {
+    case Shape::Rising:
+      if (b <= a) return x >= b ? 1.0 : 0.0;
+      return std::clamp((x - a) / (b - a), 0.0, 1.0);
+    case Shape::Falling:
+      if (b <= a) return x <= a ? 1.0 : 0.0;
+      return std::clamp((b - x) / (b - a), 0.0, 1.0);
+    case Shape::Target:
+      if (b <= 0.0) return x == a ? 1.0 : 0.0;
+      return std::clamp(1.0 - std::fabs(x - a) / b, 0.0, 1.0);
+  }
+  return 0.0;
 }
 
-UtilityFn falling(double lo, double hi) {
-  return [lo, hi](double x) {
-    if (hi <= lo) return x <= lo ? 1.0 : 0.0;
-    return std::clamp((hi - x) / (hi - lo), 0.0, 1.0);
-  };
+MetricId GoalModel::intern(std::string_view metric) {
+  const auto id = static_cast<MetricId>(
+      std::find(metrics_.begin(), metrics_.end(), metric) - metrics_.begin());
+  if (id == metrics_.size()) metrics_.emplace_back(metric);
+  return id;
 }
 
-UtilityFn target(double t, double tolerance) {
-  return [t, tolerance](double x) {
-    if (tolerance <= 0.0) return x == t ? 1.0 : 0.0;
-    return std::clamp(1.0 - std::fabs(x - t) / tolerance, 0.0, 1.0);
-  };
+MetricId GoalModel::add_objective(std::string_view metric, UtilityFn fn,
+                                  double weight) {
+  const MetricId id = intern(metric);
+  objectives_.push_back({id, fn, weight});
+  return id;
 }
 
-}  // namespace utility
-
-std::size_t GoalModel::add_objective(Objective o) {
-  objectives_.push_back(std::move(o));
-  return objectives_.size() - 1;
+void GoalModel::add_constraint(std::string_view metric, double at_most,
+                               bool hard, double penalty) {
+  constraints_.push_back({intern(metric), at_most, hard, penalty});
 }
 
-void GoalModel::add_constraint(Constraint c) {
-  constraints_.push_back(std::move(c));
-}
-
-bool GoalModel::set_weight(const std::string& metric, double weight) {
+bool GoalModel::set_weight(std::string_view metric, double weight) {
   bool found = false;
   for (auto& o : objectives_) {
-    if (o.metric == metric) {
+    if (metrics_[o.metric] == metric) {
       o.weight = weight;
       found = true;
     }
@@ -50,7 +50,7 @@ bool GoalModel::set_weight(const std::string& metric, double weight) {
   return found;
 }
 
-double GoalModel::raw_utility(const MetricMap& m) const {
+double GoalModel::raw_utility(std::span<const double> m) const {
   if (objectives_.empty()) return 0.0;
   double acc = 0.0, total_w = 0.0;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
@@ -60,7 +60,7 @@ double GoalModel::raw_utility(const MetricMap& m) const {
   return total_w > 0.0 ? acc / total_w : 0.0;
 }
 
-double GoalModel::utility(const MetricMap& m) const {
+double GoalModel::utility(std::span<const double> m) const {
   double u = raw_utility(m);
   for (const auto& c : constraints_) {
     if (!c.satisfied(m)) {
@@ -71,26 +71,28 @@ double GoalModel::utility(const MetricMap& m) const {
   return std::clamp(u, 0.0, 1.0);
 }
 
-std::size_t GoalModel::violated(const MetricMap& m) const {
+std::size_t GoalModel::violated(std::span<const double> m) const {
   return static_cast<std::size_t>(
       std::count_if(constraints_.begin(), constraints_.end(),
                     [&](const Constraint& c) { return !c.satisfied(m); }));
 }
 
-bool GoalModel::feasible(const MetricMap& m) const {
+bool GoalModel::feasible(std::span<const double> m) const {
   return std::all_of(constraints_.begin(), constraints_.end(),
                      [&](const Constraint& c) {
                        return !c.hard || c.satisfied(m);
                      });
 }
 
-double GoalModel::objective_utility(std::size_t i, const MetricMap& m) const {
+double GoalModel::objective_utility(std::size_t i,
+                                    std::span<const double> m) const {
   const Objective& o = objectives_[i];
-  const auto it = m.find(o.metric);
-  return it == m.end() ? 0.0 : o.fn(it->second);
+  const double v = o.metric < m.size() ? m[o.metric] : kAbsent;
+  return std::isnan(v) ? 0.0 : o.fn(v);
 }
 
-bool GoalModel::dominates(const MetricMap& a, const MetricMap& b) const {
+bool GoalModel::dominates(std::span<const double> a,
+                          std::span<const double> b) const {
   bool strictly_better = false;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const double ua = objective_utility(i, a);

@@ -1,9 +1,8 @@
 #include "core/meta.hpp"
 
-#include <algorithm>
 #include <cstddef>
-#include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace sa::core {
 
@@ -36,18 +35,6 @@ bool MetaSelfAwareness::resolve_model(Watched& w) {
   }
   w.model = pos;
   return true;
-}
-
-void MetaSelfAwareness::replace(const AwarenessProcess& old,
-                                AwarenessProcess& now) {
-  const auto it =
-      std::find_if(watched_.begin(), watched_.end(),
-                   [&old](const Watched& w) { return w.proc == &old; });
-  if (it == watched_.end() || old.name() != now.name()) {
-    throw std::invalid_argument(
-        "MetaSelfAwareness::replace: not a watched process of that name");
-  }
-  it->proc = &now;
 }
 
 void MetaSelfAwareness::on_drift(std::string name, Adaptation a) {

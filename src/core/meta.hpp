@@ -50,15 +50,9 @@ class MetaSelfAwareness final : public AwarenessProcess {
   MetaSelfAwareness(KnowledgeBase& kb, Params p)
       : p_(p), kb_(kb), drift_(p.ph_delta, p.ph_lambda) {}
 
-  /// Registers a process to watch. Non-owning; must outlive this object
-  /// (or be replaced first). Processes sharing a name share one quality
-  /// model.
+  /// Registers a process to watch. Non-owning; must outlive this object.
+  /// Processes sharing a name share one quality model.
   void watch(AwarenessProcess& proc);
-  /// Hands `old`'s watch, with its quality model and keys, to `now` (say,
-  /// a goal process rebuilt over new metrics), so `old` can be destroyed.
-  /// Throws std::invalid_argument if `old` is not watched or the two
-  /// differ in name.
-  void replace(const AwarenessProcess& old, AwarenessProcess& now);
   /// Registers an adaptation run whenever utility drift is detected.
   void on_drift(std::string name, Adaptation a);
 

@@ -6,7 +6,7 @@ bool is_dominated(const GoalModel& goals,
                   const std::vector<ParetoPoint>& points, std::size_t i) {
   for (std::size_t j = 0; j < points.size(); ++j) {
     if (j == i) continue;
-    if (goals.dominates(points[j].metrics, points[i].metrics)) return true;
+    if (goals.dominates(points[j].values, points[i].values)) return true;
   }
   return false;
 }
@@ -25,7 +25,7 @@ std::size_t utility_argmax(const GoalModel& goals,
   std::size_t best = 0;
   double best_u = -1.0;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const double u = goals.utility(points[i].metrics);
+    const double u = goals.utility(points[i].values);
     if (u > best_u) {
       best_u = u;
       best = i;

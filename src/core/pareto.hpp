@@ -18,10 +18,11 @@
 
 namespace sa::core {
 
-/// One candidate point in objective space: a label plus its raw metrics.
+/// One candidate point in objective space: a label plus its raw metric
+/// values, indexed by the goal model's metric ids.
 struct ParetoPoint {
   std::string label;
-  MetricMap metrics;
+  std::vector<double> values;
 };
 
 /// Indices (into `points`) of the Pareto-efficient points under `goals`:

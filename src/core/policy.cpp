@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <string_view>
 
 namespace sa::core {
@@ -77,10 +76,12 @@ Decision ModelBasedPolicy::decide(double t, const KnowledgeBase& kb,
   (void)rng;
   Decision d;
   d.evidence = evidence_;
+  d.considered.reserve(actions.size());
   double best = -1.0;
   for (std::size_t a = 0; a < actions.size(); ++a) {
-    const MetricMap predicted = model_(a, kb);
-    const double u = goals_.utility(predicted);
+    predicted_.assign(goals_.metrics(), kAbsent);
+    model_(a, kb, predicted_);
+    const double u = goals_.utility(predicted_);
     d.considered.push_back({actions[a], u});
     if (u > best) {
       best = u;
@@ -88,10 +89,13 @@ Decision ModelBasedPolicy::decide(double t, const KnowledgeBase& kb,
     }
   }
   d.action = actions[d.action_index];
-  std::ostringstream os;
-  os << "predicted utility " << best << " is the maximum over "
-     << actions.size() << " simulated alternatives";
-  d.rationale = os.str();
+  // "%g" prints a double as an ostream does by default.
+  char rationale[128];
+  const int n = std::snprintf(
+      rationale, sizeof rationale,
+      "predicted utility %g is the maximum over %zu simulated alternatives",
+      best, actions.size());
+  d.rationale.assign(rationale, static_cast<std::size_t>(n));
   return d;
 }
 

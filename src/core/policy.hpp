@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,9 +122,11 @@ class BanditPolicy final : public Policy {
 /// (Section III): "predict the effects ... of actions".
 class ModelBasedPolicy final : public Policy {
  public:
-  /// Predicts the metric map that would result from taking `action` now.
-  using ResponseModel = std::function<MetricMap(
-      std::size_t action, const KnowledgeBase& kb)>;
+  /// Writes the metric values that would result from taking `action` now
+  /// into `out`, indexed by the goal model's metric ids. `out` holds one
+  /// value per metric, all NaN (absent) on entry.
+  using ResponseModel = std::function<void(
+      std::size_t action, const KnowledgeBase& kb, std::span<double> out)>;
 
   /// `goals` must outlive the policy. `evidence` lists the KB keys the
   /// response model consults (surfaced in explanations).
@@ -141,6 +144,7 @@ class ModelBasedPolicy final : public Policy {
   const GoalModel& goals_;
   ResponseModel model_;
   std::vector<std::string> evidence_;
+  std::vector<double> predicted_;  ///< decide()'s scratch, by metric id
 };
 
 }  // namespace sa::core

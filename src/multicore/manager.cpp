@@ -9,6 +9,9 @@ namespace sa::multicore {
 namespace {
 constexpr double kTargetLatencyS = 0.4;    ///< latency goal scale
 constexpr double kThroughputScale = 45.0;  ///< tasks/s mapped to utility 1.0
+/// The goal model's metric ids: build_agent's objectives intern the
+/// metrics in this order.
+enum : core::MetricId { kThroughput, kLatency, kPower, kQueue };
 }  // namespace
 
 std::vector<ManagerAction> default_actions(const Platform& platform) {
@@ -19,7 +22,8 @@ std::vector<ManagerAction> default_actions(const Platform& platform) {
       ManagerAction a;
       a.freq_level = lvl;
       a.mapping = m;
-      a.name = "f" + std::to_string(lvl) + "/" + mapping_name(m);
+      a.name.append("f").append(std::to_string(lvl));
+      a.name.append("/").append(mapping_name(m));
       out.push_back(std::move(a));
     }
   }
@@ -88,29 +92,21 @@ void Manager::build_agent() {
   // Goals: throughput up, tail latency down, power down — with the cap as
   // a hard constraint (stakeholder non-negotiable).
   auto& goals = agent_->goals();
-  goals.add_objective(
-      {"throughput", core::utility::rising(0.0, kThroughputScale), 1.0});
+  goals.add_objective("throughput",
+                      core::utility::rising(0.0, kThroughputScale), 1.0);
   // Tail latency carries double weight: the motivating workloads are
   // latency-critical (interactive phase), and it is the metric a static
   // design-time choice cannot keep low across regimes.
   goals.add_objective(
-      {"latency", core::utility::falling(0.0, 5.0 * kTargetLatencyS),
-       2.0});
-  goals.add_objective(
-      {"power", core::utility::falling(1.0, 10.0), 1.0});
+      "latency", core::utility::falling(0.0, 5.0 * kTargetLatencyS), 2.0);
+  goals.add_objective("power", core::utility::falling(1.0, 10.0), 1.0);
   // Backlog is a leading indicator the tail-latency metric saturates on:
   // once the queue is deep, every config's p95 looks equally bad, but the
   // queue's growth rate still separates configurations that recover from
   // ones that spiral.
-  goals.add_objective({"queue", core::utility::falling(0.0, 40.0), 1.0});
+  goals.add_objective("queue", core::utility::falling(0.0, 40.0), 1.0);
   const double cap = p_.power_cap_w;
-  goals.add_constraint({"power-cap",
-                        [cap](const core::MetricMap& m) {
-                          const auto it = m.find("power");
-                          return it == m.end() || it->second <= cap;
-                        },
-                        /*hard=*/true});
-  agent_->set_goal_metrics({"throughput", "latency", "power", "queue"});
+  goals.add_constraint("power", cap, /*hard=*/true);
 
   switch (p_.variant) {
     case Variant::Static:
@@ -146,9 +142,9 @@ void Manager::build_agent() {
       // picks the predicted-utility maximiser. No trial-and-error on the
       // live system, which is exactly what distinguishes model-based
       // self-awareness from the reactive baseline.
-      auto model = [this](std::size_t action,
-                          const core::KnowledgeBase& kb) -> core::MetricMap {
-        return predict(actions_[action], kb);
+      auto model = [this](std::size_t action, const core::KnowledgeBase& kb,
+                          std::span<double> out) {
+        predict(actions_[action], kb, out);
       };
       agent_->set_policy(std::make_unique<core::ModelBasedPolicy>(
           agent_->goals(), std::move(model),
@@ -158,8 +154,8 @@ void Manager::build_agent() {
   }
 }
 
-core::MetricMap Manager::predict(const ManagerAction& a,
-                                 const core::KnowledgeBase& kb) const {
+void Manager::predict(const ManagerAction& a, const core::KnowledgeBase& kb,
+                      std::span<double> out) const {
   // Eligible capacity and idle/active power under configuration `a`.
   // With the thermal model on, the self-model also predicts throttling:
   // a core whose steady-state temperature would exceed the envelope
@@ -168,18 +164,22 @@ core::MetricMap Manager::predict(const ManagerAction& a,
   // come from the platform's datasheet (platform.hpp).
   const bool thermal = platform_.config().thermal;
   double cap = 0.0, leak = 0.0, dyn_full = 0.0, eligible_cap = 0.0;
-  double hottest_c = kAmbientC;  // predicted hottest eligible core
   const double freq = platform_.freq_ghz(a.freq_level);
   const double f_min = platform_.freq_ghz(0);
+  const auto eligible = [&a](const CoreSpec& spec) {
+    return a.mapping == Mapping::Balanced ||
+           (a.mapping == Mapping::PackBig && spec.big) ||
+           (a.mapping == Mapping::PackLittle && !spec.big);
+  };
   // Utilisation estimate for the thermal model: sensed demand over this
   // configuration's nominal capacity (the busy cores are what heat up).
   double nominal_cap = 0.0;
+  std::size_t servers = 0;  // eligible cores
   for (std::size_t c = 0; c < platform_.cores(); ++c) {
     const auto& spec = platform_.spec(c);
-    const bool eligible = a.mapping == Mapping::Balanced ||
-                          (a.mapping == Mapping::PackBig && spec.big) ||
-                          (a.mapping == Mapping::PackLittle && !spec.big);
-    if (eligible) nominal_cap += spec.ipc * freq;
+    if (!eligible(spec)) continue;
+    nominal_cap += spec.ipc * freq;
+    ++servers;
   }
   const double util_guess =
       nominal_cap > 0.0
@@ -187,23 +187,13 @@ core::MetricMap Manager::predict(const ManagerAction& a,
           : 1.0;
   for (std::size_t c = 0; c < platform_.cores(); ++c) {
     const auto& spec = platform_.spec(c);
-    const bool eligible = a.mapping == Mapping::Balanced ||
-                          (a.mapping == Mapping::PackBig && spec.big) ||
-                          (a.mapping == Mapping::PackLittle && !spec.big);
     cap += spec.ipc * freq;  // spill-over: every core can ultimately help
-    if (!eligible) {
+    if (!eligible(spec)) {
       leak += spec.static_w * freq * freq;
       continue;
     }
     double duty = 1.0;  // fraction of time at the requested frequency
     if (thermal) {
-      const double p_hot_now =
-          spec.static_w * freq * freq +
-          spec.dyn_coeff * freq * freq * freq * util_guess;
-      hottest_c = std::max(
-          hottest_c,
-          std::min(kThrottleC,
-                   kAmbientC + kHeatPerW * p_hot_now / kCoolRate));
       const double t_mid = 0.5 * (kThrottleC + kRecoverC);
       const double p_hot = spec.static_w * freq * freq +
                            spec.dyn_coeff * freq * freq * freq * util_guess;
@@ -254,14 +244,6 @@ core::MetricMap Manager::predict(const ManagerAction& a,
   // per-eligible-core speed, and the queueing delay by Sakasegawa's M/M/c
   // approximation (the platform really is c parallel servers — an M/M/1
   // view would be catastrophically pessimistic at moderate load).
-  std::size_t servers = 0;
-  for (std::size_t c = 0; c < platform_.cores(); ++c) {
-    const auto& spec = platform_.spec(c);
-    const bool eligible = a.mapping == Mapping::Balanced ||
-                          (a.mapping == Mapping::PackBig && spec.big) ||
-                          (a.mapping == Mapping::PackLittle && !spec.big);
-    if (eligible) ++servers;
-  }
   if (servers == 0) servers = platform_.cores();
   const double cs = static_cast<double>(servers);
   const double per_core = eligible_cap / cs;
@@ -290,11 +272,10 @@ core::MetricMap Manager::predict(const ManagerAction& a,
       std::max(0.0, queue + (demand - eligible_cap) * epoch /
                                 std::max(mean_work, 1e-9));
 
-  (void)hottest_c;
-  return core::MetricMap{{"throughput", throughput},
-                         {"latency", p95},
-                         {"power", power},
-                         {"queue", queue_next}};
+  out[kThroughput] = throughput;
+  out[kLatency] = p95;
+  out[kPower] = power;
+  out[kQueue] = queue_next;
 }
 
 void Manager::apply(const ManagerAction& a) {
@@ -318,10 +299,8 @@ double Manager::run_epoch_for(double secs) {
   // variant — including Static, which has no goal-awareness process of its
   // own. It settles the *previous* decision (which produced this epoch)
   // before the agent takes the next one.
-  const core::MetricMap m{{"throughput", stats_.throughput},
-                          {"latency", stats_.p95_latency},
-                          {"power", stats_.mean_power},
-                          {"queue", stats_.mean_queue}};
+  const double m[] = {stats_.throughput, stats_.p95_latency,
+                      stats_.mean_power, stats_.mean_queue};
   const double u = agent_->goals().utility(m);
   agent_->reward(u);
   agent_->step(platform_.now());

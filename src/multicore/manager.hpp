@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,10 +111,11 @@ class Manager {
   /// scheduling period so engine time and platform time stay aligned).
   double run_epoch_for(double secs);
   void apply(const ManagerAction& a);
-  /// Predicted epoch metrics if configuration `a` ran against the
-  /// currently sensed workload (the agent's self-model).
-  [[nodiscard]] core::MetricMap predict(const ManagerAction& a,
-                                        const core::KnowledgeBase& kb) const;
+  /// Writes the predicted epoch metrics into `out` (by goal metric id) if
+  /// configuration `a` ran against the currently sensed workload (the
+  /// agent's self-model).
+  void predict(const ManagerAction& a, const core::KnowledgeBase& kb,
+               std::span<double> out) const;
 
   Platform& platform_;
   Params p_;

@@ -104,13 +104,15 @@ class Ring {
   /// Changes the capacity, keeping the newest min(cap, size()) items in
   /// order.
   void set_capacity(std::size_t cap) {
-    std::rotate(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
-                buf_.end());
-    head_ = 0;
-    if (buf_.size() > cap) {
-      buf_.erase(buf_.begin(),
-                 buf_.end() - static_cast<std::ptrdiff_t>(cap));
+    const std::size_t n = buf_.size();
+    std::vector<T> kept;
+    kept.reserve(std::min(cap, n));
+    for (std::size_t i = n - std::min(cap, n); i < n; ++i) {
+      const std::size_t j = head_ + i;
+      kept.push_back(std::move(buf_[j < n ? j : j - n]));
     }
+    buf_ = std::move(kept);
+    head_ = 0;
     cap_ = cap;
   }
   void clear() noexcept {

@@ -50,12 +50,11 @@ CameraFleet::CameraFleet(Network& net, Params p)
     // epoch_steps of accumulation.
     const double steps = static_cast<double>(p_.epoch_steps);
     auto& goals = agent->goals();
-    goals.add_objective(
-        {"tracking", core::utility::rising(0.0, 3.0 * steps), 2.0});
-    goals.add_objective(
-        {"messages", core::utility::falling(0.0, 2.0 * steps), 1.0});
-    goals.add_objective({"lost", core::utility::falling(0.0, 5.0), 1.0});
-    agent->set_goal_metrics({"tracking", "messages", "lost"});
+    goals.add_objective("tracking", core::utility::rising(0.0, 3.0 * steps),
+                        2.0);
+    goals.add_objective("messages",
+                        core::utility::falling(0.0, 2.0 * steps), 1.0);
+    goals.add_objective("lost", core::utility::falling(0.0, 5.0), 1.0);
 
     agent->set_policy(std::make_unique<core::BanditPolicy>(
         std::make_unique<learn::DiscountedUcb>(kStrategies, 0.99)));

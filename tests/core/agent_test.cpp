@@ -32,8 +32,11 @@ TEST(SelfAwareAgent, FullStackConstructsAllProcesses) {
   EXPECT_NE(a.interaction(), nullptr);
   EXPECT_NE(a.time_awareness(), nullptr);
   EXPECT_NE(a.meta(), nullptr);
-  EXPECT_EQ(a.goal_awareness(), nullptr);  // until metrics are declared
-  a.set_goal_metrics({"x"});
+  // The goal process starts at the first step with an objective.
+  EXPECT_EQ(a.goal_awareness(), nullptr);
+  a.goals().add_objective("x", utility::rising(0.0, 1.0));
+  EXPECT_EQ(a.goal_awareness(), nullptr);
+  a.step(0.0);
   EXPECT_NE(a.goal_awareness(), nullptr);
 }
 
@@ -45,8 +48,22 @@ TEST(SelfAwareAgent, MinimalConfigHasOnlyStimulus) {
   EXPECT_EQ(a.interaction(), nullptr);
   EXPECT_EQ(a.time_awareness(), nullptr);
   EXPECT_EQ(a.meta(), nullptr);
-  a.set_goal_metrics({"x"});
+  a.goals().add_objective("x", utility::rising(0.0, 1.0));
+  a.step(0.0);
   EXPECT_EQ(a.goal_awareness(), nullptr);  // Goal level not enabled
+}
+
+// E9's watcher shape: sensors and a full stack, but no objective.
+TEST(SelfAwareAgent, NoObjectiveMeansNoGoalProcess) {
+  SelfAwareAgent a("watcher", quiet_config());
+  a.add_sensor("x", [] { return 1.0; });
+  for (int i = 0; i < 5; ++i) a.step(i);
+  EXPECT_EQ(a.goal_awareness(), nullptr);
+  EXPECT_DOUBLE_EQ(a.current_utility(), 0.0);
+  const KnowledgeBase& kb = a.knowledge();
+  EXPECT_EQ(kb.find("goal.utility"), KnowledgeBase::kNoKey);
+  EXPECT_EQ(kb.find("meta.goal.quality"), KnowledgeBase::kNoKey);
+  EXPECT_EQ(a.describe().find("goal="), std::string::npos);
 }
 
 TEST(SelfAwareAgent, SensorsFlowIntoKnowledge) {
@@ -128,32 +145,34 @@ TEST(SelfAwareAgent, RewardReachesLearningPolicy) {
 TEST(SelfAwareAgent, GoalUtilityComputedFromSensors) {
   SelfAwareAgent a("goals", quiet_config());
   a.add_sensor("perf", [] { return 50.0; });
-  a.goals().add_objective({"perf", utility::rising(0.0, 100.0), 1.0});
-  a.set_goal_metrics({"perf"});
+  a.goals().add_objective("perf", utility::rising(0.0, 100.0), 1.0);
   a.step(0.0);
   EXPECT_DOUBLE_EQ(a.current_utility(), 0.5);
   const KnowledgeBase& kb = a.knowledge();
   EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.utility")), 0.5);
 }
 
-// Declaring the goal metrics again rebuilds the goal process. The meta
-// level must go on assessing the new one: it once kept watching the
-// destroyed one, a heap use-after-free on the next step under ASan.
-TEST(SelfAwareAgent, RedeclaredGoalMetricsAreWatchedByMeta) {
+// Goals change at run time: an objective added after the agent has
+// stepped starts the goal process (or joins the running one) at the next
+// step, and the meta level watches that one process once.
+TEST(SelfAwareAgent, ObjectiveAddedAfterFirstStepIsEvaluated) {
   SelfAwareAgent a("regoal", quiet_config());
   a.add_sensor("x", [] { return 2.0; });
   a.add_sensor("y", [] { return 8.0; });
-  a.goals().add_objective({"x", utility::rising(0.0, 10.0), 1.0});
-  a.goals().add_objective({"y", utility::rising(0.0, 10.0), 1.0});
-  a.set_goal_metrics({"x"});
   a.step(0.0);
-  EXPECT_DOUBLE_EQ(a.current_utility(), 0.1);  // y is not a goal metric
-  a.set_goal_metrics({"x", "y"});
-  for (int i = 1; i < 5; ++i) a.step(i);
+  EXPECT_EQ(a.goal_awareness(), nullptr);
+  a.goals().add_objective("x", utility::rising(0.0, 10.0), 1.0);
+  a.step(1.0);
+  EXPECT_DOUBLE_EQ(a.current_utility(), 0.2);
+  a.goals().add_objective("y", utility::rising(0.0, 10.0), 1.0);
+  for (int i = 2; i < 6; ++i) a.step(i);
   EXPECT_DOUBLE_EQ(a.current_utility(), 0.5);
-  // Both processes had every metric, so meta's smoothed goal quality is 1.
+  // The process always had every metric, so meta's smoothed goal quality
+  // is 1; one watch writes one quality item per meta update (steps 1-5).
   const KnowledgeBase& kb = a.knowledge();
-  EXPECT_DOUBLE_EQ(kb.number(kb.find("meta.goal.quality")), 1.0);
+  const KnowledgeBase::KeyId quality = kb.find("meta.goal.quality");
+  EXPECT_DOUBLE_EQ(kb.number(quality), 1.0);
+  EXPECT_EQ(kb.history(quality).size(), 5u);
   EXPECT_NE(a.describe().find("goal=1.00"), std::string::npos);
 }
 
@@ -194,8 +213,7 @@ TEST(SelfAwareAgent, ExplanationsCanBeDisabled) {
 TEST(SelfAwareAgent, ExplanationCapturesGoalUtilityAndEvidence) {
   SelfAwareAgent a("evidenced", quiet_config());
   a.add_sensor("m", [] { return 10.0; });
-  a.goals().add_objective({"m", utility::rising(0.0, 10.0), 1.0});
-  a.set_goal_metrics({"m"});
+  a.goals().add_objective("m", utility::rising(0.0, 10.0), 1.0);
   a.add_action("act", [] {});
   auto rules = std::make_unique<RulePolicy>(0);
   rules->add_rule({"m seen",
@@ -260,8 +278,7 @@ TEST(SelfAwareAgent, MetaResetsPolicyOnUtilityDrift) {
   SelfAwareAgent a("adaptive", cfg);
   double metric = 10.0;
   a.add_sensor("m", [&] { return metric; });
-  a.goals().add_objective({"m", utility::rising(0.0, 10.0), 1.0});
-  a.set_goal_metrics({"m"});
+  a.goals().add_objective("m", utility::rising(0.0, 10.0), 1.0);
   a.add_action("x", [] {});
   a.add_action("y", [] {});
   a.set_policy(std::make_unique<BanditPolicy>(
@@ -310,8 +327,7 @@ TEST(SelfAwareAgent, DescribeReportsCapabilities) {
   a.add_sensor("load", [] { return 1.0; });
   a.add_sensor("power", [] { return 2.0; });
   a.add_action("up", [] {});
-  a.goals().add_objective({"load", utility::rising(0.0, 1.0), 1.0});
-  a.set_goal_metrics({"load"});
+  a.goals().add_objective("load", utility::rising(0.0, 1.0), 1.0);
   a.set_policy(std::make_unique<FixedPolicy>(0));
   for (int i = 0; i < 3; ++i) a.step(i);
   const std::string d = a.describe();

@@ -30,7 +30,9 @@ class AttentionBudgetTest : public ::testing::TestWithParam<Strategy> {};
 /// registered signals per step.
 TEST_P(AttentionBudgetTest, RespectsBudget) {
   AttentionManager am(GetParam(), 3);
-  for (int i = 0; i < 8; ++i) am.register_signal("s" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) {
+    am.register_signal(std::string("s").append(std::to_string(i)));
+  }
   sim::Rng rng(1);
   for (int step = 0; step < 50; ++step) {
     const std::vector<std::size_t> chosen = am.select(rng);
@@ -52,7 +54,9 @@ TEST_P(AttentionBudgetTest, RespectsBudget) {
 /// the 6 is missed in 140 steps is at most 6 * (2/3)^140 < 1e-23.
 TEST_P(AttentionBudgetTest, EverySignalEventuallySampled) {
   AttentionManager am(GetParam(), 2);
-  for (int i = 0; i < 6; ++i) am.register_signal("s" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) {
+    am.register_signal(std::string("s").append(std::to_string(i)));
+  }
   sim::Rng rng(2);
   std::map<std::string, int> sampled;
   for (int step = 0; step < 140; ++step) {
@@ -105,7 +109,9 @@ TEST(AttentionManager, RandomIsAPartialShuffleOfTheIdentity) {
   // The Random strategy's draws are part of every agent's RNG stream:
   // each step shuffles a fresh identity, drawing below(n - i) for pick i.
   AttentionManager am(Strategy::Random, 3);
-  for (int i = 0; i < 7; ++i) am.register_signal("s" + std::to_string(i));
+  for (int i = 0; i < 7; ++i) {
+    am.register_signal(std::string("s").append(std::to_string(i)));
+  }
   sim::Rng rng(11);
   sim::Rng ref(11);
   for (int step = 0; step < 20; ++step) {

@@ -11,7 +11,7 @@ using test::support::Feed;
 
 GoalModel simple_goals() {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 10.0), 1.0});
+  g.add_objective("x", utility::rising(0.0, 10.0), 1.0);
   return g;
 }
 
@@ -19,7 +19,7 @@ TEST(GoalAwareness, PublishesUtilityFromObservation) {
   auto goals = simple_goals();
   KnowledgeBase kb;
   Feed obs;
-  GoalAwareness ga(kb, goals, {"x"});
+  GoalAwareness ga(kb, goals);
   ga.update(1.0, obs({{"x", 5.0}}));
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.5);
   EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.utility")), 0.5);
@@ -30,7 +30,7 @@ TEST(GoalAwareness, PublishesUtilityFromObservation) {
 TEST(GoalAwareness, FallsBackToKnowledgeBaseWhenUnsampled) {
   auto goals = simple_goals();
   KnowledgeBase kb;
-  GoalAwareness ga(kb, goals, {"x"});
+  GoalAwareness ga(kb, goals);
   // Produced earlier by another process.
   kb.put_number(kb.key("x"), 10.0, 0.0);
   ga.update(1.0, {});             // attention skipped "x" this step
@@ -41,7 +41,7 @@ TEST(GoalAwareness, FreshObservationBeatsStaleKnowledge) {
   auto goals = simple_goals();
   KnowledgeBase kb;
   Feed obs;
-  GoalAwareness ga(kb, goals, {"x"});
+  GoalAwareness ga(kb, goals);
   kb.put_number(kb.key("x"), 0.0, 0.0);
   ga.update(1.0, obs({{"x", 10.0}}));
   EXPECT_DOUBLE_EQ(ga.current_utility(), 1.0);
@@ -49,14 +49,13 @@ TEST(GoalAwareness, FreshObservationBeatsStaleKnowledge) {
 
 TEST(GoalAwareness, ReportsViolations) {
   GoalModel goals;
-  goals.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
-  goals.add_constraint(
-      {"cap", [](const MetricMap& m) { return m.at("x") < 0.5; }, true});
+  goals.add_objective("x", utility::rising(0.0, 1.0), 1.0);
+  goals.add_constraint("x", 0.5, /*hard=*/true);
   KnowledgeBase kb;
   Feed obs;
-  GoalAwareness ga(kb, goals, {"x"});
+  GoalAwareness ga(kb, goals);
   ga.update(1.0, obs({{"x", 0.9}}));
-  EXPECT_FALSE(ga.currently_feasible());
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.feasible")), 0.0);
   EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.violations")), 1.0);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.0);
 }
@@ -65,34 +64,52 @@ TEST(GoalAwareness, TrendSmoothsUtility) {
   auto goals = simple_goals();
   KnowledgeBase kb;
   Feed obs;
-  GoalAwareness ga(kb, goals, {"x"});
+  GoalAwareness ga(kb, goals);
   for (int i = 0; i < 50; ++i) ga.update(i, obs({{"x", 10.0}}));
-  EXPECT_NEAR(ga.utility_trend(), 1.0, 1e-6);
+  const KnowledgeBase::KeyId trend = kb.find("goal.utility.trend");
+  EXPECT_NEAR(kb.number(trend), 1.0, 1e-6);
   ga.update(50.0, obs({{"x", 0.0}}));
   // One bad step dents the trend only slightly.
-  EXPECT_GT(ga.utility_trend(), 0.8);
+  EXPECT_GT(kb.number(trend), 0.8);
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.0);
 }
 
 TEST(GoalAwareness, RespondsToRuntimeGoalChange) {
   GoalModel goals;
-  goals.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
-  goals.add_objective({"b", utility::rising(0.0, 1.0), 1.0});
+  goals.add_objective("a", utility::rising(0.0, 1.0), 1.0);
+  goals.add_objective("b", utility::rising(0.0, 1.0), 1.0);
   KnowledgeBase kb;
   Feed obs;
-  GoalAwareness ga(kb, goals, {"a", "b"});
+  GoalAwareness ga(kb, goals);
   ga.update(0.0, obs({{"a", 1.0}, {"b", 0.0}}));
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.5);
-  ga.goals().set_weight("b", 3.0);  // stakeholder priorities shift
+  goals.set_weight("b", 3.0);  // stakeholder priorities shift
   ga.update(1.0, obs({{"a", 1.0}, {"b", 0.0}}));
   EXPECT_DOUBLE_EQ(ga.current_utility(), 0.25);
 }
 
-TEST(GoalAwareness, QualityIsMetricAvailability) {
-  auto goals = simple_goals();
+TEST(GoalAwareness, ObjectiveAddedLaterIsEvaluated) {
+  GoalModel goals;
+  goals.add_objective("a", utility::rising(0.0, 1.0), 1.0);
   KnowledgeBase kb;
   Feed obs;
-  GoalAwareness ga(kb, goals, {"x", "y"});
+  GoalAwareness ga(kb, goals);
+  ga.update(0.0, obs({{"a", 1.0}, {"b", 0.5}}));
+  EXPECT_DOUBLE_EQ(ga.current_utility(), 1.0);
+  EXPECT_EQ(kb.find("goal.b.utility"), KnowledgeBase::kNoKey);
+  goals.add_objective("b", utility::rising(0.0, 1.0), 1.0);
+  ga.update(1.0, obs({{"a", 1.0}, {"b", 0.5}}));
+  EXPECT_DOUBLE_EQ(ga.current_utility(), 0.75);
+  EXPECT_DOUBLE_EQ(kb.number(kb.find("goal.b.utility")), 0.5);
+  EXPECT_DOUBLE_EQ(ga.quality(), 1.0);
+}
+
+TEST(GoalAwareness, QualityIsMetricAvailability) {
+  auto goals = simple_goals();
+  goals.add_constraint("y", 100.0);  // a second metric
+  KnowledgeBase kb;
+  Feed obs;
+  GoalAwareness ga(kb, goals);
   EXPECT_DOUBLE_EQ(ga.quality(), 0.0);  // never updated
   ga.update(0.0, obs({{"x", 1.0}}));  // y nowhere to be found
   EXPECT_DOUBLE_EQ(ga.quality(), 0.5);
@@ -101,20 +118,10 @@ TEST(GoalAwareness, QualityIsMetricAvailability) {
   EXPECT_DOUBLE_EQ(ga.quality(), 1.0);
 }
 
-TEST(GoalAwareness, LastMetricsExposesAssembledMap) {
-  auto goals = simple_goals();
-  KnowledgeBase kb;
-  Feed obs;
-  GoalAwareness ga(kb, goals, {"x"});
-  ga.update(0.0, obs({{"x", 4.0}}));
-  ASSERT_EQ(ga.last_metrics().size(), 1u);
-  EXPECT_DOUBLE_EQ(ga.last_metrics().at("x"), 4.0);
-}
-
 TEST(GoalAwareness, LevelAndName) {
   auto goals = simple_goals();
   KnowledgeBase kb;
-  GoalAwareness ga(kb, goals, {});
+  GoalAwareness ga(kb, goals);
   EXPECT_EQ(ga.level(), Level::Goal);
   EXPECT_EQ(ga.name(), "goal");
 }

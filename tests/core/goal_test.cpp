@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sa::core {
 namespace {
 
@@ -37,38 +39,76 @@ TEST(UtilityFns, DegenerateRangesActAsSteps) {
   EXPECT_DOUBLE_EQ(utility::target(5.0, 0.0)(5.1), 0.0);
 }
 
+// Metric values by id; the models below intern their metrics in the order
+// their objectives name them.
+using Values = std::vector<double>;
+
 TEST(GoalModel, EmptyModelHasZeroUtility) {
   GoalModel g;
   EXPECT_DOUBLE_EQ(g.utility({}), 0.0);
   EXPECT_EQ(g.objectives(), 0u);
+  EXPECT_EQ(g.metrics(), 0u);
+}
+
+TEST(GoalModel, InternsEachMetricOnce) {
+  GoalModel g;
+  EXPECT_EQ(g.add_objective("a", utility::rising(0.0, 1.0)), 0u);
+  EXPECT_EQ(g.add_objective("b", utility::rising(0.0, 1.0)), 1u);
+  EXPECT_EQ(g.add_objective("a", utility::falling(0.0, 1.0)), 0u);
+  g.add_constraint("c", 1.0);
+  g.add_constraint("b", 1.0);
+  ASSERT_EQ(g.metrics(), 3u);
+  EXPECT_EQ(g.metric_name(0), "a");
+  EXPECT_EQ(g.metric_name(1), "b");
+  EXPECT_EQ(g.metric_name(2), "c");
+  EXPECT_EQ(g.objectives(), 3u);
+  EXPECT_EQ(g.constraints(), 2u);
 }
 
 TEST(GoalModel, SingleObjectivePassesThrough) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 10.0), 1.0});
-  EXPECT_DOUBLE_EQ(g.utility({{"x", 5.0}}), 0.5);
+  g.add_objective("x", utility::rising(0.0, 10.0), 1.0);
+  EXPECT_DOUBLE_EQ(g.utility(Values{5.0}), 0.5);
 }
 
 TEST(GoalModel, WeightsBlendObjectives) {
   GoalModel g;
-  g.add_objective({"a", utility::rising(0.0, 1.0), 3.0});
-  g.add_objective({"b", utility::rising(0.0, 1.0), 1.0});
+  g.add_objective("a", utility::rising(0.0, 1.0), 3.0);
+  g.add_objective("b", utility::rising(0.0, 1.0), 1.0);
   // a=1 (u=1, w=3), b=0 (u=0, w=1) -> 3/4.
-  EXPECT_DOUBLE_EQ(g.utility({{"a", 1.0}, {"b", 0.0}}), 0.75);
+  EXPECT_DOUBLE_EQ(g.utility(Values{1.0, 0.0}), 0.75);
 }
 
 TEST(GoalModel, MissingMetricScoresZero) {
   GoalModel g;
-  g.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
-  g.add_objective({"b", utility::rising(0.0, 1.0), 1.0});
-  EXPECT_DOUBLE_EQ(g.utility({{"a", 1.0}}), 0.5);
+  g.add_objective("a", utility::rising(0.0, 1.0), 1.0);
+  g.add_objective("b", utility::rising(0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(g.utility(Values{1.0}), 0.5);  // past the end
+  EXPECT_DOUBLE_EQ(g.utility(Values{1.0, kAbsent}), 0.5);
+}
+
+TEST(GoalModel, NanMetricReadsAsAbsent) {
+  // NaN is "absent": its objective contributes utility 0 and its bound
+  // holds, exactly as for a metric past the end of the values.
+  GoalModel g;
+  g.add_objective("x", utility::falling(0.0, 1.0), 1.0);
+  g.add_objective("y", utility::rising(0.0, 1.0), 1.0);
+  g.add_constraint("x", 0.5);
+  g.add_constraint("y", 0.5, /*hard=*/false);
+  const Values m{kAbsent, kAbsent};
+  EXPECT_DOUBLE_EQ(g.objective_utility(0, m), 0.0);
+  EXPECT_DOUBLE_EQ(g.objective_utility(1, m), 0.0);
+  EXPECT_EQ(g.violated(m), 0u);
+  EXPECT_TRUE(g.feasible(m));
+  EXPECT_DOUBLE_EQ(g.utility(m), 0.0);
+  EXPECT_DOUBLE_EQ(g.utility(Values{kAbsent, 0.25}), 0.125);
 }
 
 TEST(GoalModel, SetWeightChangesTradeoffAtRuntime) {
   GoalModel g;
-  g.add_objective({"perf", utility::rising(0.0, 1.0), 1.0});
-  g.add_objective({"power", utility::falling(0.0, 1.0), 1.0});
-  const MetricMap m{{"perf", 1.0}, {"power", 1.0}};  // perf great, power bad
+  g.add_objective("perf", utility::rising(0.0, 1.0), 1.0);
+  g.add_objective("power", utility::falling(0.0, 1.0), 1.0);
+  const Values m{1.0, 1.0};  // perf great, power bad
   EXPECT_DOUBLE_EQ(g.utility(m), 0.5);
   ASSERT_TRUE(g.set_weight("power", 3.0));  // stakeholder now cares re power
   EXPECT_DOUBLE_EQ(g.utility(m), 0.25);
@@ -76,58 +116,57 @@ TEST(GoalModel, SetWeightChangesTradeoffAtRuntime) {
 
 TEST(GoalModel, SetWeightOnUnknownMetricFails) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
+  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
+  g.add_constraint("y", 1.0);  // a metric, but no objective's
   EXPECT_FALSE(g.set_weight("y", 2.0));
+  EXPECT_FALSE(g.set_weight("z", 2.0));
 }
 
 TEST(GoalModel, HardConstraintZeroesUtility) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
-  g.add_constraint({"cap",
-                    [](const MetricMap& m) { return m.at("x") <= 0.5; },
-                    /*hard=*/true});
-  EXPECT_DOUBLE_EQ(g.utility({{"x", 0.4}}), 0.4);
-  EXPECT_DOUBLE_EQ(g.utility({{"x", 0.9}}), 0.0);
-  EXPECT_FALSE(g.feasible({{"x", 0.9}}));
-  EXPECT_TRUE(g.feasible({{"x", 0.4}}));
+  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
+  g.add_constraint("x", 0.5, /*hard=*/true);
+  EXPECT_DOUBLE_EQ(g.utility(Values{0.4}), 0.4);
+  EXPECT_DOUBLE_EQ(g.utility(Values{0.5}), 0.5);  // the bound is inclusive
+  EXPECT_DOUBLE_EQ(g.utility(Values{0.9}), 0.0);
+  EXPECT_FALSE(g.feasible(Values{0.9}));
+  EXPECT_TRUE(g.feasible(Values{0.4}));
 }
 
 TEST(GoalModel, SoftConstraintAppliesPenalty) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
-  g.add_constraint({"soft",
-                    [](const MetricMap& m) { return m.at("x") <= 0.5; },
-                    /*hard=*/false,
-                    /*penalty=*/0.3});
-  EXPECT_NEAR(g.utility({{"x", 0.9}}), 0.6, 1e-12);
+  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
+  g.add_constraint("x", 0.5, /*hard=*/false, /*penalty=*/0.3);
+  EXPECT_NEAR(g.utility(Values{0.9}), 0.6, 1e-12);
   // Soft violations do not make the state infeasible.
-  EXPECT_TRUE(g.feasible({{"x", 0.9}}));
+  EXPECT_TRUE(g.feasible(Values{0.9}));
 }
 
 TEST(GoalModel, UtilityIsClampedToUnitInterval) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
-  g.add_constraint({"s1", [](const MetricMap&) { return false; }, false, 0.9});
-  g.add_constraint({"s2", [](const MetricMap&) { return false; }, false, 0.9});
-  EXPECT_DOUBLE_EQ(g.utility({{"x", 0.5}}), 0.0);
+  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
+  g.add_constraint("x", 0.1, false, 0.9);
+  g.add_constraint("x", 0.2, false, 0.9);
+  EXPECT_DOUBLE_EQ(g.utility(Values{0.5}), 0.0);
 }
 
 TEST(GoalModel, ViolatedCountsHardAndSoftConstraints) {
   GoalModel g;
-  g.add_constraint({"a", [](const MetricMap&) { return false; }, true});
-  g.add_constraint({"b", [](const MetricMap&) { return true; }, true});
-  g.add_constraint({"c", [](const MetricMap&) { return false; }, false});
-  EXPECT_EQ(g.violated({}), 2u);
+  g.add_constraint("a", 0.0, true);
+  g.add_constraint("a", 2.0, true);
+  g.add_constraint("b", 0.0, false);
+  EXPECT_EQ(g.violated(Values{1.0, 1.0}), 2u);
+  EXPECT_EQ(g.violated({}), 0u);  // absent metrics satisfy every bound
 }
 
 TEST(GoalModel, BreakdownReportsPerObjective) {
   GoalModel g;
-  g.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
-  g.add_objective({"b", utility::falling(0.0, 1.0), 2.0});
-  const MetricMap m{{"a", 0.25}, {"b", 0.25}};
+  g.add_objective("a", utility::rising(0.0, 1.0), 1.0);
+  g.add_objective("b", utility::falling(0.0, 1.0), 2.0);
+  const Values m{0.25, 0.25};
   ASSERT_EQ(g.objectives(), 2u);
-  EXPECT_EQ(g.objective_metric(0), "a");
-  EXPECT_EQ(g.objective_metric(1), "b");
+  EXPECT_EQ(g.metric_name(g.objective_metric(0)), "a");
+  EXPECT_EQ(g.metric_name(g.objective_metric(1)), "b");
   EXPECT_DOUBLE_EQ(g.objective_utility(0, m), 0.25);
   EXPECT_DOUBLE_EQ(g.objective_utility(1, m), 0.75);
   EXPECT_DOUBLE_EQ(g.objective_utility(0, {}), 0.0);  // metric missing
@@ -135,10 +174,10 @@ TEST(GoalModel, BreakdownReportsPerObjective) {
 
 TEST(GoalModel, DominatesRequiresStrictImprovement) {
   GoalModel g;
-  g.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
-  g.add_objective({"b", utility::rising(0.0, 1.0), 1.0});
-  const MetricMap x{{"a", 0.8}, {"b", 0.8}};
-  const MetricMap y{{"a", 0.5}, {"b", 0.8}};
+  g.add_objective("a", utility::rising(0.0, 1.0), 1.0);
+  g.add_objective("b", utility::rising(0.0, 1.0), 1.0);
+  const Values x{0.8, 0.8};
+  const Values y{0.5, 0.8};
   EXPECT_TRUE(g.dominates(x, y));
   EXPECT_FALSE(g.dominates(y, x));
   EXPECT_FALSE(g.dominates(x, x));  // equal: no strict improvement
@@ -146,20 +185,20 @@ TEST(GoalModel, DominatesRequiresStrictImprovement) {
 
 TEST(GoalModel, DominatesFailsOnTradeOff) {
   GoalModel g;
-  g.add_objective({"a", utility::rising(0.0, 1.0), 1.0});
-  g.add_objective({"b", utility::rising(0.0, 1.0), 1.0});
-  const MetricMap x{{"a", 0.9}, {"b", 0.1}};
-  const MetricMap y{{"a", 0.1}, {"b", 0.9}};
+  g.add_objective("a", utility::rising(0.0, 1.0), 1.0);
+  g.add_objective("b", utility::rising(0.0, 1.0), 1.0);
+  const Values x{0.9, 0.1};
+  const Values y{0.1, 0.9};
   EXPECT_FALSE(g.dominates(x, y));
   EXPECT_FALSE(g.dominates(y, x));
 }
 
 TEST(GoalModel, RawUtilityIgnoresConstraints) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 1.0), 1.0});
-  g.add_constraint({"never", [](const MetricMap&) { return false; }, true});
-  EXPECT_DOUBLE_EQ(g.raw_utility({{"x", 0.7}}), 0.7);
-  EXPECT_DOUBLE_EQ(g.utility({{"x", 0.7}}), 0.0);
+  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
+  g.add_constraint("x", 0.0, true);
+  EXPECT_DOUBLE_EQ(g.raw_utility(Values{0.7}), 0.7);
+  EXPECT_DOUBLE_EQ(g.utility(Values{0.7}), 0.0);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 
 #include "sim/rng.hpp"
 
@@ -112,23 +111,6 @@ TEST(MetaSelfAwareness, QualityAggregatesWatchedProcesses) {
   meta.watch(b);
   for (int i = 0; i < 20; ++i) meta.update(i, {});
   EXPECT_NEAR(meta.quality(), 0.5, 0.05);
-}
-
-TEST(MetaSelfAwareness, ReplaceHandsTheWatchOver) {
-  FakeProcess old_proc("proc"), new_proc("proc"), other("other");
-  MetaSelfAwareness::Params prm;
-  prm.grace_updates = 2;
-  KnowledgeBase kb;
-  MetaSelfAwareness meta(kb, prm);
-  meta.watch(old_proc);
-  meta.update(0.0, {});
-  meta.replace(old_proc, new_proc);
-  new_proc.quality_value = 0.0;  // the replacement fails and is acted on
-  for (int i = 1; i < 40; ++i) meta.update(i, {});
-  EXPECT_GE(new_proc.reconfigures, 1);
-  EXPECT_EQ(old_proc.reconfigures, 0);
-  EXPECT_THROW(meta.replace(old_proc, new_proc), std::invalid_argument);
-  EXPECT_THROW(meta.replace(new_proc, other), std::invalid_argument);
 }
 
 TEST(MetaSelfAwareness, QualitySumsInProcessNameOrder) {

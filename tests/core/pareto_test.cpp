@@ -9,19 +9,19 @@ namespace {
 
 GoalModel two_objectives() {
   GoalModel g;
-  g.add_objective({"perf", utility::rising(0.0, 10.0), 1.0});
-  g.add_objective({"power", utility::falling(0.0, 10.0), 1.0});
+  g.add_objective("perf", utility::rising(0.0, 10.0), 1.0);
+  g.add_objective("power", utility::falling(0.0, 10.0), 1.0);
   return g;
 }
 
 std::vector<ParetoPoint> sample_points() {
   // (perf, power): a is strong-but-hungry, c is weak-but-frugal, b is a
   // balanced efficient point, d is strictly worse than b, e equals a.
-  return {{"a", {{"perf", 9.0}, {"power", 8.0}}},
-          {"b", {{"perf", 6.0}, {"power", 4.0}}},
-          {"c", {{"perf", 2.0}, {"power", 1.0}}},
-          {"d", {{"perf", 5.0}, {"power", 5.0}}},
-          {"e", {{"perf", 9.0}, {"power", 8.0}}}};
+  return {{"a", {9.0, 8.0}},
+          {"b", {6.0, 4.0}},
+          {"c", {2.0, 1.0}},
+          {"d", {5.0, 5.0}},
+          {"e", {9.0, 8.0}}};
 }
 
 TEST(Pareto, FrontContainsAllEfficientPoints) {
@@ -42,17 +42,17 @@ TEST(Pareto, IsDominatedAgreesWithFront) {
 
 TEST(Pareto, SinglePointIsItsOwnFront) {
   const auto g = two_objectives();
-  const std::vector<ParetoPoint> one{{"only", {{"perf", 1.0}}}};
+  const std::vector<ParetoPoint> one{{"only", {1.0}}};
   EXPECT_EQ(pareto_front(g, one), std::vector<std::size_t>{0});
 }
 
 TEST(Pareto, TotallyOrderedChainLeavesOneSurvivor) {
   GoalModel g;
-  g.add_objective({"x", utility::rising(0.0, 10.0), 1.0});
+  g.add_objective("x", utility::rising(0.0, 10.0), 1.0);
   std::vector<ParetoPoint> chain;
   for (int i = 0; i < 5; ++i) {
-    chain.push_back({"p" + std::to_string(i),
-                     {{"x", static_cast<double>(i)}}});
+    chain.push_back({std::string("p").append(std::to_string(i)),
+                     {static_cast<double>(i)}});
   }
   EXPECT_EQ(pareto_front(g, chain), std::vector<std::size_t>{4});
 }

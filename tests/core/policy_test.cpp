@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <span>
+#include <vector>
 
 namespace sa::core {
 namespace {
@@ -117,12 +120,12 @@ TEST(BanditPolicy, ResetClearsLearnedValues) {
 
 TEST(ModelBasedPolicy, PicksArgmaxPredictedUtility) {
   GoalModel goals;
-  goals.add_objective({"y", utility::rising(0.0, 10.0), 1.0});
+  const MetricId y = goals.add_objective("y", utility::rising(0.0, 10.0));
   // Action k is predicted to yield y = 3k.
   ModelBasedPolicy p(
       goals,
-      [](std::size_t action, const KnowledgeBase&) {
-        return MetricMap{{"y", 3.0 * static_cast<double>(action)}};
+      [y](std::size_t action, const KnowledgeBase&, std::span<double> out) {
+        out[y] = 3.0 * static_cast<double>(action);
       },
       {"some.evidence"});
   KnowledgeBase kb;
@@ -133,16 +136,38 @@ TEST(ModelBasedPolicy, PicksArgmaxPredictedUtility) {
   EXPECT_DOUBLE_EQ(d.considered[0].score, 0.0);
   EXPECT_DOUBLE_EQ(d.considered[2].score, 0.6);
   EXPECT_EQ(d.evidence, std::vector<std::string>{"some.evidence"});
-  EXPECT_NE(d.rationale.find("predicted utility"), std::string::npos);
+  EXPECT_EQ(d.rationale,
+            "predicted utility 0.6 is the maximum over 3 simulated "
+            "alternatives");
+}
+
+TEST(ModelBasedPolicy, PredictionStartsAbsent) {
+  // Each action's prediction starts all-absent: a metric the model leaves
+  // unwritten scores 0, whatever the previous action predicted.
+  GoalModel goals;
+  const MetricId y = goals.add_objective("y", utility::rising(0.0, 10.0));
+  std::vector<std::size_t> sizes;
+  ModelBasedPolicy p(goals, [&](std::size_t action, const KnowledgeBase&,
+                                std::span<double> out) {
+    sizes.push_back(out.size());
+    EXPECT_TRUE(std::isnan(out[y]));
+    if (action == 0) out[y] = 10.0;
+  });
+  KnowledgeBase kb;
+  sim::Rng rng(8);
+  const auto d = p.decide(0.0, kb, kActions, rng);
+  EXPECT_EQ(d.action_index, 0u);
+  EXPECT_DOUBLE_EQ(d.considered[1].score, 0.0);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1, 1}));
 }
 
 TEST(ModelBasedPolicy, RespectsHardConstraintsInPrediction) {
   GoalModel goals;
-  goals.add_objective({"y", utility::rising(0.0, 10.0), 1.0});
-  goals.add_constraint(
-      {"cap", [](const MetricMap& m) { return m.at("y") <= 5.0; }, true});
-  ModelBasedPolicy p(goals, [](std::size_t action, const KnowledgeBase&) {
-    return MetricMap{{"y", 3.0 * static_cast<double>(action)}};
+  const MetricId y = goals.add_objective("y", utility::rising(0.0, 10.0));
+  goals.add_constraint("y", 5.0, /*hard=*/true);
+  ModelBasedPolicy p(goals, [y](std::size_t action, const KnowledgeBase&,
+                                std::span<double> out) {
+    out[y] = 3.0 * static_cast<double>(action);
   });
   KnowledgeBase kb;
   sim::Rng rng(7);
@@ -156,9 +181,9 @@ TEST(Policies, NamesAreInformative) {
   EXPECT_EQ(
       BanditPolicy(std::make_unique<learn::Ucb1>(2)).name(), "bandit:ucb1");
   GoalModel g;
-  EXPECT_EQ(ModelBasedPolicy(g, [](std::size_t, const KnowledgeBase&) {
-              return MetricMap{};
-            }).name(),
+  EXPECT_EQ(ModelBasedPolicy(
+                g, [](std::size_t, const KnowledgeBase&, std::span<double>) {})
+                .name(),
             "model-based");
 }
 

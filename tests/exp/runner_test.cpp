@@ -21,7 +21,7 @@ Grid toy_grid(std::size_t variants, std::size_t seeds) {
   Grid g;
   g.name = "toy";
   for (std::size_t v = 0; v < variants; ++v) {
-    g.variants.push_back("v" + std::to_string(v));
+    g.variants.push_back(std::string("v").append(std::to_string(v)));
   }
   for (std::size_t s = 0; s < seeds; ++s) {
     g.seeds.push_back(100 + s);

@@ -12,12 +12,10 @@ namespace {
 
 class GoalPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-GoalModel random_goals(sim::Rng& rng, std::vector<std::string>& metrics) {
+GoalModel random_goals(sim::Rng& rng) {
   GoalModel g;
   const std::size_t n = 1 + rng.below(4);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string metric = "m" + std::to_string(i);
-    metrics.push_back(metric);
     const double a = rng.uniform(0.0, 50.0);
     const double b = a + rng.uniform(0.1, 50.0);
     UtilityFn fn;
@@ -26,24 +24,23 @@ GoalModel random_goals(sim::Rng& rng, std::vector<std::string>& metrics) {
       case 1: fn = utility::falling(a, b); break;
       default: fn = utility::target((a + b) / 2.0, (b - a) / 2.0); break;
     }
-    g.add_objective({metric, fn, rng.uniform(0.1, 5.0)});
+    g.add_objective(std::string("m").append(std::to_string(i)), fn,
+                    rng.uniform(0.1, 5.0));
   }
   return g;
 }
 
-MetricMap random_point(sim::Rng& rng,
-                       const std::vector<std::string>& metrics) {
-  MetricMap m;
-  for (const auto& key : metrics) m[key] = rng.uniform(-20.0, 120.0);
+std::vector<double> random_point(sim::Rng& rng, const GoalModel& g) {
+  std::vector<double> m(g.metrics());
+  for (double& v : m) v = rng.uniform(-20.0, 120.0);
   return m;
 }
 
 TEST_P(GoalPropertyTest, UtilityAlwaysInUnitInterval) {
   sim::Rng rng(GetParam());
-  std::vector<std::string> metrics;
-  const auto g = random_goals(rng, metrics);
+  const auto g = random_goals(rng);
   for (int i = 0; i < 500; ++i) {
-    const double u = g.utility(random_point(rng, metrics));
+    const double u = g.utility(random_point(rng, g));
     EXPECT_GE(u, 0.0);
     EXPECT_LE(u, 1.0);
   }
@@ -51,11 +48,10 @@ TEST_P(GoalPropertyTest, UtilityAlwaysInUnitInterval) {
 
 TEST_P(GoalPropertyTest, DominanceIsIrreflexiveAndAsymmetric) {
   sim::Rng rng(GetParam());
-  std::vector<std::string> metrics;
-  const auto g = random_goals(rng, metrics);
+  const auto g = random_goals(rng);
   for (int i = 0; i < 200; ++i) {
-    const auto a = random_point(rng, metrics);
-    const auto b = random_point(rng, metrics);
+    const auto a = random_point(rng, g);
+    const auto b = random_point(rng, g);
     EXPECT_FALSE(g.dominates(a, a));
     EXPECT_FALSE(g.dominates(a, b) && g.dominates(b, a));
   }
@@ -63,13 +59,12 @@ TEST_P(GoalPropertyTest, DominanceIsIrreflexiveAndAsymmetric) {
 
 TEST_P(GoalPropertyTest, DominanceIsTransitiveOnSampledTriples) {
   sim::Rng rng(GetParam());
-  std::vector<std::string> metrics;
-  const auto g = random_goals(rng, metrics);
+  const auto g = random_goals(rng);
   int checked = 0;
   for (int i = 0; i < 2000 && checked < 50; ++i) {
-    const auto a = random_point(rng, metrics);
-    const auto b = random_point(rng, metrics);
-    const auto c = random_point(rng, metrics);
+    const auto a = random_point(rng, g);
+    const auto b = random_point(rng, g);
+    const auto c = random_point(rng, g);
     if (g.dominates(a, b) && g.dominates(b, c)) {
       EXPECT_TRUE(g.dominates(a, c));
       ++checked;
@@ -81,11 +76,10 @@ TEST_P(GoalPropertyTest, DominatingPointHasAtLeastEqualRawUtility) {
   // Scalarisation is consistent with the partial order: if a dominates b,
   // every weighted mean of per-objective utilities favours a.
   sim::Rng rng(GetParam());
-  std::vector<std::string> metrics;
-  const auto g = random_goals(rng, metrics);
+  const auto g = random_goals(rng);
   for (int i = 0; i < 500; ++i) {
-    const auto a = random_point(rng, metrics);
-    const auto b = random_point(rng, metrics);
+    const auto a = random_point(rng, g);
+    const auto b = random_point(rng, g);
     if (g.dominates(a, b)) {
       EXPECT_GE(g.raw_utility(a) + 1e-12, g.raw_utility(b));
     }
@@ -94,13 +88,12 @@ TEST_P(GoalPropertyTest, DominatingPointHasAtLeastEqualRawUtility) {
 
 TEST_P(GoalPropertyTest, MissingMetricNeverBeatsBestPossible) {
   sim::Rng rng(GetParam());
-  std::vector<std::string> metrics;
-  const auto g = random_goals(rng, metrics);
+  const auto g = random_goals(rng);
   // Dropping a metric can only remove that objective's contribution.
   for (int i = 0; i < 200; ++i) {
-    auto full = random_point(rng, metrics);
+    auto full = random_point(rng, g);
     auto partial = full;
-    partial.erase(partial.begin());
+    partial[0] = kAbsent;
     const double u_partial = g.raw_utility(partial);
     EXPECT_GE(u_partial, 0.0);
     EXPECT_LE(u_partial, 1.0);

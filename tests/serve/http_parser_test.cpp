@@ -142,7 +142,9 @@ TEST(HttpParser, RejectsOversizedHeaderBlock) {
 TEST(HttpParser, RejectsTooManyHeaderFields) {
   HttpParser p(HttpParser::Limits{.max_headers = 4});
   std::string raw = "GET / HTTP/1.1\r\n";
-  for (int i = 0; i < 6; ++i) raw += "H" + std::to_string(i) + ": v\r\n";
+  for (int i = 0; i < 6; ++i) {
+    raw.append("H").append(std::to_string(i)).append(": v\r\n");
+  }
   raw += "\r\n";
   EXPECT_FALSE(p.feed(raw));
   EXPECT_EQ(p.error_status(), 431);
