@@ -5,12 +5,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ckpt/journal.hpp"
 #include "core/agent.hpp"
+#include "core/degrade.hpp"
+#include "learn/bandit.hpp"
 #include "fault/adapters.hpp"
 #include "fault/fault.hpp"
 #include "multicore/platform.hpp"
@@ -19,6 +22,8 @@
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/telemetry.hpp"
+#include "sim/trace.hpp"
+#include "support/fingerprint.hpp"
 #include "test_client.hpp"
 
 namespace {
@@ -695,6 +700,63 @@ TEST(SimBridge, AppliedCommandsAreJournaledWithSimTime) {
   EXPECT_GE(entries[0].t, 0.0);
   EXPECT_EQ(entries[0].t, entries[1].t);
   server.stop();
+}
+
+TEST(SimBridge, StatusExplanationsArePinned) {
+  // /status renders each agent's newest explanations on the sim thread. A
+  // traced bandit agent whose ladder steps down at tick 18 and back up at
+  // 21: the published array holds decisions and both transition forms,
+  // and its bytes are pinned.
+  sim::TelemetryBus bus;
+  sim::Tracer tracer(bus);
+  core::AgentConfig cfg;
+  cfg.seed = 9;
+  cfg.tracer = &tracer;
+  core::SelfAwareAgent agent("probe", cfg);
+  double load = 0.0;
+  agent.add_sensor("load", [&load] { return load; });
+  agent.add_action("low", [] {});
+  agent.add_action("high", [] {});
+  agent.goals().add_objective("load", core::utility::falling(0.0, 2.0), 1.0);
+  agent.set_policy(std::make_unique<core::BanditPolicy>(
+      std::make_unique<learn::Ucb1>(2)));
+  core::DegradationPolicy::Params dp;
+  dp.breach_updates = 2;
+  dp.recover_updates = 3;
+  core::DegradationPolicy ladder(agent, dp);
+  core::KnowledgeBase& kb = agent.knowledge();
+  const auto fault_key = kb.key("fault.active");
+  const auto fault_src = kb.source_id("fault");
+
+  SimBridge bridge;
+  bridge.add_agent(&agent);
+  bridge.add_degradation(&ladder);
+  Server server(quick_opts());
+  bridge.install(server);
+  ASSERT_TRUE(server.start()) << server.error();
+  for (int i = 0; i < 24; ++i) {
+    const double t = static_cast<double>(i);
+    load = 1.0 + 0.5 * std::sin(0.7 * t);
+    agent.step(t);
+    agent.reward(agent.current_utility());
+    kb.put_number(fault_key, i >= 17 && i < 19 ? 3.0 : 0.0, t, 1.0,
+                  core::Scope::Private, fault_src);
+    ladder.update(t, static_cast<sim::TraceId>(500 + i));
+  }
+  bridge.publish_now(24.0);
+  const std::string status =
+      client::body_of(client::http_get(server.port(), "/status"));
+  server.stop();
+  const std::size_t at = status.find(",\"explanations\":[");
+  ASSERT_NE(at, std::string::npos) << status;
+  const std::string array = status.substr(at);
+  EXPECT_NE(array.find("Degraded meta→goal"), std::string::npos) << array;
+  EXPECT_NE(array.find("Recovered"), std::string::npos) << array;
+  EXPECT_NE(array.find("Alternatives considered"), std::string::npos)
+      << array;
+  test::support::Fingerprint fp;
+  fp.add(array);
+  EXPECT_EQ(fp.value(), 0xcb09f58b92915132ull) << std::hex << "digest 0x" << fp.value();
 }
 
 }  // namespace
