@@ -232,13 +232,19 @@ const std::vector<Kernel> kKernels = {
      [](std::size_t n) { return gossip_round(256, n); }},
     {"explanation_record", 1 << 16,
      [](std::size_t n) {
+       // What an agent writes per decision, through the one write path:
+       // a recycled entry reuses its storage once the log has wrapped.
        core::Explainer ex;
-       core::Explanation e;
-       e.agent = "bench";
-       e.decision.action = "act";
-       e.decision.considered = {{"act", 0.5}, {"other", 0.3}};
-       e.evidence = {{"k", 1.0, 0.9}};
-       return time_op(n, [&](std::size_t) { ex.record(e); });
+       const std::string rationale = "rule fired: bench";
+       const std::vector<double> scores = {0.5, 0.3};
+       return time_op(n, [&](std::size_t i) {
+         core::Explanation& e = *ex.next();
+         e.t = static_cast<double>(i);
+         e.action_index = 0;
+         e.rationale = rationale;
+         e.scores = scores;
+         e.evidence.assign(1, {0, 1.0, 0.9});
+       });
      }},
     {"span_open_close", 1 << 17,
      [](std::size_t n) {

@@ -225,11 +225,11 @@ exp::TaskOutput run_multicore(multicore::Manager::Variant variant,
   std::string note;
   if (policy != nullptr) {
     // Surface the most recent degradation/recovery explanation — the
-    // transition-rendering path of Explanation::render().
-    const auto all = mgr.agent().explainer().all();
-    for (auto it = all.rbegin(); it != all.rend(); ++it) {
-      if (!it->from_mode.empty()) {
-        note = it->render();
+    // transition-rendering path of SelfAwareAgent::render().
+    const core::Explainer& ex = mgr.agent().explainer();
+    for (std::size_t i = ex.size(); i-- > 0;) {
+      if (ex.at(i).from_mode != nullptr) {
+        note = mgr.agent().render(ex.at(i));
         break;
       }
     }

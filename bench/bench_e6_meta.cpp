@@ -82,7 +82,7 @@ exp::TaskOutput run(const Config& cfg, std::uint64_t seed) {
   sim::RunningStats era[3], overall;
   for (int t = 0; t < kSteps; ++t) {
     const int e = t / kEraLen;
-    const auto d = agent.step(t);
+    const core::Decision& d = agent.step(t);
     const double r =
         env.chance(arm_mean(d.action_index, e)) ? 1.0 : 0.0;
     last_reward = r;

@@ -57,7 +57,7 @@ exp::TaskOutput run(bool explain, const exp::TaskContext& ctx) {
   out.metrics = {
       {"coverage", mgr.agent().explainer().coverage()},
       {"stored", static_cast<double>(mgr.agent().explainer().size())}};
-  if (explain) out.note = mgr.agent().explainer().why_last();
+  if (explain) out.note = mgr.agent().why_last();
   return out;
 }
 

@@ -45,6 +45,6 @@ int main() {
   }
 
   std::printf("\nOne camera explains itself:\n  %s\n",
-              fleet.agent(0).explainer().why_last().c_str());
+              fleet.agent(0).why_last().c_str());
   return 0;
 }

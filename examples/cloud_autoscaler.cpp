@@ -64,6 +64,6 @@ int main() {
   }
 
   std::printf("\nWhy it last scaled:\n  %s\n",
-              scaler.agent().explainer().why_last().c_str());
+              scaler.agent().why_last().c_str());
   return 0;
 }

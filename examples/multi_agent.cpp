@@ -108,6 +108,6 @@ int main() {
               runtime.items_exchanged(), coordinator.steps(),
               houses[0].agent->steps());
   std::printf("\none house explains itself:\n  %s\n",
-              houses[0].agent->explainer().why_last().c_str());
+              houses[0].agent->why_last().c_str());
   return 0;
 }

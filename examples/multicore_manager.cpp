@@ -29,10 +29,11 @@ int main() {
     const double u = manager.run_epoch();
     if (e % 24 == 0) {
       const auto& phase = workload.current(platform.now() - 0.25);
-      const auto last = manager.agent().explainer().last();
+      const sa::core::Explainer& ex = manager.agent().explainer();
+      const std::size_t last = ex.at(ex.size() - 1).action_index;
       std::printf("%5d  %-11s  %-16s  %.2f  %5.2f   %6.3f\n", e,
                   phase.name.c_str(),
-                  last ? last->decision.action.c_str() : "?", u,
+                  manager.agent().actions()[last].c_str(), u,
                   manager.last_stats().mean_power,
                   manager.last_stats().p95_latency);
     }
@@ -43,6 +44,6 @@ int main() {
               manager.utility().mean(), manager.power().mean(),
               manager.cap_violation_rate() * 100.0);
   std::printf("\nThe manager explains its last reconfiguration:\n  %s\n",
-              manager.agent().explainer().why_last().c_str());
+              manager.agent().why_last().c_str());
   return 0;
 }

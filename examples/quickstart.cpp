@@ -71,7 +71,7 @@ int main() {
   std::printf("\nThe agent describes itself:\n  %s\n",
               agent.describe().c_str());
   std::printf("\nWhy it just acted:\n  %s\n",
-              agent.explainer().why_last().c_str());
+              agent.why_last().c_str());
   std::printf("\nDecisions explained: %zu of %zu (coverage %.0f%%)\n",
               agent.explainer().size(), agent.explainer().decisions(),
               agent.explainer().coverage() * 100.0);

@@ -131,37 +131,34 @@ void Autoscaler::build_agent() {
   }
 }
 
-std::vector<std::size_t> Autoscaler::enrolment_order() const {
-  std::vector<std::size_t> order(cluster_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (p_.variant != Variant::SelfAware || !agent_) return order;
+void Autoscaler::rank_nodes() {
+  order_.resize(cluster_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  if (p_.variant != Variant::SelfAware) return;
 
   // Learned ranking: expected delivered capacity per unit cost, with a
   // prior that keeps unexplored nodes attractive enough to be tried.
-  const core::SelfAwareAgent& agent = *agent_;
-  const core::InteractionAwareness* ia = agent.interaction();
-  if (ia == nullptr) return order;
-  std::vector<double> score(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
+  const core::InteractionAwareness* ia = agent_->interaction();
+  if (ia == nullptr) return;
+  score_.resize(order_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) {
     const auto& n = cluster_.node(i);
     const double rel = ia->interactions(n.id) > 0 ? ia->reliability(n.id)
                                                   : 0.6;  // optimistic prior
-    score[i] = rel * n.capacity / n.cost_per_s;
+    score_[i] = rel * n.capacity / n.cost_per_s;
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return score[a] > score[b];
+  std::stable_sort(order_.begin(), order_.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return score_[a] > score_[b];
                    });
-  return order;
 }
 
 void Autoscaler::predict(std::size_t k, std::span<double> out) const {
-  const auto order = enrolment_order();
   const core::SelfAwareAgent& agent = *agent_;
   const core::InteractionAwareness* ia = agent.interaction();
   double capacity = 0.0, cost = 0.0;
-  for (std::size_t i = 0; i < std::min(k, order.size()); ++i) {
-    const auto& n = cluster_.node(order[i]);
+  for (std::size_t i = 0; i < std::min(k, order_.size()); ++i) {
+    const auto& n = cluster_.node(order_[i]);
     const double rel =
         (ia && ia->interactions(n.id) > 0) ? ia->reliability(n.id) : 0.6;
     capacity += rel * n.capacity;
@@ -196,8 +193,9 @@ CloudEpoch Autoscaler::run_epoch() {
                   ? p_.tracer->span(cluster_.now(), trace_subject_, n_epoch_)
                   : sim::Tracer::Span{};
   // Decide first (using knowledge from previous epochs), then live with it.
+  rank_nodes();
   agent_->step(cluster_.now());
-  cluster_.enrol(enrolment_order(), target_);
+  cluster_.enrol(order_, target_);
 
   sim::Rng demand_rng(sim::mix64(p_.seed) ^ epochs_);
   const double rate = demand_.rate(cluster_.now(), 10.0, demand_rng);

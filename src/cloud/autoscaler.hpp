@@ -85,9 +85,11 @@ class Autoscaler {
 
  private:
   void build_agent();
-  /// Node enrolment order: learned reliability ranking for SelfAware,
-  /// design-time list order otherwise.
-  [[nodiscard]] std::vector<std::size_t> enrolment_order() const;
+  /// Fills order_ with the node enrolment order: learned reliability
+  /// ranking for SelfAware, design-time list order otherwise. Interaction
+  /// estimates change only after an epoch, so run_epoch ranks once and
+  /// every prediction and the enrolment share the order.
+  void rank_nodes();
   /// Writes the predicted epoch metrics into `out` (by goal metric id) if
   /// the enrolment target were `k`.
   void predict(std::size_t k, std::span<double> out) const;
@@ -99,6 +101,8 @@ class Autoscaler {
 
   std::size_t target_;
   CloudEpoch last_;
+  std::vector<std::size_t> order_;  ///< this epoch's enrolment order
+  std::vector<double> score_;       ///< rank_nodes() scratch, by node
   static constexpr int kDeltas[] = {-3, -1, 0, 1, 3};
 
   sim::RunningStats sla_, cost_, utility_;

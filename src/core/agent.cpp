@@ -132,7 +132,7 @@ void SelfAwareAgent::run_processes(double t) {
   }
 }
 
-Decision SelfAwareAgent::step(double t) {
+const Decision& SelfAwareAgent::step(double t) {
   ++steps_;
   last_step_t_ = t;
   sim::Tracer* tr = cfg_.tracer;
@@ -152,13 +152,13 @@ Decision SelfAwareAgent::step(double t) {
     }
   }
   if (cfg_.telemetry != nullptr) {
-    std::string sampled;
+    detail_.clear();
     for (const auto sample : obs_) {
-      if (!sampled.empty()) sampled += ',';
-      sampled += attention_.name(sample.slot);
+      if (!detail_.empty()) detail_ += ',';
+      detail_ += attention_.name(sample.slot);
     }
     cfg_.telemetry->record(t, sim::TelemetryBus::kObservation, subject_,
-                           static_cast<double>(obs_.size()), sampled);
+                           static_cast<double>(obs_.size()), detail_);
   }
   // Without stimulus awareness (disabled at construction or degraded away)
   // nothing else mirrors raw readings into the KB; do it here so higher
@@ -170,85 +170,149 @@ Decision SelfAwareAgent::step(double t) {
   // Knowledge: awareness processes fold the observation into the KB; the
   // observation chain passes through here, and each novel stimulus opens
   // its own chain (its id is stamped onto the StimulusEvent).
-  std::vector<sim::TraceId> cited;
+  cited_.clear();
   {
     auto s_know = tr ? tr->span(t, trace_subject_, n_knowledge_)
                      : sim::Tracer::Span{};
     run_processes(t);
     if (tr) {
       tr->flow(t, sim::FlowPhase::Step, obs_id, trace_subject_, n_flow_obs_);
-      cited.push_back(obs_id);
+      cited_.push_back(obs_id);
       if (stimulus_ && active_levels_.has(Level::Stimulus)) {
         for (StimulusEvent& sev : stimulus_->events()) {
           sev.trace_id = tr->next_id();
           tr->flow(t, sim::FlowPhase::Begin, sev.trace_id, trace_subject_,
                    n_flow_stim_);
-          cited.push_back(sev.trace_id);
+          cited_.push_back(sev.trace_id);
         }
       }
     }
   }
 
-  Decision d;
-  d.action_index = static_cast<std::size_t>(-1);
-  if (policy_ && !action_names_.empty()) {
-    // Decide: evidence chains terminate here; the decision chain opens.
-    {
-      auto s_dec = tr ? tr->span(t, trace_subject_, n_decide_)
-                      : sim::Tracer::Span{};
-      d = policy_->decide(t, kb_, action_names_, rng_);
-      if (tr) {
-        d.trace_id = s_dec.id();
-        s_dec.arg(k_action_, static_cast<double>(d.action_index));
-        for (const sim::TraceId id : cited) {
-          tr->flow(t, sim::FlowPhase::End, id, trace_subject_,
-                   id == obs_id ? n_flow_obs_ : n_flow_stim_);
-        }
-        tr->flow(t, sim::FlowPhase::Begin, d.trace_id, trace_subject_,
-                 n_flow_decision_);
-      }
-    }
-    // Act: the chosen actuator fires inside the decision chain.
-    if (d.action_index < actuators_.size()) {
-      auto s_act = tr ? tr->span(t, trace_subject_, n_act_)
-                      : sim::Tracer::Span{};
-      actuators_[d.action_index]();
-      if (tr) {
-        tr->flow(t, sim::FlowPhase::Step, d.trace_id, trace_subject_,
-                 n_flow_decision_);
-      }
-    }
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->record(t, sim::TelemetryBus::kDecision, subject_,
-                             static_cast<double>(d.action_index),
-                             d.action + ": " + d.rationale);
-    }
-    pending_outcome_ = d.trace_id;
-    explain_decision(t, d, std::move(cited));
+  if (!policy_ || action_names_.empty()) {
+    decision_ = Decision{};
+    decision_.action_index = static_cast<std::size_t>(-1);
+    return decision_;
   }
+  Decision& d = decision_;
+  // Decide: evidence chains terminate here; the decision chain opens.
+  {
+    auto s_dec = tr ? tr->span(t, trace_subject_, n_decide_)
+                    : sim::Tracer::Span{};
+    policy_->decide(t, kb_, action_names_.size(), rng_, d);
+    d.trace_id = tr ? s_dec.id() : 0;
+    if (tr) {
+      s_dec.arg(k_action_, static_cast<double>(d.action_index));
+      for (const sim::TraceId id : cited_) {
+        tr->flow(t, sim::FlowPhase::End, id, trace_subject_,
+                 id == obs_id ? n_flow_obs_ : n_flow_stim_);
+      }
+      tr->flow(t, sim::FlowPhase::Begin, d.trace_id, trace_subject_,
+               n_flow_decision_);
+    }
+  }
+  // Act: the chosen actuator fires inside the decision chain.
+  if (d.action_index < actuators_.size()) {
+    auto s_act = tr ? tr->span(t, trace_subject_, n_act_)
+                    : sim::Tracer::Span{};
+    actuators_[d.action_index]();
+    if (tr) {
+      tr->flow(t, sim::FlowPhase::Step, d.trace_id, trace_subject_,
+               n_flow_decision_);
+    }
+  }
+  if (cfg_.telemetry != nullptr) {
+    detail_.assign(action_name(d.action_index))
+        .append(": ")
+        .append(d.rationale);
+    cfg_.telemetry->record(t, sim::TelemetryBus::kDecision, subject_,
+                           static_cast<double>(d.action_index), detail_);
+  }
+  pending_outcome_ = d.trace_id;
+  explain_decision(t);
   return d;
 }
 
-void SelfAwareAgent::explain_decision(double t, const Decision& d,
-                                      std::vector<sim::TraceId> cited) {
+void SelfAwareAgent::explain_decision(double t) {
   Explanation* e = explainer_.next();
   if (e == nullptr) return;
-  // A recycled log entry keeps its old contents: set every field.
+  // A recycled log entry keeps its old contents and storage: set every
+  // field, by assignment, so its strings and vectors reuse their capacity.
+  // Each entry is sized to the largest rationale and evidence list seen
+  // so far, so once every entry has been written after the largest, a
+  // decision never regrows the entry it recycles.
+  const Decision& d = decision_;
+  max_evidence_ = std::max(max_evidence_, d.evidence.size());
   e->t = t;
-  e->agent = id_;
-  e->decision = d;
+  e->action_index = d.action_index;
+  e->rationale.reserve(d.rationale.capacity());
+  e->rationale = d.rationale;
+  e->scores = d.scores;
   e->evidence.clear();
-  for (const auto& key : d.evidence) {
-    if (const auto item = kb_.latest(kb_.find(key))) {
-      e->evidence.push_back({key, item->value, item->confidence});
+  e->evidence.reserve(max_evidence_);
+  for (const std::string& key : d.evidence) {
+    const KnowledgeBase::KeyId id = kb_.find(key);
+    if (const auto item = kb_.latest(id)) {
+      e->evidence.push_back({id, item->value, item->confidence});
     }
   }
   e->goal_utility = goal_aware_ ? goal_aware_->current_utility() : 0.0;
   e->has_goal = goal_aware_ != nullptr;
   e->trace_id = d.trace_id;
-  e->cited = std::move(cited);
-  e->from_mode.clear();
-  e->to_mode.clear();
+  e->cited = cited_;
+  e->from_mode = nullptr;
+  e->to_mode = nullptr;
+  e->recovered = false;
+}
+
+std::string SelfAwareAgent::render(const Explanation& e) const {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(3);
+  if (e.from_mode != nullptr) {
+    // Degradation transition (core::DegradationPolicy), not a decision.
+    os << (e.recovered ? "Recovered " : "Degraded ") << e.from_mode << "→"
+       << e.to_mode << " at t=" << e.t << ": " << e.rationale;
+    if (e.trace_id != 0) os << ", trace #" << e.trace_id;
+    return os.str();
+  }
+  os << "[t=" << e.t << "] " << id_ << " chose '"
+     << action_name(e.action_index) << "'";
+  if (!e.rationale.empty()) os << " because " << e.rationale;
+  os << ".";
+  if (!e.scores.empty()) {
+    os << " Alternatives considered:";
+    for (std::size_t a = 0; a < e.scores.size(); ++a) {
+      os << ' ' << action_names_[a] << "(" << e.scores[a] << ")";
+    }
+    os << ".";
+  }
+  if (!e.evidence.empty()) {
+    os << " Evidence:";
+    for (const auto& ev : e.evidence) {
+      os << ' ' << kb_.name(ev.key) << "=" << ev.value << " [conf "
+         << ev.confidence << "]";
+    }
+    os << ".";
+  }
+  if (e.has_goal) {
+    os << " Goal utility at decision time: " << e.goal_utility << ".";
+  }
+  if (e.trace_id != 0) {
+    os << " Trace: decision #" << e.trace_id;
+    if (!e.cited.empty()) {
+      os << " from evidence";
+      for (std::size_t i = 0; i < e.cited.size(); ++i) {
+        os << (i == 0 ? " #" : ", #") << e.cited[i];
+      }
+    }
+    os << ".";
+  }
+  return os.str();
+}
+
+std::string SelfAwareAgent::why_last() const {
+  const std::size_t n = explainer_.size();
+  return n == 0 ? std::string{} : render(explainer_.at(n - 1));
 }
 
 void SelfAwareAgent::reward(double r) {

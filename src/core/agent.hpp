@@ -19,10 +19,12 @@
 //   agent.set_policy(std::make_unique<BanditPolicy>(
 //       std::make_unique<learn::Ucb1>(2)));
 //   ...
-//   auto d = agent.step(t);               // one ODA cycle
+//   const Decision& d = agent.step(t);    // one ODA cycle
 //   agent.reward(agent.current_utility());
+//   std::cout << agent.why_last();        // "…chose 'freq_up' because …"
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -69,7 +71,7 @@ struct AgentConfig {
   /// when reward() settles a decision) and flow links chaining
   /// observation -> knowledge -> decision -> action -> outcome. Decisions,
   /// stimulus events and explanations carry the assigned TraceIds, so
-  /// Explanation::render() cites trace records. Non-owning; must outlive
+  /// SelfAwareAgent::render() cites trace records. Non-owning; must outlive
   /// the agent. Null disables tracing.
   sim::Tracer* tracer = nullptr;
 };
@@ -92,9 +94,10 @@ class SelfAwareAgent {
   void set_policy(std::unique_ptr<Policy> policy);
 
   // -- The loop -------------------------------------------------------------
-  /// Runs one Observe-Decide-Act cycle at time `t`. Returns the decision
-  /// (action_index == SIZE_MAX and empty action if no policy/actions).
-  Decision step(double t);
+  /// Runs one Observe-Decide-Act cycle at time `t`. Returns the agent's
+  /// decision record, which the next step overwrites (action_index ==
+  /// SIZE_MAX and empty if no policy/actions).
+  const Decision& step(double t);
   /// Routes reward for the last decision to the (learning) policy.
   void reward(double r);
   /// Reports an interaction outcome to interaction awareness (no-op if the
@@ -129,6 +132,9 @@ class SelfAwareAgent {
   [[nodiscard]] const KnowledgeBase& knowledge() const noexcept { return kb_; }
   [[nodiscard]] GoalModel& goals() noexcept { return goals_; }
   [[nodiscard]] Explainer& explainer() noexcept { return explainer_; }
+  [[nodiscard]] const Explainer& explainer() const noexcept {
+    return explainer_;
+  }
   [[nodiscard]] AttentionManager& attention() noexcept { return attention_; }
   [[nodiscard]] sim::Rng& rng() noexcept { return rng_; }
   /// Utility at the last step (0 if goal awareness is disabled/unset).
@@ -166,9 +172,16 @@ class SelfAwareAgent {
   /// Self-description: a human-readable report of what this agent *is* —
   /// its capability levels, sensors, actions, policy, goal structure and
   /// the current self-assessed quality of each awareness process. The
-  /// static counterpart of Explainer's per-decision "why" (the paper's
+  /// static counterpart of render()'s per-decision "why" (the paper's
   /// self-explanation covers both: what I am, and why I acted).
   [[nodiscard]] std::string describe() const;
+  /// Renders an entry of this agent's explainer as a human-readable
+  /// paragraph, naming its ids from the agent's id, action table and
+  /// knowledge base; a degradation transition takes its own form
+  /// ("Degraded meta→goal at t=…: …, trace #N").
+  [[nodiscard]] std::string render(const Explanation& e) const;
+  /// Rendered explanation of the most recent entry ("" if none).
+  [[nodiscard]] std::string why_last() const;
 
  private:
   /// Samples the attended sensors into obs_.
@@ -177,8 +190,13 @@ class SelfAwareAgent {
   /// off or paused), by cached id.
   void mirror_readings(double t);
   void run_processes(double t);
-  void explain_decision(double t, const Decision& d,
-                        std::vector<sim::TraceId> cited);
+  /// Writes decision_ and cited_ into the explainer's next entry.
+  void explain_decision(double t);
+  /// Name of action `index`, clamped to the table as the actuator
+  /// dispatch is not (a bandit may have more arms than actions).
+  [[nodiscard]] const std::string& action_name(std::size_t index) const {
+    return action_names_[std::min(index, action_names_.size() - 1)];
+  }
 
   std::string id_;
   AgentConfig cfg_;
@@ -204,6 +222,12 @@ class SelfAwareAgent {
   std::vector<std::string> action_names_;
   std::vector<std::function<void()>> actuators_;
   std::unique_ptr<Policy> policy_;
+  Decision decision_;  ///< step()'s record, rewritten in place each step
+  std::size_t max_evidence_ = 0;  ///< longest evidence list decided on
+  /// This step's cited evidence trace ids and a bus event's detail text,
+  /// reused from step to step.
+  std::vector<sim::TraceId> cited_;
+  std::string detail_;
 
   std::unique_ptr<StimulusAwareness> stimulus_;
   std::unique_ptr<InteractionAwareness> interaction_;

@@ -94,15 +94,21 @@ void DegradationPolicy::transition(double t, Mode to, const std::string& why,
   }
   agent_.set_active_levels(level_set_for(to));
 
-  Explanation e;
-  e.t = t;
-  e.agent = agent_.id();
-  e.decision.action = down ? "degrade" : "recover";
-  e.decision.rationale = why;
-  e.from_mode = mode_name(from);
-  e.to_mode = mode_name(to);
-  e.trace_id = trace;
-  agent_.explainer().record(std::move(e));
+  Explanation* e = agent_.explainer().next();
+  if (e == nullptr) return;
+  // A recycled log entry keeps its old contents: set every field.
+  e->t = t;
+  e->action_index = 0;
+  e->rationale = why;
+  e->scores.clear();
+  e->evidence.clear();
+  e->goal_utility = 0.0;
+  e->has_goal = false;
+  e->trace_id = trace;
+  e->cited.clear();
+  e->from_mode = mode_name(from);
+  e->to_mode = mode_name(to);
+  e->recovered = !down;
 }
 
 }  // namespace sa::core

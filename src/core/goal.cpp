@@ -34,9 +34,8 @@ MetricId GoalModel::add_objective(std::string_view metric, UtilityFn fn,
   return id;
 }
 
-void GoalModel::add_constraint(std::string_view metric, double at_most,
-                               bool hard, double penalty) {
-  constraints_.push_back({intern(metric), at_most, hard, penalty});
+void GoalModel::add_constraint(std::string_view metric, double at_most) {
+  constraints_.push_back({intern(metric), at_most});
 }
 
 bool GoalModel::set_weight(std::string_view metric, double weight) {
@@ -50,38 +49,20 @@ bool GoalModel::set_weight(std::string_view metric, double weight) {
   return found;
 }
 
-double GoalModel::raw_utility(std::span<const double> m) const {
-  if (objectives_.empty()) return 0.0;
+double GoalModel::utility(std::span<const double> m) const {
+  if (objectives_.empty() || violated(m) > 0) return 0.0;
   double acc = 0.0, total_w = 0.0;
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     acc += objectives_[i].weight * objective_utility(i, m);
     total_w += objectives_[i].weight;
   }
-  return total_w > 0.0 ? acc / total_w : 0.0;
-}
-
-double GoalModel::utility(std::span<const double> m) const {
-  double u = raw_utility(m);
-  for (const auto& c : constraints_) {
-    if (!c.satisfied(m)) {
-      if (c.hard) return 0.0;
-      u -= c.penalty;
-    }
-  }
-  return std::clamp(u, 0.0, 1.0);
+  return total_w > 0.0 ? std::clamp(acc / total_w, 0.0, 1.0) : 0.0;
 }
 
 std::size_t GoalModel::violated(std::span<const double> m) const {
   return static_cast<std::size_t>(
       std::count_if(constraints_.begin(), constraints_.end(),
                     [&](const Constraint& c) { return !c.satisfied(m); }));
-}
-
-bool GoalModel::feasible(std::span<const double> m) const {
-  return std::all_of(constraints_.begin(), constraints_.end(),
-                     [&](const Constraint& c) {
-                       return !c.hard || c.satisfied(m);
-                     });
 }
 
 double GoalModel::objective_utility(std::size_t i,

@@ -4,8 +4,8 @@
 // "inherently multi-objective", with stakeholder concerns in trade-off or
 // conflict, and argues the analysis must move to run time. The GoalModel is
 // the framework's explicit representation of those concerns: a weighted set
-// of objectives (each mapping a raw metric to a [0,1] utility) plus hard and
-// soft constraints. Weights and constraints are mutable at run time —
+// of objectives (each mapping a raw metric to a [0,1] utility) plus hard
+// constraints. Weights and constraints are mutable at run time —
 // goal-awareness means noticing and responding when they change.
 //
 // The model is plain data keyed by metric id. Each metric name is interned
@@ -62,12 +62,11 @@ struct Objective {
   double weight = 1.0;  ///< relative importance (normalised internally)
 };
 
-/// An upper bound on one metric; an absent metric satisfies it.
+/// A hard upper bound on one metric; an absent metric satisfies it, and
+/// a violation zeroes the utility.
 struct Constraint {
   MetricId metric = 0;
   double at_most = 0.0;
-  bool hard = true;  ///< hard: violation zeroes utility; soft: penalty only
-  double penalty = 0.25;  ///< utility subtracted per soft violation
 
   [[nodiscard]] bool satisfied(std::span<const double> m) const {
     return !(metric < m.size() && m[metric] > at_most);  // NaN compares false
@@ -82,21 +81,20 @@ class GoalModel {
   MetricId add_objective(std::string_view metric, UtilityFn fn,
                          double weight = 1.0);
   /// Bounds `metric` (interned on first use) by `at_most`.
-  void add_constraint(std::string_view metric, double at_most,
-                      bool hard = true, double penalty = 0.25);
+  void add_constraint(std::string_view metric, double at_most);
 
   /// Re-weights the objective over `metric` (run-time goal change).
   /// Returns false if no objective uses that metric.
   bool set_weight(std::string_view metric, double weight);
 
   /// Scalarised utility in [0,1]: weighted mean of objective utilities,
-  /// zeroed by any violated hard constraint, reduced by soft penalties.
+  /// zeroed by any violated constraint.
   [[nodiscard]] double utility(std::span<const double> m) const;
-  /// Utility ignoring constraints (for diagnosis).
-  [[nodiscard]] double raw_utility(std::span<const double> m) const;
-  /// Number of constraints (hard or soft) violated by `m`.
+  /// Number of constraints violated by `m`.
   [[nodiscard]] std::size_t violated(std::span<const double> m) const;
-  [[nodiscard]] bool feasible(std::span<const double> m) const;
+  [[nodiscard]] bool feasible(std::span<const double> m) const {
+    return violated(m) == 0;
+  }
 
   /// Utility of objective `i` alone, for explanation ("power contributed
   /// 0.31"); 0 when its metric is absent from `m`.

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <string_view>
 
 namespace sa::core {
 
-Decision FixedPolicy::decide(double t, const KnowledgeBase& kb,
-                             const std::vector<std::string>& actions,
-                             sim::Rng& rng) {
+void FixedPolicy::decide(double t, const KnowledgeBase& kb,
+                         std::size_t actions, sim::Rng& rng, Decision& d) {
   (void)t;
   (void)kb;
   (void)rng;
-  const std::size_t a = std::min(action_, actions.size() - 1);
-  return Decision{a, actions[a], "fixed design-time choice", {}, {}};
+  d.action_index = std::min(action_, actions - 1);
+  d.rationale.assign("fixed design-time choice");
+  d.scores.clear();
+  d.evidence = {};
 }
 
 RulePolicy& RulePolicy::add_rule(Rule r) {
@@ -21,46 +21,44 @@ RulePolicy& RulePolicy::add_rule(Rule r) {
   return *this;
 }
 
-Decision RulePolicy::decide(double t, const KnowledgeBase& kb,
-                            const std::vector<std::string>& actions,
-                            sim::Rng& rng) {
+void RulePolicy::decide(double t, const KnowledgeBase& kb,
+                        std::size_t actions, sim::Rng& rng, Decision& d) {
   (void)t;
   (void)rng;
+  d.scores.clear();
   for (const auto& r : rules_) {
     if (r.when(kb)) {
-      const std::size_t a = std::min(r.action, actions.size() - 1);
-      return Decision{a, actions[a], "rule fired: " + r.label, {},
-                      r.evidence};
+      d.action_index = std::min(r.action, actions - 1);
+      d.rationale.assign("rule fired: ").append(r.label);
+      d.evidence = r.evidence;
+      return;
     }
   }
-  const std::size_t a = std::min(default_action_, actions.size() - 1);
-  return Decision{a, actions[a], "no rule matched; default", {}, {}};
+  d.action_index = std::min(default_action_, actions - 1);
+  d.rationale.assign("no rule matched; default");
+  d.evidence = {};
 }
 
-Decision BanditPolicy::decide(double t, const KnowledgeBase& kb,
-                              const std::vector<std::string>& actions,
-                              sim::Rng& rng) {
+void BanditPolicy::decide(double t, const KnowledgeBase& kb,
+                          std::size_t actions, sim::Rng& rng, Decision& d) {
   (void)t;
   (void)kb;
   last_arm_ = bandit_->select(rng);
   pending_ = true;
-  Decision d;
   d.action_index = last_arm_;
-  d.action = actions[std::min(last_arm_, actions.size() - 1)];
-  d.considered.reserve(actions.size());
-  for (std::size_t a = 0; a < actions.size() && a < bandit_->arms(); ++a) {
-    d.considered.push_back({actions[a], bandit_->value(a)});
+  d.scores.resize(std::min(actions, bandit_->arms()));
+  for (std::size_t a = 0; a < d.scores.size(); ++a) {
+    d.scores[a] = bandit_->value(a);
   }
-  // "%g" is what an ostream prints a double as by default; formatting into
-  // a stack buffer leaves the rationale string the step's one allocation.
+  // "%g" is what an ostream prints a double as by default. Bandit names
+  // are short enough to stay in a string's inline buffer.
   char value[32];
-  const auto n = static_cast<std::size_t>(std::snprintf(
-      value, sizeof value, "%g", bandit_->value(last_arm_)));
-  const std::string name = bandit_->name();
-  constexpr std::string_view kMiddle = " value estimate ";
-  d.rationale.reserve(name.size() + kMiddle.size() + n);
-  d.rationale.append(name).append(kMiddle).append(value, n);
-  return d;
+  const int n = std::snprintf(value, sizeof value, "%g",
+                              bandit_->value(last_arm_));
+  d.rationale.assign(bandit_->name())
+      .append(" value estimate ")
+      .append(value, static_cast<std::size_t>(n));
+  d.evidence = {};
 }
 
 void BanditPolicy::feedback(double reward) {
@@ -69,34 +67,31 @@ void BanditPolicy::feedback(double reward) {
   pending_ = false;
 }
 
-Decision ModelBasedPolicy::decide(double t, const KnowledgeBase& kb,
-                                  const std::vector<std::string>& actions,
-                                  sim::Rng& rng) {
+void ModelBasedPolicy::decide(double t, const KnowledgeBase& kb,
+                              std::size_t actions, sim::Rng& rng,
+                              Decision& d) {
   (void)t;
   (void)rng;
-  Decision d;
-  d.evidence = evidence_;
-  d.considered.reserve(actions.size());
+  d.action_index = 0;
+  d.scores.resize(actions);
   double best = -1.0;
-  for (std::size_t a = 0; a < actions.size(); ++a) {
+  for (std::size_t a = 0; a < actions; ++a) {
     predicted_.assign(goals_.metrics(), kAbsent);
     model_(a, kb, predicted_);
-    const double u = goals_.utility(predicted_);
-    d.considered.push_back({actions[a], u});
-    if (u > best) {
-      best = u;
+    d.scores[a] = goals_.utility(predicted_);
+    if (d.scores[a] > best) {
+      best = d.scores[a];
       d.action_index = a;
     }
   }
-  d.action = actions[d.action_index];
   // "%g" prints a double as an ostream does by default.
   char rationale[128];
   const int n = std::snprintf(
       rationale, sizeof rationale,
       "predicted utility %g is the maximum over %zu simulated alternatives",
-      best, actions.size());
+      best, actions);
   d.rationale.assign(rationale, static_cast<std::size_t>(n));
-  return d;
+  d.evidence = evidence_;
 }
 
 }  // namespace sa::core

@@ -1,11 +1,12 @@
 // Decision policies: the "self-expression" side of the loop.
 //
 // A policy turns self-knowledge into a choice among the agent's available
-// actions. Policies return a structured Decision carrying not just the
-// chosen action but the alternatives considered, the evidence consulted and
-// a rationale — the raw material for self-explanation (Schubert [25],
-// Cox [28]). Learning policies accept reward feedback; all policies can be
-// reset by the meta level.
+// actions, which it knows only by index. It writes a Decision carrying not
+// just the chosen action but every action's score, the evidence consulted
+// and a rationale — the raw material for self-explanation (Schubert [25],
+// Cox [28]). The caller owns the Decision and hands the same one back
+// every step, so a warm decision reuses its storage. Learning policies
+// accept reward feedback; all policies can be reset by the meta level.
 #pragma once
 
 #include <functional>
@@ -22,19 +23,15 @@
 
 namespace sa::core {
 
-/// An alternative the policy evaluated, with its score.
-struct OptionScore {
-  std::string action;
-  double score = 0.0;
-};
-
-/// The outcome of one decision.
+/// The outcome of one decision, written into caller-owned storage.
 struct Decision {
   std::size_t action_index = 0;
-  std::string action;                  ///< chosen action name
-  std::string rationale;               ///< one-line human-readable reason
-  std::vector<OptionScore> considered; ///< alternatives with scores
-  std::vector<std::string> evidence;   ///< KB keys that informed the choice
+  std::string rationale;  ///< one-line human-readable reason
+  /// Each action's score by index; empty when the policy scores nothing.
+  std::vector<double> scores;
+  /// KB keys that informed the choice: a view of the policy's own list,
+  /// valid while the policy is installed and unchanged.
+  std::span<const std::string> evidence;
   /// Id of the decide span when the agent ran traced (0 otherwise); set by
   /// SelfAwareAgent::step, not by policies.
   sim::TraceId trace_id = 0;
@@ -44,10 +41,10 @@ struct Decision {
 class Policy {
  public:
   virtual ~Policy() = default;
-  /// Chooses among `actions` given the current knowledge base.
-  virtual Decision decide(double t, const KnowledgeBase& kb,
-                          const std::vector<std::string>& actions,
-                          sim::Rng& rng) = 0;
+  /// Chooses one of `actions` (>= 1) actions, by index, given the
+  /// current knowledge base. Writes every field of `d` but trace_id.
+  virtual void decide(double t, const KnowledgeBase& kb, std::size_t actions,
+                      sim::Rng& rng, Decision& d) = 0;
   /// Reward for the most recent decision (learning policies).
   virtual void feedback(double reward) { (void)reward; }
   /// Forgets learned state (meta-triggered).
@@ -59,9 +56,8 @@ class Policy {
 class FixedPolicy final : public Policy {
  public:
   explicit FixedPolicy(std::size_t action) : action_(action) {}
-  Decision decide(double t, const KnowledgeBase& kb,
-                  const std::vector<std::string>& actions,
-                  sim::Rng& rng) override;
+  void decide(double t, const KnowledgeBase& kb, std::size_t actions,
+              sim::Rng& rng, Decision& d) override;
   [[nodiscard]] std::string name() const override { return "fixed"; }
 
  private:
@@ -83,9 +79,8 @@ class RulePolicy final : public Policy {
       : default_action_(default_action) {}
   RulePolicy& add_rule(Rule r);
 
-  Decision decide(double t, const KnowledgeBase& kb,
-                  const std::vector<std::string>& actions,
-                  sim::Rng& rng) override;
+  void decide(double t, const KnowledgeBase& kb, std::size_t actions,
+              sim::Rng& rng, Decision& d) override;
   [[nodiscard]] std::string name() const override { return "rules"; }
 
  private:
@@ -100,9 +95,8 @@ class BanditPolicy final : public Policy {
   explicit BanditPolicy(std::unique_ptr<learn::Bandit> bandit)
       : bandit_(std::move(bandit)) {}
 
-  Decision decide(double t, const KnowledgeBase& kb,
-                  const std::vector<std::string>& actions,
-                  sim::Rng& rng) override;
+  void decide(double t, const KnowledgeBase& kb, std::size_t actions,
+              sim::Rng& rng, Decision& d) override;
   void feedback(double reward) override;
   void reset() override { bandit_->reset(); }
   [[nodiscard]] std::string name() const override {
@@ -135,9 +129,8 @@ class ModelBasedPolicy final : public Policy {
       : goals_(goals), model_(std::move(model)),
         evidence_(std::move(evidence)) {}
 
-  Decision decide(double t, const KnowledgeBase& kb,
-                  const std::vector<std::string>& actions,
-                  sim::Rng& rng) override;
+  void decide(double t, const KnowledgeBase& kb, std::size_t actions,
+              sim::Rng& rng, Decision& d) override;
   [[nodiscard]] std::string name() const override { return "model-based"; }
 
  private:

@@ -106,7 +106,7 @@ void Manager::build_agent() {
   // ones that spiral.
   goals.add_objective("queue", core::utility::falling(0.0, 40.0), 1.0);
   const double cap = p_.power_cap_w;
-  goals.add_constraint("power", cap, /*hard=*/true);
+  goals.add_constraint("power", cap);
 
   switch (p_.variant) {
     case Variant::Static:

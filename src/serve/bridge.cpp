@@ -476,17 +476,20 @@ std::string SimBridge::build_status(double t,
 
   out += ",\"explanations\":[";
   bool first = true;
-  for (core::SelfAwareAgent* a : agents_) {
-    const auto recent = a->explainer().snapshot(kStatusExplanations);
-    for (const core::Explanation& e : recent) {
+  for (const core::SelfAwareAgent* a : agents_) {
+    // Rendered in place on the sim thread: only the text crosses threads.
+    const core::Explainer& ex = a->explainer();
+    for (std::size_t i = ex.size() - std::min(kStatusExplanations, ex.size());
+         i < ex.size(); ++i) {
+      const core::Explanation& e = ex.at(i);
       if (!first) out += ',';
       first = false;
       out += "{\"agent\":\"";
-      out += json_escape(e.agent);
+      out += json_escape(a->id());
       out += "\",\"t\":";
       out += format_value(e.t);
       out += ",\"text\":\"";
-      out += json_escape(e.render());
+      out += json_escape(a->render(e));
       out += "\"}";
     }
   }

@@ -121,9 +121,10 @@ TEST(SelfAwareAgent, DecisionsActuate) {
 TEST(SelfAwareAgent, NoPolicyMeansNoDecision) {
   SelfAwareAgent a("idle", quiet_config());
   a.add_action("noop", [] {});
-  const auto d = a.step(0.0);
+  const Decision& d = a.step(0.0);
   EXPECT_EQ(d.action_index, static_cast<std::size_t>(-1));
-  EXPECT_TRUE(d.action.empty());
+  EXPECT_TRUE(d.rationale.empty());
+  EXPECT_TRUE(d.scores.empty());
 }
 
 TEST(SelfAwareAgent, RewardReachesLearningPolicy) {
@@ -135,7 +136,7 @@ TEST(SelfAwareAgent, RewardReachesLearningPolicy) {
   std::size_t b_count = 0;
   const int n = 800;
   for (int i = 0; i < n; ++i) {
-    const auto d = a.step(i);
+    const Decision& d = a.step(i);
     a.reward(d.action_index == 1 ? 1.0 : 0.0);
     if (i > n / 2 && d.action_index == 1) ++b_count;
   }
@@ -197,7 +198,9 @@ TEST(SelfAwareAgent, ExplanationsRecordedPerDecision) {
   for (int i = 0; i < 7; ++i) a.step(i);
   EXPECT_EQ(a.explainer().size(), 7u);
   EXPECT_DOUBLE_EQ(a.explainer().coverage(), 1.0);
-  EXPECT_NE(a.explainer().why_last().find("explained"), std::string::npos);
+  EXPECT_EQ(a.why_last(),
+            "[t=6.000] explained chose 'act' because fixed design-time "
+            "choice.");
 }
 
 TEST(SelfAwareAgent, ExplanationsCanBeDisabled) {
@@ -224,13 +227,13 @@ TEST(SelfAwareAgent, ExplanationCapturesGoalUtilityAndEvidence) {
                    {"m"}});
   a.set_policy(std::move(rules));
   a.step(1.0);
-  const auto e = a.explainer().last();
-  ASSERT_TRUE(e.has_value());
-  EXPECT_TRUE(e->has_goal);
-  EXPECT_DOUBLE_EQ(e->goal_utility, 1.0);
-  ASSERT_EQ(e->evidence.size(), 1u);
-  EXPECT_EQ(e->evidence[0].key, "m");
-  EXPECT_DOUBLE_EQ(e->evidence[0].value, 10.0);
+  ASSERT_EQ(a.explainer().size(), 1u);
+  const Explanation& e = a.explainer().at(0);
+  EXPECT_TRUE(e.has_goal);
+  EXPECT_DOUBLE_EQ(e.goal_utility, 1.0);
+  ASSERT_EQ(e.evidence.size(), 1u);
+  EXPECT_EQ(a.knowledge().name(e.evidence[0].key), "m");
+  EXPECT_DOUBLE_EQ(e.evidence[0].value, 10.0);
 }
 
 TEST(SelfAwareAgent, InteractionsFlowToPeerKnowledge) {

@@ -59,7 +59,7 @@ TEST(AgentTrace, StepEmitsNestedOdaSpans) {
 TEST(AgentTrace, DecisionChainRunsDecideActOutcome) {
   Rig rig;
   auto agent = make_agent("traced", rig.config());
-  const Decision d = agent->step(0.0);
+  const Decision& d = agent->step(0.0);
   ASSERT_NE(d.trace_id, 0u);
   agent->reward(1.0);
   // The decision chain: Begin at decide, Step at act, End at outcome.
@@ -99,19 +99,19 @@ TEST(AgentTrace, ExplanationCitesResolvableTraceIds) {
   Rig rig;
   auto agent = make_agent("traced", rig.config());
   agent->step(0.0);
-  const auto last = agent->explainer().last();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_NE(last->trace_id, 0u);
-  ASSERT_FALSE(last->cited.empty());
+  ASSERT_EQ(agent->explainer().size(), 1u);
+  const Explanation& last = agent->explainer().at(0);
+  EXPECT_NE(last.trace_id, 0u);
+  ASSERT_FALSE(last.cited.empty());
   // Every cited id appears in the tracer's record.
-  for (const sim::TraceId id : last->cited) {
+  for (const sim::TraceId id : last.cited) {
     bool found = false;
     for (const auto& e : rig.tracer.events()) {
       if (e.id == id) found = true;
     }
     EXPECT_TRUE(found) << "cited id " << id << " not in trace";
   }
-  const std::string text = last->render();
+  const std::string text = agent->render(last);
   EXPECT_NE(text.find("Trace: decision #"), std::string::npos);
   EXPECT_NE(text.find("from evidence #"), std::string::npos);
 }
@@ -158,10 +158,10 @@ TEST(AgentTrace, TracerDoesNotPerturbTrajectory) {
   auto traced = make_agent("twin", rig.config());
   auto plain = make_agent("twin", AgentConfig{});
   for (int i = 0; i < 50; ++i) {
-    const Decision a = traced->step(i);
-    const Decision b = plain->step(i);
+    const Decision& a = traced->step(i);
+    const Decision& b = plain->step(i);
     EXPECT_EQ(a.action_index, b.action_index) << "diverged at step " << i;
-    EXPECT_EQ(a.action, b.action);
+    EXPECT_EQ(a.rationale, b.rationale);
     traced->reward(0.5);
     plain->reward(0.5);
   }
@@ -169,14 +169,13 @@ TEST(AgentTrace, TracerDoesNotPerturbTrajectory) {
 
 TEST(AgentTrace, NoTracerAssignsNoIds) {
   auto agent = make_agent("untraced", AgentConfig{});
-  const Decision d = agent->step(0.0);
+  const Decision& d = agent->step(0.0);
   EXPECT_EQ(d.trace_id, 0u);
   agent->reward(0.5);
-  const auto last = agent->explainer().last();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->trace_id, 0u);
+  ASSERT_EQ(agent->explainer().size(), 1u);
+  EXPECT_EQ(agent->explainer().at(0).trace_id, 0u);
   // Untraced explanations do not cite.
-  EXPECT_EQ(last->render().find("Trace:"), std::string::npos);
+  EXPECT_EQ(agent->why_last().find("Trace:"), std::string::npos);
 }
 
 }  // namespace

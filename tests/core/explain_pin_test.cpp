@@ -25,12 +25,12 @@
 namespace sa::core {
 namespace {
 
-std::uint64_t digest_log(SelfAwareAgent& agent) {
+std::uint64_t digest_log(const SelfAwareAgent& agent) {
   test::support::Fingerprint fp;
   const Explainer& ex = agent.explainer();
   fp.add(ex.decisions());
   fp.add(ex.size());
-  for (std::size_t i = 0; i < ex.size(); ++i) fp.add(ex.at(i).render());
+  for (std::size_t i = 0; i < ex.size(); ++i) fp.add(agent.render(ex.at(i)));
   return fp.value();
 }
 

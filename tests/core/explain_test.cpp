@@ -4,40 +4,60 @@
 
 #include <stdexcept>
 
+#include "core/agent.hpp"
+
 namespace sa::core {
 namespace {
 
-Explanation sample_explanation() {
-  Explanation e;
-  e.t = 12.5;
-  e.agent = "mapper";
-  e.decision.action = "freq_up";
-  e.decision.rationale = "utility 0.8 is the maximum";
-  e.decision.considered = {{"freq_up", 0.8}, {"freq_down", 0.2}};
-  e.evidence = {{"forecast.load", 3.4, 0.9}};
-  e.goal_utility = 0.73;
-  e.has_goal = true;
-  return e;
+constexpr std::size_t kLog = 4096;  ///< the explainer's log capacity
+
+/// Writes a sample decision's explanation into the next entry, as the
+/// agent does: every field set.
+void write_sample(Explainer& ex, double t, KnowledgeBase::KeyId key = 0) {
+  Explanation* e = ex.next();
+  if (e == nullptr) return;
+  e->t = t;
+  e->action_index = 0;
+  e->rationale = "utility 0.8 is the maximum";
+  e->scores = {0.8, 0.2};
+  e->evidence = {{key, 3.4, 0.9}};
+  e->goal_utility = 0.73;
+  e->has_goal = true;
+  e->trace_id = 0;
+  e->cited.clear();
+  e->from_mode = nullptr;
+  e->to_mode = nullptr;
+  e->recovered = false;
 }
 
+/// An agent whose action table and knowledge base name the sample's ids.
+struct Mapper {
+  SelfAwareAgent agent{"mapper"};
+  KnowledgeBase::KeyId load = agent.knowledge().key("forecast.load");
+  Mapper() {
+    agent.add_action("freq_up", [] {});
+    agent.add_action("freq_down", [] {});
+  }
+};
+
 TEST(Explanation, RenderMentionsAllParts) {
-  const std::string s = sample_explanation().render();
-  EXPECT_NE(s.find("t=12.5"), std::string::npos);
-  EXPECT_NE(s.find("mapper"), std::string::npos);
-  EXPECT_NE(s.find("freq_up"), std::string::npos);
-  EXPECT_NE(s.find("because utility 0.8 is the maximum"), std::string::npos);
-  EXPECT_NE(s.find("freq_down(0.200)"), std::string::npos);
-  EXPECT_NE(s.find("forecast.load=3.400"), std::string::npos);
-  EXPECT_NE(s.find("conf 0.900"), std::string::npos);
-  EXPECT_NE(s.find("0.730"), std::string::npos);
+  Mapper m;
+  Explainer ex;
+  write_sample(ex, 12.5, m.load);
+  EXPECT_EQ(m.agent.render(ex.at(0)),
+            "[t=12.500] mapper chose 'freq_up' because utility 0.8 is the "
+            "maximum. Alternatives considered: freq_up(0.800) "
+            "freq_down(0.200). Evidence: forecast.load=3.400 [conf 0.900]. "
+            "Goal utility at decision time: 0.730.");
 }
 
 TEST(Explanation, RenderOmitsAbsentParts) {
+  Mapper m;
   Explanation e;
   e.t = 1.0;
-  e.agent = "x";
-  e.decision.action = "noop";
-  const std::string s = e.render();
+  e.action_index = 1;
+  const std::string s = m.agent.render(e);
+  EXPECT_EQ(s, "[t=1.000] mapper chose 'freq_down'.");
   EXPECT_EQ(s.find("Alternatives"), std::string::npos);
   EXPECT_EQ(s.find("Evidence"), std::string::npos);
   EXPECT_EQ(s.find("Goal utility"), std::string::npos);
@@ -45,30 +65,26 @@ TEST(Explanation, RenderOmitsAbsentParts) {
 
 TEST(Explainer, RecordsAndCounts) {
   Explainer ex;
-  ex.record(sample_explanation());
-  ex.record(sample_explanation());
+  write_sample(ex, 1.0);
+  write_sample(ex, 2.0);
   EXPECT_EQ(ex.size(), 2u);
   EXPECT_EQ(ex.decisions(), 2u);
   EXPECT_DOUBLE_EQ(ex.coverage(), 1.0);
-  ASSERT_TRUE(ex.last().has_value());
-  EXPECT_EQ(ex.last()->agent, "mapper");
-  EXPECT_FALSE(ex.why_last().empty());
+  EXPECT_DOUBLE_EQ(ex.at(1).t, 2.0);
 }
 
 TEST(Explainer, DisabledStillCountsDecisions) {
   Explainer ex;
   ex.set_enabled(false);
-  ex.record(sample_explanation());
+  EXPECT_EQ(ex.next(), nullptr);
   EXPECT_EQ(ex.size(), 0u);
   EXPECT_EQ(ex.decisions(), 1u);
   EXPECT_DOUBLE_EQ(ex.coverage(), 0.0);
-  EXPECT_FALSE(ex.last().has_value());
-  EXPECT_TRUE(ex.why_last().empty());
 }
 
 TEST(Explainer, UnexplainedDecisionsLowerCoverage) {
   Explainer ex;
-  ex.record(sample_explanation());
+  write_sample(ex, 0.0);
   ex.note_unexplained();
   EXPECT_DOUBLE_EQ(ex.coverage(), 0.5);
 }
@@ -80,154 +96,72 @@ TEST(Explainer, EmptyCoverageIsZero) {
 
 TEST(Explainer, CapacityBoundsMemory) {
   Explainer ex;
-  ex.set_capacity(10);
-  for (int i = 0; i < 100; ++i) ex.record(sample_explanation());
-  EXPECT_LE(ex.size(), 10u);
-  EXPECT_EQ(ex.decisions(), 100u);
+  for (std::size_t i = 0; i < kLog + 100; ++i) write_sample(ex, 0.0);
+  EXPECT_EQ(ex.size(), kLog);
+  EXPECT_EQ(ex.decisions(), kLog + 100);
 }
 
 TEST(Explainer, ClearResets) {
   Explainer ex;
-  ex.record(sample_explanation());
+  write_sample(ex, 0.0);
   ex.clear();
   EXPECT_EQ(ex.size(), 0u);
   EXPECT_EQ(ex.decisions(), 0u);
 }
 
-Explanation stamped(double t) {
-  auto e = sample_explanation();
-  e.t = t;
-  return e;
-}
-
 TEST(Explainer, RingKeepsNewestInChronologicalOrder) {
   Explainer ex;
-  ex.set_capacity(4);
-  for (int i = 0; i < 10; ++i) ex.record(stamped(i));
-  ASSERT_EQ(ex.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kLog + 6; ++i) {
+    write_sample(ex, static_cast<double>(i));
+  }
+  ASSERT_EQ(ex.size(), kLog);
+  for (std::size_t i = 0; i < kLog; ++i) {
     EXPECT_DOUBLE_EQ(ex.at(i).t, 6.0 + static_cast<double>(i));
   }
-  ASSERT_TRUE(ex.last().has_value());
-  EXPECT_DOUBLE_EQ(ex.last()->t, 9.0);
-  const auto all = ex.all();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_DOUBLE_EQ(all.front().t, 6.0);
-  EXPECT_DOUBLE_EQ(all.back().t, 9.0);
 }
 
-TEST(Explainer, ShrinkingCapacityDropsOldest) {
+TEST(Explainer, RecycledEntryKeepsItsStorage) {
+  // Once the log has wrapped, next() hands back the oldest entry with its
+  // contents: a writer that assigns every field reuses its strings' and
+  // vectors' storage instead of allocating.
   Explainer ex;
-  ex.set_capacity(8);
-  for (int i = 0; i < 8; ++i) ex.record(stamped(i));
-  ex.set_capacity(3);
-  ASSERT_EQ(ex.size(), 3u);
-  EXPECT_DOUBLE_EQ(ex.at(0).t, 5.0);
-  EXPECT_DOUBLE_EQ(ex.at(2).t, 7.0);
-  // The shrunk ring keeps rotating correctly.
-  ex.record(stamped(8.0));
-  ASSERT_EQ(ex.size(), 3u);
-  EXPECT_DOUBLE_EQ(ex.at(0).t, 6.0);
-  EXPECT_DOUBLE_EQ(ex.last()->t, 8.0);
-}
-
-TEST(Explainer, GrowingCapacityKeepsEverything) {
-  Explainer ex;
-  ex.set_capacity(2);
-  ex.record(stamped(0.0));
-  ex.record(stamped(1.0));
-  ex.record(stamped(2.0));  // evicts t=0
-  ex.set_capacity(4);
-  ex.record(stamped(3.0));
-  ASSERT_EQ(ex.size(), 3u);
-  EXPECT_DOUBLE_EQ(ex.at(0).t, 1.0);
-  EXPECT_DOUBLE_EQ(ex.last()->t, 3.0);
+  write_sample(ex, 0.0);
+  const char* rationale = ex.at(0).rationale.data();
+  const double* scores = ex.at(0).scores.data();
+  for (std::size_t i = 1; i < kLog; ++i) write_sample(ex, 0.0);
+  Explanation* recycled = ex.next();
+  ASSERT_NE(recycled, nullptr);
+  EXPECT_EQ(recycled->rationale.data(), rationale);
+  EXPECT_EQ(recycled->scores.data(), scores);
 }
 
 TEST(Explainer, CoverageCountsExplanationsEvictedFromTheRing) {
   Explainer ex;
-  ex.set_capacity(8);
-  for (int i = 0; i < 20; ++i) ex.record(stamped(i));
-  EXPECT_EQ(ex.size(), 8u);
+  for (std::size_t i = 0; i < kLog + 12; ++i) write_sample(ex, 0.0);
+  EXPECT_EQ(ex.size(), kLog);
   EXPECT_DOUBLE_EQ(ex.coverage(), 1.0);
   ex.note_unexplained();
-  EXPECT_DOUBLE_EQ(ex.coverage(), 20.0 / 21.0);
+  EXPECT_DOUBLE_EQ(ex.coverage(), (kLog + 12.0) / (kLog + 13.0));
 }
 
 TEST(Explainer, AtRejectsOutOfRangeIndex) {
   Explainer ex;
   EXPECT_THROW((void)ex.at(0), std::out_of_range);
-  ex.set_capacity(4);
-  for (int i = 0; i < 3; ++i) ex.record(stamped(i));
+  for (int i = 0; i < 3; ++i) write_sample(ex, 0.0);
   EXPECT_THROW((void)ex.at(ex.size()), std::out_of_range);
 }
 
 TEST(Explainer, LongRunMemoryStaysBoundedAtCapacity) {
-  // The long-run contract behind E8: millions of decisions, ring-bounded
+  // The long-run contract behind E8: many decisions, ring-bounded
   // retention, full decision accounting, correct newest/oldest window.
   Explainer ex;
-  ex.set_capacity(64);
   constexpr int kDecisions = 100000;
-  for (int i = 0; i < kDecisions; ++i) ex.record(stamped(i));
-  EXPECT_EQ(ex.size(), 64u);
+  for (int i = 0; i < kDecisions; ++i) write_sample(ex, i);
+  EXPECT_EQ(ex.size(), kLog);
   EXPECT_EQ(ex.decisions(), static_cast<std::size_t>(kDecisions));
   EXPECT_DOUBLE_EQ(ex.coverage(), 1.0);  // evicted entries were explained
-  EXPECT_DOUBLE_EQ(ex.at(0).t, kDecisions - 64.0);
-  EXPECT_DOUBLE_EQ(ex.last()->t, kDecisions - 1.0);
-}
-
-TEST(Explainer, ZeroCapacityRetainsNothingButCounts) {
-  Explainer ex;
-  ex.set_capacity(0);
-  ex.record(sample_explanation());
-  EXPECT_EQ(ex.size(), 0u);
-  EXPECT_EQ(ex.decisions(), 1u);
-  EXPECT_FALSE(ex.last().has_value());
-}
-
-TEST(Explainer, SnapshotReturnsNewestInChronologicalOrder) {
-  Explainer ex;
-  ex.set_capacity(8);
-  for (int i = 0; i < 6; ++i) ex.record(stamped(i));
-  const auto newest = ex.snapshot(3);
-  ASSERT_EQ(newest.size(), 3u);
-  EXPECT_DOUBLE_EQ(newest[0].t, 3.0);
-  EXPECT_DOUBLE_EQ(newest[1].t, 4.0);
-  EXPECT_DOUBLE_EQ(newest[2].t, 5.0);
-}
-
-TEST(Explainer, SnapshotClampsToRetainedSize) {
-  Explainer ex;
-  ex.set_capacity(4);
-  ex.record(stamped(0.0));
-  ex.record(stamped(1.0));
-  EXPECT_EQ(ex.snapshot(100).size(), 2u);
-  EXPECT_TRUE(ex.snapshot(0).empty());
-  EXPECT_TRUE(Explainer().snapshot(5).empty());
-}
-
-TEST(Explainer, SnapshotIsCorrectAcrossRingWraparound) {
-  Explainer ex;
-  ex.set_capacity(4);
-  for (int i = 0; i < 11; ++i) ex.record(stamped(i));  // head mid-ring
-  const auto newest = ex.snapshot(2);
-  ASSERT_EQ(newest.size(), 2u);
-  EXPECT_DOUBLE_EQ(newest[0].t, 9.0);
-  EXPECT_DOUBLE_EQ(newest[1].t, 10.0);
-}
-
-TEST(Explainer, SnapshotCopiesAreIndependentOfLaterRecords) {
-  // The cross-thread discipline: a snapshot must stay valid while the ring
-  // keeps rotating underneath it.
-  Explainer ex;
-  ex.set_capacity(2);
-  ex.record(stamped(0.0));
-  ex.record(stamped(1.0));
-  const auto copy = ex.snapshot(2);
-  for (int i = 2; i < 10; ++i) ex.record(stamped(i));  // overwrite every slot
-  ASSERT_EQ(copy.size(), 2u);
-  EXPECT_DOUBLE_EQ(copy[0].t, 0.0);
-  EXPECT_DOUBLE_EQ(copy[1].t, 1.0);
+  EXPECT_DOUBLE_EQ(ex.at(0).t, kDecisions - static_cast<double>(kLog));
+  EXPECT_DOUBLE_EQ(ex.at(kLog - 1).t, kDecisions - 1.0);
 }
 
 }  // namespace

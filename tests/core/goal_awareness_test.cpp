@@ -50,7 +50,7 @@ TEST(GoalAwareness, FreshObservationBeatsStaleKnowledge) {
 TEST(GoalAwareness, ReportsViolations) {
   GoalModel goals;
   goals.add_objective("x", utility::rising(0.0, 1.0), 1.0);
-  goals.add_constraint("x", 0.5, /*hard=*/true);
+  goals.add_constraint("x", 0.5);
   KnowledgeBase kb;
   Feed obs;
   GoalAwareness ga(kb, goals);

@@ -5,7 +5,7 @@
 // autoscaler (E3's volunteer cloud). After every epoch the digest takes
 // every "goal.*" knowledge value, the goal process's self-assessed quality
 // and the last decision's rendered explanation, whose text carries every
-// considered option's predicted utility and the policy's rationale. A
+// action's predicted utility and the policy's rationale. A
 // change to how goals are evaluated, how a prediction is scored or how the
 // rationale is worded moves the digest; the substrate pins (E12, E3) hold
 // only utilities and stats.
@@ -31,7 +31,7 @@ void digest_goal_layer(SelfAwareAgent& agent, test::support::Fingerprint& fp) {
   }
   ASSERT_NE(agent.goal_awareness(), nullptr);
   fp.add(agent.goal_awareness()->quality());
-  fp.add(agent.explainer().why_last());
+  fp.add(agent.why_last());
 }
 
 TEST(GoalLayer, E1ManagerRunIsPinned) {

@@ -94,7 +94,7 @@ TEST(GoalModel, NanMetricReadsAsAbsent) {
   g.add_objective("x", utility::falling(0.0, 1.0), 1.0);
   g.add_objective("y", utility::rising(0.0, 1.0), 1.0);
   g.add_constraint("x", 0.5);
-  g.add_constraint("y", 0.5, /*hard=*/false);
+  g.add_constraint("y", 0.5);
   const Values m{kAbsent, kAbsent};
   EXPECT_DOUBLE_EQ(g.objective_utility(0, m), 0.0);
   EXPECT_DOUBLE_EQ(g.objective_utility(1, m), 0.0);
@@ -125,7 +125,7 @@ TEST(GoalModel, SetWeightOnUnknownMetricFails) {
 TEST(GoalModel, HardConstraintZeroesUtility) {
   GoalModel g;
   g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
-  g.add_constraint("x", 0.5, /*hard=*/true);
+  g.add_constraint("x", 0.5);
   EXPECT_DOUBLE_EQ(g.utility(Values{0.4}), 0.4);
   EXPECT_DOUBLE_EQ(g.utility(Values{0.5}), 0.5);  // the bound is inclusive
   EXPECT_DOUBLE_EQ(g.utility(Values{0.9}), 0.0);
@@ -133,28 +133,20 @@ TEST(GoalModel, HardConstraintZeroesUtility) {
   EXPECT_TRUE(g.feasible(Values{0.4}));
 }
 
-TEST(GoalModel, SoftConstraintAppliesPenalty) {
-  GoalModel g;
-  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
-  g.add_constraint("x", 0.5, /*hard=*/false, /*penalty=*/0.3);
-  EXPECT_NEAR(g.utility(Values{0.9}), 0.6, 1e-12);
-  // Soft violations do not make the state infeasible.
-  EXPECT_TRUE(g.feasible(Values{0.9}));
-}
-
 TEST(GoalModel, UtilityIsClampedToUnitInterval) {
+  // A negative weight can pull the weighted mean out of [0,1].
   GoalModel g;
-  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
-  g.add_constraint("x", 0.1, false, 0.9);
-  g.add_constraint("x", 0.2, false, 0.9);
-  EXPECT_DOUBLE_EQ(g.utility(Values{0.5}), 0.0);
+  g.add_objective("x", utility::rising(0.0, 1.0), -1.0);
+  g.add_objective("y", utility::rising(0.0, 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(g.utility(Values{1.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(g.utility(Values{0.0, 1.0}), 1.0);
 }
 
-TEST(GoalModel, ViolatedCountsHardAndSoftConstraints) {
+TEST(GoalModel, ViolatedCountsEveryBrokenConstraint) {
   GoalModel g;
-  g.add_constraint("a", 0.0, true);
-  g.add_constraint("a", 2.0, true);
-  g.add_constraint("b", 0.0, false);
+  g.add_constraint("a", 0.0);
+  g.add_constraint("a", 2.0);
+  g.add_constraint("b", 0.0);
   EXPECT_EQ(g.violated(Values{1.0, 1.0}), 2u);
   EXPECT_EQ(g.violated({}), 0u);  // absent metrics satisfy every bound
 }
@@ -191,14 +183,6 @@ TEST(GoalModel, DominatesFailsOnTradeOff) {
   const Values y{0.1, 0.9};
   EXPECT_FALSE(g.dominates(x, y));
   EXPECT_FALSE(g.dominates(y, x));
-}
-
-TEST(GoalModel, RawUtilityIgnoresConstraints) {
-  GoalModel g;
-  g.add_objective("x", utility::rising(0.0, 1.0), 1.0);
-  g.add_constraint("x", 0.0, true);
-  EXPECT_DOUBLE_EQ(g.raw_utility(Values{0.7}), 0.7);
-  EXPECT_DOUBLE_EQ(g.utility(Values{0.7}), 0.0);
 }
 
 }  // namespace

@@ -10,16 +10,29 @@
 namespace sa::core {
 namespace {
 
-const std::vector<std::string> kActions{"a", "b", "c"};
+constexpr std::size_t kActions = 3;
+
+/// One decide() into a fresh record.
+Decision decide(Policy& p, const KnowledgeBase& kb, sim::Rng& rng,
+                std::size_t actions = kActions) {
+  Decision d;
+  p.decide(0.0, kb, actions, rng, d);
+  return d;
+}
+
+std::vector<std::string> evidence_of(const Decision& d) {
+  return {d.evidence.begin(), d.evidence.end()};
+}
 
 TEST(FixedPolicy, AlwaysChoosesConfiguredAction) {
   FixedPolicy p(1);
   KnowledgeBase kb;
   sim::Rng rng(1);
+  Decision d;
   for (int i = 0; i < 10; ++i) {
-    const auto d = p.decide(0.0, kb, kActions, rng);
+    p.decide(0.0, kb, kActions, rng, d);
     EXPECT_EQ(d.action_index, 1u);
-    EXPECT_EQ(d.action, "b");
+    EXPECT_TRUE(d.scores.empty());
   }
 }
 
@@ -27,7 +40,7 @@ TEST(FixedPolicy, ClampsOutOfRangeIndex) {
   FixedPolicy p(99);
   KnowledgeBase kb;
   sim::Rng rng(1);
-  EXPECT_EQ(p.decide(0.0, kb, kActions, rng).action_index, 2u);
+  EXPECT_EQ(decide(p, kb, rng).action_index, 2u);
 }
 
 TEST(RulePolicy, FirstMatchingRuleWins) {
@@ -42,14 +55,18 @@ TEST(RulePolicy, FirstMatchingRuleWins) {
   KnowledgeBase kb;
   sim::Rng rng(1);
   kb.put_number(kb.key("x"), 10.0, 0.0);
-  auto d = p.decide(0.0, kb, kActions, rng);
+  Decision d;
+  p.decide(0.0, kb, kActions, rng, d);
   EXPECT_EQ(d.action_index, 1u);
-  EXPECT_NE(d.rationale.find("x high"), std::string::npos);
-  EXPECT_EQ(d.evidence, std::vector<std::string>{"x"});
+  EXPECT_EQ(d.rationale, "rule fired: x high");
+  EXPECT_EQ(evidence_of(d), std::vector<std::string>{"x"});
 
+  // The same record, rewritten: nothing of the first decision remains.
   kb.put_number(kb.key("x"), 0.0, 1.0);
-  d = p.decide(1.0, kb, kActions, rng);
+  p.decide(1.0, kb, kActions, rng, d);
   EXPECT_EQ(d.action_index, 2u);  // second rule fires
+  EXPECT_EQ(d.rationale, "rule fired: always");
+  EXPECT_TRUE(d.evidence.empty());
 }
 
 TEST(RulePolicy, DefaultWhenNothingMatches) {
@@ -57,22 +74,23 @@ TEST(RulePolicy, DefaultWhenNothingMatches) {
   p.add_rule({"never", [](const KnowledgeBase&) { return false; }, 0, {}});
   KnowledgeBase kb;
   sim::Rng rng(1);
-  const auto d = p.decide(0.0, kb, kActions, rng);
+  const Decision d = decide(p, kb, rng);
   EXPECT_EQ(d.action_index, 2u);
-  EXPECT_NE(d.rationale.find("default"), std::string::npos);
+  EXPECT_EQ(d.rationale, "no rule matched; default");
 }
 
 TEST(BanditPolicy, LearnsFromFeedback) {
   BanditPolicy p(std::make_unique<learn::EpsilonGreedy>(3, 0.1));
   KnowledgeBase kb;
   sim::Rng rng(2);
+  Decision d;
   for (int i = 0; i < 2000; ++i) {
-    const auto d = p.decide(0.0, kb, kActions, rng);
+    p.decide(0.0, kb, kActions, rng, d);
     p.feedback(d.action_index == 1 ? 1.0 : 0.0);
   }
   std::size_t ones = 0;
   for (int i = 0; i < 100; ++i) {
-    const auto d = p.decide(0.0, kb, kActions, rng);
+    p.decide(0.0, kb, kActions, rng, d);
     p.feedback(d.action_index == 1 ? 1.0 : 0.0);
     ones += d.action_index == 1 ? 1 : 0;
   }
@@ -83,12 +101,16 @@ TEST(BanditPolicy, DecisionCarriesConsideredValues) {
   BanditPolicy p(std::make_unique<learn::EpsilonGreedy>(3, 0.0));
   KnowledgeBase kb;
   sim::Rng rng(3);
-  auto d = p.decide(0.0, kb, kActions, rng);
+  Decision d;
+  p.decide(0.0, kb, kActions, rng, d);
   p.feedback(1.0);
-  d = p.decide(0.0, kb, kActions, rng);
-  ASSERT_EQ(d.considered.size(), 3u);
-  EXPECT_EQ(d.considered[0].action, "a");
-  EXPECT_FALSE(d.rationale.empty());
+  p.decide(0.0, kb, kActions, rng, d);
+  // Every arm's value estimate, by action index.
+  ASSERT_EQ(d.scores.size(), 3u);
+  for (std::size_t a = 0; a < 3; ++a) {
+    EXPECT_DOUBLE_EQ(d.scores[a], p.bandit().value(a));
+  }
+  EXPECT_EQ(d.rationale, "eps-greedy value estimate 1");
 }
 
 TEST(BanditPolicy, FeedbackWithoutDecisionIsIgnored) {
@@ -102,7 +124,7 @@ TEST(BanditPolicy, DoubleFeedbackCountsOnce) {
   BanditPolicy p(std::make_unique<learn::EpsilonGreedy>(1, 0.0));
   KnowledgeBase kb;
   sim::Rng rng(4);
-  p.decide(0.0, kb, {"only"}, rng);
+  (void)decide(p, kb, rng, 1);
   p.feedback(1.0);
   p.feedback(1.0);  // stale, ignored
   EXPECT_DOUBLE_EQ(p.bandit().value(0), 1.0);  // one sample mean, not two
@@ -112,7 +134,7 @@ TEST(BanditPolicy, ResetClearsLearnedValues) {
   BanditPolicy p(std::make_unique<learn::EpsilonGreedy>(2, 0.0));
   KnowledgeBase kb;
   sim::Rng rng(5);
-  p.decide(0.0, kb, {"a", "b"}, rng);
+  (void)decide(p, kb, rng, 2);
   p.feedback(5.0);
   p.reset();
   EXPECT_DOUBLE_EQ(p.bandit().value(0), 0.0);
@@ -130,12 +152,12 @@ TEST(ModelBasedPolicy, PicksArgmaxPredictedUtility) {
       {"some.evidence"});
   KnowledgeBase kb;
   sim::Rng rng(6);
-  const auto d = p.decide(0.0, kb, kActions, rng);
+  const Decision d = decide(p, kb, rng);
   EXPECT_EQ(d.action_index, 2u);
-  ASSERT_EQ(d.considered.size(), 3u);
-  EXPECT_DOUBLE_EQ(d.considered[0].score, 0.0);
-  EXPECT_DOUBLE_EQ(d.considered[2].score, 0.6);
-  EXPECT_EQ(d.evidence, std::vector<std::string>{"some.evidence"});
+  ASSERT_EQ(d.scores.size(), 3u);
+  EXPECT_DOUBLE_EQ(d.scores[0], 0.0);
+  EXPECT_DOUBLE_EQ(d.scores[2], 0.6);
+  EXPECT_EQ(evidence_of(d), std::vector<std::string>{"some.evidence"});
   EXPECT_EQ(d.rationale,
             "predicted utility 0.6 is the maximum over 3 simulated "
             "alternatives");
@@ -155,16 +177,16 @@ TEST(ModelBasedPolicy, PredictionStartsAbsent) {
   });
   KnowledgeBase kb;
   sim::Rng rng(8);
-  const auto d = p.decide(0.0, kb, kActions, rng);
+  const Decision d = decide(p, kb, rng);
   EXPECT_EQ(d.action_index, 0u);
-  EXPECT_DOUBLE_EQ(d.considered[1].score, 0.0);
+  EXPECT_DOUBLE_EQ(d.scores[1], 0.0);
   EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1, 1}));
 }
 
 TEST(ModelBasedPolicy, RespectsHardConstraintsInPrediction) {
   GoalModel goals;
   const MetricId y = goals.add_objective("y", utility::rising(0.0, 10.0));
-  goals.add_constraint("y", 5.0, /*hard=*/true);
+  goals.add_constraint("y", 5.0);
   ModelBasedPolicy p(goals, [y](std::size_t action, const KnowledgeBase&,
                                 std::span<double> out) {
     out[y] = 3.0 * static_cast<double>(action);
@@ -172,7 +194,7 @@ TEST(ModelBasedPolicy, RespectsHardConstraintsInPrediction) {
   KnowledgeBase kb;
   sim::Rng rng(7);
   // y=6 for action 2 violates the cap (utility 0); action 1 (y=3) wins.
-  EXPECT_EQ(p.decide(0.0, kb, kActions, rng).action_index, 1u);
+  EXPECT_EQ(decide(p, kb, rng).action_index, 1u);
 }
 
 TEST(Policies, NamesAreInformative) {

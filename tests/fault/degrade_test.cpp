@@ -129,26 +129,24 @@ TEST(DegradationPolicy, TransitionsAreExplainedWithTraceIds) {
   policy.update(2.0, /*trace=*/7);
   ASSERT_EQ(policy.mode(), Mode::Goal);
 
-  const auto last = agent.explainer().last();
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->from_mode, "meta");
-  EXPECT_EQ(last->to_mode, "goal");
-  EXPECT_EQ(last->decision.action, "degrade");
-  EXPECT_EQ(last->trace_id, 7u);
-  const std::string rendered = last->render();
-  EXPECT_NE(rendered.find("Degraded meta→goal at t=2"), std::string::npos)
-      << rendered;
-  EXPECT_NE(rendered.find("fault pressure"), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("trace #7"), std::string::npos) << rendered;
+  ASSERT_EQ(agent.explainer().size(), 1u);
+  const Explanation& last = agent.explainer().at(0);
+  EXPECT_STREQ(last.from_mode, "meta");
+  EXPECT_STREQ(last.to_mode, "goal");
+  EXPECT_FALSE(last.recovered);
+  EXPECT_EQ(last.trace_id, 7u);
+  EXPECT_EQ(agent.render(last),
+            "Degraded meta→goal at t=2.000: fault pressure (3 active), "
+            "trace #7");
 
   // And the recovery renders in the recovered form.
   put_fault_active(agent, 0.0, 3.0);
   policy.update(4.0, /*trace=*/9);
   policy.update(5.0, /*trace=*/9);
   ASSERT_EQ(policy.mode(), Mode::Meta);
-  const std::string back = agent.explainer().last()->render();
-  EXPECT_NE(back.find("Recovered goal→meta"), std::string::npos) << back;
-  EXPECT_NE(back.find("trace #9"), std::string::npos) << back;
+  EXPECT_TRUE(agent.explainer().at(1).recovered);
+  EXPECT_EQ(agent.why_last(),
+            "Recovered goal→meta at t=5.000: triggers clear, trace #9");
 }
 
 TEST(DegradationPolicy, LadderClampsToTheConstructedLevelSet) {

@@ -43,8 +43,9 @@ exp::Grid fleet_grid(std::vector<std::string>* notes) {
     if (ctx.tracer != nullptr && notes != nullptr) {
       // Collect the traced cell's rendered explanations for the citation
       // check (first learning camera is representative).
-      for (const auto& e : fleet.agent(0).explainer().all()) {
-        notes->push_back(e.render());
+      const core::SelfAwareAgent& agent = fleet.agent(0);
+      for (std::size_t i = 0; i < agent.explainer().size(); ++i) {
+        notes->push_back(agent.render(agent.explainer().at(i)));
       }
     }
     return {{{"global_utility", util.mean()}}};

@@ -3,7 +3,9 @@
 // and dispatching events must not touch the heap; once a KnowledgeBase
 // key exists, reads (number/confidence/contains/latest) and
 // ring-overwrite writes must not either; and once an agent's awareness
-// processes have seen their signals, their updates must not either. These
+// processes have seen their signals, their updates must not either, and
+// once an agent's explanation log has wrapped, neither must a whole step
+// of its decision loop. These
 // contracts are what the pooled-kernel/interned-store and dense-agent
 // refactors bought — a regression here is a performance bug even while
 // every behavioural test still passes.
@@ -15,15 +17,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
 
+#include "core/agent.hpp"
 #include "core/goal_awareness.hpp"
 #include "core/knowledge.hpp"
 #include "core/meta.hpp"
+#include "core/policy.hpp"
 #include "core/stimulus.hpp"
 #include "core/time_awareness.hpp"
+#include "learn/bandit.hpp"
 #include "sim/engine.hpp"
 #include "support/alloc_counter.hpp"
 
@@ -218,9 +224,9 @@ TEST(AgentAlloc, WarmAwarenessUpdatesAreAllocFree) {
   sa::core::GoalModel goals;
   goals.add_objective("tracking", sa::core::utility::rising(0.0, 8.0), 2.0);
   goals.add_objective("lost", sa::core::utility::falling(0.0, 4.0), 1.0);
-  goals.add_constraint("messages", 6.0, /*hard=*/false);
+  goals.add_constraint("messages", 6.0);
   // "spare" names no sensor and no key: it stays absent every step.
-  goals.add_constraint("spare", 1.0, /*hard=*/false);
+  goals.add_constraint("spare", 1.0);
   sa::core::GoalAwareness goal(kb, goals);
   sa::core::MetaSelfAwareness meta(kb);
   meta.watch(stimulus);
@@ -247,6 +253,66 @@ TEST(AgentAlloc, WarmAwarenessUpdatesAreAllocFree) {
   EXPECT_EQ(allocs(), before) << "a warm awareness update allocated";
   EXPECT_DOUBLE_EQ(goal.quality(), 0.75);  // all but "spare"
   EXPECT_NE(time.forecast("owned", 2), 0.0);
+}
+
+TEST(AgentAlloc, WarmStepIsAllocFree) {
+  // A whole step of a full-stack agent plus its reward, with no bus and no
+  // tracer: the policy rewrites the agent's one Decision, and once the
+  // explainer's 4096-entry log has wrapped each explanation reuses the
+  // storage of the one it evicts. Two laps warm every entry; the third is
+  // measured, for each policy that fills a different part of the record
+  // (scores, evidence, rationale alone).
+  using sa::core::KnowledgeBase;
+  constexpr int kLap = 4096;
+  for (const char* kind : {"bandit", "rules", "model-based"}) {
+    double load = 0.0;
+    sa::core::SelfAwareAgent agent("warm", {});
+    agent.add_sensor("load", [&load] { return load; });
+    agent.add_sensor("queue", [&load] { return 2.0 * load; });
+    for (const char* action : {"low", "mid", "high"}) {
+      agent.add_action(action, [] {});
+    }
+    const sa::core::MetricId metric = agent.goals().add_objective(
+        "load", sa::core::utility::rising(0.0, 4.0), 1.0);
+    if (std::string_view(kind) == "bandit") {
+      agent.set_policy(std::make_unique<sa::core::BanditPolicy>(
+          std::make_unique<sa::learn::Ucb1>(3)));
+    } else if (std::string_view(kind) == "rules") {
+      auto rules = std::make_unique<sa::core::RulePolicy>(1);
+      rules->add_rule({"load high",
+                       [](const KnowledgeBase& kb) {
+                         return kb.number(kb.find("load")) > 2.5;
+                       },
+                       2,
+                       {"load"}});
+      rules->add_rule({"load low",
+                       [](const KnowledgeBase& kb) {
+                         return kb.number(kb.find("load")) < 1.5;
+                       },
+                       0,
+                       {"load", "queue"}});
+      agent.set_policy(std::move(rules));
+    } else {
+      agent.set_policy(std::make_unique<sa::core::ModelBasedPolicy>(
+          agent.goals(),
+          [&load, metric](std::size_t action, const KnowledgeBase&,
+                          std::span<double> out) {
+            out[metric] = load + static_cast<double>(action) - 1.0;
+          },
+          std::vector<std::string>{"load", "queue"}));
+    }
+    auto step = [&](int i) {
+      load = 2.0 + 1.5 * std::sin(0.1 * static_cast<double>(i));
+      agent.step(static_cast<double>(i));
+      agent.reward(agent.current_utility());
+    };
+    int i = 0;
+    for (; i < 2 * kLap; ++i) step(i);
+    const auto before = allocs();
+    for (; i < 3 * kLap; ++i) step(i);
+    EXPECT_EQ(allocs(), before) << "a warm " << kind << " step allocated";
+    EXPECT_EQ(agent.explainer().size(), static_cast<std::size_t>(kLap));
+  }
 }
 
 }  // namespace

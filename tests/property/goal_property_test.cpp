@@ -81,7 +81,7 @@ TEST_P(GoalPropertyTest, DominatingPointHasAtLeastEqualRawUtility) {
     const auto a = random_point(rng, g);
     const auto b = random_point(rng, g);
     if (g.dominates(a, b)) {
-      EXPECT_GE(g.raw_utility(a) + 1e-12, g.raw_utility(b));
+      EXPECT_GE(g.utility(a) + 1e-12, g.utility(b));
     }
   }
 }
@@ -94,7 +94,7 @@ TEST_P(GoalPropertyTest, MissingMetricNeverBeatsBestPossible) {
     auto full = random_point(rng, g);
     auto partial = full;
     partial[0] = kAbsent;
-    const double u_partial = g.raw_utility(partial);
+    const double u_partial = g.utility(partial);
     EXPECT_GE(u_partial, 0.0);
     EXPECT_LE(u_partial, 1.0);
   }

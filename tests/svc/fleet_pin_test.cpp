@@ -50,8 +50,8 @@ TEST(CameraFleet, LearningTrajectoryIsPinned) {
       novel += key.ends_with(".novel");
       reconfigured += key.ends_with(".reconfigured");
     }
-    for (const core::Explanation& e : agent.explainer().all()) {
-      fp.add(e.render());
+    for (std::size_t i = 0; i < agent.explainer().size(); ++i) {
+      fp.add(agent.render(agent.explainer().at(i)));
       ++explanations;
     }
     fp.add(agent.describe());
