@@ -15,8 +15,10 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ckpt/format.hpp"
+#include "ckpt/journal.hpp"
 #include "ckpt/state.hpp"
 #include "core/agent.hpp"
 #include "gen/scenario.hpp"
@@ -123,6 +125,44 @@ TEST(CkptImagePin, CitySeed61ImagesAreByteStable) {
 TEST(CkptImagePin, CitySeed62ImagesAreByteStable) {
   expect_pinned(62, {100.0, 472126, 7284363188505818677ull},
                 {1200.0, 2313095, 5419301596055785368ull});
+}
+
+TEST(CkptImagePin, CitySeed61WithReplayedJournalImagesAreByteStable) {
+  // The control journal of crash_recovery.sh, replayed into the city: at
+  // T=25 the first operator fault is in force and its restore pending; by
+  // T=100 both have onset and restored, and their records sit in the log.
+  std::vector<JournalEntry> journal;
+  ASSERT_TRUE(parse_journal_spec(
+                  "20 cmd=inject&kind=link-loss&unit=0&mag=1.5&dur=10; "
+                  "45 cmd=inject&kind=link-loss&unit=1&mag=2&dur=5",
+                  journal)
+                  .ok());
+  const std::uint64_t seed = 61;
+  const auto spec = gen::ScenarioSpec::parse(
+      std::string("world:horizon=1200;") + gen::ScenarioSpec::city_spec());
+  gen::Scenario::Options opts;
+  opts.self_aware = true;
+  gen::Scenario world(spec, seed, opts);
+  schedule_replay(world.engine(), journal, &world.injector());
+  // The operator faults land exactly on their journal times; planned
+  // chains draw continuous times, so these four are the journal's.
+  std::size_t journaled = 0;
+  world.injector().subscribe([&](const fault::Injector::Record& rec,
+                                 std::size_t) {
+    if (rec.t == 20.0 || rec.t == 30.0 || rec.t == 45.0 || rec.t == 50.0) {
+      ++journaled;
+    }
+  });
+
+  const Pin pins[] = {{25.0, 279241, 13976792077681996487ull},
+                      {100.0, 647838, 6222271401158323634ull}};
+  for (const Pin& pin : pins) {
+    world.run_until(pin.t);
+    const std::string image = image_at(world, spec, seed, pin.t);
+    EXPECT_EQ(image.size(), pin.bytes) << "T=" << pin.t;
+    EXPECT_EQ(fnv1a64(image), pin.fnv) << "T=" << pin.t;
+  }
+  EXPECT_EQ(journaled, 4u);
 }
 
 }  // namespace

@@ -759,4 +759,53 @@ TEST(SimBridge, StatusExplanationsArePinned) {
   EXPECT_EQ(fp.value(), 0xcb09f58b92915132ull) << std::hex << "digest 0x" << fp.value();
 }
 
+TEST(SimBridge, StatusFaultsArePinned) {
+  // /status lists the injector's newest records, naming each surface. A
+  // planned chain on both platform surfaces plus two operator injections
+  // (one on each surface), with onsets and restores of both kinds inside
+  // the published window: the block's bytes are pinned.
+  sim::Engine engine;
+  multicore::Platform platform(multicore::PlatformConfig::big_little(2, 2),
+                               7);
+  fault::Injector inj;
+  fault::bind_platform(inj, platform);
+  inj.bind(engine, fault::FaultPlan::parse(
+                       "core-fail:rate=0.3,dur=1.5;freq-cap:rate=0.15,dur=1,"
+                       "mag=2;seed=5"));
+  engine.at(6.5, [&] {
+    inj.inject_now(engine, fault::FaultKind::CoreFail, 5, 0.75, 1.25);
+  });
+  engine.at(7.25, [&] {
+    inj.inject_now(engine, fault::FaultKind::FreqCap, 0, 3.0, 1.5);
+  });
+  engine.run_until(10.0);
+
+  SimBridge bridge;
+  bridge.set_injector(&inj);
+  Server server(quick_opts());
+  bridge.install(server);
+  ASSERT_TRUE(server.start()) << server.error();
+  bridge.publish_now(10.0);
+  const std::string status =
+      client::body_of(client::http_get(server.port(), "/status"));
+  server.stop();
+  const std::size_t at = status.find(",\"faults\":{");
+  const std::size_t end = status.find(",\"explanations\":[");
+  ASSERT_NE(at, std::string::npos) << status;
+  ASSERT_NE(end, std::string::npos) << status;
+  const std::string block = status.substr(at, end - at);
+  // Both surfaces, both record kinds, and the injections' magnitudes.
+  EXPECT_NE(block.find("\"surface\":\"multicore.core\""), std::string::npos)
+      << block;
+  EXPECT_NE(block.find("\"surface\":\"multicore.chip\""), std::string::npos)
+      << block;
+  EXPECT_NE(block.find("\"begin\":false"), std::string::npos) << block;
+  EXPECT_NE(block.find("\"magnitude\":0.75"), std::string::npos) << block;
+  EXPECT_NE(block.find("\"magnitude\":3"), std::string::npos) << block;
+  test::support::Fingerprint fp;
+  fp.add(block);
+  EXPECT_EQ(fp.value(), 0x9939ff666034b08bull)
+      << std::hex << "digest 0x" << fp.value() << "\n" << block;
+}
+
 }  // namespace
