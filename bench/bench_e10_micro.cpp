@@ -22,6 +22,7 @@
 #include "core/collective.hpp"
 #include "cpn/network.hpp"
 #include "exp/harness.hpp"
+#include "fault/fault.hpp"
 #include "learn/bandit.hpp"
 #include "learn/forecast.hpp"
 #include "multicore/manager.hpp"
@@ -124,6 +125,24 @@ exp::TaskOutput agent_step(std::size_t sensors, bool traced, std::size_t n) {
   });
 }
 
+/// One planned fault onset per op, on a no-op 64-unit link surface under
+/// "link-loss:rate=5,dur=0.2;seed=3": the chain's draws, the log push, the
+/// restore and next-arm events the onset schedules, and the restores that
+/// fall due before the next onset. The warm-up runs until the 4096-entry
+/// log is full, so every op overwrites log entries in place.
+exp::TaskOutput fault_chain(std::size_t n) {
+  sim::Engine eng;
+  fault::Injector inj;
+  inj.add_surface({fault::FaultKind::LinkLoss, "bench.link", 64,
+                   [](std::size_t, double) {}, [](std::size_t, double) {}});
+  inj.bind(eng, fault::FaultPlan::parse("link-loss:rate=5,dur=0.2;seed=3"));
+  while (inj.log().size() < inj.log().capacity()) eng.step();
+  return time_op(n, [&](std::size_t) {
+    const std::size_t before = inj.injected();
+    while (inj.injected() == before) eng.step();
+  });
+}
+
 /// Signals "a".."d" read as 1..4: the observation the awareness-process
 /// rows feed every op. Built in place (the observation points at the
 /// table).
@@ -172,6 +191,7 @@ const std::vector<Kernel> kKernels = {
      }},
     {"engine_heap@1k", 1 << 17,
      [](std::size_t n) { return engine_dispatch(1024, n); }},
+    {"fault_chain", 1 << 14, fault_chain},
     {"kb_put_number", 1 << 18,
      [](std::size_t n) {
        // Writers resolve a key once and keep its id.

@@ -84,10 +84,14 @@ void save_knowledge(const core::KnowledgeBase& kb, Buffer& out) {
 
 namespace {
 
-void save_record(const fault::Injector::Record& rec, Buffer& out) {
+/// The image names a record's surface by kind and name, looked up from
+/// the record's surface index.
+void save_record(const fault::Injector& inj,
+                 const fault::Injector::Record& rec, Buffer& out) {
+  const fault::Injector::Surface& s = inj.surface(rec.surface);
   out.f64(rec.t);
-  out.u8(static_cast<std::uint8_t>(rec.kind));
-  out.str(rec.surface);
+  out.u8(static_cast<std::uint8_t>(s.kind));
+  out.str(s.name);
   out.u64(rec.unit);
   out.f64(rec.magnitude);
   out.f64(rec.until);
@@ -103,8 +107,10 @@ void save_injector(const fault::Injector& inj, Buffer& out) {
   out.u64(st.active);
   out.u64(st.unmatched);
   out.f64(st.last_onset);
-  out.u64(st.log.size());
-  for (const fault::Injector::Record& rec : st.log) save_record(rec, out);
+  out.u64(inj.log().size());
+  for (const fault::Injector::Record& rec : inj.log()) {
+    save_record(inj, rec, out);
+  }
   out.u64(st.streams.size());
   for (const fault::Injector::StreamState& s : st.streams) {
     out.u64(s.process);

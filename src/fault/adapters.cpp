@@ -195,13 +195,20 @@ void bind_exchange(Injector& inj, core::AgentRuntime& rt) {
 }
 
 void feed_agent(Injector& inj, core::SelfAwareAgent& agent) {
-  inj.subscribe([&agent](const Injector::Record& rec, std::size_t active) {
+  // Keys and source resolve on the first event that writes them, not
+  // here: a key interned before its first write would add an empty
+  // history to every checkpoint image.
+  using KB = core::KnowledgeBase;
+  inj.subscribe([&agent, k_active = KB::kNoKey, k_count = KB::kNoKey,
+                 fault = KB::SourceId{0}](const Injector::Record& rec,
+                                          std::size_t active) mutable {
     auto& kb = agent.knowledge();
-    const auto fault = kb.source_id("fault");
-    kb.put_number(kb.key("fault.active"), static_cast<double>(active), rec.t,
-                  1.0, core::Scope::Private, fault);
+    if (fault == 0) fault = kb.source_id("fault");
+    kb.put_number(kb.key(k_active, "fault.active"),
+                  static_cast<double>(active), rec.t, 1.0,
+                  core::Scope::Private, fault);
     if (rec.begin) {
-      const auto count = kb.key("fault.count");
+      const auto count = kb.key(k_count, "fault.count");
       kb.put_number(count, kb.number(count) + 1.0, rec.t, 1.0,
                     core::Scope::Private, fault);
     }

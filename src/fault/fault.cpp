@@ -254,12 +254,10 @@ void Injector::arm(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
 void Injector::fire(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
   const double t = engine.now();
   if (t > st->proc.end) return;  // process window closed: chain ends
-  Surface& s = surfaces_[st->surface];
-
+  const Surface& s = surfaces_[st->surface];
   Record rec;
   rec.t = t;
-  rec.kind = st->proc.kind;
-  rec.surface = s.name;
+  rec.surface = st->surface;
   rec.unit =
       s.units > 1 ? static_cast<std::size_t>(st->rng.below(s.units)) : 0;
   rec.magnitude = st->proc.magnitude;
@@ -267,36 +265,10 @@ void Injector::fire(sim::Engine& engine, const std::shared_ptr<Stream>& st) {
   if (transient) {
     rec.until = t + st->rng.exponential(st->proc.duration_mean);
   }
-
-  s.begin(rec.unit, rec.magnitude);
-  ++injected_;
-  ++active_;
-  last_onset_ = t;
-  log_.push(rec);
-  notify(rec);
-  if (telemetry_ != nullptr) {
-    telemetry_->record(t, sim::TelemetryBus::kFailure, subject_,
-                       rec.magnitude,
-                       std::string(kind_name(rec.kind)) + " " + rec.surface +
-                           "#" + std::to_string(rec.unit));
-  }
-
-  if (transient) {
-    engine.at_tagged(
-        sim::event_tag("sa.fault.end", st->chain), rec.until,
-        [this, &engine, st, rec] {
-          surfaces_[st->surface].end(rec.unit, rec.magnitude);
-          ++restored_;
-          --active_;
-          Record done = rec;
-          done.t = engine.now();
-          done.begin = false;
-          log_.push(done);
-          notify(done);
-        },
-        kOrderFaults,
-        encode_end_payload(rec.t, rec.unit, rec.magnitude, rec.until));
-  }
+  // The restore event is scheduled before the next arm: sequence numbers
+  // break ties, and the checkpoint image records them.
+  onset(engine, rec,
+        transient ? sim::event_tag("sa.fault.end", st->chain) : 0);
   arm(engine, st);
 }
 
@@ -304,49 +276,57 @@ bool Injector::inject_now(sim::Engine& engine, FaultKind kind,
                           std::size_t unit, double magnitude,
                           double duration) {
   for (std::size_t si = 0; si < surfaces_.size(); ++si) {
-    Surface& s = surfaces_[si];
+    const Surface& s = surfaces_[si];
     if (s.kind != kind) continue;
-    const double t = engine.now();
     Record rec;
-    rec.t = t;
-    rec.kind = kind;
-    rec.surface = s.name;
+    rec.t = engine.now();
+    rec.surface = si;
     rec.unit = s.units > 0 ? unit % s.units : 0;
     rec.magnitude = magnitude;
     const bool transient = duration > 0.0 && s.end != nullptr;
-    if (transient) rec.until = t + duration;
-
-    s.begin(rec.unit, rec.magnitude);
-    ++injected_;
-    ++active_;
-    last_onset_ = t;
-    log_.push(rec);
-    notify(rec);
-    if (telemetry_ != nullptr) {
-      telemetry_->record(t, sim::TelemetryBus::kFailure, subject_,
-                         rec.magnitude,
-                         std::string(kind_name(rec.kind)) + " " + rec.surface +
-                             "#" + std::to_string(rec.unit));
-    }
-    if (transient) {
-      engine.at_tagged(
-          sim::event_tag("sa.fault.injend", si), rec.until,
-          [this, &engine, si, rec] {
-            surfaces_[si].end(rec.unit, rec.magnitude);
-            ++restored_;
-            --active_;
-            Record done = rec;
-            done.t = engine.now();
-            done.begin = false;
-            log_.push(done);
-            notify(done);
-          },
-          kOrderFaults,
-          encode_end_payload(rec.t, rec.unit, rec.magnitude, rec.until));
-    }
+    if (transient) rec.until = rec.t + duration;
+    onset(engine, rec, transient ? sim::event_tag("sa.fault.injend", si) : 0);
     return true;
   }
   return false;
+}
+
+void Injector::onset(sim::Engine& engine, const Record& rec,
+                     sim::EventTag end_tag) {
+  const Surface& s = surfaces_[rec.surface];
+  s.begin(rec.unit, rec.magnitude);
+  ++injected_;
+  ++active_;
+  last_onset_ = rec.t;
+  log_.push(rec);
+  notify(rec);
+  if (telemetry_ != nullptr) {
+    char unit[24];
+    const char* unit_end =
+        std::to_chars(unit, unit + sizeof unit, rec.unit).ptr;
+    detail_.assign(kind_name(s.kind))
+        .append(1, ' ')
+        .append(s.name)
+        .append(1, '#')
+        .append(unit, static_cast<std::size_t>(unit_end - unit));
+    telemetry_->record(rec.t, sim::TelemetryBus::kFailure, subject_,
+                       rec.magnitude, detail_);
+  }
+  if (end_tag != 0) {
+    engine.at_tagged(
+        end_tag, rec.until, [this, rec] { restore(rec); }, kOrderFaults,
+        encode_end_payload(rec.t, rec.unit, rec.magnitude, rec.until));
+  }
+}
+
+void Injector::restore(Record rec) {
+  surfaces_[rec.surface].end(rec.unit, rec.magnitude);
+  ++restored_;
+  --active_;
+  rec.t = rec.until;  // the restore event fires at rec.until
+  rec.begin = false;
+  log_.push(rec);
+  notify(rec);
 }
 
 void Injector::notify(const Record& rec) {
@@ -360,7 +340,6 @@ Injector::State Injector::export_state() const {
   st.active = active_;
   st.unmatched = unmatched_;
   st.last_onset = last_onset_;
-  st.log = records();
   st.streams.reserve(streams_.size());
   for (const auto& s : streams_) {
     StreamState ss;

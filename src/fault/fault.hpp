@@ -23,6 +23,13 @@
 //   link-loss / partition / link-reorder        -> sa::cpn
 //   exchange-drop                               -> core::AgentRuntime
 // (see fault/adapters.hpp for the substrate bindings).
+//
+// Evidence: planned chains and operator injections (inject_now) share one
+// onset and one restore path, and each logs one plain Record — time,
+// surface index, unit, magnitude, restore time, onset or restore — into a
+// bounded ring. Readers (the checkpoint writer, /status, agents fed by
+// feed_agent) read that ring in place through log() and name a record's
+// kind and surface by surface(record.surface); no record carries a copy.
 #pragma once
 
 #include <cstddef>
@@ -122,11 +129,11 @@ class Injector {
     std::function<void(std::size_t unit, double magnitude)> end;
   };
 
-  /// One log entry: a fault onset (begin = true) or restore.
+  /// One log entry: a fault onset (begin = true) or restore on registered
+  /// surface `surface`, whose kind and name surface(surface) holds.
   struct Record {
     double t = 0.0;
-    FaultKind kind = FaultKind::LinkLoss;
-    std::string surface;
+    std::size_t surface = 0;
     std::size_t unit = 0;
     double magnitude = 0.0;
     /// Scheduled restore time (infinity = permanent).
@@ -182,21 +189,18 @@ class Injector {
   /// Sim time of the most recent onset (-infinity before the first).
   [[nodiscard]] double last_onset() const noexcept { return last_onset_; }
 
-  /// Retained log entries, oldest first (bounded ring; a long fault storm
-  /// keeps memory constant, like the Explainer's decision log).
-  [[nodiscard]] std::vector<Record> records() const {
-    return {log_.begin(), log_.end()};
-  }
-  /// Shrinking drops the oldest entries.
-  void set_log_capacity(std::size_t cap) { log_.set_capacity(cap); }
+  /// Retained log entries, oldest first, read in place: a ring of 4096
+  /// that keeps the newest, so a long fault storm keeps memory constant
+  /// (like the Explainer's decision log).
+  [[nodiscard]] const sim::Ring<Record>& log() const noexcept { return log_; }
 
   // -- Checkpoint seam (sa::ckpt) -------------------------------------------
   //
-  // The injector's serializable state: counters, the log ring (flattened
-  // oldest-first), and each chain's RNG + burst position. The pending
-  // onset/restore *events* are not here — they live in the engine's
-  // timeline, tagged per chain, with each pending fault end's unit and
-  // magnitude in its payload.
+  // The injector's serializable state: counters and each chain's RNG +
+  // burst position; the checkpoint writer reads the log in place. The
+  // pending onset/restore *events* are not here — they live in the
+  // engine's timeline, tagged per chain, with each pending fault end's
+  // unit and magnitude in its payload.
 
   /// One chain's randomness, identified by its (process, surface)
   /// coordinates.
@@ -212,7 +216,6 @@ class Injector {
     std::uint64_t active = 0;
     std::uint64_t unmatched = 0;
     double last_onset = 0.0;
-    std::vector<Record> log;  ///< oldest first
     std::vector<StreamState> streams;
   };
   [[nodiscard]] State export_state() const;
@@ -222,6 +225,12 @@ class Injector {
 
   void arm(sim::Engine& engine, const std::shared_ptr<Stream>& st);
   void fire(sim::Engine& engine, const std::shared_ptr<Stream>& st);
+  /// The one onset path of planned and operator faults: applies `rec`,
+  /// counts, logs and reports it, and schedules its restore at rec.until
+  /// under `end_tag` (0 = permanent: no restore).
+  void onset(sim::Engine& engine, const Record& rec, sim::EventTag end_tag);
+  /// The one restore path: ends the fault `rec` began.
+  void restore(Record rec);
   void notify(const Record& rec);
 
   std::vector<Surface> surfaces_;
@@ -237,6 +246,8 @@ class Injector {
   double last_onset_ = -std::numeric_limits<double>::infinity();
 
   sim::Ring<Record> log_{4096};
+  /// kFailure detail, formatted in place on each onset.
+  std::string detail_;
 
   /// Chains armed by bind(), in (process, surface) order — owned here so
   /// checkpointing can reach their RNG/burst state after the engine has

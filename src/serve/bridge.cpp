@@ -452,17 +452,18 @@ std::string SimBridge::build_status(double t,
     out += ",\"active\":";
     out += std::to_string(injector_->active());
     out += ",\"recent\":[";
-    const auto records = injector_->records();
-    const std::size_t n = std::min(kStatusFaults, records.size());
-    for (std::size_t i = records.size() - n; i < records.size(); ++i) {
-      const auto& r = records[i];
-      if (i != records.size() - n) out += ',';
+    const auto& log = injector_->log();
+    const std::size_t n = std::min(kStatusFaults, log.size());
+    for (std::size_t i = log.size() - n; i < log.size(); ++i) {
+      const fault::Injector::Record& r = log[i];
+      const fault::Injector::Surface& s = injector_->surface(r.surface);
+      if (i != log.size() - n) out += ',';
       out += "{\"t\":";
       out += format_value(r.t);
       out += ",\"kind\":\"";
-      out += fault::kind_name(r.kind);
+      out += fault::kind_name(s.kind);
       out += "\",\"surface\":\"";
-      out += json_escape(r.surface);
+      out += json_escape(s.name);
       out += "\",\"unit\":";
       out += std::to_string(r.unit);
       out += ",\"magnitude\":";

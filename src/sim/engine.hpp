@@ -121,15 +121,11 @@ class Engine {
   /// equal time run in ascending `order`, then in scheduling order.
   /// Untagged events cannot cross a checkpoint (export fails on them).
   void at(Time t, Action action, int order = 0) {
-    const std::uint32_t slot = alloc_slot();
-    Slot& s = slots_[slot];
-    s.once = std::move(action);
-    s.is_periodic = false;
-    push_entry(Entry{t, order, slot, seq_++});
+    at_tagged(0, t, std::move(action), order);
   }
   /// Schedules `action` after a delay (>= 0) from now.
   void in(Time delay, Action action, int order = 0) {
-    at(now_ + delay, std::move(action), order);
+    at_tagged(0, now_ + delay, std::move(action), order);
   }
   /// Schedules `action` every `period` starting at now()+period, until it
   /// returns false or the run ends. The n-th firing is at now()+n*period
@@ -137,16 +133,7 @@ class Engine {
   /// The callable occupies one pooled slot for the stream's whole
   /// lifetime; firings re-arm the slot instead of re-capturing it.
   void every(Time period, std::function<bool()> action, int order = 0) {
-    const std::uint32_t slot = alloc_slot();
-    Slot& s = slots_[slot];
-    s.periodic = std::move(action);
-    s.is_periodic = true;
-    s.base = now_;
-    s.period = period;
-    s.n = 1;
-    s.order = order;
-    push_entry(Entry{s.base + static_cast<Time>(s.n) * s.period, order, slot,
-                     seq_++});
+    every_tagged(0, period, std::move(action), order);
   }
 
   // -- Tagged scheduling (sa::ckpt seam) ------------------------------------

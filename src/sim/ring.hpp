@@ -13,7 +13,6 @@
 // the newest. A capacity of 0 stores nothing.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <iterator>
 #include <stdexcept>
@@ -101,20 +100,6 @@ class Ring {
   [[nodiscard]] const_iterator begin() const { return {this, 0}; }
   [[nodiscard]] const_iterator end() const { return {this, buf_.size()}; }
 
-  /// Changes the capacity, keeping the newest min(cap, size()) items in
-  /// order.
-  void set_capacity(std::size_t cap) {
-    const std::size_t n = buf_.size();
-    std::vector<T> kept;
-    kept.reserve(std::min(cap, n));
-    for (std::size_t i = n - std::min(cap, n); i < n; ++i) {
-      const std::size_t j = head_ + i;
-      kept.push_back(std::move(buf_[j < n ? j : j - n]));
-    }
-    buf_ = std::move(kept);
-    head_ = 0;
-    cap_ = cap;
-  }
   void clear() noexcept {
     buf_.clear();
     head_ = 0;

@@ -228,12 +228,13 @@ TEST(Journal, ReplayMatchesLiveInjectionTrajectory) {
   schedule_replay(replay, entries, &replay_inj);
   replay.run_until(20.0);
 
-  const auto got = replay_inj.records();
-  const auto want = live_inj.records();
+  const auto& got = replay_inj.log();
+  const auto& want = live_inj.log();
   ASSERT_EQ(got.size(), want.size());
   ASSERT_FALSE(want.empty());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].t, want[i].t) << i;
+    EXPECT_EQ(got[i].surface, want[i].surface) << i;
     EXPECT_EQ(got[i].unit, want[i].unit) << i;
     EXPECT_EQ(got[i].until, want[i].until) << i;
     EXPECT_EQ(got[i].begin, want[i].begin) << i;

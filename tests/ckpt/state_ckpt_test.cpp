@@ -174,11 +174,11 @@ struct CountingSurface {
 };
 
 void expect_records_equal(const std::vector<fault::Injector::Record>& a,
-                          const std::vector<fault::Injector::Record>& b) {
+                          const sim::Ring<fault::Injector::Record>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].t, b[i].t) << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << i;
+    EXPECT_EQ(a[i].surface, b[i].surface) << i;
     EXPECT_EQ(a[i].unit, b[i].unit) << i;
     EXPECT_EQ(a[i].magnitude, b[i].magnitude) << i;
     EXPECT_EQ(a[i].until, b[i].until) << i;
@@ -218,7 +218,8 @@ TEST(StateCkpt, InjectorResumesTheExactFaultTrajectory) {
   const std::string inj_snap = a.injector_image();
   const std::string eng_snap = a.engine_image();
   a.engine.run_until(150.0);
-  const auto reference = a.injector.records();
+  const std::vector<fault::Injector::Record> reference(
+      a.injector.log().begin(), a.injector.log().end());
   ASSERT_FALSE(reference.empty());
 
   // Restore by replay: the same chains run to 60 attest byte for byte,
@@ -228,7 +229,7 @@ TEST(StateCkpt, InjectorResumesTheExactFaultTrajectory) {
   EXPECT_EQ(b.injector_image(), inj_snap);
   EXPECT_EQ(b.engine_image(), eng_snap);
   b.engine.run_until(150.0);
-  expect_records_equal(b.injector.records(), reference);
+  expect_records_equal(reference, b.injector.log());
 
   // A world whose plan armed a different chain set (two link-loss
   // processes instead of one) cannot attest against the checkpoint.

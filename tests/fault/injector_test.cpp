@@ -46,7 +46,7 @@ std::vector<Injector::Record> run_plan(const FaultPlan& plan, double horizon,
   inj.add_surface(surface.as_surface(FaultKind::LinkLoss, "test.link"));
   inj.bind(engine, plan);
   engine.run_until(horizon);
-  return inj.records();
+  return {inj.log().begin(), inj.log().end()};
 }
 
 TEST(Injector, TwoRunsProduceIdenticalRecords) {
@@ -58,7 +58,7 @@ TEST(Injector, TwoRunsProduceIdenticalRecords) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].t, b[i].t);
-    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].surface, b[i].surface);
     EXPECT_EQ(a[i].unit, b[i].unit);
     EXPECT_DOUBLE_EQ(a[i].magnitude, b[i].magnitude);
     EXPECT_DOUBLE_EQ(a[i].until, b[i].until);
@@ -91,7 +91,7 @@ TEST(Injector, EmptyPlanIsANoOp) {
   engine.run_until(1000.0);
   EXPECT_EQ(inj.injected(), 0u);
   EXPECT_EQ(inj.active(), 0u);
-  EXPECT_TRUE(inj.records().empty());
+  EXPECT_TRUE(inj.log().empty());
   EXPECT_TRUE(std::isinf(inj.last_onset()));
   for (const int d : surface.depth) EXPECT_EQ(d, 0);
 }
@@ -137,7 +137,7 @@ TEST(Injector, PermanentFaultsNeverRestore) {
   int held = 0;
   for (const int d : surface.depth) held += d;
   EXPECT_EQ(static_cast<std::size_t>(held), inj.injected());
-  for (const auto& rec : inj.records()) {
+  for (const auto& rec : inj.log()) {
     if (rec.begin) {
       EXPECT_TRUE(std::isinf(rec.until));
     }
@@ -164,26 +164,35 @@ TEST(Injector, LastOnsetTracksTheLatestBegin) {
   inj.bind(engine, FaultPlan::parse("link-loss:rate=0.3,dur=2,end=60;seed=8"));
   engine.run_until(200.0);
   double latest = -std::numeric_limits<double>::infinity();
-  for (const auto& rec : inj.records()) {
+  for (const auto& rec : inj.log()) {
     if (rec.begin) latest = std::max(latest, rec.t);
   }
   EXPECT_DOUBLE_EQ(inj.last_onset(), latest);
 }
 
 TEST(Injector, LogIsABoundedRingKeepingTheNewest) {
+  // A storm of ~10 records a second overflows the 4096-entry log.
   sim::Engine engine;
   Injector inj;
-  inj.set_log_capacity(8);
   CountingSurface surface(4);
   inj.add_surface(surface.as_surface(FaultKind::LinkLoss, "test.link"));
+  std::vector<Injector::Record> all;
+  inj.subscribe([&](const Injector::Record& rec, std::size_t) {
+    all.push_back(rec);
+  });
   inj.bind(engine, FaultPlan::parse("link-loss:rate=5,dur=0.5;seed=4"));
-  engine.run_until(200.0);
-  ASSERT_GT(inj.injected() + inj.restored(), 8u);  // storm overflowed it
-  const auto records = inj.records();
-  ASSERT_EQ(records.size(), 8u);
-  // Oldest first, and strictly the tail of the run.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LE(records[i - 1].t, records[i].t);
+  engine.run_until(1000.0);
+  const auto& log = inj.log();
+  ASSERT_EQ(log.capacity(), 4096u);
+  ASSERT_EQ(all.size(), inj.injected() + inj.restored());
+  ASSERT_GT(all.size(), log.capacity());  // storm overflowed it
+  ASSERT_EQ(log.size(), log.capacity());
+  // Oldest first, and exactly the tail of the run.
+  const std::size_t first = all.size() - log.size();
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].t, all[first + i].t) << i;
+    EXPECT_EQ(log[i].unit, all[first + i].unit) << i;
+    EXPECT_EQ(log[i].begin, all[first + i].begin) << i;
   }
 }
 
@@ -215,6 +224,35 @@ TEST(Injector, TelemetryGetsOneFailurePerOnset) {
   engine.run_until(100.0);
   ASSERT_GT(inj.injected(), 0u);
   EXPECT_EQ(bus.count(sim::TelemetryBus::kFailure), inj.injected());
+}
+
+TEST(Injector, RecordsNameTheirSurfaceByIndex) {
+  // Planned chains on the two link surfaces and an operator fault on the
+  // core surface: each record holds the index of the surface it hit.
+  sim::Engine engine;
+  Injector inj;
+  CountingSurface links_a(2), cores(2), links_b(2);
+  inj.add_surface(links_a.as_surface(FaultKind::LinkLoss, "a"));
+  inj.add_surface(cores.as_surface(FaultKind::CoreFail, "b"));
+  inj.add_surface(links_b.as_surface(FaultKind::LinkLoss, "c"));
+  inj.bind(engine, FaultPlan::parse("link-loss:rate=0.5,dur=1;seed=7"));
+  engine.at(5.0, [&] {
+    EXPECT_TRUE(inj.inject_now(engine, FaultKind::CoreFail, 3, 1.0, 2.0));
+  });
+  engine.run_until(20.0);
+  std::vector<std::size_t> hits(inj.surfaces(), 0);
+  for (const auto& rec : inj.log()) {
+    ASSERT_LT(rec.surface, inj.surfaces());
+    ++hits[rec.surface];
+    if (rec.surface == 1) {
+      EXPECT_EQ(rec.t, rec.begin ? 5.0 : 7.0);
+      EXPECT_EQ(rec.unit, 1u);  // 3 wraps onto the surface's 2 units
+    }
+  }
+  EXPECT_GT(hits[0], 0u);
+  EXPECT_EQ(hits[1], 2u);  // the operator fault's onset and restore
+  EXPECT_GT(hits[2], 0u);
+  EXPECT_EQ(cores.depth[1], 0);
 }
 
 TEST(Injector, BurstinessClustersOnsets) {

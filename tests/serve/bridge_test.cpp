@@ -349,7 +349,8 @@ TEST(SimBridge, ControlFormValuesArePercentDecoded) {
             202);
   engine.run_until(0.2);
   ASSERT_EQ(inj.injected(), 1u);
-  EXPECT_EQ(inj.records().front().kind, fault::FaultKind::CoreFail);
+  EXPECT_EQ(inj.surface(inj.log().front().surface).kind,
+            fault::FaultKind::CoreFail);
 
   // A malformed escape never reaches the injector as a mangled kind.
   EXPECT_EQ(client::status_of(client::http_post(

@@ -51,10 +51,6 @@ TEST(Ring, RandomOperationsMatchDequeModel) {
         model.push_back(v);
         if (model.size() > cap) model.pop_front();
         r.push(std::move(v));
-      } else if (op < 19) {
-        cap = rng.below(8);
-        r.set_capacity(cap);
-        while (model.size() > cap) model.pop_front();
       } else {
         r.clear();
         model.clear();
@@ -80,26 +76,6 @@ TEST(Ring, OverwritesOldestOnceFull) {
   EXPECT_EQ(contents(r), (std::vector<int>{4, 5, 6}));
   EXPECT_EQ(r.front(), 4);
   EXPECT_EQ(r.back(), 6);
-}
-
-TEST(Ring, ShrinkKeepsNewestInOrder) {
-  Ring<int> r(5);
-  for (int i = 0; i < 8; ++i) r.push(i);  // wrapped: 3 4 5 6 7
-  r.set_capacity(2);
-  EXPECT_EQ(contents(r), (std::vector<int>{6, 7}));
-  r.push(8);
-  EXPECT_EQ(contents(r), (std::vector<int>{7, 8}));
-}
-
-TEST(Ring, GrowKeepsEverything) {
-  Ring<int> r(3);
-  for (int i = 0; i < 5; ++i) r.push(i);  // wrapped: 2 3 4
-  r.set_capacity(5);
-  r.push(5);
-  r.push(6);
-  EXPECT_EQ(contents(r), (std::vector<int>{2, 3, 4, 5, 6}));
-  r.push(7);
-  EXPECT_EQ(contents(r), (std::vector<int>{3, 4, 5, 6, 7}));
 }
 
 TEST(Ring, IterationMatchesIndexing) {
