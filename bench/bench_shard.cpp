@@ -9,19 +9,23 @@
 // the same world across N engine shards with the conservative barrier
 // protocol. The trajectory is byte-identical for every row, so the
 // substrate metrics double as a built-in correctness check (the bench
-// fails if any row disagrees); the wall_ms and lag_s columns carry the
-// scaling story. Both are clock-derived, so the BENCH document keeps them
-// under `measured` (each cell's wall time and lag), never among the
-// compared metrics: two runs of one build give documents bench_diff.py
-// calls equal.
+// fails if any row disagrees); the wall_ms, build_s, run_s, teardown_s
+// and lag_s columns carry the scaling story. All are clock-derived, so the
+// BENCH document keeps them under `measured` (each cell's wall time, its
+// build/run/teardown phases and its lag), never among the compared
+// metrics: two runs of one build give documents bench_diff.py calls
+// equal.
 // The rows run one at a time (--jobs is pinned to 1), so each wall time
 // is measured without the other rows competing for cores. The rows are
 // the shard counts, so --shards is pinned to 1 as well. --scenario SPEC
 // swaps in any other generated world.
+#include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,16 +55,42 @@ std::string big_city_spec() {
          "faults";
 }
 
+/// Wall seconds since `t0`.
+double since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Builds, runs and destroys one world, timing each phase.
 exp::TaskOutput run_cell(const gen::ScenarioSpec& spec, std::size_t shards,
                          const exp::TaskContext& ctx) {
-  shard::ShardedWorld world(
-      spec, ctx.seed,
-      {.shards = shards, .scenario = {.telemetry = ctx.telemetry}});
-  world.run();
   exp::TaskOutput out;
-  out.metrics = world.world().summary();
-  out.measured.emplace_back("lag_seconds", world.lag_seconds());
+  auto t0 = std::chrono::steady_clock::now();
+  auto world = std::make_unique<shard::ShardedWorld>(
+      spec, ctx.seed,
+      shard::ShardedWorld::Options{.shards = shards,
+                                   .scenario = {.telemetry = ctx.telemetry}});
+  const double build_s = since(t0);
+  t0 = std::chrono::steady_clock::now();
+  world->run();
+  const double run_s = since(t0);
+  out.metrics = world->world().summary();
+  const double lag_s = world->lag_seconds();
+  t0 = std::chrono::steady_clock::now();
+  world.reset();
+  out.measured = {{"build_s", build_s},
+                  {"run_s", run_s},
+                  {"teardown_s", since(t0)},
+                  {"lag_seconds", lag_s}};
   return out;
+}
+
+/// A cell's measured value `name` (0 when the cell reported none).
+double measured(const exp::TaskResult& c, std::string_view name) {
+  for (const auto& [key, value] : c.measured) {
+    if (key == name) return value;
+  }
+  return 0.0;
 }
 
 /// True when every metric is bit-equal across all variants for every seed.
@@ -115,20 +145,28 @@ int main(int argc, char** argv) {
 
   sim::Table t("shard  scaling: one city, N engine shards",
                {"config", "goal", "coverage", "delivery", "wall_ms",
-                "speedup", "lag_s"});
-  // Means over each variant's cells. A cell's wall time includes building
-  // and tearing down its world; its one measured value is the lag.
-  std::vector<double> wall_ms(r.variants.size()), lag_s(r.variants.size());
+                "speedup", "build_s", "run_s", "teardown_s", "lag_s"});
+  // Means over each variant's cells. A cell's wall time spans building,
+  // running and tearing down its world; the phases split it.
+  const std::vector<std::string_view> phases{"build_s", "run_s",
+                                             "teardown_s", "lag_seconds"};
+  std::vector<double> wall_ms(r.variants.size());
+  std::vector<std::vector<double>> phase_s(
+      r.variants.size(), std::vector<double>(phases.size()));
   const double cells = static_cast<double>(r.seeds.size());
   for (const exp::TaskResult& c : r.tasks) {
     wall_ms[c.variant] += 1e3 * c.wall_s / cells;
-    if (!c.measured.empty()) lag_s[c.variant] += c.measured[0].second / cells;
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+      phase_s[c.variant][p] += measured(c, phases[p]) / cells;
+    }
   }
   for (std::size_t v = 0; v < r.variants.size(); ++v) {
     const double wall = wall_ms[v];
+    const std::vector<double>& ph = phase_s[v];
     t.add_row({r.variants[v], r.mean(v, "goal"), r.mean(v, "coverage"),
                r.mean(v, "cpn_delivery"), wall,
-               wall > 0.0 ? wall_ms[0] / wall : 0.0, lag_s[v]});
+               wall > 0.0 ? wall_ms[0] / wall : 0.0, ph[0], ph[1], ph[2],
+               ph[3]});
   }
   t.print(std::cout);
 

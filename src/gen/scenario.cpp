@@ -40,11 +40,42 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t run_seed,
   // instants the engine breaks order ties by registration sequence, so
   // build steps always run in this fixed order — cameras (world steps,
   // injections into the CPN happen inside these), then CPN (traffic
-  // before transit), then the coupling windows, then the control loops.
-  build_cameras();
-  build_cpn();
+  // before transit), then the cloud, then the edge nodes, then the
+  // coupling windows, then the control loops. Each shard builds its own
+  // units in that order restricted to them, so every engine sees the same
+  // schedule sequence at any shard count; no unit draws from a stream
+  // another unit's build advances.
+  const std::size_t D = spec_.cameras.enabled ? spec_.cameras.districts : 0;
+  const std::size_t G = spec_.cpn.enabled ? spec_.cpn.grids : 0;
+  const std::size_t N = spec_.multicore.enabled ? spec_.multicore.nodes : 0;
+  pending_.assign(D, 0.0);
+  camnets_.resize(D);
+  fleets_.resize(D);
+  cpnnets_.resize(G);
+  traffics_.resize(G);
+  gateways_.resize(G);
+  backend_nodes_.resize(G);
+  if (N != 0) workloads_ = spec_.expand_workloads(seed_);
+  platforms_.resize(N);
+  managers_.resize(N);
+  // Gateway/backend choices come from the coupling stream, not the
+  // topology seed, so re-routing knobs never reshuffle the coupling
+  // itself (fork never advances the parent).
+  const sim::Rng gwbase = couple_rng_.fork("gateways");
+  for_each_shard([&](std::size_t s) {
+    for (std::size_t d = 0; d < D; ++d) {
+      if (district_shard(d) == s) build_district(d);
+    }
+    for (std::size_t g = 0; g < G; ++g) {
+      if (grid_shard(g) == s) build_grid(g, gwbase);
+    }
+  });
   build_cloud();
-  build_edge();
+  for_each_shard([&](std::size_t s) {
+    for (std::size_t i = 0; i < N; ++i) {
+      if (edge_shard(i) == s) build_edge_node(i);
+    }
+  });
   wire_couplings();
 
   if (opts_.self_aware && spec_.world.exchange_s > 0.0) {
@@ -59,102 +90,123 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t run_seed,
   wire_faults();
 }
 
-Scenario::~Scenario() = default;
+Scenario::~Scenario() {
+  // The ladders watch the managers' agents, so they go first; then every
+  // shard frees its own units on the thread that built them.
+  degradations_.clear();
+  for_each_shard([this](std::size_t s) { free_units(s); });
+}
 
-void Scenario::build_cameras() {
-  if (!spec_.cameras.enabled) return;
-  const std::size_t D = spec_.cameras.districts;
-  pending_.assign(D, 0.0);
-  for (std::size_t d = 0; d < D; ++d) {
-    svc::NetworkParams np;
-    np.objects = spec_.cameras.objects;
-    np.speed = spec_.cameras.speed;
-    np.seed = sim::mix64(seed_ ^ 0x5CA3'0001ULL ^ replica_salt(d));
-    auto camnet = std::make_unique<svc::Network>(
-        spec_.expand_cameras(seed_, d), np);
-    camnet->set_telemetry(shard_telemetry());
-
-    svc::CameraFleet::Params fp;
-    fp.mode = opts_.self_aware ? svc::CameraFleet::Mode::Learning
-                               : svc::CameraFleet::Mode::Homogeneous;
-    fp.fixed = svc::Strategy::Broadcast;
-    fp.epoch_steps = spec_.cameras.epoch_steps;
-    fp.seed = sim::mix64(seed_ ^ 0x5CA3'0002ULL ^ replica_salt(d));
-    fp.telemetry = shard_telemetry();
-    fp.tracer = shard_tracer();
-    auto fleet = std::make_unique<svc::CameraFleet>(*camnet, fp);
-    sim::Engine* eng = &district_engine(d);
-    svc::Network* net = camnet.get();
-    fleet->bind(*eng, spec_.world.step_s,
-                [this, d, eng, net](const svc::NetworkEpoch& ep) {
-                  // cameras -> cpn: tracked objects this epoch become
-                  // backend-bound report packets (injected at the next
-                  // coupling window; see wire_couplings).
-                  const double amount =
-                      ep.coverage * static_cast<double>(net->objects());
-                  if (opts_.placement != nullptr &&
-                      opts_.placement->post_reports) {
-                    // Off-coordinator district: route through the shard
-                    // mailbox so the coordinator applies posts in global
-                    // event order.
-                    opts_.placement->post_reports(d, eng->now(), amount);
-                  } else {
-                    pending_[d] += amount;
-                  }
-                });
-    camnets_.push_back(std::move(camnet));
-    fleets_.push_back(std::move(fleet));
+void Scenario::for_each_shard(
+    const std::function<void(std::size_t shard)>& job) {
+  if (opts_.placement != nullptr) {
+    opts_.placement->for_each_shard(job);
+  } else {
+    job(0);
   }
 }
 
-void Scenario::build_cpn() {
-  if (!spec_.cpn.enabled) return;
-  const std::size_t G = spec_.cpn.grids;
-  // Gateway/backend choices come from the coupling stream, not the
-  // topology seed, so re-routing knobs never reshuffle the coupling
-  // itself. Grid 0 reads the base fork exactly as a grids=1 section did;
-  // later grids fork by index (fork never advances the parent).
-  sim::Rng gwbase = couple_rng_.fork("gateways");
-  for (std::size_t g = 0; g < G; ++g) {
-    cpn::Topology topo = cpn::Topology::grid(
-        spec_.cpn.rows, spec_.cpn.cols, spec_.cpn.shortcuts,
-        sim::mix64(seed_ ^ 0xC9A0'0001ULL ^ replica_salt(g)));
-    cpn::PacketNetwork::Params np;
-    np.router = opts_.self_aware ? cpn::PacketNetwork::Router::QRouting
-                                 : cpn::PacketNetwork::Router::Static;
-    np.seed = sim::mix64(seed_ ^ 0xC9A0'0002ULL ^ replica_salt(g));
-    cpn::TrafficParams tp;
-    tp.flows = spec_.cpn.flows;
-    tp.legit_rate = spec_.cpn.rate;
-    tp.seed = sim::mix64(seed_ ^ 0xC9A0'0003ULL ^ replica_salt(g));
-
-    auto cpnnet = std::make_unique<cpn::PacketNetwork>(topo, np);
-    cpnnet->set_telemetry(shard_telemetry());
-    auto traffic =
-        std::make_unique<cpn::TrafficGenerator>(cpnnet->topology(), tp);
-    // Injections before transit at every tick, as in the synchronous loop.
-    sim::Engine& eng = grid_engine(g);
-    traffic->bind(eng, *cpnnet, spec_.world.step_s);
-    cpnnet->bind(eng, spec_.world.step_s);
-
-    sim::Rng gw = g != 0 ? gwbase.fork(g) : gwbase;
-    const std::size_t n = cpnnet->topology().nodes();
-    std::vector<std::size_t> gates;
-    const auto backend = static_cast<std::size_t>(gw.below(n));
-    const std::size_t want = std::min<std::size_t>(3, n - 1);
-    while (gates.size() < want) {
-      const auto node = static_cast<std::size_t>(gw.below(n));
-      if (node == backend) continue;
-      if (std::find(gates.begin(), gates.end(), node) != gates.end()) {
-        continue;
-      }
-      gates.push_back(node);
-    }
-    backend_nodes_.push_back(backend);
-    gateways_.push_back(std::move(gates));
-    cpnnets_.push_back(std::move(cpnnet));
-    traffics_.push_back(std::move(traffic));
+void Scenario::free_units(std::size_t shard) {
+  for (std::size_t d = 0; d < fleets_.size(); ++d) {
+    if (district_shard(d) != shard) continue;
+    fleets_[d].reset();
+    camnets_[d].reset();
   }
+  for (std::size_t g = 0; g < cpnnets_.size(); ++g) {
+    if (grid_shard(g) != shard) continue;
+    traffics_[g].reset();
+    cpnnets_[g].reset();
+    std::vector<std::size_t>().swap(gateways_[g]);
+  }
+  for (std::size_t i = 0; i < managers_.size(); ++i) {
+    if (edge_shard(i) != shard) continue;
+    managers_[i].reset();
+    platforms_[i].reset();
+  }
+}
+
+void Scenario::build_district(std::size_t d) {
+  svc::NetworkParams np;
+  np.objects = spec_.cameras.objects;
+  np.speed = spec_.cameras.speed;
+  np.seed = sim::mix64(seed_ ^ 0x5CA3'0001ULL ^ replica_salt(d));
+  auto camnet =
+      std::make_unique<svc::Network>(spec_.expand_cameras(seed_, d), np);
+  camnet->set_telemetry(shard_telemetry());
+
+  svc::CameraFleet::Params fp;
+  fp.mode = opts_.self_aware ? svc::CameraFleet::Mode::Learning
+                             : svc::CameraFleet::Mode::Homogeneous;
+  fp.fixed = svc::Strategy::Broadcast;
+  fp.epoch_steps = spec_.cameras.epoch_steps;
+  fp.seed = sim::mix64(seed_ ^ 0x5CA3'0002ULL ^ replica_salt(d));
+  fp.telemetry = shard_telemetry();
+  fp.tracer = shard_tracer();
+  auto fleet = std::make_unique<svc::CameraFleet>(*camnet, fp);
+  sim::Engine* eng = &shard_engine(district_shard(d));
+  svc::Network* net = camnet.get();
+  fleet->bind(*eng, spec_.world.step_s,
+              [this, d, eng, net](const svc::NetworkEpoch& ep) {
+                // cameras -> cpn: tracked objects this epoch become
+                // backend-bound report packets (injected at the next
+                // coupling window; see wire_couplings).
+                const double amount =
+                    ep.coverage * static_cast<double>(net->objects());
+                if (opts_.placement != nullptr &&
+                    opts_.placement->post_reports) {
+                  // Off-coordinator district: route through the shard
+                  // mailbox so the coordinator applies posts in global
+                  // event order.
+                  opts_.placement->post_reports(d, eng->now(), amount);
+                } else {
+                  pending_[d] += amount;
+                }
+              });
+  camnets_[d] = std::move(camnet);
+  fleets_[d] = std::move(fleet);
+}
+
+void Scenario::build_grid(std::size_t g, const sim::Rng& gwbase) {
+  cpn::Topology topo = cpn::Topology::grid(
+      spec_.cpn.rows, spec_.cpn.cols, spec_.cpn.shortcuts,
+      sim::mix64(seed_ ^ 0xC9A0'0001ULL ^ replica_salt(g)));
+  cpn::PacketNetwork::Params np;
+  np.router = opts_.self_aware ? cpn::PacketNetwork::Router::QRouting
+                               : cpn::PacketNetwork::Router::Static;
+  np.seed = sim::mix64(seed_ ^ 0xC9A0'0002ULL ^ replica_salt(g));
+  cpn::TrafficParams tp;
+  tp.flows = spec_.cpn.flows;
+  tp.legit_rate = spec_.cpn.rate;
+  tp.seed = sim::mix64(seed_ ^ 0xC9A0'0003ULL ^ replica_salt(g));
+
+  auto cpnnet = std::make_unique<cpn::PacketNetwork>(topo, np);
+  cpnnet->set_telemetry(shard_telemetry());
+  auto traffic =
+      std::make_unique<cpn::TrafficGenerator>(cpnnet->topology(), tp);
+  // Injections before transit at every tick, as in the synchronous loop.
+  sim::Engine& eng = shard_engine(grid_shard(g));
+  traffic->bind(eng, *cpnnet, spec_.world.step_s);
+  cpnnet->bind(eng, spec_.world.step_s);
+
+  // Grid 0 reads the base fork exactly as a grids=1 section did; later
+  // grids fork by index.
+  sim::Rng gw = g != 0 ? gwbase.fork(g) : gwbase;
+  const std::size_t n = cpnnet->topology().nodes();
+  std::vector<std::size_t> gates;
+  const auto backend = static_cast<std::size_t>(gw.below(n));
+  const std::size_t want = std::min<std::size_t>(3, n - 1);
+  while (gates.size() < want) {
+    const auto node = static_cast<std::size_t>(gw.below(n));
+    if (node == backend) continue;
+    if (std::find(gates.begin(), gates.end(), node) != gates.end()) {
+      continue;
+    }
+    gates.push_back(node);
+  }
+  backend_nodes_[g] = backend;
+  gateways_[g] = std::move(gates);
+  cpnnets_[g] = std::move(cpnnet);
+  traffics_[g] = std::move(traffic);
 }
 
 void Scenario::build_cloud() {
@@ -197,30 +249,26 @@ void Scenario::build_cloud() {
   });
 }
 
-void Scenario::build_edge() {
-  if (!spec_.multicore.enabled) return;
-  workloads_ = spec_.expand_workloads(seed_);
-  for (std::size_t i = 0; i < spec_.multicore.nodes; ++i) {
-    auto platform = std::make_unique<multicore::Platform>(
-        multicore::PlatformConfig::big_little(spec_.multicore.big,
-                                              spec_.multicore.little),
-        sim::mix64(seed_ ^ 0xED6E'0001ULL ^ (i << 8)));
-    const EdgeWorkload& w = workloads_[i];
-    platform->set_workload(w.rate, w.work, w.deadline);
+void Scenario::build_edge_node(std::size_t i) {
+  auto platform = std::make_unique<multicore::Platform>(
+      multicore::PlatformConfig::big_little(spec_.multicore.big,
+                                            spec_.multicore.little),
+      sim::mix64(seed_ ^ 0xED6E'0001ULL ^ (i << 8)));
+  const EdgeWorkload& w = workloads_[i];
+  platform->set_workload(w.rate, w.work, w.deadline);
 
-    multicore::Manager::Params mp;
-    mp.variant = opts_.self_aware ? multicore::Manager::Variant::SelfAware
-                                  : multicore::Manager::Variant::Static;
-    mp.epoch_s = spec_.multicore.epoch_s;
-    mp.seed = sim::mix64(seed_ ^ 0xED6E'0002ULL ^ (i << 8));
-    mp.telemetry = shard_telemetry();
-    mp.tracer = shard_tracer();
-    auto manager = std::make_unique<multicore::Manager>(*platform, mp);
-    manager->bind(edge_engine(i), spec_.multicore.epoch_s);
+  multicore::Manager::Params mp;
+  mp.variant = opts_.self_aware ? multicore::Manager::Variant::SelfAware
+                                : multicore::Manager::Variant::Static;
+  mp.epoch_s = spec_.multicore.epoch_s;
+  mp.seed = sim::mix64(seed_ ^ 0xED6E'0002ULL ^ (i << 8));
+  mp.telemetry = shard_telemetry();
+  mp.tracer = shard_tracer();
+  auto manager = std::make_unique<multicore::Manager>(*platform, mp);
+  manager->bind(shard_engine(edge_shard(i)), spec_.multicore.epoch_s);
 
-    platforms_.push_back(std::move(platform));
-    managers_.push_back(std::move(manager));
-  }
+  platforms_[i] = std::move(platform);
+  managers_[i] = std::move(manager);
 }
 
 void Scenario::wire_couplings() {
@@ -310,7 +358,7 @@ void Scenario::wire_faults() {
           managers_[i]->agent(), dp));
       runtime_.schedule_degradation(*degradations_.back(),
                                     spec_.multicore.epoch_s,
-                                    &edge_engine(i));
+                                    &shard_engine(edge_shard(i)));
     }
   }
   injector_.bind(engine_, plan_);

@@ -24,9 +24,10 @@
 // independent fleets and cpn.grids replicates the packet network into G
 // independent city-block grids (district d couples into grid d mod G).
 // With Options::placement set (sa::shard), each district/grid/edge node
-// is built on a caller-chosen engine instead of the scenario's own; the
-// scenario's engine then acts as the *coordinator*, hosting everything
-// that couples units — coupling windows, cloud, exchange, faults.
+// is hosted by a caller-chosen shard engine instead of the scenario's own,
+// and is built and freed on that shard's thread; the scenario's engine
+// then acts as the *coordinator*, hosting everything that couples units —
+// coupling windows, cloud, exchange, faults — built on the calling thread.
 #pragma once
 
 #include <cstddef>
@@ -73,22 +74,30 @@ class Scenario {
     sim::Tracer* tracer = nullptr;
     sim::MetricsRegistry* metrics = nullptr;
 
-    /// Sharded placement (sa::shard): which engine hosts each camera
-    /// district, CPN grid and edge node. Null = everything on the
-    /// scenario's own engine. When set, shard-owned components are built
-    /// *without* telemetry/tracer hooks (they execute off the
-    /// coordinator thread); coordinator-owned components — cloud,
+    /// Sharded placement (sa::shard): which shard hosts each camera
+    /// district, CPN grid and edge node, and the shard's engine. Null =
+    /// everything on the scenario's own engine. When set, shard-owned
+    /// components are built *without* telemetry/tracer hooks (they execute
+    /// off the coordinator thread); coordinator-owned components — cloud,
     /// couplings, exchange, faults — keep them.
     struct Placement {
-      std::vector<sim::Engine*> district_engines;  ///< size >= cameras.districts
-      std::vector<sim::Engine*> grid_engines;      ///< size >= cpn.grids
-      std::vector<sim::Engine*> edge_engines;      ///< size >= multicore.nodes
+      std::vector<sim::Engine*> engines;        ///< one per shard
+      std::vector<std::size_t> district_shard;  ///< size >= cameras.districts
+      std::vector<std::size_t> grid_shard;      ///< size >= cpn.grids
+      std::vector<std::size_t> edge_shard;      ///< size >= multicore.nodes
       /// Called on the owning shard's thread when district `district`'s
       /// camera epoch emits `amount` pending reports at sim time `t`.
       /// The coordinator re-applies the posts in the global event order
       /// via apply_pending() before its next event executes.
       std::function<void(std::size_t district, double t, double amount)>
           post_reports;
+      /// Runs `job(s)` once for every shard s, on the thread that runs
+      /// shard s's engine, and returns when every call has returned
+      /// (rethrowing an exception one of them threw). The scenario builds
+      /// and frees each shard's units through it, so a unit's memory is
+      /// allocated and released by the thread that owns it.
+      std::function<void(const std::function<void(std::size_t shard)>& job)>
+          for_each_shard;
     };
     const Placement* placement = nullptr;
   };
@@ -165,26 +174,38 @@ class Scenario {
   [[nodiscard]] std::vector<std::pair<std::string, double>> summary() const;
 
  private:
-  void build_edge();
-  void build_cameras();
+  // Per-unit builders: each writes its own presized slots and schedules
+  // only on its unit's engine, so units of different shards build in
+  // parallel. free_units(s) releases shard s's units.
+  void build_district(std::size_t d);
+  void build_grid(std::size_t g, const sim::Rng& gwbase);
+  void build_edge_node(std::size_t i);
+  void free_units(std::size_t shard);
   void build_cloud();
-  void build_cpn();
   void wire_couplings();
   void wire_faults();
 
-  // Placement-aware engine routing: which engine hosts a given unit.
-  // Without a placement these all collapse to the scenario's own engine,
-  // so the monolithic path is bit-for-bit the pre-placement wiring.
-  [[nodiscard]] sim::Engine& district_engine(std::size_t d) {
-    return opts_.placement != nullptr ? *opts_.placement->district_engines[d]
-                                      : engine_;
+  /// Runs `job(s)` for every shard s on its own thread (the placement's
+  /// for_each_shard); without a placement, `job(0)` inline — one shard
+  /// that owns every unit.
+  void for_each_shard(const std::function<void(std::size_t shard)>& job);
+
+  // Placement-aware routing: which shard, and which engine, hosts a given
+  // unit. Without a placement every unit is shard 0's on the scenario's
+  // own engine, so the monolithic path is bit-for-bit the pre-placement
+  // wiring.
+  [[nodiscard]] std::size_t district_shard(std::size_t d) const {
+    return opts_.placement != nullptr ? opts_.placement->district_shard[d]
+                                      : 0;
   }
-  [[nodiscard]] sim::Engine& grid_engine(std::size_t g) {
-    return opts_.placement != nullptr ? *opts_.placement->grid_engines[g]
-                                      : engine_;
+  [[nodiscard]] std::size_t grid_shard(std::size_t g) const {
+    return opts_.placement != nullptr ? opts_.placement->grid_shard[g] : 0;
   }
-  [[nodiscard]] sim::Engine& edge_engine(std::size_t i) {
-    return opts_.placement != nullptr ? *opts_.placement->edge_engines[i]
+  [[nodiscard]] std::size_t edge_shard(std::size_t i) const {
+    return opts_.placement != nullptr ? opts_.placement->edge_shard[i] : 0;
+  }
+  [[nodiscard]] sim::Engine& shard_engine(std::size_t shard) {
+    return opts_.placement != nullptr ? *opts_.placement->engines[shard]
                                       : engine_;
   }
   // Shard-owned components run off the coordinator thread when a

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -10,8 +12,9 @@ namespace sa::shard {
 
 /// One thread per shard, parked on a generation-counted barrier. The
 /// coordinator publishes a Job and bumps the generation; every worker
-/// drives its own engine to the job's bound and reports done. All engine
-/// access is ordered by the pool mutex (release before work, acquire
+/// either runs the job's task for its shard (build and teardown) or drives
+/// its own engine to the job's bound, and reports done. All engine and
+/// unit access is ordered by the pool mutex (release before work, acquire
 /// after), so the shard suites run clean under TSan by construction.
 struct ShardedWorld::Pool {
   std::mutex m;
@@ -20,6 +23,7 @@ struct ShardedWorld::Pool {
   std::uint64_t generation = 0;
   std::size_t done = 0;
   bool stop = false;
+  std::exception_ptr error;  ///< the first exception a task threw
   std::vector<std::thread> threads;
 };
 
@@ -71,20 +75,11 @@ ShardedWorld::ShardedWorld(const gen::ScenarioSpec& spec,
   for (std::size_t s = 0; s < opts.shards; ++s) {
     shard_engines_.push_back(std::make_unique<sim::Engine>());
     outboxes_.push_back(std::make_unique<Outbox>());
+    placement_.engines.push_back(shard_engines_.back().get());
   }
-
-  placement_.district_engines.reserve(part_.district_shard.size());
-  for (std::size_t shard : part_.district_shard) {
-    placement_.district_engines.push_back(shard_engines_[shard].get());
-  }
-  placement_.grid_engines.reserve(part_.grid_shard.size());
-  for (std::size_t shard : part_.grid_shard) {
-    placement_.grid_engines.push_back(shard_engines_[shard].get());
-  }
-  placement_.edge_engines.reserve(part_.edge_shard.size());
-  for (std::size_t shard : part_.edge_shard) {
-    placement_.edge_engines.push_back(shard_engines_[shard].get());
-  }
+  placement_.district_shard = part_.district_shard;
+  placement_.grid_shard = part_.grid_shard;
+  placement_.edge_shard = part_.edge_shard;
   placement_.post_reports = [this](std::size_t district, double t,
                                    double amount) {
     // Runs on the shard thread that owns `district`; its outbox is
@@ -92,21 +87,37 @@ ShardedWorld::ShardedWorld(const gen::ScenarioSpec& spec,
     outboxes_[part_.district_shard[district]]->post(
         t, /*order=*/0, /*origin=*/district, district, amount);
   };
+  placement_.for_each_shard =
+      [this](const std::function<void(std::size_t)>& task) {
+        on_each_shard(task);
+      };
 
   sopts.tracer = nullptr;   // shard-owned agents run off-thread: no tracer
   sopts.metrics = nullptr;  // ladder timings would be written off-thread
   sopts.placement = &placement_;
-  world_ = std::make_unique<gen::Scenario>(spec, run_seed, sopts);
-
+  // The pool starts first: each shard's units are built on its worker.
+  // A throw anywhere here must not reach joinable threads.
   pool_ = std::make_unique<Pool>();
-  pool_->threads.reserve(opts.shards);
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    pool_->threads.emplace_back([this, s] { worker_loop(s); });
+  try {
+    pool_->threads.reserve(opts.shards);
+    for (std::size_t s = 0; s < opts.shards; ++s) {
+      pool_->threads.emplace_back([this, s] { worker_loop(s); });
+    }
+    world_ = std::make_unique<gen::Scenario>(spec, run_seed, sopts);
+  } catch (...) {
+    stop_pool();
+    throw;
   }
 }
 
 ShardedWorld::~ShardedWorld() {
-  if (pool_ == nullptr) return;
+  // The Scenario frees each shard's units through the pool, so it goes
+  // before the pool stops.
+  world_.reset();
+  if (pool_ != nullptr) stop_pool();
+}
+
+void ShardedWorld::stop_pool() {
   {
     std::lock_guard<std::mutex> lock(pool_->m);
     pool_->stop = true;
@@ -125,11 +136,18 @@ void ShardedWorld::worker_loop(std::size_t shard) {
       pool_->work_cv.wait(lock, [&] {
         return pool_->stop || pool_->generation != seen;
       });
-      if (pool_->stop) return;
+      if (pool_->stop) break;
       seen = pool_->generation;
       job = pool_->job;
     }
-    if (job.before) {
+    if (job.task != nullptr) {
+      try {
+        (*job.task)(shard);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(pool_->m);
+        if (!pool_->error) pool_->error = std::current_exception();
+      }
+    } else if (job.before) {
       engine.run_until_before(job.t, job.order);
     } else {
       engine.run_until(job.t);
@@ -140,10 +158,20 @@ void ShardedWorld::worker_loop(std::size_t shard) {
     }
     pool_->done_cv.notify_one();
   }
+  // The engine's slots and heap grew on this thread; free them here too.
+  shard_engines_[shard].reset();
 }
 
-void ShardedWorld::release_and_wait(const Job& job) {
-  const auto wall0 = std::chrono::steady_clock::now();
+void ShardedWorld::on_each_shard(
+    const std::function<void(std::size_t)>& task) {
+  Job job;
+  job.task = &task;
+  dispatch(job);
+  // Every worker is parked again, so the error is the caller's to read.
+  if (pool_->error) std::rethrow_exception(std::exchange(pool_->error, {}));
+}
+
+void ShardedWorld::dispatch(const Job& job) {
   {
     std::lock_guard<std::mutex> lock(pool_->m);
     pool_->job = job;
@@ -151,11 +179,14 @@ void ShardedWorld::release_and_wait(const Job& job) {
     ++pool_->generation;
   }
   pool_->work_cv.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(pool_->m);
-    pool_->done_cv.wait(lock,
-                        [&] { return pool_->done == pool_->threads.size(); });
-  }
+  std::unique_lock<std::mutex> lock(pool_->m);
+  pool_->done_cv.wait(lock,
+                      [&] { return pool_->done == pool_->threads.size(); });
+}
+
+void ShardedWorld::release_and_wait(const Job& job) {
+  const auto wall0 = std::chrono::steady_clock::now();
+  dispatch(job);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall0;
   lag_seconds_ += wall.count();

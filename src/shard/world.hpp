@@ -17,6 +17,29 @@
 // events therefore never read or write another shard's state, and every
 // cross-shard interaction executes on the coordinator.
 //
+// Build and teardown (N > 1). The worker pool starts before the Scenario
+// exists. Each shard's camera districts, CPN grids and edge nodes are
+// built on that shard's worker (Placement::for_each_shard), in the global
+// build order restricted to them: districts, then grids, then edge nodes.
+// The coordinator-owned parts — cloud, couplings, exchange, injector and
+// the degradation ladders — are built on the calling thread after the
+// workers finish. No unit draws from a stream another unit's build
+// advances (district seeds are mix64(seed ^ salt ^ replica_salt(d)), and a
+// grid's gateways come from gwbase.fork(g), which never advances its
+// parent), so every engine, shard or coordinator, sees the same schedule
+// sequence as the one-engine build. The destructor frees the Scenario
+// first — ladders on the calling thread, then each shard's units on its
+// worker — and only then stops the pool; each worker frees its own engine
+// as it exits. Building and freeing on one thread matters: glibc malloc
+// gives each thread its own arena, and frees of one arena's blocks
+// serialize on that arena's lock. With units built on the coordinator,
+// freeing them on two workers took each worker about the whole serial
+// time (62–74 ms on perfbench metro), and a 4-shard full-scale teardown
+// was slower than an unsharded one. A throw during construction, on the
+// caller or inside a worker's build (carried across as an exception_ptr),
+// stops and joins the pool and reaches the caller. The build barrier is
+// not a simulation barrier, so lag_seconds() does not count it.
+//
 // Protocol (conservative, lookahead-windowed). The gap to the
 // coordinator's next event (t, o) is the lookahead window: every shard
 // may safely advance through all events strictly before (t, o) because no
@@ -60,6 +83,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -90,10 +114,11 @@ class ShardedWorld {
   };
 
   /// Validates and builds the world. With one shard that is the plain
-  /// Scenario; with more it partitions the units across the shard engines
-  /// and starts one worker thread per shard. Throws ShardError on specs
-  /// whose sharded execution could not be proven byte-identical (see
-  /// validate()), std::invalid_argument on spec expansion errors.
+  /// Scenario; with more it partitions the units across the shard engines,
+  /// starts one worker thread per shard and builds each shard's units on
+  /// its worker. Throws ShardError on specs whose sharded execution could
+  /// not be proven byte-identical (see validate()), std::invalid_argument
+  /// on spec expansion errors; no thread outlives a throw.
   ShardedWorld(const gen::ScenarioSpec& spec, std::uint64_t run_seed,
                Options opts);
   ~ShardedWorld();
@@ -130,10 +155,20 @@ class ShardedWorld {
     double t = 0.0;
     int order = 0;
     bool before = false;  ///< true: run_until_before(t, order); else run_until(t)
+    /// Set: run (*task)(shard) instead of advancing the engine (build and
+    /// teardown; see Placement::for_each_shard).
+    const std::function<void(std::size_t)>* task = nullptr;
   };
 
   void pump(double horizon);
+  /// Publishes `job` to every worker and waits until all have done it.
+  void dispatch(const Job& job);
+  /// dispatch(), with the wait charged to lag_seconds().
   void release_and_wait(const Job& job);
+  /// Runs `task(s)` on each shard s's worker; rethrows a task's exception
+  /// on the calling thread once every worker has finished.
+  void on_each_shard(const std::function<void(std::size_t)>& task);
+  void stop_pool();
   void apply_mailboxes();
   void worker_loop(std::size_t shard);
 

@@ -74,11 +74,11 @@ class Rng {
   }
 
   /// Derives an independent generator; `tag` distinguishes sibling streams.
-  [[nodiscard]] Rng fork(std::uint64_t tag) noexcept {
+  [[nodiscard]] Rng fork(std::uint64_t tag) const noexcept {
     return Rng{mix64(s_[0] ^ mix64(tag ^ 0xc0113c7153a7eULL))};
   }
   /// Convenience: fork keyed by a short string (e.g. component name).
-  [[nodiscard]] Rng fork(std::string_view tag) noexcept {
+  [[nodiscard]] Rng fork(std::string_view tag) const noexcept {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (char c : tag) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
     return fork(h);

@@ -1,12 +1,15 @@
 // ShardedWorld contract tests (sa::shard): typed validation errors,
 // byte-identical trajectories at every shard count, the one-shard world
 // as the plain Scenario run with every seam, degenerate shapes (empty
-// shards, cloud-only worlds), and resumable runs.
+// shards, cloud-only worlds), resumable runs, and the worker-side build
+// and teardown lifecycle (a throwing build, a world never run, a world
+// destroyed mid-horizon).
 #include "shard/world.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -207,6 +210,72 @@ TEST(ShardedWorld, PartitionExposedAndSizedBySpec) {
   EXPECT_EQ(world.partition().district_shard.size(), 3u);
   EXPECT_EQ(world.partition().grid_shard.size(), 3u);
   EXPECT_EQ(world.partition().edge_shard.size(), 3u);
+}
+
+TEST(ShardedWorldLifecycle, ThrowingBuildStopsThePoolAndRethrows) {
+  // No substrate section: the Scenario constructor throws after the pool
+  // started. The pool must be joined and the error reach the caller, as
+  // it does at one shard.
+  const auto spec = gen::ScenarioSpec::parse("world:horizon=10");
+  EXPECT_THROW(shard::ShardedWorld(spec, 1, opts_for(1)),
+               std::invalid_argument);
+  for (const std::size_t shards : {2u, 4u}) {
+    EXPECT_THROW(shard::ShardedWorld(spec, 1, opts_for(shards)),
+                 std::invalid_argument)
+        << shards;
+  }
+}
+
+TEST(ShardedWorldLifecycle, WorkerBuildErrorReachesTheCaller) {
+  // A district whose camera count no vector can hold: its build throws
+  // std::length_error on the worker that owns it. The exception crosses to
+  // the caller after every worker finished, and the pool is joined.
+  const auto spec = gen::ScenarioSpec::parse(
+      "world:horizon=10;multicore:nodes=2;"
+      "cameras:count=18446744073709551615,districts=2");
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    EXPECT_THROW(shard::ShardedWorld(spec, 1, opts_for(shards)),
+                 std::length_error)
+        << shards;
+  }
+}
+
+TEST(ShardedWorldLifecycle, BuiltAndDestroyedWithoutRunning) {
+  const auto spec = gen::ScenarioSpec::parse(kReplicatedSpec);
+  for (const std::size_t shards : {2u, 4u}) {
+    shard::ShardedWorld world(spec, 49, opts_for(shards));
+    EXPECT_EQ(world.world().districts(), 3u) << shards;
+    EXPECT_EQ(world.world().grids(), 3u) << shards;
+    EXPECT_EQ(world.world().edge_nodes(), 3u) << shards;
+    std::uint64_t events = 0;
+    for (const std::uint64_t e : world.shard_events()) events += e;
+    EXPECT_EQ(events, 0u) << shards;
+  }
+}
+
+TEST(ShardedWorldLifecycle, LagIsZeroRightAfterConstruction) {
+  // The build barrier is not a simulation barrier: it is not charged.
+  const auto spec = gen::ScenarioSpec::parse(kReplicatedSpec);
+  for (const std::size_t shards : {2u, 4u}) {
+    shard::ShardedWorld world(spec, 50, opts_for(shards));
+    EXPECT_EQ(world.lag_seconds(), 0.0) << shards;
+  }
+}
+
+TEST(ShardedWorldLifecycle, DestroyedHalfwayThroughTheHorizon) {
+  const auto spec = gen::ScenarioSpec::parse(kReplicatedSpec);
+  gen::Scenario ref(spec, 51);
+  ref.run_until(spec.world.horizon / 2);
+  for (const std::size_t shards : {2u, 4u}) {
+    shard::ShardedWorld world(spec, 51, opts_for(shards));
+    world.run_until(spec.world.horizon / 2);
+    EXPECT_GT(world.lag_seconds(), 0.0) << shards;
+    EXPECT_TRUE(support::byte_identical(
+        support::scenario_fingerprint(ref),
+        support::scenario_fingerprint(world.world()),
+        "Scenario vs sharded world at half the horizon"))
+        << shards;
+  }  // destroyed with events still pending on every engine
 }
 
 }  // namespace
