@@ -21,9 +21,10 @@
 // exists. Each shard's camera districts, CPN grids and edge nodes are
 // built on that shard's worker (Placement::for_each_shard), in the global
 // build order restricted to them: districts, then grids, then edge nodes.
-// The coordinator-owned parts — cloud, couplings, exchange, injector and
-// the degradation ladders — are built on the calling thread after the
-// workers finish. No unit draws from a stream another unit's build
+// The coordinator-owned parts are built on the calling thread: the cloud
+// once the workers have built their districts and grids and before they
+// build their edge nodes (the one-engine registration order), then
+// couplings, exchange, injector and the degradation ladders. No unit draws from a stream another unit's build
 // advances (district seeds are mix64(seed ^ salt ^ replica_salt(d)), and a
 // grid's gateways come from gwbase.fork(g), which never advances its
 // parent), so every engine, shard or coordinator, sees the same schedule
